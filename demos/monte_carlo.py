@@ -3,9 +3,12 @@ Monte-Carlo confirmation of the expected counts
 ===============================================
 
 Independent of all quadrature, one can draw the Gaussian coefficients,
-count sign changes of each realized sum on a fine grid, refine each
-bracket by bisection, and average.  The estimator is deterministic for a
-fixed seed and comes with a standard error.
+count the real zeros of each realized sum exactly, and average.  A draw
+whose coefficient signs change at most once has that many zeros
+(Descartes' rule of signs); any other goes through a Rolle cascade of
+derivatives inside its own root bound, so there is no scan interval to
+choose.  The estimator is deterministic for a fixed seed and comes with a
+standard error.
 """
 
 import math

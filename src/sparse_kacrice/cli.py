@@ -219,10 +219,7 @@ def _cmd_ray(args) -> int:
 
 def _cmd_mc(args) -> int:
     E = _load_expsum(args.input)
-    lo, hi = _parse_floats(args.interval)
-    cfg = mc_oracle.McConfig(
-        n_samples=args.samples, seed=args.seed, interval=(float(lo), float(hi))
-    )
+    cfg = mc_oracle.McConfig(n_samples=args.samples, seed=args.seed)
     mean, stderr = mc_oracle.estimate_esol(E, cfg)
     _emit_json(
         {"schema": 1, "mean": mean, "stderr": stderr, "samples": args.samples},
@@ -310,7 +307,7 @@ def _selftest_checks():
         return abs(bkk_total(E).value - 2.0) < 1e-3
 
     def mc_two_term():
-        cfg = mc_oracle.McConfig(n_samples=4000, seed=7, interval=(-12.0, 12.0))
+        cfg = mc_oracle.McConfig(n_samples=4000, seed=7)
         mean, stderr = mc_oracle.estimate_esol(two_term, cfg)
         return abs(mean - 0.5) < 4.0 * stderr
 
@@ -406,7 +403,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--interval", default="-12,12")
     p.add_argument("--output")
     p.set_defaults(handler=_cmd_mc)
 

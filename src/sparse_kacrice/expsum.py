@@ -423,17 +423,6 @@ def legendre_density(E: ExpSum, p) -> float:
     return 1.0 / math.sqrt(det2g)
 
 
-def _legendre_density_many(E: ExpSum, P: np.ndarray, tol: float = 1e-10, max_iter: int = 80):
-    """Vectorized polytope-side density; returns (values, ok mask)."""
-    X, ok = _invert_moment_many(E, P, tol=tol, max_iter=max_iter)
-    _, _, G = _batch_moments(E, X)
-    det2g = np.linalg.det(2.0 * G)
-    values = np.zeros(P.shape[0])
-    good = ok & (det2g > 0)
-    values[good] = 1.0 / np.sqrt(det2g[good])
-    return values, good
-
-
 # -- asymptotics ------------------------------------------------------------
 
 

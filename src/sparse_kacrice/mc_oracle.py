@@ -1,21 +1,31 @@
 """Monte-Carlo estimate of the expected zero count, one variable.
 
 Independent of the density pipeline: draw standard normal coefficients,
-count real zeros of each realized sum by sign changes on a dense scan
-grid, and average.  Counts are exact with probability one — a sum of k
-exponential terms has at most k - 1 real zeros, so a grid finer than the
-minimal zero spacing misses nothing but measure-zero double zeros.
+count the real zeros of each realized sum exactly, and average.
 
-Evaluation is overflow-safe (each grid row is scaled by its largest
-exponential before summing; signs are unchanged) and reproducible: the
-sample stream is partitioned into fixed-size chunks with counter-based
+The count needs no scan interval.  With the exponents sorted, a draw whose
+coefficient signs change at most once has exactly that many zeros, by
+Descartes' rule of signs for exponential sums (Pólya–Szegő, *Problems and
+Theorems in Analysis II*, Part V; Jameson 2006, *Math. Gazette* 90).  The
+other draws go through a Rolle cascade.  Between two zeros of
+``f = sum_j c_j exp(b_j x)`` lies a zero of the derivative of
+``exp(-b_1 x) f``, which is ``sum_{j>1} c_j (b_j - b_1) exp((b_j - b_1) x)``:
+a sum with one term fewer and the same coefficient signs.  Recursing down
+to two terms, whose zero is closed-form, the zeros of each level split a
+per-draw root bound (outside it the leading or trailing term outweighs all
+others) into pieces on which the level above is monotone, so each piece
+holds at most one of its zeros, found by safeguarded Newton.  The zeros
+of f are the sign changes of f over its own pieces.
+
+Signs are evaluated overflow-safely (each value is scaled by its largest
+term; signs are unchanged) and results are reproducible: the sample
+stream is partitioned into fixed-size chunks with counter-based
 substreams, so results do not depend on how work is scheduled.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,137 +37,136 @@ __all__ = ["McConfig", "sample_zero_count", "estimate_esol"]
 
 #: Samples per substream chunk (fixed, so the stream is scheduler-independent).
 CHUNK = 512
-#: Grid rows per matrix block when counting sign changes.
-GRID_BLOCK = 4096
-#: Default scan density: grid points per unit interval length per term.
-SCAN_DENSITY = 64
-#: Scan density on the tail extensions of the doubled check interval,
-#: where zeros are sparse.
-TAIL_DENSITY = 8
+#: Chunks counted together, so memory does not grow with the sample count.
+BLOCK_CHUNKS = 8
+#: Relative step size at which a Newton zero counts as converged, and the
+#: iteration cap (bisection alone would reach the tolerance well within it).
+NEWTON_TOL = 1e-13
+NEWTON_STEPS = 100
 
 
 @dataclass(frozen=True)
 class McConfig:
-    """Monte-Carlo run configuration.
-
-    ``scan_points`` of None derives the grid from the default density
-    (SCAN_DENSITY per term per unit length); an explicit value must be at
-    least 16.  ``refine_tol`` bounds the bisection width used to locate
-    individual zeros in :func:`sample_zero_count`.
-    """
+    """Monte-Carlo run configuration: sample count and seed."""
 
     n_samples: int = 100_000
     seed: int = 0
-    interval: tuple = (-12.0, 12.0)
-    scan_points: int | None = None
-    refine_tol: float = 1e-9
 
     def __post_init__(self):
         if self.n_samples < 1:
             raise InputError("n_samples must be at least 1")
-        lo, hi = self.interval
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-            raise InputError("interval must be finite with lo < hi")
-        if self.scan_points is not None and self.scan_points < 16:
-            raise InputError("scan_points must be at least 16")
-        if not self.refine_tol > 0:
-            raise InputError("refine_tol must be positive")
 
 
-def _check_univariate(E: ExpSum) -> None:
+def _sorted_terms(E: ExpSum):
+    """Term order by ascending exponent, the exponents and log weights."""
     if E.dim != 1:
         raise InputError("Monte-Carlo zero counting is limited to one variable")
+    order = np.argsort(E.support.points[:, 0])
+    return order, E.support.points[order, 0], E.log_coeffs[order]
 
 
-def _scan_grid(E: ExpSum, cfg: McConfig, lo: float, hi: float) -> np.ndarray:
-    if cfg.scan_points is not None:
-        n = cfg.scan_points
-    else:
-        n = max(16, int(round(SCAN_DENSITY * E.n_terms * (hi - lo))))
-    return np.linspace(lo, hi, n)
+def _signs(b, L, S, X):
+    """Signs of sum_j S_j exp(b_j x + L_j) at points X, shape (draws, points)."""
+    T = X[..., None] * b + L[:, None, :]
+    return np.sign((S[:, None, :] * np.exp(T - T.max(axis=-1, keepdims=True))).sum(axis=-1))
 
 
-def _scaled_basis(E: ExpSum, grid: np.ndarray) -> np.ndarray:
-    """Rows b_i = exp(a grid_i + log alpha - rowmax): sign-preserving basis."""
-    T = grid[:, None] * E.support.points[:, 0][None, :] + E.log_coeffs[None, :]
-    return np.exp(T - T.max(axis=1, keepdims=True))
+def _pieces(b, L, S, crit):
+    """Ends of the monotone pieces of one level and its signs there.
 
-
-def _signed_values(E: ExpSum, xi: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Values of the realized sum at xs, rescaled per point (signs exact)."""
-    return _scaled_basis(E, np.atleast_1d(xs)) @ xi
-
-
-def sample_zero_count(E: ExpSum, coeffs_draw, cfg: McConfig | None = None) -> int:
-    """Real zeros of one realized sum, located to refine_tol.
-
-    Scans the configured interval for sign changes and bisects each
-    bracket down to ``refine_tol``; zeros landing exactly on a grid node
-    are handled by shifting the grid and recounting.  The result never
-    exceeds the number of terms minus one.
+    ``crit`` holds the zeros of the level below (inf where absent).  The
+    outer ends are the root bound, past which the first or last term
+    outweighs the other m - 1 together.
     """
-    _check_univariate(E)
-    cfg = cfg or McConfig()
+    gap = np.log(len(b) - 1)
+    lo = ((L[:, :1] - L[:, 1:] - gap) / (b[1:] - b[0])).min(axis=1)
+    hi = ((L[:, :-1] + gap - L[:, -1:]) / (b[-1] - b[:-1])).max(axis=1)
+    inner = np.sort(np.clip(crit, lo[:, None], hi[:, None]), axis=1)
+    ends = np.column_stack([lo, inner, hi])
+    signs = np.column_stack([S[:, 0], _signs(b, L, S, inner), S[:, -1]])
+    return ends, signs
+
+
+def _newton(b, L, S, lo, hi, s_lo):
+    """The zero in each bracket (lo, hi) whose sign at lo is s_lo.
+
+    Newton steps are kept when they land inside the bracket and at least
+    halve the step before; otherwise the bracket is bisected.
+    """
+    x = 0.5 * (lo + hi)
+    step = hi - lo
+    todo = np.arange(len(x))
+    for _ in range(NEWTON_STEPS):
+        xt, lt, ht = x[todo], lo[todo], hi[todo]
+        T = xt[:, None] * b + L[todo]
+        V = S[todo] * np.exp(T - T.max(axis=1, keepdims=True))
+        v = V.sum(axis=1)
+        left = np.sign(v) == s_lo[todo]
+        lt, ht = np.where(left, xt, lt), np.where(left, ht, xt)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = v / (V @ b)
+        inside = (xt - newton >= lt) & (xt - newton <= ht)
+        halves = np.abs(newton) < 0.5 * np.abs(step[todo])
+        st = np.where(inside & halves, newton, xt - 0.5 * (lt + ht))
+        x[todo], lo[todo], hi[todo], step[todo] = xt - st, lt, ht, st
+        todo = todo[np.abs(st) > NEWTON_TOL * (1.0 + np.abs(xt))]
+        if todo.size == 0:
+            break
+    return x
+
+
+def _rolle_count(b, L, S):
+    """Zeros of sum_j S_j exp(b_j x + L_j) per row, for at least 3 terms."""
+    # Level i holds the terms from i on: the derivative of exp(-b_{i-1} x)
+    # times level i - 1, whose coefficients gain the factors b_j - b_{i-1} > 0.
+    Ls = [L]
+    for i in range(1, len(b) - 1):
+        Ls.append(Ls[-1][:, 1:] + np.log(b[i:] - b[i - 1]))
+    L2 = Ls.pop()
+    crit = np.where(S[:, -2] != S[:, -1], (L2[:, 0] - L2[:, 1]) / (b[-1] - b[-2]), np.inf)
+    crit = crit[:, None]
+    for Li in reversed(Ls[1:]):
+        m = Li.shape[1]
+        bi, Si = b[-m:], S[:, -m:]
+        ends, signs = _pieces(bi, Li, Si, crit)
+        rows, cols = np.nonzero(signs[:, :-1] * signs[:, 1:] < 0)
+        crit = np.full((len(S), m - 1), np.inf)
+        crit[rows, cols] = _newton(
+            bi, Li[rows], Si[rows], ends[rows, cols], ends[rows, cols + 1], signs[rows, cols]
+        )
+    _, signs = _pieces(b, L, S, crit)
+    return (signs == 0).sum(axis=1) + (signs[:, :-1] * signs[:, 1:] < 0).sum(axis=1)
+
+
+def _count_zeros(b, w, C):
+    """Real zeros of sum_j C[r, j] exp(b_j x + w_j) for each row r, b ascending."""
+    counts = np.zeros(len(C), dtype=np.int64)
+    sparse = np.any(C == 0.0, axis=1)
+    for r in np.flatnonzero(sparse):
+        keep = C[r] != 0.0
+        counts[r] = _count_zeros(b[keep], w[keep], C[r : r + 1, keep])[0]
+    S = np.sign(C)
+    changes = (S[:, 1:] != S[:, :-1]).sum(axis=1)
+    counts[~sparse] = changes[~sparse]
+    hard = ~sparse & (changes > 1)
+    if np.any(hard):
+        counts[hard] = _rolle_count(b, np.log(np.abs(C[hard])) + w, S[hard])
+    return counts
+
+
+def sample_zero_count(E: ExpSum, coeffs_draw) -> int:
+    """Number of real zeros of the sum with coefficients alpha_a * draw_a.
+
+    Exact for any real exponents: Descartes' rule of signs when the signs
+    change at most once, else a Rolle cascade inside the draw's own root
+    bound.  A zero coefficient drops its term, and a multiple zero counts
+    once.  The result never exceeds the number of terms minus one.
+    """
+    order, b, w = _sorted_terms(E)
     xi = np.asarray(coeffs_draw, dtype=float).reshape(-1)
     if xi.shape[0] != E.n_terms or not np.all(np.isfinite(xi)):
         raise InputError(f"coefficient draw must be {E.n_terms} finite reals")
-    lo, hi = cfg.interval
-    grid = _scan_grid(E, cfg, lo, hi)
-    values = _signed_values(E, xi, grid)
-    for _ in range(5):
-        if not np.any(values == 0.0):
-            break
-        grid = grid + cfg.refine_tol
-        values = _signed_values(E, xi, grid)
-    signs = np.sign(values)
-    signs[signs == 0.0] = 1.0
-    flips = np.flatnonzero(signs[:-1] != signs[1:])
-    roots = []
-    for i in flips:
-        a, b = grid[i], grid[i + 1]
-        fa = values[i]
-        while b - a > cfg.refine_tol:
-            m = 0.5 * (a + b)
-            fm = float(_signed_values(E, xi, np.array([m]))[0])
-            if fm == 0.0 or (fm > 0) == (fa > 0):
-                a, fa = m, fm
-            else:
-                b = m
-        roots.append(0.5 * (a + b))
-    deduped = []
-    for r in sorted(roots):
-        if not deduped or r - deduped[-1] > cfg.refine_tol:
-            deduped.append(r)
-    return len(deduped)
-
-
-def _count_block_signs(basis: np.ndarray, xi: np.ndarray):
-    """Sign-change counts per sample for a (grid, k) basis and (k, c) draws.
-
-    Returns (counts, first_signs, last_signs) so segments of a composite
-    grid can be stitched together.
-    """
-    counts = np.zeros(xi.shape[1], dtype=np.int64)
-    first = None
-    prev = None
-    for start in range(0, basis.shape[0], GRID_BLOCK):
-        V = basis[start : start + GRID_BLOCK] @ xi
-        S = np.sign(V)
-        if np.any(S == 0.0):
-            # Exact zeros at grid nodes are measure-zero; inherit the
-            # previous row's sign so each crossing is counted once.
-            for col in np.flatnonzero(np.any(S == 0.0, axis=0)):
-                s = S[:, col]
-                zero_rows = np.flatnonzero(s == 0.0)
-                for i in zero_rows:
-                    s[i] = s[i - 1] if i > 0 else (prev[col] if prev is not None else 1.0)
-        counts += (S[1:] != S[:-1]).sum(axis=0)
-        if prev is not None:
-            counts += S[0] != prev
-        if first is None:
-            first = S[0].copy()
-        prev = S[-1]
-    return counts, first, prev.copy()
+    return int(_count_zeros(b, w, xi[order][None, :])[0])
 
 
 def _chunk_draws(E: ExpSum, seed: int, chunk_index: int) -> np.ndarray:
@@ -169,46 +178,23 @@ def _chunk_draws(E: ExpSum, seed: int, chunk_index: int) -> np.ndarray:
 def estimate_esol(E: ExpSum, cfg: McConfig | None = None) -> tuple[float, float]:
     """Monte-Carlo mean and standard error of the real zero count.
 
-    Each sample's zeros are counted on the configured interval and, with
-    the same draws, on an interval of twice the length; if the wide count
-    exceeds the narrow one by more than a tenth of the standard error the
-    wide interval's counts are used and a warning is issued.
+    Every sample's zeros are counted exactly, as in
+    :func:`sample_zero_count`, over the whole real line; there is no scan
+    interval.  Draws are counted in blocks of ``BLOCK_CHUNKS`` chunks and
+    only a histogram of counts is kept.
     """
-    _check_univariate(E)
+    order, b, w = _sorted_terms(E)
     cfg = cfg or McConfig()
-    lo, hi = cfg.interval
-    half = 0.5 * (hi - lo)
-    basis_main = _scaled_basis(E, _scan_grid(E, cfg, lo, hi))
-    # Tail extensions of the doubled interval, scanned coarsely (zeros out
-    # there are rare and widely spaced).
-    n_tail = max(16, int(round(TAIL_DENSITY * E.n_terms * half)))
-    basis_left = _scaled_basis(E, np.linspace(lo - half, lo, n_tail, endpoint=False))
-    basis_right = _scaled_basis(E, np.linspace(hi, hi + half, n_tail + 1)[1:])
     n = cfg.n_samples
-    counts_main = np.empty(n, dtype=np.int64)
-    counts_wide = np.empty(n, dtype=np.int64)
-    for chunk_index in range(0, (n + CHUNK - 1) // CHUNK):
-        xi = _chunk_draws(E, cfg.seed, chunk_index)
-        start = chunk_index * CHUNK
-        take = min(CHUNK, n - start)
-        c_main, f_main, l_main = _count_block_signs(basis_main, xi)
-        c_left, _, l_left = _count_block_signs(basis_left, xi)
-        c_right, f_right, _ = _count_block_signs(basis_right, xi)
-        seams = (l_left != f_main).astype(np.int64) + (l_main != f_right)
-        counts_main[start : start + take] = c_main[:take]
-        counts_wide[start : start + take] = (c_main + c_left + c_right + seams)[:take]
-
-    counts = counts_main
-    mean = float(counts.mean())
-    stderr = float(counts.std(ddof=1) / math.sqrt(n)) if n > 1 else float("inf")
-    tail = float(counts_wide.mean() - mean)
-    if tail > stderr / 10.0:
-        warnings.warn(
-            f"scan interval misses zero mass ({tail:.2e} per sample); "
-            "using the doubled interval",
-            stacklevel=2,
-        )
-        counts = counts_wide
-        mean = float(counts.mean())
-        stderr = float(counts.std(ddof=1) / math.sqrt(n)) if n > 1 else float("inf")
+    n_chunks = (n + CHUNK - 1) // CHUNK
+    tally = np.zeros(E.n_terms, dtype=np.int64)
+    for first in range(0, n_chunks, BLOCK_CHUNKS):
+        chunks = range(first, min(first + BLOCK_CHUNKS, n_chunks))
+        xi = np.concatenate([_chunk_draws(E, cfg.seed, c) for c in chunks], axis=1)
+        xi = xi[order, : n - first * CHUNK]
+        tally += np.bincount(_count_zeros(b, w, xi.T), minlength=E.n_terms)
+    s1 = int(tally @ np.arange(E.n_terms))
+    s2 = int(tally @ np.arange(E.n_terms) ** 2)
+    mean = s1 / n
+    stderr = math.sqrt((n * s2 - s1 * s1) / (n * (n - 1)) / n) if n > 1 else float("inf")
     return mean, stderr

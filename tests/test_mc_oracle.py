@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,7 @@ from sparse_kacrice import (
     McConfig,
     esol_total,
     estimate_esol,
+    kostlan,
     sample_zero_count,
 )
 
@@ -22,15 +26,10 @@ class TestConfig:
     def test_validation(self):
         with pytest.raises(InputError):
             McConfig(n_samples=0)
-        with pytest.raises(InputError):
-            McConfig(interval=(3.0, -3.0))
-        with pytest.raises(InputError):
-            McConfig(scan_points=4)
 
     def test_defaults(self):
         cfg = McConfig()
         assert cfg.n_samples == 100_000
-        assert cfg.interval == (-12.0, 12.0)
 
 
 class TestSampleZeroCount:
@@ -62,6 +61,38 @@ class TestSampleZeroCount:
         with pytest.raises(InputError):
             sample_zero_count(TWO_TERM, [1.0])
 
+    def test_rejects_non_finite_draw(self):
+        for draw in ([1.0, math.nan], [math.inf, -1.0]):
+            with pytest.raises(InputError):
+                sample_zero_count(TWO_TERM, draw)
+
+    def test_zero_coefficient_drops_its_term(self):
+        assert sample_zero_count(THREE_TERM, [1.0, 0.0, -1.0]) == 1
+        assert sample_zero_count(THREE_TERM, [0.0, 0.0, 1.0]) == 0
+
+    def test_multiple_zeros_counted_once(self):
+        # (e^x - 1)^2 touches zero at x = 0; (e^x - 1)^3 crosses there
+        assert sample_zero_count(THREE_TERM, [1.0, -2.0, 1.0]) == 1
+        four = ExpSum([[0.0], [1.0], [2.0], [3.0]])
+        assert sample_zero_count(four, [-1.0, 3.0, -3.0, 1.0]) == 1
+
+    def test_flat_minimum_between_close_zeros(self):
+        # the derivative of f is e^x (e^x - 1)^3, so f has a flat minimum
+        # of -1e-4 at x = 0 and crosses zero at about -0.15 and 0.13
+        five = ExpSum([[0.0], [1.0], [2.0], [3.0], [4.0]])
+        assert sample_zero_count(five, [0.25 - 1e-4, -1.0, 1.5, -1.0, 0.25]) == 2
+
+    def test_far_zero_is_counted(self):
+        # 1 - e^{x - 30} vanishes at x = 30
+        assert sample_zero_count(TWO_TERM, [1.0, -math.exp(-30.0)]) == 1
+
+    def test_matches_dense_grid_per_draw(self):
+        b = np.array([0.0, 0.3, 1.1, math.e, 3.9, 4.0])
+        E = ExpSum(b[:, None])
+        rng = np.random.default_rng(17)
+        for draw in rng.standard_normal((300, b.size)):
+            assert sample_zero_count(E, draw) == _grid_zero_count(b, draw)
+
 
 class TestEstimate:
     def test_deterministic_for_fixed_seed(self):
@@ -85,20 +116,46 @@ class TestEstimate:
         mean, stderr = estimate_esol(THREE_TERM, McConfig(n_samples=20_000, seed=1))
         assert abs(mean - want) < 4.0 * stderr
 
-    def test_narrow_interval_warns_and_recovers(self):
-        # mass beyond the scan window must be noticed and folded back in
+    def test_far_zeros_counted_silently(self):
+        # zeros spread far out (gaps of 0.5 and 1.2) are counted without a
+        # truncation interval, and without any warning
         E = ExpSum([[0.0], [0.5], [1.7]], [1.0, 2.0, 1.0])
-        cfg = McConfig(n_samples=20_000, seed=3, interval=(-12.0, 12.0))
-        with pytest.warns(UserWarning):
-            mean, stderr = estimate_esol(E, cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mean, stderr = estimate_esol(E, McConfig(n_samples=20_000, seed=3))
         want = esol_total(E).value
         assert abs(mean - want) < 4.0 * stderr
 
     def test_wide_interval_stays_silent(self):
-        import warnings
-
+        # no scan interval is left to widen: the default count is silent
         E = ExpSum([[0.0], [0.5], [1.7]], [1.0, 2.0, 1.0])
-        cfg = McConfig(n_samples=5_000, seed=3, interval=(-40.0, 40.0))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            estimate_esol(E, cfg)
+            estimate_esol(E, McConfig(n_samples=5_000, seed=3))
+
+    def test_affine_images_give_identical_estimates(self):
+        # x -> (x - t) / s maps the zeros of the image onto those of E
+        E = kostlan(1, 2)
+        cfg = McConfig(n_samples=20_000, seed=3)
+        want = estimate_esol(E, cfg)
+        for scale, shift in ((0.25, 0.5), (3.0, -1.0), (-1.0, 0.0)):
+            image = ExpSum(scale * E.support.points + shift, E.coeffs)
+            assert estimate_esol(image, cfg) == want
+
+    def test_one_term_sum_has_no_zeros(self):
+        assert estimate_esol(ExpSum([[2.0]]), McConfig(n_samples=1000)) == (0.0, 0.0)
+
+
+def _grid_zero_count(b, draw, per_unit=500):
+    """Sign changes of sum_j draw_j e^{b_j x} on a dense grid that covers
+    every zero: past hi (below lo) the last (first) term outweighs the
+    other terms together."""
+    L = np.log(np.abs(draw))
+    k = b.size
+    lo = min((L[0] - L[j] - math.log(k)) / (b[j] - b[0]) for j in range(1, k))
+    hi = max((L[j] - L[-1] + math.log(k)) / (b[-1] - b[j]) for j in range(k - 1))
+    xs = np.linspace(lo, hi, int((hi - lo) * per_unit) + 2)
+    T = xs[:, None] * b + L
+    signs = np.sign((np.sign(draw) * np.exp(T - T.max(axis=1, keepdims=True))).sum(axis=1))
+    signs = signs[signs != 0.0]
+    return int(np.count_nonzero(signs[1:] != signs[:-1]))
