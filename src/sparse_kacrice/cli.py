@@ -277,6 +277,10 @@ def _selftest_checks():
     def esol_degree_four():
         return abs(esol_total(algebra_mod.kostlan(1, 4)).value - 1.0) < 1e-4
 
+    def rotated_square():
+        E = ExpSum([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+        return abs(esol_total(E).value - math.pi / 8.0) < 1e-6
+
     def density_closed_form():
         want = 1.0 / (2.0 * math.pi * math.cosh(1.0))
         return abs(density(two_term, [1.0]) - want) < 1e-12
@@ -314,6 +318,7 @@ def _selftest_checks():
     return [
         ("two-term expected zero count is 1/2", esol_two_term),
         ("degree-4 one-variable count is sqrt(4)/2", esol_degree_four),
+        ("rotated unit square is pi/8 on the x route", rotated_square),
         ("two-term density closed form at x=1", density_closed_form),
         ("moment-map inversion round trip", inversion_round_trip),
         ("interior witness decreases density", witness_in_square),

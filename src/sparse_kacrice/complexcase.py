@@ -18,8 +18,10 @@ import math
 import numpy as np
 
 from .errors import InputError
-from .expsum import ExpSum, _batch_moments, _check_point, evaluate
-from .integrate import IntegralResult, Quadrature, _integrate_auto
+# ``evaluate`` is imported for perfbench's tracer, which wraps it as a
+# complexcase boundary; the densities here use the batched kernel.
+from .expsum import ExpSum, _batch_moments, _check_point, evaluate  # noqa: F401
+from .integrate import IntegralResult, Quadrature, _over_rm
 from .geometry import hull_volume
 
 __all__ = ["ComplexExpSum", "bkk_density", "bkk_total", "n_factorial_volume"]
@@ -42,10 +44,7 @@ def bkk_density(E: ComplexExpSum, x) -> float:
     weighted covariance as the real metric.  Degenerate supports give 0.
     """
     x = _check_point(x, E.dim)
-    n = E.dim
-    bundle = evaluate(E, x)
-    det = float(np.linalg.det(bundle.g.entries))
-    return math.factorial(n) / math.pi**n * max(det, 0.0)
+    return float(_bkk_density_many(E, x[None])[0])
 
 
 def _bkk_density_many(E: ComplexExpSum, X: np.ndarray) -> np.ndarray:
@@ -63,9 +62,10 @@ def n_factorial_volume(E: ComplexExpSum) -> float:
 def bkk_total(E: ComplexExpSum, q: Quadrature | None = None) -> IntegralResult:
     """Expected zeros in R^n x i(-pi, pi)^n: the density route.
 
-    (2 pi)^n times the integral of :func:`bkk_density` over R^n, on an
-    automatically grown box.  Requires integer exponents (the volume
-    identity is asserted only there) and at most three variables.
+    (2 pi)^n times the integral of :func:`bkk_density` over R^n, on the
+    same metric-normalized cube and shells as ``esol_total``.  Requires
+    integer exponents (the volume identity is asserted only there) and at
+    most three variables.
     """
     q = q or Quadrature()
     pts = E.support.points
@@ -80,5 +80,5 @@ def bkk_total(E: ComplexExpSum, q: Quadrature | None = None) -> IntegralResult:
     def f(X):
         return factor * _bkk_density_many(E, X)
 
-    value, error, cells = _integrate_auto(f, E, q.abs_tol, q.rel_tol)
+    value, error, cells = _over_rm(f, E, q.abs_tol, q.rel_tol)
     return IntegralResult(value, error, "bkk", cells)

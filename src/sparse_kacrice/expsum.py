@@ -314,15 +314,29 @@ def hessian_check(E: ExpSum, x, h: float = 1e-4) -> HessianReport:
 # -- moment-map inversion ---------------------------------------------------
 
 
+def _balancing_point(E: ExpSum) -> np.ndarray:
+    """The x minimizing sum_a (<a, x> + log alpha_a - c)^2 over x and c.
+
+    There the terms' magnitudes are as close to equal as a least-squares
+    fit makes them, so the softmax weights are spread and the metric is
+    well conditioned: the Newton start for moment-map inversion.  It is
+    x = 0 for unit weights.
+    """
+    design = np.hstack([E.support.points, -np.ones((E.n_terms, 1))])
+    return np.linalg.lstsq(design, -E.log_coeffs, rcond=None)[0][:-1]
+
+
 def invert_moment(E: ExpSum, p, tol: float = 1e-10, max_iter: int = 80) -> np.ndarray:
     """Solve mu(x) = p for x by damped Newton iteration.
 
     The moment map is a diffeomorphism onto the interior of the Newton
-    polytope; the Jacobian of mu is 2 g.  Starts at x = 0 and halves the
-    step whenever the residual would not decrease.
+    polytope; the Jacobian of mu is 2 g.  Starts at the balancing point
+    of the weights and halves the step whenever the residual would not
+    decrease.
 
     Raises DomainError for p outside the interior (with margin) and
-    ConvergenceError (carrying the last residual) past ``max_iter``.
+    ConvergenceError (carrying the last iterate and residual) past
+    ``max_iter``, on a stalled line search, or on a singular Newton system.
     """
     if not tol > 0:
         raise InputError("tol must be positive")
@@ -332,13 +346,18 @@ def invert_moment(E: ExpSum, p, tol: float = 1e-10, max_iter: int = 80) -> np.nd
     margin = INVERT_MARGIN * (1.0 + diameter(E.support))
     if not interior_contains(E.support, p, margin):
         raise DomainError(f"target {p.tolist()} is not interior to the Newton polytope")
-    x = np.zeros(E.dim)
+    x = _balancing_point(E)
     _, mu, G = _batch_moments(E, x[None, :])
     residual = float(np.linalg.norm(mu[0] - p))
     for _ in range(max_iter):
         if residual <= tol:
             return x
-        delta = np.linalg.solve(2.0 * G[0], p - mu[0])
+        try:
+            delta = np.linalg.solve(2.0 * G[0], p - mu[0])
+        except np.linalg.LinAlgError:
+            raise ConvergenceError(
+                "singular Newton system", value=x, residual=residual
+            ) from None
         step = 1.0
         while True:
             trial = x + step * delta
@@ -360,12 +379,12 @@ def invert_moment(E: ExpSum, p, tol: float = 1e-10, max_iter: int = 80) -> np.nd
 def _invert_moment_many(E: ExpSum, P: np.ndarray, tol: float = 1e-10, max_iter: int = 80):
     """Vectorized damped Newton for many interior targets at once.
 
-    Returns (X, ok) where ok flags rows that reached ``tol``.  No interior
+    Returns (X, ok) where ok flags rows that reached ``tol``; rows whose
+    Newton system turns singular are retired as failed.  No interior
     check is performed here — callers own the masking.
     """
     P = np.atleast_2d(np.asarray(P, dtype=float))
-    n = P.shape[0]
-    X = np.zeros_like(P)
+    X = np.tile(_balancing_point(E), (P.shape[0], 1))
     _, mu, G = _batch_moments(E, X)
     residual = np.linalg.norm(mu - P, axis=1)
     alive = residual > tol
@@ -373,7 +392,12 @@ def _invert_moment_many(E: ExpSum, P: np.ndarray, tol: float = 1e-10, max_iter: 
         if not alive.any():
             break
         idx = np.flatnonzero(alive)
-        delta = np.linalg.solve(2.0 * G[idx], (P[idx] - mu[idx])[..., None])[..., 0]
+        try:
+            delta = np.linalg.solve(2.0 * G[idx], (P[idx] - mu[idx])[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            # Retire the rows whose Newton system is exactly singular, then retry.
+            alive[idx[np.linalg.slogdet(G[idx])[0] == 0.0]] = False
+            continue
         current_x = X[idx]
         current_res = residual[idx]
         step = np.ones(idx.size)

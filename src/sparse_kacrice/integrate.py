@@ -3,21 +3,29 @@
 Two routes to the same number:
 
 * the x-space route integrates the zero density (2/s_m) sqrt(det g_x)
-  over R^m, truncated to an automatically grown box whose outermost
-  shell is monitored until it stops contributing;
+  over R^m.  With ``box="auto"`` it works in metric-normalized
+  coordinates x = x0 + W y, where x0 is the moment preimage of the
+  support's barycenter and W^T g(x0) W = I, so the region sits in the
+  same place relative to the support under every affine map of it: the
+  cube [-4, 4]^m, then shells [-2r, 2r]^m minus [-r, r]^m for as long as
+  the newest shell outweighs the error of the cells already in hand;
 * the moment-space route integrates the Legendre-transform density over
   the interior of the Newton polytope, with a one-step extrapolation of
   the square-root boundary layer.
 
-One-dimensional integrals use a nested midpoint rule with Richardson
-extrapolation; higher dimensions use adaptive dyadic subdivision with a
-pair of tensor Gauss-Legendre rules per cell.  All accumulation is
-compensated (math.fsum), so results do not depend on evaluation order.
+Every integral, in every dimension, is one adaptive heap of cells, each
+with a pair of tensor Gauss-Legendre rules (4 and 8 points per axis)
+whose difference is its error estimate.  The worst cells are halved
+along their longest side until the summed cell error, plus the newest
+shell's value when the region grows, meets one budget
+max(abs_tol, rel_tol |total|).  Final sums are compensated (math.fsum),
+so results do not depend on evaluation order.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -47,28 +55,27 @@ __all__ = [
 
 #: Subdivision budget per adaptive integral.
 MAX_CELLS = 40000
-#: Nested-midpoint level cap (initial 32 panels, doubled per level).
-MAX_LEVELS = 14
-#: AUTO boxes stop growing once the newest shell contributes less than
-#: abs_tol divided by this factor.
-SHELL_FACTOR = 10.0
-#: Maximum number of AUTO box doublings.
-MAX_DOUBLINGS = 12
+#: Half-width of the first AUTO cube, in metric-normalized coordinates.
+AUTO_RADIUS = 4.0
+#: Maximum number of AUTO shells.  Each doubles the radius; the density
+#: reaches out to about 1/(smallest gap) in units of the frame that the
+#: largest gaps set, so 2^24 covers gaps spanning about seven decades.
+MAX_DOUBLINGS = 24
+#: Summed cell errors cannot fall below this multiple of the summed
+#: absolute cell values: the rounding of the rule sums themselves.
+ROUNDOFF = 64.0 * np.finfo(float).eps
 #: Outermost relative shrink of the moment-space integration region.
 PSPACE_EPS = 1e-3
 
 
 @dataclass(frozen=True)
 class Quadrature:
-    """Integration request: scheme, tolerances, and region.
+    """Integration request: tolerances and region.
 
-    ``scheme`` is "auto" (midpoint/Richardson in one variable, adaptive
-    dyadic subdivision otherwise).  ``box`` is "auto" for the grown box,
-    or a per-axis sequence of (lo, hi) pairs ((lo, hi) alone is accepted
-    in one variable).
+    ``box`` is "auto" for all of R^m, or a per-axis sequence of (lo, hi)
+    pairs ((lo, hi) alone is accepted in one variable).
     """
 
-    scheme: str = "auto"
     abs_tol: float = 1e-7
     rel_tol: float = 1e-7
     box: object = "auto"
@@ -76,15 +83,13 @@ class Quadrature:
     def __post_init__(self):
         if not (self.abs_tol > 0 and self.rel_tol > 0):
             raise InputError("tolerances must be positive")
-        if self.scheme not in ("auto", "midpoint-richardson", "adaptive-dyadic"):
-            raise InputError(f"unknown scheme {self.scheme!r}")
 
 
 @dataclass(frozen=True)
 class IntegralResult:
     """Converged integral with its error estimate and work counters.
 
-    ``cells`` counts quadrature panels (one variable) or leaf cells;
+    ``cells`` counts leaf cells of the adaptive heap;
     ``inversion_failures`` counts failed moment-map inversions on the
     moment-space route (always 0 on the x route)."""
 
@@ -108,34 +113,7 @@ def _normalize_box(box, m: int):
 
 
 # ---------------------------------------------------------------------------
-# One-dimensional nested midpoint + Richardson
-
-
-def _midpoint_richardson(f, lo, hi, abs_tol, rel_tol, n0=32):
-    """Integrate vectorized f on [lo, hi]; returns (value, error, panels)."""
-    rows = []
-    n = n0
-    for _ in range(MAX_LEVELS + 1):
-        xs = lo + (hi - lo) * (np.arange(n) + 0.5) / n
-        row = [float((hi - lo) * math.fsum(f(xs[:, None])) / n)]
-        if rows:
-            prev = rows[-1]
-            for k in range(len(prev)):
-                row.append(row[k] + (row[k] - prev[k]) / (4.0 ** (k + 1) - 1.0))
-            err = abs(row[-1] - prev[-1])
-            if err <= max(abs_tol, rel_tol * abs(row[-1])):
-                return row[-1], err, n
-        rows.append(row)
-        n *= 2
-    raise ConvergenceError(
-        "midpoint rule did not converge within the level budget",
-        value=rows[-1][-1],
-        residual=abs(rows[-1][-1] - rows[-2][-1]),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Adaptive dyadic subdivision with paired tensor Gauss-Legendre rules
+# One adaptive heap with paired tensor Gauss-Legendre rules
 
 _GL_COARSE = leggauss(4)
 _GL_FINE = leggauss(8)
@@ -174,42 +152,64 @@ def _seed_grid(box, per_axis):
     return los, his
 
 
-def _adaptive_box(f, box, abs_tol, rel_tol, max_cells=MAX_CELLS, seed_per_axis=8):
-    """Adaptive cubature of vectorized f over a box; (value, error, cells)."""
+def _shell_cells(r, m):
+    """Seeded cells of the 2m slabs that tile [-2r, 2r]^m minus [-r, r]^m."""
+    grids = []
+    for axis in range(m):
+        for side in ((-2.0 * r, -r), (r, 2.0 * r)):
+            slab = [(-2.0 * r, 2.0 * r)] * axis + [side] + [(-r, r)] * (m - axis - 1)
+            grids.append(_seed_grid(slab, 4))
+    return np.concatenate([g[0] for g in grids]), np.concatenate([g[1] for g in grids])
+
+
+def _adaptive(f, box, abs_tol, rel_tol, grow=False, seed_per_axis=8):
+    """Adaptive cubature of vectorized f; (value, error, cells).
+
+    Integrates over ``box``, or with ``grow`` over R^m from the cube
+    ``box`` = [-r, r]^m outward: a shell enters the heap while the newest
+    one's value exceeds the summed cell error, and that value counts as
+    the error of truncating there.  Raises ConvergenceError with the
+    partial value when the cell budget runs out or the error budget lies
+    below the roundoff floor of the cell sums.
+    """
     m = len(box)
-    nodes_c, weights_c = _tensor_rule(_GL_COARSE, m)
-    nodes_f, weights_f = _tensor_rule(_GL_FINE, m)
-
+    rules = [_tensor_rule(rule, m) for rule in (_GL_COARSE, _GL_FINE)]
     heap = []
-    counter = 0
+    order = itertools.count()
 
-    def push_cells(los, his):
-        """Evaluate cells, push them, return their (value sum, error sum)."""
-        nonlocal counter
-        coarse = _cell_quadrature(f, los, his, nodes_c, weights_c)
-        fine = _cell_quadrature(f, los, his, nodes_f, weights_f)
+    def push(los, his):
+        """Evaluate cells, push them; returns sums of value, error and |value|."""
+        coarse, fine = (_cell_quadrature(f, los, his, *rule) for rule in rules)
         errs = np.abs(fine - coarse)
         for lo, hi, value, err in zip(los, his, fine, errs):
-            heapq.heappush(
-                heap, (-float(err), counter, tuple(lo), tuple(hi), float(value))
-            )
-            counter += 1
-        return float(fine.sum()), float(errs.sum())
+            heapq.heappush(heap, (-float(err), next(order), tuple(lo), tuple(hi), float(value)))
+        return float(fine.sum()), float(errs.sum()), float(np.abs(fine).sum())
 
-    total, total_err = push_cells(*_seed_grid(box, seed_per_axis))
-
-    while total_err > max(abs_tol, rel_tol * abs(total)):
-        if len(heap) >= max_cells:
+    total, error, mass = push(*_seed_grid(box, seed_per_axis))
+    # The tail is unknown until a first shell measures it.
+    shell, radius, shells = (math.inf if grow else 0.0), box[0][1], 0
+    while error + abs(shell) > max(abs_tol, rel_tol * abs(total), ROUNDOFF * mass):
+        if abs(shell) > error:
+            if shells == MAX_DOUBLINGS:
+                raise ConvergenceError(
+                    "AUTO region kept growing without the tail shells dying off",
+                    value=total,
+                    residual=abs(shell),
+                )
+            shell, de, dm = push(*_shell_cells(radius, m))
+            total, error, mass = total + shell, error + de, mass + dm
+            radius, shells = 2.0 * radius, shells + 1
+            continue
+        if len(heap) >= MAX_CELLS:
             raise ConvergenceError(
-                f"cell budget {max_cells} exhausted",
-                value=total,
-                residual=total_err,
+                f"cell budget {MAX_CELLS} exhausted", value=total, residual=error + abs(shell)
             )
         batch = [heapq.heappop(heap) for _ in range(min(16, len(heap)))]
         los, his = [], []
         for neg_err, _, lo, hi, value in batch:
             total -= value
-            total_err += neg_err
+            error += neg_err
+            mass -= abs(value)
             lo, hi = np.asarray(lo), np.asarray(hi)
             axis = int(np.argmax(hi - lo))
             mid = 0.5 * (lo[axis] + hi[axis])
@@ -218,91 +218,39 @@ def _adaptive_box(f, box, abs_tol, rel_tol, max_cells=MAX_CELLS, seed_per_axis=8
             child_lo[axis] = mid
             los += [lo, child_lo]
             his += [child_hi, hi]
-        dv, de = push_cells(np.asarray(los), np.asarray(his))
-        total += dv
-        total_err += de
+        dv, de, dm = push(np.asarray(los), np.asarray(his))
+        total, error, mass = total + dv, error + de, mass + dm
 
+    # Written so that a non-finite integrand raises here too.
+    if not error + abs(shell) <= max(abs_tol, rel_tol * abs(total)):
+        raise ConvergenceError(
+            "tolerance lies below the roundoff floor of the cell sums",
+            value=total,
+            residual=error + abs(shell),
+        )
     value = math.fsum(entry[4] for entry in heap)
-    error = math.fsum(-entry[0] for entry in heap)
+    error = math.fsum(-entry[0] for entry in heap) + abs(shell)
     return value, error, len(heap)
 
 
-def _integrate_box(f, box, abs_tol, rel_tol, m, seed_per_axis=8):
-    """Dispatch on dimension; (value, error, cells)."""
-    if m == 1:
-        (lo, hi), = box
-        return _midpoint_richardson(f, lo, hi, abs_tol, rel_tol)
-    return _adaptive_box(f, box, abs_tol, rel_tol, seed_per_axis=seed_per_axis)
+def _over_rm(f, E: ExpSum, abs_tol, rel_tol):
+    """Integrate f over R^m in metric-normalized coordinates x = x0 + W y.
 
-
-# ---------------------------------------------------------------------------
-# AUTO box policy
-
-
-def _auto_center_radius(E: ExpSum):
-    """Initial AUTO box: centered on the moment preimage of the barycenter,
-    radius 5 over the smallest nonzero axis-projected support gap."""
-    pts = E.support.points
-    gaps = []
-    for axis in range(pts.shape[1]):
-        vals = np.unique(pts[:, axis])
-        if len(vals) > 1:
-            gaps.append(np.diff(vals).min())
-    sigma = min(gaps)
-    center = invert_moment(E, pts.mean(axis=0))
-    return center, 5.0 / sigma
-
-
-def _shell_slabs(center, r_in, r_out, m):
-    """Partition box(r_out) minus box(r_in) into 2m axis-aligned slabs."""
-    slabs = []
-    for axis in range(m):
-        for sign in (-1.0, 1.0):
-            slab = []
-            for j in range(m):
-                if j < axis:
-                    slab.append((center[j] - r_out, center[j] + r_out))
-                elif j > axis:
-                    slab.append((center[j] - r_in, center[j] + r_in))
-                elif sign < 0:
-                    slab.append((center[j] - r_out, center[j] - r_in))
-                else:
-                    slab.append((center[j] + r_in, center[j] + r_out))
-            slabs.append(tuple(slab))
-    return slabs
-
-
-def _integrate_auto(f, E, abs_tol, rel_tol):
-    """Integrate f over an automatically grown box; (value, error, cells)."""
-    m = E.dim
-    center, radius = _auto_center_radius(E)
-    box = tuple((c - radius, c + radius) for c in center)
-    value, error, cells = _integrate_box(f, box, abs_tol, rel_tol, m)
-    shell_tol = abs_tol / SHELL_FACTOR
-    for _ in range(MAX_DOUBLINGS):
-        slabs = _shell_slabs(center, radius, 2.0 * radius, m)
-        shell = 0.0
-        for slab in slabs:
-            try:
-                v, e, c = _integrate_box(
-                    f, slab, shell_tol / (4 * len(slabs)), rel_tol, m, seed_per_axis=4
-                )
-            except ConvergenceError as exc:
-                partial = exc.value if exc.value is not None else 0.0
-                raise ConvergenceError(
-                    str(exc), value=value + shell + partial, residual=exc.residual
-                ) from exc
-            shell += v
-            error += e
-            cells += c
-        value += shell
-        radius *= 2.0
-        if abs(shell) < shell_tol:
-            return value, error + abs(shell), cells
-    raise ConvergenceError(
-        "AUTO box kept growing without the tail shells dying off",
-        value=value,
-        residual=abs(shell),
+    x0 is the moment preimage of the support's barycenter and
+    W = V diag(lam)^(-1/2) from g(x0) = V diag(lam) V^T.  An inversion
+    that fails raises ConvergenceError before any cell is integrated.
+    """
+    try:
+        x0 = invert_moment(E, E.support.points.mean(axis=0))
+    except ConvergenceError as exc:
+        raise ConvergenceError(f"no AUTO frame: {exc}", residual=exc.residual) from exc
+    _, _, G = _batch_moments(E, x0[None, :])
+    lam, V = np.linalg.eigh(G[0])
+    W = V / np.sqrt(lam)
+    jac = abs(float(np.linalg.det(W)))
+    cube = ((-AUTO_RADIUS, AUTO_RADIUS),) * E.dim
+    return _adaptive(
+        lambda Y: jac * f(x0 + Y @ W.T), cube, abs_tol, rel_tol, grow=True, seed_per_axis=4
     )
 
 
@@ -313,9 +261,10 @@ def _integrate_auto(f, E, abs_tol, rel_tol):
 def esol_total(E: ExpSum, q: Quadrature | None = None) -> IntegralResult:
     """Expected number of zeros: the density integrated over R^m.
 
-    With ``box="auto"`` the region grows until the outermost shell is
-    negligible; an explicit box integrates over it alone.  Degenerate
-    supports (dim conv(A) < m) carry zero density and return 0.
+    With ``box="auto"`` the heap starts on a cube in metric-normalized
+    coordinates and adds shells until the newest is negligible; an
+    explicit box integrates over it alone.  Degenerate supports
+    (dim conv(A) < m) carry zero density and return 0.
     """
     q = q or Quadrature()
     if E.support.degenerate:
@@ -324,10 +273,10 @@ def esol_total(E: ExpSum, q: Quadrature | None = None) -> IntegralResult:
     if isinstance(q.box, str):
         if q.box != "auto":
             raise InputError(f"box must be 'auto' or explicit bounds, got {q.box!r}")
-        value, error, cells = _integrate_auto(f, E, q.abs_tol, q.rel_tol)
+        value, error, cells = _over_rm(f, E, q.abs_tol, q.rel_tol)
     else:
         box = _normalize_box(q.box, E.dim)
-        value, error, cells = _integrate_box(f, box, q.abs_tol, q.rel_tol, E.dim)
+        value, error, cells = _adaptive(f, box, q.abs_tol, q.rel_tol)
     return IntegralResult(value, error, "x", cells)
 
 
@@ -342,8 +291,9 @@ def esol_region(E: ExpSum, U, q: Quadrature | None = None) -> IntegralResult:
         return IntegralResult(0.0, 0.0, "x", 0)
     box = _normalize_box(U, E.dim)
     f = lambda X: density_many(E, X)
-    value, error, cells = _integrate_box(f, box, q.abs_tol, q.rel_tol, E.dim)
+    value, error, cells = _adaptive(f, box, q.abs_tol, q.rel_tol)
     return IntegralResult(value, error, "x", cells)
+
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +346,7 @@ def _pspace_level_box(E, eps, prefactor, abs_tol, rel_tol, counter):
         return jac * _legendre_values(E, P, prefactor, counter)
 
     box = tuple((-t_max, t_max) for _ in range(E.dim))
-    return _integrate_box(f, box, abs_tol, rel_tol, E.dim)
+    return _adaptive(f, box, abs_tol, rel_tol)
 
 
 def _pspace_level_masked(E, eps, prefactor, abs_tol, rel_tol, counter):
@@ -416,7 +366,7 @@ def _pspace_level_masked(E, eps, prefactor, abs_tol, rel_tol, counter):
         return values
 
     box = tuple((float(a), float(b)) for a, b in zip(lo, hi))
-    return _integrate_box(f, box, abs_tol, rel_tol, E.dim, seed_per_axis=12)
+    return _adaptive(f, box, abs_tol, rel_tol, seed_per_axis=12)
 
 
 def esol_pspace(E: ExpSum, q: Quadrature | None = None) -> IntegralResult:

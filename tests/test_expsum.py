@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 from sparse_kacrice import (
+    ConvergenceError,
     DomainError,
     ExpSum,
     InputError,
+    Quadrature,
     asymptotic_moment,
     density,
     density_many,
@@ -18,16 +20,25 @@ from sparse_kacrice import (
     face_metric_limit,
     hessian_check,
     invert_moment,
+    esol_total,
     kostlan,
     legendre_density,
     potential,
     veronese,
     veronese_pullback_check,
 )
+from sparse_kacrice.expsum import _invert_moment_many
 
 TWO_TERM = ExpSum([[0.0], [1.0]])
 IRREGULAR = ExpSum([[0.0], [0.5], [1.7]], [1.0, 2.0, 1.0])
 SQUARE = kostlan(2, 1)
+#: Weights spanning sixty decades, and two exponents 1e-3 apart.
+EXTREME = ExpSum([[-50.0], [0.0], [0.001], [80.0]], [1e-30, 1.0, 1.0, 1e30])
+#: A weighted rectangle whose inversion from x = 0 meets a singular metric.
+SKEWED_BOX = ExpSum(
+    [[0.0, 0.488], [0.0, 1.836], [0.778, 0.488], [0.778, 1.836]],
+    [0.183, 0.338, 0.689, 1.274],
+)
 
 
 class TestConstruction:
@@ -154,6 +165,36 @@ class TestMomentInversion:
             invert_moment(TWO_TERM, [1.0])
         with pytest.raises(DomainError):
             invert_moment(TWO_TERM, [1.5])
+
+    def test_skewed_weights_invert_at_the_barycenter(self):
+        for E in (EXTREME, SKEWED_BOX):
+            p = E.support.points.mean(axis=0)
+            x = invert_moment(E, p)
+            np.testing.assert_allclose(evaluate(E, x).mu, p, atol=1e-9)
+
+    def test_failures_are_typed_and_carry_the_last_iterate(self):
+        targets = np.linspace(-49.0, 79.0, 41)
+        for p in targets:
+            try:
+                x = invert_moment(EXTREME, [p])
+            except ConvergenceError as exc:
+                assert exc.value.shape == (1,)
+                assert exc.residual > 1e-10
+            else:
+                assert evaluate(EXTREME, x).mu[0] == pytest.approx(p, abs=1e-9)
+        X, ok = _invert_moment_many(EXTREME, targets[:, None])
+        assert ok.any()
+        for x, p in zip(X[ok], targets[ok]):
+            assert evaluate(EXTREME, x).mu[0] == pytest.approx(p, abs=1e-9)
+
+    def test_skewed_weights_total(self):
+        # the x route centres its frame on the inverted barycenter; an
+        # explicit box around both density bumps is an independent check
+        auto = esol_total(EXTREME).value
+        boxed = esol_total(EXTREME, Quadrature(box=[(-6.0, 4.0)])).value
+        assert auto == pytest.approx(boxed, abs=1e-6)
+        assert auto == pytest.approx(1.0, abs=1e-3)
+        assert esol_total(SKEWED_BOX).value == pytest.approx(math.pi / 8.0, abs=1e-6)
 
 
 class TestLegendreDensity:

@@ -3,18 +3,23 @@
 from __future__ import annotations
 
 import math
+import time
 
 import numpy as np
 import pytest
 
 from sparse_kacrice import (
+    ComplexExpSum,
     ConvergenceError,
     ExpSum,
     InputError,
+    McConfig,
     Quadrature,
+    bkk_total,
     esol_pspace,
     esol_region,
     esol_total,
+    estimate_esol,
     kostlan,
     lower_bound_check,
 )
@@ -26,12 +31,7 @@ IRREGULAR = ExpSum([[0.0], [0.5], [1.7]], [1.0, 2.0, 1.0])
 class TestQuadratureConfig:
     def test_defaults(self):
         q = Quadrature()
-        assert q.scheme == "auto"
         assert q.box == "auto"
-
-    def test_rejects_bad_scheme(self):
-        with pytest.raises(InputError):
-            Quadrature(scheme="monte-carlo")
 
     def test_rejects_bad_tolerances(self):
         with pytest.raises(InputError):
@@ -79,6 +79,14 @@ class TestTotalOneVariable:
         assert r.value == 0.0
         assert r.cells == 0
 
+    @pytest.mark.parametrize("exponents", [[0.0, 1e-3, 1.0], [0.0, 1e-4, 1.0, 1.0001]])
+    def test_gaps_of_different_scales_match_exact_counts(self, exponents):
+        # the density reaches out to about 1/(smallest gap), far beyond the
+        # frame that the largest gap sets at the barycenter
+        E = ExpSum(np.reshape(exponents, (-1, 1)))
+        mean, stderr = estimate_esol(E, McConfig(n_samples=20_000, seed=11))
+        assert esol_total(E).value == pytest.approx(mean, abs=4.0 * stderr)
+
 
 class TestTotalTwoVariables:
     def test_unit_square(self):
@@ -92,6 +100,49 @@ class TestTotalTwoVariables:
     def test_degenerate_planar_support_is_zero(self):
         E = ExpSum([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
         assert esol_total(E).value == 0.0
+
+
+def _image(E, L, b=0.0):
+    """The support mapped by A -> L A + b, weights kept: the expected zero
+    count is unchanged by any invertible affine map."""
+    return type(E)(E.support.points @ np.asarray(L, float).T + b, E.coeffs)
+
+
+def _rotation3(seed):
+    q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((3, 3)))
+    return q * np.sign(np.diag(r))
+
+
+_TURN = 0.5
+ROTATE_SHEAR = np.array(
+    [[math.cos(_TURN), -math.sin(_TURN)], [math.sin(_TURN), math.cos(_TURN)]]
+) @ [[1.0, 0.7], [0.0, 1.2]]
+ROOT2 = math.sqrt(2.0)
+LOOSE = Quadrature(abs_tol=1e-4, rel_tol=1e-4)
+
+
+@pytest.mark.parametrize(
+    "integral, E, q, ref",
+    [
+        (esol_total, ExpSum([[1, 0], [0, 1], [-1, 0], [0, -1]]), Quadrature(), math.pi / 8.0),
+        (esol_total, _image(kostlan(2, 2), ROTATE_SHEAR, [0.3, -2.0]), Quadrature(), math.pi / 4.0),
+        # simplex Kostlan: support |a| <= 2, weights sqrt(multinomial), count 2/4
+        (
+            esol_total,
+            ExpSum([[0, 0], [1, 0], [2, 0], [0, 1], [1, 1], [0, 2]], [1, ROOT2, 1, ROOT2, ROOT2, 1]),
+            Quadrature(),
+            0.5,
+        ),
+        # a rotation for which a box sized from axis-projected gaps finds about 0
+        (esol_total, _image(kostlan(3, 1), _rotation3(7)), LOOSE, math.pi / 8.0),
+        (bkk_total, ComplexExpSum([[0, 0], [2, 0], [3, 1], [1, 3], [-1, 1]]), Quadrature(), 14.0),
+    ],
+    ids=["rotated square", "rotated sheared kostlan(2,2)", "simplex(2,2)",
+         "rotated kostlan(3,1)", "pentagon bkk"],
+)
+def test_x_route_on_supports_off_the_axes(integral, E, q, ref):
+    result = integral(E, q)
+    assert result.value == pytest.approx(ref, abs=max(q.abs_tol, q.rel_tol * ref))
 
 
 class TestRegion:
@@ -136,9 +187,11 @@ class TestMomentRoute:
 
 class TestConvergenceFailure:
     def test_unreachable_tolerance_carries_partial_value(self):
+        start = time.perf_counter()
         with pytest.raises(ConvergenceError) as info:
             esol_total(TWO_TERM, Quadrature(abs_tol=1e-300, rel_tol=1e-300))
         assert info.value.value == pytest.approx(0.5, abs=1e-6)
+        assert time.perf_counter() - start < 2.0
 
 
 class TestLowerBound:
