@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -35,6 +34,7 @@ from .errors import ConvergenceError, DomainError, InputError, SparseKacRiceErro
 from .expsum import ExpSum, density, evaluate, invert_moment
 from .integrate import Quadrature, esol_pspace, esol_total
 from .monotonicity import (
+    OUTSIDE,
     Augmentation,
     psi,
     ray_scan_unbounded,
@@ -89,13 +89,6 @@ def _emit(text: str, output: str | None) -> None:
 
 def _emit_json(payload: dict, output: str | None) -> None:
     _emit(json.dumps(payload, indent=2), output)
-
-
-def _resolve_threads(value) -> int:
-    if value is None:
-        value = int(os.environ.get("SPARSE_KACRICE_THREADS", "0"))
-    value = int(value)
-    return os.cpu_count() or 1 if value == 0 else value
 
 
 # ---------------------------------------------------------------------------
@@ -172,14 +165,8 @@ def _cmd_psi_grid(args) -> int:
     E = _load_expsum(args.input)
     aug = Augmentation(_parse_floats(args.a0), args.alpha0)
     box = _parse_box(args.box, E.dim) if args.box != "auto" else None
-    scan = region_scan(
-        E,
-        aug,
-        box=box,
-        resolution=_parse_resolution(args.resolution, E.dim),
-        space=args.space,
-        threads=_resolve_threads(args.threads),
-    )
+    resolution = _parse_resolution(args.resolution, E.dim)
+    scan = region_scan(E, aug, box=box, resolution=resolution, space=args.space)
     if args.format == "json" or (args.output or "").endswith(".json"):
         _emit(scan.to_json(), args.output)
     else:
@@ -295,6 +282,16 @@ def _selftest_checks():
         x0 = witness_interior(E, aug)
         return psi(E, aug, x0).psi < 1.0
 
+    def psi_scan_matches_scalar():
+        E, aug = algebra_mod.kostlan(2, 1), Augmentation(np.array([0.3, 0.6]))
+        scan = region_scan(E, aug, resolution=8, space="p")
+        inside = scan.classes != OUTSIDE
+        nodes = np.stack(np.meshgrid(*scan.axes, indexing="ij"), axis=-1)[inside]
+        want = [psi(E, aug, invert_moment(E, p)) for p in nodes]
+        return inside.sum() == 36 and all(
+            label == w.classification and abs(value - w.psi) <= 1e-9 * w.psi
+            for value, label, w in zip(scan.psi[inside], scan.classes[inside], want))
+
     def metric_additivity():
         E_a = ExpSum([[0.0], [1.0]])
         E_b = ExpSum([[0.0], [0.5], [1.7]], [1.0, 2.0, 1.0])
@@ -322,6 +319,8 @@ def _selftest_checks():
         ("two-term density closed form at x=1", density_closed_form),
         ("moment-map inversion round trip", inversion_round_trip),
         ("interior witness decreases density", witness_in_square),
+        ("batched Psi scan equals scalar psi on an 8^2 p-grid of the unit square",
+         psi_scan_matches_scalar),
         ("metric additivity of shared-variable product", metric_additivity),
         ("binomial coefficient system at degree 2", binomial_coefficients),
         ("complex density total equals the root count", bkk_segment),
@@ -351,12 +350,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sparse-kacrice",
         description="Expected real zeros of Gaussian exponential sums.",
-    )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="worker threads for grid scans (0 = auto; env SPARSE_KACRICE_THREADS)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -241,18 +241,21 @@ def density(E: ExpSum, x) -> float:
 
 
 def _batch_moments(E: ExpSum, X: np.ndarray):
-    """Softmax weights, moment map, and metric at each row of X.
+    """Potential, moment map, and metric at each row of X.
 
-    Returns (weights (N,k), mu (N,m), G (N,m,m)).
+    Returns (phi (N,), mu (N,m), G (N,m,m)); phi = (1/2) log K comes from
+    the log-sum-exp that gives the softmax weights of mu and G.
     """
     points = E.support.points
     T = X @ points.T + E.log_coeffs
-    W = np.exp(2.0 * (T - T.max(axis=1, keepdims=True)))
-    lam = W / W.sum(axis=1, keepdims=True)
+    top = T.max(axis=1, keepdims=True)
+    W = np.exp(2.0 * (T - top))
+    total = W.sum(axis=1, keepdims=True)
+    lam = W / total
     mu = lam @ points
     centered = points[None, :, :] - mu[:, None, :]
     G = np.einsum("nk,nki,nkj->nij", lam, centered, centered, optimize=True)
-    return lam, mu, G
+    return (top + 0.5 * np.log(total))[:, 0], mu, G
 
 
 def density_many(E: ExpSum, X) -> np.ndarray:
@@ -398,30 +401,27 @@ def _invert_moment_many(E: ExpSum, P: np.ndarray, tol: float = 1e-10, max_iter: 
             # Retire the rows whose Newton system is exactly singular, then retry.
             alive[idx[np.linalg.slogdet(G[idx])[0] == 0.0]] = False
             continue
-        current_x = X[idx]
-        current_res = residual[idx]
+        current_x, current_res, current_mu, current_G = X[idx], residual[idx], mu[idx], G[idx]
         step = np.ones(idx.size)
         accepted = np.zeros(idx.size, dtype=bool)
         for _ in range(45):
             todo = ~accepted
             trial = current_x[todo] + step[todo, None] * delta[todo]
-            _, mu_t, _ = _batch_moments(E, trial)
+            _, mu_t, G_t = _batch_moments(E, trial)
             trial_res = np.linalg.norm(mu_t - P[idx][todo], axis=1)
             better = trial_res < current_res[todo]
             sub = np.flatnonzero(todo)[better]
             current_x[sub] = trial[better]
             current_res[sub] = trial_res[better]
+            current_mu[sub] = mu_t[better]
+            current_G[sub] = G_t[better]
             accepted[sub] = True
             if accepted.all():
                 break
             step[~accepted] *= 0.5
-        X[idx] = current_x
-        residual[idx] = current_res
-        # Nodes whose backtracking found no decrease are stuck; retire them.
+        # Accepted trials carry their moments forward; rows with none are stuck.
+        X[idx], residual[idx], mu[idx], G[idx] = current_x, current_res, current_mu, current_G
         alive[idx[~accepted]] = False
-        _, mu_upd, G_upd = _batch_moments(E, X[idx])
-        mu[idx] = mu_upd
-        G[idx] = G_upd
         alive &= residual > tol
     return X, residual <= tol
 

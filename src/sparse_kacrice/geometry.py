@@ -112,6 +112,20 @@ class SupportSet:
         """True when conv(A) has empty interior (affine dimension < m)."""
         return self.affine_dim < self.dim
 
+    @cached_property
+    def facets(self) -> np.ndarray | None:
+        """Facet rows (unit normal, offset) of conv(A), with normal . p +
+        offset <= 0 inside; None when the hull has no interior."""
+        if self.degenerate:
+            return None
+        try:
+            rows = ConvexHull(self.points).equations if self.dim > 1 else np.array(
+                [[-1.0, self.points.min()], [1.0, -self.points.max()]])
+        except QhullError:
+            return None
+        rows.flags.writeable = False
+        return rows
+
     def __len__(self) -> int:
         return self.size
 
@@ -215,18 +229,17 @@ def interior_contains(A, p, tol: float) -> bool:
     if not tol > 0:
         raise InputError("tol must be positive")
     p = _check_vector(p, A.dim, name="p")
-    if A.degenerate:
-        return False
-    if A.dim == 1:
-        flat = A.points[:, 0]
-        return bool(flat.min() + tol <= p[0] <= flat.max() - tol)
-    try:
-        hull = ConvexHull(A.points)
-    except QhullError:
-        return False
-    # Facet rows are (normal, offset) with normal . x + offset <= 0 inside.
-    slack = hull.equations[:, :-1] @ p + hull.equations[:, -1]
-    return bool(np.all(slack <= -tol))
+    return bool(_interior_mask(A, p[None, :], tol)[0])
+
+
+def _interior_mask(A: SupportSet, P: np.ndarray, tol: float) -> np.ndarray:
+    """:func:`interior_contains` for each row of P (shape (N, m)), summed
+    without BLAS so a point's answer does not depend on its batch."""
+    rows = A.facets
+    if rows is None:
+        return np.zeros(P.shape[0], dtype=bool)
+    slack = (P[:, None, :] * rows[:, :-1]).sum(axis=-1) + rows[:, -1]
+    return np.all(slack <= -tol, axis=1)
 
 
 class QuadForm:

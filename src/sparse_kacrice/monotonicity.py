@@ -9,7 +9,10 @@ region scans for plotting, the metric of the augmented sum, and the exact
 shrink factor of the projected dual ellipsoid on level sets.
 
 All formulas are evaluated through the log-domain quantities of
-:mod:`.expsum`, so far-tail points stay finite.
+:mod:`.expsum`, so far-tail points stay finite.  One batched kernel gives
+Psi to :func:`psi`, ray scans and region scans alike, so a scan node and
+a scalar call cannot disagree; :func:`psi_via_phi0` and :func:`classify`
+go through :func:`.evaluate` instead, as independent cross-checks.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ import csv
 import io
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +28,10 @@ from scipy.linalg import null_space
 from scipy.special import expit
 
 from .errors import DegenerateMetricError, DomainError, InputError, SparseKacRiceError
-from .expsum import ExpSum, EvalBundle, _batch_moments, _check_point, evaluate, invert_moment
-from .geometry import QuadForm, SupportSet, diameter, interior_contains
+from .expsum import DET_FLOOR, ExpSum, _batch_moments, _check_point, _invert_moment_many
+from .expsum import evaluate, invert_moment
+from .geometry import DUAL_COND_LIMIT, QuadForm, SupportSet, _interior_mask, diameter
+from .geometry import interior_contains
 
 __all__ = [
     "U_MINUS",
@@ -92,12 +96,12 @@ class PsiEval:
     classification: str
 
 
-def _classify_psi(value: float) -> str:
-    if value < 1.0 - BOUNDARY_BAND:
-        return U_MINUS
-    if value > 1.0 + BOUNDARY_BAND:
-        return U_PLUS
-    return BOUNDARY
+def _classify_psi(values: np.ndarray) -> np.ndarray:
+    """Labels of Psi values against 1, with the ``BOUNDARY_BAND`` margin."""
+    labels = np.full(values.shape, BOUNDARY, dtype=object)
+    labels[values < 1.0 - BOUNDARY_BAND] = U_MINUS
+    labels[values > 1.0 + BOUNDARY_BAND] = U_PLUS
+    return labels
 
 
 def _check_augmentation(E: ExpSum, aug: Augmentation) -> np.ndarray:
@@ -119,12 +123,56 @@ def augment(E: ExpSum, aug: Augmentation) -> ExpSum:
     )
 
 
-def _aug_logs(E: ExpSum, aug: Augmentation, bundle: EvalBundle):
-    """(log f0, phi0, log K0) at bundle.x, all overflow-safe."""
-    log_f0 = math.log(aug.alpha0) + float(aug.a0 @ bundle.x)
-    phi0 = bundle.phi - log_f0
-    log_K0 = np.logaddexp(2.0 * bundle.phi, 2.0 * log_f0)
-    return log_f0, phi0, float(log_K0)
+def _checked_bundle(E: ExpSum, aug: Augmentation, x):
+    """(a0, evaluate(E, x), phi0, K/K_0, tau) on the routes that go through
+    :func:`evaluate`; raises where the metric has no dual form."""
+    a0 = _check_augmentation(E, aug)
+    bundle = evaluate(E, x)
+    if bundle.g_dual is None:
+        raise DegenerateMetricError("metric degenerates at x; density ratio undefined")
+    log_f0 = math.log(aug.alpha0) + float(a0 @ bundle.x)
+    log_K0 = float(np.logaddexp(2.0 * bundle.phi, 2.0 * log_f0))
+    tau = math.exp(log_f0 - 0.5 * log_K0) * (bundle.mu - a0)
+    return a0, bundle, bundle.phi - log_f0, math.exp(2.0 * bundle.phi - log_K0), tau
+
+
+def _psi_many(E: ExpSum, aug: Augmentation, X: np.ndarray):
+    """Psi, phi0, g^x(tau) and K/K_0 at each row of X (shape (N, m)).
+
+    phi, mu and G come from one batched softmax, g^x(tau) from one batched
+    solve on G.  Raises DegenerateMetricError when the metric at any row
+    fails the gate :func:`evaluate` applies before it forms a dual: det G
+    below ``DET_FLOOR``, a failed Cholesky factorization, or a condition
+    number above ``DUAL_COND_LIMIT``.
+    """
+    phi, mu, G = _batch_moments(E, X)
+    G = 0.5 * (G + np.swapaxes(G, 1, 2))
+    eigs = np.linalg.eigvalsh(G)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        flat = (np.linalg.det(G) < DET_FLOOR) | (eigs[:, 0] <= 0.0)
+        flat |= eigs[:, -1] / eigs[:, 0] > DUAL_COND_LIMIT
+    if not flat.any():
+        try:
+            np.linalg.cholesky(G)
+        except np.linalg.LinAlgError:
+            flat[:] = True
+    if flat.any():
+        x = X[flat][0].tolist()
+        raise DegenerateMetricError(f"metric degenerates at x = {x}; density ratio undefined")
+    log_f0 = math.log(aug.alpha0) + X @ aug.a0
+    log_K0 = np.logaddexp(2.0 * phi, 2.0 * log_f0)
+    ratio = np.exp(2.0 * phi - log_K0)
+    tau = np.exp(log_f0 - 0.5 * log_K0)[:, None] * (mu - aug.a0)
+    tau_normsq = np.einsum("ni,ni->n", tau, np.linalg.solve(G, tau[..., None])[..., 0])
+    values = ratio ** (E.dim / 2.0) * np.sqrt(1.0 + tau_normsq)
+    return values, phi - log_f0, tau_normsq, ratio
+
+
+def _psi_evals(E: ExpSum, aug: Augmentation, X: np.ndarray) -> list[PsiEval]:
+    """:func:`psi` at each row of X, from one :func:`_psi_many` call."""
+    values, phi0, tau_normsq, ratio = _psi_many(E, aug, X)
+    rows = zip(X, phi0.tolist(), tau_normsq.tolist(), ratio.tolist(), values.tolist())
+    return [PsiEval(*row, label) for row, label in zip(rows, _classify_psi(values))]
 
 
 def psi(E: ExpSum, aug: Augmentation, x) -> PsiEval:
@@ -132,25 +180,12 @@ def psi(E: ExpSum, aug: Augmentation, x) -> PsiEval:
 
     Built from the one-form tau = (f_0/sqrt(K_0)) (mu - a_0):
     Psi = (K/K_0)^{m/2} sqrt(1 + g^x(tau)).  Requires a nondegenerate
-    metric (full-dimensional Newton polytope).
+    metric (full-dimensional Newton polytope).  This is the batched
+    kernel of the grid scans on one row, so the two cannot drift.
     """
-    a0 = _check_augmentation(E, aug)
-    bundle = evaluate(E, x)
-    if bundle.g_dual is None:
-        raise DegenerateMetricError("metric degenerates at x; density ratio undefined")
-    log_f0, phi0, log_K0 = _aug_logs(E, aug, bundle)
-    ratio = math.exp(2.0 * bundle.phi - log_K0)
-    tau = math.exp(log_f0 - 0.5 * log_K0) * (bundle.mu - a0)
-    tau_normsq = bundle.g_dual(tau)
-    value = ratio ** (E.dim / 2.0) * math.sqrt(1.0 + tau_normsq)
-    return PsiEval(
-        x=bundle.x,
-        phi0=phi0,
-        tau_normsq=tau_normsq,
-        ratio=ratio,
-        psi=value,
-        classification=_classify_psi(value),
-    )
+    _check_augmentation(E, aug)
+    x = _check_point(x, E.dim)
+    return _psi_evals(E, aug, x[None, :])[0]
 
 
 def psi_via_phi0(E: ExpSum, aug: Augmentation, x) -> float:
@@ -159,14 +194,11 @@ def psi_via_phi0(E: ExpSum, aug: Augmentation, x) -> float:
     Psi = (1 - s)^{m/2} sqrt(1 + s * g^x(mu - a_0)) with the logistic
     s = 1/(1 + e^{2 phi0}); the factor 1 - s is evaluated as its own
     logistic so the far tail keeps full precision.  Used to
-    cross-validate :func:`psi`; the two routes agree to 1e-10 on
-    nondegenerate inputs.
+    cross-validate :func:`psi`.  The routes form the metric separately, so
+    they agree to about 1e-12 where it is well conditioned and to about
+    cond(g) * eps near the condition gate.
     """
-    a0 = _check_augmentation(E, aug)
-    bundle = evaluate(E, x)
-    if bundle.g_dual is None:
-        raise DegenerateMetricError("metric degenerates at x; density ratio undefined")
-    _, phi0, _ = _aug_logs(E, aug, bundle)
+    a0, bundle, phi0, _, _ = _checked_bundle(E, aug, x)
     s = float(expit(-2.0 * phi0))
     ratio = float(expit(2.0 * phi0))
     return ratio ** (E.dim / 2.0) * math.sqrt(1.0 + s * bundle.g_dual(bundle.mu - a0))
@@ -183,11 +215,7 @@ def classify(E: ExpSum, aug: Augmentation, x, tol: float = 1e-10) -> str:
     which is algebraically equivalent to Psi < 1.  Agrees with the
     Psi-vs-1 classification whenever |Psi - 1| > tol.
     """
-    a0 = _check_augmentation(E, aug)
-    bundle = evaluate(E, x)
-    if bundle.g_dual is None:
-        raise DegenerateMetricError("metric degenerates at x; classification undefined")
-    _, phi0, _ = _aug_logs(E, aug, bundle)
+    a0, bundle, phi0, _, _ = _checked_bundle(E, aug, x)
     lhs = bundle.g_dual(bundle.mu - a0)
     m = E.dim
     with np.errstate(over="ignore"):
@@ -235,6 +263,8 @@ def ray_scan_unbounded(
     Raw empirical data: when a_0 is far outside the polytope and the ray
     points away from it through a vertex, the tail classifications land in
     the decrease region; no certification of unboundedness is attempted.
+    The whole ray is one batched evaluation; a sample whose metric fails
+    the gate of :func:`psi` raises DegenerateMetricError.
     """
     x_dir = _check_point(x_dir, E.dim, name="x_dir")
     norm = float(np.linalg.norm(x_dir))
@@ -242,9 +272,9 @@ def ray_scan_unbounded(
         raise InputError("x_dir must be nonzero")
     if not (t_max > 0 and n_steps >= 1):
         raise InputError("need t_max > 0 and n_steps >= 1")
-    direction = x_dir / norm
+    _check_augmentation(E, aug)
     ts = np.linspace(t_max / n_steps, t_max, n_steps)
-    return [psi(E, aug, t * direction) for t in ts]
+    return _psi_evals(E, aug, ts[:, None] * (x_dir / norm))
 
 
 @dataclass(frozen=True, eq=False)
@@ -296,44 +326,26 @@ class RegionScan:
         return json.dumps(payload)
 
 
-def _scan_psi_flat(E, aug, points, threads):
-    """Psi evaluations for an (n, m) array of x points, optionally threaded."""
-    n = points.shape[0]
-    values = np.empty(n)
-    labels = np.empty(n, dtype=object)
-
-    def eval_range(lo, hi):
-        for i in range(lo, hi):
-            result = psi(E, aug, points[i])
-            values[i] = result.psi
-            labels[i] = result.classification
-
-    if threads and threads > 1 and n > 1:
-        workers = min(threads, n)
-        bounds = np.linspace(0, n, workers + 1).astype(int)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda w: eval_range(bounds[w], bounds[w + 1]), range(workers)))
-    else:
-        eval_range(0, n)
-    return values, labels
-
-
 def region_scan(
     E: ExpSum,
     aug: Augmentation,
     box=None,
     resolution=64,
     space: str = "p",
-    threads: int = 1,
 ) -> RegionScan:
     """Psi on a rectangular grid, in moment coordinates or x coordinates.
 
-    In the default moment-coordinate scan ("p" space) each grid node is an
-    interior point of the Newton polytope, mapped back through the moment
-    map before evaluating; nodes outside the interior are marked "outside".
-    An "x" space scan evaluates the grid directly.  ``box`` defaults to the
-    support's bounding box ("p") or [-5, 5]^m ("x"); ``resolution`` is an
-    int or per-axis sequence, at least 2 per axis.
+    In the default moment-coordinate scan ("p" space) the nodes at least
+    1e-6 diam(P) inside every facet of the Newton polytope (one product
+    against the support's cached facet rows) are mapped back through the
+    moment map by one batched Newton solve; the other nodes, and any whose
+    inversion fails, are marked "outside".  An "x" space scan evaluates
+    the grid directly.  Either way Psi is evaluated once for the whole
+    grid by the kernel behind :func:`psi`, with no per-node Python call;
+    a node whose metric fails the gate of :func:`psi` raises
+    DegenerateMetricError for the scan.  ``box`` defaults to the support's
+    bounding box ("p") or [-5, 5]^m ("x"); ``resolution`` is an int or
+    per-axis sequence, at least 2 per axis.
     """
     _check_augmentation(E, aug)
     if space not in ("p", "x"):
@@ -342,12 +354,8 @@ def region_scan(
         raise DegenerateMetricError("support is not full-dimensional; Psi undefined")
     m = E.dim
     if box is None:
-        if space == "p":
-            lo = E.support.points.min(axis=0)
-            hi = E.support.points.max(axis=0)
-            box = tuple((float(a), float(b)) for a, b in zip(lo, hi))
-        else:
-            box = tuple((-5.0, 5.0) for _ in range(m))
+        points = E.support.points
+        box = zip(points.min(axis=0), points.max(axis=0)) if space == "p" else [(-5.0, 5.0)] * m
     box = tuple((float(a), float(b)) for a, b in box)
     if len(box) != m or any(a >= b for a, b in box):
         raise InputError("box must give (lo, hi) with lo < hi per axis")
@@ -360,24 +368,17 @@ def region_scan(
     axes = tuple(np.linspace(a, b, r) for (a, b), r in zip(box, resolution))
     grids = np.meshgrid(*axes, indexing="ij")
     nodes = np.stack([g.ravel() for g in grids], axis=1)
-    n = nodes.shape[0]
-    values = np.full(n, np.nan)
-    labels = np.full(n, OUTSIDE, dtype=object)
-
+    values = np.full(nodes.shape[0], np.nan)
     if space == "x":
-        values[:], labels[:] = _scan_psi_flat(E, aug, nodes, threads)
+        values[:] = _psi_many(E, aug, nodes)[0]
     else:
-        margin = 1e-6 * diameter(E.support)
-        inside = np.array(
-            [interior_contains(E.support, p, margin) for p in nodes], dtype=bool
-        )
-        if inside.any():
-            from .expsum import _invert_moment_many
-
-            X, ok = _invert_moment_many(E, nodes[inside])
-            usable = np.flatnonzero(inside)[ok]
-            if usable.size:
-                values[usable], labels[usable] = _scan_psi_flat(E, aug, X[ok], threads)
+        usable = np.flatnonzero(_interior_mask(E.support, nodes, 1e-6 * diameter(E.support)))
+        X, ok = _invert_moment_many(E, nodes[usable])
+        usable = usable[ok]
+        if usable.size:
+            values[usable] = _psi_many(E, aug, X[ok])[0]
+    labels = _classify_psi(values)
+    labels[np.isnan(values)] = OUTSIDE
     shape = resolution
     return RegionScan(
         space=space,
@@ -395,13 +396,7 @@ def augmented_metric(E: ExpSum, aug: Augmentation, x) -> QuadForm:
     (g_0)_x = (K/K_0) (g_x + tau tau^T).  Evaluating the augmented sum
     directly gives the same form; this route never materializes it.
     """
-    a0 = _check_augmentation(E, aug)
-    bundle = evaluate(E, x)
-    if bundle.g_dual is None:
-        raise DegenerateMetricError("metric degenerates at x")
-    log_f0, _, log_K0 = _aug_logs(E, aug, bundle)
-    ratio = math.exp(2.0 * bundle.phi - log_K0)
-    tau = math.exp(log_f0 - 0.5 * log_K0) * (bundle.mu - a0)
+    _, bundle, _, ratio, tau = _checked_bundle(E, aug, x)
     return QuadForm(ratio * (bundle.g.entries + np.outer(tau, tau)))
 
 
@@ -433,12 +428,7 @@ def levelset_projection_check(
     is undefined and a DomainError is raised; in one variable the
     complement is trivial and the check passes vacuously.
     """
-    a0 = _check_augmentation(E, aug)
-    bundle = evaluate(E, x)
-    if bundle.g_dual is None:
-        raise DegenerateMetricError("metric degenerates at x")
-    log_f0, _, log_K0 = _aug_logs(E, aug, bundle)
-    ratio = math.exp(2.0 * bundle.phi - log_K0)
+    a0, bundle, _, ratio, _ = _checked_bundle(E, aug, x)
     grad0 = bundle.mu - a0
     if np.linalg.norm(grad0) <= 1e-12 * (1.0 + np.linalg.norm(a0)):
         raise DomainError("x is a critical point of phi0; level set has no tangent space")

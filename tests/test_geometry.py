@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull
 
 from sparse_kacrice import (
     InputError,
@@ -22,6 +23,7 @@ from sparse_kacrice import (
     interior_contains,
     support_function,
 )
+from sparse_kacrice.geometry import _interior_mask
 
 SQUARE = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
 
@@ -116,6 +118,44 @@ class TestHullGeometry:
         A = SupportSet([[0.0], [1.0]])
         assert interior_contains(A, [0.05], 1e-3)
         assert not interior_contains(A, [0.05], 0.1)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_cached_facet_mask_matches_scalar_test(self, m):
+        rng = np.random.default_rng(40 + m)
+        A = SupportSet(rng.uniform(-1.0, 2.0, size=(m + 5, m)))
+        rows = A.facets
+        assert rows is A.facets and not rows.flags.writeable
+        # Points spread over and around the hull, plus points within 1e-9 of
+        # each facet on either side: random convex combinations of the
+        # facet's vertices, shifted along its normal.
+        points = [rng.uniform(-1.5, 2.5, size=(300, m))]
+        for row in rows:
+            on_facet = A.points[np.abs(A.points @ row[:-1] + row[-1]) < 1e-9]
+            bary = rng.dirichlet(np.ones(len(on_facet)), size=20)
+            shift = rng.uniform(-1e-9, 1e-9, size=(20, 1))
+            points.append(bary @ on_facet + shift * row[:-1])
+        P = np.vstack(points)
+        lo, hi = A.points.min(axis=0), A.points.max(axis=0)
+        for tol in (1e-12, 1e-6 * diameter(A)):
+            mask = _interior_mask(A, P, tol)
+            scalar = np.array([interior_contains(A, p, tol) for p in P])
+            np.testing.assert_array_equal(mask, scalar)
+            # An independent reference: a fresh hull, on decisive points.
+            if m == 1:
+                slack = np.hstack([lo - P, P - hi])
+            else:
+                eq = ConvexHull(A.points).equations
+                slack = P @ eq[:, :-1].T + eq[:, -1]
+            want = np.all(slack <= -tol, axis=1)
+            decisive = np.all(np.abs(slack + tol) > 1e-13, axis=1)
+            np.testing.assert_array_equal(mask[decisive], want[decisive])
+        near = _interior_mask(A, P[300:], 1e-12)
+        assert near.any() and not near.all()
+
+    def test_degenerate_hull_has_no_facets(self):
+        A = SupportSet([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
+        assert A.facets is None
+        assert not _interior_mask(A, np.array([[1.0, 1.0], [0.5, 0.5]]), 1e-12).any()
 
 
 class TestBallSphereConstants:

@@ -10,6 +10,7 @@ import pytest
 
 from sparse_kacrice import (
     Augmentation,
+    DegenerateMetricError,
     DomainError,
     ExpSum,
     InputError,
@@ -17,7 +18,9 @@ from sparse_kacrice import (
     augmented_metric,
     classify,
     density,
+    diameter,
     evaluate,
+    interior_contains,
     invert_moment,
     kostlan,
     levelset_projection_check,
@@ -27,10 +30,18 @@ from sparse_kacrice import (
     region_scan,
     witness_interior,
 )
+from sparse_kacrice.expsum import _invert_moment_many
 
 TWO_TERM = ExpSum([[0.0], [1.0]])
 SQUARE = kostlan(2, 1)
 SQ_AUG = Augmentation([0.5, 0.5])
+
+#: Supports for the scan-equals-scalar test, with an interior and an exterior a0.
+SCAN_CASES = {
+    "unit_square": (SQUARE, [0.3, 0.6], [2.0, -1.0]),
+    "weighted_triangle": (ExpSum([[0, 0], [1, 0], [0, 1]], [1.0, 2.0, 0.5]), [0.25, 0.3], [1.5, 1.5]),
+    "sheared_square": (ExpSum([[0, 0], [1, 0], [0.5, 1], [1.5, 1]]), [0.7, 0.5], [-1.0, 0.5]),
+}
 
 
 class TestAugmentation:
@@ -89,6 +100,19 @@ class TestPsi:
             assert ev.classification == "U_minus"
         # the stable route must not collapse to zero ratio
         assert psi_via_phi0(TWO_TERM, aug, [40.0]) > 0.0
+
+    def test_ray_scan_equals_scalar_psi(self):
+        evs = ray_scan_unbounded(SQUARE, SQ_AUG, [1.0, -0.4], 12.0, 6)
+        for ev in evs:
+            want = psi(SQUARE, SQ_AUG, ev.x)
+            assert ev.psi == pytest.approx(want.psi, rel=1e-12)
+            assert ev.classification == want.classification
+            assert ev.tau_normsq == pytest.approx(want.tau_normsq, rel=1e-12)
+
+    def test_degenerate_ray_raises(self):
+        # Far along (1, 0.3) the square's metric fails the condition gate.
+        with pytest.raises(DegenerateMetricError):
+            ray_scan_unbounded(SQUARE, Augmentation([3.0, 3.0]), [1.0, 0.3], 60.0, 64)
 
     def test_ray_scan_decreases(self):
         evs = ray_scan_unbounded(TWO_TERM, Augmentation([3.0]), [1.0], 40.0, 8)
@@ -206,11 +230,36 @@ class TestRegionScan:
         )
         assert "outside" not in np.asarray(scan.classes)
 
-    def test_threads_do_not_change_results(self):
-        a = region_scan(SQUARE, SQ_AUG, resolution=16, space="p", threads=1)
-        b = region_scan(SQUARE, SQ_AUG, resolution=16, space="p", threads=4)
-        np.testing.assert_array_equal(np.asarray(a.classes), np.asarray(b.classes))
-        np.testing.assert_allclose(np.asarray(a.psi), np.asarray(b.psi), equal_nan=True)
+    @pytest.mark.parametrize("space", ["p", "x"])
+    @pytest.mark.parametrize("where", ["interior", "exterior"])
+    @pytest.mark.parametrize("name", sorted(SCAN_CASES))
+    def test_scan_equals_scalar_psi(self, name, where, space):
+        E, inner, outer = SCAN_CASES[name]
+        aug = Augmentation(inner if where == "interior" else outer)
+        scan = region_scan(E, aug, resolution=16, space=space)
+        nodes = np.stack(np.meshgrid(*scan.axes, indexing="ij"), axis=-1).reshape(-1, 2)
+        values, labels = scan.psi.ravel(), scan.classes.ravel()
+        if space == "x":
+            X, classified = nodes, np.arange(len(nodes))
+        else:
+            margin = 1e-6 * diameter(E.support)
+            inside = np.array([interior_contains(E.support, p, margin) for p in nodes])
+            np.testing.assert_array_equal(labels == "outside", ~inside)
+            X, ok = _invert_moment_many(E, nodes[inside])
+            assert ok.all()
+            classified = np.flatnonzero(inside)
+        assert classified.size > 0
+        for i, x in zip(classified, X):
+            want = psi(E, aug, x)
+            assert values[i] == pytest.approx(want.psi, rel=1e-12)
+            assert labels[i] == want.classification
+            # The independent route through evaluate checks the kernel itself.
+            assert values[i] == pytest.approx(psi_via_phi0(E, aug, x), rel=1e-10)
+
+    def test_degenerate_metric_raises(self):
+        # Far along the axes the square's metric fails the condition gate.
+        with pytest.raises(DegenerateMetricError):
+            region_scan(SQUARE, SQ_AUG, box=[(-20, 20), (-20, 20)], resolution=64, space="x")
 
     def test_csv_layout(self):
         scan = region_scan(SQUARE, SQ_AUG, resolution=(6, 8), space="p")
