@@ -41,8 +41,11 @@ print(f"legendre_density(1/2) = {legendre_density(two_term, [0.5]):.10f}")
 
 # Both coordinate systems integrate to the same expected count.  The
 # polytope route is a genuinely independent computation: different
-# integrand, different domain, different quadrature.
-for name, E in (("two-term", two_term), ("unit square", kostlan(2, 1))):
+# integrand, different domain, different quadrature.  It splits the
+# polytope into one quadrilateral per vertex, so a triangle (count 1/4)
+# is handled exactly like a square.
+triangle = ExpSum([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+for name, E in (("two-term", two_term), ("unit square", kostlan(2, 1)), ("triangle", triangle)):
     native = esol_total(E)
     polytope = esol_pspace(E)
     print(f"{name}: x-route {native.value:.8f}  p-route {polytope.value:.8f}  "

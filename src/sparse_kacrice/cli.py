@@ -98,9 +98,11 @@ def _emit_json(payload: dict, output: str | None) -> None:
 def _cmd_analyze(args) -> int:
     E = _load_expsum(args.input)
     box = _parse_box(args.box, E.dim)
+    if args.route != "x" and box != "auto":
+        raise InputError("--box applies to the x route only; the moment route covers the polytope")
     q = Quadrature(abs_tol=args.tol, rel_tol=args.tol, box=box)
     if args.route in ("x", "p"):
-        result = esol_total(E, q) if args.route == "x" else esol_pspace(E, Quadrature(abs_tol=args.tol, rel_tol=args.tol))
+        result = esol_total(E, q) if args.route == "x" else esol_pspace(E, q)
         _emit_json(
             {
                 "schema": 1,
@@ -113,7 +115,7 @@ def _cmd_analyze(args) -> int:
         )
         return 0
     rx = esol_total(E, q)
-    rp = esol_pspace(E, Quadrature(abs_tol=args.tol, rel_tol=args.tol))
+    rp = esol_pspace(E, q)
     _emit_json(
         {
             "schema": 1,
@@ -268,6 +270,10 @@ def _selftest_checks():
         E = ExpSum([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
         return abs(esol_total(E).value - math.pi / 8.0) < 1e-6
 
+    def moment_triangle():
+        E = ExpSum([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        return abs(esol_pspace(E).value - 0.25) < 1e-6
+
     def density_closed_form():
         want = 1.0 / (2.0 * math.pi * math.cosh(1.0))
         return abs(density(two_term, [1.0]) - want) < 1e-12
@@ -316,6 +322,7 @@ def _selftest_checks():
         ("two-term expected zero count is 1/2", esol_two_term),
         ("degree-4 one-variable count is sqrt(4)/2", esol_degree_four),
         ("rotated unit square is pi/8 on the x route", rotated_square),
+        ("moment route on the triangle is 1/4", moment_triangle),
         ("two-term density closed form at x=1", density_closed_form),
         ("moment-map inversion round trip", inversion_round_trip),
         ("interior witness decreases density", witness_in_square),

@@ -64,6 +64,9 @@ INVERT_MARGIN = 1e-9
 #: rejected by legendre_density (the metric blows up at the faces).
 LEGENDRE_MARGIN = 1e-6
 
+#: Moment residual of the polytope-side inversion, scaled by (1 + diam P).
+LEGENDRE_TOL = 1e-14
+
 
 class ExpSum:
     """A Gaussian exponential sum: support set A plus positive coefficients.
@@ -429,22 +432,43 @@ def _invert_moment_many(E: ExpSum, P: np.ndarray, tol: float = 1e-10, max_iter: 
 # -- polytope-side density --------------------------------------------------
 
 
+def _legendre_density_many(E: ExpSum, P: np.ndarray) -> np.ndarray:
+    """1/sqrt(det 2g) at the moment preimage of each row of P; NaN where
+    the inversion fails.
+
+    Inverts on the support translated to its barycenter, so mu is computed
+    to about eps * diam(P), down to a residual of ``LEGENDRE_TOL`` *
+    (1 + diam): a point at distance d from a facet then keeps a relative
+    error near LEGENDRE_TOL / d, where an absolute 1e-10 would give 1e-5 at
+    d = 4e-6.  No interior check is performed here.
+    """
+    c = E.support.points.mean(axis=0)
+    centred = ExpSum(E.support.points - c, E.coeffs)
+    tol = LEGENDRE_TOL * (1.0 + diameter(E.support))
+    X, ok = _invert_moment_many(centred, P - c, tol=tol)
+    _, _, G = _batch_moments(centred, X)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dens = 1.0 / np.sqrt(np.linalg.det(2.0 * G))
+    return np.where(ok, dens, np.nan)
+
+
 def legendre_density(E: ExpSum, p) -> float:
     """Density of the polytope-side volume form at an interior point p.
 
-    Equals 1/sqrt(det 2 g) at x = invert_moment(p) — the square-rooted
-    Hessian determinant of the convex conjugate of the potential.  Points
-    within ``1e-6 * diam(P)`` of the boundary are rejected (DomainError):
-    the value diverges there.
+    Equals 1/sqrt(det 2 g) at the moment preimage x of p — the square-rooted
+    Hessian determinant of the convex conjugate of the potential — by the
+    same inversion as the moment route.  Points within ``1e-6 * diam(P)``
+    of the boundary are rejected (DomainError): the value diverges there.
+    A failed inversion raises ConvergenceError.
     """
     p = _check_point(p, E.dim, name="p")
     margin = LEGENDRE_MARGIN * diameter(E.support)
     if margin == 0.0 or not interior_contains(E.support, p, margin):
         raise DomainError(f"{p.tolist()} is outside the interior margin of the polytope")
-    x = invert_moment(E, p)
-    _, _, G = _batch_moments(E, x[None, :])
-    det2g = float(np.linalg.det(2.0 * G[0]))
-    return 1.0 / math.sqrt(det2g)
+    value = float(_legendre_density_many(E, p[None, :])[0])
+    if not math.isfinite(value):
+        raise ConvergenceError(f"moment inversion failed at {p.tolist()}")
+    return value
 
 
 # -- asymptotics ------------------------------------------------------------

@@ -113,18 +113,35 @@ class SupportSet:
         return self.affine_dim < self.dim
 
     @cached_property
+    def _hull(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """(vertices, facet rows) of conv(A) from one hull; None without interior."""
+        if self.degenerate:
+            return None
+        if self.dim == 1:
+            lo, hi = self.points.min(), self.points.max()
+            vertices, rows = np.array([[lo], [hi]]), np.array([[-1.0, lo], [1.0, -hi]])
+        else:
+            try:
+                hull = ConvexHull(self.points)
+            except QhullError:
+                return None
+            vertices, rows = self.points[hull.vertices], hull.equations
+        vertices.flags.writeable = False
+        rows.flags.writeable = False
+        return vertices, rows
+
+    @property
     def facets(self) -> np.ndarray | None:
         """Facet rows (unit normal, offset) of conv(A), with normal . p +
         offset <= 0 inside; None when the hull has no interior."""
-        if self.degenerate:
-            return None
-        try:
-            rows = ConvexHull(self.points).equations if self.dim > 1 else np.array(
-                [[-1.0, self.points.min()], [1.0, -self.points.max()]])
-        except QhullError:
-            return None
-        rows.flags.writeable = False
-        return rows
+        return None if self._hull is None else self._hull[1]
+
+    @property
+    def vertices(self) -> np.ndarray | None:
+        """Vertices of conv(A), shape (n, m): in order along the boundary
+        (counter-clockwise) for m <= 2, Qhull's order above; None when the
+        hull has no interior."""
+        return None if self._hull is None else self._hull[0]
 
     def __len__(self) -> int:
         return self.size

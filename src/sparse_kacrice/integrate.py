@@ -10,8 +10,9 @@ Two routes to the same number:
   cube [-4, 4]^m, then shells [-2r, 2r]^m minus [-r, r]^m for as long as
   the newest shell outweighs the error of the cells already in hand;
 * the moment-space route integrates the Legendre-transform density over
-  the interior of the Newton polytope, with a one-step extrapolation of
-  the square-root boundary layer.
+  the Newton polytope (m <= 2), split into one quadrilateral per hull
+  vertex and mapped so that the square-root boundary layer and the
+  vertex corners are smooth up to the boundary.
 
 Every integral, in every dimension, is one adaptive heap of cells, each
 with a pair of tensor Gauss-Legendre rules (4 and 8 points per axis)
@@ -27,17 +28,16 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.spatial import ConvexHull
 
 from .errors import ConvergenceError, InputError
 from .expsum import (
     ExpSum,
     _batch_moments,
-    _invert_moment_many,
+    _legendre_density_many,
     density_many,
     invert_moment,
 )
@@ -64,8 +64,6 @@ MAX_DOUBLINGS = 24
 #: Summed cell errors cannot fall below this multiple of the summed
 #: absolute cell values: the rounding of the rule sums themselves.
 ROUNDOFF = 64.0 * np.finfo(float).eps
-#: Outermost relative shrink of the moment-space integration region.
-PSPACE_EPS = 1e-3
 
 
 @dataclass(frozen=True)
@@ -87,17 +85,16 @@ class Quadrature:
 
 @dataclass(frozen=True)
 class IntegralResult:
-    """Converged integral with its error estimate and work counters.
+    """Converged integral with its error estimate and work counter.
 
-    ``cells`` counts leaf cells of the adaptive heap;
-    ``inversion_failures`` counts failed moment-map inversions on the
-    moment-space route (always 0 on the x route)."""
+    ``error`` meets the request's budget max(abs_tol, rel_tol |value|)
+    (an integral that cannot meet it raises ConvergenceError);
+    ``cells`` counts leaf cells of the adaptive heap."""
 
     value: float
     error: float
     route: str
     cells: int
-    inversion_failures: int = 0
 
 
 def _normalize_box(box, m: int):
@@ -162,17 +159,19 @@ def _shell_cells(r, m):
     return np.concatenate([g[0] for g in grids]), np.concatenate([g[1] for g in grids])
 
 
-def _adaptive(f, box, abs_tol, rel_tol, grow=False, seed_per_axis=8):
-    """Adaptive cubature of vectorized f; (value, error, cells).
+def _adaptive(f, los, his, abs_tol, rel_tol, grow=False):
+    """Adaptive cubature of vectorized f from the seed cells (los, his);
+    returns (value, error, cells).
 
-    Integrates over ``box``, or with ``grow`` over R^m from the cube
-    ``box`` = [-r, r]^m outward: a shell enters the heap while the newest
-    one's value exceeds the summed cell error, and that value counts as
-    the error of truncating there.  Raises ConvergenceError with the
-    partial value when the cell budget runs out or the error budget lies
-    below the roundoff floor of the cell sums.
+    With ``grow`` the seeds tile a cube [-r, r]^m and the region grows
+    over R^m: a shell enters the heap while the newest one's value exceeds
+    the summed cell error, and that value counts as the error of
+    truncating there.  Raises ConvergenceError with the partial value when
+    the integrand is not finite (the value then sums the finite cells),
+    the cell budget runs out, or the error budget lies below the roundoff
+    floor of the cell sums.
     """
-    m = len(box)
+    m = los.shape[1]
     rules = [_tensor_rule(rule, m) for rule in (_GL_COARSE, _GL_FINE)]
     heap = []
     order = itertools.count()
@@ -181,13 +180,19 @@ def _adaptive(f, box, abs_tol, rel_tol, grow=False, seed_per_axis=8):
         """Evaluate cells, push them; returns sums of value, error and |value|."""
         coarse, fine = (_cell_quadrature(f, los, his, *rule) for rule in rules)
         errs = np.abs(fine - coarse)
+        finite = np.isfinite(errs)
+        if not finite.all():
+            raise ConvergenceError(
+                f"integrand is not finite on {int((~finite).sum())} of {len(errs)} new cells",
+                value=math.fsum(entry[4] for entry in heap) + math.fsum(fine[finite]),
+            )
         for lo, hi, value, err in zip(los, his, fine, errs):
             heapq.heappush(heap, (-float(err), next(order), tuple(lo), tuple(hi), float(value)))
         return float(fine.sum()), float(errs.sum()), float(np.abs(fine).sum())
 
-    total, error, mass = push(*_seed_grid(box, seed_per_axis))
+    total, error, mass = push(los, his)
     # The tail is unknown until a first shell measures it.
-    shell, radius, shells = (math.inf if grow else 0.0), box[0][1], 0
+    shell, radius, shells = (math.inf if grow else 0.0), float(his.max()), 0
     while error + abs(shell) > max(abs_tol, rel_tol * abs(total), ROUNDOFF * mass):
         if abs(shell) > error:
             if shells == MAX_DOUBLINGS:
@@ -221,8 +226,7 @@ def _adaptive(f, box, abs_tol, rel_tol, grow=False, seed_per_axis=8):
         dv, de, dm = push(np.asarray(los), np.asarray(his))
         total, error, mass = total + dv, error + de, mass + dm
 
-    # Written so that a non-finite integrand raises here too.
-    if not error + abs(shell) <= max(abs_tol, rel_tol * abs(total)):
+    if error + abs(shell) > max(abs_tol, rel_tol * abs(total)):
         raise ConvergenceError(
             "tolerance lies below the roundoff floor of the cell sums",
             value=total,
@@ -250,7 +254,7 @@ def _over_rm(f, E: ExpSum, abs_tol, rel_tol):
     jac = abs(float(np.linalg.det(W)))
     cube = ((-AUTO_RADIUS, AUTO_RADIUS),) * E.dim
     return _adaptive(
-        lambda Y: jac * f(x0 + Y @ W.T), cube, abs_tol, rel_tol, grow=True, seed_per_axis=4
+        lambda Y: jac * f(x0 + Y @ W.T), *_seed_grid(cube, 4), abs_tol, rel_tol, grow=True
     )
 
 
@@ -276,109 +280,34 @@ def esol_total(E: ExpSum, q: Quadrature | None = None) -> IntegralResult:
         value, error, cells = _over_rm(f, E, q.abs_tol, q.rel_tol)
     else:
         box = _normalize_box(q.box, E.dim)
-        value, error, cells = _adaptive(f, box, q.abs_tol, q.rel_tol)
+        value, error, cells = _adaptive(f, *_seed_grid(box, 8), q.abs_tol, q.rel_tol)
     return IntegralResult(value, error, "x", cells)
 
 
 def esol_region(E: ExpSum, U, q: Quadrature | None = None) -> IntegralResult:
-    """Expected number of zeros with x restricted to the box U.
+    """Expected number of zeros with x restricted to the box U: the same
+    as ``esol_total`` with ``box=U``.
 
     Additive over disjoint boxes; used for decrease/increase-region
     comparisons between a sum and its augmentation.
     """
-    q = q or Quadrature()
-    if E.support.degenerate:
-        return IntegralResult(0.0, 0.0, "x", 0)
-    box = _normalize_box(U, E.dim)
-    f = lambda X: density_many(E, X)
-    value, error, cells = _adaptive(f, box, q.abs_tol, q.rel_tol)
-    return IntegralResult(value, error, "x", cells)
-
-
-
-# ---------------------------------------------------------------------------
-# Moment-space route
-
-
-def _bbox(points):
-    return points.min(axis=0), points.max(axis=0)
-
-
-def _is_box_polytope(E: ExpSum) -> bool:
-    """True when the Newton polytope is its own axis-aligned bounding box."""
-    if E.dim == 1:
-        return True
-    lo, hi = _bbox(E.support.points)
-    volume = hull_volume(E.support)
-    return abs(volume - float(np.prod(hi - lo))) <= 1e-12 * max(1.0, volume)
-
-
-def _legendre_values(E, P, prefactor, counter):
-    """Legendre-transform density at moment points P; failures contribute 0."""
-    values = np.zeros(P.shape[0])
-    X, ok = _invert_moment_many(E, P, max_iter=200)
-    counter[0] += int((~ok).sum())
-    if ok.any():
-        _, _, G = _batch_moments(E, X[ok])
-        dets = np.maximum(np.linalg.det(2.0 * G), 0.0)
-        dens = np.zeros(int(ok.sum()))
-        good = dets > 0.0
-        dens[good] = 1.0 / np.sqrt(dets[good])
-        values[ok] = dens
-    return prefactor * values
-
-
-def _pspace_level_box(E, eps, prefactor, abs_tol, rel_tol, counter):
-    """One shrink level for a box-shaped polytope, in angular coordinates.
-
-    Per axis, p = mid + halfwidth sin(t) absorbs the 1/sqrt(edge distance)
-    boundary layer into a smooth Jacobian; the (1 - eps) homothety becomes
-    |t| <= arcsin(1 - eps).
-    """
-    lo, hi = _bbox(E.support.points)
-    mid = 0.5 * (lo + hi)
-    halfw = 0.5 * (hi - lo)
-    t_max = math.asin(1.0 - eps)
-
-    def f(T):
-        P = mid + halfw * np.sin(T)
-        jac = np.prod(halfw * np.cos(T), axis=1)
-        return jac * _legendre_values(E, P, prefactor, counter)
-
-    box = tuple((-t_max, t_max) for _ in range(E.dim))
-    return _adaptive(f, box, abs_tol, rel_tol)
-
-
-def _pspace_level_masked(E, eps, prefactor, abs_tol, rel_tol, counter):
-    """One shrink level for a general polytope: masked bounding-box cubature."""
-    pts = E.support.points
-    bary = pts.mean(axis=0)
-    shrunk = bary + (1.0 - eps) * (pts - bary)
-    hull = ConvexHull(shrunk)
-    eqs = hull.equations
-    lo, hi = _bbox(shrunk)
-
-    def f(P):
-        inside = np.all(P @ eqs[:, :-1].T + eqs[:, -1] < 0.0, axis=1)
-        values = np.zeros(P.shape[0])
-        if inside.any():
-            values[inside] = _legendre_values(E, P[inside], prefactor, counter)
-        return values
-
-    box = tuple((float(a), float(b)) for a, b in zip(lo, hi))
-    return _adaptive(f, box, abs_tol, rel_tol, seed_per_axis=12)
+    return esol_total(E, replace(q or Quadrature(), box=U))
 
 
 def esol_pspace(E: ExpSum, q: Quadrature | None = None) -> IntegralResult:
     """Expected number of zeros via the Newton-polytope route (m <= 2).
 
-    Integrates the Legendre-transform density over an interior-shrunk
-    copy of the polytope at three shrink levels and extrapolates the
-    square-root boundary layer one Richardson step.  Box-shaped polytopes
-    use an exact angular substitution that flattens the layer; other
-    shapes fall back to masked bounding-box cubature.  Nodes whose moment
-    inversion fails contribute nothing and are counted (per evaluation)
-    in ``inversion_failures``.
+    Integrates the Legendre-transform density over the polytope P, split
+    into one cell per hull vertex v_i: the quadrilateral
+    (c, M_{i-1}, v_i, M_i) from the centroid c of P and the midpoints M of
+    the edges at v_i (in one variable, the segment [c, v_i]).  Each cell
+    is mapped bilinearly from [0, 1]^m and then a = sin t per axis, t in
+    [0, pi/2]: the distances to the two facets at v_i are (1 - a) and
+    (1 - b) times smooth factors, so the 1/sqrt(distance) layer and the
+    corner both become smooth.  All cells share one adaptive heap, seeded
+    4 per axis per cell, whose Gauss nodes never touch the boundary.  A
+    failed moment inversion makes the integrand NaN, which raises
+    ConvergenceError with the partial value.
     """
     q = q or Quadrature()
     if E.support.degenerate:
@@ -387,23 +316,43 @@ def esol_pspace(E: ExpSum, q: Quadrature | None = None) -> IntegralResult:
     if m > 2:
         raise InputError("moment-space integration is limited to two variables")
     prefactor = 1.0 / (2.0 ** ((m - 2) / 2.0) * ball_sphere_constants(m)[1])
-    counter = [0]
-    box_shaped = _is_box_polytope(E)
-    level = _pspace_level_box if box_shaped else _pspace_level_masked
-    inner_tol = q.abs_tol if box_shaped else max(q.abs_tol, 1e-6)
+    V = E.support.vertices
+    n = V.shape[0]
+    if m == 1:
+        c = V.mean(axis=0)
+        A = V - c
+    else:
+        # The centroid of P lies outside every corner triangle (M_{i-1}, v_i,
+        # M_i): such a triangle holds at most a quarter of the area, and each
+        # side of a line through the centroid holds at least 4/9 of it
+        # (Gruenbaum).  So every cell is convex and its map one-to-one.
+        nxt = np.roll(V, -1, axis=0)
+        cross = V[:, 0] * nxt[:, 1] - nxt[:, 0] * V[:, 1]
+        c = ((V + nxt) * cross[:, None]).sum(axis=0) / (3.0 * cross.sum())
+        A = 0.5 * (np.roll(V, 1, axis=0) + V) - c
+        B = 0.5 * (V + nxt) - c
+        D = V - c - A - B
 
-    levels = []
-    cells = 0
-    for eps in (PSPACE_EPS, PSPACE_EPS / 4.0, PSPACE_EPS / 16.0):
-        value, err, c = level(E, eps, prefactor, inner_tol, q.rel_tol, counter)
-        levels.append((value, err))
-        cells += c
-    (v0, _), (v1, e1), (v2, e2) = levels
-    value = 2.0 * v2 - v1
-    # The square-root layer cancels in each extrapolant; their difference
-    # estimates what remains.
-    error = abs((2.0 * v2 - v1) - (2.0 * v1 - v0)) + e1 + e2
-    return IntegralResult(value, error, "p", cells, inversion_failures=counter[0])
+    def f(U):
+        """Density times Jacobian; the integer part of U[:, 0] is the cell."""
+        whole = np.floor(U)
+        i = whole[:, 0].astype(int)
+        T = 0.5 * np.pi * (U - whole)
+        a = np.sin(T)
+        jac = np.prod(0.5 * np.pi * np.cos(T), axis=1)
+        if m == 1:
+            P = c + a * A[i]
+            jac = jac * np.abs(A[i, 0])
+        else:
+            Ja = A[i] + a[:, 1:] * D[i]
+            Jb = B[i] + a[:, :1] * D[i]
+            P = c + a[:, :1] * A[i] + a[:, 1:] * Jb
+            jac = jac * np.abs(Ja[:, 0] * Jb[:, 1] - Ja[:, 1] * Jb[:, 0])
+        return prefactor * jac * _legendre_density_many(E, P)
+
+    seeds = _seed_grid(((0.0, float(n)),) + ((0.0, 1.0),) * (m - 1), 4 * n)
+    value, error, cells = _adaptive(f, *seeds, q.abs_tol, q.rel_tol)
+    return IntegralResult(value, error, "p", cells)
 
 
 @dataclass(frozen=True)

@@ -83,7 +83,9 @@ def test_03_binomial_law_two_variables():
 
 def test_04_route_consistency():
     worst = 0.0
-    for E in (TWO_TERM, kostlan(2, 1)):
+    triangle = ExpSum([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    rotated_square = ExpSum([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+    for E in (TWO_TERM, kostlan(2, 1), triangle, rotated_square):
         a = esol_total(E).value
         b = esol_pspace(E).value
         worst = max(worst, abs(a - b))

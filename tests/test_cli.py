@@ -44,8 +44,15 @@ class TestAnalyze:
         assert main(["analyze", "--input", two_term_file, "--route", "both"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["x"]["value"] == pytest.approx(0.5, abs=1e-6)
-        assert doc["p"]["value"] == pytest.approx(0.5, abs=1e-3)
-        assert doc["abs_diff"] < 1e-3
+        assert doc["p"]["value"] == pytest.approx(0.5, abs=1e-6)
+        assert doc["abs_diff"] < 1e-6
+
+    @pytest.mark.parametrize("route", ["p", "both"])
+    def test_box_rejected_on_moment_routes(self, two_term_file, route, capsys):
+        # the moment route covers the whole polytope, so a box would make
+        # "both" compare a box integral with a whole-line one
+        assert main(["analyze", "--input", two_term_file, "--route", route, "--box=-1,2"]) == 2
+        assert "--box" in capsys.readouterr().err
 
     def test_output_file(self, two_term_file, tmp_path):
         out = tmp_path / "result.json"

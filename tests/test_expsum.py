@@ -213,6 +213,12 @@ class TestLegendreDensity:
         with pytest.raises(DomainError):
             legendre_density(TWO_TERM, [1.0 - 1e-9])
 
+    def test_closed_form_near_the_boundary(self):
+        # an absolute moment residual of 1e-10 gave 4e-6 relative here
+        p = 1.0 - 2e-6
+        want = 1.0 / math.sqrt(2.0 * p * (1.0 - p))
+        assert legendre_density(TWO_TERM, [p]) == pytest.approx(want, rel=1e-10)
+
 
 class TestAtInfinity:
     def test_moment_limit_hits_face_barycenter(self):

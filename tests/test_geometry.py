@@ -152,9 +152,23 @@ class TestHullGeometry:
         near = _interior_mask(A, P[300:], 1e-12)
         assert near.any() and not near.all()
 
+    def test_vertices_run_counter_clockwise(self):
+        # the pentagon's corners, shuffled, with an interior and an edge point
+        pentagon = [[0, 0], [2, 0], [3, 1], [1, 3], [-1, 1]]
+        A = SupportSet([[1, 3], [1, 1], [0, 0], [3, 1], [1, 0], [-1, 1], [2, 0]])
+        V = A.vertices
+        assert not V.flags.writeable
+        assert sorted(map(tuple, V.tolist())) == sorted(map(tuple, pentagon))
+        edges = np.roll(V, -1, axis=0) - V
+        following = np.roll(edges, -1, axis=0)
+        turns = edges[:, 0] * following[:, 1] - edges[:, 1] * following[:, 0]
+        assert np.all(turns > 0)
+        np.testing.assert_array_equal(SupportSet([[2.0], [-1.0], [0.5]]).vertices, [[-1.0], [2.0]])
+
     def test_degenerate_hull_has_no_facets(self):
         A = SupportSet([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
         assert A.facets is None
+        assert A.vertices is None
         assert not _interior_mask(A, np.array([[1.0, 1.0], [0.5, 0.5]]), 1e-12).any()
 
 

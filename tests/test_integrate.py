@@ -23,6 +23,7 @@ from sparse_kacrice import (
     kostlan,
     lower_bound_check,
 )
+from sparse_kacrice.integrate import _adaptive, _seed_grid
 
 TWO_TERM = ExpSum([[0.0], [1.0]])
 IRREGULAR = ExpSum([[0.0], [0.5], [1.7]], [1.0, 2.0, 1.0])
@@ -161,21 +162,72 @@ class TestRegion:
         assert r.value == pytest.approx(math.pi / 32.0, rel=1e-6)
 
 
+STRICT = Quadrature(abs_tol=1e-7, rel_tol=1e-7)
+TRIANGLE = ExpSum([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+SIMPLEX_2_2 = ExpSum([[0, 0], [1, 0], [2, 0], [0, 1], [1, 1], [0, 2]], [1, ROOT2, 1, ROOT2, ROOT2, 1])
+PENTAGON = ExpSum([[0, 0], [2, 0], [3, 1], [1, 3], [-1, 1]])
+
+
+def _within_budget(result, q):
+    """The returned error meets the budget the request set."""
+    return result.error <= max(q.abs_tol, q.rel_tol * abs(result.value))
+
+
+def _check_closed_form(E, ref, q):
+    start = time.perf_counter()
+    r = esol_pspace(E, q)
+    assert time.perf_counter() - start < 0.5
+    assert r.route == "p"
+    assert r.value == pytest.approx(ref, abs=max(q.abs_tol, q.rel_tol * ref))
+    assert _within_budget(r, q)
+
+
+def _check_against_native(E, q):
+    a = esol_total(E, q)
+    b = esol_pspace(E, q)
+    assert _within_budget(b, q)
+    assert abs(a.value - b.value) <= a.error + b.error
+
+
 class TestMomentRoute:
     def test_two_term_agrees(self):
-        r = esol_pspace(TWO_TERM)
-        assert r.route == "p"
-        assert r.value == pytest.approx(0.5, abs=1e-4)
-        assert abs(r.value - 0.5) <= r.error + 1e-6
+        _check_closed_form(TWO_TERM, 0.5, STRICT)
 
     def test_unit_square_agrees(self):
-        r = esol_pspace(kostlan(2, 1))
-        assert r.value == pytest.approx(math.pi / 8.0, abs=1e-3)
+        for tol in (1e-7, 1e-10):
+            _check_closed_form(kostlan(2, 1), math.pi / 8.0, Quadrature(abs_tol=tol, rel_tol=tol))
+
+    @pytest.mark.parametrize(
+        "E, ref",
+        [
+            (kostlan(1, 3), math.sqrt(3.0) / 2.0),
+            (kostlan(2, 2), math.pi / 4.0),
+            (TRIANGLE, 0.25),
+            (SIMPLEX_2_2, 0.5),
+            (ExpSum([[1, 0], [0, 1], [-1, 0], [0, -1]]), math.pi / 8.0),
+            (_image(kostlan(2, 2), ROTATE_SHEAR, [0.3, -2.0]), math.pi / 4.0),
+            (_image(TRIANGLE, np.eye(2), [1000.0, 1000.0]), 0.25),
+            (ExpSum([[0, 0], [1, 0], [0, 1], [1, 1]], [1.0, 3.0, 0.5, 1.5]), math.pi / 8.0),
+        ],
+        ids=["kostlan(1,3)", "kostlan(2,2)", "triangle", "simplex(2,2)", "rotated square",
+             "sheared kostlan(2,2)", "triangle translated by 1000", "weighted box"],
+    )
+    def test_closed_forms(self, E, ref):
+        _check_closed_form(E, ref, STRICT)
 
     def test_irregular_agrees_with_native_route(self):
-        a = esol_total(IRREGULAR)
-        b = esol_pspace(IRREGULAR)
-        assert abs(a.value - b.value) < 1e-3
+        _check_against_native(IRREGULAR, STRICT)
+
+    def test_pentagon_agrees_with_native_route(self):
+        _check_against_native(PENTAGON, Quadrature(abs_tol=1e-6, rel_tol=1e-6))
+
+    def test_failed_inversion_raises(self):
+        # moment inversion of these weights fails at some nodes; dropping
+        # them would silently return about 1/2 against the x route's 1
+        E = ExpSum([[-50.0], [0.0], [0.001], [80.0]], [1e-30, 1.0, 1.0, 1e30])
+        with pytest.raises(ConvergenceError) as info:
+            esol_pspace(E)
+        assert math.isfinite(info.value.value)
 
     def test_three_variables_unsupported(self):
         with pytest.raises(InputError):
@@ -186,6 +238,13 @@ class TestMomentRoute:
 
 
 class TestConvergenceFailure:
+    def test_non_finite_integrand_raises_with_finite_cells(self):
+        # one of the eight seed cells of [0, 1] has a node within 0.01 of 0.3
+        f = lambda X: np.where(np.abs(X[:, 0] - 0.3) < 0.01, np.nan, 1.0)
+        with pytest.raises(ConvergenceError, match="not finite") as info:
+            _adaptive(f, *_seed_grid(((0.0, 1.0),), 8), 1e-7, 1e-7)
+        assert info.value.value == pytest.approx(0.875, abs=1e-12)
+
     def test_unreachable_tolerance_carries_partial_value(self):
         start = time.perf_counter()
         with pytest.raises(ConvergenceError) as info:
