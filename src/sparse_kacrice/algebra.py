@@ -17,10 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
-from scipy.spatial import cKDTree
-from scipy.special import gammaln
 
 from .errors import InputError
 from .expsum import ExpSum, _check_point, evaluate
@@ -61,6 +57,10 @@ def tensor(E_a: ExpSum, E_b: ExpSum) -> ExpSum:
 
 def _merge_clusters(points: np.ndarray, sq_weights: np.ndarray, merge_tol: float):
     """Group points within merge_tol; squared weights accumulate per group."""
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+    from scipy.spatial import cKDTree
+
     n = points.shape[0]
     pairs = cKDTree(points).query_pairs(merge_tol, output_type="ndarray")
     if len(pairs) == 0:
@@ -106,6 +106,8 @@ def _two_term_power(E: ExpSum, d: int) -> ExpSum:
     The k-th merged coefficient squares to C(d,k) alpha_p^{2(d-k)}
     alpha_q^{2k}, evaluated in log domain so large d stays exact.
     """
+    from scipy.special import gammaln
+
     (p, q), (cp, cq) = E.support.points, E.coeffs
     k = np.arange(d + 1)
     log_coeffs = 0.5 * (
@@ -148,6 +150,8 @@ def kostlan(m: int, d: int) -> ExpSum:
         raise InputError("dimension must be a positive integer")
     if not (isinstance(d, (int, np.integer)) and d >= 1):
         raise InputError("degree must be a positive integer")
+    from scipy.special import gammaln
+
     m, d = int(m), int(d)
     k = np.arange(d + 1)
     half_log_binom = 0.5 * (gammaln(d + 1) - gammaln(k + 1) - gammaln(d - k + 1))

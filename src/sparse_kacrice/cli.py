@@ -270,6 +270,11 @@ def _selftest_checks():
         E = ExpSum([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
         return abs(esol_total(E).value - math.pi / 8.0) < 1e-6
 
+    def kostlan_three_variables():
+        tol = 1e-6
+        r = esol_total(algebra_mod.kostlan(3, 1), Quadrature(abs_tol=tol, rel_tol=tol))
+        return abs(r.value - math.pi / 8.0) < tol
+
     def moment_triangle():
         E = ExpSum([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         return abs(esol_pspace(E).value - 0.25) < 1e-6
@@ -322,6 +327,7 @@ def _selftest_checks():
         ("two-term expected zero count is 1/2", esol_two_term),
         ("degree-4 one-variable count is sqrt(4)/2", esol_degree_four),
         ("rotated unit square is pi/8 on the x route", rotated_square),
+        ("kostlan(3,1) is pi/8 at 1e-6 on the x route", kostlan_three_variables),
         ("moment route on the triangle is 1/4", moment_triangle),
         ("two-term density closed form at x=1", density_closed_form),
         ("moment-map inversion round trip", inversion_round_trip),

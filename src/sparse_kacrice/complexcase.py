@@ -74,11 +74,11 @@ def bkk_total(E: ComplexExpSum, q: Quadrature | None = None) -> IntegralResult:
     if E.dim > 3:
         raise InputError("quadrature is limited to three variables")
     if E.support.degenerate:
-        return IntegralResult(0.0, 0.0, "bkk", 0)
+        return IntegralResult(0.0, 0.0, "bkk", 0, 0)
     factor = (2.0 * math.pi) ** E.dim
 
     def f(X):
         return factor * _bkk_density_many(E, X)
 
-    value, error, cells = _over_rm(f, E, q.abs_tol, q.rel_tol)
-    return IntegralResult(value, error, "bkk", cells)
+    value, error, cells, nodes = _over_rm(f, E, q.abs_tol, q.rel_tol)
+    return IntegralResult(value, error, "bkk", cells, nodes)

@@ -14,8 +14,6 @@ import math
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
-from scipy.special import gammaln
 
 from .errors import InputError, SingularFormError
 
@@ -121,6 +119,8 @@ class SupportSet:
             lo, hi = self.points.min(), self.points.max()
             vertices, rows = np.array([[lo], [hi]]), np.array([[-1.0, lo], [1.0, -hi]])
         else:
+            from scipy.spatial import ConvexHull, QhullError
+
             try:
                 hull = ConvexHull(self.points)
             except QhullError:
@@ -230,6 +230,8 @@ def hull_volume(A) -> float:
     if m == 1:
         flat = A.points[:, 0]
         return float(flat.max() - flat.min())
+    from scipy.spatial import ConvexHull, QhullError
+
     try:
         return float(ConvexHull(A.points).volume)
     except QhullError:
@@ -350,6 +352,6 @@ def ball_sphere_constants(m: int) -> tuple[float, float]:
     """
     if m < 1:
         raise InputError("m must be a positive integer")
-    b_m = math.exp(0.5 * m * math.log(math.pi) - gammaln(0.5 * m + 1.0))
-    s_m = 2.0 * math.exp(0.5 * (m + 1) * math.log(math.pi) - gammaln(0.5 * (m + 1)))
+    b_m = math.exp(0.5 * m * math.log(math.pi) - math.lgamma(0.5 * m + 1.0))
+    s_m = 2.0 * math.exp(0.5 * (m + 1) * math.log(math.pi) - math.lgamma(0.5 * (m + 1)))
     return b_m, s_m

@@ -15,11 +15,17 @@ Two routes to the same number:
   vertex corners are smooth up to the boundary.
 
 Every integral, in every dimension, is one adaptive heap of cells, each
-with a pair of tensor Gauss-Legendre rules (4 and 8 points per axis)
-whose difference is its error estimate.  The worst cells are halved
-along their longest side until the summed cell error, plus the newest
-shell's value when the region grows, meets one budget
-max(abs_tol, rel_tol |total|).  Final sums are compensated (math.fsum),
+with an embedded pair of rules whose difference is its error estimate.
+The dimension alone picks the pair: in one and two variables, tensor
+Gauss-Legendre rules of 4 and 8 points per axis, and a cell is halved
+along its longest side; from three on, the Genz-Malik degree-7/5 pair
+(33 nodes against 576 in 3-D), and a cell is halved along the axis of
+largest fourth difference.  Two variables keep Gauss-Legendre, which
+is faster there on most x-route solves (see ``_cell_rule``).  The worst
+cells are split until the summed cell error, plus the newest shell's
+value when the region grows, meets one budget
+max(abs_tol, rel_tol |total|); the leaf cells may hold at most
+``MAX_NODES`` integrand nodes.  Final sums are compensated (math.fsum),
 so results do not depend on evaluation order.
 """
 
@@ -53,8 +59,9 @@ __all__ = [
     "lower_bound_check",
 ]
 
-#: Subdivision budget per adaptive integral.
-MAX_CELLS = 40000
+#: Budget of one adaptive integral, in integrand nodes held by its leaf
+#: cells: 40 000 cells of the two-variable rule, which has 80 nodes.
+MAX_NODES = 40000 * 80
 #: Half-width of the first AUTO cube, in metric-normalized coordinates.
 AUTO_RADIUS = 4.0
 #: Maximum number of AUTO shells.  Each doubles the radius; the density
@@ -85,16 +92,21 @@ class Quadrature:
 
 @dataclass(frozen=True)
 class IntegralResult:
-    """Converged integral with its error estimate and work counter.
+    """Converged integral with its error estimate and work counters.
 
     ``error`` meets the request's budget max(abs_tol, rel_tol |value|)
     (an integral that cannot meet it raises ConvergenceError);
-    ``cells`` counts leaf cells of the adaptive heap."""
+    ``cells`` counts leaf cells of the adaptive heap, and ``nodes`` the
+    integrand evaluations spent on every cell it ever held: cells
+    evaluated times the nodes of the rule (12, 80 and 33 a cell in one,
+    two and three variables).  The budget counts nodes too: the leaf cells
+    may hold at most ``MAX_NODES`` of them."""
 
     value: float
     error: float
     route: str
     cells: int
+    nodes: int
 
 
 def _normalize_box(box, m: int):
@@ -110,10 +122,13 @@ def _normalize_box(box, m: int):
 
 
 # ---------------------------------------------------------------------------
-# One adaptive heap with paired tensor Gauss-Legendre rules
+# One adaptive heap; the rule for its cells depends on the dimension alone
 
 _GL_COARSE = leggauss(4)
 _GL_FINE = leggauss(8)
+#: Genz-Malik generators: nodes at +-L2 e_i, +-L3 e_i, +-L3 e_i +- L3 e_j
+#: and (+-L5, ..., +-L5) around the centre of [-1, 1]^m.
+_GM_L2, _GM_L3, _GM_L5 = math.sqrt(9.0 / 70.0), math.sqrt(9.0 / 10.0), math.sqrt(9.0 / 19.0)
 
 
 def _tensor_rule(rule, m):
@@ -126,15 +141,77 @@ def _tensor_rule(rule, m):
     return nodes, weights
 
 
+def _genz_malik_rule(m):
+    """Genz-Malik degree-7 rule on [-1, 1]^m with its embedded degree-5 rule
+    and the fourth differences along each axis (Genz & Malik 1980,
+    J. Comput. Appl. Math. 6(4)).
+
+    Returns nodes (n, m) and weights (n, 2 + m), n = 2^m + 2m^2 + 2m + 1
+    (33 in three variables): column 0 is the degree-7 rule, column 1 the
+    degree-5 rule, and column 2 + i the fourth difference along axis i,
+    d2 - (L2/L3)^2 d3 with dk = f(Lk e_i) + f(-Lk e_i) - 2 f(0), which
+    vanishes on quadratics.
+    """
+    eye = np.eye(m)
+    pairs = [s * eye[i] + t * eye[j] for i, j in itertools.combinations(range(m), 2)
+             for s in (1.0, -1.0) for t in (1.0, -1.0)]
+    corners = np.array(list(itertools.product((1.0, -1.0), repeat=m)))
+    nodes = np.vstack([np.zeros((1, m)), _GM_L2 * eye, -_GM_L2 * eye, _GM_L3 * eye, -_GM_L3 * eye,
+                       _GM_L3 * np.reshape(pairs, (-1, m)), _GM_L5 * corners])
+    counts = [1, 2 * m, 2 * m, len(pairs), len(corners)]
+    w7 = [(12824 - 9120 * m + 400 * m * m) / 19683, 980 / 6561, (1820 - 400 * m) / 19683,
+          200 / 19683, 6859 / 19683 / 2**m]
+    w5 = [(729 - 950 * m + 50 * m * m) / 729, 245 / 486, (265 - 100 * m) / 1458, 25 / 729, 0.0]
+    ratio = (_GM_L2 / _GM_L3) ** 2
+    fourth = np.vstack([np.full((1, m), 2.0 * ratio - 2.0), eye, eye, -ratio * eye, -ratio * eye,
+                        np.zeros((len(pairs) + len(corners), m))])
+    rules = 2.0**m * np.stack([np.repeat(w7, counts), np.repeat(w5, counts)], axis=1)
+    return nodes, np.hstack([rules, fourth])
+
+
 def _cell_quadrature(f, los, his, nodes, weights):
-    """Apply one reference rule to a batch of cells; returns per-cell values."""
-    n_cells = los.shape[0]
+    """Apply one reference rule to a batch of cells; returns per-cell sums,
+    one row for each column of ``weights`` (a 1-D ``weights`` gives one)."""
     half = 0.5 * (his - los)
     mid = 0.5 * (his + los)
     pts = mid[:, None, :] + half[:, None, :] * nodes[None, :, :]
-    vals = f(pts.reshape(-1, los.shape[1])).reshape(n_cells, -1)
-    jac = np.prod(half, axis=1)
-    return jac * (vals @ weights)
+    vals = f(pts.reshape(-1, los.shape[1])).reshape(los.shape[0], -1)
+    return np.prod(half, axis=1) * (vals @ weights).T
+
+
+def _cell_rule(m):
+    """The rule pair for m-dimensional cells: (nodes per cell, apply), where
+    apply(f, los, his) gives each cell's value, error and split axis.
+
+    One and two variables take 4- and 8-point tensor Gauss-Legendre rules
+    (4^m + 8^m nodes, none shared): the value is the 8-point sum, the error
+    the difference of the two, and a cell splits along its longest side.
+    From three variables on, that pair costs 576 nodes a cell and the
+    Genz-Malik 7/5 pair 33: the value is the degree-7 sum, the error
+    |I7 - I5|, and a cell splits along the axis of largest fourth
+    difference (Berntsen, Espelid & Genz 1991, ACM TOMS 17).  Its degree-5
+    error needs several times more cells, which two variables do not win
+    back: on the 30 two-variable ``esol_total`` and ``bkk_total`` solves of
+    two quadrature benchmark op sets, the 17-node Genz-Malik pair was
+    slower than the 80-node pair on 28, by a median factor of 1.2.
+    """
+    if m < 3:
+        rules = [_tensor_rule(rule, m) for rule in (_GL_COARSE, _GL_FINE)]
+
+        def apply(f, los, his):
+            coarse, fine = (_cell_quadrature(f, los, his, *rule) for rule in rules)
+            return fine, np.abs(fine - coarse), np.argmax(his - los, axis=1)
+
+        return sum(len(weights) for _, weights in rules), apply
+
+    nodes, weights = _genz_malik_rule(m)
+
+    def apply(f, los, his):
+        sums = _cell_quadrature(f, los, his, nodes, weights)
+        # The Jacobian scales a cell's differences alike, so it leaves the argmax.
+        return sums[0], np.abs(sums[0] - sums[1]), np.argmax(np.abs(sums[2:]), axis=0)
+
+    return len(nodes), apply
 
 
 def _seed_grid(box, per_axis):
@@ -161,34 +238,41 @@ def _shell_cells(r, m):
 
 def _adaptive(f, los, his, abs_tol, rel_tol, grow=False):
     """Adaptive cubature of vectorized f from the seed cells (los, his);
-    returns (value, error, cells).
+    returns (value, error, cells, nodes): the leaf cells and the integrand
+    evaluations spent on every cell the heap ever held.
 
-    With ``grow`` the seeds tile a cube [-r, r]^m and the region grows
-    over R^m: a shell enters the heap while the newest one's value exceeds
-    the summed cell error, and that value counts as the error of
-    truncating there.  Raises ConvergenceError with the partial value when
-    the integrand is not finite (the value then sums the finite cells),
-    the cell budget runs out, or the error budget lies below the roundoff
-    floor of the cell sums.
+    Each cell carries its value, error and split axis from ``_cell_rule``;
+    the 16 worst are halved at a time.  With ``grow`` the seeds tile a cube
+    [-r, r]^m and the region grows over R^m: a shell enters the heap while
+    the newest one's value exceeds the summed cell error, and that value
+    counts as the error of truncating there.  Raises ConvergenceError with
+    the partial value when the integrand is not finite (the value then sums
+    the finite cells), when the leaf cells hold ``MAX_NODES`` integrand
+    nodes, or when the error budget lies below the roundoff floor of the
+    cell sums.
     """
     m = los.shape[1]
-    rules = [_tensor_rule(rule, m) for rule in (_GL_COARSE, _GL_FINE)]
+    per_cell, rule = _cell_rule(m)
     heap = []
     order = itertools.count()
+    evaluated = 0
 
     def push(los, his):
         """Evaluate cells, push them; returns sums of value, error and |value|."""
-        coarse, fine = (_cell_quadrature(f, los, his, *rule) for rule in rules)
-        errs = np.abs(fine - coarse)
+        nonlocal evaluated
+        values, errs, axes = rule(f, los, his)
+        evaluated += len(values)
         finite = np.isfinite(errs)
         if not finite.all():
             raise ConvergenceError(
                 f"integrand is not finite on {int((~finite).sum())} of {len(errs)} new cells",
-                value=math.fsum(entry[4] for entry in heap) + math.fsum(fine[finite]),
+                value=math.fsum(entry[4] for entry in heap) + math.fsum(values[finite]),
             )
-        for lo, hi, value, err in zip(los, his, fine, errs):
-            heapq.heappush(heap, (-float(err), next(order), tuple(lo), tuple(hi), float(value)))
-        return float(fine.sum()), float(errs.sum()), float(np.abs(fine).sum())
+        # Entries (-error, insertion order, lo, hi, value, split axis).
+        columns = ((-errs).tolist(), order, los.tolist(), his.tolist(), values.tolist(), axes.tolist())
+        for entry in zip(*columns):
+            heapq.heappush(heap, entry)
+        return float(values.sum()), float(errs.sum()), float(np.abs(values).sum())
 
     total, error, mass = push(los, his)
     # The tail is unknown until a first shell measures it.
@@ -205,25 +289,23 @@ def _adaptive(f, los, his, abs_tol, rel_tol, grow=False):
             total, error, mass = total + shell, error + de, mass + dm
             radius, shells = 2.0 * radius, shells + 1
             continue
-        if len(heap) >= MAX_CELLS:
+        if len(heap) * per_cell >= MAX_NODES:
             raise ConvergenceError(
-                f"cell budget {MAX_CELLS} exhausted", value=total, residual=error + abs(shell)
+                f"node budget {MAX_NODES} exhausted ({len(heap)} cells of {per_cell} nodes)",
+                value=total,
+                residual=error + abs(shell),
             )
         batch = [heapq.heappop(heap) for _ in range(min(16, len(heap)))]
-        los, his = [], []
-        for neg_err, _, lo, hi, value in batch:
-            total -= value
-            error += neg_err
-            mass -= abs(value)
-            lo, hi = np.asarray(lo), np.asarray(hi)
-            axis = int(np.argmax(hi - lo))
-            mid = 0.5 * (lo[axis] + hi[axis])
-            child_hi, child_lo = hi.copy(), lo.copy()
-            child_hi[axis] = mid
-            child_lo[axis] = mid
-            los += [lo, child_lo]
-            his += [child_hi, hi]
-        dv, de, dm = push(np.asarray(los), np.asarray(his))
+        for neg_err, _, _, _, value, _ in batch:
+            total, error, mass = total - value, error + neg_err, mass - abs(value)
+        _, _, lo, hi, _, axis = zip(*batch)
+        lo, hi, split = np.array(lo), np.array(hi), (np.arange(len(batch)), list(axis))
+        lo_mid, hi_mid = lo.copy(), hi.copy()
+        lo_mid[split] = hi_mid[split] = 0.5 * (lo[split] + hi[split])
+        # Children in the order (lo, hi_mid), (lo_mid, hi) per popped cell.
+        child_los = np.stack([lo, lo_mid], axis=1).reshape(-1, m)
+        child_his = np.stack([hi_mid, hi], axis=1).reshape(-1, m)
+        dv, de, dm = push(child_los, child_his)
         total, error, mass = total + dv, error + de, mass + dm
 
     if error + abs(shell) > max(abs_tol, rel_tol * abs(total)):
@@ -234,7 +316,7 @@ def _adaptive(f, los, his, abs_tol, rel_tol, grow=False):
         )
     value = math.fsum(entry[4] for entry in heap)
     error = math.fsum(-entry[0] for entry in heap) + abs(shell)
-    return value, error, len(heap)
+    return value, error, len(heap), evaluated * per_cell
 
 
 def _over_rm(f, E: ExpSum, abs_tol, rel_tol):
@@ -272,16 +354,16 @@ def esol_total(E: ExpSum, q: Quadrature | None = None) -> IntegralResult:
     """
     q = q or Quadrature()
     if E.support.degenerate:
-        return IntegralResult(0.0, 0.0, "x", 0)
+        return IntegralResult(0.0, 0.0, "x", 0, 0)
     f = lambda X: density_many(E, X)
     if isinstance(q.box, str):
         if q.box != "auto":
             raise InputError(f"box must be 'auto' or explicit bounds, got {q.box!r}")
-        value, error, cells = _over_rm(f, E, q.abs_tol, q.rel_tol)
+        value, error, cells, nodes = _over_rm(f, E, q.abs_tol, q.rel_tol)
     else:
         box = _normalize_box(q.box, E.dim)
-        value, error, cells = _adaptive(f, *_seed_grid(box, 8), q.abs_tol, q.rel_tol)
-    return IntegralResult(value, error, "x", cells)
+        value, error, cells, nodes = _adaptive(f, *_seed_grid(box, 8), q.abs_tol, q.rel_tol)
+    return IntegralResult(value, error, "x", cells, nodes)
 
 
 def esol_region(E: ExpSum, U, q: Quadrature | None = None) -> IntegralResult:
@@ -311,7 +393,7 @@ def esol_pspace(E: ExpSum, q: Quadrature | None = None) -> IntegralResult:
     """
     q = q or Quadrature()
     if E.support.degenerate:
-        return IntegralResult(0.0, 0.0, "p", 0)
+        return IntegralResult(0.0, 0.0, "p", 0, 0)
     m = E.dim
     if m > 2:
         raise InputError("moment-space integration is limited to two variables")
@@ -351,8 +433,8 @@ def esol_pspace(E: ExpSum, q: Quadrature | None = None) -> IntegralResult:
         return prefactor * jac * _legendre_density_many(E, P)
 
     seeds = _seed_grid(((0.0, float(n)),) + ((0.0, 1.0),) * (m - 1), 4 * n)
-    value, error, cells = _adaptive(f, *seeds, q.abs_tol, q.rel_tol)
-    return IntegralResult(value, error, "p", cells)
+    value, error, cells, nodes = _adaptive(f, *seeds, q.abs_tol, q.rel_tol)
+    return IntegralResult(value, error, "p", cells, nodes)
 
 
 @dataclass(frozen=True)

@@ -24,8 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import null_space
-from scipy.special import expit
 
 from .errors import DegenerateMetricError, DomainError, InputError, SparseKacRiceError
 from .expsum import DET_FLOOR, ExpSum, _batch_moments, _check_point, _invert_moment_many
@@ -188,6 +186,15 @@ def psi(E: ExpSum, aug: Augmentation, x) -> PsiEval:
     return _psi_evals(E, aug, x[None, :])[0]
 
 
+def _logistic(t: float) -> float:
+    """1 / (1 + e^-t), from the exponential of -|t| so that neither tail
+    overflows and both keep full relative precision."""
+    if t >= 0.0:
+        return 1.0 / (1.0 + math.exp(-t))
+    e = math.exp(t)
+    return e / (1.0 + e)
+
+
 def psi_via_phi0(E: ExpSum, aug: Augmentation, x) -> float:
     """Alternate route to Psi through phi0 alone.
 
@@ -199,8 +206,8 @@ def psi_via_phi0(E: ExpSum, aug: Augmentation, x) -> float:
     cond(g) * eps near the condition gate.
     """
     a0, bundle, phi0, _, _ = _checked_bundle(E, aug, x)
-    s = float(expit(-2.0 * phi0))
-    ratio = float(expit(2.0 * phi0))
+    s = _logistic(-2.0 * phi0)
+    ratio = _logistic(2.0 * phi0)
     return ratio ** (E.dim / 2.0) * math.sqrt(1.0 + s * bundle.g_dual(bundle.mu - a0))
 
 
@@ -434,6 +441,8 @@ def levelset_projection_check(
         raise DomainError("x is a critical point of phi0; level set has no tangent space")
     if E.dim == 1:
         return LevelsetReport(residual=0.0, ratio=ratio, vacuous=True, passed=True)
+    from scipy.linalg import null_space
+
     basis = null_space(grad0[None, :])
     g0 = augmented_metric(E, aug, x).entries
     restricted_aug = basis.T @ g0 @ basis

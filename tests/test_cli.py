@@ -4,9 +4,14 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sparse_kacrice
 from sparse_kacrice import ComplexExpSum, ExpSum, kostlan
 from sparse_kacrice.cli import main
 
@@ -175,6 +180,18 @@ class TestAlgebra:
         assert rc == 0
         doc = json.loads(capsys.readouterr().out)
         assert len(doc["support"]) == 4
+
+
+def test_import_leaves_scipy_out():
+    # scipy costs several times the package's own import; hulls, clustering
+    # and the tangent-space check load it when they first run
+    src = str(Path(sparse_kacrice.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, sparse_kacrice; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 class TestSelftestAndErrors:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 
@@ -22,8 +23,10 @@ from sparse_kacrice import (
     estimate_esol,
     kostlan,
     lower_bound_check,
+    tensor,
 )
-from sparse_kacrice.integrate import _adaptive, _seed_grid
+from sparse_kacrice import integrate
+from sparse_kacrice.integrate import _adaptive, _cell_rule, _genz_malik_rule, _seed_grid
 
 TWO_TERM = ExpSum([[0.0], [1.0]])
 IRREGULAR = ExpSum([[0.0], [0.5], [1.7]], [1.0, 2.0, 1.0])
@@ -144,6 +147,114 @@ LOOSE = Quadrature(abs_tol=1e-4, rel_tol=1e-4)
 def test_x_route_on_supports_off_the_axes(integral, E, q, ref):
     result = integral(E, q)
     assert result.value == pytest.approx(ref, abs=max(q.abs_tol, q.rel_tol * ref))
+
+
+def _random_affine3(seed):
+    """The first affine map (L, b) drawn from a seeded generator: a rotation,
+    a unit upper-triangular shear and axis scales in [0.6, 1.6], then a
+    shift in [-1, 1]^3."""
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.standard_normal((3, 3)))
+    shear = np.eye(3) + np.triu(rng.uniform(-0.8, 0.8, (3, 3)), 1)
+    L = (q * np.sign(np.diag(r))) @ shear @ np.diag(rng.uniform(0.6, 1.6, 3))
+    return L, rng.uniform(-1.0, 1.0, 3)
+
+
+SHEAR3 = [[1.0, 0.7, -0.4], [0.0, 1.2, 0.5], [0.0, 0.0, 0.8]]
+#: A tensor of three two-term sums, gaps 0.3, 3 and 1: an image of kostlan(3, 1).
+TWO_TERM_CUBE = tensor(tensor(ExpSum([[0.0], [0.3]]), ExpSum([[0.0], [3.0]])), ExpSum([[0.0], [1.0]]))
+UNIT_CUBE = ComplexExpSum([[i, j, k] for i in (0, 1) for j in (0, 1) for k in (0, 1)])
+
+
+class TestThreeVariables:
+    """Genz-Malik cells: closed forms at tight tolerances in bounded time."""
+
+    @pytest.mark.parametrize(
+        "integral, E, tol, ref, seconds",
+        [
+            (esol_total, kostlan(3, 1), 1e-7, math.pi / 8.0, 2.5),
+            (
+                esol_total,
+                ExpSum([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], [1.0, 1.0, 1.0, 1.0]),
+                1e-7,
+                0.125,
+                1.5,
+            ),
+            (esol_total, TWO_TERM_CUBE, 1e-7, math.pi / 8.0, 2.5),
+            (esol_total, _image(kostlan(3, 1), SHEAR3), 1e-6, math.pi / 8.0, 1.0),
+            (esol_total, _image(kostlan(3, 1), _rotation3(7)), 1e-6, math.pi / 8.0, 1.0),
+            (bkk_total, UNIT_CUBE, 1e-7, 6.0, 3.0),
+            # off by 2.6e-7 with 576-node Gauss-Legendre cells, which claimed 1e-7
+            (esol_total, _image(kostlan(3, 1), *_random_affine3(11)), 1e-7, math.pi / 8.0, 4.0),
+        ],
+        ids=["kostlan(3,1)", "simplex(3,1)", "tensor of two-term sums", "sheared kostlan(3,1)",
+             "rotated kostlan(3,1)", "unit cube bkk", "seeded affine kostlan(3,1)"],
+    )
+    def test_closed_forms(self, integral, E, tol, ref, seconds):
+        q = Quadrature(abs_tol=tol, rel_tol=tol)
+        start = time.perf_counter()
+        r = integral(E, q)
+        assert time.perf_counter() - start < seconds
+        assert r.value == pytest.approx(ref, abs=max(tol, tol * ref))
+        assert _within_budget(r, q)
+
+    def test_node_budget_raises_with_partial_value(self, monkeypatch):
+        monkeypatch.setattr(integrate, "MAX_NODES", 1000 * 33)
+        with pytest.raises(ConvergenceError, match="node budget 33000") as info:
+            esol_total(kostlan(3, 1))
+        assert info.value.value == pytest.approx(math.pi / 8.0, abs=1e-3)
+
+
+class TestCellRules:
+    def test_genz_malik_degrees(self):
+        nodes, weights = _genz_malik_rule(3)
+        assert nodes.shape == (33, 3)
+        for powers in itertools.product(range(8), repeat=3):
+            if sum(powers) > 7:
+                continue
+            exact = math.prod(0.0 if k % 2 else 2.0 / (k + 1) for k in powers)
+            seven, five = np.prod(nodes**powers, axis=1) @ weights[:, :2]
+            assert seven == pytest.approx(exact, abs=1e-13)
+            if sum(powers) <= 5:
+                assert five == pytest.approx(exact, abs=1e-13)
+        # degree 6 separates the pair, so its difference measures the error
+        seven, five = np.prod(nodes ** (6, 0, 0), axis=1) @ weights[:, :2]
+        assert abs(seven - five) > 1e-3
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_split_axis(self, m):
+        # a cell longest along axis 0; f varies along the last axis alone
+        per_cell, apply = _cell_rule(m)
+        los, his = np.zeros((1, m)), np.array([[4.0] + [1.0] * (m - 1)])
+        value, error, axes = apply(lambda X: np.exp(3.0 * X[:, -1]), los, his)
+        assert per_cell == {2: 80, 3: 33}[m]
+        assert error[0] > 0.0
+        # Gauss-Legendre halves the longest side, Genz-Malik the varying axis
+        assert axes.tolist() == [0 if m == 2 else m - 1]
+
+    @pytest.mark.parametrize(
+        "E, box, per_cell",
+        [
+            (TWO_TERM, [(-40.0, 40.0)], 12),
+            (kostlan(2, 1), [(-30.0, 30.0)] * 2, 80),
+            (kostlan(3, 1), [(-20.0, 20.0)] * 3, 33),
+        ],
+        ids=["1-D", "2-D", "3-D"],
+    )
+    def test_nodes_count_integrand_evaluations(self, monkeypatch, E, box, per_cell):
+        rows = []
+        density_many = integrate.density_many
+
+        def counted(E, X):
+            rows.append(len(X))
+            return density_many(E, X)
+
+        monkeypatch.setattr(integrate, "density_many", counted)
+        r = esol_total(E, Quadrature(abs_tol=1e-4, rel_tol=1e-4, box=box))
+        seeds = 8 ** E.dim
+        # every split evaluates two children for one leaf it removes
+        assert r.cells > seeds
+        assert r.nodes == sum(rows) == (2 * r.cells - seeds) * per_cell
 
 
 class TestRegion:

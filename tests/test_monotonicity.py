@@ -31,6 +31,7 @@ from sparse_kacrice import (
     witness_interior,
 )
 from sparse_kacrice.expsum import _invert_moment_many
+from sparse_kacrice.monotonicity import _logistic
 
 TWO_TERM = ExpSum([[0.0], [1.0]])
 SQUARE = kostlan(2, 1)
@@ -100,6 +101,12 @@ class TestPsi:
             assert ev.classification == "U_minus"
         # the stable route must not collapse to zero ratio
         assert psi_via_phi0(TWO_TERM, aug, [40.0]) > 0.0
+
+    def test_logistic_matches_scipy_in_both_tails(self):
+        from scipy.special import expit
+
+        for t in np.linspace(-700.0, 700.0, 561):
+            assert _logistic(t) == pytest.approx(expit(t), rel=1e-15, abs=0.0)
 
     def test_ray_scan_equals_scalar_psi(self):
         evs = ray_scan_unbounded(SQUARE, SQ_AUG, [1.0, -0.4], 12.0, 6)
