@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .expsum import ExpSum, _check_point, evaluate
-from .geometry import SupportSet
+from .expsum import ExpSum, evaluate
+from .geometry import SupportSet, _check_vector
 
 __all__ = [
     "CoeffSystem",
@@ -200,7 +200,7 @@ def density_bounds_check(
             f"operands live in different dimensions ({E_a.dim} vs {E_b.dim})"
         )
     m = E_a.dim
-    x = _check_point(x, m)
+    x = _check_vector(x, m, "x")
     Q1 = evaluate(E_a, x).g.entries
     Q2 = evaluate(E_b, x).g.entries
     if m == 1:

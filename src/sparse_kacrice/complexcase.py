@@ -20,9 +20,9 @@ import numpy as np
 from .errors import InputError
 # ``evaluate`` is imported for perfbench's tracer, which wraps it as a
 # complexcase boundary; the densities here use the batched kernel.
-from .expsum import ExpSum, _batch_moments, _check_point, evaluate  # noqa: F401
+from .expsum import ExpSum, _batch_moments, evaluate  # noqa: F401
 from .integrate import IntegralResult, Quadrature, _over_rm
-from .geometry import hull_volume
+from .geometry import _check_vector, hull_volume
 
 __all__ = ["ComplexExpSum", "bkk_density", "bkk_total", "n_factorial_volume"]
 
@@ -43,12 +43,12 @@ def bkk_density(E: ComplexExpSum, x) -> float:
     lambda built from e^{2<a,x>}; the determinant factor is the same
     weighted covariance as the real metric.  Degenerate supports give 0.
     """
-    x = _check_point(x, E.dim)
+    x = _check_vector(x, E.dim, "x")
     return float(_bkk_density_many(E, x[None])[0])
 
 
 def _bkk_density_many(E: ComplexExpSum, X: np.ndarray) -> np.ndarray:
-    _, _, G = _batch_moments(E, X)
+    G = _batch_moments(E, X)[3]
     dets = np.maximum(np.linalg.det(G), 0.0)
     n = E.dim
     return math.factorial(n) / math.pi**n * dets

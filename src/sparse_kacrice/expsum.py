@@ -12,6 +12,13 @@ polytope), the metric g (half the Hessian of Phi), the expected-zero
 density (2/s_m) sqrt(det g), moment-map inversion, the polytope-side
 density, directional asymptotics, and the Veronese embedding.
 
+One batched kernel computes all of it: :func:`_batch_moments` gives the
+softmax, Phi, mu and g at every row of a point array, and
+:func:`_invert_moment_many` inverts the moment map for many targets at
+once.  The scalar API (:func:`potential`, :func:`evaluate`,
+:func:`density`, :func:`invert_moment`) is the batched kernel on one row,
+so a scalar call and a one-row batch give the same numbers bit for bit.
+
 All evaluation is done in the log domain with a softmax shift, so points
 with coordinates far beyond the overflow range of exp stay finite.
 """
@@ -25,17 +32,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DegenerateMetricError, DomainError, InputError
-from .errors import SingularFormError
 from .geometry import (
     QuadForm,
     SupportSet,
+    _check_vector,
+    _dual_from_cholesky,
+    _dual_gate,
+    _face_mask,
     ball_sphere_constants,
     diameter,
-    dual_form,
-    form_det,
     interior_contains,
-    support_function,
 )
+# ``dual_form``, ``form_det`` and ``support_function`` are imported for
+# perfbench's tracer, which wraps them as expsum boundaries; evaluate takes
+# the metric, its gate and its dual from the batched kernel instead.
+from .geometry import dual_form, form_det, support_function  # noqa: F401
 
 __all__ = [
     "ExpSum",
@@ -170,8 +181,8 @@ class EvalBundle:
     weights : softmax weights lambda_a (probability vector over A)
     mu : moment map, the weighted barycenter sum lambda_a a
     g : the metric, the lambda-weighted covariance of A about mu
-    g_dual : dual form of g, or None when g degenerates
-    density : expected-zero density (2/s_m) sqrt(det g)
+    g_dual : dual form of g, or None where g fails the dual-form gate
+    density : expected-zero density (2/s_m) sqrt(det g), 0 below ``DET_FLOOR``
     """
 
     x: np.ndarray
@@ -185,69 +196,18 @@ class EvalBundle:
     density: float
 
 
-def _check_point(x, m: int, name: str = "x") -> np.ndarray:
-    vec = np.asarray(x, dtype=float).reshape(-1)
-    if vec.shape[0] != m:
-        raise InputError(f"{name} has length {vec.shape[0]}, expected {m}")
-    if not np.all(np.isfinite(vec)):
-        raise InputError(f"{name} must be finite")
-    return vec
-
-
-def potential(E: ExpSum, x) -> float:
-    """The potential Phi(x) = (1/2) log K(x), evaluated with a softmax shift."""
-    x = _check_point(x, E.dim)
-    t = E.support.points @ x + E.log_coeffs
-    top = t.max()
-    return float(top + 0.5 * np.log(np.exp(2.0 * (t - top)).sum()))
-
-
-def evaluate(E: ExpSum, x) -> EvalBundle:
-    """Compute the full pointwise bundle at x (overflow-safe)."""
-    x = _check_point(x, E.dim)
-    points = E.support.points
-    t = points @ x + E.log_coeffs
-    top = t.max()
-    w = np.exp(2.0 * (t - top))
-    total = w.sum()
-    weights = w / total
-    phi = float(top + 0.5 * np.log(total))
-    h = support_function(E.support, x)
-    with np.errstate(over="ignore"):
-        K = float(np.exp(2.0 * phi))
-    Kbar = float(np.exp(2.0 * (phi - h)))
-    mu = weights @ points
-    centered = points - mu
-    g = QuadForm((centered * weights[:, None]).T @ centered)
-    det_g = form_det(g)
-    if det_g < DET_FLOOR:
-        g_dual = None
-        dens = 0.0
-    else:
-        try:
-            g_dual = dual_form(g)
-        except SingularFormError:
-            g_dual = None
-        _, s_m = ball_sphere_constants(E.dim)
-        dens = (2.0 / s_m) * math.sqrt(det_g)
-    return EvalBundle(
-        x=x, K=K, Kbar=Kbar, phi=phi, weights=weights, mu=mu, g=g, g_dual=g_dual, density=dens
-    )
-
-
-def density(E: ExpSum, x) -> float:
-    """Expected-zero density (2/s_m) sqrt(det g) at x; 0 when g degenerates."""
-    return evaluate(E, x).density
-
-
-# -- vectorized kernels (grid scans, quadrature, Monte Carlo) --------------
+# -- the batched kernel (grid scans, quadrature, and the scalar API) -------
 
 
 def _batch_moments(E: ExpSum, X: np.ndarray):
-    """Potential, moment map, and metric at each row of X.
+    """Potential, softmax weights, moment map, and metric at each row of X.
 
-    Returns (phi (N,), mu (N,m), G (N,m,m)); phi = (1/2) log K comes from
-    the log-sum-exp that gives the softmax weights of mu and G.
+    Returns (phi (N,), lam (N,k), mu (N,m), G (N,m,m)); phi = (1/2) log K
+    comes from the log-sum-exp that gives the weights of mu and G.  G is
+    one stacked matmul (lam * C)^T C of the centred support C, and every
+    consumer reads it as is.  It is not symmetrized: as a product its det
+    keeps the near-rank deficiency of the tails, which the det of its
+    symmetric part loses to a positively biased rounding floor.
     """
     points = E.support.points
     T = X @ points.T + E.log_coeffs
@@ -256,9 +216,17 @@ def _batch_moments(E: ExpSum, X: np.ndarray):
     total = W.sum(axis=1, keepdims=True)
     lam = W / total
     mu = lam @ points
-    centered = points[None, :, :] - mu[:, None, :]
-    G = np.einsum("nk,nki,nkj->nij", lam, centered, centered, optimize=True)
-    return (top + 0.5 * np.log(total))[:, 0], mu, G
+    centered = points - mu[:, None, :]
+    G = np.swapaxes(lam[..., None] * centered, 1, 2) @ centered
+    return (top + 0.5 * np.log(total))[:, 0], lam, mu, G
+
+
+def _density_of_metric(m: int, G: np.ndarray) -> np.ndarray:
+    """(2/s_m) sqrt(det G) for each metric in the stack G; 0 where det G is
+    below ``DET_FLOOR`` (the metric counts as flat)."""
+    det = np.linalg.det(G)
+    _, s_m = ball_sphere_constants(m)
+    return (2.0 / s_m) * np.sqrt(np.where(det < DET_FLOOR, 0.0, det))
 
 
 def density_many(E: ExpSum, X) -> np.ndarray:
@@ -266,10 +234,45 @@ def density_many(E: ExpSum, X) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != E.dim:
         raise InputError(f"points have dimension {X.shape[1]}, expected {E.dim}")
-    _, _, G = _batch_moments(E, X)
-    det = np.linalg.det(G)
-    _, s_m = ball_sphere_constants(E.dim)
-    return (2.0 / s_m) * np.sqrt(np.clip(det, 0.0, None))
+    return _density_of_metric(E.dim, _batch_moments(E, X)[3])
+
+
+# -- the scalar API: the batched kernel on one row ---------------------------
+
+
+def potential(E: ExpSum, x) -> float:
+    """The potential Phi(x) = (1/2) log K(x): the batched kernel on one row."""
+    x = _check_vector(x, E.dim, "x")
+    return float(_batch_moments(E, x[None])[0][0])
+
+
+def evaluate(E: ExpSum, x) -> EvalBundle:
+    """Compute the full pointwise bundle at x (overflow-safe): the batched
+    kernel on one row.
+
+    ``g_dual`` is None where the metric fails the dual-form gate (det g
+    below ``DET_FLOOR``, a failed Cholesky factorization, a non-positive
+    eigenvalue, or a condition number above ``DUAL_COND_LIMIT``).
+    """
+    x = _check_vector(x, E.dim, "x")
+    phi, lam, mu, G = _batch_moments(E, x[None])
+    phi = float(phi[0])
+    with np.errstate(over="ignore"):
+        K = float(np.exp(2.0 * phi))
+    Kbar = float(np.exp(2.0 * (phi - (E.support.points @ x).max())))
+    flat, L = _dual_gate(G, DET_FLOOR)
+    g_dual = None if flat[0] else _dual_from_cholesky(L[0])
+    return EvalBundle(
+        x=x, K=K, Kbar=Kbar, phi=phi, weights=lam[0], mu=mu[0], g=QuadForm(G[0]),
+        g_dual=g_dual, density=float(_density_of_metric(E.dim, G)[0]),
+    )
+
+
+def density(E: ExpSum, x) -> float:
+    """Expected-zero density (2/s_m) sqrt(det g) at x, 0 below ``DET_FLOOR``:
+    the batched kernel on one row."""
+    x = _check_vector(x, E.dim, "x")
+    return float(density_many(E, x[None])[0])
 
 
 # -- derivative checks ------------------------------------------------------
@@ -293,7 +296,7 @@ def hessian_check(E: ExpSum, x, h: float = 1e-4) -> HessianReport:
     """Central-difference check of the potential's derivatives at x."""
     if not h > 0:
         raise InputError("step h must be positive")
-    x = _check_point(x, E.dim)
+    x = _check_vector(x, E.dim, "x")
     m = E.dim
     eye = np.eye(m)
     phi0 = potential(E, x)
@@ -333,7 +336,8 @@ def _balancing_point(E: ExpSum) -> np.ndarray:
 
 
 def invert_moment(E: ExpSum, p, tol: float = 1e-10, max_iter: int = 80) -> np.ndarray:
-    """Solve mu(x) = p for x by damped Newton iteration.
+    """Solve mu(x) = p for x by damped Newton iteration: the batched
+    kernel on one row.
 
     The moment map is a diffeomorphism onto the interior of the Newton
     polytope; the Jacobian of mu is 2 g.  Starts at the balancing point
@@ -341,57 +345,37 @@ def invert_moment(E: ExpSum, p, tol: float = 1e-10, max_iter: int = 80) -> np.nd
     decrease.
 
     Raises DomainError for p outside the interior (with margin) and
-    ConvergenceError (carrying the last iterate and residual) past
-    ``max_iter``, on a stalled line search, or on a singular Newton system.
+    ConvergenceError (carrying the last iterate and its residual) when
+    ``tol`` is not reached: past ``max_iter``, on a stalled line search,
+    or on a singular Newton system.
     """
     if not tol > 0:
         raise InputError("tol must be positive")
-    p = _check_point(p, E.dim, name="p")
+    p = _check_vector(p, E.dim, "p")
     if E.support.degenerate:
         raise DegenerateMetricError("support is not full-dimensional; moment map is not open")
     margin = INVERT_MARGIN * (1.0 + diameter(E.support))
     if not interior_contains(E.support, p, margin):
         raise DomainError(f"target {p.tolist()} is not interior to the Newton polytope")
-    x = _balancing_point(E)
-    _, mu, G = _batch_moments(E, x[None, :])
-    residual = float(np.linalg.norm(mu[0] - p))
-    for _ in range(max_iter):
-        if residual <= tol:
-            return x
-        try:
-            delta = np.linalg.solve(2.0 * G[0], p - mu[0])
-        except np.linalg.LinAlgError:
-            raise ConvergenceError(
-                "singular Newton system", value=x, residual=residual
-            ) from None
-        step = 1.0
-        while True:
-            trial = x + step * delta
-            _, mu_t, G_t = _batch_moments(E, trial[None, :])
-            trial_residual = float(np.linalg.norm(mu_t[0] - p))
-            if trial_residual < residual:
-                x, mu, G, residual = trial, mu_t, G_t, trial_residual
-                break
-            step *= 0.5
-            if step < 2.0**-45:
-                raise ConvergenceError(
-                    "damped Newton stalled", value=x, residual=residual
-                )
-    raise ConvergenceError(
-        f"no convergence in {max_iter} iterations", value=x, residual=residual
-    )
+    X, ok = _invert_moment_many(E, p[None], tol, max_iter)
+    if not ok[0]:
+        residual = float(np.linalg.norm(_batch_moments(E, X)[2][0] - p))
+        message = f"damped Newton stopped at residual {residual:.3e} > tol {tol:.1e}"
+        raise ConvergenceError(message, value=X[0], residual=residual)
+    return X[0]
 
 
 def _invert_moment_many(E: ExpSum, P: np.ndarray, tol: float = 1e-10, max_iter: int = 80):
     """Vectorized damped Newton for many interior targets at once.
 
     Returns (X, ok) where ok flags rows that reached ``tol``; rows whose
-    Newton system turns singular are retired as failed.  No interior
-    check is performed here — callers own the masking.
+    Newton system turns singular, or whose line search stalls, are retired
+    as failed.  No interior check is performed here — callers own the
+    masking.
     """
     P = np.atleast_2d(np.asarray(P, dtype=float))
     X = np.tile(_balancing_point(E), (P.shape[0], 1))
-    _, mu, G = _batch_moments(E, X)
+    _, _, mu, G = _batch_moments(E, X)
     residual = np.linalg.norm(mu - P, axis=1)
     alive = residual > tol
     for _ in range(max_iter):
@@ -410,7 +394,7 @@ def _invert_moment_many(E: ExpSum, P: np.ndarray, tol: float = 1e-10, max_iter: 
         for _ in range(45):
             todo = ~accepted
             trial = current_x[todo] + step[todo, None] * delta[todo]
-            _, mu_t, G_t = _batch_moments(E, trial)
+            _, _, mu_t, G_t = _batch_moments(E, trial)
             trial_res = np.linalg.norm(mu_t - P[idx][todo], axis=1)
             better = trial_res < current_res[todo]
             sub = np.flatnonzero(todo)[better]
@@ -446,7 +430,7 @@ def _legendre_density_many(E: ExpSum, P: np.ndarray) -> np.ndarray:
     centred = ExpSum(E.support.points - c, E.coeffs)
     tol = LEGENDRE_TOL * (1.0 + diameter(E.support))
     X, ok = _invert_moment_many(centred, P - c, tol=tol)
-    _, _, G = _batch_moments(centred, X)
+    G = _batch_moments(centred, X)[3]
     with np.errstate(divide="ignore", invalid="ignore"):
         dens = 1.0 / np.sqrt(np.linalg.det(2.0 * G))
     return np.where(ok, dens, np.nan)
@@ -461,7 +445,7 @@ def legendre_density(E: ExpSum, p) -> float:
     of the boundary are rejected (DomainError): the value diverges there.
     A failed inversion raises ConvergenceError.
     """
-    p = _check_point(p, E.dim, name="p")
+    p = _check_vector(p, E.dim, "p")
     margin = LEGENDRE_MARGIN * diameter(E.support)
     if margin == 0.0 or not interior_contains(E.support, p, margin):
         raise DomainError(f"{p.tolist()} is outside the interior margin of the polytope")
@@ -474,23 +458,13 @@ def legendre_density(E: ExpSum, p) -> float:
 # -- asymptotics ------------------------------------------------------------
 
 
-def _face_mask(E: ExpSum, x_dir: np.ndarray) -> np.ndarray:
-    """Boolean mask of the exposed face A^x over the support points."""
-    values = E.support.points @ x_dir
-    scale = float(np.linalg.norm(x_dir)) * float(
-        np.linalg.norm(E.support.points, axis=1).max()
-    )
-    tol = 1e-12 * max(1.0, scale)
-    return values >= values.max() - tol
-
-
 def asymptotic_moment(E: ExpSum, x_dir) -> np.ndarray:
     """Limit of mu(t x_dir) as t grows: the face barycenter weighted by
     alpha_a^2 over the exposed face A^{x_dir}."""
-    x_dir = _check_point(x_dir, E.dim, name="x_dir")
+    x_dir = _check_vector(x_dir, E.dim, "x_dir")
     if np.linalg.norm(x_dir) == 0.0:
         raise InputError("x_dir must be nonzero")
-    mask = _face_mask(E, x_dir)
+    mask = _face_mask(E.support, x_dir)
     sq = E.coeffs[mask] ** 2
     return (sq / sq.sum()) @ E.support.points[mask]
 
@@ -502,11 +476,11 @@ def face_metric_limit(E: ExpSum, x_dir, y) -> QuadForm:
     The restricted metric is constant along x_dir itself, so y only
     matters through its component transverse to the ray.
     """
-    x_dir = _check_point(x_dir, E.dim, name="x_dir")
+    x_dir = _check_vector(x_dir, E.dim, "x_dir")
     if np.linalg.norm(x_dir) == 0.0:
         raise InputError("x_dir must be nonzero")
-    y = _check_point(y, E.dim, name="y")
-    mask = _face_mask(E, x_dir)
+    y = _check_vector(y, E.dim, "y")
+    mask = _face_mask(E.support, x_dir)
     restricted = ExpSum(E.support.points[mask], E.coeffs[mask])
     return evaluate(restricted, y).g
 
@@ -538,7 +512,7 @@ def veronese_pullback_check(
     """
     if not h > 0:
         raise InputError("step h must be positive")
-    x = _check_point(x, E.dim)
+    x = _check_vector(x, E.dim, "x")
     rng = np.random.default_rng(seed)
     bundle = evaluate(E, x)
     worst = 0.0

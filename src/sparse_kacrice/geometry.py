@@ -111,13 +111,15 @@ class SupportSet:
         return self.affine_dim < self.dim
 
     @cached_property
-    def _hull(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """(vertices, facet rows) of conv(A) from one hull; None without interior."""
+    def _hull(self) -> tuple[np.ndarray, np.ndarray, float] | None:
+        """(vertices, facet rows, volume) of conv(A) from one hull; None
+        without interior."""
         if self.degenerate:
             return None
         if self.dim == 1:
             lo, hi = self.points.min(), self.points.max()
             vertices, rows = np.array([[lo], [hi]]), np.array([[-1.0, lo], [1.0, -hi]])
+            volume = float(hi - lo)
         else:
             from scipy.spatial import ConvexHull, QhullError
 
@@ -125,10 +127,10 @@ class SupportSet:
                 hull = ConvexHull(self.points)
             except QhullError:
                 return None
-            vertices, rows = self.points[hull.vertices], hull.equations
+            vertices, rows, volume = self.points[hull.vertices], hull.equations, hull.volume
         vertices.flags.writeable = False
         rows.flags.writeable = False
-        return vertices, rows
+        return vertices, rows, float(volume)
 
     @property
     def facets(self) -> np.ndarray | None:
@@ -196,14 +198,19 @@ def exposed_face(A, u, tol: float | None = None) -> SupportSet:
     """
     A = _coerce_support(A)
     u = _check_vector(u, A.dim)
+    if tol is not None and tol < 0:
+        raise InputError("tol must be nonnegative")
+    return SupportSet(A.points[_face_mask(A, u, tol)])
+
+
+def _face_mask(A: SupportSet, u: np.ndarray, tol: float | None = None) -> np.ndarray:
+    """Boolean mask over A of the exposed face in direction u, with the
+    default tolerance of :func:`exposed_face`."""
+    values = A.points @ u
     if tol is None:
         scale = float(np.linalg.norm(u)) * float(np.linalg.norm(A.points, axis=1).max())
         tol = 1e-12 * max(1.0, scale)
-    if tol < 0:
-        raise InputError("tol must be nonnegative")
-    values = A.points @ u
-    top = values.max()
-    return SupportSet(A.points[values >= top - tol])
+    return values >= values.max() - tol
 
 
 def diameter(A) -> float:
@@ -218,24 +225,14 @@ def diameter(A) -> float:
 def hull_volume(A) -> float:
     """Euclidean volume of conv(A), exactly supported for m <= 3.
 
-    Returns 0.0 for degenerate hulls (affine dimension < m); the degeneracy
-    itself is queryable as ``A.degenerate``.  Dimensions above 3 are refused.
+    Read from the support's cached hull.  Returns 0.0 for degenerate hulls
+    (affine dimension < m); the degeneracy itself is queryable as
+    ``A.degenerate``.  Dimensions above 3 are refused.
     """
     A = _coerce_support(A)
-    m = A.dim
-    if m > 3:
-        raise InputError(f"hull_volume supports m <= 3, got m = {m}")
-    if A.degenerate:
-        return 0.0
-    if m == 1:
-        flat = A.points[:, 0]
-        return float(flat.max() - flat.min())
-    from scipy.spatial import ConvexHull, QhullError
-
-    try:
-        return float(ConvexHull(A.points).volume)
-    except QhullError:
-        return 0.0
+    if A.dim > 3:
+        raise InputError(f"hull_volume supports m <= 3, got m = {A.dim}")
+    return 0.0 if A._hull is None else A._hull[2]
 
 
 def interior_contains(A, p, tol: float) -> bool:
@@ -307,20 +304,47 @@ def dual_form(Q: QuadForm, cond_limit: float = DUAL_COND_LIMIT) -> QuadForm:
 
     Q°(u) = sup{<u, v>^2 : Q(v) <= 1}; its Gram array is the inverse of Q's.
     The inversion goes through a Cholesky factorization and is refused
-    (SingularFormError) when the factorization fails or the condition
-    number exceeds ``cond_limit``.
+    (SingularFormError) when the factorization fails, an eigenvalue is not
+    positive, or the condition number exceeds ``cond_limit``.
     """
-    M = Q.entries
-    try:
-        chol = np.linalg.cholesky(M)
-    except np.linalg.LinAlgError as exc:
-        raise SingularFormError("form is not positive definite") from exc
-    eigs = np.linalg.eigvalsh(M)
-    if eigs[0] <= 0 or eigs[-1] / eigs[0] > cond_limit:
+    flat, L = _dual_gate(Q.entries[None], cond_limit=cond_limit)
+    if flat[0]:
         raise SingularFormError(
-            f"condition number {eigs[-1] / max(eigs[0], 5e-324):.3e} exceeds gate {cond_limit:.1e}"
+            f"form is not positive definite or its condition number exceeds {cond_limit:.1e}"
         )
-    inv_chol = np.linalg.inv(chol)
+    return _dual_from_cholesky(L[0])
+
+
+def _dual_gate(
+    G: np.ndarray, det_floor: float = -math.inf, cond_limit: float = DUAL_COND_LIMIT
+) -> tuple[np.ndarray, np.ndarray]:
+    """(flat, L) for the stack of Gram arrays G (shape (N, m, m)).
+
+    ``flat`` marks the rows whose form has no dual: a determinant below
+    ``det_floor``, a non-positive eigenvalue, a condition number above
+    ``cond_limit``, or a failed Cholesky factorization.  ``L`` holds the
+    Cholesky factors of the other rows.  The eigenvalues and the factors
+    read the lower triangle of each row.
+    """
+    eigs = np.linalg.eigvalsh(G)
+    flat = (np.linalg.det(G) < det_floor) | (eigs[:, 0] <= 0.0)
+    flat |= eigs[:, -1] > cond_limit * eigs[:, 0]
+    try:
+        L = np.linalg.cholesky(G)
+    except np.linalg.LinAlgError:
+        # A stacked factorization fails as a whole; redo the other rows one by one.
+        L = np.zeros_like(G)
+        for i in np.flatnonzero(~flat):
+            try:
+                L[i] = np.linalg.cholesky(G[i])
+            except np.linalg.LinAlgError:
+                flat[i] = True
+    return flat, L
+
+
+def _dual_from_cholesky(L: np.ndarray) -> QuadForm:
+    """The dual form (L L^T)^{-1} = L^{-T} L^{-1} from a Cholesky factor."""
+    inv_chol = np.linalg.inv(L)
     return QuadForm(inv_chol.T @ inv_chol)
 
 

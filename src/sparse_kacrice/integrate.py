@@ -330,7 +330,7 @@ def _over_rm(f, E: ExpSum, abs_tol, rel_tol):
         x0 = invert_moment(E, E.support.points.mean(axis=0))
     except ConvergenceError as exc:
         raise ConvergenceError(f"no AUTO frame: {exc}", residual=exc.residual) from exc
-    _, _, G = _batch_moments(E, x0[None, :])
+    G = _batch_moments(E, x0[None, :])[3]
     lam, V = np.linalg.eigh(G[0])
     W = V / np.sqrt(lam)
     jac = abs(float(np.linalg.det(W)))

@@ -11,8 +11,12 @@ shrink factor of the projected dual ellipsoid on level sets.
 All formulas are evaluated through the log-domain quantities of
 :mod:`.expsum`, so far-tail points stay finite.  One batched kernel gives
 Psi to :func:`psi`, ray scans and region scans alike, so a scan node and
-a scalar call cannot disagree; :func:`psi_via_phi0` and :func:`classify`
-go through :func:`.evaluate` instead, as independent cross-checks.
+a scalar call cannot disagree.  :func:`psi_via_phi0` and :func:`classify`
+go through :func:`.evaluate`, which is the same batched kernel on one row,
+so all routes share phi, mu and the metric.  What the cross-checks still
+test on their own is what each adds to that metric: the logistic in
+phi0, the Cholesky dual of g (where :func:`psi` solves on g by LU), and
+the closed-form decrease criterion.
 """
 
 from __future__ import annotations
@@ -26,9 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateMetricError, DomainError, InputError, SparseKacRiceError
-from .expsum import DET_FLOOR, ExpSum, _batch_moments, _check_point, _invert_moment_many
-from .expsum import evaluate, invert_moment
-from .geometry import DUAL_COND_LIMIT, QuadForm, SupportSet, _interior_mask, diameter
+from .expsum import DET_FLOOR, ExpSum, _batch_moments, _invert_moment_many, evaluate
+from .expsum import invert_moment
+from .geometry import QuadForm, SupportSet, _check_vector, _dual_gate, _interior_mask, diameter
 from .geometry import interior_contains
 
 __all__ = [
@@ -139,21 +143,12 @@ def _psi_many(E: ExpSum, aug: Augmentation, X: np.ndarray):
 
     phi, mu and G come from one batched softmax, g^x(tau) from one batched
     solve on G.  Raises DegenerateMetricError when the metric at any row
-    fails the gate :func:`evaluate` applies before it forms a dual: det G
-    below ``DET_FLOOR``, a failed Cholesky factorization, or a condition
-    number above ``DUAL_COND_LIMIT``.
+    fails the dual-form gate that :func:`evaluate` applies too: det G
+    below ``DET_FLOOR``, a failed Cholesky factorization, a non-positive
+    eigenvalue, or a condition number above ``DUAL_COND_LIMIT``.
     """
-    phi, mu, G = _batch_moments(E, X)
-    G = 0.5 * (G + np.swapaxes(G, 1, 2))
-    eigs = np.linalg.eigvalsh(G)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        flat = (np.linalg.det(G) < DET_FLOOR) | (eigs[:, 0] <= 0.0)
-        flat |= eigs[:, -1] / eigs[:, 0] > DUAL_COND_LIMIT
-    if not flat.any():
-        try:
-            np.linalg.cholesky(G)
-        except np.linalg.LinAlgError:
-            flat[:] = True
+    phi, _, mu, G = _batch_moments(E, X)
+    flat, _ = _dual_gate(G, DET_FLOOR)
     if flat.any():
         x = X[flat][0].tolist()
         raise DegenerateMetricError(f"metric degenerates at x = {x}; density ratio undefined")
@@ -182,7 +177,7 @@ def psi(E: ExpSum, aug: Augmentation, x) -> PsiEval:
     kernel of the grid scans on one row, so the two cannot drift.
     """
     _check_augmentation(E, aug)
-    x = _check_point(x, E.dim)
+    x = _check_vector(x, E.dim, "x")
     return _psi_evals(E, aug, x[None, :])[0]
 
 
@@ -201,9 +196,11 @@ def psi_via_phi0(E: ExpSum, aug: Augmentation, x) -> float:
     Psi = (1 - s)^{m/2} sqrt(1 + s * g^x(mu - a_0)) with the logistic
     s = 1/(1 + e^{2 phi0}); the factor 1 - s is evaluated as its own
     logistic so the far tail keeps full precision.  Used to
-    cross-validate :func:`psi`.  The routes form the metric separately, so
-    they agree to about 1e-12 where it is well conditioned and to about
-    cond(g) * eps near the condition gate.
+    cross-validate :func:`psi`: both take g from the one batched kernel,
+    and this route checks the logistic in phi0 and the Cholesky dual of g
+    against psi's log-domain ratio and LU solve.  They agree to about
+    1e-12 where g is well conditioned and to about cond(g) * eps near the
+    condition gate.
     """
     a0, bundle, phi0, _, _ = _checked_bundle(E, aug, x)
     s = _logistic(-2.0 * phi0)
@@ -273,7 +270,7 @@ def ray_scan_unbounded(
     The whole ray is one batched evaluation; a sample whose metric fails
     the gate of :func:`psi` raises DegenerateMetricError.
     """
-    x_dir = _check_point(x_dir, E.dim, name="x_dir")
+    x_dir = _check_vector(x_dir, E.dim, "x_dir")
     norm = float(np.linalg.norm(x_dir))
     if norm == 0.0:
         raise InputError("x_dir must be nonzero")

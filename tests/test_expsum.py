@@ -27,7 +27,7 @@ from sparse_kacrice import (
     veronese,
     veronese_pullback_check,
 )
-from sparse_kacrice.expsum import _invert_moment_many
+from sparse_kacrice.expsum import DET_FLOOR, _batch_moments, _invert_moment_many
 
 TWO_TERM = ExpSum([[0.0], [1.0]])
 IRREGULAR = ExpSum([[0.0], [0.5], [1.7]], [1.0, 2.0, 1.0])
@@ -39,6 +39,7 @@ SKEWED_BOX = ExpSum(
     [[0.0, 0.488], [0.0, 1.836], [0.778, 0.488], [0.778, 1.836]],
     [0.183, 0.338, 0.689, 1.274],
 )
+PENTAGON = ExpSum([[0.0, 0.0], [2.0, 0.0], [3.0, 1.0], [1.0, 3.0], [-1.0, 1.0]])
 
 
 class TestConstruction:
@@ -129,6 +130,43 @@ class TestEvaluate:
     def test_dimension_mismatch(self):
         with pytest.raises(InputError):
             evaluate(TWO_TERM, [0.0, 0.0])
+
+
+class TestScalarCallsAreOneRowKernels:
+    """Each scalar call equals the batched kernel on one row, bit for bit."""
+
+    CASES = {"kostlan22": kostlan(2, 2), "kostlan31": kostlan(3, 1), "pentagon": PENTAGON}
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_density_and_evaluate(self, name):
+        E = self.CASES[name]
+        X = np.random.default_rng(5).normal(0.0, 3.0, size=(200, E.dim))
+        for x in X:
+            assert density(E, x) == density_many(E, x[None])[0]
+            bundle = evaluate(E, x)
+            phi, lam, mu, G = _batch_moments(E, x[None])
+            assert bundle.phi == potential(E, x) == phi[0]
+            np.testing.assert_array_equal(bundle.weights, lam[0])
+            np.testing.assert_array_equal(bundle.mu, mu[0])
+            np.testing.assert_array_equal(bundle.g.entries, 0.5 * (G[0] + G[0].T))
+            assert bundle.density == density(E, x)
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_invert_moment(self, name):
+        E = self.CASES[name]
+        weights = np.random.default_rng(6).dirichlet(np.ones(E.n_terms), size=20)
+        for p in weights @ E.support.points:
+            X, ok = _invert_moment_many(E, p[None])
+            assert ok[0]
+            np.testing.assert_array_equal(invert_moment(E, p), X[0])
+
+    def test_density_floor_applies_to_both(self):
+        # det g = lambda_0 lambda_1, about e^-700 = 1e-304 at x = 350
+        G = _batch_moments(TWO_TERM, np.array([[350.0]]))[3]
+        assert 0.0 < np.linalg.det(G)[0] < DET_FLOOR
+        assert density(TWO_TERM, [350.0]) == 0.0
+        assert density_many(TWO_TERM, [[350.0]])[0] == 0.0
+        assert evaluate(TWO_TERM, [350.0]).g_dual is None
 
 
 class TestDerivatives:
