@@ -31,7 +31,8 @@ from . import algebra as algebra_mod
 from . import mc_oracle
 from .complexcase import ComplexExpSum, bkk_total, n_factorial_volume
 from .errors import ConvergenceError, DomainError, InputError, SparseKacRiceError
-from .expsum import ExpSum, density, evaluate, invert_moment
+from .expsum import ExpSum, _invert_moment_many, density, evaluate, invert_moment
+from .geometry import interior_contains
 from .integrate import Quadrature, esol_pspace, esol_total
 from .monotonicity import (
     OUTSIDE,
@@ -287,6 +288,15 @@ def _selftest_checks():
         x = invert_moment(two_term, [0.73])
         return abs(float(evaluate(two_term, x).mu[0]) - 0.73) < 1e-8
 
+    def batched_inversion_on_pentagon():
+        E = ExpSum([[0.0, 0.0], [2.0, 0.0], [3.0, 1.0], [1.0, 3.0], [-1.0, 1.0]])
+        axes = np.linspace(-1.0, 3.0, 8), np.linspace(0.0, 3.0, 8)
+        nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
+        nodes = nodes[[interior_contains(E.support, p, 1e-6) for p in nodes]]
+        X, ok = _invert_moment_many(E, nodes)
+        return len(nodes) > 20 and ok.all() and all(
+            np.allclose(x, invert_moment(E, p), rtol=1e-12, atol=1e-12) for x, p in zip(X, nodes))
+
     def witness_in_square():
         E = algebra_mod.kostlan(2, 1)
         aug = Augmentation(np.array([0.5, 0.5]))
@@ -331,6 +341,8 @@ def _selftest_checks():
         ("moment route on the triangle is 1/4", moment_triangle),
         ("two-term density closed form at x=1", density_closed_form),
         ("moment-map inversion round trip", inversion_round_trip),
+        ("batched inversion equals scalar invert_moment on the pentagon's 8^2 p-grid",
+         batched_inversion_on_pentagon),
         ("interior witness decreases density", witness_in_square),
         ("batched Psi scan equals scalar psi on an 8^2 p-grid of the unit square",
          psi_scan_matches_scalar),

@@ -15,9 +15,12 @@ density, directional asymptotics, and the Veronese embedding.
 One batched kernel computes all of it: :func:`_batch_moments` gives the
 softmax, Phi, mu and g at every row of a point array, and
 :func:`_invert_moment_many` inverts the moment map for many targets at
-once.  The scalar API (:func:`potential`, :func:`evaluate`,
-:func:`density`, :func:`invert_moment`) is the batched kernel on one row,
-so a scalar call and a one-row batch give the same numbers bit for bit.
+once, by damped Newton on packed live rows whose steps come from one
+stacked Cholesky factorization and two triangular substitutions
+(:mod:`.geometry`), with no per-matrix LAPACK call.  The scalar API
+(:func:`potential`, :func:`evaluate`, :func:`density`,
+:func:`invert_moment`) is the batched kernel on one row, so a scalar call
+and a one-row batch give the same numbers bit for bit.
 
 All evaluation is done in the log domain with a softmax shift, so points
 with coordinates far beyond the overflow range of exp stay finite.
@@ -35,10 +38,13 @@ from .errors import ConvergenceError, DegenerateMetricError, DomainError, InputE
 from .geometry import (
     QuadForm,
     SupportSet,
+    _back_sub,
     _check_vector,
+    _cholesky_many,
     _dual_from_cholesky,
     _dual_gate,
     _face_mask,
+    _forward_sub,
     ball_sphere_constants,
     diameter,
     interior_contains,
@@ -347,7 +353,7 @@ def invert_moment(E: ExpSum, p, tol: float = 1e-10, max_iter: int = 80) -> np.nd
     Raises DomainError for p outside the interior (with margin) and
     ConvergenceError (carrying the last iterate and its residual) when
     ``tol`` is not reached: past ``max_iter``, on a stalled line search,
-    or on a singular Newton system.
+    or where the Cholesky factorization of the metric fails.
     """
     if not tol > 0:
         raise InputError("tol must be positive")
@@ -368,49 +374,59 @@ def invert_moment(E: ExpSum, p, tol: float = 1e-10, max_iter: int = 80) -> np.nd
 def _invert_moment_many(E: ExpSum, P: np.ndarray, tol: float = 1e-10, max_iter: int = 80):
     """Vectorized damped Newton for many interior targets at once.
 
-    Returns (X, ok) where ok flags rows that reached ``tol``; rows whose
-    Newton system turns singular, or whose line search stalls, are retired
-    as failed.  No interior check is performed here — callers own the
+    Returns (X, ok) where ok flags rows whose residual |mu(x) - p| reached
+    ``tol``.  The live rows are kept packed.  Each iteration factors
+    their metrics by one stacked Cholesky (:func:`._cholesky_many`),
+    takes the full Newton step 2 g delta = p - mu on every live row, and
+    halves the step (at most 44 times) only on the rows whose residual
+    did not fall.  Converged rows, rows with no accepted step and rows
+    whose factorization fails retire once per iteration, the last two as
+    failed.  No interior check is performed here — callers own the
     masking.
     """
     P = np.atleast_2d(np.asarray(P, dtype=float))
     X = np.tile(_balancing_point(E), (P.shape[0], 1))
     _, _, mu, G = _batch_moments(E, X)
-    residual = np.linalg.norm(mu - P, axis=1)
-    alive = residual > tol
+    res2 = ((mu - P) ** 2).sum(axis=1)
+    tol2 = tol * tol
+    live = np.flatnonzero(res2 > tol2)
+    x, p, mu, G, r2 = X[live], P[live], mu[live], G[live], res2[live]
     for _ in range(max_iter):
-        if not alive.any():
+        if live.size == 0:
             break
-        idx = np.flatnonzero(alive)
-        try:
-            delta = np.linalg.solve(2.0 * G[idx], (P[idx] - mu[idx])[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            # Retire the rows whose Newton system is exactly singular, then retry.
-            alive[idx[np.linalg.slogdet(G[idx])[0] == 0.0]] = False
-            continue
-        current_x, current_res, current_mu, current_G = X[idx], residual[idx], mu[idx], G[idx]
-        step = np.ones(idx.size)
-        accepted = np.zeros(idx.size, dtype=bool)
-        for _ in range(45):
-            todo = ~accepted
-            trial = current_x[todo] + step[todo, None] * delta[todo]
-            _, _, mu_t, G_t = _batch_moments(E, trial)
-            trial_res = np.linalg.norm(mu_t - P[idx][todo], axis=1)
-            better = trial_res < current_res[todo]
-            sub = np.flatnonzero(todo)[better]
-            current_x[sub] = trial[better]
-            current_res[sub] = trial_res[better]
-            current_mu[sub] = mu_t[better]
-            current_G[sub] = G_t[better]
-            accepted[sub] = True
-            if accepted.all():
+        L, ok = _cholesky_many(G)
+        delta = np.where(ok[:, None], 0.5 * _back_sub(L, _forward_sub(L, p - mu)), 0.0)
+        trial = x + delta
+        _, _, mu_t, G_t = _batch_moments(E, trial)
+        r2_t = ((mu_t - p) ** 2).sum(axis=1)
+        accepted = ok & (r2_t < r2)
+        stay = ~accepted
+        if stay.any():
+            trial[stay], mu_t[stay], G_t[stay], r2_t[stay] = x[stay], mu[stay], G[stay], r2[stay]
+        x, mu, G, r2 = trial, mu_t, G_t, r2_t
+        # Backtrack only the rows whose full step did not lower the residual.
+        todo = np.flatnonzero(ok & stay)
+        step = 1.0
+        for _ in range(44):
+            if todo.size == 0:
                 break
-            step[~accepted] *= 0.5
-        # Accepted trials carry their moments forward; rows with none are stuck.
-        X[idx], residual[idx], mu[idx], G[idx] = current_x, current_res, current_mu, current_G
-        alive[idx[~accepted]] = False
-        alive &= residual > tol
-    return X, residual <= tol
+            step *= 0.5
+            trial = x[todo] + step * delta[todo]
+            _, _, mu_t, G_t = _batch_moments(E, trial)
+            r2_t = ((mu_t - p[todo]) ** 2).sum(axis=1)
+            better = r2_t < r2[todo]
+            sub = todo[better]
+            x[sub], mu[sub], G[sub] = trial[better], mu_t[better], G_t[better]
+            r2[sub] = r2_t[better]
+            accepted[sub] = True
+            todo = todo[~better]
+        keep = accepted & (r2 > tol2)
+        if not keep.all():
+            gone = ~keep
+            X[live[gone]], res2[live[gone]] = x[gone], r2[gone]
+            live, x, p, mu, G, r2 = live[keep], x[keep], p[keep], mu[keep], G[keep], r2[keep]
+    X[live], res2[live] = x, r2
+    return X, res2 <= tol2
 
 
 # -- polytope-side density --------------------------------------------------

@@ -4,7 +4,9 @@ A finite set A of points in R^m carries everything the rest of the package
 needs from convex geometry: its support function, exposed faces, diameter,
 and the Euclidean volume of its convex hull.  Quadratic forms enter through
 the metric attached to an exponential sum; this module supplies the dual
-form (Gram-array inverse), determinants, ellipsoid volumes, and the
+form (Gram-array inverse) and its gate, determinants, ellipsoid volumes,
+the stacked Cholesky factorization and triangular solves that the batched
+kernels use in place of per-matrix LAPACK calls, and the
 unit-ball/unit-sphere constants that normalize every density in the package.
 """
 
@@ -320,26 +322,98 @@ def _dual_gate(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(flat, L) for the stack of Gram arrays G (shape (N, m, m)).
 
-    ``flat`` marks the rows whose form has no dual: a determinant below
-    ``det_floor``, a non-positive eigenvalue, a condition number above
-    ``cond_limit``, or a failed Cholesky factorization.  ``L`` holds the
-    Cholesky factors of the other rows.  The eigenvalues and the factors
-    read the lower triangle of each row.
+    ``flat`` marks the rows whose form has no dual: a failed Cholesky
+    factorization, a determinant below ``det_floor``, a non-positive
+    eigenvalue, or a condition number above ``cond_limit``.  ``L`` holds
+    the Cholesky factors of the other rows, from one stacked
+    factorization (:func:`_cholesky_many`), and det G is the product of
+    the squares of its diagonal.  A positive definite G has
+    cond G <= trace(G)^m / det G, so a row whose bound clears half of
+    ``cond_limit`` is not flat; only the rows the bound leaves undecided
+    go through ``eigvalsh``, which decides them as before.
     """
-    eigs = np.linalg.eigvalsh(G)
-    flat = (np.linalg.det(G) < det_floor) | (eigs[:, 0] <= 0.0)
-    flat |= eigs[:, -1] > cond_limit * eigs[:, 0]
-    try:
-        L = np.linalg.cholesky(G)
-    except np.linalg.LinAlgError:
-        # A stacked factorization fails as a whole; redo the other rows one by one.
-        L = np.zeros_like(G)
-        for i in np.flatnonzero(~flat):
-            try:
-                L[i] = np.linalg.cholesky(G[i])
-            except np.linalg.LinAlgError:
-                flat[i] = True
+    L, ok = _cholesky_many(G)
+    diag = np.diagonal(L, axis1=1, axis2=2)
+    flat = ~ok | (np.prod(diag, axis=1) ** 2 < det_floor)
+    trace = np.trace(G, axis1=1, axis2=2)
+    with np.errstate(over="ignore", divide="ignore"):
+        # trace^m / det as the product of trace / L_jj^2, which does not
+        # underflow with a tiny G; an infinite factor leaves the row to
+        # eigvalsh.
+        bound = np.prod(trace[:, None] / diag / diag, axis=1)
+    undecided = np.flatnonzero(~flat & ~(bound <= 0.5 * cond_limit))
+    if undecided.size:
+        eigs = np.linalg.eigvalsh(G[undecided])
+        flat[undecided] = (eigs[:, 0] <= 0.0) | (eigs[:, -1] > cond_limit * eigs[:, 0])
     return flat, L
+
+
+def _cholesky_many(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(L, ok): the Cholesky factor L L^T = G of each row of the stack G
+    (shape (N, m, m)).
+
+    Vectorized over rows, with Python loops only over the m axis and each
+    inner sum written out entry by entry.  The pivots come from the
+    square-root-free elimination G = W D^-1 V of LU without pivoting,
+    d_j = G_jj - sum_k W_jk V_kj / d_k, with W reduced from the lower and
+    V from the upper triangle, and L = W D^(-1/2).  For a symmetric G
+    this is the Cholesky factorization of its lower triangle.  For the
+    metric of :func:`.expsum._batch_moments`, whose two triangles are two
+    roundings of the same sums, the pivots read both, as LAPACK's LU does:
+    the cancellation in d_j, which sets the accuracy of every solve on an
+    ill-conditioned G, then averages their errors, and no square root
+    rounds inside it.  ``ok`` is False where a pivot is not positive (or
+    is NaN), as LAPACK's factorization fails; those rows of L hold NaN.
+    """
+    m = G.shape[-1]
+    lower = [[None] * m for _ in range(m)]
+    upper = [[None] * m for _ in range(m)]
+    ok = np.ones(G.shape[0], dtype=bool)
+    L = np.zeros_like(G)
+    for j in range(m):
+        pivot = G[:, j, j]
+        for k in range(j):
+            pivot = pivot - lower[j][k] * upper[k][j]
+        positive = pivot > 0.0
+        ok &= positive
+        pivot = np.where(positive, pivot, np.nan)
+        root = np.sqrt(pivot)
+        L[:, j, j] = root
+        for i in range(j + 1, m):
+            below, above = G[:, i, j], G[:, j, i]
+            for k in range(j):
+                below = below - lower[i][k] * upper[k][j]
+                above = above - lower[j][k] * upper[k][i]
+            lower[i][j] = below
+            upper[j][i] = above / pivot
+            L[:, i, j] = below / root
+    return L, ok
+
+
+def _forward_sub(L: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Y with L Y = B for each row of the lower-triangular stack L
+    (shape (N, m, m)) and right-hand sides B (shape (N, m))."""
+    m = L.shape[-1]
+    Y = np.empty_like(B)
+    for i in range(m):
+        entry = B[:, i]
+        for k in range(i):
+            entry = entry - L[:, i, k] * Y[:, k]
+        Y[:, i] = entry / L[:, i, i]
+    return Y
+
+
+def _back_sub(L: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """X with L^T X = Y for each row of the lower-triangular stack L
+    (shape (N, m, m)) and right-hand sides Y (shape (N, m))."""
+    m = L.shape[-1]
+    X = np.empty_like(Y)
+    for i in reversed(range(m)):
+        entry = Y[:, i]
+        for k in range(i + 1, m):
+            entry = entry - L[:, k, i] * X[:, k]
+        X[:, i] = entry / L[:, i, i]
+    return X
 
 
 def _dual_from_cholesky(L: np.ndarray) -> QuadForm:

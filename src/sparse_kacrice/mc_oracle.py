@@ -170,8 +170,12 @@ def sample_zero_count(E: ExpSum, coeffs_draw) -> int:
 
 
 def _chunk_draws(E: ExpSum, seed: int, chunk_index: int) -> np.ndarray:
-    """Standard normal draws for one fixed-size chunk, from its own substream."""
-    rng = np.random.Generator(np.random.Philox(key=seed).jumped(chunk_index))
+    """Standard normal draws for one fixed-size chunk, from its own substream.
+
+    The substream is ``Philox(key=seed).jumped(chunk_index)``, built
+    directly at its counter: a jump advances the third counter word by one.
+    """
+    rng = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, chunk_index, 0]))
     return rng.standard_normal((E.n_terms, CHUNK))
 
 

@@ -15,8 +15,9 @@ a scalar call cannot disagree.  :func:`psi_via_phi0` and :func:`classify`
 go through :func:`.evaluate`, which is the same batched kernel on one row,
 so all routes share phi, mu and the metric.  What the cross-checks still
 test on their own is what each adds to that metric: the logistic in
-phi0, the Cholesky dual of g (where :func:`psi` solves on g by LU), and
-the closed-form decrease criterion.
+phi0, the dual form formed from the inverse of the gate's Cholesky factor
+(where :func:`psi` forward-substitutes with that factor), and the
+closed-form decrease criterion.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ import numpy as np
 from .errors import DegenerateMetricError, DomainError, InputError, SparseKacRiceError
 from .expsum import DET_FLOOR, ExpSum, _batch_moments, _invert_moment_many, evaluate
 from .expsum import invert_moment
-from .geometry import QuadForm, SupportSet, _check_vector, _dual_gate, _interior_mask, diameter
-from .geometry import interior_contains
+from .geometry import QuadForm, SupportSet, _check_vector, _dual_gate, _forward_sub, _interior_mask
+from .geometry import diameter, interior_contains
 
 __all__ = [
     "U_MINUS",
@@ -141,14 +142,16 @@ def _checked_bundle(E: ExpSum, aug: Augmentation, x):
 def _psi_many(E: ExpSum, aug: Augmentation, X: np.ndarray):
     """Psi, phi0, g^x(tau) and K/K_0 at each row of X (shape (N, m)).
 
-    phi, mu and G come from one batched softmax, g^x(tau) from one batched
-    solve on G.  Raises DegenerateMetricError when the metric at any row
-    fails the dual-form gate that :func:`evaluate` applies too: det G
-    below ``DET_FLOOR``, a failed Cholesky factorization, a non-positive
-    eigenvalue, or a condition number above ``DUAL_COND_LIMIT``.
+    phi, mu and G come from one batched softmax.  g^x(tau) = |L^-1 tau|^2
+    is one stacked forward substitution with the Cholesky factor L of G
+    that the dual-form gate computes; no per-matrix LAPACK call is made.
+    Raises DegenerateMetricError when the metric at any row fails the
+    gate that :func:`evaluate` applies too: a failed Cholesky
+    factorization, det G below ``DET_FLOOR``, a non-positive eigenvalue,
+    or a condition number above ``DUAL_COND_LIMIT``.
     """
     phi, _, mu, G = _batch_moments(E, X)
-    flat, _ = _dual_gate(G, DET_FLOOR)
+    flat, L = _dual_gate(G, DET_FLOOR)
     if flat.any():
         x = X[flat][0].tolist()
         raise DegenerateMetricError(f"metric degenerates at x = {x}; density ratio undefined")
@@ -156,7 +159,8 @@ def _psi_many(E: ExpSum, aug: Augmentation, X: np.ndarray):
     log_K0 = np.logaddexp(2.0 * phi, 2.0 * log_f0)
     ratio = np.exp(2.0 * phi - log_K0)
     tau = np.exp(log_f0 - 0.5 * log_K0)[:, None] * (mu - aug.a0)
-    tau_normsq = np.einsum("ni,ni->n", tau, np.linalg.solve(G, tau[..., None])[..., 0])
+    y = _forward_sub(L, tau)
+    tau_normsq = (y * y).sum(axis=1)
     values = ratio ** (E.dim / 2.0) * np.sqrt(1.0 + tau_normsq)
     return values, phi - log_f0, tau_normsq, ratio
 
@@ -197,10 +201,11 @@ def psi_via_phi0(E: ExpSum, aug: Augmentation, x) -> float:
     s = 1/(1 + e^{2 phi0}); the factor 1 - s is evaluated as its own
     logistic so the far tail keeps full precision.  Used to
     cross-validate :func:`psi`: both take g from the one batched kernel,
-    and this route checks the logistic in phi0 and the Cholesky dual of g
-    against psi's log-domain ratio and LU solve.  They agree to about
-    1e-12 where g is well conditioned and to about cond(g) * eps near the
-    condition gate.
+    and this route checks the logistic in phi0 and the dual form of g,
+    formed from the inverse of the gate's Cholesky factor, against psi's
+    log-domain ratio and forward substitution with that factor.  They
+    agree to about 1e-12 where g is well conditioned and to about
+    cond(g) * eps near the condition gate.
     """
     a0, bundle, phi0, _, _ = _checked_bundle(E, aug, x)
     s = _logistic(-2.0 * phi0)

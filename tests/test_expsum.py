@@ -19,6 +19,7 @@ from sparse_kacrice import (
     evaluate,
     face_metric_limit,
     hessian_check,
+    interior_contains,
     invert_moment,
     esol_total,
     kostlan,
@@ -224,6 +225,26 @@ class TestMomentInversion:
         assert ok.any()
         for x, p in zip(X[ok], targets[ok]):
             assert evaluate(EXTREME, x).mu[0] == pytest.approx(p, abs=1e-9)
+
+    def test_extreme_weights_fail_on_at_most_21_targets(self):
+        _, ok = _invert_moment_many(EXTREME, np.linspace(-49.0, 79.0, 41)[:, None])
+        assert (~ok).sum() <= 21
+
+    @pytest.mark.parametrize("coeffs", [None, [1.0, 2.0, 0.5, 3.0, 0.7]])
+    def test_batched_matches_scalar_on_pentagon_grids(self, coeffs):
+        # Rows retire at different iterations in the packed Newton loop.
+        E = ExpSum(PENTAGON.support.points, coeffs)
+        axes = [np.linspace(-1.0, 3.0, 24), np.linspace(0.0, 3.0, 24)]
+        nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
+        nodes = nodes[[interior_contains(E.support, p, 1e-6) for p in nodes]]
+        tol = 1e-10
+        X, ok = _invert_moment_many(E, nodes, tol)
+        assert len(nodes) > 200 and ok.all()
+        for x, p in zip(X, nodes):
+            scalar = invert_moment(E, p, tol)
+            np.testing.assert_allclose(x, scalar, rtol=1e-12, atol=1e-12)
+        residual = np.linalg.norm(_batch_moments(E, X)[2] - nodes, axis=1)
+        assert (residual <= tol).all()
 
     def test_skewed_weights_total(self):
         # the x route centres its frame on the inverted barycenter; an

@@ -9,6 +9,7 @@ import pytest
 from scipy.spatial import ConvexHull
 
 from sparse_kacrice import (
+    ExpSum,
     InputError,
     QuadForm,
     SingularFormError,
@@ -21,9 +22,18 @@ from sparse_kacrice import (
     form_det,
     hull_volume,
     interior_contains,
+    kostlan,
     support_function,
 )
-from sparse_kacrice.geometry import _interior_mask
+from sparse_kacrice.expsum import DET_FLOOR, _batch_moments
+from sparse_kacrice.geometry import (
+    DUAL_COND_LIMIT,
+    _back_sub,
+    _cholesky_many,
+    _dual_gate,
+    _forward_sub,
+    _interior_mask,
+)
 
 SQUARE = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
 
@@ -223,3 +233,125 @@ class TestQuadForm:
         # vol{x : <Q^{-1} x, x> <= 1} = b_m sqrt(det Q)
         Q = QuadForm([[4.0, 0.0], [0.0, 9.0]])
         assert ellipsoid_volume(Q) == pytest.approx(math.pi * 6.0)
+
+
+def _rotation(rng, m):
+    q, r = np.linalg.qr(rng.normal(size=(m, m)))
+    return q * np.sign(np.diag(r))
+
+
+def _lapack_cholesky_fails(G):
+    """Per row: does numpy's (LAPACK) Cholesky factorization refuse it?"""
+    fails = np.zeros(len(G), dtype=bool)
+    for i, row in enumerate(G):
+        try:
+            np.linalg.cholesky(row)
+        except np.linalg.LinAlgError:
+            fails[i] = True
+    return fails
+
+
+class TestStackedCholesky:
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_matches_lapack_factor_and_solve(self, m):
+        rng = np.random.default_rng(70 + m)
+        A = rng.normal(size=(200, m, m))
+        well = A @ np.swapaxes(A, 1, 2) + 0.1 * np.eye(m)
+        # Near-singular rows (smallest eigenvalue 1e-9 or 1e-12, the others
+        # 0.5 to 2), indefinite rows (-1e-9, -1e-3), an integer rank-one row
+        # whose pivot is exactly 0, and a negative definite row.
+        edge = []
+        for small in (1e-9, 1e-12, -1e-9, -1e-3):
+            for _ in range(10):
+                Q = _rotation(rng, m)
+                eigs = np.append(rng.uniform(0.5, 2.0, m - 1), small)
+                edge.append((Q * eigs) @ Q.T)
+        v = np.arange(1.0, m + 1.0)
+        edge += [np.outer(v, v) if m > 1 else np.zeros((1, 1)), -np.eye(m)]
+        G = np.concatenate([well, np.array(edge)])
+        L, ok = _cholesky_many(G)
+        np.testing.assert_array_equal(~ok, _lapack_cholesky_fails(G))
+        assert ok[:200].all() and not ok.all() and ok[200:].any()
+        assert np.isnan(L[~ok]).any(axis=(1, 2)).all()
+        np.testing.assert_allclose(L[:200], np.linalg.cholesky(well), rtol=1e-13, atol=1e-14)
+        np.testing.assert_allclose(L[ok], np.linalg.cholesky(G[ok]), rtol=0.0, atol=1e-9)
+        B = rng.normal(size=(200, m))
+        Y = _forward_sub(L[:200], B)
+        np.testing.assert_allclose(Y, np.linalg.solve(L[:200], B[..., None])[..., 0], rtol=1e-12)
+        X = _back_sub(L[:200], Y)
+        want = np.linalg.solve(well, B[..., None])[..., 0]
+        np.testing.assert_allclose(X, want, rtol=1e-10, atol=1e-12 * np.abs(want).max())
+
+    def test_pivots_read_both_triangles(self):
+        # L below the diagonal from the lower triangle; the pivot
+        # d = 5 - 1.5 * 2.5 / 4 from both, as in LU.
+        L, ok = _cholesky_many(np.array([[[4.0, 2.5], [1.5, 5.0]]]))
+        assert ok[0]
+        np.testing.assert_allclose(L[0], [[2.0, 0.0], [0.75, math.sqrt(4.0625)]], rtol=1e-15)
+
+
+def _reference_gate(G, det_floor, cond_limit=DUAL_COND_LIMIT):
+    """The dual-form gate written with LAPACK on every row: eigvalsh, det
+    and a per-row Cholesky."""
+    eigs = np.linalg.eigvalsh(G)
+    flat = (np.linalg.det(G) < det_floor) | (eigs[:, 0] <= 0.0)
+    flat |= eigs[:, -1] > cond_limit * eigs[:, 0]
+    return flat | _lapack_cholesky_fails(G)
+
+
+class TestDualGate:
+    SUMS = [
+        kostlan(2, 2),
+        ExpSum([[0, 0], [2, 0], [3, 1], [1, 3], [-1, 1]]),
+        ExpSum([[0, 0], [1, 0], [0, 1]], [0.3, 2.0, 1.1]),
+        ExpSum([[0, 0], [1, 0.3], [0.2, 1], [1.2, 1.3]], [1.0, 0.5, 2.0, 1.0]),
+        kostlan(3, 1),
+        ExpSum([[0.0], [0.5], [1.7]], [1.0, 2.0, 1.0]),
+    ]
+
+    def test_mask_matches_lapack_formula_far_out(self):
+        rng = np.random.default_rng(123)
+        flat_rows = 0
+        for E in self.SUMS:
+            d = rng.normal(size=(1500, E.dim))
+            X = d / np.linalg.norm(d, axis=1, keepdims=True) * rng.uniform(5, 200, (1500, 1))
+            G = _batch_moments(E, X)[3]
+            for det_floor in (DET_FLOOR, -math.inf):
+                flat, L = _dual_gate(G, det_floor)
+                np.testing.assert_array_equal(flat, _reference_gate(G, det_floor))
+                flat_rows += flat.sum()
+                # The factors reproduce G (its lower triangle) to roundoff.
+                lower = np.tril(G[~flat]) + np.swapaxes(np.tril(G[~flat], -1), 1, 2)
+                back = L[~flat] @ np.swapaxes(L[~flat], 1, 2)
+                scale = np.abs(lower).max(axis=(1, 2))
+                assert (np.abs(back - lower).max(axis=(1, 2)) <= 1e-14 * scale).all()
+        assert 0 < flat_rows < 2 * 1500 * len(self.SUMS)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_rows_either_side_of_the_limits(self, m):
+        rng = np.random.default_rng(90 + m)
+        rows = []
+        # Condition numbers just either side of the limit: diagonal forms,
+        # whose eigenvalues eigvalsh returns exactly, and rotated ones.
+        for factor in (1.0 - 1e-9, 1.0 + 1e-9, 0.99, 1.01, 0.4, 0.6):
+            diag = np.ones(m)
+            diag[-1] = 1.0 / (DUAL_COND_LIMIT * factor)
+            if m > 1:
+                rows.append(np.diag(diag))
+                Q = _rotation(rng, m)
+                if abs(factor - 1.0) > 1e-3:
+                    rows.append((Q * diag) @ Q.T)
+        # Determinants just either side of DET_FLOOR at condition number 1.
+        for factor in (1.0 - 1e-6, 1.0 + 1e-6):
+            scale = (DET_FLOOR * factor) ** (1.0 / m)
+            rows.append(scale * np.eye(m))
+            Q = _rotation(rng, m)
+            rows.append(scale * (Q @ Q.T))
+        G = np.array(rows)
+        for det_floor in (DET_FLOOR, -math.inf):
+            flat, _ = _dual_gate(G, det_floor)
+            want = _reference_gate(G, det_floor)
+            np.testing.assert_array_equal(flat, want)
+            assert not want.all()
+        assert want.any() or m == 1
+        assert _dual_gate(G, DET_FLOOR)[0].any()

@@ -17,6 +17,7 @@ from sparse_kacrice import (
     kostlan,
     sample_zero_count,
 )
+from sparse_kacrice.mc_oracle import CHUNK, _chunk_draws
 
 TWO_TERM = ExpSum([[0.0], [1.0]])
 THREE_TERM = ExpSum([[0.0], [1.0], [2.0]])
@@ -100,6 +101,13 @@ class TestEstimate:
         a = estimate_esol(TWO_TERM, cfg)
         b = estimate_esol(TWO_TERM, cfg)
         assert a == b
+
+    @pytest.mark.parametrize("seed", [0, 3, 12345, 2**31 - 1])
+    def test_chunk_stream_is_the_jumped_philox_stream(self, seed):
+        for chunk in (0, 1, 7, 39, 1000):
+            jumped = np.random.Generator(np.random.Philox(key=seed).jumped(chunk))
+            want = jumped.standard_normal((THREE_TERM.n_terms, CHUNK))
+            np.testing.assert_array_equal(_chunk_draws(THREE_TERM, seed, chunk), want)
 
     def test_seed_changes_estimate(self):
         a = estimate_esol(TWO_TERM, McConfig(n_samples=4000, seed=11))

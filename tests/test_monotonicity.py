@@ -30,7 +30,8 @@ from sparse_kacrice import (
     region_scan,
     witness_interior,
 )
-from sparse_kacrice.expsum import _invert_moment_many
+from sparse_kacrice.expsum import DET_FLOOR, _batch_moments, _invert_moment_many
+from sparse_kacrice.geometry import _dual_gate
 from sparse_kacrice.monotonicity import _logistic
 
 TWO_TERM = ExpSum([[0.0], [1.0]])
@@ -43,6 +44,30 @@ SCAN_CASES = {
     "weighted_triangle": (ExpSum([[0, 0], [1, 0], [0, 1]], [1.0, 2.0, 0.5]), [0.25, 0.3], [1.5, 1.5]),
     "sheared_square": (ExpSum([[0, 0], [1, 0], [0.5, 1], [1.5, 1]]), [0.7, 0.5], [-1.0, 0.5]),
 }
+
+
+def _psi_60_digits(mp, E, a0, x):
+    """Psi at x with alpha0 = 1 in mpmath arithmetic at the working precision."""
+    points = [[mp.mpf(float(v)) for v in row] for row in E.support.points]
+    xs = [mp.mpf(float(v)) for v in x]
+    logs = [mp.log(mp.mpf(float(c))) + mp.fsum(a * t for a, t in zip(row, xs))
+            for row, c in zip(points, E.coeffs)]
+    top = max(logs)
+    w = [mp.exp(2 * (t - top)) for t in logs]
+    lam = [wi / mp.fsum(w) for wi in w]
+    m = len(xs)
+    mu = [mp.fsum(l * row[i] for l, row in zip(lam, points)) for i in range(m)]
+    g = mp.matrix(m, m)
+    for l, row in zip(lam, points):
+        for i in range(m):
+            for j in range(m):
+                g[i, j] += l * (row[i] - mu[i]) * (row[j] - mu[j])
+    log_f0 = mp.fsum(mp.mpf(float(a)) * t for a, t in zip(a0, xs))
+    log_K = 2 * top + mp.log(mp.fsum(w))
+    log_K0 = log_K + mp.log(1 + mp.exp(2 * log_f0 - log_K))
+    tau = mp.matrix([mp.exp(log_f0 - log_K0 / 2) * (mu[i] - float(a0[i])) for i in range(m)])
+    tau_normsq = (tau.T * mp.lu_solve(g, tau))[0]
+    return float(mp.exp(log_K - log_K0) ** (mp.mpf(m) / 2) * mp.sqrt(1 + tau_normsq))
 
 
 class TestAugmentation:
@@ -101,6 +126,28 @@ class TestPsi:
             assert ev.classification == "U_minus"
         # the stable route must not collapse to zero ratio
         assert psi_via_phi0(TWO_TERM, aug, [40.0]) > 0.0
+
+    def test_high_condition_points_against_60_digits(self):
+        # 100 points per sum with cond(g) > 1e6, each with an interior and an
+        # exterior a0.  The metric is formed in floating point before it is
+        # solved (about cond(g) eps relative); the solve must add no more.
+        mp = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(2024)
+        errors = []
+        for E, inside, outside in SCAN_CASES.values():
+            X = rng.uniform(-20.0, 20.0, size=(20000, 2))
+            G = _batch_moments(E, X)[3]
+            eigs = np.linalg.eigvalsh(G)
+            usable = ~_dual_gate(G, DET_FLOOR)[0] & (eigs[:, 1] > 1e6 * eigs[:, 0])
+            for x in X[usable][:100]:
+                for a0 in (inside, outside):
+                    with mp.workdps(60):
+                        want = _psi_60_digits(mp, E, np.asarray(a0, dtype=float), x)
+                    got = psi(E, Augmentation(a0), x).psi
+                    errors.append(float(abs(got - want) / want))
+        assert len(errors) == 600
+        assert np.median(errors) < 1e-14
+        assert max(errors) <= 1.7e-5
 
     def test_logistic_matches_scipy_in_both_tails(self):
         from scipy.special import expit
