@@ -333,6 +333,13 @@ def _selftest_checks():
         mean, stderr = mc_oracle.estimate_esol(two_term, cfg)
         return abs(mean - 0.5) < 4.0 * stderr
 
+    def mc_rolle_cascade():
+        # five terms: most draws change sign twice or more, so the Rolle
+        # cascade, not Descartes' rule, counts them
+        cfg = mc_oracle.McConfig(n_samples=4000, seed=7)
+        mean, stderr = mc_oracle.estimate_esol(algebra_mod.kostlan(1, 4), cfg)
+        return abs(mean - 1.0) < 4.0 * stderr
+
     return [
         ("two-term expected zero count is 1/2", esol_two_term),
         ("degree-4 one-variable count is sqrt(4)/2", esol_degree_four),
@@ -350,6 +357,7 @@ def _selftest_checks():
         ("binomial coefficient system at degree 2", binomial_coefficients),
         ("complex density total equals the root count", bkk_segment),
         ("Monte-Carlo agrees with quadrature", mc_two_term),
+        ("Monte-Carlo Rolle cascade: kostlan(1,4) count is sqrt(4)/2", mc_rolle_cascade),
     ]
 
 

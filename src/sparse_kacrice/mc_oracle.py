@@ -17,6 +17,12 @@ others) into pieces on which the level above is monotone, so each piece
 holds at most one of its zeros, found by safeguarded Newton.  The zeros
 of f are the sign changes of f over its own pieces.
 
+Every array of the count is terms-major: a block of n draws of a k-term
+sum is held as log weights L and signs S of shape (k, n), one column per
+draw, and each level of the cascade keeps its last m rows.  Reductions over
+the terms then run over axis 0, across contiguous rows, and the
+derivative at the Newton iterates is ``b @ V``.
+
 Signs are evaluated overflow-safely (each value is scaled by its largest
 term; signs are unchanged) and results are reproducible: the sample
 stream is partitioned into fixed-size chunks with counter-based
@@ -66,91 +72,108 @@ def _sorted_terms(E: ExpSum):
 
 
 def _signs(b, L, S, X):
-    """Signs of sum_j S_j exp(b_j x + L_j) at points X, shape (draws, points)."""
-    T = X[..., None] * b + L[:, None, :]
-    return np.sign((S[:, None, :] * np.exp(T - T.max(axis=-1, keepdims=True))).sum(axis=-1))
+    """Signs of sum_j S_j exp(b_j x + L_j) at points X, shape (points, draws).
+
+    ``L`` and ``S`` are (terms, draws) and ``X`` is (points, draws).
+    """
+    T = b[:, None, None] * X + L[:, None, :]
+    return np.sign((S[:, None, :] * np.exp(T - T.max(axis=0))).sum(axis=0))
 
 
 def _pieces(b, L, S, crit):
     """Ends of the monotone pieces of one level and its signs there.
 
-    ``crit`` holds the zeros of the level below (inf where absent).  The
-    outer ends are the root bound, past which the first or last term
-    outweighs the other m - 1 together.
+    ``L`` and ``S`` are (m, draws); ``crit``, (m - 1, draws), holds the
+    zeros of the level below (inf where absent).  The outer ends are the
+    root bound, past which the first or last term outweighs the other
+    m - 1 together.  Both results are (m + 1, draws), ends ascending.
     """
     gap = np.log(len(b) - 1)
-    lo = ((L[:, :1] - L[:, 1:] - gap) / (b[1:] - b[0])).min(axis=1)
-    hi = ((L[:, :-1] + gap - L[:, -1:]) / (b[-1] - b[:-1])).max(axis=1)
-    inner = np.sort(np.clip(crit, lo[:, None], hi[:, None]), axis=1)
-    ends = np.column_stack([lo, inner, hi])
-    signs = np.column_stack([S[:, 0], _signs(b, L, S, inner), S[:, -1]])
+    lo = ((L[:1] - L[1:] - gap) / (b[1:] - b[0])[:, None]).min(axis=0)
+    hi = ((L[:-1] + gap - L[-1:]) / (b[-1] - b[:-1])[:, None]).max(axis=0)
+    inner = np.sort(np.clip(crit, lo, hi), axis=0)
+    ends = np.vstack([lo, inner, hi])
+    signs = np.vstack([S[0], _signs(b, L, S, inner), S[-1]])
     return ends, signs
 
 
 def _newton(b, L, S, lo, hi, s_lo):
     """The zero in each bracket (lo, hi) whose sign at lo is s_lo.
 
-    Newton steps are kept when they land inside the bracket and at least
-    halve the step before; otherwise the bracket is bisected.
+    ``L`` and ``S`` are (terms, brackets); the bracket arrays and the
+    result are (brackets,).  Newton steps are kept when they land inside
+    the bracket and at least halve the step before; otherwise the bracket
+    is bisected.  Live brackets stay packed: those that converge are
+    written out and dropped once per iteration.
     """
     x = 0.5 * (lo + hi)
     step = hi - lo
-    todo = np.arange(len(x))
+    out = np.empty_like(x)
+    idx = np.arange(len(x))
     for _ in range(NEWTON_STEPS):
-        xt, lt, ht = x[todo], lo[todo], hi[todo]
-        T = xt[:, None] * b + L[todo]
-        V = S[todo] * np.exp(T - T.max(axis=1, keepdims=True))
-        v = V.sum(axis=1)
-        left = np.sign(v) == s_lo[todo]
-        lt, ht = np.where(left, xt, lt), np.where(left, ht, xt)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            newton = v / (V @ b)
-        inside = (xt - newton >= lt) & (xt - newton <= ht)
-        halves = np.abs(newton) < 0.5 * np.abs(step[todo])
-        st = np.where(inside & halves, newton, xt - 0.5 * (lt + ht))
-        x[todo], lo[todo], hi[todo], step[todo] = xt - st, lt, ht, st
-        todo = todo[np.abs(st) > NEWTON_TOL * (1.0 + np.abs(xt))]
-        if todo.size == 0:
+        if idx.size == 0:
             break
-    return x
+        T = b[:, None] * x + L
+        V = S * np.exp(T - T.max(axis=0))
+        v = V.sum(axis=0)
+        left = np.sign(v) == s_lo
+        lo, hi = np.where(left, x, lo), np.where(left, hi, x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = v / (b @ V)
+        inside = (x - newton >= lo) & (x - newton <= hi)
+        halves = np.abs(newton) < 0.5 * np.abs(step)
+        step = np.where(inside & halves, newton, x - 0.5 * (lo + hi))
+        live = np.abs(step) > NEWTON_TOL * (1.0 + np.abs(x))
+        x = x - step
+        if not live.all():
+            out[idx[~live]] = x[~live]
+            idx, x, lo, hi, step, s_lo = (a[live] for a in (idx, x, lo, hi, step, s_lo))
+            L, S = L[:, live], S[:, live]
+    out[idx] = x
+    return out
 
 
 def _rolle_count(b, L, S):
-    """Zeros of sum_j S_j exp(b_j x + L_j) per row, for at least 3 terms."""
-    # Level i holds the terms from i on: the derivative of exp(-b_{i-1} x)
-    # times level i - 1, whose coefficients gain the factors b_j - b_{i-1} > 0.
+    """Zeros of sum_j S_j exp(b_j x + L_j) per draw, for at least 3 terms.
+
+    ``L`` and ``S`` are (terms, draws); the result is (draws,).
+    """
+    # Level i holds the terms from i on, the last k - i rows: the derivative
+    # of exp(-b_{i-1} x) times level i - 1, whose coefficients gain the
+    # factors b_j - b_{i-1} > 0.
     Ls = [L]
     for i in range(1, len(b) - 1):
-        Ls.append(Ls[-1][:, 1:] + np.log(b[i:] - b[i - 1]))
+        Ls.append(Ls[-1][1:] + np.log(b[i:] - b[i - 1])[:, None])
     L2 = Ls.pop()
-    crit = np.where(S[:, -2] != S[:, -1], (L2[:, 0] - L2[:, 1]) / (b[-1] - b[-2]), np.inf)
-    crit = crit[:, None]
+    crit = np.where(S[-2] != S[-1], (L2[0] - L2[1]) / (b[-1] - b[-2]), np.inf)[None, :]
     for Li in reversed(Ls[1:]):
-        m = Li.shape[1]
-        bi, Si = b[-m:], S[:, -m:]
+        m = len(Li)
+        bi, Si = b[-m:], S[-m:]
         ends, signs = _pieces(bi, Li, Si, crit)
-        rows, cols = np.nonzero(signs[:, :-1] * signs[:, 1:] < 0)
-        crit = np.full((len(S), m - 1), np.inf)
-        crit[rows, cols] = _newton(
-            bi, Li[rows], Si[rows], ends[rows, cols], ends[rows, cols + 1], signs[rows, cols]
-        )
+        piece, draw = np.nonzero(signs[:-1] * signs[1:] < 0)
+        crit = np.full((m - 1, S.shape[1]), np.inf)
+        lo, hi = ends[piece, draw], ends[piece + 1, draw]
+        crit[piece, draw] = _newton(bi, Li[:, draw], Si[:, draw], lo, hi, signs[piece, draw])
     _, signs = _pieces(b, L, S, crit)
-    return (signs == 0).sum(axis=1) + (signs[:, :-1] * signs[:, 1:] < 0).sum(axis=1)
+    return (signs == 0).sum(axis=0) + (signs[:-1] * signs[1:] < 0).sum(axis=0)
 
 
 def _count_zeros(b, w, C):
-    """Real zeros of sum_j C[r, j] exp(b_j x + w_j) for each row r, b ascending."""
-    counts = np.zeros(len(C), dtype=np.int64)
-    sparse = np.any(C == 0.0, axis=1)
+    """Real zeros of sum_j C[j, r] exp(b_j x + w_j) for each draw r, b ascending.
+
+    ``C`` is (terms, draws), one column per draw.
+    """
+    counts = np.zeros(C.shape[1], dtype=np.int64)
+    sparse = np.any(C == 0.0, axis=0)
     for r in np.flatnonzero(sparse):
-        keep = C[r] != 0.0
-        counts[r] = _count_zeros(b[keep], w[keep], C[r : r + 1, keep])[0]
+        keep = C[:, r] != 0.0
+        counts[r] = _count_zeros(b[keep], w[keep], C[keep, r : r + 1])[0]
     S = np.sign(C)
-    changes = (S[:, 1:] != S[:, :-1]).sum(axis=1)
+    changes = (S[1:] != S[:-1]).sum(axis=0)
     counts[~sparse] = changes[~sparse]
     hard = ~sparse & (changes > 1)
     if np.any(hard):
-        counts[hard] = _rolle_count(b, np.log(np.abs(C[hard])) + w, S[hard])
+        counts[hard] = _rolle_count(b, np.log(np.abs(C[:, hard])) + w[:, None], S[:, hard])
     return counts
 
 
@@ -166,7 +189,7 @@ def sample_zero_count(E: ExpSum, coeffs_draw) -> int:
     xi = np.asarray(coeffs_draw, dtype=float).reshape(-1)
     if xi.shape[0] != E.n_terms or not np.all(np.isfinite(xi)):
         raise InputError(f"coefficient draw must be {E.n_terms} finite reals")
-    return int(_count_zeros(b, w, xi[order][None, :])[0])
+    return int(_count_zeros(b, w, xi[order][:, None])[0])
 
 
 def _chunk_draws(E: ExpSum, seed: int, chunk_index: int) -> np.ndarray:
@@ -196,7 +219,7 @@ def estimate_esol(E: ExpSum, cfg: McConfig | None = None) -> tuple[float, float]
         chunks = range(first, min(first + BLOCK_CHUNKS, n_chunks))
         xi = np.concatenate([_chunk_draws(E, cfg.seed, c) for c in chunks], axis=1)
         xi = xi[order, : n - first * CHUNK]
-        tally += np.bincount(_count_zeros(b, w, xi.T), minlength=E.n_terms)
+        tally += np.bincount(_count_zeros(b, w, xi), minlength=E.n_terms)
     s1 = int(tally @ np.arange(E.n_terms))
     s2 = int(tally @ np.arange(E.n_terms) ** 2)
     mean = s1 / n

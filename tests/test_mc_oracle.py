@@ -17,6 +17,7 @@ from sparse_kacrice import (
     kostlan,
     sample_zero_count,
 )
+from sparse_kacrice import mc_oracle
 from sparse_kacrice.mc_oracle import CHUNK, _chunk_draws
 
 TWO_TERM = ExpSum([[0.0], [1.0]])
@@ -152,6 +153,60 @@ class TestEstimate:
 
     def test_one_term_sum_has_no_zeros(self):
         assert estimate_esol(ExpSum([[2.0]]), McConfig(n_samples=1000)) == (0.0, 0.0)
+
+
+_SIX_TERM = [0.0, 0.3, 1.1, math.e, 3.9, 4.0]
+# real exponents out of order, reweighted by e^{0.4 b}
+_REAL = np.array([2.9, -0.6, 1.3, 0.4, 3.2])
+
+
+class TestBatchedCount:
+    """The count ``estimate_esol`` runs on a whole block of draws equals the
+    one-row count draw by draw: brackets that leave the Newton loop at
+    different iterations keep their own zeros."""
+
+    @pytest.mark.parametrize(
+        "E, n",
+        [
+            (kostlan(1, 4), 2048),
+            (kostlan(1, 7), 512),
+            (ExpSum(np.array(_SIX_TERM)[:, None]), 512),
+            (ExpSum(_REAL[:, None], np.exp(0.4 * _REAL) * [1, 2, 0.5, 3, 1]), 512),
+        ],
+        ids=["kostlan(1,4)", "kostlan(1,7)", "six-term", "reweighted-real"],
+    )
+    def test_block_count_equals_one_row_count(self, monkeypatch, E, n):
+        count, blocks = mc_oracle._count_zeros, []
+
+        def record(*args):
+            blocks.append(count(*args))
+            return blocks[-1]
+
+        monkeypatch.setattr(mc_oracle, "_count_zeros", record)
+        seed = 9
+        estimate_esol(E, McConfig(n_samples=n, seed=seed))
+        got = blocks[-1]
+        draws = np.concatenate([_chunk_draws(E, seed, c) for c in range(-(-n // CHUNK))], axis=1)
+        want = [sample_zero_count(E, draws[:, j]) for j in range(n)]
+        assert len(got) == n and max(got) >= 2
+        np.testing.assert_array_equal(got, want)
+
+
+class TestPinnedEstimates:
+    """Seeded estimates are pinned bit for bit: a rewrite of the count
+    kernel must leave every draw's count as it is."""
+
+    @pytest.mark.parametrize(
+        "E, seed, want",
+        [
+            (ExpSum([[0.0], [0.5], [1.7]], [1.0, 2.0, 1.0]), 5, (0.7876, 0.006800974145292165)),
+            (kostlan(1, 4), 6, (1.0014, 0.007733419979443625)),
+            (kostlan(1, 7), 7, (1.32, 0.008917844627222405)),
+        ],
+        ids=["3-term", "5-term", "8-term"],
+    )
+    def test_estimate_is_pinned(self, E, seed, want):
+        assert estimate_esol(E, McConfig(n_samples=10_000, seed=seed)) == want
 
 
 def _grid_zero_count(b, draw, per_unit=500):
