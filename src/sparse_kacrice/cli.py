@@ -271,6 +271,11 @@ def _selftest_checks():
         E = ExpSum([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
         return abs(esol_total(E).value - math.pi / 8.0) < 1e-6
 
+    def square_at_0_7_rad():
+        c, s = math.cos(0.7), math.sin(0.7)
+        E = ExpSum([[0.0, 0.0], [c, s], [-s, c], [c - s, s + c]])
+        return abs(esol_total(E, Quadrature(1e-10, 1e-10)).value - math.pi / 8.0) < 1e-10
+
     def kostlan_three_variables():
         tol = 1e-6
         r = esol_total(algebra_mod.kostlan(3, 1), Quadrature(abs_tol=tol, rel_tol=tol))
@@ -344,6 +349,7 @@ def _selftest_checks():
         ("two-term expected zero count is 1/2", esol_two_term),
         ("degree-4 one-variable count is sqrt(4)/2", esol_degree_four),
         ("rotated unit square is pi/8 on the x route", rotated_square),
+        ("rotated square (0.7 rad) is pi/8 at 1e-10 on the x route", square_at_0_7_rad),
         ("kostlan(3,1) is pi/8 at 1e-6 on the x route", kostlan_three_variables),
         ("moment route on the triangle is 1/4", moment_triangle),
         ("two-term density closed form at x=1", density_closed_form),

@@ -12,15 +12,15 @@ polytope), the metric g (half the Hessian of Phi), the expected-zero
 density (2/s_m) sqrt(det g), moment-map inversion, the polytope-side
 density, directional asymptotics, and the Veronese embedding.
 
-One batched kernel computes all of it: :func:`_batch_moments` gives the
-softmax, Phi, mu and g at every row of a point array, and
-:func:`_invert_moment_many` inverts the moment map for many targets at
-once, by damped Newton on packed live rows whose steps come from one
-stacked Cholesky factorization and two triangular substitutions
-(:mod:`.geometry`), with no per-matrix LAPACK call.  The scalar API
+Batched kernels compute all of it: :func:`_batch_moments` gives the
+softmax, Phi, mu and g at every row of a point array, :func:`_phi_log_det`
+gives Phi and a cancellation-free log det g for every density, and
+:func:`_invert_moment_many` inverts the moment map for many targets by
+damped Newton, on packed live rows and one stacked Cholesky factorization
+(:mod:`.geometry`) with no per-matrix LAPACK call.  The scalar API
 (:func:`potential`, :func:`evaluate`, :func:`density`,
-:func:`invert_moment`) is the batched kernel on one row, so a scalar call
-and a one-row batch give the same numbers bit for bit.
+:func:`invert_moment`) is these kernels on one row, so a scalar call and
+a one-row batch give the same numbers bit for bit.
 
 All evaluation is done in the log domain with a softmax shift, so points
 with coordinates far beyond the overflow range of exp stay finite.
@@ -71,7 +71,7 @@ __all__ = [
     "veronese_pullback_check",
 ]
 
-#: Below this determinant the metric counts as flat: no dual form, density 0.
+#: Below this determinant the metric counts as flat: no dual form.
 DET_FLOOR = 1e-300
 
 #: Default interior margin for moment-map inversion, scaled by (1 + diam P).
@@ -188,7 +188,7 @@ class EvalBundle:
     mu : moment map, the weighted barycenter sum lambda_a a
     g : the metric, the lambda-weighted covariance of A about mu
     g_dual : dual form of g, or None where g fails the dual-form gate
-    density : expected-zero density (2/s_m) sqrt(det g), 0 below ``DET_FLOOR``
+    density : expected-zero density (2/s_m) sqrt(det g), from :func:`density`
     """
 
     x: np.ndarray
@@ -210,37 +210,61 @@ def _batch_moments(E: ExpSum, X: np.ndarray):
 
     Returns (phi (N,), lam (N,k), mu (N,m), G (N,m,m)); phi = (1/2) log K
     comes from the log-sum-exp that gives the weights of mu and G.  G is
-    one stacked matmul (lam * C)^T C of the centred support C, and every
-    consumer reads it as is.  It is not symmetrized: as a product its det
-    keeps the near-rank deficiency of the tails, which the det of its
-    symmetric part loses to a positively biased rounding floor.
+    one stacked matmul (lam * C)^T C of the centred support C.  It is not
+    symmetrized: the Cholesky factorization reads its lower triangle and
+    :class:`.QuadForm` symmetrizes it.  No determinant is taken of it.
     """
     points = E.support.points
-    T = X @ points.T + E.log_coeffs
-    top = T.max(axis=1, keepdims=True)
-    W = np.exp(2.0 * (T - top))
-    total = W.sum(axis=1, keepdims=True)
-    lam = W / total
+    top, W, total = _softmax(E, X)
+    lam = W / total[:, None]
     mu = lam @ points
     centered = points - mu[:, None, :]
     G = np.swapaxes(lam[..., None] * centered, 1, 2) @ centered
-    return (top + 0.5 * np.log(total))[:, 0], lam, mu, G
+    return top + 0.5 * np.log(total), lam, mu, G
 
 
-def _density_of_metric(m: int, G: np.ndarray) -> np.ndarray:
-    """(2/s_m) sqrt(det G) for each metric in the stack G; 0 where det G is
-    below ``DET_FLOOR`` (the metric counts as flat)."""
-    det = np.linalg.det(G)
-    _, s_m = ball_sphere_constants(m)
-    return (2.0 / s_m) * np.sqrt(np.where(det < DET_FLOOR, 0.0, det))
+def _softmax(E: ExpSum, X: np.ndarray):
+    """(top = max T, W = exp(2 (T - top)), sum W) with T = <a, x> + log alpha_a."""
+    T = X @ E.support.points.T + E.log_coeffs
+    top = T.max(axis=1, keepdims=True)
+    W = np.exp(2.0 * (T - top))
+    return top[:, 0], W, W.sum(axis=1)
+
+
+def _phi_log_det(E: ExpSum, X: np.ndarray, form: np.ndarray | None = None):
+    """(phi, log det g) at each row of X; -inf where det g underflows.
+
+    By Cauchy-Binet (Horn & Johnson, Matrix Analysis, 0.8.7), det g is the
+    sum over (m+1)-subsets S of A of prod_S lambda_a D_S^2, with no
+    cancellation: total^(m+1) det g is the form of W with the tensor
+    ``form`` (default ``E.support._simplex_form``), evaluated as one GEMM
+    of the first floor((m+1)/2) modes, then one contraction per other mode.
+    """
+    top, W, total = _softmax(E, X)
+    N, k = W.shape
+    m = E.dim
+    a = (m + 1) // 2
+    left = W
+    for _ in range(a - 1):
+        left = (left[:, :, None] * W[:, None, :]).reshape(N, -1)
+    Q = E.support._simplex_form if form is None else form
+    Y = left @ Q.reshape(k**a, -1)
+    for _ in range(m - a):
+        Y = np.einsum("nij,nj->ni", Y.reshape(N, -1, k), W)
+    log_total = np.log(total)
+    with np.errstate(divide="ignore"):
+        log_form = np.log(np.einsum("ni,ni->n", Y, W))
+    return top + 0.5 * log_total, log_form - (m + 1) * log_total
 
 
 def density_many(E: ExpSum, X) -> np.ndarray:
-    """Vectorized density: one value per row of X (shape (N, m))."""
+    """Expected-zero density (2/s_m) sqrt(det g), one value per row of X
+    (shape (N, m)), from the Cauchy-Binet kernel :func:`_phi_log_det`."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != E.dim:
         raise InputError(f"points have dimension {X.shape[1]}, expected {E.dim}")
-    return _density_of_metric(E.dim, _batch_moments(E, X)[3])
+    _, s_m = ball_sphere_constants(E.dim)
+    return (2.0 / s_m) * np.exp(0.5 * _phi_log_det(E, X)[1])
 
 
 # -- the scalar API: the batched kernel on one row ---------------------------
@@ -254,7 +278,7 @@ def potential(E: ExpSum, x) -> float:
 
 def evaluate(E: ExpSum, x) -> EvalBundle:
     """Compute the full pointwise bundle at x (overflow-safe): the batched
-    kernel on one row.
+    kernels on one row.
 
     ``g_dual`` is None where the metric fails the dual-form gate (det g
     below ``DET_FLOOR``, a failed Cholesky factorization, a non-positive
@@ -270,13 +294,13 @@ def evaluate(E: ExpSum, x) -> EvalBundle:
     g_dual = None if flat[0] else _dual_from_cholesky(L[0])
     return EvalBundle(
         x=x, K=K, Kbar=Kbar, phi=phi, weights=lam[0], mu=mu[0], g=QuadForm(G[0]),
-        g_dual=g_dual, density=float(_density_of_metric(E.dim, G)[0]),
+        g_dual=g_dual, density=density(E, x),
     )
 
 
 def density(E: ExpSum, x) -> float:
-    """Expected-zero density (2/s_m) sqrt(det g) at x, 0 below ``DET_FLOOR``:
-    the batched kernel on one row."""
+    """Expected-zero density (2/s_m) sqrt(det g) at x: :func:`density_many`
+    on one row."""
     x = _check_vector(x, E.dim, "x")
     return float(density_many(E, x[None])[0])
 
@@ -292,10 +316,6 @@ class HessianReport:
     grad_residual: float
     hess_residual: float
     step: float
-
-    @property
-    def max_residual(self) -> float:
-        return max(self.grad_residual, self.hess_residual)
 
 
 def hessian_check(E: ExpSum, x, h: float = 1e-4) -> HessianReport:
@@ -440,16 +460,15 @@ def _legendre_density_many(E: ExpSum, P: np.ndarray) -> np.ndarray:
     to about eps * diam(P), down to a residual of ``LEGENDRE_TOL`` *
     (1 + diam): a point at distance d from a facet then keeps a relative
     error near LEGENDRE_TOL / d, where an absolute 1e-10 would give 1e-5 at
-    d = 4e-6.  No interior check is performed here.
+    d = 4e-6.  The translated support reuses the simplex tensor, which
+    translation leaves unchanged.  No interior check is performed here.
     """
     c = E.support.points.mean(axis=0)
     centred = ExpSum(E.support.points - c, E.coeffs)
     tol = LEGENDRE_TOL * (1.0 + diameter(E.support))
     X, ok = _invert_moment_many(centred, P - c, tol=tol)
-    G = _batch_moments(centred, X)[3]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dens = 1.0 / np.sqrt(np.linalg.det(2.0 * G))
-    return np.where(ok, dens, np.nan)
+    log_det = _phi_log_det(centred, X, E.support._simplex_form)[1]
+    return np.where(ok, np.exp(-0.5 * (log_det + E.dim * math.log(2.0))), np.nan)
 
 
 def legendre_density(E: ExpSum, p) -> float:

@@ -2,12 +2,13 @@
 
 A finite set A of points in R^m carries everything the rest of the package
 needs from convex geometry: its support function, exposed faces, diameter,
-and the Euclidean volume of its convex hull.  Quadratic forms enter through
-the metric attached to an exponential sum; this module supplies the dual
+the volume of its convex hull, and the squared volumes of its simplices
+that every density determinant is summed from.  Quadratic forms enter
+through the metric of an exponential sum; this module supplies the dual
 form (Gram-array inverse) and its gate, determinants, ellipsoid volumes,
-the stacked Cholesky factorization and triangular solves that the batched
-kernels use in place of per-matrix LAPACK calls, and the
-unit-ball/unit-sphere constants that normalize every density in the package.
+the stacked Cholesky factorization and triangular solves of Newton's
+method, and the unit-ball/unit-sphere constants that normalize every
+density in the package.
 """
 
 from __future__ import annotations
@@ -133,6 +134,19 @@ class SupportSet:
         vertices.flags.writeable = False
         rows.flags.writeable = False
         return vertices, rows, float(volume)
+
+    @cached_property
+    def _simplex_form(self) -> np.ndarray:
+        """D^2 / (m+1)! over (m+1)-tuples of points, shape (k,) * (m+1), with
+        D = det[1 a_i] = det[a_i - a_i0] (m! times the simplex volume); a D
+        within 1e-12 of the largest is rounding on a flat simplex, set to 0."""
+        k, m = self.points.shape
+        idx = np.indices((k,) * (m + 1)).reshape(m + 1, -1)
+        D = np.linalg.det(np.moveaxis(self.points[idx[1:]] - self.points[idx[0]], 0, 1))
+        D[np.abs(D) <= 1e-12 * np.abs(D).max()] = 0.0
+        Q = (D * D / math.factorial(m + 1)).reshape((k,) * (m + 1))
+        Q.flags.writeable = False
+        return Q
 
     @property
     def facets(self) -> np.ndarray | None:
@@ -325,67 +339,39 @@ def _dual_gate(
     ``flat`` marks the rows whose form has no dual: a failed Cholesky
     factorization, a determinant below ``det_floor``, a non-positive
     eigenvalue, or a condition number above ``cond_limit``.  ``L`` holds
-    the Cholesky factors of the other rows, from one stacked
-    factorization (:func:`_cholesky_many`), and det G is the product of
-    the squares of its diagonal.  A positive definite G has
-    cond G <= trace(G)^m / det G, so a row whose bound clears half of
-    ``cond_limit`` is not flat; only the rows the bound leaves undecided
-    go through ``eigvalsh``, which decides them as before.
+    the Cholesky factors of the other rows (:func:`_cholesky_many`), and
+    det G is the product of the squares of its diagonal.
     """
     L, ok = _cholesky_many(G)
-    diag = np.diagonal(L, axis1=1, axis2=2)
-    flat = ~ok | (np.prod(diag, axis=1) ** 2 < det_floor)
-    trace = np.trace(G, axis1=1, axis2=2)
-    with np.errstate(over="ignore", divide="ignore"):
-        # trace^m / det as the product of trace / L_jj^2, which does not
-        # underflow with a tiny G; an infinite factor leaves the row to
-        # eigvalsh.
-        bound = np.prod(trace[:, None] / diag / diag, axis=1)
-    undecided = np.flatnonzero(~flat & ~(bound <= 0.5 * cond_limit))
-    if undecided.size:
-        eigs = np.linalg.eigvalsh(G[undecided])
-        flat[undecided] = (eigs[:, 0] <= 0.0) | (eigs[:, -1] > cond_limit * eigs[:, 0])
-    return flat, L
+    eigs = np.linalg.eigvalsh(G)
+    flat = ~ok | (np.prod(np.diagonal(L, axis1=1, axis2=2), axis=1) ** 2 < det_floor)
+    return flat | (eigs[:, 0] <= 0.0) | (eigs[:, -1] > cond_limit * eigs[:, 0]), L
 
 
 def _cholesky_many(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(L, ok): the Cholesky factor L L^T = G of each row of the stack G
-    (shape (N, m, m)).
+    (shape (N, m, m)), read from its lower triangle.
 
     Vectorized over rows, with Python loops only over the m axis and each
-    inner sum written out entry by entry.  The pivots come from the
-    square-root-free elimination G = W D^-1 V of LU without pivoting,
-    d_j = G_jj - sum_k W_jk V_kj / d_k, with W reduced from the lower and
-    V from the upper triangle, and L = W D^(-1/2).  For a symmetric G
-    this is the Cholesky factorization of its lower triangle.  For the
-    metric of :func:`.expsum._batch_moments`, whose two triangles are two
-    roundings of the same sums, the pivots read both, as LAPACK's LU does:
-    the cancellation in d_j, which sets the accuracy of every solve on an
-    ill-conditioned G, then averages their errors, and no square root
-    rounds inside it.  ``ok`` is False where a pivot is not positive (or
-    is NaN), as LAPACK's factorization fails; those rows of L hold NaN.
+    inner sum written out entry by entry.  ``ok`` is False where a pivot
+    is not positive (or is NaN), as LAPACK's factorization fails; those
+    rows of L hold NaN.
     """
     m = G.shape[-1]
-    lower = [[None] * m for _ in range(m)]
-    upper = [[None] * m for _ in range(m)]
     ok = np.ones(G.shape[0], dtype=bool)
     L = np.zeros_like(G)
     for j in range(m):
         pivot = G[:, j, j]
         for k in range(j):
-            pivot = pivot - lower[j][k] * upper[k][j]
+            pivot = pivot - L[:, j, k] * L[:, j, k]
         positive = pivot > 0.0
         ok &= positive
-        pivot = np.where(positive, pivot, np.nan)
-        root = np.sqrt(pivot)
+        root = np.sqrt(np.where(positive, pivot, np.nan))
         L[:, j, j] = root
         for i in range(j + 1, m):
-            below, above = G[:, i, j], G[:, j, i]
+            below = G[:, i, j]
             for k in range(j):
-                below = below - lower[i][k] * upper[k][j]
-                above = above - lower[j][k] * upper[k][i]
-            lower[i][j] = below
-            upper[j][i] = above / pivot
+                below = below - L[:, i, k] * L[:, j, k]
             L[:, i, j] = below / root
     return L, ok
 

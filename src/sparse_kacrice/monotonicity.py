@@ -11,13 +11,13 @@ shrink factor of the projected dual ellipsoid on level sets.
 All formulas are evaluated through the log-domain quantities of
 :mod:`.expsum`, so far-tail points stay finite.  One batched kernel gives
 Psi to :func:`psi`, ray scans and region scans alike, so a scan node and
-a scalar call cannot disagree.  :func:`psi_via_phi0` and :func:`classify`
-go through :func:`.evaluate`, which is the same batched kernel on one row,
-so all routes share phi, mu and the metric.  What the cross-checks still
-test on their own is what each adds to that metric: the logistic in
-phi0, the dual form formed from the inverse of the gate's Cholesky factor
-(where :func:`psi` forward-substitutes with that factor), and the
-closed-form decrease criterion.
+a scalar call cannot disagree: Psi is the ratio of the two densities, each
+determinant summed by the Cauchy-Binet kernel of :mod:`.expsum` without
+forming a metric, and it is defined wherever det g does not underflow.
+:func:`psi_via_phi0` and :func:`classify` go through :func:`.evaluate`
+instead, and read the formed metric and its dual form: they check the
+logistic in phi0, the dual form and the closed-form decrease criterion
+against a route that shares none of them.
 """
 
 from __future__ import annotations
@@ -31,9 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateMetricError, DomainError, InputError, SparseKacRiceError
-from .expsum import DET_FLOOR, ExpSum, _batch_moments, _invert_moment_many, evaluate
-from .expsum import invert_moment
-from .geometry import QuadForm, SupportSet, _check_vector, _dual_gate, _forward_sub, _interior_mask
+from .expsum import ExpSum, _invert_moment_many, _phi_log_det, evaluate, invert_moment
+from .geometry import QuadForm, SupportSet, _check_vector, _interior_mask
 from .geometry import diameter, interior_contains
 
 __all__ = [
@@ -142,27 +141,23 @@ def _checked_bundle(E: ExpSum, aug: Augmentation, x):
 def _psi_many(E: ExpSum, aug: Augmentation, X: np.ndarray):
     """Psi, phi0, g^x(tau) and K/K_0 at each row of X (shape (N, m)).
 
-    phi, mu and G come from one batched softmax.  g^x(tau) = |L^-1 tau|^2
-    is one stacked forward substitution with the Cholesky factor L of G
-    that the dual-form gate computes; no per-matrix LAPACK call is made.
-    Raises DegenerateMetricError when the metric at any row fails the
-    gate that :func:`evaluate` applies too: a failed Cholesky
-    factorization, det G below ``DET_FLOOR``, a non-positive eigenvalue,
-    or a condition number above ``DUAL_COND_LIMIT``.
+    Psi = sqrt(det g_0 / det g), the density of ``augment(E, aug)`` over
+    that of E, with both log-determinants and potentials from
+    :func:`.expsum._phi_log_det`.  K/K_0 comes from the two potentials and
+    g^x(tau) = Psi^2 / (K/K_0)^m - 1 from Psi = (K/K_0)^{m/2}
+    sqrt(1 + g^x(tau)); no metric is formed or solved.  Raises
+    DegenerateMetricError where det g underflows to 0.
     """
-    phi, _, mu, G = _batch_moments(E, X)
-    flat, L = _dual_gate(G, DET_FLOOR)
+    phi_aug, log_det_aug = _phi_log_det(augment(E, aug), X)
+    phi, log_det = _phi_log_det(E, X)
+    flat = np.isneginf(log_det)
     if flat.any():
-        x = X[flat][0].tolist()
-        raise DegenerateMetricError(f"metric degenerates at x = {x}; density ratio undefined")
+        raise DegenerateMetricError(f"det g underflows at x = {X[flat][0].tolist()}; Psi undefined")
+    log_ratio = 2.0 * (phi - phi_aug)
+    log_psi2 = log_det_aug - log_det
     log_f0 = math.log(aug.alpha0) + X @ aug.a0
-    log_K0 = np.logaddexp(2.0 * phi, 2.0 * log_f0)
-    ratio = np.exp(2.0 * phi - log_K0)
-    tau = np.exp(log_f0 - 0.5 * log_K0)[:, None] * (mu - aug.a0)
-    y = _forward_sub(L, tau)
-    tau_normsq = (y * y).sum(axis=1)
-    values = ratio ** (E.dim / 2.0) * np.sqrt(1.0 + tau_normsq)
-    return values, phi - log_f0, tau_normsq, ratio
+    tau_normsq = np.expm1(log_psi2 - E.dim * log_ratio)
+    return np.exp(0.5 * log_psi2), phi - log_f0, tau_normsq, np.exp(log_ratio)
 
 
 def _psi_evals(E: ExpSum, aug: Augmentation, X: np.ndarray) -> list[PsiEval]:
@@ -176,11 +171,10 @@ def psi(E: ExpSum, aug: Augmentation, x) -> PsiEval:
     """Evaluate the pointwise density ratio Psi at x.
 
     Built from the one-form tau = (f_0/sqrt(K_0)) (mu - a_0):
-    Psi = (K/K_0)^{m/2} sqrt(1 + g^x(tau)).  Requires a nondegenerate
-    metric (full-dimensional Newton polytope).  This is the batched
+    Psi = (K/K_0)^{m/2} sqrt(1 + g^x(tau)), the ratio of the two densities;
+    DegenerateMetricError where det g underflows to 0.  This is the batched
     kernel of the grid scans on one row, so the two cannot drift.
     """
-    _check_augmentation(E, aug)
     x = _check_vector(x, E.dim, "x")
     return _psi_evals(E, aug, x[None, :])[0]
 
@@ -200,12 +194,10 @@ def psi_via_phi0(E: ExpSum, aug: Augmentation, x) -> float:
     Psi = (1 - s)^{m/2} sqrt(1 + s * g^x(mu - a_0)) with the logistic
     s = 1/(1 + e^{2 phi0}); the factor 1 - s is evaluated as its own
     logistic so the far tail keeps full precision.  Used to
-    cross-validate :func:`psi`: both take g from the one batched kernel,
-    and this route checks the logistic in phi0 and the dual form of g,
-    formed from the inverse of the gate's Cholesky factor, against psi's
-    log-domain ratio and forward substitution with that factor.  They
-    agree to about 1e-12 where g is well conditioned and to about
-    cond(g) * eps near the condition gate.
+    cross-validate :func:`psi`: this route forms g and its dual form, from
+    the inverse of the gate's Cholesky factor, where psi takes a ratio of
+    two Cauchy-Binet determinants.  They agree to about 1e-12 where g is
+    well conditioned and to about cond(g) * eps near the condition gate.
     """
     a0, bundle, phi0, _, _ = _checked_bundle(E, aug, x)
     s = _logistic(-2.0 * phi0)
@@ -272,8 +264,8 @@ def ray_scan_unbounded(
     Raw empirical data: when a_0 is far outside the polytope and the ray
     points away from it through a vertex, the tail classifications land in
     the decrease region; no certification of unboundedness is attempted.
-    The whole ray is one batched evaluation; a sample whose metric fails
-    the gate of :func:`psi` raises DegenerateMetricError.
+    The whole ray is one batched evaluation; a sample where det g
+    underflows to 0 raises DegenerateMetricError.
     """
     x_dir = _check_vector(x_dir, E.dim, "x_dir")
     norm = float(np.linalg.norm(x_dir))
@@ -281,7 +273,6 @@ def ray_scan_unbounded(
         raise InputError("x_dir must be nonzero")
     if not (t_max > 0 and n_steps >= 1):
         raise InputError("need t_max > 0 and n_steps >= 1")
-    _check_augmentation(E, aug)
     ts = np.linspace(t_max / n_steps, t_max, n_steps)
     return _psi_evals(E, aug, ts[:, None] * (x_dir / norm))
 
@@ -351,10 +342,10 @@ def region_scan(
     inversion fails, are marked "outside".  An "x" space scan evaluates
     the grid directly.  Either way Psi is evaluated once for the whole
     grid by the kernel behind :func:`psi`, with no per-node Python call;
-    a node whose metric fails the gate of :func:`psi` raises
-    DegenerateMetricError for the scan.  ``box`` defaults to the support's
-    bounding box ("p") or [-5, 5]^m ("x"); ``resolution`` is an int or
-    per-axis sequence, at least 2 per axis.
+    a node where det g underflows to 0 raises DegenerateMetricError for
+    the scan.  ``box`` defaults to the support's bounding box ("p") or
+    [-5, 5]^m ("x"); ``resolution`` is an int or per-axis sequence, at
+    least 2 per axis.
     """
     _check_augmentation(E, aug)
     if space not in ("p", "x"):

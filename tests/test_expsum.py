@@ -14,6 +14,7 @@ from sparse_kacrice import (
     InputError,
     Quadrature,
     asymptotic_moment,
+    ball_sphere_constants,
     density,
     density_many,
     evaluate,
@@ -128,6 +129,21 @@ class TestEvaluate:
         singles = [density(SQUARE, x) for x in X]
         np.testing.assert_allclose(batch, singles, rtol=1e-12)
 
+    def test_density_many_matches_rows_on_pentagon(self):
+        # Far points of the pentagon, where det g spans hundreds of decades.
+        X = np.random.default_rng(11).normal(0.0, 3.0, size=(1000, 2))
+        singles = [density(PENTAGON, x) for x in X]
+        np.testing.assert_allclose(density_many(PENTAGON, X), singles, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("E", [IRREGULAR, kostlan(2, 2), PENTAGON, kostlan(3, 1), kostlan(3, 2)],
+                             ids=["irregular", "kostlan22", "pentagon", "kostlan31", "kostlan32"])
+    def test_density_is_the_metric_determinant(self, E):
+        # The Cauchy-Binet sum against det of the formed metric where g is
+        # well conditioned; kostlan(2, 2) and (3, 2) have flat simplices.
+        X = np.random.default_rng(12).uniform(-1.0, 1.0, size=(50, E.dim))
+        want = 2.0 / ball_sphere_constants(E.dim)[1] * np.sqrt(np.linalg.det(_batch_moments(E, X)[3]))
+        np.testing.assert_allclose(density_many(E, X), want, rtol=1e-12, atol=0.0)
+
     def test_dimension_mismatch(self):
         with pytest.raises(InputError):
             evaluate(TWO_TERM, [0.0, 0.0])
@@ -162,11 +178,14 @@ class TestScalarCallsAreOneRowKernels:
             np.testing.assert_array_equal(invert_moment(E, p), X[0])
 
     def test_density_floor_applies_to_both(self):
-        # det g = lambda_0 lambda_1, about e^-700 = 1e-304 at x = 350
+        # det g = lambda_0 lambda_1, about e^-700 = 1e-304 at x = 350: below
+        # DET_FLOOR, which guards the dual form only; the density is exact.
         G = _batch_moments(TWO_TERM, np.array([[350.0]]))[3]
         assert 0.0 < np.linalg.det(G)[0] < DET_FLOOR
-        assert density(TWO_TERM, [350.0]) == 0.0
-        assert density_many(TWO_TERM, [[350.0]])[0] == 0.0
+        want = 1.0 / (2.0 * math.pi * math.cosh(350.0))
+        for got in (density(TWO_TERM, [350.0]), density_many(TWO_TERM, [[350.0]])[0],
+                    evaluate(TWO_TERM, [350.0]).density):
+            assert got == pytest.approx(want, rel=1e-14, abs=0.0)
         assert evaluate(TWO_TERM, [350.0]).g_dual is None
 
 

@@ -282,13 +282,6 @@ class TestStackedCholesky:
         want = np.linalg.solve(well, B[..., None])[..., 0]
         np.testing.assert_allclose(X, want, rtol=1e-10, atol=1e-12 * np.abs(want).max())
 
-    def test_pivots_read_both_triangles(self):
-        # L below the diagonal from the lower triangle; the pivot
-        # d = 5 - 1.5 * 2.5 / 4 from both, as in LU.
-        L, ok = _cholesky_many(np.array([[[4.0, 2.5], [1.5, 5.0]]]))
-        assert ok[0]
-        np.testing.assert_allclose(L[0], [[2.0, 0.0], [0.75, math.sqrt(4.0625)]], rtol=1e-15)
-
 
 def _reference_gate(G, det_floor, cond_limit=DUAL_COND_LIMIT):
     """The dual-form gate written with LAPACK on every row: eigvalsh, det

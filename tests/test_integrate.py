@@ -123,6 +123,18 @@ ROTATE_SHEAR = np.array(
 ) @ [[1.0, 0.7], [0.0, 1.2]]
 ROOT2 = math.sqrt(2.0)
 LOOSE = Quadrature(abs_tol=1e-4, rel_tol=1e-4)
+TURN_0_7 = [[math.cos(0.7), -math.sin(0.7)], [math.sin(0.7), math.cos(0.7)]]
+
+
+def _random_affine2(seed):
+    """The first affine map (L, b) drawn from a seeded generator: a rotation
+    15 to 75 degrees off the axes, a unit upper-triangular shear and axis
+    scales in [0.6, 1.6], then a shift in [-1, 1]^2."""
+    rng = np.random.default_rng(seed)
+    angle = rng.uniform(math.pi / 12, 5 * math.pi / 12) + math.pi / 2 * rng.integers(4)
+    turn = [[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]]
+    shear = np.eye(2) + np.triu(rng.uniform(-0.8, 0.8, (2, 2)), 1)
+    return turn @ shear @ np.diag(rng.uniform(0.6, 1.6, 2)), rng.uniform(-1.0, 1.0, 2)
 
 
 @pytest.mark.parametrize(
@@ -140,13 +152,21 @@ LOOSE = Quadrature(abs_tol=1e-4, rel_tol=1e-4)
         # a rotation for which a box sized from axis-projected gaps finds about 0
         (esol_total, _image(kostlan(3, 1), _rotation3(7)), LOOSE, math.pi / 8.0),
         (bkk_total, ComplexExpSum([[0, 0], [2, 0], [3, 1], [1, 3], [-1, 1]]), Quadrature(), 14.0),
+        # at 1e-8 and tighter these ran out of nodes on a formed-metric density floor
+        (esol_total, _image(kostlan(2, 1), TURN_0_7), Quadrature(1e-10, 1e-10), math.pi / 8.0),
+        *[(esol_total, _image(kostlan(2, 2), *_random_affine2(seed)), Quadrature(1e-9, 1e-9),
+           math.pi / 4.0) for seed in range(1, 7)],
     ],
     ids=["rotated square", "rotated sheared kostlan(2,2)", "simplex(2,2)",
-         "rotated kostlan(3,1)", "pentagon bkk"],
+         "rotated kostlan(3,1)", "pentagon bkk", "unit square turned 0.7 rad at 1e-10",
+         *[f"seeded affine kostlan(2,2) {seed} at 1e-9" for seed in range(1, 7)]],
 )
 def test_x_route_on_supports_off_the_axes(integral, E, q, ref):
+    start = time.perf_counter()
     result = integral(E, q)
+    assert time.perf_counter() - start < 1.0
     assert result.value == pytest.approx(ref, abs=max(q.abs_tol, q.rel_tol * ref))
+    assert _within_budget(result, q)
 
 
 def _random_affine3(seed):
