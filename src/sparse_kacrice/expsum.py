@@ -236,30 +236,35 @@ def _phi_log_det(E: ExpSum, X: np.ndarray, form: np.ndarray | None = None):
 
     By Cauchy-Binet (Horn & Johnson, Matrix Analysis, 0.8.7), det g is the
     sum over (m+1)-subsets S of A of prod_S lambda_a D_S^2, with no
-    cancellation: total^(m+1) det g is the form of W with the tensor
-    ``form`` (default ``E.support._simplex_form``), evaluated as one GEMM
-    of the first floor((m+1)/2) modes, then one contraction per other mode.
+    cancellation: total^(m+1) det g is :func:`_simplex_sum` of the softmax
+    weights with the tensor ``form`` (default ``E.support._simplex_form``).
     """
     top, W, total = _softmax(E, X)
+    log_total = np.log(total)
+    with np.errstate(divide="ignore"):
+        log_sum = np.log(_simplex_sum(W, E.support._simplex_form if form is None else form))
+    return top + 0.5 * log_total, log_sum - (E.dim + 1) * log_total
+
+
+def _simplex_sum(W: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """The form sum Q[i_0, ..., i_r] W_i0 ... W_ir at each row of W: one GEMM
+    of the first half of Q's modes, then one contraction per other mode."""
     N, k = W.shape
-    m = E.dim
-    a = (m + 1) // 2
+    a = Q.ndim // 2
     left = W
     for _ in range(a - 1):
         left = (left[:, :, None] * W[:, None, :]).reshape(N, -1)
-    Q = E.support._simplex_form if form is None else form
     Y = left @ Q.reshape(k**a, -1)
-    for _ in range(m - a):
+    for _ in range(Q.ndim - a):
         Y = np.einsum("nij,nj->ni", Y.reshape(N, -1, k), W)
-    log_total = np.log(total)
-    with np.errstate(divide="ignore"):
-        log_form = np.log(np.einsum("ni,ni->n", Y, W))
-    return top + 0.5 * log_total, log_form - (m + 1) * log_total
+    return Y[:, 0]
 
 
 def density_many(E: ExpSum, X) -> np.ndarray:
     """Expected-zero density (2/s_m) sqrt(det g), one value per row of X
-    (shape (N, m)), from the Cauchy-Binet kernel :func:`_phi_log_det`."""
+    (shape (N, m)), from the Cauchy-Binet kernel :func:`_phi_log_det`;
+    InputError for k support points in R^m with k^(m+1) past
+    ``geometry.SIMPLEX_FORM_LIMIT``."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != E.dim:
         raise InputError(f"points have dimension {X.shape[1]}, expected {E.dim}")
@@ -316,6 +321,10 @@ class HessianReport:
     grad_residual: float
     hess_residual: float
     step: float
+
+    @property
+    def max_residual(self) -> float:
+        return max(self.grad_residual, self.hess_residual)
 
 
 def hessian_check(E: ExpSum, x, h: float = 1e-4) -> HessianReport:

@@ -37,6 +37,11 @@ __all__ = [
 #: Condition-number gate for dual_form; beyond this the inversion is refused.
 DUAL_COND_LIMIT = 1e12
 
+#: Most simplex volumes a support's determinant tensor may hold: k^(m+1)
+#: for k points in R^m (kostlan(3, 2) has 27^4; kostlan(3, 3) has 64^4, over
+#: it).  Building the tensor and each density row cost that many flops.
+SIMPLEX_FORM_LIMIT = 2**20
+
 
 def _as_point_array(points) -> np.ndarray:
     """Coerce point input to a float array of shape (k, m)."""
@@ -139,12 +144,12 @@ class SupportSet:
     def _simplex_form(self) -> np.ndarray:
         """D^2 / (m+1)! over (m+1)-tuples of points, shape (k,) * (m+1), with
         D = det[1 a_i] = det[a_i - a_i0] (m! times the simplex volume); a D
-        within 1e-12 of the largest is rounding on a flat simplex, set to 0."""
-        k, m = self.points.shape
-        idx = np.indices((k,) * (m + 1)).reshape(m + 1, -1)
-        D = np.linalg.det(np.moveaxis(self.points[idx[1:]] - self.points[idx[0]], 0, 1))
-        D[np.abs(D) <= 1e-12 * np.abs(D).max()] = 0.0
-        Q = (D * D / math.factorial(m + 1)).reshape((k,) * (m + 1))
+        within 1e-12 w^m, w the widest coordinate range, is rounding on a
+        flat simplex, set to 0, so a flat support has det g = 0 everywhere.
+        Raises InputError past ``SIMPLEX_FORM_LIMIT`` entries."""
+        D = _cone_dets(self.points, self.points)
+        D[np.abs(D) <= 1e-12 * np.ptp(self.points, axis=0).max() ** self.dim] = 0.0
+        Q = D * D / math.factorial(self.dim + 1)
         Q.flags.writeable = False
         return Q
 
@@ -179,6 +184,21 @@ class SupportSet:
 
     def __hash__(self):
         return hash((self.points.shape, self.points.tobytes()))
+
+
+def _cone_dets(points: np.ndarray, apexes: np.ndarray) -> np.ndarray:
+    """det[a_i1 - b, ..., a_im - b] over the m-tuples of ``points`` (shape
+    (k, m)) for each apex b in ``apexes`` (shape (r, m)); shape (r,) + (k,) * m.
+    Raises InputError where that is more than ``SIMPLEX_FORM_LIMIT`` entries."""
+    (k, m), r = points.shape, len(apexes)
+    if r * k**m > SIMPLEX_FORM_LIMIT:
+        raise InputError(
+            f"{k} points in R^{m} need {r * k**m} simplex volumes, over the limit of "
+            f"{SIMPLEX_FORM_LIMIT} for the Cauchy-Binet determinant"
+        )
+    idx = np.indices((k,) * m).reshape(m, -1)
+    D = np.linalg.det(np.moveaxis(points[idx][None] - apexes[:, None, None, :], 1, 2))
+    return D.reshape((r,) + (k,) * m)
 
 
 def _coerce_support(A) -> SupportSet:

@@ -11,9 +11,10 @@ shrink factor of the projected dual ellipsoid on level sets.
 All formulas are evaluated through the log-domain quantities of
 :mod:`.expsum`, so far-tail points stay finite.  One batched kernel gives
 Psi to :func:`psi`, ray scans and region scans alike, so a scan node and
-a scalar call cannot disagree: Psi is the ratio of the two densities, each
-determinant summed by the Cauchy-Binet kernel of :mod:`.expsum` without
-forming a metric, and it is defined wherever det g does not underflow.
+a scalar call cannot disagree: det g and g^x(tau) det g are Cauchy-Binet
+sums of non-negative terms over simplices of the support, formed from the
+softmax weights of :mod:`.expsum` without a metric, and Psi is defined
+wherever det g does not underflow.
 :func:`psi_via_phi0` and :func:`classify` go through :func:`.evaluate`
 instead, and read the formed metric and its dual form: they check the
 logistic in phi0, the dual form and the closed-form decrease criterion
@@ -31,8 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateMetricError, DomainError, InputError, SparseKacRiceError
-from .expsum import ExpSum, _invert_moment_many, _phi_log_det, evaluate, invert_moment
-from .geometry import QuadForm, SupportSet, _check_vector, _interior_mask
+from .expsum import ExpSum, _invert_moment_many, _simplex_sum, _softmax, evaluate
+from .expsum import invert_moment
+from .geometry import QuadForm, SupportSet, _check_vector, _cone_dets, _interior_mask
 from .geometry import diameter, interior_contains
 
 __all__ = [
@@ -141,23 +143,31 @@ def _checked_bundle(E: ExpSum, aug: Augmentation, x):
 def _psi_many(E: ExpSum, aug: Augmentation, X: np.ndarray):
     """Psi, phi0, g^x(tau) and K/K_0 at each row of X (shape (N, m)).
 
-    Psi = sqrt(det g_0 / det g), the density of ``augment(E, aug)`` over
-    that of E, with both log-determinants and potentials from
-    :func:`.expsum._phi_log_det`.  K/K_0 comes from the two potentials and
-    g^x(tau) = Psi^2 / (K/K_0)^m - 1 from Psi = (K/K_0)^{m/2}
-    sqrt(1 + g^x(tau)); no metric is formed or solved.  Raises
-    DegenerateMetricError where det g underflows to 0.
+    g^x(tau) = (f_0^2 / K_0) q with q = (mu - a_0)^T g^-1 (mu - a_0), and
+    by Cauchy-Binet on g + (mu - a_0)(mu - a_0)^T, q det g is the sum over
+    (m-1)-tuples s of prod_s lambda (sum_j lambda_j M_sj)^2 / (m-1)!, with
+    M_sj = det[a_s - a_0, a_j - a_0]: the form of the softmax weights with
+    M (x) M.  It and det g (:func:`.expsum._simplex_sum`) are sums of
+    non-negative terms on E's own softmax scale, so g^x(tau) and Psi keep
+    their relative accuracy in every tail, whichever term dominates; no
+    metric is formed or solved.  Raises DegenerateMetricError where det g
+    underflows to 0.
     """
-    phi_aug, log_det_aug = _phi_log_det(augment(E, aug), X)
-    phi, log_det = _phi_log_det(E, X)
-    flat = np.isneginf(log_det)
+    a0 = _check_augmentation(E, aug)
+    top, W, total = _softmax(E, X)
+    det_sum = _simplex_sum(W, E.support._simplex_form)
+    flat = det_sum == 0.0
     if flat.any():
         raise DegenerateMetricError(f"det g underflows at x = {X[flat][0].tolist()}; Psi undefined")
-    log_ratio = 2.0 * (phi - phi_aug)
-    log_psi2 = log_det_aug - log_det
-    log_f0 = math.log(aug.alpha0) + X @ aug.a0
-    tau_normsq = np.expm1(log_psi2 - E.dim * log_ratio)
-    return np.exp(0.5 * log_psi2), phi - log_f0, tau_normsq, np.exp(log_ratio)
+    M = _cone_dets(E.support.points, a0[None])[0]
+    q = _simplex_sum(W, M[..., None] * M[..., None, :]) / (math.factorial(E.dim - 1) * det_sum)
+    phi = top + 0.5 * np.log(total)
+    log_f0 = math.log(aug.alpha0) + X @ a0
+    log_K0 = np.logaddexp(2.0 * phi, 2.0 * log_f0)
+    log_ratio = 2.0 * phi - log_K0
+    tau_normsq = np.exp(2.0 * log_f0 - log_K0) * q
+    values = np.exp(0.5 * (E.dim * log_ratio + np.log1p(tau_normsq)))
+    return values, phi - log_f0, tau_normsq, np.exp(log_ratio)
 
 
 def _psi_evals(E: ExpSum, aug: Augmentation, X: np.ndarray) -> list[PsiEval]:
@@ -195,8 +205,8 @@ def psi_via_phi0(E: ExpSum, aug: Augmentation, x) -> float:
     s = 1/(1 + e^{2 phi0}); the factor 1 - s is evaluated as its own
     logistic so the far tail keeps full precision.  Used to
     cross-validate :func:`psi`: this route forms g and its dual form, from
-    the inverse of the gate's Cholesky factor, where psi takes a ratio of
-    two Cauchy-Binet determinants.  They agree to about 1e-12 where g is
+    the inverse of the gate's Cholesky factor, where psi sums det g and
+    g^x(tau) det g by Cauchy-Binet.  They agree to about 1e-12 where g is
     well conditioned and to about cond(g) * eps near the condition gate.
     """
     a0, bundle, phi0, _, _ = _checked_bundle(E, aug, x)

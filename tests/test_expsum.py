@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -144,6 +145,14 @@ class TestEvaluate:
         want = 2.0 / ball_sphere_constants(E.dim)[1] * np.sqrt(np.linalg.det(_batch_moments(E, X)[3]))
         np.testing.assert_allclose(density_many(E, X), want, rtol=1e-12, atol=0.0)
 
+    def test_support_over_the_tensor_limit_raises(self):
+        # kostlan(3, 3) needs 64^4 simplex volumes, 16 times the limit; it is
+        # refused before anything that size is allocated.
+        start = time.perf_counter()
+        with pytest.raises(InputError, match="limit"):
+            density(kostlan(3, 3), [0.0, 0.0, 0.0])
+        assert time.perf_counter() - start < 0.5
+
     def test_dimension_mismatch(self):
         with pytest.raises(InputError):
             evaluate(TWO_TERM, [0.0, 0.0])
@@ -198,6 +207,7 @@ class TestDerivatives:
                 rep = hessian_check(E, x)
                 assert rep.grad_residual < 1e-6
                 assert rep.hess_residual < 1e-5
+                assert rep.max_residual == max(rep.grad_residual, rep.hess_residual)
 
 
 class TestMomentInversion:

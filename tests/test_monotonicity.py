@@ -47,7 +47,8 @@ SCAN_CASES = {
 
 
 def _psi_60_digits(mp, E, a0, x):
-    """Psi at x with alpha0 = 1 in mpmath arithmetic at the working precision."""
+    """(Psi, g^x(tau)) at x with alpha0 = 1 in mpmath arithmetic at the
+    working precision, from the formed metric and a dense solve."""
     points = [[mp.mpf(float(v)) for v in row] for row in E.support.points]
     xs = [mp.mpf(float(v)) for v in x]
     logs = [mp.log(mp.mpf(float(c))) + mp.fsum(a * t for a, t in zip(row, xs))
@@ -67,7 +68,8 @@ def _psi_60_digits(mp, E, a0, x):
     log_K0 = log_K + mp.log(1 + mp.exp(2 * log_f0 - log_K))
     tau = mp.matrix([mp.exp(log_f0 - log_K0 / 2) * (mu[i] - float(a0[i])) for i in range(m)])
     tau_normsq = (tau.T * mp.lu_solve(g, tau))[0]
-    return float(mp.exp(log_K - log_K0) ** (mp.mpf(m) / 2) * mp.sqrt(1 + tau_normsq))
+    value = mp.exp(log_K - log_K0) ** (mp.mpf(m) / 2) * mp.sqrt(1 + tau_normsq)
+    return float(value), float(tau_normsq)
 
 
 class TestAugmentation:
@@ -142,12 +144,36 @@ class TestPsi:
             for x in X[usable][:100]:
                 for a0 in (inside, outside):
                     with mp.workdps(60):
-                        want = _psi_60_digits(mp, E, np.asarray(a0, dtype=float), x)
+                        want = _psi_60_digits(mp, E, np.asarray(a0, dtype=float), x)[0]
                     got = psi(E, Augmentation(a0), x).psi
                     errors.append(float(abs(got - want) / want))
         assert len(errors) == 600
         assert np.median(errors) < 1e-14
         assert max(errors) <= 1e-13
+
+    @pytest.mark.parametrize(
+        "a0, x",
+        [
+            ((100.0, 100.0), (1.0, 1.0)),  # a0's term outweighs the rest by e^396
+            ((3.0, 3.0), (-30.0, -20.0)),  # a0's share of K_0 is e^-300, cond(g) 5e8
+            ((3.0, 3.0), (25.0, 7.0)),  # a0 dominates, det g = e^-64, cond(g) 4e15
+            ((0.5, 0.5), (-40.0, -3.0)),  # interior a0, share e^-43, cond(g) 1e32
+        ],
+    )
+    def test_tails_against_60_digits(self, a0, x):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(60):
+            want_psi, want_tau = _psi_60_digits(mp, SQUARE, np.asarray(a0), np.asarray(x))
+        ev = psi(SQUARE, Augmentation(a0), x)
+        assert ev.psi == pytest.approx(want_psi, rel=1e-13, abs=0.0)
+        assert ev.tau_normsq == pytest.approx(want_tau, rel=1e-13, abs=0.0)
+
+    def test_flat_support_raises(self):
+        # Collinear points whose simplex volumes round to about 1e-16, not 0.
+        line = ExpSum([[0.0, 0.0], [0.1, 0.3], [0.2, 0.6], [0.7, 2.1]])
+        assert density(line, [0.3, 0.2]) == 0.0
+        with pytest.raises(DegenerateMetricError, match="underflows"):
+            psi(line, Augmentation([1.0, 0.0]), [0.3, 0.2])
 
     def test_logistic_matches_scipy_in_both_tails(self):
         from scipy.special import expit
@@ -173,7 +199,7 @@ class TestPsi:
         errors = []
         for ev in ray_scan_unbounded(SQUARE, aug, [1.0, 0.3], 60.0, 64):
             with mp.workdps(60):
-                want = _psi_60_digits(mp, SQUARE, aug.a0, ev.x)
+                want = _psi_60_digits(mp, SQUARE, aug.a0, ev.x)[0]
             errors.append(abs(ev.psi - want) / want)
         assert max(errors) <= 2e-13
         with pytest.raises(DegenerateMetricError, match="underflows"):
@@ -332,7 +358,7 @@ class TestRegionScan:
         errors = []
         for x, got in zip(nodes[flat], scan.psi.ravel()[flat]):
             with mp.workdps(60):
-                want = _psi_60_digits(mp, SQUARE, SQ_AUG.a0, x)
+                want = _psi_60_digits(mp, SQUARE, SQ_AUG.a0, x)[0]
             errors.append(abs(got - want) / want)
         assert max(errors) <= 1e-13
 
