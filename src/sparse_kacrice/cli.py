@@ -31,8 +31,10 @@ from . import algebra as algebra_mod
 from . import mc_oracle
 from .complexcase import ComplexExpSum, bkk_total, n_factorial_volume
 from .errors import ConvergenceError, DomainError, InputError, SparseKacRiceError
-from .expsum import ExpSum, _invert_moment_many, density, evaluate, invert_moment
-from .geometry import interior_contains
+from .expsum import (
+    ExpSum, _batch_moments, _invert_moment_many, density, density_many, evaluate, invert_moment,
+)
+from .geometry import ball_sphere_constants, interior_contains
 from .integrate import Quadrature, esol_pspace, esol_total
 from .monotonicity import (
     OUTSIDE,
@@ -260,6 +262,7 @@ def _cmd_bkk(args) -> int:
 
 def _selftest_checks():
     two_term = ExpSum([[0.0], [1.0]])
+    pentagon = ExpSum([[0.0, 0.0], [2.0, 0.0], [3.0, 1.0], [1.0, 3.0], [-1.0, 1.0]])
 
     def esol_two_term():
         return abs(esol_total(two_term).value - 0.5) < 1e-6
@@ -294,13 +297,31 @@ def _selftest_checks():
         return abs(float(evaluate(two_term, x).mu[0]) - 0.73) < 1e-8
 
     def batched_inversion_on_pentagon():
-        E = ExpSum([[0.0, 0.0], [2.0, 0.0], [3.0, 1.0], [1.0, 3.0], [-1.0, 1.0]])
+        E = pentagon
         axes = np.linspace(-1.0, 3.0, 8), np.linspace(0.0, 3.0, 8)
         nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
         nodes = nodes[[interior_contains(E.support, p, 1e-6) for p in nodes]]
         X, ok = _invert_moment_many(E, nodes)
         return len(nodes) > 20 and ok.all() and all(
             np.allclose(x, invert_moment(E, p), rtol=1e-12, atol=1e-12) for x, p in zip(X, nodes))
+
+    def kernel_rows_match_batch():
+        # 64 rows take other BLAS blockings than one row does, so a layout
+        # fault in the batched kernel on this BLAS shows as a mismatch.
+        rng = np.random.default_rng(3)
+        for E in (pentagon, algebra_mod.kostlan(3, 1)):
+            X = rng.uniform(-1.0, 1.0, size=(64, E.dim))
+            batch = _batch_moments(E, X)
+            values = density_many(E, X)
+            formed = 2.0 / ball_sphere_constants(E.dim)[1] * np.sqrt(np.linalg.det(batch[3]))
+            bundles = [evaluate(E, x) for x in X]
+            rows = [np.array(r) for r in zip(*((b.phi, b.weights, b.mu, b.g.entries) for b in bundles))]
+            if not (np.allclose(values, formed, rtol=1e-12, atol=0.0)
+                    and np.allclose(values, [b.density for b in bundles], rtol=1e-13, atol=0.0)
+                    and all(np.allclose(got, want, rtol=1e-13, atol=1e-13)
+                            for got, want in zip(batch, rows))):
+                return False
+        return True
 
     def witness_in_square():
         E = algebra_mod.kostlan(2, 1)
@@ -356,6 +377,8 @@ def _selftest_checks():
         ("moment-map inversion round trip", inversion_round_trip),
         ("batched inversion equals scalar invert_moment on the pentagon's 8^2 p-grid",
          batched_inversion_on_pentagon),
+        ("kernel_rows_match_batch: 64-row pentagon and kostlan(3,1) batches equal one-row"
+         " calls and the formed-metric determinant", kernel_rows_match_batch),
         ("interior witness decreases density", witness_in_square),
         ("batched Psi scan equals scalar psi on an 8^2 p-grid of the unit square",
          psi_scan_matches_scalar),

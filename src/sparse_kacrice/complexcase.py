@@ -20,7 +20,7 @@ import numpy as np
 from .errors import InputError
 # ``evaluate`` is imported for perfbench's tracer, which wraps it as a
 # complexcase boundary; the densities here use the batched kernel.
-from .expsum import ExpSum, _phi_log_det, evaluate  # noqa: F401
+from .expsum import ExpSum, _log_det, _softmax, evaluate  # noqa: F401
 from .integrate import IntegralResult, Quadrature, _over_rm
 from .geometry import _check_vector, hull_volume
 
@@ -49,7 +49,8 @@ def bkk_density(E: ComplexExpSum, x) -> float:
 
 def _bkk_density_many(E: ComplexExpSum, X: np.ndarray) -> np.ndarray:
     n = E.dim
-    return math.factorial(n) / math.pi**n * np.exp(_phi_log_det(E, X)[1])
+    _, W, total = _softmax(E, X)
+    return math.factorial(n) / math.pi**n * np.exp(_log_det(E, W, total))
 
 
 def n_factorial_volume(E: ComplexExpSum) -> float:

@@ -12,15 +12,18 @@ polytope), the metric g (half the Hessian of Phi), the expected-zero
 density (2/s_m) sqrt(det g), moment-map inversion, the polytope-side
 density, directional asymptotics, and the Veronese embedding.
 
-Batched kernels compute all of it: :func:`_batch_moments` gives the
-softmax, Phi, mu and g at every row of a point array, :func:`_phi_log_det`
-gives Phi and a cancellation-free log det g for every density, and
-:func:`_invert_moment_many` inverts the moment map for many targets by
-damped Newton, on packed live rows and one stacked Cholesky factorization
-(:mod:`.geometry`) with no per-matrix LAPACK call.  The scalar API
-(:func:`potential`, :func:`evaluate`, :func:`density`,
-:func:`invert_moment`) is these kernels on one row, so a scalar call and
-a one-row batch give the same numbers bit for bit.
+Batched kernels compute all of it.  :func:`_softmax` gives the weights of
+N points terms-major, as a (k, N) array, so every max, sum and contraction
+over the k terms runs along the long axis of points; from that one triple,
+:func:`_moments` gives Phi, mu and g and :func:`_log_det` a
+cancellation-free log det g for every density.  :func:`_batch_moments`
+returns them per row, shape (N, ...), and :func:`_invert_moment_many`
+inverts the moment map for many targets by damped Newton, on packed live
+rows and one stacked Cholesky factorization (:mod:`.geometry`) with no
+per-matrix LAPACK call.  The scalar API (:func:`potential`,
+:func:`evaluate`, :func:`density`, :func:`invert_moment`) is these kernels
+on one row, so a scalar call and a one-row batch give the same numbers bit
+for bit; :func:`evaluate` takes g and the density from one softmax.
 
 All evaluation is done in the log domain with a softmax shift, so points
 with coordinates far beyond the overflow range of exp stay finite.
@@ -206,70 +209,96 @@ class EvalBundle:
 
 
 def _batch_moments(E: ExpSum, X: np.ndarray):
-    """Potential, softmax weights, moment map, and metric at each row of X.
+    """Potential, softmax weights, moment map, and metric at each row of X:
+    :func:`_moments` of the terms-major :func:`_softmax`.
 
-    Returns (phi (N,), lam (N,k), mu (N,m), G (N,m,m)); phi = (1/2) log K
-    comes from the log-sum-exp that gives the weights of mu and G.  G is
-    one stacked matmul (lam * C)^T C of the centred support C.  It is not
-    symmetrized: the Cholesky factorization reads its lower triangle and
-    :class:`.QuadForm` symmetrizes it.  No determinant is taken of it.
+    Returns (phi (N,), lam (N, k), mu (N, m), G (N, m, m)); lam and mu are
+    transposed views of the (k, N) and (m, N) arrays the kernel works on.
     """
-    points = E.support.points
-    top, W, total = _softmax(E, X)
-    lam = W / total[:, None]
-    mu = lam @ points
-    centered = points - mu[:, None, :]
-    G = np.swapaxes(lam[..., None] * centered, 1, 2) @ centered
-    return top + 0.5 * np.log(total), lam, mu, G
+    return _moments(E, *_softmax(E, X))
 
 
 def _softmax(E: ExpSum, X: np.ndarray):
-    """(top = max T, W = exp(2 (T - top)), sum W) with T = <a, x> + log alpha_a."""
-    T = X @ E.support.points.T + E.log_coeffs
-    top = T.max(axis=1, keepdims=True)
-    W = np.exp(2.0 * (T - top))
-    return top[:, 0], W, W.sum(axis=1)
+    """(top = max T, W = exp(2 (T - top)), sum W) with T = <a, x> + log alpha_a
+    at each row x of X, terms-major: W is (k, N), so the max and the sum over
+    the k terms run along the long axis of N points."""
+    T = E.support.points @ X.T + E.log_coeffs[:, None]
+    top = T.max(axis=0)
+    T -= top
+    T *= 2.0
+    W = np.exp(T, out=T)
+    return top, W, W.sum(axis=0)
 
 
-def _phi_log_det(E: ExpSum, X: np.ndarray, form: np.ndarray | None = None):
-    """(phi, log det g) at each row of X; -inf where det g underflows.
+def _moments(E: ExpSum, top: np.ndarray, W: np.ndarray, total: np.ndarray):
+    """(phi, lam, mu, G) of :func:`_batch_moments` from one softmax triple.
+
+    phi = (1/2) log K comes from the log-sum-exp that gives the weights.
+    With lam = W / total (k, N), mu is one (m, k)@(k, N) product, and the
+    metric G_ij = sum_a lam_a C_ia C_ja of the centred support C = a - mu
+    (m, k, N) is one einsum over the terms for all N points at once, written
+    as (N, m, m).  G is not symmetrized: the Cholesky factorization reads
+    its lower triangle and :class:`.QuadForm` symmetrizes it.  No
+    determinant is taken of it.
+    """
+    points = E.support.points.T
+    lam = W / total
+    mu = points @ lam
+    C = points[:, :, None] - mu[:, None, :]
+    G = np.einsum("ikn,jkn->nij", C * lam, C)
+    return top + 0.5 * np.log(total), lam.T, mu.T, G
+
+
+def _log_det(E: ExpSum, W: np.ndarray, total: np.ndarray, form: np.ndarray | None = None):
+    """log det g at each column of the softmax (W, total); -inf where det g
+    underflows.
 
     By Cauchy-Binet (Horn & Johnson, Matrix Analysis, 0.8.7), det g is the
     sum over (m+1)-subsets S of A of prod_S lambda_a D_S^2, with no
     cancellation: total^(m+1) det g is :func:`_simplex_sum` of the softmax
     weights with the tensor ``form`` (default ``E.support._simplex_form``).
     """
-    top, W, total = _softmax(E, X)
-    log_total = np.log(total)
     with np.errstate(divide="ignore"):
         log_sum = np.log(_simplex_sum(W, E.support._simplex_form if form is None else form))
-    return top + 0.5 * log_total, log_sum - (E.dim + 1) * log_total
+    return log_sum - (E.dim + 1) * np.log(total)
 
 
 def _simplex_sum(W: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """The form sum Q[i_0, ..., i_r] W_i0 ... W_ir at each row of W: one GEMM
-    of the first half of Q's modes, then one contraction per other mode."""
-    N, k = W.shape
+    """The form sum Q[i_0, ..., i_r] W_i0 ... W_ir at each column of the
+    terms-major W (k, N): one GEMM of the first half of Q's modes against
+    their products of W, then one einsum over the terms per other mode.
+
+    That split, and einsum over multiply-then-sum, was the fastest or within
+    noise of it on every (k, m) from k2m1 to k27m3, at 1024 and 8192 points,
+    with one OpenBLAS thread on a 2-CPU x86-64 host.
+    """
+    k, N = W.shape
     a = Q.ndim // 2
     left = W
     for _ in range(a - 1):
-        left = (left[:, :, None] * W[:, None, :]).reshape(N, -1)
-    Y = left @ Q.reshape(k**a, -1)
+        left = (left[:, None, :] * W[None, :, :]).reshape(-1, N)
+    Y = Q.reshape(k**a, -1).T @ left
     for _ in range(Q.ndim - a):
-        Y = np.einsum("nij,nj->ni", Y.reshape(N, -1, k), W)
-    return Y[:, 0]
+        Y = np.einsum("ikn,kn->in", Y.reshape(-1, k, N), W)
+    return Y[0]
+
+
+def _density(E: ExpSum, W: np.ndarray, total: np.ndarray) -> np.ndarray:
+    """(2/s_m) sqrt(det g) at each column of the softmax (W, total)."""
+    _, s_m = ball_sphere_constants(E.dim)
+    return (2.0 / s_m) * np.exp(0.5 * _log_det(E, W, total))
 
 
 def density_many(E: ExpSum, X) -> np.ndarray:
     """Expected-zero density (2/s_m) sqrt(det g), one value per row of X
-    (shape (N, m)), from the Cauchy-Binet kernel :func:`_phi_log_det`;
+    (shape (N, m)), from the Cauchy-Binet kernel :func:`_log_det`;
     InputError for k support points in R^m with k^(m+1) past
     ``geometry.SIMPLEX_FORM_LIMIT``."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != E.dim:
         raise InputError(f"points have dimension {X.shape[1]}, expected {E.dim}")
-    _, s_m = ball_sphere_constants(E.dim)
-    return (2.0 / s_m) * np.exp(0.5 * _phi_log_det(E, X)[1])
+    _, W, total = _softmax(E, X)
+    return _density(E, W, total)
 
 
 # -- the scalar API: the batched kernel on one row ---------------------------
@@ -290,7 +319,8 @@ def evaluate(E: ExpSum, x) -> EvalBundle:
     eigenvalue, or a condition number above ``DUAL_COND_LIMIT``).
     """
     x = _check_vector(x, E.dim, "x")
-    phi, lam, mu, G = _batch_moments(E, x[None])
+    top, W, total = _softmax(E, x[None])
+    phi, lam, mu, G = _moments(E, top, W, total)
     phi = float(phi[0])
     with np.errstate(over="ignore"):
         K = float(np.exp(2.0 * phi))
@@ -299,7 +329,7 @@ def evaluate(E: ExpSum, x) -> EvalBundle:
     g_dual = None if flat[0] else _dual_from_cholesky(L[0])
     return EvalBundle(
         x=x, K=K, Kbar=Kbar, phi=phi, weights=lam[0], mu=mu[0], g=QuadForm(G[0]),
-        g_dual=g_dual, density=density(E, x),
+        g_dual=g_dual, density=float(_density(E, W, total)[0]),
     )
 
 
@@ -476,7 +506,8 @@ def _legendre_density_many(E: ExpSum, P: np.ndarray) -> np.ndarray:
     centred = ExpSum(E.support.points - c, E.coeffs)
     tol = LEGENDRE_TOL * (1.0 + diameter(E.support))
     X, ok = _invert_moment_many(centred, P - c, tol=tol)
-    log_det = _phi_log_det(centred, X, E.support._simplex_form)[1]
+    _, W, total = _softmax(centred, X)
+    log_det = _log_det(centred, W, total, E.support._simplex_form)
     return np.where(ok, np.exp(-0.5 * (log_det + E.dim * math.log(2.0))), np.nan)
 
 

@@ -17,10 +17,11 @@ Two routes to the same number:
 Every integral, in every dimension, is one adaptive heap of cells, each
 with an embedded pair of rules whose difference is its error estimate.
 The dimension alone picks the pair: in one and two variables, tensor
-Gauss-Legendre rules of 4 and 8 points per axis, and a cell is halved
+Gauss-Legendre rules of 8 and 4 points per axis, and a cell is halved
 along its longest side; from three on, the Genz-Malik degree-7/5 pair
 (33 nodes against 576 in 3-D), and a cell is halved along the axis of
-largest fourth difference.  Two variables keep Gauss-Legendre, which
+largest fourth difference.  Each pair is one node set with a weight
+column per rule, so every batch of cells costs one integrand call.  Two variables keep Gauss-Legendre, which
 is faster there on most x-route solves (see ``_cell_rule``).  The worst
 cells are split until the summed cell error, plus the newest shell's
 value when the region grows, meets one budget
@@ -131,14 +132,19 @@ _GL_FINE = leggauss(8)
 _GM_L2, _GM_L3, _GM_L5 = math.sqrt(9.0 / 70.0), math.sqrt(9.0 / 10.0), math.sqrt(9.0 / 19.0)
 
 
-def _tensor_rule(rule, m):
-    """Tensor-product nodes ((n, m), weights (n,)) on [-1, 1]^m."""
-    nodes1, weights1 = rule
-    grids = np.meshgrid(*([nodes1] * m), indexing="ij")
-    nodes = np.stack([g.ravel() for g in grids], axis=1)
-    wgrids = np.meshgrid(*([weights1] * m), indexing="ij")
-    weights = np.prod(np.stack([w.ravel() for w in wgrids], axis=1), axis=1)
-    return nodes, weights
+def _gauss_legendre_rule(m):
+    """The 8- and 4-point tensor Gauss-Legendre rules on [-1, 1]^m as one
+    node set: nodes (8^m + 4^m, m), none shared, and weights (n, 2), column
+    0 the 8-point rule (zero on the 4-point nodes) and column 1 the 4-point
+    rule (zero on the 8-point nodes)."""
+    nodes, weights = [], []
+    for nodes1, weights1 in (_GL_FINE, _GL_COARSE):
+        nodes.append(np.stack(np.meshgrid(*[nodes1] * m, indexing="ij"), axis=-1).reshape(-1, m))
+        weights.append(np.prod(np.meshgrid(*[weights1] * m, indexing="ij"), axis=0).ravel())
+    fine = len(weights[0])
+    rules = np.zeros((fine + len(weights[1]), 2))
+    rules[:fine, 0], rules[fine:, 1] = weights
+    return np.vstack(nodes), rules
 
 
 def _genz_malik_rule(m):
@@ -169,47 +175,37 @@ def _genz_malik_rule(m):
     return nodes, np.hstack([rules, fourth])
 
 
-def _cell_quadrature(f, los, his, nodes, weights):
-    """Apply one reference rule to a batch of cells; returns per-cell sums,
-    one row for each column of ``weights`` (a 1-D ``weights`` gives one)."""
-    half = 0.5 * (his - los)
-    mid = 0.5 * (his + los)
-    pts = mid[:, None, :] + half[:, None, :] * nodes[None, :, :]
-    vals = f(pts.reshape(-1, los.shape[1])).reshape(los.shape[0], -1)
-    return np.prod(half, axis=1) * (vals @ weights).T
-
-
 def _cell_rule(m):
     """The rule pair for m-dimensional cells: (nodes per cell, apply), where
-    apply(f, los, his) gives each cell's value, error and split axis.
+    apply(f, los, his) gives each cell's value, error and split axis from
+    one call of f on the nodes of every cell.
 
-    One and two variables take 4- and 8-point tensor Gauss-Legendre rules
-    (4^m + 8^m nodes, none shared): the value is the 8-point sum, the error
-    the difference of the two, and a cell splits along its longest side.
-    From three variables on, that pair costs 576 nodes a cell and the
-    Genz-Malik 7/5 pair 33: the value is the degree-7 sum, the error
-    |I7 - I5|, and a cell splits along the axis of largest fourth
-    difference (Berntsen, Espelid & Genz 1991, ACM TOMS 17).  Its degree-5
-    error needs several times more cells, which two variables do not win
-    back: on the 30 two-variable ``esol_total`` and ``bkk_total`` solves of
-    two quadrature benchmark op sets, the 17-node Genz-Malik pair was
-    slower than the 80-node pair on 28, by a median factor of 1.2.
+    Each pair is one node set with a weight column per rule, so a batch of
+    cells costs one integrand call.  One and two variables take the 8- and
+    4-point tensor Gauss-Legendre rules (8^m + 4^m nodes, none shared): the
+    value is the 8-point sum, the error the difference of the two, and a
+    cell splits along its longest side.  From three variables on, that pair
+    costs 576 nodes a cell and the Genz-Malik 7/5 pair 33: the value is the
+    degree-7 sum, the error |I7 - I5|, and a cell splits along the axis of
+    largest fourth difference (Berntsen, Espelid & Genz 1991, ACM TOMS 17).
+    Its degree-5 error needs several times more cells, which two variables
+    do not win back: on the 30 two-variable ``esol_total`` and ``bkk_total``
+    solves of two quadrature benchmark op sets, the 17-node Genz-Malik pair
+    was slower than the 80-node pair on 28, by a median factor of 1.2.
     """
-    if m < 3:
-        rules = [_tensor_rule(rule, m) for rule in (_GL_COARSE, _GL_FINE)]
-
-        def apply(f, los, his):
-            coarse, fine = (_cell_quadrature(f, los, his, *rule) for rule in rules)
-            return fine, np.abs(fine - coarse), np.argmax(his - los, axis=1)
-
-        return sum(len(weights) for _, weights in rules), apply
-
-    nodes, weights = _genz_malik_rule(m)
+    nodes, weights = (_gauss_legendre_rule if m < 3 else _genz_malik_rule)(m)
 
     def apply(f, los, his):
-        sums = _cell_quadrature(f, los, his, nodes, weights)
-        # The Jacobian scales a cell's differences alike, so it leaves the argmax.
-        return sums[0], np.abs(sums[0] - sums[1]), np.argmax(np.abs(sums[2:]), axis=0)
+        half = 0.5 * (his - los)
+        pts = 0.5 * (his + los)[:, None, :] + half[:, None, :] * nodes
+        vals = f(pts.reshape(-1, m)).reshape(len(los), -1)
+        sums = np.prod(half, axis=1) * (vals @ weights).T
+        if m < 3:
+            axes = np.argmax(his - los, axis=1)
+        else:
+            # The Jacobian scales a cell's differences alike, so it leaves the argmax.
+            axes = np.argmax(np.abs(sums[2:]), axis=0)
+        return sums[0], np.abs(sums[0] - sums[1]), axes
 
     return len(nodes), apply
 

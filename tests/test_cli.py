@@ -199,6 +199,7 @@ class TestSelftestAndErrors:
         assert main(["selftest"]) == 0
         out = capsys.readouterr().out
         assert "0 failed" in out
+        assert "PASS  kernel_rows_match_batch" in out
 
     def test_malformed_input_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

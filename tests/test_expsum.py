@@ -45,6 +45,20 @@ SKEWED_BOX = ExpSum(
 PENTAGON = ExpSum([[0.0, 0.0], [2.0, 0.0], [3.0, 1.0], [1.0, 3.0], [-1.0, 1.0]])
 
 
+def _reference_moments(E, X):
+    """(phi, lam, mu, G) point by point and term by term in plain NumPy,
+    free of any batch layout: the reference for the batched kernel."""
+    rows = []
+    for x in X:
+        t = E.support.points @ x + E.log_coeffs
+        w = np.exp(2.0 * (t - t.max()))
+        lam = w / w.sum()
+        mu = sum(l * a for l, a in zip(lam, E.support.points))
+        G = sum(l * np.outer(a - mu, a - mu) for l, a in zip(lam, E.support.points))
+        rows.append((t.max() + 0.5 * math.log(w.sum()), lam, mu, G))
+    return [np.array(column) for column in zip(*rows)]
+
+
 class TestConstruction:
     def test_default_unit_coefficients(self):
         E = ExpSum([[0.0], [1.0]])
@@ -142,7 +156,7 @@ class TestEvaluate:
         # The Cauchy-Binet sum against det of the formed metric where g is
         # well conditioned; kostlan(2, 2) and (3, 2) have flat simplices.
         X = np.random.default_rng(12).uniform(-1.0, 1.0, size=(50, E.dim))
-        want = 2.0 / ball_sphere_constants(E.dim)[1] * np.sqrt(np.linalg.det(_batch_moments(E, X)[3]))
+        want = 2.0 / ball_sphere_constants(E.dim)[1] * np.sqrt(np.linalg.det(_reference_moments(E, X)[3]))
         np.testing.assert_allclose(density_many(E, X), want, rtol=1e-12, atol=0.0)
 
     def test_support_over_the_tensor_limit_raises(self):
@@ -156,6 +170,32 @@ class TestEvaluate:
     def test_dimension_mismatch(self):
         with pytest.raises(InputError):
             evaluate(TWO_TERM, [0.0, 0.0])
+
+
+class TestKernelAgainstReference:
+    """The terms-major kernel against the layout-free reference, and its
+    batch rows against one-row calls.  Neither the kernel nor BLAS is
+    bit-invariant across batch sizes, so these are tolerances."""
+
+    #: (k, m) -> the kostlan sum with k terms in m variables.
+    CASES = {"k2m1": (1, 1), "k4m1": (1, 3), "k8m1": (1, 7), "k9m2": (2, 2), "k16m2": (2, 3),
+             "k25m2": (2, 4), "k8m3": (3, 1), "k27m3": (3, 2)}
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_moments_density_and_rows(self, name):
+        E = kostlan(*self.CASES[name])
+        X = np.random.default_rng(13).uniform(-1.0, 1.0, size=(300, E.dim))
+        got, want = _batch_moments(E, X), _reference_moments(E, X)
+        for g, w in zip(got, want):
+            np.testing.assert_allclose(g, w, rtol=1e-13, atol=1e-13)
+        densities = density_many(E, X)
+        formed = 2.0 / ball_sphere_constants(E.dim)[1] * np.sqrt(np.linalg.det(want[3]))
+        np.testing.assert_allclose(densities, formed, rtol=1e-12, atol=0.0)
+        for i, x in enumerate(X):
+            for g, one in zip(got, _batch_moments(E, x[None])):
+                np.testing.assert_allclose(g[i], one[0], rtol=1e-13, atol=1e-13)
+        singles = [density_many(E, x[None])[0] for x in X]
+        np.testing.assert_allclose(densities, singles, rtol=1e-13, atol=0.0)
 
 
 class TestScalarCallsAreOneRowKernels:

@@ -262,19 +262,31 @@ class TestCellRules:
         ids=["1-D", "2-D", "3-D"],
     )
     def test_nodes_count_integrand_evaluations(self, monkeypatch, E, box, per_cell):
-        rows = []
-        density_many = integrate.density_many
+        rows, pushed = [], []
+        density_many, cell_rule = integrate.density_many, integrate._cell_rule
 
         def counted(E, X):
             rows.append(len(X))
             return density_many(E, X)
 
+        def counted_rule(m):
+            nodes, apply = cell_rule(m)
+
+            def counted_apply(f, los, his):
+                pushed.append(len(los))
+                return apply(f, los, his)
+
+            return nodes, counted_apply
+
         monkeypatch.setattr(integrate, "density_many", counted)
+        monkeypatch.setattr(integrate, "_cell_rule", counted_rule)
         r = esol_total(E, Quadrature(abs_tol=1e-4, rel_tol=1e-4, box=box))
         seeds = 8 ** E.dim
         # every split evaluates two children for one leaf it removes
         assert r.cells > seeds
         assert r.nodes == sum(rows) == (2 * r.cells - seeds) * per_cell
+        # one integrand call per batch of cells, on all nodes of both rules
+        assert rows == [cells * per_cell for cells in pushed]
 
 
 class TestRegion:
