@@ -144,9 +144,10 @@ def kostlan(m: int, d: int) -> ExpSum:
     Support {0, ..., d}^m with coefficient sqrt(prod_i C(d, c_i)) at c —
     the d-th Aronszajn power of the tensor m-th power of the two-term seed
     on {0, 1}, built directly from binomials (log domain; degrees beyond
-    double range raise InputError, d <= 500 is safe).  Densities need
-    (d+1)^(m(m+1)) <= ``geometry.SIMPLEX_FORM_LIMIT``: kostlan(3, 2) fits,
-    kostlan(3, 3) and kostlan(2, 10) raise InputError.
+    double range raise InputError, d <= 500 is safe).  Densities need the
+    Cauchy-Binet block's C(k, 2) C(k, m-1) entries, k = (d+1)^m, within
+    ``geometry.SIMPLEX_FORM_LIMIT``: kostlan(3, 2) and kostlan(2, 10) fit,
+    kostlan(3, 3) and kostlan(2, 11) raise InputError.
     """
     if not (isinstance(m, (int, np.integer)) and m >= 1):
         raise InputError("dimension must be a positive integer")

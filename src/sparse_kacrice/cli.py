@@ -21,6 +21,7 @@ nothing time-dependent.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -32,7 +33,8 @@ from . import mc_oracle
 from .complexcase import ComplexExpSum, bkk_total, n_factorial_volume
 from .errors import ConvergenceError, DomainError, InputError, SparseKacRiceError
 from .expsum import (
-    ExpSum, _batch_moments, _invert_moment_many, density, density_many, evaluate, invert_moment,
+    ExpSum, _batch_moments, _invert_moment_many, _simplex_sum, _softmax, density, density_many,
+    evaluate, invert_moment,
 )
 from .geometry import ball_sphere_constants, interior_contains
 from .integrate import Quadrature, esol_pspace, esol_total
@@ -323,6 +325,18 @@ def _selftest_checks():
                 return False
         return True
 
+    def simplex_sum_matches_subsets():
+        # The sorted-tuple block contracted by one GEMM against a sum over the
+        # 35 subsets of four points, so a blocking fault of this BLAS shows.
+        rng = np.random.default_rng(9)
+        E = ExpSum(rng.normal(size=(7, 3)), rng.uniform(0.5, 2.0, size=7))
+        _, W, _ = _softmax(E, rng.uniform(-2.0, 2.0, size=(64, 3)))
+        subsets = np.array(list(itertools.combinations(range(7), 4)))
+        corners = E.support.points[subsets]
+        D = np.linalg.det(np.concatenate([np.ones(corners.shape[:2] + (1,)), corners], axis=2))
+        want = (D * D) @ np.prod(W[subsets], axis=1)
+        return np.allclose(_simplex_sum(W, E.support._simplex_form, 3), want, rtol=1e-13, atol=0.0)
+
     def witness_in_square():
         E = algebra_mod.kostlan(2, 1)
         aug = Augmentation(np.array([0.5, 0.5]))
@@ -379,6 +393,8 @@ def _selftest_checks():
          batched_inversion_on_pentagon),
         ("kernel_rows_match_batch: 64-row pentagon and kostlan(3,1) batches equal one-row"
          " calls and the formed-metric determinant", kernel_rows_match_batch),
+        ("simplex_sum_matches_subsets: the sorted-tuple contraction equals a direct sum over"
+         " the 4-subsets of a seeded 7-point support in R^3", simplex_sum_matches_subsets),
         ("interior witness decreases density", witness_in_square),
         ("batched Psi scan equals scalar psi on an 8^2 p-grid of the unit square",
          psi_scan_matches_scalar),

@@ -222,7 +222,8 @@ def _softmax(E: ExpSum, X: np.ndarray):
     """(top = max T, W = exp(2 (T - top)), sum W) with T = <a, x> + log alpha_a
     at each row x of X, terms-major: W is (k, N), so the max and the sum over
     the k terms run along the long axis of N points."""
-    T = E.support.points @ X.T + E.log_coeffs[:, None]
+    T = E.support.points @ X.T
+    T += E.log_coeffs[:, None]
     top = T.max(axis=0)
     T -= top
     T *= 2.0
@@ -234,18 +235,20 @@ def _moments(E: ExpSum, top: np.ndarray, W: np.ndarray, total: np.ndarray):
     """(phi, lam, mu, G) of :func:`_batch_moments` from one softmax triple.
 
     phi = (1/2) log K comes from the log-sum-exp that gives the weights.
-    With lam = W / total (k, N), mu is one (m, k)@(k, N) product, and the
-    metric G_ij = sum_a lam_a C_ia C_ja of the centred support C = a - mu
-    (m, k, N) is one einsum over the terms for all N points at once, written
-    as (N, m, m).  G is not symmetrized: the Cholesky factorization reads
-    its lower triangle and :class:`.QuadForm` symmetrizes it.  No
-    determinant is taken of it.
+    lam = W / total (k, N) is written over W, which the caller gives up; mu
+    is one (m, k)@(k, N) product, and the metric G_ij = sum_a lam_a C_ia C_ja
+    of the centred support C = a - mu (m, k, N) is one three-operand einsum
+    over the terms for all N points at once, written as (N, m, m), with no
+    (m, k, N) product of C and lam held.  Both keep the Newton loop's peak
+    low (see :func:`_invert_moment_many`).  G is not symmetrized: the
+    Cholesky factorization reads its lower triangle and :class:`.QuadForm`
+    symmetrizes it.  No determinant is taken of it.
     """
     points = E.support.points.T
-    lam = W / total
+    lam = np.divide(W, total, out=W)
     mu = points @ lam
     C = points[:, :, None] - mu[:, None, :]
-    G = np.einsum("ikn,jkn->nij", C * lam, C)
+    G = np.einsum("ikn,kn,jkn->nij", C, lam, C)
     return top + 0.5 * np.log(total), lam.T, mu.T, G
 
 
@@ -256,31 +259,55 @@ def _log_det(E: ExpSum, W: np.ndarray, total: np.ndarray, form: np.ndarray | Non
     By Cauchy-Binet (Horn & Johnson, Matrix Analysis, 0.8.7), det g is the
     sum over (m+1)-subsets S of A of prod_S lambda_a D_S^2, with no
     cancellation: total^(m+1) det g is :func:`_simplex_sum` of the softmax
-    weights with the tensor ``form`` (default ``E.support._simplex_form``).
+    weights with the block ``form`` (default ``E.support._simplex_form``),
+    which holds each subset once.
     """
+    form = E.support._simplex_form if form is None else form
     with np.errstate(divide="ignore"):
-        log_sum = np.log(_simplex_sum(W, E.support._simplex_form if form is None else form))
+        log_sum = np.log(_simplex_sum(W, form, E.dim))
     return log_sum - (E.dim + 1) * np.log(total)
 
 
-def _simplex_sum(W: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """The form sum Q[i_0, ..., i_r] W_i0 ... W_ir at each column of the
-    terms-major W (k, N): one GEMM of the first half of Q's modes against
-    their products of W, then one einsum over the terms per other mode.
-
-    That split, and einsum over multiply-then-sum, was the fastest or within
-    noise of it on every (k, m) from k2m1 to k27m3, at 1024 and 8192 points,
-    with one OpenBLAS thread on a 2-CPU x86-64 host.
-    """
+def _sorted_products(W: np.ndarray, r: int, out: np.ndarray | None = None) -> np.ndarray:
+    """prod_t W over the sorted r-tuples t of W's rows (k, N), r >= 1, in
+    lexicographic order: shape (C(k, r), N), written to ``out`` if given.
+    W itself for r = 1; for r >= 2 by row slices, one product per first
+    index i: the r-tuples that start at i are i followed by the last
+    C(k-1-i, r-1) rows of the (r-1)-tuple products, those that start above i."""
+    if r == 1:
+        return W
     k, N = W.shape
-    a = Q.ndim // 2
-    left = W
-    for _ in range(a - 1):
-        left = (left[:, None, :] * W[None, :, :]).reshape(-1, N)
-    Y = Q.reshape(k**a, -1).T @ left
-    for _ in range(Q.ndim - a):
-        Y = np.einsum("ikn,kn->in", Y.reshape(-1, k, N), W)
-    return Y[0]
+    prev = _sorted_products(W, r - 1)
+    R = np.empty((math.comb(k, r), N)) if out is None else out
+    row = 0
+    for i in range(k - r + 1):
+        tail = math.comb(k - 1 - i, r - 1)
+        np.multiply(W[i], prev[len(prev) - tail:], out=R[row:row + tail])
+        row += tail
+    return R
+
+
+def _simplex_sum(W: np.ndarray, B: np.ndarray, m: int) -> np.ndarray:
+    """sum over S of D_S^2 prod_S W at each column of the terms-major W
+    (k, N), from the Cauchy-Binet block B (``SupportSet._simplex_form``):
+    sum over pairs i < j of W_i W_j (B @ R)_ij, with R the products of W over
+    sorted (m-1)-tuples (:func:`_sorted_products`; one row of ones for
+    m = 1, W for m = 2, the pair products for m = 3).
+
+    It is taken as sum_t R_t (B^T @ P)_t, with P the pair products: one GEMM
+    of C(k, 2) C(k, m-1) multiply-adds per column, whose output Z has
+    C(k, m-1) rows, not C(k, 2).  P and Z share one allocation: as the
+    call's largest array it keeps glibc's dynamic trim threshold above the
+    call's other temporaries, which would otherwise be handed back to the
+    kernel and page-faulted in again on every call.
+    """
+    pairs, tuples = B.shape
+    work = np.empty((pairs + tuples, W.shape[1]))
+    P = _sorted_products(W, 2, out=work[:pairs])
+    Z = np.matmul(B.T, P, out=work[pairs:])
+    if m == 1:
+        return Z[0]
+    return np.einsum("tn,tn->n", P if m == 3 else _sorted_products(W, m - 1), Z)
 
 
 def _density(E: ExpSum, W: np.ndarray, total: np.ndarray) -> np.ndarray:
@@ -292,8 +319,8 @@ def _density(E: ExpSum, W: np.ndarray, total: np.ndarray) -> np.ndarray:
 def density_many(E: ExpSum, X) -> np.ndarray:
     """Expected-zero density (2/s_m) sqrt(det g), one value per row of X
     (shape (N, m)), from the Cauchy-Binet kernel :func:`_log_det`;
-    InputError for k support points in R^m with k^(m+1) past
-    ``geometry.SIMPLEX_FORM_LIMIT``."""
+    InputError for k support points in R^m whose block, C(k, 2) C(k, m-1)
+    entries, is past ``geometry.SIMPLEX_FORM_LIMIT``."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != E.dim:
         raise InputError(f"points have dimension {X.shape[1]}, expected {E.dim}")
@@ -320,6 +347,7 @@ def evaluate(E: ExpSum, x) -> EvalBundle:
     """
     x = _check_vector(x, E.dim, "x")
     top, W, total = _softmax(E, x[None])
+    density = float(_density(E, W, total)[0])
     phi, lam, mu, G = _moments(E, top, W, total)
     phi = float(phi[0])
     with np.errstate(over="ignore"):
@@ -329,7 +357,7 @@ def evaluate(E: ExpSum, x) -> EvalBundle:
     g_dual = None if flat[0] else _dual_from_cholesky(L[0])
     return EvalBundle(
         x=x, K=K, Kbar=Kbar, phi=phi, weights=lam[0], mu=mu[0], g=QuadForm(G[0]),
-        g_dual=g_dual, density=float(_density(E, W, total)[0]),
+        g_dual=g_dual, density=density,
     )
 
 
@@ -455,6 +483,11 @@ def _invert_moment_many(E: ExpSum, P: np.ndarray, tol: float = 1e-10, max_iter: 
             break
         L, ok = _cholesky_many(G)
         delta = np.where(ok[:, None], 0.5 * _back_sub(L, _forward_sub(L, p - mu)), 0.0)
+        # Dropped before the moments of the trial step.  The loop's peak
+        # sets how far the heap grows on each solve; past glibc's trim
+        # threshold it is handed back at the end and paged in afresh on the
+        # next solve.
+        del L
         trial = x + delta
         _, _, mu_t, G_t = _batch_moments(E, trial)
         r2_t = ((mu_t - p) ** 2).sum(axis=1)
@@ -499,7 +532,7 @@ def _legendre_density_many(E: ExpSum, P: np.ndarray) -> np.ndarray:
     to about eps * diam(P), down to a residual of ``LEGENDRE_TOL`` *
     (1 + diam): a point at distance d from a facet then keeps a relative
     error near LEGENDRE_TOL / d, where an absolute 1e-10 would give 1e-5 at
-    d = 4e-6.  The translated support reuses the simplex tensor, which
+    d = 4e-6.  The translated support reuses the Cauchy-Binet block, which
     translation leaves unchanged.  No interior check is performed here.
     """
     c = E.support.points.mean(axis=0)

@@ -13,6 +13,7 @@ density in the package.
 
 from __future__ import annotations
 
+import itertools
 import math
 from functools import cached_property, lru_cache
 
@@ -37,9 +38,10 @@ __all__ = [
 #: Condition-number gate for dual_form; beyond this the inversion is refused.
 DUAL_COND_LIMIT = 1e12
 
-#: Most simplex volumes a support's determinant tensor may hold: k^(m+1)
-#: for k points in R^m (kostlan(3, 2) has 27^4; kostlan(3, 3) has 64^4, over
-#: it).  Building the tensor and each density row cost that many flops.
+#: Most entries a support's Cauchy-Binet block may store: C(k, 2) C(k, m-1)
+#: for k points in R^m (kostlan(3, 2) has 351^2 and kostlan(2, 10) 7260 * 121;
+#: kostlan(3, 3) has 2016^2, over it).  Each density row costs that many
+#: multiply-adds.
 SIMPLEX_FORM_LIMIT = 2**20
 
 
@@ -142,16 +144,35 @@ class SupportSet:
 
     @cached_property
     def _simplex_form(self) -> np.ndarray:
-        """D^2 / (m+1)! over (m+1)-tuples of points, shape (k,) * (m+1), with
-        D = det[1 a_i] = det[a_i - a_i0] (m! times the simplex volume); a D
-        within 1e-12 w^m, w the widest coordinate range, is rounding on a
-        flat simplex, set to 0, so a flat support has det g = 0 everywhere.
-        Raises InputError past ``SIMPLEX_FORM_LIMIT`` entries."""
-        D = _cone_dets(self.points, self.points)
-        D[np.abs(D) <= 1e-12 * np.ptp(self.points, axis=0).max() ** self.dim] = 0.0
-        Q = D * D / math.factorial(self.dim + 1)
-        Q.flags.writeable = False
-        return Q
+        """The Cauchy-Binet block B, shape (C(k, 2), C(k, m-1)): rows are the
+        pairs i < j and columns the sorted (m-1)-tuples t, both in
+        lexicographic order, and B[(i, j), t] = D_S^2 / C(m+1, 2) where
+        S = {i, j} + t has m+1 distinct points, 0 where they overlap.  Each
+        (m+1)-subset is split C(m+1, 2) ways into a pair and a tuple, so
+        sum over i < j and t of W_i W_j B[(i, j), t] prod_t W is sum over S of
+        D_S^2 prod_S W.  D = det[1 a_i] = det[a_i - a_i0] (m! times the
+        simplex volume) comes from the C(k, m+1) sorted subsets; a D within
+        1e-12 w^m, w the widest coordinate range, is rounding on a flat
+        simplex, set to 0, so a flat support has det g = 0 everywhere.
+        Raises InputError past ``SIMPLEX_FORM_LIMIT`` entries, before
+        allocating anything."""
+        k, m = self.points.shape
+        shape = (math.comb(k, 2), math.comb(k, m - 1))
+        if shape[0] * shape[1] > SIMPLEX_FORM_LIMIT:
+            raise InputError(
+                f"{k} points in R^{m} need a Cauchy-Binet block of {shape[0] * shape[1]} "
+                f"entries, over the limit of {SIMPLEX_FORM_LIMIT}"
+            )
+        S = _sorted_tuples(k, m + 1)
+        D = _cone_dets(self.points, S[:, 1:], self.points[S[:, 0]])
+        D[np.abs(D) <= 1e-12 * np.ptp(self.points, axis=0).max() ** m] = 0.0
+        D *= D / math.comb(m + 1, 2)
+        B = np.zeros(shape)
+        for pair in itertools.combinations(range(m + 1), 2):
+            rest = [p for p in range(m + 1) if p not in pair]
+            B[_tuple_ranks(S[:, pair], k), _tuple_ranks(S[:, rest], k)] = D
+        B.flags.writeable = False
+        return B
 
     @property
     def facets(self) -> np.ndarray | None:
@@ -186,19 +207,31 @@ class SupportSet:
         return hash((self.points.shape, self.points.tobytes()))
 
 
-def _cone_dets(points: np.ndarray, apexes: np.ndarray) -> np.ndarray:
-    """det[a_i1 - b, ..., a_im - b] over the m-tuples of ``points`` (shape
-    (k, m)) for each apex b in ``apexes`` (shape (r, m)); shape (r,) + (k,) * m.
-    Raises InputError where that is more than ``SIMPLEX_FORM_LIMIT`` entries."""
-    (k, m), r = points.shape, len(apexes)
-    if r * k**m > SIMPLEX_FORM_LIMIT:
-        raise InputError(
-            f"{k} points in R^{m} need {r * k**m} simplex volumes, over the limit of "
-            f"{SIMPLEX_FORM_LIMIT} for the Cauchy-Binet determinant"
-        )
-    idx = np.indices((k,) * m).reshape(m, -1)
-    D = np.linalg.det(np.moveaxis(points[idx][None] - apexes[:, None, None, :], 1, 2))
-    return D.reshape((r,) + (k,) * m)
+def _cone_dets(points: np.ndarray, tuples: np.ndarray, apex: np.ndarray) -> np.ndarray:
+    """det[a_t1 - b, ..., a_tm - b] for each row t of ``tuples`` (shape
+    (n, m), indices into ``points``, shape (k, m)), with b the matching row
+    of ``apex`` (shape (n, m)) or one apex (shape (m,)) for every row; on
+    the sorted (m+1)-subsets S, t = S[1:] and b = a_S0 give D_S."""
+    return np.linalg.det(points[tuples] - apex[..., None, :])
+
+
+def _sorted_tuples(k: int, r: int) -> np.ndarray:
+    """The sorted r-tuples of range(k) in lexicographic order, shape
+    (C(k, r), r)."""
+    flat = itertools.chain.from_iterable(itertools.combinations(range(k), r))
+    n = math.comb(k, r)
+    return np.fromiter(flat, dtype=np.intp, count=n * r).reshape(n, r)
+
+
+def _tuple_ranks(tuples: np.ndarray, k: int) -> np.ndarray:
+    """Row of each sorted tuple (rows of ``tuples``, shape (n, r)) in
+    :func:`_sorted_tuples` (k, r): C(k, r) - 1 - sum_p C(k - 1 - t_p, r - p)."""
+    r = tuples.shape[1]
+    binom = np.array([[math.comb(a, b) for b in range(r + 1)] for a in range(k)], dtype=np.intp)
+    rank = np.full(len(tuples), math.comb(k, r) - 1, dtype=np.intp)
+    for p in range(r):
+        rank -= binom[k - 1 - tuples[:, p], r - p]
+    return rank
 
 
 def _coerce_support(A) -> SupportSet:

@@ -36,6 +36,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -222,14 +223,30 @@ def _seed_grid(box, per_axis):
     return los, his
 
 
+def _read_only(*arrays):
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
+
+
+# The AUTO region only ever takes r = AUTO_RADIUS * 2^j, so both caches stay
+# small: one entry per (r, m) a solve reaches, shared by every later solve.
+@lru_cache(maxsize=None)
+def _cube_cells(r, m):
+    """Seeded cells of the cube [-r, r]^m; cached, read-only."""
+    return _read_only(*_seed_grid(((-r, r),) * m, 4))
+
+
+@lru_cache(maxsize=None)
 def _shell_cells(r, m):
-    """Seeded cells of the 2m slabs that tile [-2r, 2r]^m minus [-r, r]^m."""
+    """Seeded cells of the 2m slabs that tile [-2r, 2r]^m minus [-r, r]^m;
+    cached, read-only."""
     grids = []
     for axis in range(m):
         for side in ((-2.0 * r, -r), (r, 2.0 * r)):
             slab = [(-2.0 * r, 2.0 * r)] * axis + [side] + [(-r, r)] * (m - axis - 1)
             grids.append(_seed_grid(slab, 4))
-    return np.concatenate([g[0] for g in grids]), np.concatenate([g[1] for g in grids])
+    return _read_only(np.concatenate([g[0] for g in grids]), np.concatenate([g[1] for g in grids]))
 
 
 def _adaptive(f, los, his, abs_tol, rel_tol, grow=False):
@@ -330,9 +347,9 @@ def _over_rm(f, E: ExpSum, abs_tol, rel_tol):
     lam, V = np.linalg.eigh(G[0])
     W = V / np.sqrt(lam)
     jac = abs(float(np.linalg.det(W)))
-    cube = ((-AUTO_RADIUS, AUTO_RADIUS),) * E.dim
     return _adaptive(
-        lambda Y: jac * f(x0 + Y @ W.T), *_seed_grid(cube, 4), abs_tol, rel_tol, grow=True
+        lambda Y: jac * f(x0 + Y @ W.T), *_cube_cells(AUTO_RADIUS, E.dim), abs_tol, rel_tol,
+        grow=True,
     )
 
 

@@ -32,9 +32,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateMetricError, DomainError, InputError, SparseKacRiceError
-from .expsum import ExpSum, _invert_moment_many, _simplex_sum, _softmax, evaluate
-from .expsum import invert_moment
+from .expsum import ExpSum, _invert_moment_many, _simplex_sum, _softmax, _sorted_products
+from .expsum import evaluate, invert_moment
 from .geometry import QuadForm, SupportSet, _check_vector, _cone_dets, _interior_mask
+from .geometry import _sorted_tuples
 from .geometry import diameter, interior_contains
 
 __all__ = [
@@ -145,22 +146,27 @@ def _psi_many(E: ExpSum, aug: Augmentation, X: np.ndarray):
 
     g^x(tau) = (f_0^2 / K_0) q with q = (mu - a_0)^T g^-1 (mu - a_0), and
     by Cauchy-Binet on g + (mu - a_0)(mu - a_0)^T, q det g is the sum over
-    (m-1)-tuples s of prod_s lambda (sum_j lambda_j M_sj)^2 / (m-1)!, with
-    M_sj = det[a_s - a_0, a_j - a_0]: the form of the softmax weights with
-    M (x) M.  It and det g (:func:`.expsum._simplex_sum`) are sums of
-    non-negative terms on E's own softmax scale, so g^x(tau) and Psi keep
-    their relative accuracy in every tail, whichever term dominates; no
-    metric is formed or solved.  Raises DegenerateMetricError where det g
-    underflows to 0.
+    sorted (m-1)-tuples s of prod_s lambda (sum_j lambda_j M_sj)^2, with
+    M_sj = det[a_s - a_0, a_j - a_0]: one (C(k, m-1), k) @ (k, N) product,
+    squared, against the tuple products of :func:`.expsum._sorted_products`.
+    It and det g (:func:`.expsum._simplex_sum`) are sums of non-negative
+    terms on E's own softmax scale, so g^x(tau) and Psi keep their relative
+    accuracy in every tail, whichever term dominates; no metric is formed
+    or solved.  Raises DegenerateMetricError where det g underflows to 0.
     """
     a0 = _check_augmentation(E, aug)
     top, W, total = _softmax(E, X)
-    det_sum = _simplex_sum(W, E.support._simplex_form)
+    m, k = E.dim, E.n_terms
+    det_sum = _simplex_sum(W, E.support._simplex_form, m)
     flat = det_sum == 0.0
     if flat.any():
         raise DegenerateMetricError(f"det g underflows at x = {X[flat][0].tolist()}; Psi undefined")
-    M = _cone_dets(E.support.points, a0[None])[0]
-    q = _simplex_sum(W, M[..., None] * M[..., None, :]) / (math.factorial(E.dim - 1) * det_sum)
+    s = _sorted_tuples(k, m - 1)
+    tuples = np.hstack([np.repeat(s, k, axis=0), np.tile(np.arange(k), len(s))[:, None]])
+    M = _cone_dets(E.support.points, tuples, a0).reshape(len(s), k)
+    MW = M @ W
+    np.square(MW, out=MW)
+    q = (MW[0] if m == 1 else np.einsum("tn,tn->n", _sorted_products(W, m - 1), MW)) / det_sum
     phi = top + 0.5 * np.log(total)
     log_f0 = math.log(aug.alpha0) + X @ a0
     log_K0 = np.logaddexp(2.0 * phi, 2.0 * log_f0)

@@ -200,6 +200,7 @@ class TestSelftestAndErrors:
         out = capsys.readouterr().out
         assert "0 failed" in out
         assert "PASS  kernel_rows_match_batch" in out
+        assert "PASS  simplex_sum_matches_subsets" in out
 
     def test_malformed_input_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,7 +32,8 @@ from sparse_kacrice import (
     veronese,
     veronese_pullback_check,
 )
-from sparse_kacrice.expsum import DET_FLOOR, _batch_moments, _invert_moment_many
+from sparse_kacrice.expsum import DET_FLOOR, _batch_moments, _invert_moment_many, _log_det, _softmax
+from sparse_kacrice.geometry import SIMPLEX_FORM_LIMIT
 
 TWO_TERM = ExpSum([[0.0], [1.0]])
 IRREGULAR = ExpSum([[0.0], [0.5], [1.7]], [1.0, 2.0, 1.0])
@@ -196,6 +199,70 @@ class TestKernelAgainstReference:
                 np.testing.assert_allclose(g[i], one[0], rtol=1e-13, atol=1e-13)
         singles = [density_many(E, x[None])[0] for x in X]
         np.testing.assert_allclose(densities, singles, rtol=1e-13, atol=0.0)
+
+
+def _subset_sum(E, W):
+    """sum over (m+1)-subsets S of det[1 a]_S^2 prod_S W at each column of
+    the terms-major softmax W (k, N), one np.linalg.det per subset: the
+    reference for the Cauchy-Binet contraction, total^(m+1) det g."""
+    m = E.dim
+    terms = []
+    for S in itertools.combinations(range(E.n_terms), m + 1):
+        D = np.linalg.det(np.hstack([np.ones((m + 1, 1)), E.support.points[list(S)]]))
+        terms.append(D * D * np.prod(W[list(S)], axis=0))
+    return np.sum(terms, axis=0)
+
+
+def _seeded_support(m, k, seed):
+    rng = np.random.default_rng(seed)
+    return ExpSum(rng.normal(0.0, 1.0, size=(k, m)), rng.uniform(0.3, 3.0, size=k))
+
+
+class TestContractionAgainstSubsets:
+    """The sorted-tuple Cauchy-Binet block and its contraction against an
+    independent sum over every (m+1)-subset."""
+
+    CASES = {
+        "k2m1": lambda: kostlan(1, 1), "k8m1": lambda: kostlan(1, 7),
+        "k4m2": lambda: kostlan(2, 1), "k9m2": lambda: kostlan(2, 2),
+        "k16m2": lambda: kostlan(2, 3), "k25m2": lambda: kostlan(2, 4),
+        "k4m3": lambda: ExpSum([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], [1.0, 2.0, 0.5, 1.5]),
+        "k8m3": lambda: kostlan(3, 1), "k27m3": lambda: kostlan(3, 2),
+        "seeded_k6m1": lambda: _seeded_support(1, 6, 41), "seeded_k7m2": lambda: _seeded_support(2, 7, 42),
+        "seeded_k7m3": lambda: _seeded_support(3, 7, 43),
+        # m = 4 takes the products over sorted triples, the recursion's third level
+        "seeded_k8m4": lambda: _seeded_support(4, 8, 44),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_log_det_equals_the_subset_sum(self, name):
+        E = self.CASES[name]()
+        X = np.random.default_rng(14).uniform(-3.0, 3.0, size=(40, E.dim))
+        _, W, total = _softmax(E, X)
+        want = np.log(_subset_sum(E, W)) - (E.dim + 1) * np.log(total)
+        np.testing.assert_allclose(np.exp(_log_det(E, W, total) - want), 1.0, rtol=1e-13, atol=0.0)
+
+    def test_block_shape_and_limit(self):
+        for E in (kostlan(1, 7), kostlan(2, 9), kostlan(3, 2)):
+            k, m = E.n_terms, E.dim
+            form = E.support._simplex_form
+            assert form.shape == (math.comb(k, 2), math.comb(k, m - 1))
+            assert form.size <= SIMPLEX_FORM_LIMIT and not form.flags.writeable
+        # 2016^2 entries for kostlan(3, 3), four times the limit
+        with pytest.raises(InputError, match="limit"):
+            kostlan(3, 3).support._simplex_form
+
+    def test_build_memory(self):
+        # C(27, 4) = 17 550 subset determinants and a 351^2 block, not 27^4
+        # determinants and a 27^4 tensor.
+        E = kostlan(3, 2)
+        tracemalloc.start()
+        try:
+            E.support._simplex_form
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
 
 
 class TestScalarCallsAreOneRowKernels:

@@ -288,6 +288,24 @@ class TestCellRules:
         # one integrand call per batch of cells, on all nodes of both rules
         assert rows == [cells * per_cell for cells in pushed]
 
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_seed_cells_are_cached_read_only_and_equal_a_fresh_build(self, m):
+        for r in (4.0, 8.0, 4.0 * 2**20):
+            cube = integrate._cube_cells(r, m)
+            shell = integrate._shell_cells(r, m)
+            assert integrate._cube_cells(r, m) is cube and integrate._shell_cells(r, m) is shell
+            fresh_shell = []
+            for axis in range(m):
+                for side in ((-2.0 * r, -r), (r, 2.0 * r)):
+                    slab = [(-2.0 * r, 2.0 * r)] * axis + [side] + [(-r, r)] * (m - axis - 1)
+                    fresh_shell.append(_seed_grid(slab, 4))
+            fresh_shell = [np.concatenate([g[i] for g in fresh_shell]) for i in (0, 1)]
+            for cached, fresh in zip(cube + shell, _seed_grid(((-r, r),) * m, 4) + tuple(fresh_shell)):
+                np.testing.assert_array_equal(cached, fresh)
+                assert not cached.flags.writeable
+                with pytest.raises(ValueError):
+                    cached[0, 0] = 0.0
+
 
 class TestRegion:
     def test_half_line_splits_symmetric_mass(self):

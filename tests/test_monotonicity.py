@@ -158,13 +158,17 @@ class TestPsi:
             ((3.0, 3.0), (-30.0, -20.0)),  # a0's share of K_0 is e^-300, cond(g) 5e8
             ((3.0, 3.0), (25.0, 7.0)),  # a0 dominates, det g = e^-64, cond(g) 4e15
             ((0.5, 0.5), (-40.0, -3.0)),  # interior a0, share e^-43, cond(g) 1e32
+            ((0.4728,), (-0.8412,)),  # kostlan(1, 3); an expanded M (x) M sum cancels to 9e-13
+            ((0.5, 0.5, 0.5), (-30.0, -20.0, 10.0)),  # kostlan(3, 1), interior a0, share e^-60
+            ((3.0, 3.0, 3.0), (25.0, 7.0, -4.0)),  # kostlan(3, 1), a0's term outweighs by e^104
         ],
     )
     def test_tails_against_60_digits(self, a0, x):
         mp = pytest.importorskip("mpmath")
+        E = {1: kostlan(1, 3), 2: SQUARE, 3: kostlan(3, 1)}[len(a0)]
         with mp.workdps(60):
-            want_psi, want_tau = _psi_60_digits(mp, SQUARE, np.asarray(a0), np.asarray(x))
-        ev = psi(SQUARE, Augmentation(a0), x)
+            want_psi, want_tau = _psi_60_digits(mp, E, np.asarray(a0), np.asarray(x))
+        ev = psi(E, Augmentation(a0), x)
         assert ev.psi == pytest.approx(want_psi, rel=1e-13, abs=0.0)
         assert ev.tau_normsq == pytest.approx(want_tau, rel=1e-13, abs=0.0)
 
