@@ -42,6 +42,7 @@ from .monotonicity import (
     OUTSIDE,
     Augmentation,
     psi,
+    psi_via_phi0,
     ray_scan_unbounded,
     region_scan,
     witness_interior,
@@ -67,7 +68,12 @@ def _parse_box(text: str, m: int):
 
 
 def _parse_resolution(text: str, m: int):
-    parts = [int(p) for p in text.split(",")]
+    try:
+        parts = [int(p) for p in text.split(",")]
+    except ValueError as exc:
+        raise InputError(f"could not parse {text!r} as comma-separated integers") from exc
+    if min(parts) < 1:
+        raise InputError("--resolution must be at least 1 per axis")
     if len(parts) == 1:
         return parts[0]
     if len(parts) != m:
@@ -149,8 +155,6 @@ def _cmd_density_grid(args) -> int:
     axes = _grid_axes(box, _parse_resolution(args.resolution, m), m)
     grids = np.meshgrid(*axes, indexing="ij")
     points = np.stack([g.ravel() for g in grids], axis=1)
-    from .expsum import density_many
-
     values = density_many(E, points)
     if args.format == "json" or (args.output or "").endswith(".json"):
         payload = {
@@ -353,6 +357,13 @@ def _selftest_checks():
             label == w.classification and abs(value - w.psi) <= 1e-9 * w.psi
             for value, label, w in zip(scan.psi[inside], scan.classes[inside], want))
 
+    def psi_via_phi0_matches_psi():
+        # The formed-metric route reads its dual from LAPACK's symmetric
+        # eigensolver, which no other check exercises.
+        E, aug = algebra_mod.kostlan(2, 1), Augmentation(np.array([0.3, 0.6]))
+        X = np.random.default_rng(5).uniform(-3.0, 3.0, size=(8, 2))
+        return max(abs(psi_via_phi0(E, aug, x) / psi(E, aug, x).psi - 1.0) for x in X) <= 1e-10
+
     def metric_additivity():
         E_a = ExpSum([[0.0], [1.0]])
         E_b = ExpSum([[0.0], [0.5], [1.7]], [1.0, 2.0, 1.0])
@@ -398,6 +409,8 @@ def _selftest_checks():
         ("interior witness decreases density", witness_in_square),
         ("batched Psi scan equals scalar psi on an 8^2 p-grid of the unit square",
          psi_scan_matches_scalar),
+        ("psi_via_phi0_matches_psi: the formed-metric dual route equals the Cauchy-Binet Psi"
+         " at 8 seeded points of kostlan(2,1)", psi_via_phi0_matches_psi),
         ("metric additivity of shared-variable product", metric_additivity),
         ("binomial coefficient system at degree 2", binomial_coefficients),
         ("complex density total equals the root count", bkk_segment),

@@ -19,11 +19,13 @@ over the k terms runs along the long axis of points; from that one triple,
 cancellation-free log det g for every density.  :func:`_batch_moments`
 returns them per row, shape (N, ...), and :func:`_invert_moment_many`
 inverts the moment map for many targets by damped Newton, on packed live
-rows and one stacked Cholesky factorization (:mod:`.geometry`) with no
-per-matrix LAPACK call.  The scalar API (:func:`potential`,
+rows and one stacked Cholesky factorization and solve (:mod:`.geometry`)
+with no per-matrix LAPACK call.  The scalar API (:func:`potential`,
 :func:`evaluate`, :func:`density`, :func:`invert_moment`) is these kernels
 on one row, so a scalar call and a one-row batch give the same numbers bit
-for bit; :func:`evaluate` takes g and the density from one softmax.
+for bit; :func:`evaluate` takes g and the density from one softmax and
+forms no dual: the dual form and its gate are :func:`.geometry.dual_form`,
+called only where a dual is read.
 
 All evaluation is done in the log domain with a softmax shift, so points
 with coordinates far beyond the overflow range of exp stay finite.
@@ -41,20 +43,17 @@ from .errors import ConvergenceError, DegenerateMetricError, DomainError, InputE
 from .geometry import (
     QuadForm,
     SupportSet,
-    _back_sub,
     _check_vector,
     _cholesky_many,
-    _dual_from_cholesky,
-    _dual_gate,
+    _cholesky_solve,
     _face_mask,
-    _forward_sub,
     ball_sphere_constants,
     diameter,
     interior_contains,
 )
 # ``dual_form``, ``form_det`` and ``support_function`` are imported for
-# perfbench's tracer, which wraps them as expsum boundaries; evaluate takes
-# the metric, its gate and its dual from the batched kernel instead.
+# perfbench's tracer, which wraps them as expsum boundaries; nothing here
+# calls them.
 from .geometry import dual_form, form_det, support_function  # noqa: F401
 
 __all__ = [
@@ -73,9 +72,6 @@ __all__ = [
     "veronese",
     "veronese_pullback_check",
 ]
-
-#: Below this determinant the metric counts as flat: no dual form.
-DET_FLOOR = 1e-300
 
 #: Default interior margin for moment-map inversion, scaled by (1 + diam P).
 INVERT_MARGIN = 1e-9
@@ -148,9 +144,12 @@ class ExpSum:
         """
         if not isinstance(data, dict):
             raise InputError("expected a JSON object with 'dim' and 'support'")
+        coeffs = data.get("coeffs")
         try:
             dim = int(data["dim"])
             support = np.asarray(data["support"], dtype=float)
+            if coeffs is not None:
+                coeffs = np.asarray(coeffs, dtype=float)
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad exponential-sum record: {exc}") from exc
         if support.ndim == 1:
@@ -159,9 +158,6 @@ class ExpSum:
             raise InputError(
                 f"support shape {support.shape} does not match dim = {dim}"
             )
-        coeffs = data.get("coeffs")
-        if coeffs is not None:
-            coeffs = np.asarray(coeffs, dtype=float)
         return cls(support, coeffs)
 
     def to_json(self) -> str:
@@ -189,8 +185,8 @@ class EvalBundle:
     phi : potential (1/2) log K
     weights : softmax weights lambda_a (probability vector over A)
     mu : moment map, the weighted barycenter sum lambda_a a
-    g : the metric, the lambda-weighted covariance of A about mu
-    g_dual : dual form of g, or None where g fails the dual-form gate
+    g : the metric, the lambda-weighted covariance of A about mu; its dual
+        form, where it has one, is ``geometry.dual_form(g)``
     density : expected-zero density (2/s_m) sqrt(det g), from :func:`density`
     """
 
@@ -201,7 +197,6 @@ class EvalBundle:
     weights: np.ndarray
     mu: np.ndarray
     g: QuadForm
-    g_dual: QuadForm | None
     density: float
 
 
@@ -252,19 +247,18 @@ def _moments(E: ExpSum, top: np.ndarray, W: np.ndarray, total: np.ndarray):
     return top + 0.5 * np.log(total), lam.T, mu.T, G
 
 
-def _log_det(E: ExpSum, W: np.ndarray, total: np.ndarray, form: np.ndarray | None = None):
+def _log_det(E: ExpSum, W: np.ndarray, total: np.ndarray):
     """log det g at each column of the softmax (W, total); -inf where det g
     underflows.
 
     By Cauchy-Binet (Horn & Johnson, Matrix Analysis, 0.8.7), det g is the
     sum over (m+1)-subsets S of A of prod_S lambda_a D_S^2, with no
     cancellation: total^(m+1) det g is :func:`_simplex_sum` of the softmax
-    weights with the block ``form`` (default ``E.support._simplex_form``),
-    which holds each subset once.
+    weights with the block ``E.support._simplex_form``, which holds each
+    subset once.
     """
-    form = E.support._simplex_form if form is None else form
     with np.errstate(divide="ignore"):
-        log_sum = np.log(_simplex_sum(W, form, E.dim))
+        log_sum = np.log(_simplex_sum(W, E.support._simplex_form, E.dim))
     return log_sum - (E.dim + 1) * np.log(total)
 
 
@@ -341,9 +335,8 @@ def evaluate(E: ExpSum, x) -> EvalBundle:
     """Compute the full pointwise bundle at x (overflow-safe): the batched
     kernels on one row.
 
-    ``g_dual`` is None where the metric fails the dual-form gate (det g
-    below ``DET_FLOOR``, a failed Cholesky factorization, a non-positive
-    eigenvalue, or a condition number above ``DUAL_COND_LIMIT``).
+    No dual form is taken here; callers that read one pass ``g`` to
+    :func:`.geometry.dual_form`, which decides whether it exists.
     """
     x = _check_vector(x, E.dim, "x")
     top, W, total = _softmax(E, x[None])
@@ -353,11 +346,9 @@ def evaluate(E: ExpSum, x) -> EvalBundle:
     with np.errstate(over="ignore"):
         K = float(np.exp(2.0 * phi))
     Kbar = float(np.exp(2.0 * (phi - (E.support.points @ x).max())))
-    flat, L = _dual_gate(G, DET_FLOOR)
-    g_dual = None if flat[0] else _dual_from_cholesky(L[0])
     return EvalBundle(
         x=x, K=K, Kbar=Kbar, phi=phi, weights=lam[0], mu=mu[0], g=QuadForm(G[0]),
-        g_dual=g_dual, density=density,
+        density=density,
     )
 
 
@@ -464,9 +455,9 @@ def _invert_moment_many(E: ExpSum, P: np.ndarray, tol: float = 1e-10, max_iter: 
     Returns (X, ok) where ok flags rows whose residual |mu(x) - p| reached
     ``tol``.  The live rows are kept packed.  Each iteration factors
     their metrics by one stacked Cholesky (:func:`._cholesky_many`),
-    takes the full Newton step 2 g delta = p - mu on every live row, and
-    halves the step (at most 44 times) only on the rows whose residual
-    did not fall.  Converged rows, rows with no accepted step and rows
+    solves for the full Newton step 2 g delta = p - mu on every live row
+    (:func:`._cholesky_solve`), and halves the step (at most 44 times)
+    only on the rows whose residual did not fall.  Converged rows, rows with no accepted step and rows
     whose factorization fails retire once per iteration, the last two as
     failed.  No interior check is performed here — callers own the
     masking.
@@ -482,7 +473,7 @@ def _invert_moment_many(E: ExpSum, P: np.ndarray, tol: float = 1e-10, max_iter: 
         if live.size == 0:
             break
         L, ok = _cholesky_many(G)
-        delta = np.where(ok[:, None], 0.5 * _back_sub(L, _forward_sub(L, p - mu)), 0.0)
+        delta = np.where(ok[:, None], 0.5 * _cholesky_solve(L, p - mu), 0.0)
         # Dropped before the moments of the trial step.  The loop's peak
         # sets how far the heap grows on each solve; past glibc's trim
         # threshold it is handed back at the end and paged in afresh on the
@@ -532,7 +523,7 @@ def _legendre_density_many(E: ExpSum, P: np.ndarray) -> np.ndarray:
     to about eps * diam(P), down to a residual of ``LEGENDRE_TOL`` *
     (1 + diam): a point at distance d from a facet then keeps a relative
     error near LEGENDRE_TOL / d, where an absolute 1e-10 would give 1e-5 at
-    d = 4e-6.  The translated support reuses the Cauchy-Binet block, which
+    d = 4e-6.  The determinant reads E's own Cauchy-Binet block, which
     translation leaves unchanged.  No interior check is performed here.
     """
     c = E.support.points.mean(axis=0)
@@ -540,7 +531,7 @@ def _legendre_density_many(E: ExpSum, P: np.ndarray) -> np.ndarray:
     tol = LEGENDRE_TOL * (1.0 + diameter(E.support))
     X, ok = _invert_moment_many(centred, P - c, tol=tol)
     _, W, total = _softmax(centred, X)
-    log_det = _log_det(centred, W, total, E.support._simplex_form)
+    log_det = _log_det(E, W, total)
     return np.where(ok, np.exp(-0.5 * (log_det + E.dim * math.log(2.0))), np.nan)
 
 

@@ -5,10 +5,10 @@ needs from convex geometry: its support function, exposed faces, diameter,
 the volume of its convex hull, and the squared volumes of its simplices
 that every density determinant is summed from.  Quadratic forms enter
 through the metric of an exponential sum; this module supplies the dual
-form (Gram-array inverse) and its gate, determinants, ellipsoid volumes,
-the stacked Cholesky factorization and triangular solves of Newton's
-method, and the unit-ball/unit-sphere constants that normalize every
-density in the package.
+form (Gram-array inverse), whose gate :func:`dual_form` alone decides,
+determinants, ellipsoid volumes, the stacked Cholesky factorization and
+solve of Newton's method, and the unit-ball/unit-sphere constants that
+normalize every density in the package.
 """
 
 from __future__ import annotations
@@ -37,6 +37,9 @@ __all__ = [
 
 #: Condition-number gate for dual_form; beyond this the inversion is refused.
 DUAL_COND_LIMIT = 1e12
+
+#: Below this determinant a form counts as flat: dual_form refuses it.
+DET_FLOOR = 1e-300
 
 #: Most entries a support's Cauchy-Binet block may store: C(k, 2) C(k, m-1)
 #: for k points in R^m (kostlan(3, 2) has 351^2 and kostlan(2, 10) 7260 * 121;
@@ -368,37 +371,20 @@ class QuadForm:
         return f"QuadForm({self.entries.tolist()!r})"
 
 
-def dual_form(Q: QuadForm, cond_limit: float = DUAL_COND_LIMIT) -> QuadForm:
+def dual_form(Q: QuadForm) -> QuadForm:
     """Dual quadratic form Q°, realized as the Gram-array inverse.
 
     Q°(u) = sup{<u, v>^2 : Q(v) <= 1}; its Gram array is the inverse of Q's.
-    The inversion goes through a Cholesky factorization and is refused
-    (SingularFormError) when the factorization fails, an eigenvalue is not
-    positive, or the condition number exceeds ``cond_limit``.
+    This is the package's one dual-form gate.  From one symmetric
+    eigendecomposition Q = V diag(w) V^T it returns V diag(1/w) V^T, and it
+    refuses (SingularFormError) a form with an eigenvalue that is not
+    positive, a condition number above ``DUAL_COND_LIMIT`` or a determinant
+    (the product of the eigenvalues) below ``DET_FLOOR``.
     """
-    flat, L = _dual_gate(Q.entries[None], cond_limit=cond_limit)
-    if flat[0]:
-        raise SingularFormError(
-            f"form is not positive definite or its condition number exceeds {cond_limit:.1e}"
-        )
-    return _dual_from_cholesky(L[0])
-
-
-def _dual_gate(
-    G: np.ndarray, det_floor: float = -math.inf, cond_limit: float = DUAL_COND_LIMIT
-) -> tuple[np.ndarray, np.ndarray]:
-    """(flat, L) for the stack of Gram arrays G (shape (N, m, m)).
-
-    ``flat`` marks the rows whose form has no dual: a failed Cholesky
-    factorization, a determinant below ``det_floor``, a non-positive
-    eigenvalue, or a condition number above ``cond_limit``.  ``L`` holds
-    the Cholesky factors of the other rows (:func:`_cholesky_many`), and
-    det G is the product of the squares of its diagonal.
-    """
-    L, ok = _cholesky_many(G)
-    eigs = np.linalg.eigvalsh(G)
-    flat = ~ok | (np.prod(np.diagonal(L, axis1=1, axis2=2), axis=1) ** 2 < det_floor)
-    return flat | (eigs[:, 0] <= 0.0) | (eigs[:, -1] > cond_limit * eigs[:, 0]), L
+    w, V = np.linalg.eigh(Q.entries)
+    if not (w[0] > 0.0 and w[-1] <= DUAL_COND_LIMIT * w[0] and np.prod(w) >= DET_FLOOR):
+        raise SingularFormError(f"form has no dual: eigenvalues {w[0]:.3e} to {w[-1]:.3e}")
+    return QuadForm((V / w) @ V.T)
 
 
 def _cholesky_many(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -429,36 +415,24 @@ def _cholesky_many(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return L, ok
 
 
-def _forward_sub(L: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Y with L Y = B for each row of the lower-triangular stack L
-    (shape (N, m, m)) and right-hand sides B (shape (N, m))."""
+def _cholesky_solve(L: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """X with L L^T X = B for each row of the lower-triangular stack L
+    (shape (N, m, m)) and right-hand sides B (shape (N, m)): forward
+    substitution for L Y = B, then back substitution for L^T X = Y, in
+    place in one array."""
     m = L.shape[-1]
-    Y = np.empty_like(B)
+    X = np.empty_like(B)
     for i in range(m):
         entry = B[:, i]
         for k in range(i):
-            entry = entry - L[:, i, k] * Y[:, k]
-        Y[:, i] = entry / L[:, i, i]
-    return Y
-
-
-def _back_sub(L: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """X with L^T X = Y for each row of the lower-triangular stack L
-    (shape (N, m, m)) and right-hand sides Y (shape (N, m))."""
-    m = L.shape[-1]
-    X = np.empty_like(Y)
+            entry = entry - L[:, i, k] * X[:, k]
+        X[:, i] = entry / L[:, i, i]
     for i in reversed(range(m)):
-        entry = Y[:, i]
+        entry = X[:, i]
         for k in range(i + 1, m):
             entry = entry - L[:, k, i] * X[:, k]
         X[:, i] = entry / L[:, i, i]
     return X
-
-
-def _dual_from_cholesky(L: np.ndarray) -> QuadForm:
-    """The dual form (L L^T)^{-1} = L^{-T} L^{-1} from a Cholesky factor."""
-    inv_chol = np.linalg.inv(L)
-    return QuadForm(inv_chol.T @ inv_chol)
 
 
 def form_det(Q: QuadForm) -> float:

@@ -16,7 +16,8 @@ sums of non-negative terms over simplices of the support, formed from the
 softmax weights of :mod:`.expsum` without a metric, and Psi is defined
 wherever det g does not underflow.
 :func:`psi_via_phi0` and :func:`classify` go through :func:`.evaluate`
-instead, and read the formed metric and its dual form: they check the
+instead, and read the formed metric and its dual form from
+:func:`.geometry.dual_form`, the one dual-form gate: they check the
 logistic in phi0, the dual form and the closed-form decrease criterion
 against a route that shares none of them.
 """
@@ -31,12 +32,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateMetricError, DomainError, InputError, SparseKacRiceError
+from .errors import DegenerateMetricError, DomainError, InputError, SingularFormError
+from .errors import SparseKacRiceError
 from .expsum import ExpSum, _invert_moment_many, _simplex_sum, _softmax, _sorted_products
 from .expsum import evaluate, invert_moment
 from .geometry import QuadForm, SupportSet, _check_vector, _cone_dets, _interior_mask
 from .geometry import _sorted_tuples
-from .geometry import diameter, interior_contains
+from .geometry import diameter, dual_form, interior_contains
 
 __all__ = [
     "U_MINUS",
@@ -129,16 +131,19 @@ def augment(E: ExpSum, aug: Augmentation) -> ExpSum:
 
 
 def _checked_bundle(E: ExpSum, aug: Augmentation, x):
-    """(a0, evaluate(E, x), phi0, K/K_0, tau) on the routes that go through
-    :func:`evaluate`; raises where the metric has no dual form."""
+    """(a0, evaluate(E, x), the dual form of its metric, phi0, K/K_0, tau)
+    on the routes that go through :func:`evaluate`; DegenerateMetricError
+    where :func:`.geometry.dual_form` refuses the metric."""
     a0 = _check_augmentation(E, aug)
     bundle = evaluate(E, x)
-    if bundle.g_dual is None:
-        raise DegenerateMetricError("metric degenerates at x; density ratio undefined")
+    try:
+        g_dual = dual_form(bundle.g)
+    except SingularFormError as exc:
+        raise DegenerateMetricError("metric degenerates at x; density ratio undefined") from exc
     log_f0 = math.log(aug.alpha0) + float(a0 @ bundle.x)
     log_K0 = float(np.logaddexp(2.0 * bundle.phi, 2.0 * log_f0))
     tau = math.exp(log_f0 - 0.5 * log_K0) * (bundle.mu - a0)
-    return a0, bundle, bundle.phi - log_f0, math.exp(2.0 * bundle.phi - log_K0), tau
+    return a0, bundle, g_dual, bundle.phi - log_f0, math.exp(2.0 * bundle.phi - log_K0), tau
 
 
 def _psi_many(E: ExpSum, aug: Augmentation, X: np.ndarray):
@@ -210,15 +215,16 @@ def psi_via_phi0(E: ExpSum, aug: Augmentation, x) -> float:
     Psi = (1 - s)^{m/2} sqrt(1 + s * g^x(mu - a_0)) with the logistic
     s = 1/(1 + e^{2 phi0}); the factor 1 - s is evaluated as its own
     logistic so the far tail keeps full precision.  Used to
-    cross-validate :func:`psi`: this route forms g and its dual form, from
-    the inverse of the gate's Cholesky factor, where psi sums det g and
-    g^x(tau) det g by Cauchy-Binet.  They agree to about 1e-12 where g is
-    well conditioned and to about cond(g) * eps near the condition gate.
+    cross-validate :func:`psi`: this route forms g and its dual form
+    (:func:`.geometry.dual_form`, from one symmetric eigendecomposition),
+    where psi sums det g and g^x(tau) det g by Cauchy-Binet.  They agree to
+    about 1e-12 where g is well conditioned and to about cond(g) * eps near
+    the condition gate; DegenerateMetricError where dual_form refuses g.
     """
-    a0, bundle, phi0, _, _ = _checked_bundle(E, aug, x)
+    a0, bundle, g_dual, phi0, _, _ = _checked_bundle(E, aug, x)
     s = _logistic(-2.0 * phi0)
     ratio = _logistic(2.0 * phi0)
-    return ratio ** (E.dim / 2.0) * math.sqrt(1.0 + s * bundle.g_dual(bundle.mu - a0))
+    return ratio ** (E.dim / 2.0) * math.sqrt(1.0 + s * g_dual(bundle.mu - a0))
 
 
 def classify(E: ExpSum, aug: Augmentation, x, tol: float = 1e-10) -> str:
@@ -232,8 +238,8 @@ def classify(E: ExpSum, aug: Augmentation, x, tol: float = 1e-10) -> str:
     which is algebraically equivalent to Psi < 1.  Agrees with the
     Psi-vs-1 classification whenever |Psi - 1| > tol.
     """
-    a0, bundle, phi0, _, _ = _checked_bundle(E, aug, x)
-    lhs = bundle.g_dual(bundle.mu - a0)
+    a0, bundle, g_dual, phi0, _, _ = _checked_bundle(E, aug, x)
+    lhs = g_dual(bundle.mu - a0)
     m = E.dim
     with np.errstate(over="ignore"):
         r = float(np.exp(-2.0 * phi0))
@@ -287,8 +293,8 @@ def ray_scan_unbounded(
     norm = float(np.linalg.norm(x_dir))
     if norm == 0.0:
         raise InputError("x_dir must be nonzero")
-    if not (t_max > 0 and n_steps >= 1):
-        raise InputError("need t_max > 0 and n_steps >= 1")
+    if not (t_max > 0 and math.isfinite(t_max) and n_steps >= 1):
+        raise InputError("need a finite t_max > 0 and n_steps >= 1")
     ts = np.linspace(t_max / n_steps, t_max, n_steps)
     return _psi_evals(E, aug, ts[:, None] * (x_dir / norm))
 
@@ -412,7 +418,7 @@ def augmented_metric(E: ExpSum, aug: Augmentation, x) -> QuadForm:
     (g_0)_x = (K/K_0) (g_x + tau tau^T).  Evaluating the augmented sum
     directly gives the same form; this route never materializes it.
     """
-    _, bundle, _, ratio, tau = _checked_bundle(E, aug, x)
+    _, bundle, _, _, ratio, tau = _checked_bundle(E, aug, x)
     return QuadForm(ratio * (bundle.g.entries + np.outer(tau, tau)))
 
 
@@ -444,7 +450,7 @@ def levelset_projection_check(
     is undefined and a DomainError is raised; in one variable the
     complement is trivial and the check passes vacuously.
     """
-    a0, bundle, _, ratio, _ = _checked_bundle(E, aug, x)
+    a0, bundle, _, _, ratio, _ = _checked_bundle(E, aug, x)
     grad0 = bundle.mu - a0
     if np.linalg.norm(grad0) <= 1e-12 * (1.0 + np.linalg.norm(a0)):
         raise DomainError("x is a critical point of phi0; level set has no tangent space")

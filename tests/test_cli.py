@@ -201,11 +201,33 @@ class TestSelftestAndErrors:
         assert "0 failed" in out
         assert "PASS  kernel_rows_match_batch" in out
         assert "PASS  simplex_sum_matches_subsets" in out
+        assert "PASS  psi_via_phi0_matches_psi" in out
 
-    def test_malformed_input_exits_two(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "record, argv",
+        [
+            pytest.param('{"schema": 1, "points": "nope"}', ["analyze"], id="no-support"),
+            pytest.param('{"dim": 1, "support": [0, 1], "coeffs": ["a", 1]}', ["analyze"],
+                         id="coeff-not-a-number"),
+            pytest.param('{"dim": 1, "support": [0, 1], "coeffs": {"x": 1}}', ["analyze"],
+                         id="coeffs-an-object"),
+            pytest.param(ExpSum([[0.0], [1.0]]).to_json(),
+                         ["density-grid", "--resolution", "abc"], id="resolution-not-an-int"),
+            pytest.param(ExpSum([[0.0], [1.0]]).to_json(),
+                         ["density-grid", "--resolution", "-3"], id="resolution-negative"),
+            pytest.param(kostlan(2, 1).to_json(),
+                         ["psi-grid", "--a0", "0.5,0.5", "--resolution", "x"],
+                         id="psi-resolution-not-an-int"),
+        ],
+    )
+    def test_malformed_input_exits_two(self, tmp_path, record, argv):
         bad = tmp_path / "bad.json"
-        bad.write_text('{"schema": 1, "points": "nope"}')
-        assert main(["analyze", "--input", str(bad)]) == 2
+        bad.write_text(record)
+        assert main(argv[:1] + ["--input", str(bad)] + argv[1:]) == 2
+
+    def test_infinite_t_max_exits_two(self, two_term_file):
+        argv = ["ray", "--input", two_term_file, "--a0", "3", "--direction", "1", "--t-max", "inf"]
+        assert main(argv) == 2
 
     def test_missing_file_exits_two(self, tmp_path):
         assert main(["analyze", "--input", str(tmp_path / "absent.json")]) == 2

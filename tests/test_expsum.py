@@ -16,10 +16,12 @@ from sparse_kacrice import (
     ExpSum,
     InputError,
     Quadrature,
+    SingularFormError,
     asymptotic_moment,
     ball_sphere_constants,
     density,
     density_many,
+    dual_form,
     evaluate,
     face_metric_limit,
     hessian_check,
@@ -32,8 +34,8 @@ from sparse_kacrice import (
     veronese,
     veronese_pullback_check,
 )
-from sparse_kacrice.expsum import DET_FLOOR, _batch_moments, _invert_moment_many, _log_det, _softmax
-from sparse_kacrice.geometry import SIMPLEX_FORM_LIMIT
+from sparse_kacrice.expsum import _batch_moments, _invert_moment_many, _log_det, _softmax
+from sparse_kacrice.geometry import DET_FLOOR, SIMPLEX_FORM_LIMIT
 
 TWO_TERM = ExpSum([[0.0], [1.0]])
 IRREGULAR = ExpSum([[0.0], [0.5], [1.7]], [1.0, 2.0, 1.0])
@@ -302,7 +304,8 @@ class TestScalarCallsAreOneRowKernels:
         for got in (density(TWO_TERM, [350.0]), density_many(TWO_TERM, [[350.0]])[0],
                     evaluate(TWO_TERM, [350.0]).density):
             assert got == pytest.approx(want, rel=1e-14, abs=0.0)
-        assert evaluate(TWO_TERM, [350.0]).g_dual is None
+        with pytest.raises(SingularFormError):
+            dual_form(evaluate(TWO_TERM, [350.0]).g)
 
 
 class TestDerivatives:

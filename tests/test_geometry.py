@@ -25,13 +25,12 @@ from sparse_kacrice import (
     kostlan,
     support_function,
 )
-from sparse_kacrice.expsum import DET_FLOOR, _batch_moments
+from sparse_kacrice.expsum import _batch_moments
 from sparse_kacrice.geometry import (
+    DET_FLOOR,
     DUAL_COND_LIMIT,
-    _back_sub,
     _cholesky_many,
-    _dual_gate,
-    _forward_sub,
+    _cholesky_solve,
     _interior_mask,
 )
 
@@ -276,9 +275,7 @@ class TestStackedCholesky:
         np.testing.assert_allclose(L[:200], np.linalg.cholesky(well), rtol=1e-13, atol=1e-14)
         np.testing.assert_allclose(L[ok], np.linalg.cholesky(G[ok]), rtol=0.0, atol=1e-9)
         B = rng.normal(size=(200, m))
-        Y = _forward_sub(L[:200], B)
-        np.testing.assert_allclose(Y, np.linalg.solve(L[:200], B[..., None])[..., 0], rtol=1e-12)
-        X = _back_sub(L[:200], Y)
+        X = _cholesky_solve(L[:200], B)
         want = np.linalg.solve(well, B[..., None])[..., 0]
         np.testing.assert_allclose(X, want, rtol=1e-10, atol=1e-12 * np.abs(want).max())
 
@@ -290,6 +287,29 @@ def _reference_gate(G, det_floor, cond_limit=DUAL_COND_LIMIT):
     flat = (np.linalg.det(G) < det_floor) | (eigs[:, 0] <= 0.0)
     flat |= eigs[:, -1] > cond_limit * eigs[:, 0]
     return flat | _lapack_cholesky_fails(G)
+
+
+def _dual_forms(G):
+    """(S, duals, refused) for the rows of G: the symmetrized Gram arrays
+    that dual_form reads, each row's dual form or None where dual_form
+    refuses it, and the refusal mask."""
+    forms = [QuadForm(row) for row in G]
+    duals = []
+    for Q in forms:
+        try:
+            duals.append(dual_form(Q))
+        except SingularFormError:
+            duals.append(None)
+    return np.array([Q.entries for Q in forms]), duals, np.array([d is None for d in duals])
+
+
+def _assert_duals_invert(S, duals):
+    """|Q° Q - I| <= 1e-15 cond(Q) entrywise on every accepted row of S."""
+    for entries, dual in zip(S, duals):
+        if dual is not None:
+            eigs = np.linalg.eigvalsh(entries)
+            error = np.abs(dual.entries @ entries - np.eye(len(entries))).max()
+            assert error <= 1e-15 * eigs[-1] / eigs[0]
 
 
 class TestDualGate:
@@ -308,17 +328,11 @@ class TestDualGate:
         for E in self.SUMS:
             d = rng.normal(size=(1500, E.dim))
             X = d / np.linalg.norm(d, axis=1, keepdims=True) * rng.uniform(5, 200, (1500, 1))
-            G = _batch_moments(E, X)[3]
-            for det_floor in (DET_FLOOR, -math.inf):
-                flat, L = _dual_gate(G, det_floor)
-                np.testing.assert_array_equal(flat, _reference_gate(G, det_floor))
-                flat_rows += flat.sum()
-                # The factors reproduce G (its lower triangle) to roundoff.
-                lower = np.tril(G[~flat]) + np.swapaxes(np.tril(G[~flat], -1), 1, 2)
-                back = L[~flat] @ np.swapaxes(L[~flat], 1, 2)
-                scale = np.abs(lower).max(axis=(1, 2))
-                assert (np.abs(back - lower).max(axis=(1, 2)) <= 1e-14 * scale).all()
-        assert 0 < flat_rows < 2 * 1500 * len(self.SUMS)
+            S, duals, refused = _dual_forms(_batch_moments(E, X)[3])
+            np.testing.assert_array_equal(refused, _reference_gate(S, DET_FLOOR))
+            flat_rows += refused.sum()
+            _assert_duals_invert(S, duals)
+        assert 0 < flat_rows < 1500 * len(self.SUMS)
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_rows_either_side_of_the_limits(self, m):
@@ -340,11 +354,8 @@ class TestDualGate:
             rows.append(scale * np.eye(m))
             Q = _rotation(rng, m)
             rows.append(scale * (Q @ Q.T))
-        G = np.array(rows)
-        for det_floor in (DET_FLOOR, -math.inf):
-            flat, _ = _dual_gate(G, det_floor)
-            want = _reference_gate(G, det_floor)
-            np.testing.assert_array_equal(flat, want)
-            assert not want.all()
-        assert want.any() or m == 1
-        assert _dual_gate(G, DET_FLOOR)[0].any()
+        S, duals, refused = _dual_forms(np.array(rows))
+        want = _reference_gate(S, DET_FLOOR)
+        np.testing.assert_array_equal(refused, want)
+        assert want.any() and not want.all()
+        _assert_duals_invert(S, duals)

@@ -30,8 +30,8 @@ from sparse_kacrice import (
     region_scan,
     witness_interior,
 )
-from sparse_kacrice.expsum import DET_FLOOR, _batch_moments, _invert_moment_many
-from sparse_kacrice.geometry import _dual_gate
+from sparse_kacrice.expsum import _batch_moments, _invert_moment_many
+from sparse_kacrice.geometry import DET_FLOOR, DUAL_COND_LIMIT
 from sparse_kacrice.monotonicity import _logistic
 
 TWO_TERM = ExpSum([[0.0], [1.0]])
@@ -44,6 +44,14 @@ SCAN_CASES = {
     "weighted_triangle": (ExpSum([[0, 0], [1, 0], [0, 1]], [1.0, 2.0, 0.5]), [0.25, 0.3], [1.5, 1.5]),
     "sheared_square": (ExpSum([[0, 0], [1, 0], [0.5, 1], [1.5, 1]]), [0.7, 0.5], [-1.0, 0.5]),
 }
+
+
+def _refused_by_dual_form(G):
+    """The gate of geometry.dual_form on each row of the stack G, written
+    with eigvalsh."""
+    eigs = np.linalg.eigvalsh(G)
+    flat = (eigs[:, 0] <= 0.0) | (eigs[:, -1] > DUAL_COND_LIMIT * eigs[:, 0])
+    return flat | (np.prod(eigs, axis=1) < DET_FLOOR)
 
 
 def _psi_60_digits(mp, E, a0, x):
@@ -140,7 +148,7 @@ class TestPsi:
             X = rng.uniform(-20.0, 20.0, size=(20000, 2))
             G = _batch_moments(E, X)[3]
             eigs = np.linalg.eigvalsh(G)
-            usable = ~_dual_gate(G, DET_FLOOR)[0] & (eigs[:, 1] > 1e6 * eigs[:, 0])
+            usable = ~_refused_by_dual_form(G) & (eigs[:, 1] > 1e6 * eigs[:, 0])
             for x in X[usable][:100]:
                 for a0 in (inside, outside):
                     with mp.workdps(60):
@@ -208,6 +216,10 @@ class TestPsi:
         assert max(errors) <= 2e-13
         with pytest.raises(DegenerateMetricError, match="underflows"):
             ray_scan_unbounded(SQUARE, aug, [1.0, 0.3], 2000.0, 64)
+
+    def test_infinite_t_max_raises(self):
+        with pytest.raises(InputError, match="finite"):
+            ray_scan_unbounded(kostlan(1, 2), Augmentation([3.0]), [1.0], math.inf, 3)
 
     def test_ray_scan_decreases(self):
         evs = ray_scan_unbounded(TWO_TERM, Augmentation([3.0]), [1.0], 40.0, 8)
@@ -357,7 +369,7 @@ class TestRegionScan:
         mp = pytest.importorskip("mpmath")
         scan = region_scan(SQUARE, SQ_AUG, box=[(-20, 20), (-20, 20)], resolution=64, space="x")
         nodes = np.stack(np.meshgrid(*scan.axes, indexing="ij"), axis=-1).reshape(-1, 2)
-        flat = _dual_gate(_batch_moments(SQUARE, nodes)[3], DET_FLOOR)[0]
+        flat = _refused_by_dual_form(_batch_moments(SQUARE, nodes)[3])
         assert flat.sum() > 400
         errors = []
         for x, got in zip(nodes[flat], scan.psi.ravel()[flat]):
