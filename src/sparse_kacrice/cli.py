@@ -36,8 +36,8 @@ from .expsum import (
     ExpSum, _batch_moments, _invert_moment_many, _simplex_sum, _softmax, density, density_many,
     evaluate, invert_moment,
 )
-from .geometry import ball_sphere_constants, interior_contains
-from .integrate import Quadrature, esol_pspace, esol_total
+from .geometry import _check_box, _grid, ball_sphere_constants, interior_contains
+from .integrate import Quadrature, esol_pspace, esol_region, esol_total
 from .monotonicity import (
     OUTSIDE,
     Augmentation,
@@ -60,25 +60,19 @@ def _parse_floats(text: str) -> np.ndarray:
 
 def _parse_box(text: str, m: int):
     if text == "auto":
-        return "auto"
+        return None
     values = _parse_floats(text)
     if values.size != 2 * m:
         raise InputError(f"--box needs {2 * m} comma-separated reals (lo,hi per axis)")
-    return tuple((values[2 * i], values[2 * i + 1]) for i in range(m))
+    return _check_box(values.reshape(m, 2), m)
 
 
-def _parse_resolution(text: str, m: int):
+def _parse_resolution(text: str):
     try:
-        parts = [int(p) for p in text.split(",")]
+        parts = tuple(int(p) for p in text.split(","))
     except ValueError as exc:
         raise InputError(f"could not parse {text!r} as comma-separated integers") from exc
-    if min(parts) < 1:
-        raise InputError("--resolution must be at least 1 per axis")
-    if len(parts) == 1:
-        return parts[0]
-    if len(parts) != m:
-        raise InputError(f"--resolution needs 1 or {m} integers")
-    return tuple(parts)
+    return parts[0] if len(parts) == 1 else parts
 
 
 def _load_expsum(path: str, cls=ExpSum):
@@ -109,52 +103,44 @@ def _emit_json(payload: dict, output: str | None) -> None:
 def _cmd_analyze(args) -> int:
     E = _load_expsum(args.input)
     box = _parse_box(args.box, E.dim)
-    if args.route != "x" and box != "auto":
+    if args.route != "x" and box is not None:
         raise InputError("--box applies to the x route only; the moment route covers the polytope")
-    q = Quadrature(abs_tol=args.tol, rel_tol=args.tol, box=box)
-    if args.route in ("x", "p"):
-        result = esol_total(E, q) if args.route == "x" else esol_pspace(E, q)
+    q = Quadrature(abs_tol=args.tol, rel_tol=args.tol)
+    if args.route == "both":
+        rx, rp = esol_total(E, q), esol_pspace(E, q)
         _emit_json(
             {
                 "schema": 1,
-                "value": result.value,
-                "error": result.error,
-                "route": result.route,
-                "cells": result.cells,
+                "route": "both",
+                "x": {"value": rx.value, "error": rx.error, "cells": rx.cells},
+                "p": {"value": rp.value, "error": rp.error, "cells": rp.cells},
+                "abs_diff": abs(rx.value - rp.value),
             },
             args.output,
         )
         return 0
-    rx = esol_total(E, q)
-    rp = esol_pspace(E, q)
+    if args.route == "p":
+        result = esol_pspace(E, q)
+    else:
+        result = esol_total(E, q) if box is None else esol_region(E, box, q)
     _emit_json(
         {
             "schema": 1,
-            "route": "both",
-            "x": {"value": rx.value, "error": rx.error, "cells": rx.cells},
-            "p": {"value": rp.value, "error": rp.error, "cells": rp.cells},
-            "abs_diff": abs(rx.value - rp.value),
+            "value": result.value,
+            "error": result.error,
+            "route": result.route,
+            "cells": result.cells,
         },
         args.output,
     )
     return 0
 
 
-def _grid_axes(box, resolution, m):
-    if np.isscalar(resolution):
-        resolution = (int(resolution),) * m
-    return [np.linspace(lo, hi, r) for (lo, hi), r in zip(box, resolution)]
-
-
 def _cmd_density_grid(args) -> int:
     E = _load_expsum(args.input)
     m = E.dim
-    box = _parse_box(args.box, m)
-    if box == "auto":
-        box = tuple((-5.0, 5.0) for _ in range(m))
-    axes = _grid_axes(box, _parse_resolution(args.resolution, m), m)
-    grids = np.meshgrid(*axes, indexing="ij")
-    points = np.stack([g.ravel() for g in grids], axis=1)
+    box = _parse_box(args.box, m) or ((-5.0, 5.0),) * m
+    _, axes, points = _grid(box, _parse_resolution(args.resolution))
     values = density_many(E, points)
     if args.format == "json" or (args.output or "").endswith(".json"):
         payload = {
@@ -175,8 +161,7 @@ def _cmd_density_grid(args) -> int:
 def _cmd_psi_grid(args) -> int:
     E = _load_expsum(args.input)
     aug = Augmentation(_parse_floats(args.a0), args.alpha0)
-    box = _parse_box(args.box, E.dim) if args.box != "auto" else None
-    resolution = _parse_resolution(args.resolution, E.dim)
+    box, resolution = _parse_box(args.box, E.dim), _parse_resolution(args.resolution)
     scan = region_scan(E, aug, box=box, resolution=resolution, space=args.space)
     if args.format == "json" or (args.output or "").endswith(".json"):
         _emit(scan.to_json(), args.output)
@@ -304,8 +289,7 @@ def _selftest_checks():
 
     def batched_inversion_on_pentagon():
         E = pentagon
-        axes = np.linspace(-1.0, 3.0, 8), np.linspace(0.0, 3.0, 8)
-        nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
+        nodes = _grid(((-1.0, 3.0), (0.0, 3.0)), 8)[2]
         nodes = nodes[[interior_contains(E.support, p, 1e-6) for p in nodes]]
         X, ok = _invert_moment_many(E, nodes)
         return len(nodes) > 20 and ok.all() and all(
@@ -351,7 +335,7 @@ def _selftest_checks():
         E, aug = algebra_mod.kostlan(2, 1), Augmentation(np.array([0.3, 0.6]))
         scan = region_scan(E, aug, resolution=8, space="p")
         inside = scan.classes != OUTSIDE
-        nodes = np.stack(np.meshgrid(*scan.axes, indexing="ij"), axis=-1)[inside]
+        nodes = _grid(scan.box, scan.resolution)[2][inside.ravel()]
         want = [psi(E, aug, invert_moment(E, p)) for p in nodes]
         return inside.sum() == 36 and all(
             label == w.classification and abs(value - w.psi) <= 1e-9 * w.psi
@@ -420,8 +404,8 @@ def _selftest_checks():
 
 
 def _cmd_selftest(args) -> int:
-    failures = 0
-    for label, check in _selftest_checks():
+    checks, failures = _selftest_checks(), 0
+    for label, check in checks:
         try:
             ok = bool(check())
         except Exception as exc:  # honest report, keep going
@@ -429,7 +413,7 @@ def _cmd_selftest(args) -> int:
             label = f"{label} ({type(exc).__name__}: {exc})"
         print(f"{'PASS' if ok else 'FAIL'}  {label}")
         failures += 0 if ok else 1
-    print(f"{len(_selftest_checks()) - failures} passed, {failures} failed")
+    print(f"{len(checks) - failures} passed, {failures} failed")
     return 0 if failures == 0 else 3
 
 

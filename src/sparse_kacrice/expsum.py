@@ -76,6 +76,9 @@ __all__ = [
 #: Default interior margin for moment-map inversion, scaled by (1 + diam P).
 INVERT_MARGIN = 1e-9
 
+#: Newton iterations of moment-map inversion before a row counts as failed.
+INVERT_MAX_ITER = 80
+
 #: Points closer than this fraction of diam(P) to the polytope boundary are
 #: rejected by legendre_density (the metric blows up at the faces).
 LEGENDRE_MARGIN = 1e-6
@@ -181,7 +184,6 @@ class EvalBundle:
     x : the evaluation point
     K : covariance sum(alpha_a^2 exp(2<a,x>)); may overflow to inf for
         extreme x — ``phi`` is the overflow-safe carrier
-    Kbar : exp(-2 h_P(x)) K(x), always finite
     phi : potential (1/2) log K
     weights : softmax weights lambda_a (probability vector over A)
     mu : moment map, the weighted barycenter sum lambda_a a
@@ -192,7 +194,6 @@ class EvalBundle:
 
     x: np.ndarray
     K: float
-    Kbar: float
     phi: float
     weights: np.ndarray
     mu: np.ndarray
@@ -345,10 +346,8 @@ def evaluate(E: ExpSum, x) -> EvalBundle:
     phi = float(phi[0])
     with np.errstate(over="ignore"):
         K = float(np.exp(2.0 * phi))
-    Kbar = float(np.exp(2.0 * (phi - (E.support.points @ x).max())))
     return EvalBundle(
-        x=x, K=K, Kbar=Kbar, phi=phi, weights=lam[0], mu=mu[0], g=QuadForm(G[0]),
-        density=density,
+        x=x, K=K, phi=phi, weights=lam[0], mu=mu[0], g=QuadForm(G[0]), density=density
     )
 
 
@@ -419,7 +418,7 @@ def _balancing_point(E: ExpSum) -> np.ndarray:
     return np.linalg.lstsq(design, -E.log_coeffs, rcond=None)[0][:-1]
 
 
-def invert_moment(E: ExpSum, p, tol: float = 1e-10, max_iter: int = 80) -> np.ndarray:
+def invert_moment(E: ExpSum, p, tol: float = 1e-10) -> np.ndarray:
     """Solve mu(x) = p for x by damped Newton iteration: the batched
     kernel on one row.
 
@@ -430,8 +429,9 @@ def invert_moment(E: ExpSum, p, tol: float = 1e-10, max_iter: int = 80) -> np.nd
 
     Raises DomainError for p outside the interior (with margin) and
     ConvergenceError (carrying the last iterate and its residual) when
-    ``tol`` is not reached: past ``max_iter``, on a stalled line search,
-    or where the Cholesky factorization of the metric fails.
+    ``tol`` is not reached: past ``INVERT_MAX_ITER`` iterations, on a
+    stalled line search, or where the Cholesky factorization of the metric
+    fails.
     """
     if not tol > 0:
         raise InputError("tol must be positive")
@@ -441,7 +441,7 @@ def invert_moment(E: ExpSum, p, tol: float = 1e-10, max_iter: int = 80) -> np.nd
     margin = INVERT_MARGIN * (1.0 + diameter(E.support))
     if not interior_contains(E.support, p, margin):
         raise DomainError(f"target {p.tolist()} is not interior to the Newton polytope")
-    X, ok = _invert_moment_many(E, p[None], tol, max_iter)
+    X, ok = _invert_moment_many(E, p[None], tol)
     if not ok[0]:
         residual = float(np.linalg.norm(_batch_moments(E, X)[2][0] - p))
         message = f"damped Newton stopped at residual {residual:.3e} > tol {tol:.1e}"
@@ -449,27 +449,30 @@ def invert_moment(E: ExpSum, p, tol: float = 1e-10, max_iter: int = 80) -> np.nd
     return X[0]
 
 
-def _invert_moment_many(E: ExpSum, P: np.ndarray, tol: float = 1e-10, max_iter: int = 80):
+def _invert_moment_many(E: ExpSum, P: np.ndarray, tol: float = 1e-10):
     """Vectorized damped Newton for many interior targets at once.
 
     Returns (X, ok) where ok flags rows whose residual |mu(x) - p| reached
-    ``tol``.  The live rows are kept packed.  Each iteration factors
-    their metrics by one stacked Cholesky (:func:`._cholesky_many`),
-    solves for the full Newton step 2 g delta = p - mu on every live row
-    (:func:`._cholesky_solve`), and halves the step (at most 44 times)
-    only on the rows whose residual did not fall.  Converged rows, rows with no accepted step and rows
-    whose factorization fails retire once per iteration, the last two as
-    failed.  No interior check is performed here — callers own the
-    masking.
+    ``tol`` within ``INVERT_MAX_ITER`` iterations.  The live rows are kept
+    packed.  Each iteration factors their metrics by one stacked Cholesky
+    (:func:`._cholesky_many`), solves for the full Newton step
+    2 g delta = p - mu on every live row (:func:`._cholesky_solve`), and
+    halves the step (at most 44 times) only on the rows whose residual did
+    not fall.  Converged rows, rows with no accepted step and rows whose
+    factorization fails retire once per iteration, the last two as failed.
+    No interior check is performed here — callers own the masking.
     """
     P = np.atleast_2d(np.asarray(P, dtype=float))
-    X = np.tile(_balancing_point(E), (P.shape[0], 1))
-    _, _, mu, G = _batch_moments(E, X)
-    res2 = ((mu - P) ** 2).sum(axis=1)
+    x0 = _balancing_point(E)
+    X = np.tile(x0, (P.shape[0], 1))
+    # Every row starts at x0, so its moments are taken once.
+    _, _, mu0, G0 = _batch_moments(E, x0[None])
+    res2 = ((mu0 - P) ** 2).sum(axis=1)
     tol2 = tol * tol
     live = np.flatnonzero(res2 > tol2)
-    x, p, mu, G, r2 = X[live], P[live], mu[live], G[live], res2[live]
-    for _ in range(max_iter):
+    x, p, r2 = X[live], P[live], res2[live]
+    mu, G = np.repeat(mu0, live.size, axis=0), np.repeat(G0, live.size, axis=0)
+    for _ in range(INVERT_MAX_ITER):
         if live.size == 0:
             break
         L, ok = _cholesky_many(G)

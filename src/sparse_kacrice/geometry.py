@@ -7,8 +7,8 @@ that every density determinant is summed from.  Quadratic forms enter
 through the metric of an exponential sum; this module supplies the dual
 form (Gram-array inverse), whose gate :func:`dual_form` alone decides,
 determinants, ellipsoid volumes, the stacked Cholesky factorization and
-solve of Newton's method, and the unit-ball/unit-sphere constants that
-normalize every density in the package.
+solve of Newton's method, the unit-ball/unit-sphere constants that
+normalize every density in the package, and the one box check and grid.
 """
 
 from __future__ import annotations
@@ -248,6 +248,39 @@ def _check_vector(u, m: int, name: str = "u") -> np.ndarray:
     if not np.all(np.isfinite(vec)):
         raise InputError(f"{name} must be finite")
     return vec
+
+
+def _check_box(box, m: int) -> tuple:
+    """A box as m (lo, hi) float pairs: shape (m, 2), or (2,) in one variable,
+    every bound finite and lo < hi.  InputError otherwise."""
+    try:
+        arr = np.asarray(box, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"box must give numeric (lo, hi) pairs, got {box!r}") from exc
+    if arr.shape == (2,) and m == 1:
+        arr = arr[None, :]
+    if arr.shape != (m, 2):
+        raise InputError(f"box must give (lo, hi) for each of {m} axes")
+    if not np.all(np.isfinite(arr)) or np.any(arr[:, 0] >= arr[:, 1]):
+        raise InputError("box must give finite lo < hi per axis")
+    return tuple((float(a), float(b)) for a, b in arr)
+
+
+def _grid(box, resolution):
+    """(resolution, axes, nodes) of the grid on a checked box: resolution an
+    int or one per axis, at least 2 each; axes the linspace of each axis;
+    nodes (prod(resolution), m), row-major."""
+    m = len(box)
+    per_axis = (resolution,) * m if np.isscalar(resolution) else resolution
+    try:
+        resolution = tuple(int(r) for r in per_axis)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"resolution must be integers, got {resolution!r}") from exc
+    if len(resolution) != m or any(r < 2 for r in resolution):
+        raise InputError(f"resolution must give at least 2 points on each of {m} axes")
+    axes = tuple(np.linspace(a, b, r) for (a, b), r in zip(box, resolution))
+    nodes = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+    return resolution, axes, nodes
 
 
 def support_function(A, u) -> float:

@@ -3,12 +3,13 @@
 Two routes to the same number:
 
 * the x-space route integrates the zero density (2/s_m) sqrt(det g_x)
-  over R^m.  With ``box="auto"`` it works in metric-normalized
-  coordinates x = x0 + W y, where x0 is the moment preimage of the
+  over R^m (:func:`esol_total`) in metric-normalized coordinates
+  x = x0 + W y, where x0 is the moment preimage of the
   support's barycenter and W^T g(x0) W = I, so the region sits in the
   same place relative to the support under every affine map of it: the
   cube [-4, 4]^m, then shells [-2r, 2r]^m minus [-r, r]^m for as long as
-  the newest shell outweighs the error of the cells already in hand;
+  the newest shell outweighs the error of the cells already in hand
+  (:func:`esol_region` integrates the same density over a box alone);
 * the moment-space route integrates the Legendre-transform density over
   the Newton polytope (m <= 2), split into one quadrilateral per hull
   vertex and mapped so that the square-root boundary layer and the
@@ -35,7 +36,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -49,7 +50,7 @@ from .expsum import (
     density_many,
     invert_moment,
 )
-from .geometry import ball_sphere_constants, diameter, hull_volume
+from .geometry import _check_box, _grid, ball_sphere_constants, diameter, hull_volume
 
 __all__ = [
     "Quadrature",
@@ -64,9 +65,9 @@ __all__ = [
 #: Budget of one adaptive integral, in integrand nodes held by its leaf
 #: cells: 40 000 cells of the two-variable rule, which has 80 nodes.
 MAX_NODES = 40000 * 80
-#: Half-width of the first AUTO cube, in metric-normalized coordinates.
+#: Half-width of the first cube over R^m, in metric-normalized coordinates.
 AUTO_RADIUS = 4.0
-#: Maximum number of AUTO shells.  Each doubles the radius; the density
+#: Maximum number of shells over R^m.  Each doubles the radius; the density
 #: reaches out to about 1/(smallest gap) in units of the frame that the
 #: largest gaps set, so 2^24 covers gaps spanning about seven decades.
 MAX_DOUBLINGS = 24
@@ -77,19 +78,19 @@ ROUNDOFF = 64.0 * np.finfo(float).eps
 
 @dataclass(frozen=True)
 class Quadrature:
-    """Integration request: tolerances and region.
+    """Error budget of one integral: max(abs_tol, rel_tol |value|).
 
-    ``box`` is "auto" for all of R^m, or a per-axis sequence of (lo, hi)
-    pairs ((lo, hi) alone is accepted in one variable).
+    Both tolerances must be finite and positive.  The region is the
+    integrator's: R^m for :func:`esol_total`, the Newton polytope for
+    :func:`esol_pspace`, a box only through :func:`esol_region`.
     """
 
     abs_tol: float = 1e-7
     rel_tol: float = 1e-7
-    box: object = "auto"
 
     def __post_init__(self):
-        if not (self.abs_tol > 0 and self.rel_tol > 0):
-            raise InputError("tolerances must be positive")
+        if not (0.0 < self.abs_tol < math.inf and 0.0 < self.rel_tol < math.inf):
+            raise InputError("tolerances must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -109,18 +110,6 @@ class IntegralResult:
     route: str
     cells: int
     nodes: int
-
-
-def _normalize_box(box, m: int):
-    """Coerce box input to a tuple of m (lo, hi) float pairs."""
-    box = np.asarray(box, dtype=float)
-    if box.shape == (2,) and m == 1:
-        box = box[None, :]
-    if box.shape != (m, 2):
-        raise InputError(f"box must give (lo, hi) for each of {m} axes")
-    if not np.all(np.isfinite(box)) or np.any(box[:, 0] >= box[:, 1]):
-        raise InputError("box must give finite lo < hi per axis")
-    return tuple((float(a), float(b)) for a, b in box)
 
 
 # ---------------------------------------------------------------------------
@@ -212,15 +201,14 @@ def _cell_rule(m):
 
 
 def _seed_grid(box, per_axis):
-    """Initial subdivision: roughly isotropic cells, per_axis on the longest axis."""
+    """Initial subdivision: roughly isotropic cells, per_axis on the longest
+    axis; returns the lower and upper corners of the cells, row-major."""
+    m = len(box)
     lengths = np.array([b - a for a, b in box])
     counts = np.maximum(1, np.round(per_axis * lengths / lengths.max()).astype(int))
-    edges = [np.linspace(a, b, c + 1) for (a, b), c in zip(box, counts)]
-    grids_lo = np.meshgrid(*[e[:-1] for e in edges], indexing="ij")
-    grids_hi = np.meshgrid(*[e[1:] for e in edges], indexing="ij")
-    los = np.stack([g.ravel() for g in grids_lo], axis=1)
-    his = np.stack([g.ravel() for g in grids_hi], axis=1)
-    return los, his
+    resolution, _, edges = _grid(box, counts + 1)
+    edges = edges.reshape(resolution + (m,))
+    return edges[(slice(-1),) * m].reshape(-1, m), edges[(slice(1, None),) * m].reshape(-1, m)
 
 
 def _read_only(*arrays):
@@ -229,7 +217,7 @@ def _read_only(*arrays):
     return arrays
 
 
-# The AUTO region only ever takes r = AUTO_RADIUS * 2^j, so both caches stay
+# The region over R^m only ever takes r = AUTO_RADIUS * 2^j, so both caches stay
 # small: one entry per (r, m) a solve reaches, shared by every later solve.
 @lru_cache(maxsize=None)
 def _cube_cells(r, m):
@@ -294,7 +282,7 @@ def _adaptive(f, los, his, abs_tol, rel_tol, grow=False):
         if abs(shell) > error:
             if shells == MAX_DOUBLINGS:
                 raise ConvergenceError(
-                    "AUTO region kept growing without the tail shells dying off",
+                    "region over R^m kept growing without the tail shells dying off",
                     value=total,
                     residual=abs(shell),
                 )
@@ -342,7 +330,7 @@ def _over_rm(f, E: ExpSum, abs_tol, rel_tol):
     try:
         x0 = invert_moment(E, E.support.points.mean(axis=0))
     except ConvergenceError as exc:
-        raise ConvergenceError(f"no AUTO frame: {exc}", residual=exc.residual) from exc
+        raise ConvergenceError(f"no frame over R^m: {exc}", residual=exc.residual) from exc
     G = _batch_moments(E, x0[None, :])[3]
     lam, V = np.linalg.eigh(G[0])
     W = V / np.sqrt(lam)
@@ -360,33 +348,31 @@ def _over_rm(f, E: ExpSum, abs_tol, rel_tol):
 def esol_total(E: ExpSum, q: Quadrature | None = None) -> IntegralResult:
     """Expected number of zeros: the density integrated over R^m.
 
-    With ``box="auto"`` the heap starts on a cube in metric-normalized
-    coordinates and adds shells until the newest is negligible; an
-    explicit box integrates over it alone.  Degenerate supports
+    The heap starts on a cube in metric-normalized coordinates and adds
+    shells until the newest is negligible.  Degenerate supports
     (dim conv(A) < m) carry zero density and return 0.
     """
     q = q or Quadrature()
     if E.support.degenerate:
         return IntegralResult(0.0, 0.0, "x", 0, 0)
-    f = lambda X: density_many(E, X)
-    if isinstance(q.box, str):
-        if q.box != "auto":
-            raise InputError(f"box must be 'auto' or explicit bounds, got {q.box!r}")
-        value, error, cells, nodes = _over_rm(f, E, q.abs_tol, q.rel_tol)
-    else:
-        box = _normalize_box(q.box, E.dim)
-        value, error, cells, nodes = _adaptive(f, *_seed_grid(box, 8), q.abs_tol, q.rel_tol)
+    value, error, cells, nodes = _over_rm(lambda X: density_many(E, X), E, q.abs_tol, q.rel_tol)
     return IntegralResult(value, error, "x", cells, nodes)
 
 
 def esol_region(E: ExpSum, U, q: Quadrature | None = None) -> IntegralResult:
-    """Expected number of zeros with x restricted to the box U: the same
-    as ``esol_total`` with ``box=U``.
+    """Expected number of zeros with x restricted to the box U, checked by
+    :func:`.geometry._check_box`; 8 seed cells on its longest axis.
 
     Additive over disjoint boxes; used for decrease/increase-region
     comparisons between a sum and its augmentation.
     """
-    return esol_total(E, replace(q or Quadrature(), box=U))
+    box = _check_box(U, E.dim)
+    q = q or Quadrature()
+    if E.support.degenerate:
+        return IntegralResult(0.0, 0.0, "x", 0, 0)
+    f = lambda X: density_many(E, X)
+    value, error, cells, nodes = _adaptive(f, *_seed_grid(box, 8), q.abs_tol, q.rel_tol)
+    return IntegralResult(value, error, "x", cells, nodes)
 
 
 def esol_pspace(E: ExpSum, q: Quadrature | None = None) -> IntegralResult:

@@ -36,8 +36,8 @@ from .errors import DegenerateMetricError, DomainError, InputError, SingularForm
 from .errors import SparseKacRiceError
 from .expsum import ExpSum, _invert_moment_many, _simplex_sum, _softmax, _sorted_products
 from .expsum import evaluate, invert_moment
-from .geometry import QuadForm, SupportSet, _check_vector, _cone_dets, _interior_mask
-from .geometry import _sorted_tuples
+from .geometry import QuadForm, SupportSet, _check_box, _check_vector, _cone_dets, _grid
+from .geometry import _interior_mask, _sorted_tuples
 from .geometry import diameter, dual_form, interior_contains
 
 __all__ = [
@@ -324,8 +324,7 @@ class RegionScan:
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(self._column_names() + ["psi", "class"])
-        grids = np.meshgrid(*self.axes, indexing="ij")
-        coords = np.stack([g.ravel() for g in grids], axis=1)
+        coords = _grid(self.box, self.resolution)[2]
         flat_psi = self.psi.ravel()
         flat_cls = self.classes.ravel()
         for row, value, label in zip(coords, flat_psi, flat_cls):
@@ -366,8 +365,10 @@ def region_scan(
     grid by the kernel behind :func:`psi`, with no per-node Python call;
     a node where det g underflows to 0 raises DegenerateMetricError for
     the scan.  ``box`` defaults to the support's bounding box ("p") or
-    [-5, 5]^m ("x"); ``resolution`` is an int or per-axis sequence, at
-    least 2 per axis.
+    [-5, 5]^m ("x"), and any box must be finite with lo < hi per axis;
+    ``resolution`` is an int or per-axis sequence, at least 2 per axis.
+    Both follow :func:`.geometry._check_box` and :func:`.geometry._grid`
+    and raise InputError where those do.
     """
     _check_augmentation(E, aug)
     if space not in ("p", "x"):
@@ -377,19 +378,9 @@ def region_scan(
     m = E.dim
     if box is None:
         points = E.support.points
-        box = zip(points.min(axis=0), points.max(axis=0)) if space == "p" else [(-5.0, 5.0)] * m
-    box = tuple((float(a), float(b)) for a, b in box)
-    if len(box) != m or any(a >= b for a, b in box):
-        raise InputError("box must give (lo, hi) with lo < hi per axis")
-    if np.isscalar(resolution):
-        resolution = (int(resolution),) * m
-    resolution = tuple(int(r) for r in resolution)
-    if len(resolution) != m or any(r < 2 for r in resolution):
-        raise InputError("resolution must be at least 2 per axis")
-
-    axes = tuple(np.linspace(a, b, r) for (a, b), r in zip(box, resolution))
-    grids = np.meshgrid(*axes, indexing="ij")
-    nodes = np.stack([g.ravel() for g in grids], axis=1)
+        box = np.column_stack([points.min(0), points.max(0)]) if space == "p" else [(-5.0, 5.0)] * m
+    box = _check_box(box, m)
+    resolution, axes, nodes = _grid(box, resolution)
     values = np.full(nodes.shape[0], np.nan)
     if space == "x":
         values[:] = _psi_many(E, aug, nodes)[0]
@@ -401,14 +392,13 @@ def region_scan(
             values[usable] = _psi_many(E, aug, X[ok])[0]
     labels = _classify_psi(values)
     labels[np.isnan(values)] = OUTSIDE
-    shape = resolution
     return RegionScan(
         space=space,
         box=box,
         resolution=resolution,
         axes=axes,
-        psi=values.reshape(shape),
-        classes=labels.reshape(shape),
+        psi=values.reshape(resolution),
+        classes=labels.reshape(resolution),
     )
 
 

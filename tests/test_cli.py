@@ -218,6 +218,15 @@ class TestSelftestAndErrors:
             pytest.param(kostlan(2, 1).to_json(),
                          ["psi-grid", "--a0", "0.5,0.5", "--resolution", "x"],
                          id="psi-resolution-not-an-int"),
+            pytest.param(ExpSum([[0.0], [1.0]]).to_json(),
+                         ["density-grid", "--box=-inf,inf"], id="density-box-infinite"),
+            pytest.param(ExpSum([[0.0], [1.0]]).to_json(),
+                         ["psi-grid", "--a0", "3", "--space", "x", "--box=-inf,inf"],
+                         id="psi-box-infinite"),
+            pytest.param(ExpSum([[0.0], [1.0]]).to_json(),
+                         ["density-grid", "--resolution", "1"], id="resolution-one"),
+            pytest.param(ExpSum([[0.0], [1.0]]).to_json(), ["analyze", "--tol", "inf"],
+                         id="tolerance-infinite"),
         ],
     )
     def test_malformed_input_exits_two(self, tmp_path, record, argv):

@@ -29,8 +29,10 @@ from sparse_kacrice.expsum import _batch_moments
 from sparse_kacrice.geometry import (
     DET_FLOOR,
     DUAL_COND_LIMIT,
+    _check_box,
     _cholesky_many,
     _cholesky_solve,
+    _grid,
     _interior_mask,
 )
 
@@ -179,6 +181,22 @@ class TestHullGeometry:
         assert A.facets is None
         assert A.vertices is None
         assert not _interior_mask(A, np.array([[1.0, 1.0], [0.5, 0.5]]), 1e-12).any()
+
+
+class TestBoxAndGrid:
+    def test_check_box_shapes(self):
+        assert _check_box((-1, 2), 1) == ((-1.0, 2.0),)
+        assert _check_box(np.array([[0, 1], [2, 3.5]]), 2) == ((0.0, 1.0), (2.0, 3.5))
+        with pytest.raises(InputError):
+            _check_box((-1, 2), 2)
+
+    def test_grid_is_row_major_with_ends(self):
+        resolution, axes, nodes = _grid(((0.0, 1.0), (-2.0, 2.0)), (2, 3))
+        assert resolution == (2, 3)
+        np.testing.assert_array_equal(axes[1], [-2.0, 0.0, 2.0])
+        np.testing.assert_array_equal(
+            nodes, [[0, -2], [0, 0], [0, 2], [1, -2], [1, 0], [1, 2]])
+        assert _grid(((0.0, 1.0),) * 3, 4)[2].shape == (64, 3)
 
 
 class TestBallSphereConstants:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import time
@@ -35,13 +36,26 @@ IRREGULAR = ExpSum([[0.0], [0.5], [1.7]], [1.0, 2.0, 1.0])
 class TestQuadratureConfig:
     def test_defaults(self):
         q = Quadrature()
-        assert q.box == "auto"
+        assert [f.name for f in dataclasses.fields(q)] == ["abs_tol", "rel_tol"]
+        assert (q.abs_tol, q.rel_tol) == (1e-7, 1e-7)
 
     def test_rejects_bad_tolerances(self):
         with pytest.raises(InputError):
             Quadrature(abs_tol=0.0)
         with pytest.raises(InputError):
             Quadrature(rel_tol=-1.0)
+
+    @pytest.mark.parametrize("tols", [{"abs_tol": math.inf}, {"rel_tol": math.inf},
+                                      {"abs_tol": math.nan}])
+    def test_rejects_tolerances_that_are_not_finite(self, tols):
+        # an infinite budget would accept the first cube as converged
+        with pytest.raises(InputError):
+            Quadrature(**tols)
+
+    def test_has_no_region(self):
+        # a box is esol_region's argument, never a field the other integrals ignore
+        with pytest.raises(TypeError):
+            Quadrature(box=[(0.0, 0.1)])
 
 
 class TestTotalOneVariable:
@@ -63,7 +77,7 @@ class TestTotalOneVariable:
 
     def test_explicit_box_matches_auto(self):
         auto = esol_total(TWO_TERM)
-        boxed = esol_total(TWO_TERM, Quadrature(box=[(-40.0, 40.0)]))
+        boxed = esol_region(TWO_TERM, [(-40.0, 40.0)], Quadrature())
         assert boxed.value == pytest.approx(auto.value, abs=1e-9)
 
     def test_translation_invariance(self):
@@ -280,7 +294,7 @@ class TestCellRules:
 
         monkeypatch.setattr(integrate, "density_many", counted)
         monkeypatch.setattr(integrate, "_cell_rule", counted_rule)
-        r = esol_total(E, Quadrature(abs_tol=1e-4, rel_tol=1e-4, box=box))
+        r = esol_region(E, box, Quadrature(abs_tol=1e-4, rel_tol=1e-4))
         seeds = 8 ** E.dim
         # every split evaluates two children for one leaf it removes
         assert r.cells > seeds
@@ -321,6 +335,15 @@ class TestRegion:
     def test_quadrant_of_square_ensemble(self):
         r = esol_region(kostlan(2, 1), [(0.0, 30.0), (0.0, 30.0)])
         assert r.value == pytest.approx(math.pi / 32.0, rel=1e-6)
+
+    @pytest.mark.parametrize(
+        "box",
+        [[(-math.inf, 1.0)], [(0.0, math.nan)], [("a", "b")], [(1.0, 0.0)], [(0.0, 1.0)] * 2],
+        ids=["infinite", "nan", "not-numeric", "reversed", "wrong-axes"],
+    )
+    def test_bad_box_raises(self, box):
+        with pytest.raises(InputError):
+            esol_region(TWO_TERM, box)
 
 
 STRICT = Quadrature(abs_tol=1e-7, rel_tol=1e-7)

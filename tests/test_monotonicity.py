@@ -400,3 +400,22 @@ class TestRegionScan:
     def test_rejects_bad_space(self):
         with pytest.raises(InputError):
             region_scan(SQUARE, SQ_AUG, resolution=4, space="q")
+
+    @pytest.mark.parametrize("space", ["p", "x"])
+    @pytest.mark.parametrize(
+        "box, resolution",
+        [([(-math.inf, 1.0), (0.0, 1.0)], 4), ([("a", "b"), (0.0, 1.0)], 4),
+         ([(0.0, 1.0), (0.0, 1.0)], 1), ([(0.0, 1.0), (0.0, 1.0)], (4, 4, 4)),
+         ([(0.0, 1.0), (0.0, 1.0)], "x")],
+        ids=["infinite-box", "non-numeric-box", "one-point-axis", "three-axes", "not-an-int"],
+    )
+    def test_rejects_bad_box_or_resolution(self, box, resolution, space):
+        with pytest.raises(InputError):
+            region_scan(SQUARE, SQ_AUG, box=box, resolution=resolution, space=space)
+
+    def test_csv_nodes_are_the_scan_grid(self):
+        scan = region_scan(SQUARE, SQ_AUG, box=[(-1.0, 2.0), (0.5, 3.0)], resolution=(3, 4),
+                           space="x")
+        rows = [line.split(",") for line in scan.to_csv().strip().split("\n")[1:]]
+        want = np.stack(np.meshgrid(*scan.axes, indexing="ij"), axis=-1).reshape(-1, 2)
+        np.testing.assert_array_equal([[float(r[0]), float(r[1])] for r in rows], want)
