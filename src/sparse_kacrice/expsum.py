@@ -36,6 +36,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -115,6 +116,20 @@ class ExpSum:
         log_coeffs = np.log(arr)
         log_coeffs.flags.writeable = False
         self.log_coeffs = log_coeffs
+
+    @cached_property
+    def _centred(self) -> tuple[np.ndarray, "ExpSum"]:
+        """(c, the sum on A - c), c the barycenter of A: built once per sum,
+        the one copy on which the moment map is inverted.  Translation keeps
+        the softmax weights and preimages and moves mu by -c, which on the
+        copy carries eps * diam(P) of rounding, not eps * |a|.  Targets are
+        translated once, on the way in, never back; densities read E's own
+        Cauchy-Binet block (D_S is translation-invariant).  The copy is its
+        own centred copy, with c = 0."""
+        c = self.support.points.mean(axis=0)
+        copy = ExpSum(self.support.points - c, self.coeffs)
+        copy._centred = (np.zeros_like(c), copy)
+        return c, copy
 
     @property
     def dim(self) -> int:
@@ -427,14 +442,14 @@ def invert_moment(E: ExpSum, p, tol: float = 1e-10) -> np.ndarray:
     of the weights and halves the step whenever the residual would not
     decrease.
 
-    Raises DomainError for p outside the interior (with margin) and
-    ConvergenceError (carrying the last iterate and its residual) when
-    ``tol`` is not reached: past ``INVERT_MAX_ITER`` iterations, on a
-    stalled line search, or where the Cholesky factorization of the metric
-    fails.
+    Raises InputError unless 0 < tol < inf, DomainError for p outside the
+    interior (with margin) and ConvergenceError (carrying the last iterate
+    and its residual) when ``tol`` is not reached: past
+    ``INVERT_MAX_ITER`` iterations, on a stalled line search, or where the
+    Cholesky factorization of the metric fails.
     """
-    if not tol > 0:
-        raise InputError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise InputError("tol must be finite and positive")
     p = _check_vector(p, E.dim, "p")
     if E.support.degenerate:
         raise DegenerateMetricError("support is not full-dimensional; moment map is not open")
@@ -443,14 +458,15 @@ def invert_moment(E: ExpSum, p, tol: float = 1e-10) -> np.ndarray:
         raise DomainError(f"target {p.tolist()} is not interior to the Newton polytope")
     X, ok = _invert_moment_many(E, p[None], tol)
     if not ok[0]:
-        residual = float(np.linalg.norm(_batch_moments(E, X)[2][0] - p))
+        c, centred = E._centred
+        residual = float(np.linalg.norm(_batch_moments(centred, X)[2][0] - (p - c)))
         message = f"damped Newton stopped at residual {residual:.3e} > tol {tol:.1e}"
         raise ConvergenceError(message, value=X[0], residual=residual)
     return X[0]
 
 
 def _invert_moment_many(E: ExpSum, P: np.ndarray, tol: float = 1e-10):
-    """Vectorized damped Newton for many interior targets at once.
+    """Vectorized damped Newton for many interior targets at once, on ``E._centred``.
 
     Returns (X, ok) where ok flags rows whose residual |mu(x) - p| reached
     ``tol`` within ``INVERT_MAX_ITER`` iterations.  The live rows are kept
@@ -462,7 +478,8 @@ def _invert_moment_many(E: ExpSum, P: np.ndarray, tol: float = 1e-10):
     factorization fails retire once per iteration, the last two as failed.
     No interior check is performed here — callers own the masking.
     """
-    P = np.atleast_2d(np.asarray(P, dtype=float))
+    c, E = E._centred
+    P = np.atleast_2d(np.asarray(P, dtype=float)) - c
     x0 = _balancing_point(E)
     X = np.tile(x0, (P.shape[0], 1))
     # Every row starts at x0, so its moments are taken once.
@@ -518,21 +535,18 @@ def _invert_moment_many(E: ExpSum, P: np.ndarray, tol: float = 1e-10):
 # -- polytope-side density --------------------------------------------------
 
 
-def _legendre_density_many(E: ExpSum, P: np.ndarray) -> np.ndarray:
-    """1/sqrt(det 2g) at the moment preimage of each row of P; NaN where
-    the inversion fails.
+def _legendre_density_many(E: ExpSum, Q: np.ndarray) -> np.ndarray:
+    """1/sqrt(det 2g) at the moment preimage of each row of Q, a target
+    relative to the support's barycenter (``E._centred``); NaN where the
+    inversion fails.
 
-    Inverts on the support translated to its barycenter, so mu is computed
-    to about eps * diam(P), down to a residual of ``LEGENDRE_TOL`` *
-    (1 + diam): a point at distance d from a facet then keeps a relative
-    error near LEGENDRE_TOL / d, where an absolute 1e-10 would give 1e-5 at
-    d = 4e-6.  The determinant reads E's own Cauchy-Binet block, which
-    translation leaves unchanged.  No interior check is performed here.
+    The residual is ``LEGENDRE_TOL`` * (1 + diam): a point at distance d
+    from a facet then keeps a relative error near LEGENDRE_TOL / d, where
+    an absolute 1e-10 would give 1e-5 at d = 4e-6.  No interior check is
+    performed here.
     """
-    c = E.support.points.mean(axis=0)
-    centred = ExpSum(E.support.points - c, E.coeffs)
-    tol = LEGENDRE_TOL * (1.0 + diameter(E.support))
-    X, ok = _invert_moment_many(centred, P - c, tol=tol)
+    centred = E._centred[1]
+    X, ok = _invert_moment_many(centred, Q, LEGENDRE_TOL * (1.0 + diameter(E.support)))
     _, W, total = _softmax(centred, X)
     log_det = _log_det(E, W, total)
     return np.where(ok, np.exp(-0.5 * (log_det + E.dim * math.log(2.0))), np.nan)
@@ -551,7 +565,7 @@ def legendre_density(E: ExpSum, p) -> float:
     margin = LEGENDRE_MARGIN * diameter(E.support)
     if margin == 0.0 or not interior_contains(E.support, p, margin):
         raise DomainError(f"{p.tolist()} is outside the interior margin of the polytope")
-    value = float(_legendre_density_many(E, p[None, :])[0])
+    value = float(_legendre_density_many(E, (p - E._centred[0])[None, :])[0])
     if not math.isfinite(value):
         raise ConvergenceError(f"moment inversion failed at {p.tolist()}")
     return value

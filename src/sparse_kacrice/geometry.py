@@ -267,20 +267,20 @@ def _check_box(box, m: int) -> tuple:
 
 
 def _grid(box, resolution):
-    """(resolution, axes, nodes) of the grid on a checked box: resolution an
-    int or one per axis, at least 2 each; axes the linspace of each axis;
-    nodes (prod(resolution), m), row-major."""
+    """(resolution, axes, nodes) of the grid on a checked box: resolution a
+    whole number or one per axis, at least 2 each, else InputError; axes
+    the linspace of each axis; nodes (prod(resolution), m), row-major."""
     m = len(box)
     per_axis = (resolution,) * m if np.isscalar(resolution) else resolution
     try:
-        resolution = tuple(int(r) for r in per_axis)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"resolution must be integers, got {resolution!r}") from exc
-    if len(resolution) != m or any(r < 2 for r in resolution):
-        raise InputError(f"resolution must give at least 2 points on each of {m} axes")
-    axes = tuple(np.linspace(a, b, r) for (a, b), r in zip(box, resolution))
+        counts = tuple(int(r) for r in per_axis)
+    except (TypeError, ValueError, OverflowError):
+        counts = ()
+    if len(counts) != m or any(n < 2 or n != r for n, r in zip(counts, per_axis)):
+        raise InputError(f"resolution must be whole numbers >= 2 on {m} axes, got {resolution!r}")
+    axes = tuple(np.linspace(a, b, n) for (a, b), n in zip(box, counts))
     nodes = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
-    return resolution, axes, nodes
+    return counts, axes, nodes
 
 
 def support_function(A, u) -> float:

@@ -328,7 +328,7 @@ def _over_rm(f, E: ExpSum, abs_tol, rel_tol):
     that fails raises ConvergenceError before any cell is integrated.
     """
     try:
-        x0 = invert_moment(E, E.support.points.mean(axis=0))
+        x0 = invert_moment(E, E._centred[0])
     except ConvergenceError as exc:
         raise ConvergenceError(f"no frame over R^m: {exc}", residual=exc.residual) from exc
     G = _batch_moments(E, x0[None, :])[3]
@@ -386,8 +386,9 @@ def esol_pspace(E: ExpSum, q: Quadrature | None = None) -> IntegralResult:
     [0, pi/2]: the distances to the two facets at v_i are (1 - a) and
     (1 - b) times smooth factors, so the 1/sqrt(distance) layer and the
     corner both become smooth.  All cells share one adaptive heap, seeded
-    4 per axis per cell, whose Gauss nodes never touch the boundary.  A
-    failed moment inversion makes the integrand NaN, which raises
+    4 per axis per cell, whose Gauss nodes never touch the boundary, all
+    relative to the support's barycenter (``ExpSum._centred``).  A failed
+    moment inversion makes the integrand NaN, which raises
     ConvergenceError with the partial value.
     """
     q = q or Quadrature()
@@ -397,7 +398,7 @@ def esol_pspace(E: ExpSum, q: Quadrature | None = None) -> IntegralResult:
     if m > 2:
         raise InputError("moment-space integration is limited to two variables")
     prefactor = 1.0 / (2.0 ** ((m - 2) / 2.0) * ball_sphere_constants(m)[1])
-    V = E.support.vertices
+    V = E.support.vertices - E._centred[0]
     n = V.shape[0]
     if m == 1:
         c = V.mean(axis=0)
@@ -422,14 +423,14 @@ def esol_pspace(E: ExpSum, q: Quadrature | None = None) -> IntegralResult:
         a = np.sin(T)
         jac = np.prod(0.5 * np.pi * np.cos(T), axis=1)
         if m == 1:
-            P = c + a * A[i]
+            Q = c + a * A[i]
             jac = jac * np.abs(A[i, 0])
         else:
             Ja = A[i] + a[:, 1:] * D[i]
             Jb = B[i] + a[:, :1] * D[i]
-            P = c + a[:, :1] * A[i] + a[:, 1:] * Jb
+            Q = c + a[:, :1] * A[i] + a[:, 1:] * Jb
             jac = jac * np.abs(Ja[:, 0] * Jb[:, 1] - Ja[:, 1] * Jb[:, 0])
-        return prefactor * jac * _legendre_density_many(E, P)
+        return prefactor * jac * _legendre_density_many(E, Q)
 
     seeds = _seed_grid(((0.0, float(n)),) + ((0.0, 1.0),) * (m - 1), 4 * n)
     value, error, cells, nodes = _adaptive(f, *seeds, q.abs_tol, q.rel_tol)

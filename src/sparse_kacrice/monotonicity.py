@@ -34,11 +34,11 @@ import numpy as np
 
 from .errors import DegenerateMetricError, DomainError, InputError, SingularFormError
 from .errors import SparseKacRiceError
-from .expsum import ExpSum, _invert_moment_many, _simplex_sum, _softmax, _sorted_products
-from .expsum import evaluate, invert_moment
+from .expsum import LEGENDRE_MARGIN, ExpSum, _invert_moment_many, _simplex_sum, _softmax
+from .expsum import _sorted_products, evaluate, invert_moment
 from .geometry import QuadForm, SupportSet, _check_box, _check_vector, _cone_dets, _grid
-from .geometry import _interior_mask, _sorted_tuples
-from .geometry import diameter, dual_form, interior_contains
+from .geometry import _interior_mask, _sorted_tuples, diameter, dual_form
+from .geometry import interior_contains  # noqa: F401 (perfbench's tracer wraps it)
 
 __all__ = [
     "U_MINUS",
@@ -257,18 +257,15 @@ def classify(E: ExpSum, aug: Augmentation, x, tol: float = 1e-10) -> str:
     return BOUNDARY
 
 
-def witness_interior(E: ExpSum, aug: Augmentation, tol: float = 1e-9) -> np.ndarray:
+def witness_interior(E: ExpSum, aug: Augmentation) -> np.ndarray:
     """A point where the density ratio certifiably drops below 1.
 
     For a_0 interior to the Newton polytope, x_0 = invert_moment(a_0) makes
     tau vanish, so Psi(x_0) = (K/K_0)^{m/2} < 1.  Returns x_0 after
-    checking that inequality numerically.
+    checking that inequality numerically; :func:`.invert_moment` refuses a_0
+    outside the interior.
     """
     a0 = _check_augmentation(E, aug)
-    if not tol > 0:
-        raise InputError("tol must be positive")
-    if not interior_contains(E.support, a0, tol):
-        raise DomainError("a0 is not interior to the Newton polytope")
     x0 = invert_moment(E, a0)
     result = psi(E, aug, x0)
     if not result.psi < 1.0:
@@ -357,16 +354,16 @@ def region_scan(
     """Psi on a rectangular grid, in moment coordinates or x coordinates.
 
     In the default moment-coordinate scan ("p" space) the nodes at least
-    1e-6 diam(P) inside every facet of the Newton polytope (one product
-    against the support's cached facet rows) are mapped back through the
-    moment map by one batched Newton solve; the other nodes, and any whose
-    inversion fails, are marked "outside".  An "x" space scan evaluates
-    the grid directly.  Either way Psi is evaluated once for the whole
-    grid by the kernel behind :func:`psi`, with no per-node Python call;
+    ``LEGENDRE_MARGIN`` diam(P) inside every facet of the Newton polytope
+    (one product against the support's cached facet rows) are mapped back
+    by one batched Newton solve on ``E._centred``; the other nodes, and any
+    whose inversion fails, are marked "outside".  An "x" space scan
+    evaluates the grid directly.  Either way Psi is evaluated once for the
+    whole grid by the kernel behind :func:`psi`, with no per-node Python call;
     a node where det g underflows to 0 raises DegenerateMetricError for
     the scan.  ``box`` defaults to the support's bounding box ("p") or
     [-5, 5]^m ("x"), and any box must be finite with lo < hi per axis;
-    ``resolution`` is an int or per-axis sequence, at least 2 per axis.
+    ``resolution`` is a whole number or one per axis, at least 2 each.
     Both follow :func:`.geometry._check_box` and :func:`.geometry._grid`
     and raise InputError where those do.
     """
@@ -385,7 +382,8 @@ def region_scan(
     if space == "x":
         values[:] = _psi_many(E, aug, nodes)[0]
     else:
-        usable = np.flatnonzero(_interior_mask(E.support, nodes, 1e-6 * diameter(E.support)))
+        margin = LEGENDRE_MARGIN * diameter(E.support)
+        usable = np.flatnonzero(_interior_mask(E.support, nodes, margin))
         X, ok = _invert_moment_many(E, nodes[usable])
         usable = usable[ok]
         if usable.size:

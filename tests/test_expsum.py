@@ -339,6 +339,24 @@ class TestMomentInversion:
         x = invert_moment(TWO_TERM, [0.99])
         assert x[0] == pytest.approx(math.atanh(0.98), rel=1e-12)
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_tolerance_outside_zero_to_inf(self, tol):
+        # tol = inf once returned the balancing point as converged
+        with pytest.raises(InputError):
+            invert_moment(TWO_TERM, [0.9], tol=tol)
+
+    def test_support_far_from_the_origin(self):
+        # Raw moments carry about |a| eps of rounding, which missed the
+        # 1e-10 residual on 23 of these 200 targets.
+        E = ExpSum([[0.0], [1.0], [3.0]], [1.0, 2.0, 1.0])
+        moved = ExpSum(E.support.points + 1e6, E.coeffs)
+        targets = np.linspace(0.0, 3.0, 202)[1:-1, None]
+        X, ok = _invert_moment_many(moved, targets + 1e6)
+        assert ok.all()
+        want, ok = _invert_moment_many(E, targets)
+        assert ok.all()
+        np.testing.assert_allclose(X, want, rtol=0.0, atol=1e-8)
+
     def test_boundary_rejected(self):
         with pytest.raises(DomainError):
             invert_moment(TWO_TERM, [1.0])

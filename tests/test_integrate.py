@@ -350,6 +350,8 @@ STRICT = Quadrature(abs_tol=1e-7, rel_tol=1e-7)
 TRIANGLE = ExpSum([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 SIMPLEX_2_2 = ExpSum([[0, 0], [1, 0], [2, 0], [0, 1], [1, 1], [0, 2]], [1, ROOT2, 1, ROOT2, ROOT2, 1])
 PENTAGON = ExpSum([[0, 0], [2, 0], [3, 1], [1, 3], [-1, 1]])
+SHEARED_SQUARE = ExpSum([[0, 0], [1, 0], [0.5, 1], [1.5, 1]])
+THREE_TERM = ExpSum([[0], [1], [3]], [1, 2, 1])
 
 
 def _within_budget(result, q):
@@ -412,6 +414,21 @@ class TestMomentRoute:
         with pytest.raises(ConvergenceError) as info:
             esol_pspace(E)
         assert math.isfinite(info.value.value)
+
+    @pytest.mark.parametrize("shift", [1e6, 1e7])
+    @pytest.mark.parametrize("E", [kostlan(2, 1), SHEARED_SQUARE, THREE_TERM],
+                             ids=["unit square", "sheared square", "three terms"])
+    def test_translation_far_from_the_origin(self, E, shift):
+        # A translated support has the same count; moment inversion in raw
+        # coordinates drifted by up to 4e-7 relative here.
+        moved = ExpSum(E.support.points + shift, E.coeffs)
+        assert esol_pspace(moved).value == pytest.approx(esol_pspace(E).value, rel=1e-12, abs=0.0)
+
+    def test_square_translated_by_1e8(self):
+        # The vertex decomposition once multiplied 1e8-sized coordinates and
+        # left every integrand node non-finite.
+        moved = ExpSum(kostlan(2, 1).support.points + 1e8)
+        assert esol_pspace(moved).value == pytest.approx(math.pi / 8.0, rel=1e-12, abs=0.0)
 
     def test_three_variables_unsupported(self):
         with pytest.raises(InputError):

@@ -45,6 +45,14 @@ SCAN_CASES = {
     "sheared_square": (ExpSum([[0, 0], [1, 0], [0.5, 1], [1.5, 1]]), [0.7, 0.5], [-1.0, 0.5]),
 }
 
+#: Supports, an interior a0 and a resolution for the translation oracle of
+#: moment-coordinate scans.
+SHIFT_CASES = {
+    "unit_square": (SQUARE, [0.3, 0.6], 16),
+    "sheared_square": (SCAN_CASES["sheared_square"][0], [0.7, 0.5], 16),
+    "three_terms": (ExpSum([[0], [1], [3]], [1, 2, 1]), [1.2], 200),
+}
+
 
 def _refused_by_dual_form(G):
     """The gate of geometry.dual_form on each row of the stack G, written
@@ -397,6 +405,18 @@ class TestRegionScan:
         outside = [i for i, c in enumerate(doc["class"]) if c == "outside"]
         assert nulls == outside
 
+    @pytest.mark.parametrize("name", sorted(SHIFT_CASES))
+    def test_moment_scan_is_translation_invariant(self, name):
+        # Translating the support and a0 together moves neither Psi nor the
+        # classes; inverting raw moments left up to a quarter of the
+        # interior nodes "outside" at a shift of 1e6.
+        E, a0, resolution = SHIFT_CASES[name]
+        moved = ExpSum(E.support.points + 1e6, E.coeffs)
+        want = region_scan(E, Augmentation(a0), resolution=resolution)
+        got = region_scan(moved, Augmentation(np.add(a0, 1e6)), resolution=resolution)
+        np.testing.assert_array_equal(got.classes, want.classes)
+        np.testing.assert_allclose(got.psi, want.psi, rtol=1e-8, atol=0.0)
+
     def test_rejects_bad_space(self):
         with pytest.raises(InputError):
             region_scan(SQUARE, SQ_AUG, resolution=4, space="q")
@@ -406,8 +426,10 @@ class TestRegionScan:
         "box, resolution",
         [([(-math.inf, 1.0), (0.0, 1.0)], 4), ([("a", "b"), (0.0, 1.0)], 4),
          ([(0.0, 1.0), (0.0, 1.0)], 1), ([(0.0, 1.0), (0.0, 1.0)], (4, 4, 4)),
-         ([(0.0, 1.0), (0.0, 1.0)], "x")],
-        ids=["infinite-box", "non-numeric-box", "one-point-axis", "three-axes", "not-an-int"],
+         ([(0.0, 1.0), (0.0, 1.0)], "x"), ([(0.0, 1.0), (0.0, 1.0)], 2.7),
+         ([(0.0, 1.0), (0.0, 1.0)], (3, 2.5))],
+        ids=["infinite-box", "non-numeric-box", "one-point-axis", "three-axes", "not-an-int",
+             "2.7", "(3, 2.5)"],
     )
     def test_rejects_bad_box_or_resolution(self, box, resolution, space):
         with pytest.raises(InputError):
