@@ -18,10 +18,14 @@ holds at most one of its zeros, found by safeguarded Newton.  The zeros
 of f are the sign changes of f over its own pieces.
 
 Every array of the count is terms-major: a block of n draws of a k-term
-sum is held as log weights L and signs S of shape (k, n), one column per
-draw, and each level of the cascade keeps its last m rows.  Reductions over
-the terms then run over axis 0, across contiguous rows, and the
-derivative at the Newton iterates is ``b @ V``.
+sum is held as C-contiguous log weights L and signs S of shape (k, n), one
+column per draw, and each level of the cascade keeps its last m rows.
+Columns are gathered with ``take`` and ``compress``, never with a fancy
+index, which would hand back a Fortran-ordered copy.  Reductions over the
+terms then run over axis 0, across contiguous rows.  Each level writes its
+zeros in ascending order per draw, so the next level's piece ends need no
+sort, and Newton steps on the log ratio of the positive and negative parts
+of the level, which is nearly linear in x.
 
 Signs are evaluated overflow-safely (each value is scaled by its largest
 term; signs are unchanged) and results are reproducible: the sample
@@ -32,6 +36,7 @@ substreams, so results do not depend on how work is scheduled.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,14 +58,23 @@ NEWTON_STEPS = 100
 
 @dataclass(frozen=True)
 class McConfig:
-    """Monte-Carlo run configuration: sample count and seed."""
+    """Monte-Carlo run configuration: sample count and seed.
+
+    The seed is a Philox key, so it must lie in [0, 2**128).
+    """
 
     n_samples: int = 100_000
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_samples < 1:
-            raise InputError("n_samples must be at least 1")
+        if not _is_int(self.n_samples) or self.n_samples < 1:
+            raise InputError(f"n_samples must be an integer of at least 1, not {self.n_samples!r}")
+        if not _is_int(self.seed) or not 0 <= self.seed < 2**128:
+            raise InputError(f"seed must be an integer in [0, 2**128), not {self.seed!r}")
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 def _sorted_terms(E: ExpSum):
@@ -74,24 +88,31 @@ def _sorted_terms(E: ExpSum):
 def _signs(b, L, S, X):
     """Signs of sum_j S_j exp(b_j x + L_j) at points X, shape (points, draws).
 
-    ``L`` and ``S`` are (terms, draws) and ``X`` is (points, draws).
+    ``L`` and ``S`` are (terms, draws) and ``X`` is (points, draws).  The
+    block is built points-major, (points, terms, draws): every broadcast
+    then runs along whole draw rows instead of stepping over the short
+    points axis, and the sum over terms still adds contiguous rows.
     """
-    T = b[:, None, None] * X + L[:, None, :]
-    return np.sign((S[:, None, :] * np.exp(T - T.max(axis=0))).sum(axis=0))
+    T = X[:, None, :] * b[:, None] + L
+    T -= T.max(axis=1, keepdims=True)
+    T = np.exp(T, out=T)
+    T *= S
+    return np.sign(T.sum(axis=1))
 
 
 def _pieces(b, L, S, crit):
     """Ends of the monotone pieces of one level and its signs there.
 
-    ``L`` and ``S`` are (m, draws); ``crit``, (m - 1, draws), holds the
-    zeros of the level below (inf where absent).  The outer ends are the
-    root bound, past which the first or last term outweighs the other
-    m - 1 together.  Both results are (m + 1, draws), ends ascending.
+    ``L`` and ``S`` are (m, draws); ``crit``, (m - 2, draws), holds the
+    zeros of the level below, ascending in each draw with the absent ones
+    (inf) last.  The outer ends are the root bound, past which the first
+    or last term outweighs the other m - 1 together.  Clipping into it
+    keeps that order, so both results are (m, draws), ends ascending.
     """
     gap = np.log(len(b) - 1)
     lo = ((L[:1] - L[1:] - gap) / (b[1:] - b[0])[:, None]).min(axis=0)
     hi = ((L[:-1] + gap - L[-1:]) / (b[-1] - b[:-1])[:, None]).max(axis=0)
-    inner = np.sort(np.clip(crit, lo, hi), axis=0)
+    inner = np.clip(crit, lo, hi)
     ends = np.vstack([lo, inner, hi])
     signs = np.vstack([S[0], _signs(b, L, S, inner), S[-1]])
     return ends, signs
@@ -101,42 +122,57 @@ def _newton(b, L, S, lo, hi, s_lo):
     """The zero in each bracket (lo, hi) whose sign at lo is s_lo.
 
     ``L`` and ``S`` are (terms, brackets); the bracket arrays and the
-    result are (brackets,).  Newton steps are kept when they land inside
-    the bracket and at least halve the step before; otherwise the bracket
-    is bisected.  Live brackets stay packed: those that converge are
-    written out and dropped once per iteration.
+    result are (brackets,).  The step is Newton's on psi = log P - log N,
+    where P and N are the parts of the scaled level with positive and with
+    negative signs: psi has the level's zeros and is linear in x for two
+    terms.  With a = P + N and v = P - N, psi = 2 artanh(v / a).  A step is
+    kept when it lands inside the bracket and at least halves the step
+    before; otherwise the bracket is bisected.  Each zero is written out in
+    the iteration its bracket converges, but converged brackets are only
+    packed away once they make up at least half of those held.
     """
     x = 0.5 * (lo + hi)
     step = hi - lo
     out = np.empty_like(x)
     idx = np.arange(len(x))
-    for _ in range(NEWTON_STEPS):
-        if idx.size == 0:
-            break
-        T = b[:, None] * x + L
-        V = S * np.exp(T - T.max(axis=0))
-        v = V.sum(axis=0)
-        left = np.sign(v) == s_lo
-        lo, hi = np.where(left, x, lo), np.where(left, hi, x)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            newton = v / (b @ V)
-        inside = (x - newton >= lo) & (x - newton <= hi)
-        halves = np.abs(newton) < 0.5 * np.abs(step)
-        step = np.where(inside & halves, newton, x - 0.5 * (lo + hi))
-        live = np.abs(step) > NEWTON_TOL * (1.0 + np.abs(x))
-        x = x - step
-        if not live.all():
-            out[idx[~live]] = x[~live]
-            idx, x, lo, hi, step, s_lo = (a[live] for a in (idx, x, lo, hi, step, s_lo))
-            L, S = L[:, live], S[:, live]
-    out[idx] = x
+    held = np.ones(len(x), dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(NEWTON_STEPS):
+            if idx.size == 0:
+                break
+            T = b[:, None] * x + L
+            T -= T.max(axis=0)
+            E = np.exp(T, out=T)
+            a, da = E.sum(axis=0), b @ E
+            E *= S
+            v, dv = E.sum(axis=0), b @ E
+            left = np.sign(v) == s_lo
+            lo, hi = np.where(left, x, lo), np.where(left, hi, x)
+            r = v / a
+            newton = a * np.arctanh(r) * (1.0 - r * r) / (dv - r * da)
+            inside = (x - newton >= lo) & (x - newton <= hi)
+            halves = np.abs(newton) < 0.5 * np.abs(step)
+            step = np.where(inside & halves, newton, x - 0.5 * (lo + hi))
+            live = np.abs(step) > NEWTON_TOL * (1.0 + np.abs(x))
+            x = x - step
+            done = held & ~live
+            if not done.any():
+                continue
+            out[idx[done]] = x[done]
+            held &= live
+            n_held = np.count_nonzero(held)
+            if 2 * n_held <= held.size:
+                idx, x, lo, hi, step, s_lo = (u[held] for u in (idx, x, lo, hi, step, s_lo))
+                L, S = L.compress(held, axis=1), S.compress(held, axis=1)
+                held = np.ones(n_held, dtype=bool)
+    out[idx[held]] = x[held]
     return out
 
 
 def _rolle_count(b, L, S):
     """Zeros of sum_j S_j exp(b_j x + L_j) per draw, for at least 3 terms.
 
-    ``L`` and ``S`` are (terms, draws); the result is (draws,).
+    ``L`` and ``S`` are (terms, draws), C-contiguous; the result is (draws,).
     """
     # Level i holds the terms from i on, the last k - i rows: the derivative
     # of exp(-b_{i-1} x) times level i - 1, whose coefficients gain the
@@ -150,10 +186,16 @@ def _rolle_count(b, L, S):
         m = len(Li)
         bi, Si = b[-m:], S[-m:]
         ends, signs = _pieces(bi, Li, Si, crit)
-        piece, draw = np.nonzero(signs[:-1] * signs[1:] < 0)
+        # each zero goes to its rank among its draw's sign-change pieces,
+        # so crit reaches the next level ascending, absent zeros last
+        change = signs[:-1] * signs[1:] < 0
+        piece, draw = np.nonzero(change)
+        rank = np.cumsum(change, axis=0)[piece, draw] - 1
         crit = np.full((m - 1, S.shape[1]), np.inf)
         lo, hi = ends[piece, draw], ends[piece + 1, draw]
-        crit[piece, draw] = _newton(bi, Li[:, draw], Si[:, draw], lo, hi, signs[piece, draw])
+        crit[rank, draw] = _newton(
+            bi, Li.take(draw, axis=1), Si.take(draw, axis=1), lo, hi, signs[piece, draw]
+        )
     _, signs = _pieces(b, L, S, crit)
     return (signs == 0).sum(axis=0) + (signs[:-1] * signs[1:] < 0).sum(axis=0)
 
@@ -161,7 +203,8 @@ def _rolle_count(b, L, S):
 def _count_zeros(b, w, C):
     """Real zeros of sum_j C[j, r] exp(b_j x + w_j) for each draw r, b ascending.
 
-    ``C`` is (terms, draws), one column per draw.
+    ``C`` is (terms, draws), one column per draw.  The draws that need the
+    cascade are gathered with ``take``, which keeps them C-contiguous.
     """
     counts = np.zeros(C.shape[1], dtype=np.int64)
     sparse = np.any(C == 0.0, axis=0)
@@ -171,9 +214,10 @@ def _count_zeros(b, w, C):
     S = np.sign(C)
     changes = (S[1:] != S[:-1]).sum(axis=0)
     counts[~sparse] = changes[~sparse]
-    hard = ~sparse & (changes > 1)
-    if np.any(hard):
-        counts[hard] = _rolle_count(b, np.log(np.abs(C[:, hard])) + w[:, None], S[:, hard])
+    hard = np.flatnonzero(~sparse & (changes > 1))
+    if hard.size:
+        L = np.log(np.abs(C.take(hard, axis=1))) + w[:, None]
+        counts[hard] = _rolle_count(b, L, S.take(hard, axis=1))
     return counts
 
 

@@ -140,6 +140,10 @@ class TestStochasticAndComplex:
         assert first == second
         assert abs(first["mean"] - 0.5) < 4.0 * first["stderr"]
 
+    def test_mc_negative_seed_exits_two(self, two_term_file, capsys):
+        assert main(["mc", "--input", two_term_file, "--seed", "-1"]) == 2
+        assert capsys.readouterr().err.startswith("error: seed must be")
+
     def test_bkk(self, segment_file, capsys):
         assert main(["bkk", "--input", segment_file]) == 0
         doc = json.loads(capsys.readouterr().out)

@@ -22,12 +22,45 @@ from sparse_kacrice.mc_oracle import CHUNK, _chunk_draws
 
 TWO_TERM = ExpSum([[0.0], [1.0]])
 THREE_TERM = ExpSum([[0.0], [1.0], [2.0]])
+_SIX_TERM = [0.0, 0.3, 1.1, math.e, 3.9, 4.0]
+# real exponents out of order, reweighted by e^{0.4 b}
+_REAL = np.array([2.9, -0.6, 1.3, 0.4, 3.2])
 
 
 class TestConfig:
     def test_validation(self):
         with pytest.raises(InputError):
             McConfig(n_samples=0)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"n_samples": 1000.5},
+            {"n_samples": True},
+            {"n_samples": "100"},
+            {"seed": -1},
+            {"seed": 1.5},
+            {"seed": 2**128},
+            {"seed": False},
+        ],
+        ids=[
+            "samples-fractional",
+            "samples-bool",
+            "samples-str",
+            "seed-negative",
+            "seed-fractional",
+            "seed-past-key-range",
+            "seed-bool",
+        ],
+    )
+    def test_rejects_non_integral_or_out_of_range(self, kwargs):
+        with pytest.raises(InputError):
+            McConfig(**kwargs)
+
+    def test_accepts_numpy_integers_and_the_full_key_range(self):
+        cfg = McConfig(n_samples=np.int64(1000), seed=np.uint64(7))
+        assert estimate_esol(TWO_TERM, cfg) == estimate_esol(TWO_TERM, McConfig(1000, 7))
+        McConfig(seed=2**128 - 1)
 
     def test_defaults(self):
         cfg = McConfig()
@@ -88,12 +121,20 @@ class TestSampleZeroCount:
         # 1 - e^{x - 30} vanishes at x = 30
         assert sample_zero_count(TWO_TERM, [1.0, -math.exp(-30.0)]) == 1
 
-    def test_matches_dense_grid_per_draw(self):
-        b = np.array([0.0, 0.3, 1.1, math.e, 3.9, 4.0])
-        E = ExpSum(b[:, None])
+    @pytest.mark.parametrize(
+        "b, alpha",
+        [
+            (np.array(_SIX_TERM), np.ones(len(_SIX_TERM))),
+            (_REAL, np.exp(0.4 * _REAL) * [1, 2, 0.5, 3, 1]),
+        ],
+        ids=["six-term", "reweighted-real"],
+    )
+    def test_matches_dense_grid_per_draw(self, b, alpha):
+        E = ExpSum(b[:, None], alpha)
+        order = np.argsort(b)
         rng = np.random.default_rng(17)
         for draw in rng.standard_normal((300, b.size)):
-            assert sample_zero_count(E, draw) == _grid_zero_count(b, draw)
+            assert sample_zero_count(E, draw) == _grid_zero_count(b[order], (alpha * draw)[order])
 
 
 class TestEstimate:
@@ -155,11 +196,6 @@ class TestEstimate:
         assert estimate_esol(ExpSum([[2.0]]), McConfig(n_samples=1000)) == (0.0, 0.0)
 
 
-_SIX_TERM = [0.0, 0.3, 1.1, math.e, 3.9, 4.0]
-# real exponents out of order, reweighted by e^{0.4 b}
-_REAL = np.array([2.9, -0.6, 1.3, 0.4, 3.2])
-
-
 class TestBatchedCount:
     """The count ``estimate_esol`` runs on a whole block of draws equals the
     one-row count draw by draw: brackets that leave the Newton loop at
@@ -190,6 +226,23 @@ class TestBatchedCount:
         want = [sample_zero_count(E, draws[:, j]) for j in range(n)]
         assert len(got) == n and max(got) >= 2
         np.testing.assert_array_equal(got, want)
+
+
+class TestLayout:
+    def test_cascade_arrays_are_c_contiguous(self, monkeypatch):
+        # the cascade reduces over contiguous term rows only if every L and
+        # S it hands on is C-contiguous; a fancy column index is not
+        seen = []
+        for name in ("_pieces", "_newton"):
+
+            def wrapped(b, L, S, *rest, name=name, fn=getattr(mc_oracle, name)):
+                seen.append((name, L.shape[0], L.flags.c_contiguous and S.flags.c_contiguous))
+                return fn(b, L, S, *rest)
+
+            monkeypatch.setattr(mc_oracle, name, wrapped)
+        estimate_esol(kostlan(1, 4), McConfig(n_samples=4096, seed=2))
+        assert {name for name, _, _ in seen} == {"_pieces", "_newton"}
+        assert [entry for entry in seen if not entry[2]] == []
 
 
 class TestPinnedEstimates:
