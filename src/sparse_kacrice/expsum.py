@@ -15,12 +15,17 @@ density, directional asymptotics, and the Veronese embedding.
 Batched kernels compute all of it.  :func:`_softmax` gives the weights of
 N points terms-major, as a (k, N) array, so every max, sum and contraction
 over the k terms runs along the long axis of points; from that one triple,
-:func:`_moments` gives Phi, mu and g and :func:`_log_det` a
-cancellation-free log det g for every density.  :func:`_batch_moments`
-returns them per row, shape (N, ...), and :func:`_invert_moment_many`
-inverts the moment map for many targets by damped Newton, on packed live
-rows and one stacked Cholesky factorization and solve (:mod:`.geometry`)
-with no per-matrix LAPACK call.  The scalar API (:func:`potential`,
+:func:`_moments` gives Phi, mu and g coordinate-major (mu as (m, N), g as
+(m, m, N)) and :func:`_log_det` a cancellation-free log det g for every
+density.  :func:`_batch_moments` returns the moments per row, shape
+(N, ...), as transposed views.  :func:`_invert_moment_many` inverts the
+moment map for many targets by damped Newton in the kernel's own layout:
+x, p and mu are (m, N) and g is (m, m, N), so one stacked Cholesky
+factor-and-solve (:mod:`.geometry`) works on contiguous rows with no
+per-matrix LAPACK call.  Every target starts at the sum's cached
+balancing point; a row is written out in the iteration it converges or
+fails, and done rows are packed away only once they are half of those
+held, so most iterations copy nothing.  The scalar API (:func:`potential`,
 :func:`evaluate`, :func:`density`, :func:`invert_moment`) is these kernels
 on one row, so a scalar call and a one-row batch give the same numbers bit
 for bit; :func:`evaluate` takes g and the density from one softmax and
@@ -45,7 +50,6 @@ from .geometry import (
     QuadForm,
     SupportSet,
     _check_vector,
-    _cholesky_many,
     _cholesky_solve,
     _face_mask,
     ball_sphere_constants,
@@ -130,6 +134,26 @@ class ExpSum:
         copy = ExpSum(self.support.points - c, self.coeffs)
         copy._centred = (np.zeros_like(c), copy)
         return c, copy
+
+    @cached_property
+    def _newton_start(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(x0, mu0, G0): the Newton start of moment-map inversion and its
+        moment map (m,) and metric (m, m), taken once per sum; read on the
+        centred copy (:func:`_invert_moment_many`).
+
+        x0 is the balancing point, the x minimizing
+        sum_a (<a, x> + log alpha_a - c)^2 over x and c.  There the terms'
+        magnitudes are as close to equal as a least-squares fit makes them,
+        so the softmax weights are spread and the metric is well
+        conditioned.  It is x = 0 for unit weights.
+        """
+        design = np.hstack([self.support.points, -np.ones((self.n_terms, 1))])
+        x0 = np.linalg.lstsq(design, -self.log_coeffs, rcond=None)[0][:-1]
+        _, mu0, G0 = _moments(self, *_softmax(self, x0[None])[1:])
+        start = (x0, mu0[:, 0], G0[..., 0])
+        for array in start:
+            array.flags.writeable = False
+        return start
 
     @property
     def dim(self) -> int:
@@ -223,10 +247,12 @@ def _batch_moments(E: ExpSum, X: np.ndarray):
     """Potential, softmax weights, moment map, and metric at each row of X:
     :func:`_moments` of the terms-major :func:`_softmax`.
 
-    Returns (phi (N,), lam (N, k), mu (N, m), G (N, m, m)); lam and mu are
-    transposed views of the (k, N) and (m, N) arrays the kernel works on.
+    Returns (phi (N,), lam (N, k), mu (N, m), G (N, m, m)), transposed views
+    of the (k, N), (m, N) and (m, m, N) arrays the kernel works on.
     """
-    return _moments(E, *_softmax(E, X))
+    top, W, total = _softmax(E, X)
+    lam, mu, G = _moments(E, W, total)
+    return top + 0.5 * np.log(total), lam.T, mu.T, G.transpose(2, 0, 1)
 
 
 def _softmax(E: ExpSum, X: np.ndarray):
@@ -242,25 +268,27 @@ def _softmax(E: ExpSum, X: np.ndarray):
     return top, W, W.sum(axis=0)
 
 
-def _moments(E: ExpSum, top: np.ndarray, W: np.ndarray, total: np.ndarray):
-    """(phi, lam, mu, G) of :func:`_batch_moments` from one softmax triple.
+def _moments(E: ExpSum, W: np.ndarray, total: np.ndarray):
+    """(lam, mu, G) from the softmax (W, total), coordinate-major: lam
+    (k, N), mu (m, N) and G (m, m, N), so every entry is a contiguous row of
+    N points.  (The potential phi = (1/2) log K is top + (1/2) log total, from
+    the log-sum-exp that gives the weights.)
 
-    phi = (1/2) log K comes from the log-sum-exp that gives the weights.
-    lam = W / total (k, N) is written over W, which the caller gives up; mu
-    is one (m, k)@(k, N) product, and the metric G_ij = sum_a lam_a C_ia C_ja
-    of the centred support C = a - mu (m, k, N) is one three-operand einsum
-    over the terms for all N points at once, written as (N, m, m), with no
-    (m, k, N) product of C and lam held.  Both keep the Newton loop's peak
-    low (see :func:`_invert_moment_many`).  G is not symmetrized: the
-    Cholesky factorization reads its lower triangle and :class:`.QuadForm`
+    lam = W / total is written over W, which the caller gives up; mu is one
+    (m, k)@(k, N) product, and the metric G_ij = sum_a lam_a C_ia C_ja of the
+    centred support C = a - mu (m, k, N) is one three-operand einsum over the
+    terms for all N points at once, with no (m, k, N) product of C and lam
+    held.  Both keep the Newton loop's peak low (see
+    :func:`_invert_moment_many`).  G is not symmetrized: the Cholesky
+    factorization reads its lower triangle and :class:`.QuadForm`
     symmetrizes it.  No determinant is taken of it.
     """
     points = E.support.points.T
     lam = np.divide(W, total, out=W)
     mu = points @ lam
     C = points[:, :, None] - mu[:, None, :]
-    G = np.einsum("ikn,kn,jkn->nij", C, lam, C)
-    return top + 0.5 * np.log(total), lam.T, mu.T, G
+    G = np.einsum("ikn,kn,jkn->ijn", C, lam, C)
+    return lam, mu, G
 
 
 def _log_det(E: ExpSum, W: np.ndarray, total: np.ndarray):
@@ -357,12 +385,12 @@ def evaluate(E: ExpSum, x) -> EvalBundle:
     x = _check_vector(x, E.dim, "x")
     top, W, total = _softmax(E, x[None])
     density = float(_density(E, W, total)[0])
-    phi, lam, mu, G = _moments(E, top, W, total)
-    phi = float(phi[0])
+    lam, mu, G = _moments(E, W, total)
+    phi = float((top + 0.5 * np.log(total))[0])
     with np.errstate(over="ignore"):
         K = float(np.exp(2.0 * phi))
     return EvalBundle(
-        x=x, K=K, phi=phi, weights=lam[0], mu=mu[0], g=QuadForm(G[0]), density=density
+        x=x, K=K, phi=phi, weights=lam[:, 0], mu=mu[:, 0], g=QuadForm(G[..., 0]), density=density
     )
 
 
@@ -421,18 +449,6 @@ def hessian_check(E: ExpSum, x, h: float = 1e-4) -> HessianReport:
 # -- moment-map inversion ---------------------------------------------------
 
 
-def _balancing_point(E: ExpSum) -> np.ndarray:
-    """The x minimizing sum_a (<a, x> + log alpha_a - c)^2 over x and c.
-
-    There the terms' magnitudes are as close to equal as a least-squares
-    fit makes them, so the softmax weights are spread and the metric is
-    well conditioned: the Newton start for moment-map inversion.  It is
-    x = 0 for unit weights.
-    """
-    design = np.hstack([E.support.points, -np.ones((E.n_terms, 1))])
-    return np.linalg.lstsq(design, -E.log_coeffs, rcond=None)[0][:-1]
-
-
 def invert_moment(E: ExpSum, p, tol: float = 1e-10) -> np.ndarray:
     """Solve mu(x) = p for x by damped Newton iteration: the batched
     kernel on one row.
@@ -469,66 +485,75 @@ def _invert_moment_many(E: ExpSum, P: np.ndarray, tol: float = 1e-10):
     """Vectorized damped Newton for many interior targets at once, on ``E._centred``.
 
     Returns (X, ok) where ok flags rows whose residual |mu(x) - p| reached
-    ``tol`` within ``INVERT_MAX_ITER`` iterations.  The live rows are kept
-    packed.  Each iteration factors their metrics by one stacked Cholesky
-    (:func:`._cholesky_many`), solves for the full Newton step
-    2 g delta = p - mu on every live row (:func:`._cholesky_solve`), and
-    halves the step (at most 44 times) only on the rows whose residual did
-    not fall.  Converged rows, rows with no accepted step and rows whose
-    factorization fails retire once per iteration, the last two as failed.
-    No interior check is performed here — callers own the masking.
+    ``tol`` within ``INVERT_MAX_ITER`` iterations.  The rows are kept
+    coordinate-major: x, p and mu as (m, n) and the metric G as (m, m, n).
+    Each iteration solves 2 g delta = p - mu on every row by one stacked
+    Cholesky factor-and-solve (:func:`._cholesky_solve`) and halves the step
+    (at most 44 times) only on the held rows whose residual did not fall.
+    A row is done once it converges, has no accepted step or fails its
+    factorization, the last two as failed.  It is written out in the
+    iteration it is done and stops being held: it takes a zero step from
+    then on, and done rows are packed away only once they make up at least
+    half of the arrays.  No interior check is performed here — callers own
+    the masking.
     """
     c, E = E._centred
-    P = np.atleast_2d(np.asarray(P, dtype=float)) - c
-    x0 = _balancing_point(E)
+    P = np.atleast_2d(np.asarray(P, dtype=float))
+    p = np.subtract(P.T, c[:, None], order="C")
+    x0, mu0, G0 = E._newton_start
     X = np.tile(x0, (P.shape[0], 1))
-    # Every row starts at x0, so its moments are taken once.
-    _, _, mu0, G0 = _batch_moments(E, x0[None])
-    res2 = ((mu0 - P) ** 2).sum(axis=1)
+    res2 = ((mu0[:, None] - p) ** 2).sum(axis=0)
     tol2 = tol * tol
-    live = np.flatnonzero(res2 > tol2)
-    x, p, r2 = X[live], P[live], res2[live]
-    mu, G = np.repeat(mu0, live.size, axis=0), np.repeat(G0, live.size, axis=0)
+    far = res2 > tol2
+    idx = np.flatnonzero(far)
+    n = idx.size
+    p, r2 = p.compress(far, axis=1), res2.compress(far)
+    x, mu = np.repeat(x0[:, None], n, axis=1), np.repeat(mu0[:, None], n, axis=1)
+    G = np.repeat(G0[:, :, None], n, axis=2)
+    held = np.ones(n, dtype=bool)
     for _ in range(INVERT_MAX_ITER):
-        if live.size == 0:
+        if n == 0:
             break
-        L, ok = _cholesky_many(G)
-        delta = np.where(ok[:, None], 0.5 * _cholesky_solve(L, p - mu), 0.0)
-        # Dropped before the moments of the trial step.  The loop's peak
-        # sets how far the heap grows on each solve; past glibc's trim
-        # threshold it is handed back at the end and paged in afresh on the
-        # next solve.
-        del L
+        delta, ok = _cholesky_solve(G, p - mu)
+        ok &= held
+        delta = np.where(ok, 0.5 * delta, 0.0)
         trial = x + delta
-        _, _, mu_t, G_t = _batch_moments(E, trial)
-        r2_t = ((mu_t - p) ** 2).sum(axis=1)
+        _, mu_t, G_t = _moments(E, *_softmax(E, trial.T)[1:])
+        r2_t = ((mu_t - p) ** 2).sum(axis=0)
         accepted = ok & (r2_t < r2)
-        stay = ~accepted
+        stay = held & ~accepted
         if stay.any():
-            trial[stay], mu_t[stay], G_t[stay], r2_t[stay] = x[stay], mu[stay], G[stay], r2[stay]
+            for new, old in ((trial, x), (mu_t, mu), (G_t, G), (r2_t, r2)):
+                np.copyto(new, old, where=stay)
         x, mu, G, r2 = trial, mu_t, G_t, r2_t
-        # Backtrack only the rows whose full step did not lower the residual.
+        # Backtrack only the held rows whose full step did not lower the residual.
         todo = np.flatnonzero(ok & stay)
         step = 1.0
         for _ in range(44):
             if todo.size == 0:
                 break
             step *= 0.5
-            trial = x[todo] + step * delta[todo]
-            _, _, mu_t, G_t = _batch_moments(E, trial)
-            r2_t = ((mu_t - p[todo]) ** 2).sum(axis=1)
+            trial = x[:, todo] + step * delta[:, todo]
+            _, mu_t, G_t = _moments(E, *_softmax(E, trial.T)[1:])
+            r2_t = ((mu_t - p[:, todo]) ** 2).sum(axis=0)
             better = r2_t < r2[todo]
             sub = todo[better]
-            x[sub], mu[sub], G[sub] = trial[better], mu_t[better], G_t[better]
+            x[:, sub], mu[:, sub], G[..., sub] = trial[:, better], mu_t[:, better], G_t[..., better]
             r2[sub] = r2_t[better]
             accepted[sub] = True
             todo = todo[~better]
-        keep = accepted & (r2 > tol2)
-        if not keep.all():
-            gone = ~keep
-            X[live[gone]], res2[live[gone]] = x[gone], r2[gone]
-            live, x, p, mu, G, r2 = live[keep], x[keep], p[keep], mu[keep], G[keep], r2[keep]
-    X[live], res2[live] = x, r2
+        done = held & ~(accepted & (r2 > tol2))
+        if not done.any():
+            continue
+        out = idx.compress(done)
+        X[out], res2[out] = x.compress(done, axis=1).T, r2.compress(done)
+        held &= ~done
+        n = np.count_nonzero(held)
+        if 2 * n <= held.size:
+            idx, x, p, mu, G, r2 = (a.compress(held, axis=-1) for a in (idx, x, p, mu, G, r2))
+            held = np.ones(n, dtype=bool)
+    out = idx.compress(held)
+    X[out], res2[out] = x.compress(held, axis=1).T, r2.compress(held)
     return X, res2 <= tol2
 
 

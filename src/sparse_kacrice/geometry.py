@@ -6,8 +6,8 @@ the volume of its convex hull, and the squared volumes of its simplices
 that every density determinant is summed from.  Quadratic forms enter
 through the metric of an exponential sum; this module supplies the dual
 form (Gram-array inverse), whose gate :func:`dual_form` alone decides,
-determinants, ellipsoid volumes, the stacked Cholesky factorization and
-solve of Newton's method, the unit-ball/unit-sphere constants that
+determinants, ellipsoid volumes, the stacked Cholesky factor-and-solve of
+Newton's method, the unit-ball/unit-sphere constants that
 normalize every density in the package, and the one box check and grid.
 """
 
@@ -177,6 +177,14 @@ class SupportSet:
         B.flags.writeable = False
         return B
 
+    @cached_property
+    def _diameter(self) -> float:
+        """:func:`diameter` of the set."""
+        if self.size == 1:
+            return 0.0
+        diff = self.points[:, None, :] - self.points[None, :, :]
+        return float(np.sqrt((diff**2).sum(axis=-1)).max())
+
     @property
     def facets(self) -> np.ndarray | None:
         """Facet rows (unit normal, offset) of conv(A), with normal . p +
@@ -319,12 +327,9 @@ def _face_mask(A: SupportSet, u: np.ndarray, tol: float | None = None) -> np.nda
 
 
 def diameter(A) -> float:
-    """Largest pairwise Euclidean distance over A (equals diam conv(A))."""
-    A = _coerce_support(A)
-    if A.size == 1:
-        return 0.0
-    diff = A.points[:, None, :] - A.points[None, :, :]
-    return float(np.sqrt((diff**2).sum(axis=-1)).max())
+    """Largest pairwise Euclidean distance over A (equals diam conv(A)),
+    computed once per support."""
+    return _coerce_support(A)._diameter
 
 
 def hull_volume(A) -> float:
@@ -354,13 +359,20 @@ def interior_contains(A, p, tol: float) -> bool:
 
 
 def _interior_mask(A: SupportSet, P: np.ndarray, tol: float) -> np.ndarray:
-    """:func:`interior_contains` for each row of P (shape (N, m)), summed
-    without BLAS so a point's answer does not depend on its batch."""
+    """:func:`interior_contains` for each row of P (shape (N, m)).
+
+    The slack of the F facets, shape (F, N), is accumulated one coordinate
+    at a time in coordinate order, the order of a sum over the coordinate
+    axis, and without BLAS, so a point's answer does not depend on its
+    batch; the test over the facets then runs along rows of N points."""
     rows = A.facets
     if rows is None:
         return np.zeros(P.shape[0], dtype=bool)
-    slack = (P[:, None, :] * rows[:, :-1]).sum(axis=-1) + rows[:, -1]
-    return np.all(slack <= -tol, axis=1)
+    slack = np.multiply.outer(rows[:, 0], P[:, 0])
+    for i in range(1, A.dim):
+        slack += np.multiply.outer(rows[:, i], P[:, i])
+    slack += rows[:, -1, None]
+    return np.all(slack <= -tol, axis=0)
 
 
 class QuadForm:
@@ -420,52 +432,45 @@ def dual_form(Q: QuadForm) -> QuadForm:
     return QuadForm((V / w) @ V.T)
 
 
-def _cholesky_many(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(L, ok): the Cholesky factor L L^T = G of each row of the stack G
-    (shape (N, m, m)), read from its lower triangle.
+def _cholesky_solve(G: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(X, ok): X with G X = B for each column n of the coordinate-major
+    stack G (shape (m, m, N)) and right-hand sides B (shape (m, N)), by one
+    Cholesky factorization L L^T = G read from G's lower triangle, forward
+    substitution for L Y = B and back substitution for L^T X = Y.
 
-    Vectorized over rows, with Python loops only over the m axis and each
-    inner sum written out entry by entry.  ``ok`` is False where a pivot
-    is not positive (or is NaN), as LAPACK's factorization fails; those
-    rows of L hold NaN.
+    Every entry of L, Y and X is a contiguous row of N values, with Python
+    loops only over the m axis and each inner sum written out term by term.
+    ``ok`` is False where a pivot is not positive (or is NaN), as LAPACK's
+    factorization fails; those columns of X hold NaN.
     """
-    m = G.shape[-1]
-    ok = np.ones(G.shape[0], dtype=bool)
-    L = np.zeros_like(G)
+    m = G.shape[0]
+    ok = np.ones(G.shape[-1], dtype=bool)
+    L = [[None] * m for _ in range(m)]
     for j in range(m):
-        pivot = G[:, j, j]
+        pivot = G[j, j]
         for k in range(j):
-            pivot = pivot - L[:, j, k] * L[:, j, k]
+            pivot = pivot - L[j][k] * L[j][k]
         positive = pivot > 0.0
         ok &= positive
         root = np.sqrt(np.where(positive, pivot, np.nan))
-        L[:, j, j] = root
+        L[j][j] = root
         for i in range(j + 1, m):
-            below = G[:, i, j]
+            below = G[i, j]
             for k in range(j):
-                below = below - L[:, i, k] * L[:, j, k]
-            L[:, i, j] = below / root
-    return L, ok
-
-
-def _cholesky_solve(L: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """X with L L^T X = B for each row of the lower-triangular stack L
-    (shape (N, m, m)) and right-hand sides B (shape (N, m)): forward
-    substitution for L Y = B, then back substitution for L^T X = Y, in
-    place in one array."""
-    m = L.shape[-1]
+                below = below - L[i][k] * L[j][k]
+            L[i][j] = below / root
     X = np.empty_like(B)
     for i in range(m):
-        entry = B[:, i]
+        entry = B[i]
         for k in range(i):
-            entry = entry - L[:, i, k] * X[:, k]
-        X[:, i] = entry / L[:, i, i]
+            entry = entry - L[i][k] * X[k]
+        X[i] = entry / L[i][i]
     for i in reversed(range(m)):
-        entry = X[:, i]
+        entry = X[i]
         for k in range(i + 1, m):
-            entry = entry - L[:, k, i] * X[:, k]
-        X[:, i] = entry / L[:, i, i]
-    return X
+            entry = entry - L[k][i] * X[k]
+        X[i] = entry / L[i][i]
+    return X, ok
 
 
 def form_det(Q: QuadForm) -> float:

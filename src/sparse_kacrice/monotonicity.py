@@ -70,6 +70,9 @@ OUTSIDE = "outside"
 #: forcing a side; the decrease/increase regions are open sets.
 BOUNDARY_BAND = 1e-10
 
+#: The label of each class code of :func:`_classify_psi`.
+_LABELS = np.array([BOUNDARY, U_MINUS, U_PLUS, OUTSIDE], dtype=object)
+
 
 @dataclass(frozen=True)
 class Augmentation:
@@ -104,11 +107,13 @@ class PsiEval:
 
 
 def _classify_psi(values: np.ndarray) -> np.ndarray:
-    """Labels of Psi values against 1, with the ``BOUNDARY_BAND`` margin."""
-    labels = np.full(values.shape, BOUNDARY, dtype=object)
-    labels[values < 1.0 - BOUNDARY_BAND] = U_MINUS
-    labels[values > 1.0 + BOUNDARY_BAND] = U_PLUS
-    return labels
+    """Labels of Psi values against 1, with the ``BOUNDARY_BAND`` margin,
+    and OUTSIDE for NaN: an object array of ``_LABELS``, taken by int8
+    codes (NaN compares false both ways, so it keeps only its own code)."""
+    codes = np.isnan(values).view(np.int8) * np.int8(3)
+    codes += values < 1.0 - BOUNDARY_BAND
+    codes += (values > 1.0 + BOUNDARY_BAND).view(np.int8) * np.int8(2)
+    return _LABELS.take(codes)
 
 
 def _check_augmentation(E: ExpSum, aug: Augmentation) -> np.ndarray:
@@ -355,13 +360,17 @@ def region_scan(
 
     In the default moment-coordinate scan ("p" space) the nodes at least
     ``LEGENDRE_MARGIN`` diam(P) inside every facet of the Newton polytope
-    (one product against the support's cached facet rows) are mapped back
-    by one batched Newton solve on ``E._centred``; the other nodes, and any
-    whose inversion fails, are marked "outside".  An "x" space scan
-    evaluates the grid directly.  Either way Psi is evaluated once for the
-    whole grid by the kernel behind :func:`psi`, with no per-node Python call;
-    a node where det g underflows to 0 raises DegenerateMetricError for
-    the scan.  ``box`` defaults to the support's bounding box ("p") or
+    (tested against the support's cached facet rows) are mapped back by one
+    batched Newton solve on ``E._centred``; the other nodes, and any whose
+    inversion fails, are marked "outside".  Psi at a p-space node is taken
+    at a preimage whose moment residual is at most 1e-10, the default of
+    :func:`.invert_moment`, so near a facet, where the metric degenerates,
+    it is Psi at a nearby point: 2.4e-5 inside the facet of an affine
+    square it was 3e-7 relative off the Psi of the exact preimage.  An "x"
+    space scan evaluates the grid directly.  Either way Psi is evaluated
+    once for the whole grid by the kernel behind :func:`psi`, with no
+    per-node Python call; a node where det g underflows to 0 raises
+    DegenerateMetricError for the scan.  ``box`` defaults to the support's bounding box ("p") or
     [-5, 5]^m ("x"), and any box must be finite with lo < hi per axis;
     ``resolution`` is a whole number or one per axis, at least 2 each.
     Both follow :func:`.geometry._check_box` and :func:`.geometry._grid`
@@ -388,15 +397,13 @@ def region_scan(
         usable = usable[ok]
         if usable.size:
             values[usable] = _psi_many(E, aug, X[ok])[0]
-    labels = _classify_psi(values)
-    labels[np.isnan(values)] = OUTSIDE
     return RegionScan(
         space=space,
         box=box,
         resolution=resolution,
         axes=axes,
         psi=values.reshape(resolution),
-        classes=labels.reshape(resolution),
+        classes=_classify_psi(values).reshape(resolution),
     )
 
 

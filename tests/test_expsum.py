@@ -6,6 +6,7 @@ import itertools
 import math
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -383,6 +384,24 @@ class TestMomentInversion:
         assert ok.any()
         for x, p in zip(X[ok], targets[ok]):
             assert evaluate(EXTREME, x).mu[0] == pytest.approx(p, abs=1e-9)
+
+    def test_lazy_packing_matches_one_row_calls(self):
+        # One batch of rows that are done at the start (the start's own
+        # moment), rows that backtrack and rows that fail (21 of the 41 on
+        # the line): rows done early are carried through later iterations
+        # before they are packed away, and must neither move nor warn.
+        c, centred = EXTREME._centred
+        start = centred._newton_start[1] + c
+        targets = np.vstack([np.linspace(-49.0, 79.0, 41)[:, None], start[None]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            X, ok = _invert_moment_many(EXTREME, targets)
+            singles = [_invert_moment_many(EXTREME, p[None]) for p in targets]
+        assert ok[-1] and 0 < (~ok).sum() < len(targets) - 1
+        np.testing.assert_array_equal(ok, [one_ok[0] for _, one_ok in singles])
+        for x, (one, one_ok) in zip(X, singles):
+            if one_ok[0]:
+                np.testing.assert_allclose(x, one[0], rtol=0.0, atol=1e-12)
 
     def test_extreme_weights_fail_on_at_most_21_targets(self):
         _, ok = _invert_moment_many(EXTREME, np.linspace(-49.0, 79.0, 41)[:, None])

@@ -30,7 +30,6 @@ from sparse_kacrice.geometry import (
     DET_FLOOR,
     DUAL_COND_LIMIT,
     _check_box,
-    _cholesky_many,
     _cholesky_solve,
     _grid,
     _interior_mask,
@@ -151,6 +150,10 @@ class TestHullGeometry:
             mask = _interior_mask(A, P, tol)
             scalar = np.array([interior_contains(A, p, tol) for p in P])
             np.testing.assert_array_equal(mask, scalar)
+            # The per-coordinate slack adds in the order of the broadcast
+            # product summed over its last axis: the same answer, bit for bit.
+            broadcast = (P[:, None, :] * rows[:, :-1]).sum(axis=-1) + rows[:, -1]
+            np.testing.assert_array_equal(mask, np.all(broadcast <= -tol, axis=1))
             # An independent reference: a fresh hull, on decisive points.
             if m == 1:
                 slack = np.hstack([lo - P, P - hi])
@@ -286,16 +289,20 @@ class TestStackedCholesky:
         v = np.arange(1.0, m + 1.0)
         edge += [np.outer(v, v) if m > 1 else np.zeros((1, 1)), -np.eye(m)]
         G = np.concatenate([well, np.array(edge)])
-        L, ok = _cholesky_many(G)
+        B = rng.normal(size=(len(G), m))
+        # The step takes the stack coordinate-major: G (m, m, N), B (m, N).
+        X, ok = _cholesky_solve(np.moveaxis(G, 0, -1), B.T)
+        X = X.T
         np.testing.assert_array_equal(~ok, _lapack_cholesky_fails(G))
         assert ok[:200].all() and not ok.all() and ok[200:].any()
-        assert np.isnan(L[~ok]).any(axis=(1, 2)).all()
-        np.testing.assert_allclose(L[:200], np.linalg.cholesky(well), rtol=1e-13, atol=1e-14)
-        np.testing.assert_allclose(L[ok], np.linalg.cholesky(G[ok]), rtol=0.0, atol=1e-9)
-        B = rng.normal(size=(200, m))
-        X = _cholesky_solve(L[:200], B)
-        want = np.linalg.solve(well, B[..., None])[..., 0]
-        np.testing.assert_allclose(X, want, rtol=1e-10, atol=1e-12 * np.abs(want).max())
+        assert np.isnan(X[~ok]).all()
+        want = np.linalg.solve(well, B[:200, :, None])[..., 0]
+        np.testing.assert_allclose(X[:200], want, rtol=1e-10, atol=1e-12 * np.abs(want).max())
+        # On every factored row, near-singular ones included, X solves
+        # G X = B to a componentwise backward error of a few eps.
+        residual = np.abs(np.einsum("nij,nj->ni", G, X) - B)
+        scale = np.einsum("nij,nj->ni", np.abs(G), np.abs(X)) + np.abs(B)
+        assert (residual[ok] <= 2 * (m + 1) * np.finfo(float).eps * scale[ok]).all()
 
 
 def _reference_gate(G, det_floor, cond_limit=DUAL_COND_LIMIT):

@@ -32,7 +32,7 @@ from sparse_kacrice import (
 )
 from sparse_kacrice.expsum import _batch_moments, _invert_moment_many
 from sparse_kacrice.geometry import DET_FLOOR, DUAL_COND_LIMIT
-from sparse_kacrice.monotonicity import _logistic
+from sparse_kacrice.monotonicity import BOUNDARY_BAND, _classify_psi, _logistic
 
 TWO_TERM = ExpSum([[0.0], [1.0]])
 SQUARE = kostlan(2, 1)
@@ -265,6 +265,17 @@ class TestClassify:
         crossing = 0.5 * (lo + hi)
         assert classify(SQUARE, SQ_AUG, [crossing, crossing], tol=1e-6) == "boundary"
 
+    def test_coded_classes(self):
+        values = np.array([math.nan, 1.0 - BOUNDARY_BAND, 1.0 + BOUNDARY_BAND, 1.0, 0.5,
+                           1.0 - 2 * BOUNDARY_BAND, 1.0 + 2 * BOUNDARY_BAND, 3.0, math.nan])
+        labels = _classify_psi(values)
+        assert labels.dtype == object and labels.shape == values.shape
+        assert labels.tolist() == ["outside", "boundary", "boundary", "boundary", "U_minus",
+                                   "U_minus", "U_plus", "U_plus", "outside"]
+        assert all(type(label) is str for label in labels)
+        grid = values[:8].reshape(2, 4)
+        np.testing.assert_array_equal(_classify_psi(grid), labels[:8].reshape(2, 4))
+
     def test_square_has_both_regions(self):
         labels = {
             classify(SQUARE, SQ_AUG, x)
@@ -434,6 +445,25 @@ class TestRegionScan:
     def test_rejects_bad_box_or_resolution(self, box, resolution, space):
         with pytest.raises(InputError):
             region_scan(SQUARE, SQ_AUG, box=box, resolution=resolution, space=space)
+
+    def test_csv_and_json_records(self):
+        # Every record written out in full from the scan's own arrays, with
+        # the labels of the comparisons against 1 +- BOUNDARY_BAND.
+        scan = region_scan(SQUARE, Augmentation([0.3, 0.6]), resolution=(5, 7), space="p")
+        nodes = np.stack(np.meshgrid(*scan.axes, indexing="ij"), axis=-1).reshape(-1, 2)
+        values = scan.psi.ravel()
+        labels = ["outside" if math.isnan(v) else "U_minus" if v < 1.0 - BOUNDARY_BAND
+                  else "U_plus" if v > 1.0 + BOUNDARY_BAND else "boundary" for v in values]
+        assert {"outside", "U_minus", "U_plus"} <= set(labels)
+        assert scan.classes.dtype == object and scan.classes.ravel().tolist() == labels
+        rows = [f"{p1!r},{p2!r},{v!r},{label}" for (p1, p2), v, label in
+                zip(nodes.tolist(), values.tolist(), labels)]
+        assert scan.to_csv() == "\n".join(["p1,p2,psi,class"] + rows) + "\n"
+        assert json.loads(scan.to_json()) == {
+            "schema": 1, "space": "p", "box": [[0.0, 1.0], [0.0, 1.0]], "resolution": [5, 7],
+            "axes": [axis.tolist() for axis in scan.axes], "columns": ["p1", "p2", "psi", "class"],
+            "psi": [None if math.isnan(v) else v for v in values.tolist()], "class": labels,
+        }
 
     def test_csv_nodes_are_the_scan_grid(self):
         scan = region_scan(SQUARE, SQ_AUG, box=[(-1.0, 2.0), (0.5, 3.0)], resolution=(3, 4),
