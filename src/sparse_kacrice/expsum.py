@@ -88,8 +88,10 @@ INVERT_MAX_ITER = 80
 #: rejected by legendre_density (the metric blows up at the faces).
 LEGENDRE_MARGIN = 1e-6
 
-#: Moment residual of the polytope-side inversion, scaled by (1 + diam P).
-LEGENDRE_TOL = 1e-14
+#: Moment residual of every moment-map inversion, scaled by (1 + diam P) and
+#: measured on the centred copy ``ExpSum._centred``: a preimage of a point at
+#: distance d from a facet keeps a relative error near INVERT_TOL / d.
+INVERT_TOL = 1e-14
 
 
 class ExpSum:
@@ -449,43 +451,43 @@ def hessian_check(E: ExpSum, x, h: float = 1e-4) -> HessianReport:
 # -- moment-map inversion ---------------------------------------------------
 
 
-def invert_moment(E: ExpSum, p, tol: float = 1e-10) -> np.ndarray:
+def invert_moment(E: ExpSum, p) -> np.ndarray:
     """Solve mu(x) = p for x by damped Newton iteration: the batched
     kernel on one row.
 
     The moment map is a diffeomorphism onto the interior of the Newton
     polytope; the Jacobian of mu is 2 g.  Starts at the balancing point
     of the weights and halves the step whenever the residual would not
-    decrease.
+    decrease.  The residual is the one of every inversion,
+    ``INVERT_TOL`` (1 + diam P) (:func:`_invert_moment_many`).
 
-    Raises InputError unless 0 < tol < inf, DomainError for p outside the
-    interior (with margin) and ConvergenceError (carrying the last iterate
-    and its residual) when ``tol`` is not reached: past
+    Raises DomainError for p outside the interior (with margin
+    ``INVERT_MARGIN`` (1 + diam P)) and ConvergenceError (carrying the last
+    iterate and its residual) when the residual is not reached: past
     ``INVERT_MAX_ITER`` iterations, on a stalled line search, or where the
     Cholesky factorization of the metric fails.
     """
-    if not 0.0 < tol < math.inf:
-        raise InputError("tol must be finite and positive")
     p = _check_vector(p, E.dim, "p")
     if E.support.degenerate:
         raise DegenerateMetricError("support is not full-dimensional; moment map is not open")
     margin = INVERT_MARGIN * (1.0 + diameter(E.support))
     if not interior_contains(E.support, p, margin):
         raise DomainError(f"target {p.tolist()} is not interior to the Newton polytope")
-    X, ok = _invert_moment_many(E, p[None], tol)
+    X, ok = _invert_moment_many(E, p[None])
     if not ok[0]:
         c, centred = E._centred
         residual = float(np.linalg.norm(_batch_moments(centred, X)[2][0] - (p - c)))
-        message = f"damped Newton stopped at residual {residual:.3e} > tol {tol:.1e}"
+        message = f"damped Newton stopped at residual {residual:.3e}"
         raise ConvergenceError(message, value=X[0], residual=residual)
     return X[0]
 
 
-def _invert_moment_many(E: ExpSum, P: np.ndarray, tol: float = 1e-10):
+def _invert_moment_many(E: ExpSum, P: np.ndarray):
     """Vectorized damped Newton for many interior targets at once, on ``E._centred``.
 
-    Returns (X, ok) where ok flags rows whose residual |mu(x) - p| reached
-    ``tol`` within ``INVERT_MAX_ITER`` iterations.  The rows are kept
+    Returns (X, ok) where ok flags rows whose residual |mu(x) - p| on the
+    centred copy reached ``INVERT_TOL`` (1 + diam P), the one residual rule,
+    within ``INVERT_MAX_ITER`` iterations.  The rows are kept
     coordinate-major: x, p and mu as (m, n) and the metric G as (m, m, n).
     Each iteration solves 2 g delta = p - mu on every row by one stacked
     Cholesky factor-and-solve (:func:`._cholesky_solve`) and halves the step
@@ -503,7 +505,7 @@ def _invert_moment_many(E: ExpSum, P: np.ndarray, tol: float = 1e-10):
     x0, mu0, G0 = E._newton_start
     X = np.tile(x0, (P.shape[0], 1))
     res2 = ((mu0[:, None] - p) ** 2).sum(axis=0)
-    tol2 = tol * tol
+    tol2 = (INVERT_TOL * (1.0 + diameter(E.support))) ** 2
     far = res2 > tol2
     idx = np.flatnonzero(far)
     n = idx.size
@@ -563,15 +565,11 @@ def _invert_moment_many(E: ExpSum, P: np.ndarray, tol: float = 1e-10):
 def _legendre_density_many(E: ExpSum, Q: np.ndarray) -> np.ndarray:
     """1/sqrt(det 2g) at the moment preimage of each row of Q, a target
     relative to the support's barycenter (``E._centred``); NaN where the
-    inversion fails.
-
-    The residual is ``LEGENDRE_TOL`` * (1 + diam): a point at distance d
-    from a facet then keeps a relative error near LEGENDRE_TOL / d, where
-    an absolute 1e-10 would give 1e-5 at d = 4e-6.  No interior check is
-    performed here.
+    inversion fails.  The inversion is :func:`_invert_moment_many`'s, at
+    its one residual.  No interior check is performed here.
     """
     centred = E._centred[1]
-    X, ok = _invert_moment_many(centred, Q, LEGENDRE_TOL * (1.0 + diameter(E.support)))
+    X, ok = _invert_moment_many(centred, Q)
     _, W, total = _softmax(centred, X)
     log_det = _log_det(E, W, total)
     return np.where(ok, np.exp(-0.5 * (log_det + E.dim * math.log(2.0))), np.nan)

@@ -156,7 +156,9 @@ class SupportSet:
         D_S^2 prod_S W.  D = det[1 a_i] = det[a_i - a_i0] (m! times the
         simplex volume) comes from the C(k, m+1) sorted subsets; a D within
         1e-12 w^m, w the widest coordinate range, is rounding on a flat
-        simplex, set to 0, so a flat support has det g = 0 everywhere.
+        simplex, set to 0.  A ``degenerate`` support (the rank test) has
+        every D set to 0, so det g = 0 everywhere exactly where the
+        integrals return 0.
         Raises InputError past ``SIMPLEX_FORM_LIMIT`` entries, before
         allocating anything."""
         k, m = self.points.shape
@@ -168,7 +170,7 @@ class SupportSet:
             )
         S = _sorted_tuples(k, m + 1)
         D = _cone_dets(self.points, S[:, 1:], self.points[S[:, 0]])
-        D[np.abs(D) <= 1e-12 * np.ptp(self.points, axis=0).max() ** m] = 0.0
+        D[(np.abs(D) <= 1e-12 * np.ptp(self.points, axis=0).max() ** m) | self.degenerate] = 0.0
         D *= D / math.comb(m + 1, 2)
         B = np.zeros(shape)
         for pair in itertools.combinations(range(m + 1), 2):

@@ -4,16 +4,21 @@ Two routes to the same number:
 
 * the x-space route integrates the zero density (2/s_m) sqrt(det g_x)
   over R^m (:func:`esol_total`) in metric-normalized coordinates
-  x = x0 + W y, where x0 is the moment preimage of the
-  support's barycenter and W^T g(x0) W = I, so the region sits in the
-  same place relative to the support under every affine map of it: the
-  cube [-4, 4]^m, then shells [-2r, 2r]^m minus [-r, r]^m for as long as
+  x = x0 + W y, where x0 is the moment preimage of the support's
+  barycenter and W^T g(x0) W = I, so the region sits in the same place
+  relative to the support under every affine map of it, thin supports
+  included: the cube [-4, 4]^m, then shells [-2r, 2r]^m minus [-r, r]^m for as long as
   the newest shell outweighs the error of the cells already in hand
   (:func:`esol_region` integrates the same density over a box alone);
 * the moment-space route integrates the Legendre-transform density over
   the Newton polytope (m <= 2), split into one quadrilateral per hull
   vertex and mapped so that the square-root boundary layer and the
   vertex corners are smooth up to the boundary.
+
+Both routes invert the moment map by the kernel's one rule
+(:func:`.expsum._invert_moment_many`, residual ``INVERT_TOL`` (1 + diam P)
+on the centred copy): the x route once, for x0, and the moment route at
+every integrand node.
 
 Every integral, in every dimension, is one adaptive heap of cells, each
 with an embedded pair of rules whose difference is its error estimate.
@@ -43,13 +48,10 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import ConvergenceError, InputError
-from .expsum import (
-    ExpSum,
-    _batch_moments,
-    _legendre_density_many,
-    density_many,
-    invert_moment,
-)
+from .expsum import ExpSum, _batch_moments, _invert_moment_many, _legendre_density_many, density_many
+# ``invert_moment`` is imported for perfbench's tracer, which wraps it as an
+# integrate boundary; nothing here calls it.
+from .expsum import invert_moment  # noqa: F401
 from .geometry import _check_box, _grid, ball_sphere_constants, diameter, hull_volume
 
 __all__ = [
@@ -323,15 +325,22 @@ def _adaptive(f, los, his, abs_tol, rel_tol, grow=False):
 def _over_rm(f, E: ExpSum, abs_tol, rel_tol):
     """Integrate f over R^m in metric-normalized coordinates x = x0 + W y.
 
-    x0 is the moment preimage of the support's barycenter and
+    x0 is the moment preimage of the support's barycenter, by the kernel's
+    inversion (:func:`.expsum._invert_moment_many`) at its one residual:
+    the barycenter of a full-dimensional support is interior, so no margin
+    gate applies and a thin support inverts like any other.
     W = V diag(lam)^(-1/2) from g(x0) = V diag(lam) V^T.  An inversion
-    that fails raises ConvergenceError before any cell is integrated.
+    that fails raises ConvergenceError, with the residual read from the
+    same row as g(x0), before any cell is integrated.
     """
-    try:
-        x0 = invert_moment(E, E._centred[0])
-    except ConvergenceError as exc:
-        raise ConvergenceError(f"no frame over R^m: {exc}", residual=exc.residual) from exc
-    G = _batch_moments(E, x0[None, :])[3]
+    c = E._centred[0]
+    X, ok = _invert_moment_many(E, c[None])
+    _, _, mu, G = _batch_moments(E, X)
+    if not ok[0]:
+        residual = float(np.linalg.norm(mu[0] - c))
+        message = f"no frame over R^m: damped Newton stopped at residual {residual:.3e}"
+        raise ConvergenceError(message, residual=residual)
+    x0 = X[0]
     lam, V = np.linalg.eigh(G[0])
     W = V / np.sqrt(lam)
     jac = abs(float(np.linalg.det(W)))

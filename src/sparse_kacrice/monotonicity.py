@@ -362,19 +362,18 @@ def region_scan(
     ``LEGENDRE_MARGIN`` diam(P) inside every facet of the Newton polytope
     (tested against the support's cached facet rows) are mapped back by one
     batched Newton solve on ``E._centred``; the other nodes, and any whose
-    inversion fails, are marked "outside".  Psi at a p-space node is taken
-    at a preimage whose moment residual is at most 1e-10, the default of
-    :func:`.invert_moment`, so near a facet, where the metric degenerates,
-    it is Psi at a nearby point: 2.4e-5 inside the facet of an affine
-    square it was 3e-7 relative off the Psi of the exact preimage.  An "x"
-    space scan evaluates the grid directly.  Either way Psi is evaluated
-    once for the whole grid by the kernel behind :func:`psi`, with no
-    per-node Python call; a node where det g underflows to 0 raises
-    DegenerateMetricError for the scan.  ``box`` defaults to the support's bounding box ("p") or
-    [-5, 5]^m ("x"), and any box must be finite with lo < hi per axis;
-    ``resolution`` is a whole number or one per axis, at least 2 each.
-    Both follow :func:`.geometry._check_box` and :func:`.geometry._grid`
-    and raise InputError where those do.
+    inversion fails, are marked "outside".  The inversion is the one rule of
+    every inversion, residual ``INVERT_TOL`` (1 + diam P), so near a facet
+    Psi is taken at the preimage, not at a nearby point: 2.4e-5 inside the
+    facet of an affine square it is 9e-13 relative off the Psi of a 50-digit
+    preimage.  An "x" space scan evaluates the grid directly.  Either way
+    Psi is evaluated once for the whole grid by the kernel behind
+    :func:`psi`, with no per-node Python call; a node where det g underflows
+    to 0 raises DegenerateMetricError for the scan.  ``box`` defaults to the
+    support's bounding box ("p") or [-5, 5]^m ("x"), and any box must be
+    finite with lo < hi per axis; ``resolution`` is a whole number or one
+    per axis, at least 2 each.  Both follow :func:`.geometry._check_box`
+    and :func:`.geometry._grid` and raise InputError where those do.
     """
     _check_augmentation(E, aug)
     if space not in ("p", "x"):

@@ -59,6 +59,15 @@ class TestAnalyze:
         assert main(["analyze", "--input", two_term_file, "--route", route, "--box=-1,2"]) == 2
         assert "--box" in capsys.readouterr().err
 
+    def test_thin_triangle(self, tmp_path, capsys):
+        # Its barycenter is 3.3e-11 from a facet, inside the 2e-9 margin
+        # that user targets of invert_moment must clear: the frame once
+        # failed that gate and analyze exited 2.
+        path = tmp_path / "thin.json"
+        path.write_text(ExpSum([[0.0, 0.0], [1.0, 0.0], [0.5, 1e-10]]).to_json())
+        assert main(["analyze", "--input", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["value"] == pytest.approx(0.25, abs=1e-6)
+
     def test_output_file(self, two_term_file, tmp_path):
         out = tmp_path / "result.json"
         assert main(["analyze", "--input", two_term_file, "--output", str(out)]) == 0

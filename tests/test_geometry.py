@@ -15,9 +15,11 @@ from sparse_kacrice import (
     SingularFormError,
     SupportSet,
     ball_sphere_constants,
+    density,
     diameter,
     dual_form,
     ellipsoid_volume,
+    esol_total,
     exposed_face,
     form_det,
     hull_volume,
@@ -114,6 +116,16 @@ class TestHullGeometry:
         A = SupportSet([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
         assert hull_volume(A) == 0.0
         assert A.degenerate
+
+    def test_flat_support_has_zero_density_everywhere(self):
+        # The rank test calls this triangle flat; its simplex, 1.5e-12 tall,
+        # once cleared the block's own 1e-12 w^m threshold and gave a
+        # density of 4.6e-14 where esol_total returns 0.
+        E = ExpSum([[0.0, 0.0], [1.0, 0.0], [0.5, 1.5e-12]])
+        assert E.support.degenerate
+        assert not E.support._simplex_form.any()
+        assert density(E, [0.0, 0.0]) == 0.0
+        assert esol_total(E).value == 0.0
 
     def test_diameter(self):
         assert diameter(SupportSet(SQUARE)) == pytest.approx(math.sqrt(2.0))

@@ -26,7 +26,8 @@ from sparse_kacrice import (
     lower_bound_check,
     tensor,
 )
-from sparse_kacrice import integrate
+from sparse_kacrice import expsum, integrate
+from sparse_kacrice.expsum import _batch_moments
 from sparse_kacrice.integrate import _adaptive, _cell_rule, _genz_malik_rule, _seed_grid
 
 TWO_TERM = ExpSum([[0.0], [1.0]])
@@ -170,10 +171,17 @@ def _random_affine2(seed):
         (esol_total, _image(kostlan(2, 1), TURN_0_7), Quadrature(1e-10, 1e-10), math.pi / 8.0),
         *[(esol_total, _image(kostlan(2, 2), *_random_affine2(seed)), Quadrature(1e-9, 1e-9),
            math.pi / 4.0) for seed in range(1, 7)],
+        # Thin triangles, images of the unit simplex (1/4 for any weights):
+        # their barycenters lie inside the margin that user targets of
+        # invert_moment must clear, which the frame once had to pass.
+        *[(esol_total, ExpSum([[0.0, 0.0], [1.0, 0.0], [0.5, h]], coeffs), Quadrature(), 0.25)
+          for h in (1e-8, 1e-10, 1e-11) for coeffs in (None, [1.0, 2.5, 0.4])],
     ],
     ids=["rotated square", "rotated sheared kostlan(2,2)", "simplex(2,2)",
          "rotated kostlan(3,1)", "pentagon bkk", "unit square turned 0.7 rad at 1e-10",
-         *[f"seeded affine kostlan(2,2) {seed} at 1e-9" for seed in range(1, 7)]],
+         *[f"seeded affine kostlan(2,2) {seed} at 1e-9" for seed in range(1, 7)],
+         *[f"{kind} triangle of height {h:g}" for h in (1e-8, 1e-10, 1e-11)
+           for kind in ("thin", "reweighted thin")]],
 )
 def test_x_route_on_supports_off_the_axes(integral, E, q, ref):
     start = time.perf_counter()
@@ -220,9 +228,12 @@ class TestThreeVariables:
             (bkk_total, UNIT_CUBE, 1e-7, 6.0, 3.0),
             # off by 2.6e-7 with 576-node Gauss-Legendre cells, which claimed 1e-7
             (esol_total, _image(kostlan(3, 1), *_random_affine3(11)), 1e-7, math.pi / 8.0, 4.0),
+            *[(esol_total, ExpSum([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0.3, 0.3, h]]), 1e-5, 0.125, 1.0)
+              for h in (1e-9, 1e-11)],
         ],
         ids=["kostlan(3,1)", "simplex(3,1)", "tensor of two-term sums", "sheared kostlan(3,1)",
-             "rotated kostlan(3,1)", "unit cube bkk", "seeded affine kostlan(3,1)"],
+             "rotated kostlan(3,1)", "unit cube bkk", "seeded affine kostlan(3,1)",
+             "tetrahedron of height 1e-09", "tetrahedron of height 1e-11"],
     )
     def test_closed_forms(self, integral, E, tol, ref, seconds):
         q = Quadrature(abs_tol=tol, rel_tol=tol)
@@ -452,6 +463,17 @@ class TestConvergenceFailure:
             esol_total(TWO_TERM, Quadrature(abs_tol=1e-300, rel_tol=1e-300))
         assert info.value.value == pytest.approx(0.5, abs=1e-6)
         assert time.perf_counter() - start < 2.0
+
+    def test_failed_frame_raises_with_its_residual(self, monkeypatch):
+        # No Newton step at all: the frame stays at the balancing point,
+        # whose moment is not the barycenter 4/3 of these weights.
+        E = ExpSum([[0.0], [1.0], [3.0]], [1.0, 2.0, 1.0])
+        monkeypatch.setattr(expsum, "INVERT_MAX_ITER", 0)
+        c, centred = E._centred
+        want = abs(float(_batch_moments(E, centred._newton_start[0][None])[2][0, 0]) - c[0])
+        with pytest.raises(ConvergenceError, match="no frame over R") as info:
+            esol_total(E)
+        assert info.value.residual == pytest.approx(want, rel=1e-12) and want > 0.05
 
 
 class TestLowerBound:

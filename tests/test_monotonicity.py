@@ -62,11 +62,9 @@ def _refused_by_dual_form(G):
     return flat | (np.prod(eigs, axis=1) < DET_FLOOR)
 
 
-def _psi_60_digits(mp, E, a0, x):
-    """(Psi, g^x(tau)) at x with alpha0 = 1 in mpmath arithmetic at the
-    working precision, from the formed metric and a dense solve."""
+def _moments_mp(mp, E, xs):
+    """(log K, mu, g) at the mpmath point xs, at the working precision."""
     points = [[mp.mpf(float(v)) for v in row] for row in E.support.points]
-    xs = [mp.mpf(float(v)) for v in x]
     logs = [mp.log(mp.mpf(float(c))) + mp.fsum(a * t for a, t in zip(row, xs))
             for row, c in zip(points, E.coeffs)]
     top = max(logs)
@@ -79,13 +77,47 @@ def _psi_60_digits(mp, E, a0, x):
         for i in range(m):
             for j in range(m):
                 g[i, j] += l * (row[i] - mu[i]) * (row[j] - mu[j])
+    return 2 * top + mp.log(mp.fsum(w)), mu, g
+
+
+def _psi_60_digits(mp, E, a0, x):
+    """(Psi, g^x(tau)) at x with alpha0 = 1 in mpmath arithmetic at the
+    working precision, from the formed metric and a dense solve."""
+    xs = [mp.mpf(v) for v in x]
+    m = len(xs)
+    log_K, mu, g = _moments_mp(mp, E, xs)
     log_f0 = mp.fsum(mp.mpf(float(a)) * t for a, t in zip(a0, xs))
-    log_K = 2 * top + mp.log(mp.fsum(w))
     log_K0 = log_K + mp.log(1 + mp.exp(2 * log_f0 - log_K))
     tau = mp.matrix([mp.exp(log_f0 - log_K0 / 2) * (mu[i] - float(a0[i])) for i in range(m)])
     tau_normsq = (tau.T * mp.lu_solve(g, tau))[0]
     value = mp.exp(log_K - log_K0) ** (mp.mpf(m) / 2) * mp.sqrt(1 + tau_normsq)
     return float(value), float(tau_normsq)
+
+
+def _preimage_50_digits(mp, E, p):
+    """The moment preimage of p in mpmath arithmetic at the working
+    precision: dense Newton steps from the origin, halved until the
+    residual falls."""
+    m = len(p)
+
+    def residual(x):
+        _, mu, g = _moments_mp(mp, E, x)
+        return mp.matrix([mp.mpf(float(p[i])) - mu[i] for i in range(m)]), g
+
+    x = [mp.mpf(0)] * m
+    r, g = residual(x)
+    for _ in range(100):
+        if mp.norm(r) <= mp.mpf(10) ** (5 - mp.mp.dps):
+            return x
+        step = mp.lu_solve(2 * g, r)
+        for _ in range(60):
+            trial = [x[i] + step[i] for i in range(m)]
+            r_t, g_t = residual(trial)
+            if mp.norm(r_t) < mp.norm(r):
+                break
+            step = step / 2
+        x, r, g = trial, r_t, g_t
+    raise AssertionError("no 50-digit preimage")
 
 
 class TestAugmentation:
@@ -396,6 +428,21 @@ class TestRegionScan:
                 want = _psi_60_digits(mp, SQUARE, SQ_AUG.a0, x)[0]
             errors.append(abs(got - want) / want)
         assert max(errors) <= 1e-13
+
+    def test_moment_scan_near_a_facet_is_psi_at_the_preimage(self):
+        # A node 2e-5 inside the bottom facet of a sheared, reweighted square:
+        # inverted to an absolute moment residual of 1e-10, its Psi was 1.3e-7
+        # relative off the Psi at the exact preimage.
+        mp = pytest.importorskip("mpmath")
+        E = ExpSum([[0, 0], [1, 0], [0.5, 1], [1.5, 1]], [1.0, 0.7, 1.3, 0.9])
+        aug = Augmentation([0.8, 0.4])
+        scan = region_scan(E, aug, box=[(0.2, 1.0), (2e-5, 0.9)], resolution=(5, 4))
+        p = [scan.axes[0][2], scan.axes[1][0]]
+        np.testing.assert_allclose(p, [0.6, 2e-5], rtol=1e-12)
+        with mp.workdps(50):
+            x = _preimage_50_digits(mp, E, p)
+            want = _psi_60_digits(mp, E, aug.a0, x)[0]
+        assert scan.psi[2, 0] == pytest.approx(want, rel=1e-10, abs=0.0)
 
     def test_csv_layout(self):
         scan = region_scan(SQUARE, SQ_AUG, resolution=(6, 8), space="p")
