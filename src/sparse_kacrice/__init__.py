@@ -61,7 +61,6 @@ from .monotonicity import (
     witness_interior,
 )
 from .algebra import (
-    CoeffSystem,
     aronszajn,
     aronszajn_power,
     density_bounds_check,
@@ -124,7 +123,6 @@ __all__ = [
     "ray_scan_unbounded",
     "region_scan",
     "witness_interior",
-    "CoeffSystem",
     "aronszajn",
     "aronszajn_power",
     "density_bounds_check",

@@ -20,10 +20,9 @@ import numpy as np
 
 from .errors import InputError
 from .expsum import ExpSum, evaluate
-from .geometry import SupportSet, _check_vector
+from .geometry import SupportSet, _check_vector, _is_int
 
 __all__ = [
-    "CoeffSystem",
     "tensor",
     "aronszajn",
     "aronszajn_power",
@@ -31,10 +30,6 @@ __all__ = [
     "DensityBoundsReport",
     "density_bounds_check",
 ]
-
-#: Operand alias: a coefficient system is an exponential sum's data.
-CoeffSystem = ExpSum
-
 
 def _lex_sorted(points: np.ndarray, coeffs: np.ndarray):
     """Order support points lexicographically (first coordinate primary)."""
@@ -78,13 +73,16 @@ def _merge_clusters(points: np.ndarray, sq_weights: np.ndarray, merge_tol: float
     return merged_points, merged_sq
 
 
-def aronszajn(E_a: ExpSum, E_b: ExpSum, merge_tol: float | None = None) -> ExpSum:
+def aronszajn(E_a: ExpSum, E_b: ExpSum) -> ExpSum:
     """Aronszajn product: support A + B (Minkowski sums), same variables.
 
     The squared coefficient at c accumulates alpha_a^2 beta_b^2 over all
-    decompositions a + b = c; sums that land within merge_tol of each
-    other are treated as the same point (cluster mean).  The potential and
-    the metric of the product are the pointwise sums of the factors'.
+    decompositions a + b = c; sums within ``SupportSet.dedup_tolerance``
+    (of all the sums) of each other are treated as the same point (cluster
+    mean).  That is the one merge radius that gives a valid product:
+    ``ExpSum`` refuses closer points as near-duplicates, and a wider radius
+    would merge distinct points.  The potential and the metric of the
+    product are the pointwise sums of the factors'.
     """
     if E_a.dim != E_b.dim:
         raise InputError(
@@ -94,9 +92,7 @@ def aronszajn(E_a: ExpSum, E_b: ExpSum, merge_tol: float | None = None) -> ExpSu
     n_a, n_b = A.shape[0], B.shape[0]
     sums = (A[:, None, :] + B[None, :, :]).reshape(n_a * n_b, -1)
     sq = (np.repeat(E_a.coeffs, n_b) * np.tile(E_b.coeffs, n_a)) ** 2
-    if merge_tol is None:
-        merge_tol = SupportSet.dedup_tolerance(sums)
-    points, sq = _merge_clusters(sums, sq, merge_tol)
+    points, sq = _merge_clusters(sums, sq, SupportSet.dedup_tolerance(sums))
     return ExpSum(*_lex_sorted(points, np.sqrt(sq)))
 
 
@@ -127,7 +123,7 @@ def aronszajn_power(E: ExpSum, d: int) -> ExpSum:
     of the result is d times the base metric, so the zero density scales
     by d^{m/2}.
     """
-    if not (isinstance(d, (int, np.integer)) and d >= 1):
+    if not (_is_int(d) and d >= 1):
         raise InputError("power must be a positive integer")
     d = int(d)
     if E.n_terms == 2:
@@ -149,9 +145,9 @@ def kostlan(m: int, d: int) -> ExpSum:
     ``geometry.SIMPLEX_FORM_LIMIT``: kostlan(3, 2) and kostlan(2, 10) fit,
     kostlan(3, 3) and kostlan(2, 11) raise InputError.
     """
-    if not (isinstance(m, (int, np.integer)) and m >= 1):
+    if not (_is_int(m) and m >= 1):
         raise InputError("dimension must be a positive integer")
-    if not (isinstance(d, (int, np.integer)) and d >= 1):
+    if not (_is_int(d) and d >= 1):
         raise InputError("degree must be a positive integer")
     from scipy.special import gammaln
 
@@ -181,22 +177,15 @@ class DensityBoundsReport:
 
     lower_margin: float
     upper_margin: float
-    n_directions: int
     passed: bool
 
 
-def density_bounds_check(
-    E_a: ExpSum,
-    E_b: ExpSum,
-    x,
-    n_directions: int = 50,
-    seed: int = 0,
-    tol: float = 1e-12,
-) -> DensityBoundsReport:
+def density_bounds_check(E_a: ExpSum, E_b: ExpSum, x) -> DensityBoundsReport:
     """Check the two-sided metric bounds for a sum of two systems at x.
 
-    In one variable a single direction suffices; otherwise n_directions
-    random unit vectors are sampled with the given seed.
+    In one variable a single direction suffices; otherwise 50 random unit
+    vectors are drawn from ``default_rng(0)``.  Each inequality passes with
+    a slack of 1e-12 * max(1, largest sampled s).
     """
     if E_a.dim != E_b.dim:
         raise InputError(
@@ -209,8 +198,7 @@ def density_bounds_check(
     if m == 1:
         directions = np.ones((1, 1))
     else:
-        rng = np.random.default_rng(seed)
-        directions = rng.standard_normal((n_directions, m))
+        directions = np.random.default_rng(0).standard_normal((50, m))
         directions /= np.linalg.norm(directions, axis=1, keepdims=True)
     s1 = np.sqrt(np.einsum("ni,ij,nj->n", directions, Q1, directions))
     s2 = np.sqrt(np.einsum("ni,ij,nj->n", directions, Q2, directions))
@@ -218,10 +206,7 @@ def density_bounds_check(
     lower_margin = float((mid - (s1 + s2) / math.sqrt(2.0)).min())
     upper_margin = float(((s1 + s2) - mid).min())
     scale = max(1.0, float(mid.max()))
-    passed = lower_margin >= -tol * scale and upper_margin >= -tol * scale
+    passed = lower_margin >= -1e-12 * scale and upper_margin >= -1e-12 * scale
     return DensityBoundsReport(
-        lower_margin=lower_margin,
-        upper_margin=upper_margin,
-        n_directions=int(directions.shape[0]),
-        passed=passed,
+        lower_margin=lower_margin, upper_margin=upper_margin, passed=passed
     )

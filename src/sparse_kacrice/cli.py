@@ -96,6 +96,14 @@ def _emit_json(payload: dict, output: str | None) -> None:
     _emit(json.dumps(payload, indent=2), output)
 
 
+def _wants_json(args) -> bool:
+    """The grid format: ``--format`` when given, else JSON for a ``.json``
+    output path and CSV otherwise."""
+    if args.format is not None:
+        return args.format == "json"
+    return (args.output or "").endswith(".json")
+
+
 # ---------------------------------------------------------------------------
 # Handlers
 
@@ -142,7 +150,7 @@ def _cmd_density_grid(args) -> int:
     box = _parse_box(args.box, m) or ((-5.0, 5.0),) * m
     _, axes, points = _grid(box, _parse_resolution(args.resolution))
     values = density_many(E, points)
-    if args.format == "json" or (args.output or "").endswith(".json"):
+    if _wants_json(args):
         payload = {
             "schema": 1,
             "box": [list(map(float, b)) for b in box],
@@ -163,7 +171,7 @@ def _cmd_psi_grid(args) -> int:
     aug = Augmentation(_parse_floats(args.a0), args.alpha0)
     box, resolution = _parse_box(args.box, E.dim), _parse_resolution(args.resolution)
     scan = region_scan(E, aug, box=box, resolution=resolution, space=args.space)
-    if args.format == "json" or (args.output or "").endswith(".json"):
+    if _wants_json(args):
         _emit(scan.to_json(), args.output)
     else:
         _emit(scan.to_csv(), args.output)
@@ -421,6 +429,9 @@ def _cmd_selftest(args) -> int:
 # Parser
 
 
+_FORMAT_HELP = "default: json when --output ends in .json, else csv"
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sparse-kacrice",
@@ -440,7 +451,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--box", default="auto")
     p.add_argument("--resolution", default="64")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--format", choices=("csv", "json"), help=_FORMAT_HELP)
     p.add_argument("--output")
     p.set_defaults(handler=_cmd_density_grid)
 
@@ -451,7 +462,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--space", choices=("p", "x"), default="p")
     p.add_argument("--box", default="auto")
     p.add_argument("--resolution", default="64")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--format", choices=("csv", "json"), help=_FORMAT_HELP)
     p.add_argument("--output")
     p.set_defaults(handler=_cmd_psi_grid)
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -251,6 +252,11 @@ def _coerce_support(A) -> SupportSet:
     return A if isinstance(A, SupportSet) else SupportSet(A)
 
 
+def _is_int(v) -> bool:
+    """True for a Python or numpy integer, False for a bool or anything else."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
 def _check_vector(u, m: int, name: str = "u") -> np.ndarray:
     vec = np.asarray(u, dtype=float).reshape(-1)
     if vec.shape[0] != m:
@@ -304,28 +310,24 @@ def support_function(A, u) -> float:
     return float(np.max(A.points @ u))
 
 
-def exposed_face(A, u, tol: float | None = None) -> SupportSet:
-    """Points of A within ``tol`` of the support value in direction u.
+def exposed_face(A, u) -> SupportSet:
+    """Points of A at the support value in direction u.
 
     This is the exposed face A^u = {a : <u, a> = h_A(u)} up to a gap
-    tolerance; the default tolerance scales with ``|u|`` times the largest
-    point norm so that floating-point ties are kept together.  Never empty.
+    tolerance of 1e-12 * max(1, |u| * max_a |a|), which scales with the
+    problem so that floating-point ties are kept together.  Never empty.
     """
     A = _coerce_support(A)
     u = _check_vector(u, A.dim)
-    if tol is not None and tol < 0:
-        raise InputError("tol must be nonnegative")
-    return SupportSet(A.points[_face_mask(A, u, tol)])
+    return SupportSet(A.points[_face_mask(A, u)])
 
 
-def _face_mask(A: SupportSet, u: np.ndarray, tol: float | None = None) -> np.ndarray:
+def _face_mask(A: SupportSet, u: np.ndarray) -> np.ndarray:
     """Boolean mask over A of the exposed face in direction u, with the
-    default tolerance of :func:`exposed_face`."""
+    gap tolerance of :func:`exposed_face`."""
     values = A.points @ u
-    if tol is None:
-        scale = float(np.linalg.norm(u)) * float(np.linalg.norm(A.points, axis=1).max())
-        tol = 1e-12 * max(1.0, scale)
-    return values >= values.max() - tol
+    scale = float(np.linalg.norm(u)) * float(np.linalg.norm(A.points, axis=1).max())
+    return values >= values.max() - 1e-12 * max(1.0, scale)
 
 
 def diameter(A) -> float:
@@ -403,16 +405,6 @@ class QuadForm:
     def __call__(self, u) -> float:
         u = _check_vector(u, self.dim)
         return float(u @ self.entries @ u)
-
-    def __add__(self, other):
-        if not isinstance(other, QuadForm):
-            return NotImplemented
-        return QuadForm(self.entries + other.entries)
-
-    def __mul__(self, scalar):
-        return QuadForm(self.entries * float(scalar))
-
-    __rmul__ = __mul__
 
     def __repr__(self) -> str:
         return f"QuadForm({self.entries.tolist()!r})"

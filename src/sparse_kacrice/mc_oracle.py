@@ -36,13 +36,13 @@ substreams, so results do not depend on how work is scheduled.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError
 from .expsum import ExpSum
+from .geometry import _is_int
 
 __all__ = ["McConfig", "sample_zero_count", "estimate_esol"]
 
@@ -71,10 +71,6 @@ class McConfig:
             raise InputError(f"n_samples must be an integer of at least 1, not {self.n_samples!r}")
         if not _is_int(self.seed) or not 0 <= self.seed < 2**128:
             raise InputError(f"seed must be an integer in [0, 2**128), not {self.seed!r}")
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 def _sorted_terms(E: ExpSum):

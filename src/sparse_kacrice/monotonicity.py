@@ -36,7 +36,7 @@ from .errors import DegenerateMetricError, DomainError, InputError, SingularForm
 from .errors import SparseKacRiceError
 from .expsum import LEGENDRE_MARGIN, ExpSum, _invert_moment_many, _simplex_sum, _softmax
 from .expsum import _sorted_products, evaluate, invert_moment
-from .geometry import QuadForm, SupportSet, _check_box, _check_vector, _cone_dets, _grid
+from .geometry import QuadForm, SupportSet, _check_box, _check_vector, _cone_dets, _grid, _is_int
 from .geometry import _interior_mask, _sorted_tuples, diameter, dual_form
 from .geometry import interior_contains  # noqa: F401 (perfbench's tracer wraps it)
 
@@ -136,19 +136,23 @@ def augment(E: ExpSum, aug: Augmentation) -> ExpSum:
 
 
 def _checked_bundle(E: ExpSum, aug: Augmentation, x):
-    """(a0, evaluate(E, x), the dual form of its metric, phi0, K/K_0, tau)
-    on the routes that go through :func:`evaluate`; DegenerateMetricError
-    where :func:`.geometry.dual_form` refuses the metric."""
+    """(a0, evaluate(E, x), phi0, K/K_0, tau) on the routes that go through
+    :func:`evaluate`.  No dual form is taken here: see :func:`_metric_dual`."""
     a0 = _check_augmentation(E, aug)
     bundle = evaluate(E, x)
-    try:
-        g_dual = dual_form(bundle.g)
-    except SingularFormError as exc:
-        raise DegenerateMetricError("metric degenerates at x; density ratio undefined") from exc
     log_f0 = math.log(aug.alpha0) + float(a0 @ bundle.x)
     log_K0 = float(np.logaddexp(2.0 * bundle.phi, 2.0 * log_f0))
     tau = math.exp(log_f0 - 0.5 * log_K0) * (bundle.mu - a0)
-    return a0, bundle, g_dual, bundle.phi - log_f0, math.exp(2.0 * bundle.phi - log_K0), tau
+    return a0, bundle, bundle.phi - log_f0, math.exp(2.0 * bundle.phi - log_K0), tau
+
+
+def _metric_dual(bundle) -> QuadForm:
+    """The dual form of the bundle's metric; DegenerateMetricError where
+    :func:`.geometry.dual_form` refuses it."""
+    try:
+        return dual_form(bundle.g)
+    except SingularFormError as exc:
+        raise DegenerateMetricError("metric degenerates at x; density ratio undefined") from exc
 
 
 def _psi_many(E: ExpSum, aug: Augmentation, X: np.ndarray):
@@ -226,13 +230,13 @@ def psi_via_phi0(E: ExpSum, aug: Augmentation, x) -> float:
     about 1e-12 where g is well conditioned and to about cond(g) * eps near
     the condition gate; DegenerateMetricError where dual_form refuses g.
     """
-    a0, bundle, g_dual, phi0, _, _ = _checked_bundle(E, aug, x)
+    a0, bundle, phi0, _, _ = _checked_bundle(E, aug, x)
     s = _logistic(-2.0 * phi0)
     ratio = _logistic(2.0 * phi0)
-    return ratio ** (E.dim / 2.0) * math.sqrt(1.0 + s * g_dual(bundle.mu - a0))
+    return ratio ** (E.dim / 2.0) * math.sqrt(1.0 + s * _metric_dual(bundle)(bundle.mu - a0))
 
 
-def classify(E: ExpSum, aug: Augmentation, x, tol: float = 1e-10) -> str:
+def classify(E: ExpSum, aug: Augmentation, x) -> str:
     """Classify x against the closed-form decrease criterion.
 
     x is in the decrease region iff
@@ -240,11 +244,13 @@ def classify(E: ExpSum, aug: Augmentation, x, tol: float = 1e-10) -> str:
         g^x(mu - a_0)  <  m + sum_{k=1}^{m-1} C(m+1, k+1) r^k + r^m,
 
     with r = e^{-2 phi0}; the right side equals ((1+r)^m - 1)(1 + 1/r),
-    which is algebraically equivalent to Psi < 1.  Agrees with the
-    Psi-vs-1 classification whenever |Psi - 1| > tol.
+    which is algebraically equivalent to Psi < 1.  The two sides count as
+    equal ("boundary") within ``BOUNDARY_BAND`` * max(1, |lhs|, |rhs|), the
+    band of the Psi-vs-1 classification, with which it agrees whenever
+    |Psi - 1| > ``BOUNDARY_BAND``.
     """
-    a0, bundle, g_dual, phi0, _, _ = _checked_bundle(E, aug, x)
-    lhs = g_dual(bundle.mu - a0)
+    a0, bundle, phi0, _, _ = _checked_bundle(E, aug, x)
+    lhs = _metric_dual(bundle)(bundle.mu - a0)
     m = E.dim
     with np.errstate(over="ignore"):
         r = float(np.exp(-2.0 * phi0))
@@ -254,7 +260,7 @@ def classify(E: ExpSum, aug: Augmentation, x, tol: float = 1e-10) -> str:
         rhs += r**m
     if not math.isfinite(rhs):
         return U_MINUS
-    band = tol * max(1.0, abs(lhs), abs(rhs))
+    band = BOUNDARY_BAND * max(1.0, abs(lhs), abs(rhs))
     if lhs < rhs - band:
         return U_MINUS
     if lhs > rhs + band:
@@ -295,8 +301,8 @@ def ray_scan_unbounded(
     norm = float(np.linalg.norm(x_dir))
     if norm == 0.0:
         raise InputError("x_dir must be nonzero")
-    if not (t_max > 0 and math.isfinite(t_max) and n_steps >= 1):
-        raise InputError("need a finite t_max > 0 and n_steps >= 1")
+    if not (t_max > 0 and math.isfinite(t_max) and _is_int(n_steps) and n_steps >= 1):
+        raise InputError("need a finite t_max > 0 and an integer n_steps >= 1")
     ts = np.linspace(t_max / n_steps, t_max, n_steps)
     return _psi_evals(E, aug, ts[:, None] * (x_dir / norm))
 
@@ -410,9 +416,10 @@ def augmented_metric(E: ExpSum, aug: Augmentation, x) -> QuadForm:
     """Metric of the augmented sum, via the rank-one update formula.
 
     (g_0)_x = (K/K_0) (g_x + tau tau^T).  Evaluating the augmented sum
-    directly gives the same form; this route never materializes it.
+    directly gives the same form; this route never materializes it.  No
+    dual form is read, so an ill-conditioned g is no error here.
     """
-    _, bundle, _, _, ratio, tau = _checked_bundle(E, aug, x)
+    _, bundle, _, ratio, tau = _checked_bundle(E, aug, x)
     return QuadForm(ratio * (bundle.g.entries + np.outer(tau, tau)))
 
 
@@ -433,18 +440,18 @@ class LevelsetReport:
     passed: bool
 
 
-def levelset_projection_check(
-    E: ExpSum, aug: Augmentation, x, tol: float = 1e-10
-) -> LevelsetReport:
+def levelset_projection_check(E: ExpSum, aug: Augmentation, x) -> LevelsetReport:
     """Verify the exact shrink of the projected dual ellipsoid at x.
 
     Restricts both metrics to the orthogonal complement of mu(x) - a_0 and
-    compares the augmented restriction against (K/K_0) times the base
-    restriction.  At a critical point of phi0 (mu = a_0) the tangent space
-    is undefined and a DomainError is raised; in one variable the
-    complement is trivial and the check passes vacuously.
+    compares the augmented restriction (the form of :func:`augmented_metric`,
+    from the same one evaluation of E) against (K/K_0) times the base
+    restriction; it passes below a relative residual of 1e-10.  At a
+    critical point of phi0 (mu = a_0) the tangent space is undefined and a
+    DomainError is raised; in one variable the complement is trivial and
+    the check passes vacuously.
     """
-    a0, bundle, _, _, ratio, _ = _checked_bundle(E, aug, x)
+    a0, bundle, _, ratio, tau = _checked_bundle(E, aug, x)
     grad0 = bundle.mu - a0
     if np.linalg.norm(grad0) <= 1e-12 * (1.0 + np.linalg.norm(a0)):
         raise DomainError("x is a critical point of phi0; level set has no tangent space")
@@ -453,11 +460,11 @@ def levelset_projection_check(
     from scipy.linalg import null_space
 
     basis = null_space(grad0[None, :])
-    g0 = augmented_metric(E, aug, x).entries
+    g0 = ratio * (bundle.g.entries + np.outer(tau, tau))
     restricted_aug = basis.T @ g0 @ basis
     restricted_base = ratio * (basis.T @ bundle.g.entries @ basis)
     scale = max(1.0, float(np.abs(restricted_base).max()))
     residual = float(np.abs(restricted_aug - restricted_base).max()) / scale
     return LevelsetReport(
-        residual=residual, ratio=ratio, vacuous=False, passed=residual < tol
+        residual=residual, ratio=ratio, vacuous=False, passed=residual < 1e-10
     )

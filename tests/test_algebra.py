@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from sparse_kacrice import (
-    CoeffSystem,
     ExpSum,
     InputError,
     aronszajn,
@@ -87,7 +86,7 @@ class TestAronszajn:
     def test_merge_tolerance_clusters_near_duplicates(self):
         Ea = ExpSum([[0.0], [1.0]])
         Eb = ExpSum([[0.0], [1.0 + 1e-12]])
-        P = aronszajn(Ea, Eb, merge_tol=1e-9)
+        P = aronszajn(Ea, Eb)
         assert P.n_terms == 3
 
     def test_dimension_mismatch(self):
@@ -123,6 +122,15 @@ class TestAronszajnPower:
         with pytest.raises(InputError):
             aronszajn_power(B3, 0)
 
+    def test_degree_follows_the_integer_rule(self):
+        for d in (True, 2.0, 2.5, "2"):
+            with pytest.raises(InputError):
+                aronszajn_power(B3, d)
+        p1, c1 = _canonical(aronszajn_power(B3, np.int64(2)))
+        p2, c2 = _canonical(aronszajn_power(B3, 2))
+        np.testing.assert_array_equal(p1, p2)
+        np.testing.assert_array_equal(c1, c2)
+
     def test_overflow_degree_rejected(self):
         with pytest.raises(InputError):
             aronszajn_power(ExpSum([[0.0], [1.0]]), 3000)
@@ -149,9 +157,6 @@ class TestKostlan:
         np.testing.assert_allclose(p1, p2)
         np.testing.assert_allclose(c1, c2)
 
-    def test_coefficient_system_alias(self):
-        assert CoeffSystem is ExpSum
-
     def test_rejects_bad_arguments(self):
         with pytest.raises(InputError):
             kostlan(0, 2)
@@ -159,6 +164,12 @@ class TestKostlan:
             kostlan(1, 0)
         with pytest.raises(InputError):
             kostlan(1, 3000)
+
+    def test_counts_follow_the_integer_rule(self):
+        for m, d in ((True, 2), (2, True), (2.0, 1), (1, 2.5), ("2", 1)):
+            with pytest.raises(InputError):
+                kostlan(m, d)
+        assert kostlan(np.int64(2), np.int32(3)).n_terms == 16
 
 
 class TestDensityBounds:

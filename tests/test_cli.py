@@ -106,6 +106,23 @@ class TestGrids:
         assert len(lines) == 1 + 64
         assert any("U_minus" in line for line in lines[1:])
 
+    @pytest.mark.parametrize("command", ["density-grid", "psi-grid"])
+    def test_explicit_format_wins_over_suffix(self, square_file, tmp_path, command):
+        header = "x1,x2," if command == "density-grid" else "p1,p2,"
+        cases = [("csv", "out.json", False), ("json", "out.csv", True)]
+        cases += [(None, "out.json", True), (None, "out.csv", False)]
+        for fmt, name, want_json in cases:
+            out = tmp_path / name
+            argv = [command, "--input", square_file, "--resolution", "3", "--output", str(out)]
+            argv += ["--a0", "0.5,0.5"] if command == "psi-grid" else []
+            argv += ["--format", fmt] if fmt else []
+            assert main(argv) == 0
+            text = out.read_text()
+            if want_json:
+                assert json.loads(text)["schema"] == 1
+            else:
+                assert text.startswith(header)
+
 
 class TestPointwise:
     def test_witness(self, square_file, capsys):

@@ -494,7 +494,7 @@ class TestVeronese:
             np.testing.assert_allclose(v**2, evaluate(SQUARE, x).weights, atol=1e-12)
 
     def test_pullback_matches_metric(self):
-        rep = veronese_pullback_check(IRREGULAR, [0.4], 1e-5)
+        rep = veronese_pullback_check(IRREGULAR, [0.4])
         assert rep.residual < 1e-6
-        rep2 = veronese_pullback_check(SQUARE, [0.2, -0.3], 1e-5)
+        rep2 = veronese_pullback_check(SQUARE, [0.2, -0.3])
         assert rep2.residual < 1e-6

@@ -261,6 +261,14 @@ class TestPsi:
         with pytest.raises(InputError, match="finite"):
             ray_scan_unbounded(kostlan(1, 2), Augmentation([3.0]), [1.0], math.inf, 3)
 
+    def test_step_count_follows_the_integer_rule(self):
+        aug = Augmentation([3.0])
+        for n_steps in (2.5, "3", True, 3.0, None):
+            with pytest.raises(InputError, match="integer n_steps"):
+                ray_scan_unbounded(TWO_TERM, aug, [1.0], 40.0, n_steps)
+        want = [e.psi for e in ray_scan_unbounded(TWO_TERM, aug, [1.0], 40.0, 3)]
+        assert [e.psi for e in ray_scan_unbounded(TWO_TERM, aug, [1.0], 40.0, np.int64(3))] == want
+
     def test_ray_scan_decreases(self):
         evs = ray_scan_unbounded(TWO_TERM, Augmentation([3.0]), [1.0], 40.0, 8)
         values = [e.psi for e in evs]
@@ -283,8 +291,8 @@ class TestClassify:
                 assert value > 1.0
 
     def test_boundary_band(self):
-        # bracket the psi = 1 crossing on the diagonal, then widen the
-        # tolerance until the crossing itself reads as boundary
+        # bracket the psi = 1 crossing on the diagonal; the crossing itself
+        # reads as boundary under BOUNDARY_BAND
         lo, hi = 0.0, 2.5  # psi(lo) < 1 < psi(hi)
         assert psi(SQUARE, SQ_AUG, [lo, lo]).psi < 1.0
         assert psi(SQUARE, SQ_AUG, [hi, hi]).psi > 1.0
@@ -295,7 +303,7 @@ class TestClassify:
             else:
                 hi = mid
         crossing = 0.5 * (lo + hi)
-        assert classify(SQUARE, SQ_AUG, [crossing, crossing], tol=1e-6) == "boundary"
+        assert classify(SQUARE, SQ_AUG, [crossing, crossing]) == "boundary"
 
     def test_coded_classes(self):
         values = np.array([math.nan, 1.0 - BOUNDARY_BAND, 1.0 + BOUNDARY_BAND, 1.0, 0.5,
@@ -353,6 +361,23 @@ class TestAugmentedMetric:
             got = augmented_metric(SQUARE, SQ_AUG, x).entries
             want = evaluate(E0, x).g.entries
             np.testing.assert_allclose(got, want, rtol=1e-10)
+
+    @pytest.mark.parametrize("t", [40.0, 60.0, 100.0])
+    def test_ill_conditioned_metric_needs_no_dual(self, t):
+        # cond g is 2e23 to 2e58 along (1, 0.3): dual_form refuses g there,
+        # but the rank-one update reads no dual form, nor does the level-set
+        # check; the routes that read one still raise.  Rounding <a0, x>
+        # near 370 alone moves the weights by about 1e-13 relative.
+        aug = Augmentation([3.0, 3.0])
+        x = t * np.array([1.0, 0.3]) / math.hypot(1.0, 0.3)
+        got = augmented_metric(SQUARE, aug, x).entries
+        want = evaluate(augment(SQUARE, aug), x).g.entries
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        assert levelset_projection_check(SQUARE, aug, x).passed
+        with pytest.raises(DegenerateMetricError):
+            classify(SQUARE, aug, x)
+        with pytest.raises(DegenerateMetricError):
+            psi_via_phi0(SQUARE, aug, x)
 
 
 class TestLevelsetProjection:
