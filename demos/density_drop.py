@@ -14,7 +14,6 @@ from sparse_kacrice import (
     Augmentation,
     ExpSum,
     augment,
-    classify,
     density,
     kostlan,
     psi,
@@ -38,9 +37,9 @@ print(f"Psi{tuple(x)} = {ev.psi:.8f}   density ratio = {direct:.8f}")
 x0 = witness_interior(square, aug)
 print(f"witness x0 = {np.round(x0, 8)}  Psi(x0) = {psi(square, aug, x0).psi}")
 
-# classify() applies the same test through an overflow-safe inequality.
+# Each evaluation labels its point against Psi = 1.
 for point in ([0.0, 0.0], [2.5, 2.5]):
-    print(f"classify({point}) = {classify(square, aug, point)}")
+    print(f"psi({point}).classification = {psi(square, aug, point).classification}")
 
 # A full region scan grids the polytope in moment coordinates, evaluates
 # Psi at each interior node, and labels the two regions.

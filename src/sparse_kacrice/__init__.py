@@ -24,7 +24,6 @@ from .geometry import (
     ball_sphere_constants,
     diameter,
     dual_form,
-    ellipsoid_volume,
     exposed_face,
     form_det,
     hull_volume,
@@ -39,23 +38,16 @@ from .expsum import (
     density_many,
     evaluate,
     face_metric_limit,
-    hessian_check,
     invert_moment,
     legendre_density,
     potential,
-    veronese,
-    veronese_pullback_check,
 )
 from .monotonicity import (
     Augmentation,
     PsiEval,
     RegionScan,
     augment,
-    augmented_metric,
-    classify,
-    levelset_projection_check,
     psi,
-    psi_via_phi0,
     ray_scan_unbounded,
     region_scan,
     witness_interior,
@@ -63,7 +55,6 @@ from .monotonicity import (
 from .algebra import (
     aronszajn,
     aronszajn_power,
-    density_bounds_check,
     kostlan,
     tensor,
 )
@@ -92,7 +83,6 @@ __all__ = [
     "ball_sphere_constants",
     "diameter",
     "dual_form",
-    "ellipsoid_volume",
     "exposed_face",
     "form_det",
     "hull_volume",
@@ -105,27 +95,19 @@ __all__ = [
     "density_many",
     "evaluate",
     "face_metric_limit",
-    "hessian_check",
     "invert_moment",
     "legendre_density",
     "potential",
-    "veronese",
-    "veronese_pullback_check",
     "Augmentation",
     "PsiEval",
     "RegionScan",
     "augment",
-    "augmented_metric",
-    "classify",
-    "levelset_projection_check",
     "psi",
-    "psi_via_phi0",
     "ray_scan_unbounded",
     "region_scan",
     "witness_interior",
     "aronszajn",
     "aronszajn_power",
-    "density_bounds_check",
     "kostlan",
     "tensor",
     "IntegralResult",

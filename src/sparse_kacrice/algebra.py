@@ -14,22 +14,20 @@ algebraic identities can be compared structurally.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError
-from .expsum import ExpSum, evaluate
-from .geometry import SupportSet, _check_vector, _is_int
+from .expsum import ExpSum
+from .geometry import SupportSet, _is_int
 
 __all__ = [
     "tensor",
     "aronszajn",
     "aronszajn_power",
     "kostlan",
-    "DensityBoundsReport",
-    "density_bounds_check",
 ]
+
 
 def _lex_sorted(points: np.ndarray, coeffs: np.ndarray):
     """Order support points lexicographically (first coordinate primary)."""
@@ -160,53 +158,3 @@ def kostlan(m: int, d: int) -> ExpSum:
     if not np.all(log_coeffs < math.log(np.finfo(float).max)):
         raise InputError(f"degree {d} overflows double-precision coefficients")
     return ExpSum(*_lex_sorted(points, np.exp(log_coeffs)))
-
-
-@dataclass(frozen=True)
-class DensityBoundsReport:
-    """Two-sided bounds on the combined metric against its factors.
-
-    For each sampled direction u, with s_i = sqrt(Q_i(u)) and
-    s = sqrt((Q_1+Q_2)(u)), the inclusions read
-    (s_1 + s_2)/sqrt(2) <= s <= s_1 + s_2.  ``lower_margin`` and
-    ``upper_margin`` are the worst (smallest) slacks of the left and right
-    inequalities over the sample; both are nonnegative when ``passed``.
-    In one variable this is the pointwise density bound for the Aronszajn
-    product; in higher dimension it is the dual-ellipsoid inclusion.
-    """
-
-    lower_margin: float
-    upper_margin: float
-    passed: bool
-
-
-def density_bounds_check(E_a: ExpSum, E_b: ExpSum, x) -> DensityBoundsReport:
-    """Check the two-sided metric bounds for a sum of two systems at x.
-
-    In one variable a single direction suffices; otherwise 50 random unit
-    vectors are drawn from ``default_rng(0)``.  Each inequality passes with
-    a slack of 1e-12 * max(1, largest sampled s).
-    """
-    if E_a.dim != E_b.dim:
-        raise InputError(
-            f"operands live in different dimensions ({E_a.dim} vs {E_b.dim})"
-        )
-    m = E_a.dim
-    x = _check_vector(x, m, "x")
-    Q1 = evaluate(E_a, x).g.entries
-    Q2 = evaluate(E_b, x).g.entries
-    if m == 1:
-        directions = np.ones((1, 1))
-    else:
-        directions = np.random.default_rng(0).standard_normal((50, m))
-        directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-    s1 = np.sqrt(np.einsum("ni,ij,nj->n", directions, Q1, directions))
-    s2 = np.sqrt(np.einsum("ni,ij,nj->n", directions, Q2, directions))
-    mid = np.sqrt(np.einsum("ni,ij,nj->n", directions, Q1 + Q2, directions))
-    lower_margin = float((mid - (s1 + s2) / math.sqrt(2.0)).min())
-    upper_margin = float(((s1 + s2) - mid).min())
-    scale = max(1.0, float(mid.max()))
-    passed = lower_margin >= -1e-12 * scale and upper_margin >= -1e-12 * scale
-    return DensityBoundsReport(
-        lower_margin=lower_margin, upper_margin=upper_margin, passed=passed
-    )

@@ -42,7 +42,6 @@ from .monotonicity import (
     OUTSIDE,
     Augmentation,
     psi,
-    psi_via_phi0,
     ray_scan_unbounded,
     region_scan,
     witness_interior,
@@ -349,13 +348,6 @@ def _selftest_checks():
             label == w.classification and abs(value - w.psi) <= 1e-9 * w.psi
             for value, label, w in zip(scan.psi[inside], scan.classes[inside], want))
 
-    def psi_via_phi0_matches_psi():
-        # The formed-metric route reads its dual from LAPACK's symmetric
-        # eigensolver, which no other check exercises.
-        E, aug = algebra_mod.kostlan(2, 1), Augmentation(np.array([0.3, 0.6]))
-        X = np.random.default_rng(5).uniform(-3.0, 3.0, size=(8, 2))
-        return max(abs(psi_via_phi0(E, aug, x) / psi(E, aug, x).psi - 1.0) for x in X) <= 1e-10
-
     def metric_additivity():
         E_a = ExpSum([[0.0], [1.0]])
         E_b = ExpSum([[0.0], [0.5], [1.7]], [1.0, 2.0, 1.0])
@@ -401,8 +393,6 @@ def _selftest_checks():
         ("interior witness decreases density", witness_in_square),
         ("batched Psi scan equals scalar psi on an 8^2 p-grid of the unit square",
          psi_scan_matches_scalar),
-        ("psi_via_phi0_matches_psi: the formed-metric dual route equals the Cauchy-Binet Psi"
-         " at 8 seeded points of kostlan(2,1)", psi_via_phi0_matches_psi),
         ("metric additivity of shared-variable product", metric_additivity),
         ("binomial coefficient system at degree 2", binomial_coefficients),
         ("complex density total equals the root count", bkk_segment),

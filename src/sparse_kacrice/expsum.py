@@ -10,7 +10,9 @@ potential Phi = (1/2) log K, the softmax weights, the moment map mu
 (gradient of Phi, a diffeomorphism onto the interior of the Newton
 polytope), the metric g (half the Hessian of Phi), the expected-zero
 density (2/s_m) sqrt(det g), moment-map inversion, the polytope-side
-density, directional asymptotics, and the Veronese embedding.
+density and directional asymptotics.  The identities these obey
+(grad Phi = mu, Hess Phi = 2 g, the Veronese pull-back of the round
+metric) are checked by the test suite, not computed here.
 
 Batched kernels compute all of it.  :func:`_softmax` gives the weights of
 N points terms-major, as a (k, N) array, so every max, sum and contraction
@@ -52,6 +54,7 @@ from .geometry import (
     _check_vector,
     _cholesky_solve,
     _face_mask,
+    _is_int,
     ball_sphere_constants,
     diameter,
     interior_contains,
@@ -64,18 +67,13 @@ from .geometry import dual_form, form_det, support_function  # noqa: F401
 __all__ = [
     "ExpSum",
     "EvalBundle",
-    "HessianReport",
-    "PullbackReport",
     "evaluate",
     "density",
     "density_many",
-    "hessian_check",
     "invert_moment",
     "legendre_density",
     "asymptotic_moment",
     "face_metric_limit",
-    "veronese",
-    "veronese_pullback_check",
 ]
 
 #: Default interior margin for moment-map inversion, scaled by (1 + diam P).
@@ -183,14 +181,17 @@ class ExpSum:
     def from_dict(cls, data) -> "ExpSum":
         """Build from the mapping produced by :meth:`to_dict`.
 
-        ``coeffs`` may be omitted (all ones).  Values are parsed as doubles;
-        bit-exact round trips are not promised.
+        ``dim`` must be an integer, as :meth:`to_dict` writes it (no float,
+        bool or string); ``coeffs`` may be omitted (all ones).  Values are
+        parsed as doubles; bit-exact round trips are not promised.
         """
         if not isinstance(data, dict):
             raise InputError("expected a JSON object with 'dim' and 'support'")
         coeffs = data.get("coeffs")
+        dim = data.get("dim")
+        if not _is_int(dim):
+            raise InputError(f"bad exponential-sum record: dim must be an integer, got {dim!r}")
         try:
-            dim = int(data["dim"])
             support = np.asarray(data["support"], dtype=float)
             if coeffs is not None:
                 coeffs = np.asarray(coeffs, dtype=float)
@@ -403,50 +404,6 @@ def density(E: ExpSum, x) -> float:
     return float(density_many(E, x[None])[0])
 
 
-# -- derivative checks ------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class HessianReport:
-    """Residuals of the finite-difference identities grad Phi = mu and
-    Hess Phi = 2 g."""
-
-    grad_residual: float
-    hess_residual: float
-
-    @property
-    def max_residual(self) -> float:
-        return max(self.grad_residual, self.hess_residual)
-
-
-def hessian_check(E: ExpSum, x) -> HessianReport:
-    """Central-difference check of the potential's derivatives at x, with
-    the fixed step h = 1e-4 along each coordinate axis."""
-    x = _check_vector(x, E.dim, "x")
-    h = 1e-4
-    m = E.dim
-    eye = np.eye(m)
-    phi0 = potential(E, x)
-    grad_fd = np.empty(m)
-    hess_fd = np.empty((m, m))
-    for i in range(m):
-        plus = potential(E, x + h * eye[i])
-        minus = potential(E, x - h * eye[i])
-        grad_fd[i] = (plus - minus) / (2.0 * h)
-        hess_fd[i, i] = (plus - 2.0 * phi0 + minus) / h**2
-    for i in range(m):
-        for j in range(i + 1, m):
-            pp = potential(E, x + h * eye[i] + h * eye[j])
-            pm = potential(E, x + h * eye[i] - h * eye[j])
-            mp = potential(E, x - h * eye[i] + h * eye[j])
-            mm = potential(E, x - h * eye[i] - h * eye[j])
-            hess_fd[i, j] = hess_fd[j, i] = (pp - pm - mp + mm) / (4.0 * h**2)
-    bundle = evaluate(E, x)
-    grad_res = float(np.abs(grad_fd - bundle.mu).max())
-    hess_res = float(np.abs(hess_fd - 2.0 * bundle.g.entries).max())
-    return HessianReport(grad_residual=grad_res, hess_residual=hess_res)
-
-
 # -- moment-map inversion ---------------------------------------------------
 
 
@@ -621,38 +578,3 @@ def face_metric_limit(E: ExpSum, x_dir, y) -> QuadForm:
     mask = _face_mask(E.support, x_dir)
     restricted = ExpSum(E.support.points[mask], E.coeffs[mask])
     return evaluate(restricted, y).g
-
-
-# -- Veronese embedding -----------------------------------------------------
-
-
-def veronese(E: ExpSum, x) -> np.ndarray:
-    """The point (sqrt(lambda_a(x)))_a on the unit sphere of R^A."""
-    return np.sqrt(evaluate(E, x).weights)
-
-
-@dataclass(frozen=True)
-class PullbackReport:
-    """Residual of the spherical-pullback identity |D nu (u)|^2 = g(u)."""
-
-    residual: float
-
-
-def veronese_pullback_check(E: ExpSum, x) -> PullbackReport:
-    """Finite-difference check that the round sphere metric pulls back to g.
-
-    Differentiates the Veronese map by central differences of step
-    h = 1e-5 along 4 random unit directions drawn from ``default_rng(0)``
-    and compares squared norms against g(u).
-    """
-    x = _check_vector(x, E.dim, "x")
-    h = 1e-5
-    rng = np.random.default_rng(0)
-    bundle = evaluate(E, x)
-    worst = 0.0
-    for _ in range(4):
-        u = rng.standard_normal(E.dim)
-        u /= np.linalg.norm(u)
-        derivative = (veronese(E, x + h * u) - veronese(E, x - h * u)) / (2.0 * h)
-        worst = max(worst, abs(float(derivative @ derivative) - bundle.g(u)))
-    return PullbackReport(residual=worst)

@@ -6,9 +6,9 @@ the volume of its convex hull, and the squared volumes of its simplices
 that every density determinant is summed from.  Quadratic forms enter
 through the metric of an exponential sum; this module supplies the dual
 form (Gram-array inverse), whose gate :func:`dual_form` alone decides,
-determinants, ellipsoid volumes, the stacked Cholesky factor-and-solve of
-Newton's method, the unit-ball/unit-sphere constants that
-normalize every density in the package, and the one box check and grid.
+determinants, the stacked Cholesky factor-and-solve of Newton's method,
+the unit-ball/unit-sphere constants that normalize every density in the
+package, and the one box check and grid.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ __all__ = [
     "interior_contains",
     "dual_form",
     "form_det",
-    "ellipsoid_volume",
     "ball_sphere_constants",
 ]
 
@@ -470,20 +469,6 @@ def _cholesky_solve(G: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarra
 def form_det(Q: QuadForm) -> float:
     """Determinant of the form's Gram array."""
     return float(np.linalg.det(Q.entries))
-
-
-def ellipsoid_volume(Q: QuadForm) -> float:
-    """Volume of the dual unit ball: vol(B_Q°) = b_m sqrt(det Q).
-
-    Small negative determinants from roundoff clamp to zero; a clearly
-    negative determinant is an error.
-    """
-    d = form_det(Q)
-    scale = max(1.0, float(np.abs(Q.entries).max())) ** Q.dim
-    if d < -1e-9 * scale:
-        raise SingularFormError(f"negative determinant {d:.3e} beyond roundoff")
-    b_m, _ = ball_sphere_constants(Q.dim)
-    return b_m * math.sqrt(max(d, 0.0))
 
 
 @lru_cache(maxsize=None)

@@ -91,7 +91,11 @@ class Quadrature:
     rel_tol: float = 1e-7
 
     def __post_init__(self):
-        if not (0.0 < self.abs_tol < math.inf and 0.0 < self.rel_tol < math.inf):
+        try:
+            ok = 0.0 < self.abs_tol < math.inf and 0.0 < self.rel_tol < math.inf
+        except (TypeError, ValueError):
+            ok = False
+        if not ok:
             raise InputError("tolerances must be finite and positive")
 
 

@@ -4,9 +4,8 @@ Adding a term alpha_0 * exp(<a_0, x>) multiplies the expected-zero density
 pointwise by a computable factor Psi(x).  The region where Psi < 1 is where
 zeros become less likely, the region where Psi > 1 is where they become
 more likely; both are computed here, along with interior witnesses for
-"the decrease region is nonempty", ray scans into the tails, rectangular
-region scans for plotting, the metric of the augmented sum, and the exact
-shrink factor of the projected dual ellipsoid on level sets.
+"the decrease region is nonempty", ray scans into the tails and
+rectangular region scans for plotting.
 
 All formulas are evaluated through the log-domain quantities of
 :mod:`.expsum`, so far-tail points stay finite.  One batched kernel gives
@@ -14,12 +13,8 @@ Psi to :func:`psi`, ray scans and region scans alike, so a scan node and
 a scalar call cannot disagree: det g and g^x(tau) det g are Cauchy-Binet
 sums of non-negative terms over simplices of the support, formed from the
 softmax weights of :mod:`.expsum` without a metric, and Psi is defined
-wherever det g does not underflow.
-:func:`psi_via_phi0` and :func:`classify` go through :func:`.evaluate`
-instead, and read the formed metric and its dual form from
-:func:`.geometry.dual_form`, the one dual-form gate: they check the
-logistic in phi0, the dual form and the closed-form decrease criterion
-against a route that shares none of them.
+wherever det g does not underflow.  No metric is formed or inverted on
+this route; the test suite checks it against one that does.
 """
 
 from __future__ import annotations
@@ -32,12 +27,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateMetricError, DomainError, InputError, SingularFormError
-from .errors import SparseKacRiceError
+from .errors import DegenerateMetricError, InputError, SparseKacRiceError
 from .expsum import LEGENDRE_MARGIN, ExpSum, _invert_moment_many, _simplex_sum, _softmax
-from .expsum import _sorted_products, evaluate, invert_moment
-from .geometry import QuadForm, SupportSet, _check_box, _check_vector, _cone_dets, _grid, _is_int
-from .geometry import _interior_mask, _sorted_tuples, diameter, dual_form
+from .expsum import _sorted_products, invert_moment
+from .expsum import evaluate  # noqa: F401 (perfbench's tracer wraps it)
+from .geometry import SupportSet, _check_box, _check_vector, _cone_dets, _grid, _is_int
+from .geometry import _interior_mask, _sorted_tuples, diameter
 from .geometry import interior_contains  # noqa: F401 (perfbench's tracer wraps it)
 
 __all__ = [
@@ -48,16 +43,11 @@ __all__ = [
     "Augmentation",
     "PsiEval",
     "RegionScan",
-    "LevelsetReport",
     "augment",
     "psi",
-    "psi_via_phi0",
-    "classify",
     "witness_interior",
     "ray_scan_unbounded",
     "region_scan",
-    "augmented_metric",
-    "levelset_projection_check",
 ]
 
 U_MINUS = "U_minus"
@@ -76,17 +66,22 @@ _LABELS = np.array([BOUNDARY, U_MINUS, U_PLUS, OUTSIDE], dtype=object)
 
 @dataclass(frozen=True)
 class Augmentation:
-    """One extra exponent a_0 with positive weight alpha_0."""
+    """One extra exponent a_0 with positive weight alpha_0; InputError for a
+    field that is not a finite real number (alpha0 also positive)."""
 
     a0: np.ndarray
     alpha0: float = 1.0
 
     def __post_init__(self):
-        a0 = np.asarray(self.a0, dtype=float).reshape(-1)
+        try:
+            a0 = np.asarray(self.a0, dtype=float).reshape(-1)
+            positive = bool(np.isfinite(self.alpha0) and self.alpha0 > 0)
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"a0 and alpha0 must be real numbers: {exc}") from exc
         if not np.all(np.isfinite(a0)):
             raise InputError("a0 must be finite")
         object.__setattr__(self, "a0", a0)
-        if not (np.isfinite(self.alpha0) and self.alpha0 > 0):
+        if not positive:
             raise InputError("alpha0 must be finite and positive")
 
 
@@ -133,26 +128,6 @@ def augment(E: ExpSum, aug: Augmentation) -> ExpSum:
         np.vstack([E.support.points, a0]),
         np.append(E.coeffs, aug.alpha0),
     )
-
-
-def _checked_bundle(E: ExpSum, aug: Augmentation, x):
-    """(a0, evaluate(E, x), phi0, K/K_0, tau) on the routes that go through
-    :func:`evaluate`.  No dual form is taken here: see :func:`_metric_dual`."""
-    a0 = _check_augmentation(E, aug)
-    bundle = evaluate(E, x)
-    log_f0 = math.log(aug.alpha0) + float(a0 @ bundle.x)
-    log_K0 = float(np.logaddexp(2.0 * bundle.phi, 2.0 * log_f0))
-    tau = math.exp(log_f0 - 0.5 * log_K0) * (bundle.mu - a0)
-    return a0, bundle, bundle.phi - log_f0, math.exp(2.0 * bundle.phi - log_K0), tau
-
-
-def _metric_dual(bundle) -> QuadForm:
-    """The dual form of the bundle's metric; DegenerateMetricError where
-    :func:`.geometry.dual_form` refuses it."""
-    try:
-        return dual_form(bundle.g)
-    except SingularFormError as exc:
-        raise DegenerateMetricError("metric degenerates at x; density ratio undefined") from exc
 
 
 def _psi_many(E: ExpSum, aug: Augmentation, X: np.ndarray):
@@ -207,65 +182,6 @@ def psi(E: ExpSum, aug: Augmentation, x) -> PsiEval:
     """
     x = _check_vector(x, E.dim, "x")
     return _psi_evals(E, aug, x[None, :])[0]
-
-
-def _logistic(t: float) -> float:
-    """1 / (1 + e^-t), from the exponential of -|t| so that neither tail
-    overflows and both keep full relative precision."""
-    if t >= 0.0:
-        return 1.0 / (1.0 + math.exp(-t))
-    e = math.exp(t)
-    return e / (1.0 + e)
-
-
-def psi_via_phi0(E: ExpSum, aug: Augmentation, x) -> float:
-    """Alternate route to Psi through phi0 alone.
-
-    Psi = (1 - s)^{m/2} sqrt(1 + s * g^x(mu - a_0)) with the logistic
-    s = 1/(1 + e^{2 phi0}); the factor 1 - s is evaluated as its own
-    logistic so the far tail keeps full precision.  Used to
-    cross-validate :func:`psi`: this route forms g and its dual form
-    (:func:`.geometry.dual_form`, from one symmetric eigendecomposition),
-    where psi sums det g and g^x(tau) det g by Cauchy-Binet.  They agree to
-    about 1e-12 where g is well conditioned and to about cond(g) * eps near
-    the condition gate; DegenerateMetricError where dual_form refuses g.
-    """
-    a0, bundle, phi0, _, _ = _checked_bundle(E, aug, x)
-    s = _logistic(-2.0 * phi0)
-    ratio = _logistic(2.0 * phi0)
-    return ratio ** (E.dim / 2.0) * math.sqrt(1.0 + s * _metric_dual(bundle)(bundle.mu - a0))
-
-
-def classify(E: ExpSum, aug: Augmentation, x) -> str:
-    """Classify x against the closed-form decrease criterion.
-
-    x is in the decrease region iff
-
-        g^x(mu - a_0)  <  m + sum_{k=1}^{m-1} C(m+1, k+1) r^k + r^m,
-
-    with r = e^{-2 phi0}; the right side equals ((1+r)^m - 1)(1 + 1/r),
-    which is algebraically equivalent to Psi < 1.  The two sides count as
-    equal ("boundary") within ``BOUNDARY_BAND`` * max(1, |lhs|, |rhs|), the
-    band of the Psi-vs-1 classification, with which it agrees whenever
-    |Psi - 1| > ``BOUNDARY_BAND``.
-    """
-    a0, bundle, phi0, _, _ = _checked_bundle(E, aug, x)
-    lhs = _metric_dual(bundle)(bundle.mu - a0)
-    m = E.dim
-    with np.errstate(over="ignore"):
-        r = float(np.exp(-2.0 * phi0))
-        rhs = float(m)
-        for k in range(1, m):
-            rhs += math.comb(m + 1, k + 1) * r**k
-        rhs += r**m
-    if not math.isfinite(rhs):
-        return U_MINUS
-    band = BOUNDARY_BAND * max(1.0, abs(lhs), abs(rhs))
-    if lhs < rhs - band:
-        return U_MINUS
-    if lhs > rhs + band:
-        return U_PLUS
-    return BOUNDARY
 
 
 def witness_interior(E: ExpSum, aug: Augmentation) -> np.ndarray:
@@ -409,62 +325,4 @@ def region_scan(
         axes=axes,
         psi=values.reshape(resolution),
         classes=_classify_psi(values).reshape(resolution),
-    )
-
-
-def augmented_metric(E: ExpSum, aug: Augmentation, x) -> QuadForm:
-    """Metric of the augmented sum, via the rank-one update formula.
-
-    (g_0)_x = (K/K_0) (g_x + tau tau^T).  Evaluating the augmented sum
-    directly gives the same form; this route never materializes it.  No
-    dual form is read, so an ill-conditioned g is no error here.
-    """
-    _, bundle, _, ratio, tau = _checked_bundle(E, aug, x)
-    return QuadForm(ratio * (bundle.g.entries + np.outer(tau, tau)))
-
-
-@dataclass(frozen=True)
-class LevelsetReport:
-    """Result of the projected-dual-ellipsoid shrink check.
-
-    On the tangent space of the level set of phi0 through x (the orthogonal
-    complement of mu - a_0), the augmented form is exactly (K/K_0) times
-    the base form — equivalently the projected dual ellipsoid shrinks by
-    sqrt(K/K_0).  ``residual`` is the largest entrywise mismatch of the
-    restricted Gram arrays, relative to their scale.
-    """
-
-    residual: float
-    ratio: float
-    vacuous: bool
-    passed: bool
-
-
-def levelset_projection_check(E: ExpSum, aug: Augmentation, x) -> LevelsetReport:
-    """Verify the exact shrink of the projected dual ellipsoid at x.
-
-    Restricts both metrics to the orthogonal complement of mu(x) - a_0 and
-    compares the augmented restriction (the form of :func:`augmented_metric`,
-    from the same one evaluation of E) against (K/K_0) times the base
-    restriction; it passes below a relative residual of 1e-10.  At a
-    critical point of phi0 (mu = a_0) the tangent space is undefined and a
-    DomainError is raised; in one variable the complement is trivial and
-    the check passes vacuously.
-    """
-    a0, bundle, _, ratio, tau = _checked_bundle(E, aug, x)
-    grad0 = bundle.mu - a0
-    if np.linalg.norm(grad0) <= 1e-12 * (1.0 + np.linalg.norm(a0)):
-        raise DomainError("x is a critical point of phi0; level set has no tangent space")
-    if E.dim == 1:
-        return LevelsetReport(residual=0.0, ratio=ratio, vacuous=True, passed=True)
-    from scipy.linalg import null_space
-
-    basis = null_space(grad0[None, :])
-    g0 = ratio * (bundle.g.entries + np.outer(tau, tau))
-    restricted_aug = basis.T @ g0 @ basis
-    restricted_base = ratio * (basis.T @ bundle.g.entries @ basis)
-    scale = max(1.0, float(np.abs(restricted_base).max()))
-    residual = float(np.abs(restricted_aug - restricted_base).max()) / scale
-    return LevelsetReport(
-        residual=residual, ratio=ratio, vacuous=False, passed=residual < 1e-10
     )

@@ -13,7 +13,6 @@ from sparse_kacrice import (
     aronszajn,
     aronszajn_power,
     density,
-    density_bounds_check,
     evaluate,
     kostlan,
     tensor,
@@ -178,12 +177,18 @@ class TestDensityBounds:
             (ExpSum([[0.0], [1.0]]), B3),
             (kostlan(2, 1), kostlan(2, 2)),
         ]
+        # (s_1 + s_2)/sqrt(2) <= s <= s_1 + s_2 with s_i = sqrt(g_i(u)) and
+        # s = sqrt((g_1 + g_2)(u)), over 50 unit u from default_rng(0) (u = 1
+        # in one variable); both hold here with no slack.
         for Ea, Eb in pairs:
-            for x in (np.zeros(Ea.dim), np.full(Ea.dim, 0.4)):
-                rep = density_bounds_check(Ea, Eb, x)
-                assert rep.passed
-                assert rep.lower_margin >= 0.0
-                assert rep.upper_margin >= 0.0
+            m = Ea.dim
+            U = np.ones((1, 1)) if m == 1 else np.random.default_rng(0).standard_normal((50, m))
+            U /= np.linalg.norm(U, axis=1, keepdims=True)
+            for x in (np.zeros(m), np.full(m, 0.4)):
+                g1, g2 = evaluate(Ea, x).g.entries, evaluate(Eb, x).g.entries
+                s1, s2, s = (np.sqrt(np.einsum("ni,ij,nj->n", U, g, U)) for g in (g1, g2, g1 + g2))
+                assert (s - (s1 + s2) / math.sqrt(2.0)).min() >= 0.0
+                assert (s1 + s2 - s).min() >= 0.0
 
     def test_product_density_between_scaled_factors(self):
         # scalar corollary of the norm inequality at matched evaluation points
@@ -193,7 +198,3 @@ class TestDensityBounds:
             da, db, dp = density(Ea, x), density(Eb, x), density(P, x)
             assert dp <= da + db + 1e-12
             assert dp >= max(da, db) / math.sqrt(2.0) - 1e-12
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(InputError):
-            density_bounds_check(A2, kostlan(2, 1), [0.0])

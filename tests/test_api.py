@@ -1,9 +1,10 @@
-"""The optional parameters of the public API, pinned.
+"""The public API, pinned: its names and its optional parameters.
 
-Every callable in ``sparse_kacrice.__all__`` is listed here with the
-parameters that have defaults, so a new option shows up as a one-line diff
-to this table.  Error classes are left out: their defaults are the data an
-error carries, not options of a computation.
+Every name in ``sparse_kacrice.__all__`` is listed here, and every callable
+among them with the parameters that have defaults, so a new public name or
+a new option shows up as a one-line diff to these tables.  Error classes
+are left out of the second: their defaults are the data an error carries,
+not options of a computation.
 """
 
 from __future__ import annotations
@@ -11,6 +12,62 @@ from __future__ import annotations
 import inspect
 
 import sparse_kacrice
+
+#: Every public name, sorted (52 names).
+PUBLIC = [
+    "Augmentation",
+    "ComplexExpSum",
+    "ConvergenceError",
+    "DegenerateMetricError",
+    "DomainError",
+    "EvalBundle",
+    "ExpSum",
+    "InputError",
+    "IntegralResult",
+    "McConfig",
+    "PsiEval",
+    "QuadForm",
+    "Quadrature",
+    "RegionScan",
+    "SingularFormError",
+    "SparseKacRiceError",
+    "SupportSet",
+    "__version__",
+    "aronszajn",
+    "aronszajn_power",
+    "asymptotic_moment",
+    "augment",
+    "ball_sphere_constants",
+    "bkk_density",
+    "bkk_total",
+    "density",
+    "density_many",
+    "diameter",
+    "dual_form",
+    "esol_pspace",
+    "esol_region",
+    "esol_total",
+    "estimate_esol",
+    "evaluate",
+    "exposed_face",
+    "face_metric_limit",
+    "form_det",
+    "hull_volume",
+    "interior_contains",
+    "invert_moment",
+    "kostlan",
+    "legendre_density",
+    "lower_bound_check",
+    "n_factorial_volume",
+    "potential",
+    "psi",
+    "ray_scan_unbounded",
+    "region_scan",
+    "sample_zero_count",
+    "support_function",
+    "tensor",
+    "witness_interior",
+]
 
 #: Public name -> {parameter: default}, for every callable with a default
 #: (16 parameters).
@@ -45,3 +102,7 @@ def _defaulted() -> dict:
 
 def test_defaulted_parameters_are_pinned():
     assert _defaulted() == DEFAULTED
+
+
+def test_public_names_are_pinned():
+    assert sorted(sparse_kacrice.__all__) == PUBLIC

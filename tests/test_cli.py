@@ -231,7 +231,6 @@ class TestSelftestAndErrors:
         assert "0 failed" in out
         assert "PASS  kernel_rows_match_batch" in out
         assert "PASS  simplex_sum_matches_subsets" in out
-        assert "PASS  psi_via_phi0_matches_psi" in out
 
     @pytest.mark.parametrize(
         "record, argv",

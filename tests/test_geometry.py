@@ -18,7 +18,6 @@ from sparse_kacrice import (
     density,
     diameter,
     dual_form,
-    ellipsoid_volume,
     esol_total,
     exposed_face,
     form_det,
@@ -260,11 +259,6 @@ class TestQuadForm:
     def test_singular_dual_raises(self):
         with pytest.raises(SingularFormError):
             dual_form(QuadForm([[1.0, 1.0], [1.0, 1.0]]))
-
-    def test_ellipsoid_volume(self):
-        # vol{x : <Q^{-1} x, x> <= 1} = b_m sqrt(det Q)
-        Q = QuadForm([[4.0, 0.0], [0.0, 9.0]])
-        assert ellipsoid_volume(Q) == pytest.approx(math.pi * 6.0)
 
 
 def _rotation(rng, m):

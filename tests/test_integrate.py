@@ -45,6 +45,9 @@ class TestQuadratureConfig:
             Quadrature(abs_tol=0.0)
         with pytest.raises(InputError):
             Quadrature(rel_tol=-1.0)
+        for tols in (("1e-3", 1e-3), (1e-3, None), ([1e-3, 1e-3], 1e-3)):
+            with pytest.raises(InputError):
+                Quadrature(*tols)
 
     @pytest.mark.parametrize("tols", [{"abs_tol": math.inf}, {"rel_tol": math.inf},
                                       {"abs_tol": math.nan}])

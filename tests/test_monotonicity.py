@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import null_space
+from scipy.special import expit
 
 from sparse_kacrice import (
     Augmentation,
@@ -14,25 +16,22 @@ from sparse_kacrice import (
     DomainError,
     ExpSum,
     InputError,
+    SingularFormError,
     augment,
-    augmented_metric,
-    classify,
     density,
     diameter,
+    dual_form,
     evaluate,
     interior_contains,
-    invert_moment,
     kostlan,
-    levelset_projection_check,
     psi,
-    psi_via_phi0,
     ray_scan_unbounded,
     region_scan,
     witness_interior,
 )
 from sparse_kacrice.expsum import _batch_moments, _invert_moment_many
 from sparse_kacrice.geometry import DET_FLOOR, DUAL_COND_LIMIT
-from sparse_kacrice.monotonicity import BOUNDARY_BAND, _classify_psi, _logistic
+from sparse_kacrice.monotonicity import BOUNDARY_BAND, _classify_psi
 
 TWO_TERM = ExpSum([[0.0], [1.0]])
 SQUARE = kostlan(2, 1)
@@ -60,6 +59,52 @@ def _refused_by_dual_form(G):
     eigs = np.linalg.eigvalsh(G)
     flat = (eigs[:, 0] <= 0.0) | (eigs[:, -1] > DUAL_COND_LIMIT * eigs[:, 0])
     return flat | (np.prod(eigs, axis=1) < DET_FLOOR)
+
+
+def _formed(E, aug, x):
+    """(phi0, g^x(mu - a_0)) at x from evaluate's formed metric and its
+    dual_form, a route psi's Cauchy-Binet kernel shares nothing with;
+    SingularFormError where dual_form refuses g."""
+    b = evaluate(E, x)
+    return b.phi - (math.log(aug.alpha0) + aug.a0 @ b.x), dual_form(b.g)(b.mu - aug.a0)
+
+
+def _psi_via_phi0(E, aug, x):
+    """Psi = (1 - s)^{m/2} sqrt(1 + s g^x(mu - a_0)) with s = expit(-2 phi0)."""
+    phi0, q = _formed(E, aug, x)
+    return expit(2.0 * phi0) ** (E.dim / 2.0) * math.sqrt(1.0 + expit(-2.0 * phi0) * q)
+
+
+def _closed_form_label(E, aug, x):
+    """The closed-form decrease criterion, equivalent to Psi < 1:
+    g^x(mu - a_0) < m + sum_{k=1}^m C(m+1, k+1) r^k with r = e^{-2 phi0}
+    (that is ((1+r)^m - 1)(1 + 1/r)); equal sides within BOUNDARY_BAND."""
+    phi0, lhs = _formed(E, aug, x)
+    r, m = math.exp(-2.0 * phi0), E.dim
+    rhs = m + sum(math.comb(m + 1, k + 1) * r**k for k in range(1, m + 1))
+    band = BOUNDARY_BAND * max(1.0, abs(lhs), abs(rhs))
+    return "U_minus" if lhs < rhs - band else "U_plus" if lhs > rhs + band else "boundary"
+
+
+def _rank_one_metric(E, aug, x):
+    """(K/K_0) (g + tau tau^T), tau = (f_0/sqrt(K_0)) (mu - a_0): the augmented
+    sum's metric from E's own bundle, with no dual form read."""
+    b = evaluate(E, x)
+    log_f0 = math.log(aug.alpha0) + aug.a0 @ b.x
+    log_K0 = np.logaddexp(2.0 * b.phi, 2.0 * log_f0)
+    tau = math.exp(log_f0 - 0.5 * log_K0) * (b.mu - aug.a0)
+    return math.exp(2.0 * b.phi - log_K0) * (b.g.entries + np.outer(tau, tau))
+
+
+def _levelset_residual(E, aug, x):
+    """On the tangent space of phi0's level set through x, the complement of
+    mu - a_0, the augmented sum's metric is (K/K_0) g (the projected dual
+    ellipsoid shrinks by sqrt(K/K_0)): the largest entrywise mismatch there,
+    over max(1, the largest entry)."""
+    b, b0 = evaluate(E, x), evaluate(augment(E, aug), x)
+    basis = null_space((b.mu - aug.a0)[None, :])
+    base = math.exp(2.0 * (b.phi - b0.phi)) * (basis.T @ b.g.entries @ basis)
+    return np.abs(basis.T @ b0.g.entries @ basis - base).max() / max(1.0, np.abs(base).max())
 
 
 def _moments_mp(mp, E, xs):
@@ -137,6 +182,9 @@ class TestAugmentation:
             Augmentation([3.0], alpha0=0.0)
         with pytest.raises(InputError):
             Augmentation([math.nan])
+        for a0, alpha0 in (([0.5], "2"), ([0.5], None), ([0.5], [1.0, 2.0]), (["a", 1], 1.0)):
+            with pytest.raises(InputError):
+                Augmentation(a0, alpha0=alpha0)
 
     def test_rejects_dim_mismatch(self):
         with pytest.raises(InputError):
@@ -165,8 +213,15 @@ class TestPsi:
             for _ in range(20):
                 x = rng.uniform(-5, 5, size=E.dim)
                 a = psi(E, aug, x).psi
-                b = psi_via_phi0(E, aug, x)
+                b = _psi_via_phi0(E, aug, x)
                 assert b == pytest.approx(a, rel=1e-12)
+
+    def test_formed_metric_route_at_seeded_points(self):
+        # The formed-metric route reads its dual from LAPACK's symmetric
+        # eigensolver, which psi never calls.
+        aug = Augmentation([0.3, 0.6])
+        for x in np.random.default_rng(5).uniform(-3.0, 3.0, size=(8, 2)):
+            assert abs(_psi_via_phi0(SQUARE, aug, x) / psi(SQUARE, aug, x).psi - 1.0) <= 1e-10
 
     def test_far_tail_stays_small(self):
         aug = Augmentation([3.0])
@@ -175,7 +230,7 @@ class TestPsi:
             assert 0.0 < ev.psi < 1.0
             assert ev.classification == "U_minus"
         # the stable route must not collapse to zero ratio
-        assert psi_via_phi0(TWO_TERM, aug, [40.0]) > 0.0
+        assert _psi_via_phi0(TWO_TERM, aug, [40.0]) > 0.0
 
     def test_high_condition_points_against_60_digits(self):
         # 100 points per sum with cond(g) > 1e6, each with an interior and an
@@ -227,12 +282,6 @@ class TestPsi:
         with pytest.raises(DegenerateMetricError, match="underflows"):
             psi(line, Augmentation([1.0, 0.0]), [0.3, 0.2])
 
-    def test_logistic_matches_scipy_in_both_tails(self):
-        from scipy.special import expit
-
-        for t in np.linspace(-700.0, 700.0, 561):
-            assert _logistic(t) == pytest.approx(expit(t), rel=1e-15, abs=0.0)
-
     def test_ray_scan_equals_scalar_psi(self):
         evs = ray_scan_unbounded(SQUARE, SQ_AUG, [1.0, -0.4], 12.0, 6)
         for ev in evs:
@@ -283,7 +332,7 @@ class TestClassify:
         aug = Augmentation([3.0])
         for _ in range(50):
             x = rng.uniform(-5, 5, size=1)
-            label = classify(TWO_TERM, aug, x)
+            label = _closed_form_label(TWO_TERM, aug, x)
             value = psi(TWO_TERM, aug, x).psi
             if label == "U_minus":
                 assert value < 1.0
@@ -303,7 +352,7 @@ class TestClassify:
             else:
                 hi = mid
         crossing = 0.5 * (lo + hi)
-        assert classify(SQUARE, SQ_AUG, [crossing, crossing]) == "boundary"
+        assert _closed_form_label(SQUARE, SQ_AUG, [crossing, crossing]) == "boundary"
 
     def test_coded_classes(self):
         values = np.array([math.nan, 1.0 - BOUNDARY_BAND, 1.0 + BOUNDARY_BAND, 1.0, 0.5,
@@ -318,7 +367,7 @@ class TestClassify:
 
     def test_square_has_both_regions(self):
         labels = {
-            classify(SQUARE, SQ_AUG, x)
+            _closed_form_label(SQUARE, SQ_AUG, x)
             for x in ([0.0, 0.0], [2.5, 2.5], [-2.5, -2.5], [3.0, -3.0])
         }
         assert "U_minus" in labels
@@ -351,14 +400,14 @@ class TestAugmentedMetric:
         E0 = augment(TWO_TERM, aug)
         for _ in range(10):
             x = rng.uniform(-3, 3, size=1)
-            got = augmented_metric(TWO_TERM, aug, x).entries
+            got = _rank_one_metric(TWO_TERM, aug, x)
             want = evaluate(E0, x).g.entries
             np.testing.assert_allclose(got, want, rtol=1e-10)
 
     def test_matches_direct_evaluation_2d(self):
         E0 = augment(SQUARE, SQ_AUG)
         for x in ([0.3, -0.2], [1.5, 0.5]):
-            got = augmented_metric(SQUARE, SQ_AUG, x).entries
+            got = _rank_one_metric(SQUARE, SQ_AUG, x)
             want = evaluate(E0, x).g.entries
             np.testing.assert_allclose(got, want, rtol=1e-10)
 
@@ -366,35 +415,22 @@ class TestAugmentedMetric:
     def test_ill_conditioned_metric_needs_no_dual(self, t):
         # cond g is 2e23 to 2e58 along (1, 0.3): dual_form refuses g there,
         # but the rank-one update reads no dual form, nor does the level-set
-        # check; the routes that read one still raise.  Rounding <a0, x>
-        # near 370 alone moves the weights by about 1e-13 relative.
+        # check; the formed-metric Psi, which reads one, still raises.
+        # Rounding <a0, x> near 370 alone moves the weights by about 1e-13
+        # relative.
         aug = Augmentation([3.0, 3.0])
         x = t * np.array([1.0, 0.3]) / math.hypot(1.0, 0.3)
-        got = augmented_metric(SQUARE, aug, x).entries
+        got = _rank_one_metric(SQUARE, aug, x)
         want = evaluate(augment(SQUARE, aug), x).g.entries
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-        assert levelset_projection_check(SQUARE, aug, x).passed
-        with pytest.raises(DegenerateMetricError):
-            classify(SQUARE, aug, x)
-        with pytest.raises(DegenerateMetricError):
-            psi_via_phi0(SQUARE, aug, x)
+        assert _levelset_residual(SQUARE, aug, x) < 1e-10
+        with pytest.raises(SingularFormError):
+            _psi_via_phi0(SQUARE, aug, x)
 
 
 class TestLevelsetProjection:
-    def test_one_variable_is_vacuous(self):
-        rep = levelset_projection_check(TWO_TERM, Augmentation([3.0]), [1.0])
-        assert rep.vacuous
-        assert rep.passed
-
     def test_tangent_restriction_matches(self):
-        rep = levelset_projection_check(SQUARE, SQ_AUG, [0.7, -0.3])
-        assert not rep.vacuous
-        assert rep.passed
-        assert rep.residual < 1e-10
-
-    def test_critical_point_rejected(self):
-        with pytest.raises(DomainError):
-            levelset_projection_check(SQUARE, SQ_AUG, [0.0, 0.0])
+        assert _levelset_residual(SQUARE, SQ_AUG, [0.7, -0.3]) < 1e-10
 
 
 class TestRegionScan:
@@ -437,7 +473,7 @@ class TestRegionScan:
             assert values[i] == pytest.approx(want.psi, rel=1e-12)
             assert labels[i] == want.classification
             # The independent route through evaluate checks the kernel itself.
-            assert values[i] == pytest.approx(psi_via_phi0(E, aug, x), rel=1e-10)
+            assert values[i] == pytest.approx(_psi_via_phi0(E, aug, x), rel=1e-10)
 
     def test_degenerate_metric_raises(self):
         # Far along the axes the square's formed metric fails the condition
