@@ -10,8 +10,6 @@ over all of R^m into one over a bounded polytope.
 
 import math
 
-import numpy as np
-
 from sparse_kacrice import (
     ExpSum,
     esol_pspace,

@@ -20,7 +20,6 @@ from sparse_kacrice import (
     density,
     esol_total,
     evaluate,
-    kostlan,
     potential,
     tensor,
 )

@@ -325,7 +325,7 @@ def _selftest_checks():
         # 35 subsets of four points, so a blocking fault of this BLAS shows.
         rng = np.random.default_rng(9)
         E = ExpSum(rng.normal(size=(7, 3)), rng.uniform(0.5, 2.0, size=7))
-        _, W, _ = _softmax(E, rng.uniform(-2.0, 2.0, size=(64, 3)))
+        _, W, _ = _softmax(E, rng.uniform(-2.0, 2.0, size=(64, 3)).T)
         subsets = np.array(list(itertools.combinations(range(7), 4)))
         corners = E.support.points[subsets]
         D = np.linalg.det(np.concatenate([np.ones(corners.shape[:2] + (1,)), corners], axis=2))

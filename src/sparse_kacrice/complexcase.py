@@ -44,10 +44,11 @@ def bkk_density(E: ComplexExpSum, x) -> float:
     weighted covariance as the real metric.  Degenerate supports give 0.
     """
     x = _check_vector(x, E.dim, "x")
-    return float(_bkk_density_many(E, x[None])[0])
+    return float(_bkk_density_many(E, x[:, None])[0])
 
 
 def _bkk_density_many(E: ComplexExpSum, X: np.ndarray) -> np.ndarray:
+    """:func:`bkk_density` at each column of the coordinate-major X (m, N)."""
     n = E.dim
     _, W, total = _softmax(E, X)
     return math.factorial(n) / math.pi**n * np.exp(_log_det(E, W, total))

@@ -14,13 +14,16 @@ density and directional asymptotics.  The identities these obey
 (grad Phi = mu, Hess Phi = 2 g, the Veronese pull-back of the round
 metric) are checked by the test suite, not computed here.
 
-Batched kernels compute all of it.  :func:`_softmax` gives the weights of
-N points terms-major, as a (k, N) array, so every max, sum and contraction
-over the k terms runs along the long axis of points; from that one triple,
-:func:`_moments` gives Phi, mu and g coordinate-major (mu as (m, N), g as
-(m, m, N)) and :func:`_log_det` a cancellation-free log det g for every
-density.  :func:`_batch_moments` returns the moments per row, shape
-(N, ...), as transposed views.  :func:`_invert_moment_many` inverts the
+Batched kernels compute all of it.  :func:`_softmax` takes N points
+coordinate-major, as an (m, N) array, and gives their weights terms-major,
+as a (k, N) array, so every max, sum and contraction over the k terms runs
+along the long axis of points.  Every caller hands it that layout: the
+quadrature cells build their nodes in it, and callers that hold points as
+rows pass a transposed view.  From that one triple, :func:`_moments` gives
+Phi, mu and g coordinate-major (mu as (m, N), g as (m, m, N)) and
+:func:`_log_det` a cancellation-free log det g for every density.
+:func:`_batch_moments` returns the moments per row, shape (N, ...), as
+transposed views.  :func:`_invert_moment_many` inverts the
 moment map for many targets by damped Newton in the kernel's own layout:
 x, p and mu are (m, N) and g is (m, m, N), so one stacked Cholesky
 factor-and-solve (:mod:`.geometry`) works on contiguous rows with no
@@ -149,7 +152,7 @@ class ExpSum:
         """
         design = np.hstack([self.support.points, -np.ones((self.n_terms, 1))])
         x0 = np.linalg.lstsq(design, -self.log_coeffs, rcond=None)[0][:-1]
-        _, mu0, G0 = _moments(self, *_softmax(self, x0[None])[1:])
+        _, mu0, G0 = _moments(self, *_softmax(self, x0[:, None])[1:])
         start = (x0, mu0[:, 0], G0[..., 0])
         for array in start:
             array.flags.writeable = False
@@ -253,16 +256,17 @@ def _batch_moments(E: ExpSum, X: np.ndarray):
     Returns (phi (N,), lam (N, k), mu (N, m), G (N, m, m)), transposed views
     of the (k, N), (m, N) and (m, m, N) arrays the kernel works on.
     """
-    top, W, total = _softmax(E, X)
+    top, W, total = _softmax(E, X.T)
     lam, mu, G = _moments(E, W, total)
     return top + 0.5 * np.log(total), lam.T, mu.T, G.transpose(2, 0, 1)
 
 
 def _softmax(E: ExpSum, X: np.ndarray):
     """(top = max T, W = exp(2 (T - top)), sum W) with T = <a, x> + log alpha_a
-    at each row x of X, terms-major: W is (k, N), so the max and the sum over
-    the k terms run along the long axis of N points."""
-    T = E.support.points @ X.T
+    at each column x of the coordinate-major X (m, N), terms-major: W is
+    (k, N), so the max and the sum over the k terms run along the long axis
+    of N points.  Callers that hold points as rows pass ``X.T``."""
+    T = E.support.points @ X
     T += E.log_coeffs[:, None]
     top = T.max(axis=0)
     T -= top
@@ -361,11 +365,13 @@ def density_many(E: ExpSum, X) -> np.ndarray:
     """Expected-zero density (2/s_m) sqrt(det g), one value per row of X
     (shape (N, m)), from the Cauchy-Binet kernel :func:`_log_det`;
     InputError for k support points in R^m whose block, C(k, 2) C(k, m-1)
-    entries, is past ``geometry.SIMPLEX_FORM_LIMIT``."""
+    entries, is past ``geometry.SIMPLEX_FORM_LIMIT``.  The kernel reads X
+    coordinate-major, so the transposed view of an (m, N) array, as the
+    quadrature cells pass it, costs no copy."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != E.dim:
         raise InputError(f"points have dimension {X.shape[1]}, expected {E.dim}")
-    _, W, total = _softmax(E, X)
+    _, W, total = _softmax(E, X.T)
     return _density(E, W, total)
 
 
@@ -386,7 +392,7 @@ def evaluate(E: ExpSum, x) -> EvalBundle:
     :func:`.geometry.dual_form`, which decides whether it exists.
     """
     x = _check_vector(x, E.dim, "x")
-    top, W, total = _softmax(E, x[None])
+    top, W, total = _softmax(E, x[:, None])
     density = float(_density(E, W, total)[0])
     lam, mu, G = _moments(E, W, total)
     phi = float((top + 0.5 * np.log(total))[0])
@@ -476,7 +482,7 @@ def _invert_moment_many(E: ExpSum, P: np.ndarray):
         ok &= held
         delta = np.where(ok, 0.5 * delta, 0.0)
         trial = x + delta
-        _, mu_t, G_t = _moments(E, *_softmax(E, trial.T)[1:])
+        _, mu_t, G_t = _moments(E, *_softmax(E, trial)[1:])
         r2_t = ((mu_t - p) ** 2).sum(axis=0)
         accepted = ok & (r2_t < r2)
         stay = held & ~accepted
@@ -492,7 +498,7 @@ def _invert_moment_many(E: ExpSum, P: np.ndarray):
                 break
             step *= 0.5
             trial = x[:, todo] + step * delta[:, todo]
-            _, mu_t, G_t = _moments(E, *_softmax(E, trial.T)[1:])
+            _, mu_t, G_t = _moments(E, *_softmax(E, trial)[1:])
             r2_t = ((mu_t - p[:, todo]) ** 2).sum(axis=0)
             better = r2_t < r2[todo]
             sub = todo[better]
@@ -526,7 +532,7 @@ def _legendre_density_many(E: ExpSum, Q: np.ndarray) -> np.ndarray:
     """
     centred = E._centred[1]
     X, ok = _invert_moment_many(centred, Q)
-    _, W, total = _softmax(centred, X)
+    _, W, total = _softmax(centred, X.T)
     log_det = _log_det(E, W, total)
     return np.where(ok, np.exp(-0.5 * (log_det + E.dim * math.log(2.0))), np.nan)
 

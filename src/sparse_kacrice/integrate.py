@@ -22,16 +22,18 @@ every integrand node.
 
 Every integral, in every dimension, is one adaptive heap of cells, each
 with an embedded pair of rules whose difference is its error estimate.
-The dimension alone picks the pair: in one and two variables, tensor
-Gauss-Legendre rules of 8 and 4 points per axis, and a cell is halved
-along its longest side; from three on, the Genz-Malik degree-7/5 pair
-(33 nodes against 576 in 3-D), and a cell is halved along the axis of
-largest fourth difference.  Each pair is one node set with a weight
-column per rule, so every batch of cells costs one integrand call.  Two variables keep Gauss-Legendre, which
-is faster there on most x-route solves (see ``_cell_rule``).  The worst
-cells are split until the summed cell error, plus the newest shell's
-value when the region grows, meets one budget
-max(abs_tol, rel_tol |total|); the leaf cells may hold at most
+The dimension alone picks the pair: in one and two variables, the tensor
+Gauss-Legendre rule of 8 points per axis for the value (degree 15) and
+that of 5 points for the error (degree 9), and a cell is halved along its
+longest side; from three on, the Genz-Malik degree-7/5 pair (33 nodes
+against 637 in 3-D), and a cell is halved along the axis of largest
+fourth difference.  Each pair is one node set with a weight column per
+rule, built once per dimension (``_cell_rule``), so every batch of cells
+costs one integrand call.  The nodes of a batch go to the integrand
+coordinate-major, as one (m, N) array, the layout of the kernel's
+:func:`.expsum._softmax`.  The worst cells are split until the summed
+cell error, plus the newest shell's value when the region grows, meets
+one budget max(abs_tol, rel_tol |total|); the leaf cells may hold at most
 ``MAX_NODES`` integrand nodes.  Final sums are compensated (math.fsum),
 so results do not depend on evaluation order.
 """
@@ -42,7 +44,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -65,8 +67,8 @@ __all__ = [
 ]
 
 #: Budget of one adaptive integral, in integrand nodes held by its leaf
-#: cells: 40 000 cells of the two-variable rule, which has 80 nodes.
-MAX_NODES = 40000 * 80
+#: cells: 35 955 cells of the two-variable rule, which has 89 nodes.
+MAX_NODES = 3_200_000
 #: Half-width of the first cube over R^m, in metric-normalized coordinates.
 AUTO_RADIUS = 4.0
 #: Maximum number of shells over R^m.  Each doubles the radius; the density
@@ -82,21 +84,23 @@ ROUNDOFF = 64.0 * np.finfo(float).eps
 class Quadrature:
     """Error budget of one integral: max(abs_tol, rel_tol |value|).
 
-    Both tolerances must be finite and positive.  The region is the
-    integrator's: R^m for :func:`esol_total`, the Newton polytope for
-    :func:`esol_pspace`, a box only through :func:`esol_region`.
+    Both tolerances must be finite and positive real numbers, not bools.
+    The region is the integrator's: R^m for :func:`esol_total`, the Newton
+    polytope for :func:`esol_pspace`, a box only through
+    :func:`esol_region`.
     """
 
     abs_tol: float = 1e-7
     rel_tol: float = 1e-7
 
     def __post_init__(self):
+        tols = (self.abs_tol, self.rel_tol)
         try:
-            ok = 0.0 < self.abs_tol < math.inf and 0.0 < self.rel_tol < math.inf
+            ok = all(0.0 < tol < math.inf and not isinstance(tol, (bool, np.bool_)) for tol in tols)
         except (TypeError, ValueError):
             ok = False
         if not ok:
-            raise InputError("tolerances must be finite and positive")
+            raise InputError("tolerances must be finite and positive real numbers")
 
 
 @dataclass(frozen=True)
@@ -107,7 +111,7 @@ class IntegralResult:
     (an integral that cannot meet it raises ConvergenceError);
     ``cells`` counts leaf cells of the adaptive heap, and ``nodes`` the
     integrand evaluations spent on every cell it ever held: cells
-    evaluated times the nodes of the rule (12, 80 and 33 a cell in one,
+    evaluated times the nodes of the rule (13, 89 and 33 a cell in one,
     two and three variables).  The budget counts nodes too: the leaf cells
     may hold at most ``MAX_NODES`` of them."""
 
@@ -121,18 +125,25 @@ class IntegralResult:
 # ---------------------------------------------------------------------------
 # One adaptive heap; the rule for its cells depends on the dimension alone
 
-_GL_COARSE = leggauss(4)
 _GL_FINE = leggauss(8)
+_GL_COARSE = leggauss(5)
 #: Genz-Malik generators: nodes at +-L2 e_i, +-L3 e_i, +-L3 e_i +- L3 e_j
 #: and (+-L5, ..., +-L5) around the centre of [-1, 1]^m.
 _GM_L2, _GM_L3, _GM_L5 = math.sqrt(9.0 / 70.0), math.sqrt(9.0 / 10.0), math.sqrt(9.0 / 19.0)
 
 
 def _gauss_legendre_rule(m):
-    """The 8- and 4-point tensor Gauss-Legendre rules on [-1, 1]^m as one
-    node set: nodes (8^m + 4^m, m), none shared, and weights (n, 2), column
-    0 the 8-point rule (zero on the 4-point nodes) and column 1 the 4-point
-    rule (zero on the 8-point nodes)."""
+    """The 8- and 5-point tensor Gauss-Legendre rules on [-1, 1]^m as one
+    node set: nodes (8^m + 5^m, m), none shared (13 in one variable, 89 in
+    two), and weights (n, 2), column 0 the 8-point rule (zero on the
+    5-point nodes) and column 1 the 5-point rule (zero on the 8-point
+    nodes).  They are exact for degrees 15 and 9 per axis.
+
+    The 8-point sum is a cell's value and |I8 - I5| its error: about the
+    5-point rule's own error, so conservative for the 8-point value, yet
+    falling as fast as a degree-9 rule's.  A 4-point error column (degree
+    7) would keep cells splitting long after the 8-point value has
+    converged."""
     nodes, weights = [], []
     for nodes1, weights1 in (_GL_FINE, _GL_COARSE):
         nodes.append(np.stack(np.meshgrid(*[nodes1] * m, indexing="ij"), axis=-1).reshape(-1, m))
@@ -171,39 +182,55 @@ def _genz_malik_rule(m):
     return nodes, np.hstack([rules, fourth])
 
 
+def _read_only(*arrays):
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
+
+
+@lru_cache(maxsize=None)
 def _cell_rule(m):
     """The rule pair for m-dimensional cells: (nodes per cell, apply), where
     apply(f, los, his) gives each cell's value, error and split axis from
-    one call of f on the nodes of every cell.
+    one call of f on the nodes of every cell.  Built once per dimension;
+    apply is ``functools.partial(_apply_rule, nodes, weights)`` on
+    read-only arrays, nodes coordinate-major (m, n).
 
     Each pair is one node set with a weight column per rule, so a batch of
     cells costs one integrand call.  One and two variables take the 8- and
-    4-point tensor Gauss-Legendre rules (8^m + 4^m nodes, none shared): the
-    value is the 8-point sum, the error the difference of the two, and a
-    cell splits along its longest side.  From three variables on, that pair
-    costs 576 nodes a cell and the Genz-Malik 7/5 pair 33: the value is the
-    degree-7 sum, the error |I7 - I5|, and a cell splits along the axis of
-    largest fourth difference (Berntsen, Espelid & Genz 1991, ACM TOMS 17).
-    Its degree-5 error needs several times more cells, which two variables
-    do not win back: on the 30 two-variable ``esol_total`` and ``bkk_total``
-    solves of two quadrature benchmark op sets, the 17-node Genz-Malik pair
-    was slower than the 80-node pair on 28, by a median factor of 1.2.
+    5-point tensor Gauss-Legendre rules (:func:`_gauss_legendre_rule`): the
+    value is the 8-point sum, the error |I8 - I5|, and a cell splits along
+    its longest side.  From three variables on, that pair costs 637 nodes a
+    cell and the Genz-Malik 7/5 pair 33: the value is the degree-7 sum, the
+    error |I7 - I5|, and a cell splits along the axis of largest fourth
+    difference (Berntsen, Espelid & Genz 1991, ACM TOMS 17).  Its
+    degree-5 error needs several times more cells, which two variables do
+    not win back: on the 30 two-variable ``esol_total`` and ``bkk_total``
+    solves of the first two quadrature benchmark op sets at seed 7, the
+    17-node Genz-Malik pair took 4.6 to 10.7 times the cells of the 89-node
+    pair and was slower on all 30, by a median factor of 4.7 (best of 5
+    runs each, one BLAS thread).
     """
     nodes, weights = (_gauss_legendre_rule if m < 3 else _genz_malik_rule)(m)
+    nodes, weights = _read_only(np.ascontiguousarray(nodes.T), weights)
+    return len(weights), partial(_apply_rule, nodes, weights)
 
-    def apply(f, los, his):
-        half = 0.5 * (his - los)
-        pts = 0.5 * (his + los)[:, None, :] + half[:, None, :] * nodes
-        vals = f(pts.reshape(-1, m)).reshape(len(los), -1)
-        sums = np.prod(half, axis=1) * (vals @ weights).T
-        if m < 3:
-            axes = np.argmax(his - los, axis=1)
-        else:
-            # The Jacobian scales a cell's differences alike, so it leaves the argmax.
-            axes = np.argmax(np.abs(sums[2:]), axis=0)
-        return sums[0], np.abs(sums[0] - sums[1]), axes
 
-    return len(nodes), apply
+def _apply_rule(nodes, weights, f, los, his):
+    """Value, error and split axis of each cell (los, his), each (C, m),
+    from one call of f on the (m, C n) array of every cell's nodes, cell
+    by cell; see :func:`_cell_rule`."""
+    m, n = nodes.shape
+    half = 0.5 * (his - los)
+    pts = (0.5 * (his + los)).T[:, :, None] + half.T[:, :, None] * nodes[:, None, :]
+    vals = f(pts.reshape(m, -1)).reshape(len(los), n)
+    sums = np.prod(half, axis=1) * (vals @ weights).T
+    if m < 3:
+        axes = np.argmax(his - los, axis=1)
+    else:
+        # The Jacobian scales a cell's differences alike, so it leaves the argmax.
+        axes = np.argmax(np.abs(sums[2:]), axis=0)
+    return sums[0], np.abs(sums[0] - sums[1]), axes
 
 
 def _seed_grid(box, per_axis):
@@ -215,12 +242,6 @@ def _seed_grid(box, per_axis):
     resolution, _, edges = _grid(box, counts + 1)
     edges = edges.reshape(resolution + (m,))
     return edges[(slice(-1),) * m].reshape(-1, m), edges[(slice(1, None),) * m].reshape(-1, m)
-
-
-def _read_only(*arrays):
-    for arr in arrays:
-        arr.flags.writeable = False
-    return arrays
 
 
 # The region over R^m only ever takes r = AUTO_RADIUS * 2^j, so both caches stay
@@ -327,7 +348,8 @@ def _adaptive(f, los, his, abs_tol, rel_tol, grow=False):
 
 
 def _over_rm(f, E: ExpSum, abs_tol, rel_tol):
-    """Integrate f over R^m in metric-normalized coordinates x = x0 + W y.
+    """Integrate f over R^m in metric-normalized coordinates x = x0 + W y;
+    f takes points coordinate-major, (m, N).
 
     x0 is the moment preimage of the support's barycenter, by the kernel's
     inversion (:func:`.expsum._invert_moment_many`) at its one residual:
@@ -349,7 +371,7 @@ def _over_rm(f, E: ExpSum, abs_tol, rel_tol):
     W = V / np.sqrt(lam)
     jac = abs(float(np.linalg.det(W)))
     return _adaptive(
-        lambda Y: jac * f(x0 + Y @ W.T), *_cube_cells(AUTO_RADIUS, E.dim), abs_tol, rel_tol,
+        lambda Y: jac * f(x0[:, None] + W @ Y), *_cube_cells(AUTO_RADIUS, E.dim), abs_tol, rel_tol,
         grow=True,
     )
 
@@ -368,7 +390,9 @@ def esol_total(E: ExpSum, q: Quadrature | None = None) -> IntegralResult:
     q = q or Quadrature()
     if E.support.degenerate:
         return IntegralResult(0.0, 0.0, "x", 0, 0)
-    value, error, cells, nodes = _over_rm(lambda X: density_many(E, X), E, q.abs_tol, q.rel_tol)
+    # density_many takes rows: the transposed view hands its kernel the
+    # coordinate-major nodes without a copy.
+    value, error, cells, nodes = _over_rm(lambda X: density_many(E, X.T), E, q.abs_tol, q.rel_tol)
     return IntegralResult(value, error, "x", cells, nodes)
 
 
@@ -383,7 +407,7 @@ def esol_region(E: ExpSum, U, q: Quadrature | None = None) -> IntegralResult:
     q = q or Quadrature()
     if E.support.degenerate:
         return IntegralResult(0.0, 0.0, "x", 0, 0)
-    f = lambda X: density_many(E, X)
+    f = lambda X: density_many(E, X.T)
     value, error, cells, nodes = _adaptive(f, *_seed_grid(box, 8), q.abs_tol, q.rel_tol)
     return IntegralResult(value, error, "x", cells, nodes)
 
@@ -413,9 +437,11 @@ def esol_pspace(E: ExpSum, q: Quadrature | None = None) -> IntegralResult:
     prefactor = 1.0 / (2.0 ** ((m - 2) / 2.0) * ball_sphere_constants(m)[1])
     V = E.support.vertices - E._centred[0]
     n = V.shape[0]
+    # The per-vertex maps are held coordinate-major, like the nodes: vertex
+    # i is column i of A, B and D.
     if m == 1:
         c = V.mean(axis=0)
-        A = V - c
+        A = (V - c).T
     else:
         # The centroid of P lies outside every corner triangle (M_{i-1}, v_i,
         # M_i): such a triangle holds at most a quarter of the area, and each
@@ -424,26 +450,28 @@ def esol_pspace(E: ExpSum, q: Quadrature | None = None) -> IntegralResult:
         nxt = np.roll(V, -1, axis=0)
         cross = V[:, 0] * nxt[:, 1] - nxt[:, 0] * V[:, 1]
         c = ((V + nxt) * cross[:, None]).sum(axis=0) / (3.0 * cross.sum())
-        A = 0.5 * (np.roll(V, 1, axis=0) + V) - c
-        B = 0.5 * (V + nxt) - c
-        D = V - c - A - B
+        A = (0.5 * (np.roll(V, 1, axis=0) + V) - c).T
+        B = (0.5 * (V + nxt) - c).T
+        D = (V - c).T - A - B
+    c = c[:, None]
 
     def f(U):
-        """Density times Jacobian; the integer part of U[:, 0] is the cell."""
+        """Density times Jacobian at the (m, N) nodes U; the integer part of
+        U[0] is the cell."""
         whole = np.floor(U)
-        i = whole[:, 0].astype(int)
+        i = whole[0].astype(int)
         T = 0.5 * np.pi * (U - whole)
         a = np.sin(T)
-        jac = np.prod(0.5 * np.pi * np.cos(T), axis=1)
+        jac = np.prod(0.5 * np.pi * np.cos(T), axis=0)
         if m == 1:
-            Q = c + a * A[i]
-            jac = jac * np.abs(A[i, 0])
+            Q = c + a * A[:, i]
+            jac = jac * np.abs(A[0, i])
         else:
-            Ja = A[i] + a[:, 1:] * D[i]
-            Jb = B[i] + a[:, :1] * D[i]
-            Q = c + a[:, :1] * A[i] + a[:, 1:] * Jb
-            jac = jac * np.abs(Ja[:, 0] * Jb[:, 1] - Ja[:, 1] * Jb[:, 0])
-        return prefactor * jac * _legendre_density_many(E, Q)
+            Ja = A[:, i] + a[1] * D[:, i]
+            Jb = B[:, i] + a[0] * D[:, i]
+            Q = c + a[0] * A[:, i] + a[1] * Jb
+            jac = jac * np.abs(Ja[0] * Jb[1] - Ja[1] * Jb[0])
+        return prefactor * jac * _legendre_density_many(E, Q.T)
 
     seeds = _seed_grid(((0.0, float(n)),) + ((0.0, 1.0),) * (m - 1), 4 * n)
     value, error, cells, nodes = _adaptive(f, *seeds, q.abs_tol, q.rel_tol)

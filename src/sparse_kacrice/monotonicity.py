@@ -67,17 +67,23 @@ _LABELS = np.array([BOUNDARY, U_MINUS, U_PLUS, OUTSIDE], dtype=object)
 @dataclass(frozen=True)
 class Augmentation:
     """One extra exponent a_0 with positive weight alpha_0; InputError for a
-    field that is not a finite real number (alpha0 also positive)."""
+    field that is not a finite real number (alpha0 also positive, and not a
+    bool) or an a0 that is neither a scalar nor 1-D."""
 
     a0: np.ndarray
     alpha0: float = 1.0
 
     def __post_init__(self):
+        if isinstance(self.alpha0, (bool, np.bool_)):
+            raise InputError("alpha0 must be a real number, not a bool")
         try:
-            a0 = np.asarray(self.a0, dtype=float).reshape(-1)
+            a0 = np.asarray(self.a0, dtype=float)
             positive = bool(np.isfinite(self.alpha0) and self.alpha0 > 0)
         except (TypeError, ValueError) as exc:
             raise InputError(f"a0 and alpha0 must be real numbers: {exc}") from exc
+        if a0.ndim > 1:
+            raise InputError(f"a0 must be a scalar or 1-D, got shape {a0.shape}")
+        a0 = a0.reshape(-1)
         if not np.all(np.isfinite(a0)):
             raise InputError("a0 must be finite")
         object.__setattr__(self, "a0", a0)
@@ -144,7 +150,7 @@ def _psi_many(E: ExpSum, aug: Augmentation, X: np.ndarray):
     or solved.  Raises DegenerateMetricError where det g underflows to 0.
     """
     a0 = _check_augmentation(E, aug)
-    top, W, total = _softmax(E, X)
+    top, W, total = _softmax(E, X.T)
     m, k = E.dim, E.n_terms
     det_sum = _simplex_sum(W, E.support._simplex_form, m)
     flat = det_sum == 0.0

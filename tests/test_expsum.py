@@ -261,7 +261,7 @@ class TestContractionAgainstSubsets:
     def test_log_det_equals_the_subset_sum(self, name):
         E = self.CASES[name]()
         X = np.random.default_rng(14).uniform(-3.0, 3.0, size=(40, E.dim))
-        _, W, total = _softmax(E, X)
+        _, W, total = _softmax(E, X.T)
         want = np.log(_subset_sum(E, W)) - (E.dim + 1) * np.log(total)
         np.testing.assert_allclose(np.exp(_log_det(E, W, total) - want), 1.0, rtol=1e-13, atol=0.0)
 

@@ -28,7 +28,9 @@ from sparse_kacrice import (
 )
 from sparse_kacrice import expsum, integrate
 from sparse_kacrice.expsum import _batch_moments
-from sparse_kacrice.integrate import _adaptive, _cell_rule, _genz_malik_rule, _seed_grid
+from sparse_kacrice.integrate import (
+    _adaptive, _cell_rule, _gauss_legendre_rule, _genz_malik_rule, _seed_grid,
+)
 
 TWO_TERM = ExpSum([[0.0], [1.0]])
 IRREGULAR = ExpSum([[0.0], [0.5], [1.7]], [1.0, 2.0, 1.0])
@@ -48,6 +50,12 @@ class TestQuadratureConfig:
         for tols in (("1e-3", 1e-3), (1e-3, None), ([1e-3, 1e-3], 1e-3)):
             with pytest.raises(InputError):
                 Quadrature(*tols)
+
+    @pytest.mark.parametrize("tols", [(True, 1e-3), (1e-3, True), (np.True_, 1e-3)])
+    def test_rejects_bool_tolerances(self, tols):
+        # True would pass as the tolerance 1.0
+        with pytest.raises(InputError):
+            Quadrature(*tols)
 
     @pytest.mark.parametrize("tols", [{"abs_tol": math.inf}, {"rel_tol": math.inf},
                                       {"abs_tol": math.nan}])
@@ -269,13 +277,41 @@ class TestCellRules:
         seven, five = np.prod(nodes ** (6, 0, 0), axis=1) @ weights[:, :2]
         assert abs(seven - five) > 1e-3
 
+    def test_gauss_legendre_degrees(self):
+        nodes, weights = _gauss_legendre_rule(2)
+        assert nodes.shape == (89, 2)
+        for a, b in itertools.product(range(16), repeat=2):
+            exact = (0.0 if a % 2 else 2.0 / (a + 1)) * (0.0 if b % 2 else 2.0 / (b + 1))
+            eight, five = (nodes[:, 0] ** a * nodes[:, 1] ** b) @ weights
+            assert eight == pytest.approx(exact, abs=1e-13)
+            if a <= 9 and b <= 9:
+                assert five == pytest.approx(exact, abs=1e-13)
+        # degree 10 separates the pair, so its difference measures the error
+        eight, five = nodes[:, 0] ** 10 @ weights
+        assert abs(eight - five) > 1e-3
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_cell_rule_is_cached_read_only_and_equals_a_fresh_build(self, m):
+        rule = _cell_rule(m)
+        assert _cell_rule(m) is rule
+        per_cell, apply = rule
+        nodes, weights = apply.args
+        fresh_nodes, fresh_weights = (_gauss_legendre_rule if m < 3 else _genz_malik_rule)(m)
+        assert per_cell == len(fresh_weights)
+        np.testing.assert_array_equal(nodes, fresh_nodes.T)
+        np.testing.assert_array_equal(weights, fresh_weights)
+        for cached in (nodes, weights):
+            assert not cached.flags.writeable
+            with pytest.raises(ValueError):
+                cached[0, 0] = 0.0
+
     @pytest.mark.parametrize("m", [2, 3])
     def test_split_axis(self, m):
         # a cell longest along axis 0; f varies along the last axis alone
         per_cell, apply = _cell_rule(m)
         los, his = np.zeros((1, m)), np.array([[4.0] + [1.0] * (m - 1)])
-        value, error, axes = apply(lambda X: np.exp(3.0 * X[:, -1]), los, his)
-        assert per_cell == {2: 80, 3: 33}[m]
+        value, error, axes = apply(lambda X: np.exp(3.0 * X[-1]), los, his)
+        assert per_cell == {2: 89, 3: 33}[m]
         assert error[0] > 0.0
         # Gauss-Legendre halves the longest side, Genz-Malik the varying axis
         assert axes.tolist() == [0 if m == 2 else m - 1]
@@ -283,8 +319,8 @@ class TestCellRules:
     @pytest.mark.parametrize(
         "E, box, per_cell",
         [
-            (TWO_TERM, [(-40.0, 40.0)], 12),
-            (kostlan(2, 1), [(-30.0, 30.0)] * 2, 80),
+            (TWO_TERM, [(-40.0, 40.0)], 13),
+            (kostlan(2, 1), [(-30.0, 30.0)] * 2, 89),
             (kostlan(3, 1), [(-20.0, 20.0)] * 3, 33),
         ],
         ids=["1-D", "2-D", "3-D"],
@@ -455,7 +491,7 @@ class TestMomentRoute:
 class TestConvergenceFailure:
     def test_non_finite_integrand_raises_with_finite_cells(self):
         # one of the eight seed cells of [0, 1] has a node within 0.01 of 0.3
-        f = lambda X: np.where(np.abs(X[:, 0] - 0.3) < 0.01, np.nan, 1.0)
+        f = lambda X: np.where(np.abs(X[0] - 0.3) < 0.01, np.nan, 1.0)
         with pytest.raises(ConvergenceError, match="not finite") as info:
             _adaptive(f, *_seed_grid(((0.0, 1.0),), 8), 1e-7, 1e-7)
         assert info.value.value == pytest.approx(0.875, abs=1e-12)

@@ -186,6 +186,22 @@ class TestAugmentation:
             with pytest.raises(InputError):
                 Augmentation(a0, alpha0=alpha0)
 
+    @pytest.mark.parametrize("alpha0", [True, np.True_])
+    def test_rejects_bool_alpha(self, alpha0):
+        # True would pass as the weight 1.0
+        with pytest.raises(InputError, match="bool"):
+            Augmentation([0.5, 0.5], alpha0=alpha0)
+
+    @pytest.mark.parametrize("a0", [[[0.5], [0.5]], [[0.5, 0.5]], np.zeros((1, 1, 2))])
+    def test_rejects_nested_a0(self, a0):
+        # flattening would read [[0.5], [0.5]] as the point (0.5, 0.5)
+        with pytest.raises(InputError, match="scalar or 1-D"):
+            Augmentation(a0)
+
+    def test_accepts_scalar_and_flat_a0(self):
+        assert Augmentation(3.0).a0.tolist() == [3.0]
+        assert Augmentation(np.array([0.5, 0.5])).a0.tolist() == [0.5, 0.5]
+
     def test_rejects_dim_mismatch(self):
         with pytest.raises(InputError):
             psi(TWO_TERM, Augmentation([1.0, 2.0]), [0.0])
