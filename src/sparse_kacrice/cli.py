@@ -112,6 +112,9 @@ def _cmd_analyze(args) -> int:
     box = _parse_box(args.box, E.dim)
     if args.route != "x" and box is not None:
         raise InputError("--box applies to the x route only; the moment route covers the polytope")
+    # Refused before any integral: "both" would otherwise finish the x route first.
+    if args.route != "x" and E.dim > 2:
+        raise InputError("the moment route (--route p or both) is limited to two variables")
     q = Quadrature(abs_tol=args.tol, rel_tol=args.tol)
     if args.route == "both":
         rx, rp = esol_total(E, q), esol_pspace(E, q)
@@ -119,8 +122,8 @@ def _cmd_analyze(args) -> int:
             {
                 "schema": 1,
                 "route": "both",
-                "x": {"value": rx.value, "error": rx.error, "cells": rx.cells},
-                "p": {"value": rp.value, "error": rp.error, "cells": rp.cells},
+                "x": {"value": rx.value, "error": rx.error, "cells": rx.cells, "nodes": rx.nodes},
+                "p": {"value": rp.value, "error": rp.error, "cells": rp.cells, "nodes": rp.nodes},
                 "abs_diff": abs(rx.value - rp.value),
             },
             args.output,
@@ -137,6 +140,7 @@ def _cmd_analyze(args) -> int:
             "error": result.error,
             "route": result.route,
             "cells": result.cells,
+            "nodes": result.nodes,
         },
         args.output,
     )
@@ -252,6 +256,8 @@ def _cmd_bkk(args) -> int:
             "density_route_total": result.value,
             "n_factorial_vol": reference,
             "abs_diff": abs(result.value - reference),
+            "cells": result.cells,
+            "nodes": result.nodes,
         },
         args.output,
     )

@@ -158,7 +158,9 @@ class SupportSet:
         1e-12 w^m, w the widest coordinate range, is rounding on a flat
         simplex, set to 0.  A ``degenerate`` support (the rank test) has
         every D set to 0, so det g = 0 everywhere exactly where the
-        integrals return 0.
+        integrals return 0.  The subsets and the place of each split in B
+        depend on (k, m) alone (:func:`_cauchy_binet_tables`), so a support
+        computes only its determinants and scatters them once.
         Raises InputError past ``SIMPLEX_FORM_LIMIT`` entries, before
         allocating anything."""
         k, m = self.points.shape
@@ -168,14 +170,12 @@ class SupportSet:
                 f"{k} points in R^{m} need a Cauchy-Binet block of {shape[0] * shape[1]} "
                 f"entries, over the limit of {SIMPLEX_FORM_LIMIT}"
             )
-        S = _sorted_tuples(k, m + 1)
+        S, places, _ = _cauchy_binet_tables(k, m)
         D = _cone_dets(self.points, S[:, 1:], self.points[S[:, 0]])
         D[(np.abs(D) <= 1e-12 * np.ptp(self.points, axis=0).max() ** m) | self.degenerate] = 0.0
         D *= D / math.comb(m + 1, 2)
         B = np.zeros(shape)
-        for pair in itertools.combinations(range(m + 1), 2):
-            rest = [p for p in range(m + 1) if p not in pair]
-            B[_tuple_ranks(S[:, pair], k), _tuple_ranks(S[:, rest], k)] = D
+        B.reshape(-1)[places] = D
         B.flags.writeable = False
         return B
 
@@ -225,7 +225,11 @@ def _cone_dets(points: np.ndarray, tuples: np.ndarray, apex: np.ndarray) -> np.n
     (n, m), indices into ``points``, shape (k, m)), with b the matching row
     of ``apex`` (shape (n, m)) or one apex (shape (m,)) for every row; on
     the sorted (m+1)-subsets S, t = S[1:] and b = a_S0 give D_S."""
-    return np.linalg.det(points[tuples] - apex[..., None, :])
+    # In place: one (n, m, m) temporary, not two; a cold block build for 27
+    # points in R^3, index tables included, then peaks at 3.5 MB.
+    edges = points[tuples]
+    edges -= apex[..., None, :]
+    return np.linalg.det(edges)
 
 
 def _sorted_tuples(k: int, r: int) -> np.ndarray:
@@ -245,6 +249,39 @@ def _tuple_ranks(tuples: np.ndarray, k: int) -> np.ndarray:
     for p in range(r):
         rank -= binom[k - 1 - tuples[:, p], r - p]
     return rank
+
+
+# A table of k points in R^m holds (m+1)(m+2)/2 C(k, m+1) indices (1.4 MB for
+# 27 points in R^3, 16 MB for 128 in R^2), so only the most recent shapes stay.
+@lru_cache(maxsize=32)
+def _cauchy_binet_tables(k: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index tables of the Cauchy-Binet sums over k points in R^m, built
+    once per (k, m); cached, read-only.
+
+    Returns (subsets, places, cones):
+    * subsets, (C(k, m+1), m+1): the sorted (m+1)-subsets S,
+      :func:`_sorted_tuples` (k, m+1);
+    * places, (C(m+1, 2), C(k, m+1)): for each of the C(m+1, 2) splits of S
+      into a pair and an (m-1)-tuple, the flat index of its entry in
+      ``SupportSet._simplex_form``, pair rank times C(k, m-1) plus tuple
+      rank (:func:`_tuple_ranks`);
+    * cones, (C(k, m-1) k, m): each sorted (m-1)-tuple s followed by each
+      point j, s-major, the rows t of the cone determinants det[a_t - a_0]
+      of Psi's (C(k, m-1), k) matrix.
+    """
+    subsets = _sorted_tuples(k, m + 1)
+    splits = list(itertools.combinations(range(m + 1), 2))
+    places = np.empty((len(splits), len(subsets)), dtype=np.intp)
+    for row, pair in enumerate(splits):
+        rest = [p for p in range(m + 1) if p not in pair]
+        places[row] = _tuple_ranks(subsets[:, pair], k) * math.comb(k, m - 1)
+        places[row] += _tuple_ranks(subsets[:, rest], k)
+    s = _sorted_tuples(k, m - 1)
+    cones = np.hstack([np.repeat(s, k, axis=0), np.tile(np.arange(k), len(s))[:, None]])
+    tables = (subsets, places, cones)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def _coerce_support(A) -> SupportSet:

@@ -20,7 +20,7 @@ Both routes invert the moment map by the kernel's one rule
 on the centred copy): the x route once, for x0, and the moment route at
 every integrand node.
 
-Every integral, in every dimension, is one adaptive heap of cells, each
+Every integral, in every dimension, is one adaptive set of cells, each
 with an embedded pair of rules whose difference is its error estimate.
 The dimension alone picks the pair: in one and two variables, the tensor
 Gauss-Legendre rule of 8 points per axis for the value (degree 15) and
@@ -31,16 +31,17 @@ fourth difference.  Each pair is one node set with a weight column per
 rule, built once per dimension (``_cell_rule``), so every batch of cells
 costs one integrand call.  The nodes of a batch go to the integrand
 coordinate-major, as one (m, N) array, the layout of the kernel's
-:func:`.expsum._softmax`.  The worst cells are split until the summed
-cell error, plus the newest shell's value when the region grows, meets
-one budget max(abs_tol, rel_tol |total|); the leaf cells may hold at most
-``MAX_NODES`` integrand nodes.  Final sums are compensated (math.fsum),
-so results do not depend on evaluation order.
+:func:`.expsum._softmax`.  The cells live in growable arrays; each pass
+halves the worst of them, 16 a pass for the Gauss-Legendre pairs and 64
+for Genz-Malik, chosen and ordered as a heap keyed on error would pop
+them, until the summed cell error, plus the newest shell's value when the
+region grows, meets one budget max(abs_tol, rel_tol |total|); the leaf
+cells may hold at most ``MAX_NODES`` integrand nodes.  Final sums are
+compensated (math.fsum), so results do not depend on evaluation order.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -109,11 +110,13 @@ class IntegralResult:
 
     ``error`` meets the request's budget max(abs_tol, rel_tol |value|)
     (an integral that cannot meet it raises ConvergenceError);
-    ``cells`` counts leaf cells of the adaptive heap, and ``nodes`` the
-    integrand evaluations spent on every cell it ever held: cells
+    ``cells`` counts the leaf cells of the adaptive integral, and ``nodes``
+    the integrand evaluations spent on every cell it ever held: cells
     evaluated times the nodes of the rule (13, 89 and 33 a cell in one,
-    two and three variables).  The budget counts nodes too: the leaf cells
-    may hold at most ``MAX_NODES`` of them."""
+    two and three variables).  A pass splits 16 cells in one and two
+    variables and 64 in three, so the last pass may split more cells than
+    the budget needed.  The budget counts nodes too: the leaf cells may
+    hold at most ``MAX_NODES`` of them."""
 
     value: float
     error: float
@@ -123,7 +126,7 @@ class IntegralResult:
 
 
 # ---------------------------------------------------------------------------
-# One adaptive heap; the rule for its cells depends on the dimension alone
+# One adaptive integral; the rule for its cells depends on the dimension alone
 
 _GL_FINE = leggauss(8)
 _GL_COARSE = leggauss(5)
@@ -190,11 +193,20 @@ def _read_only(*arrays):
 
 @lru_cache(maxsize=None)
 def _cell_rule(m):
-    """The rule pair for m-dimensional cells: (nodes per cell, apply), where
-    apply(f, los, his) gives each cell's value, error and split axis from
-    one call of f on the nodes of every cell.  Built once per dimension;
-    apply is ``functools.partial(_apply_rule, nodes, weights)`` on
-    read-only arrays, nodes coordinate-major (m, n).
+    """The rule pair for m-dimensional cells: (nodes per cell, cells per
+    pass, apply), where apply(f, los, his) gives each cell's value, error
+    and split axis from one call of f on the nodes of every cell.  Built
+    once per dimension; apply is ``functools.partial(_apply_rule, nodes,
+    weights)`` on read-only arrays, nodes coordinate-major (m, n).
+
+    A pass of :func:`_adaptive` splits 16 cells of a Gauss-Legendre pair
+    (2 x 16 x 89 = 2848 nodes in two variables) and 64 of the Genz-Malik
+    pair (4224 nodes in three, against 1056 at 16).  On the 40
+    three-variable solves of the quadrature benchmark's op sets at seeds
+    10 and 11 (best of 3 each), passes of 16, 32, 48, 64 and 96 cells took
+    0.66, 0.55, 0.52, 0.49 and 0.54 s, 96 splitting 16 % more cells than
+    64; two variables took 7 % longer at 32 than at 16, and one variable
+    at 110 (a two-variable pass's nodes) split 18 % more cells for no gain.
 
     Each pair is one node set with a weight column per rule, so a batch of
     cells costs one integrand call.  One and two variables take the 8- and
@@ -213,7 +225,7 @@ def _cell_rule(m):
     """
     nodes, weights = (_gauss_legendre_rule if m < 3 else _genz_malik_rule)(m)
     nodes, weights = _read_only(np.ascontiguousarray(nodes.T), weights)
-    return len(weights), partial(_apply_rule, nodes, weights)
+    return len(weights), (16 if m < 3 else 64), partial(_apply_rule, nodes, weights)
 
 
 def _apply_rule(nodes, weights, f, los, his):
@@ -264,29 +276,93 @@ def _shell_cells(r, m):
     return _read_only(np.concatenate([g[0] for g in grids]), np.concatenate([g[1] for g in grids]))
 
 
+class _Cells:
+    """The cells of one adaptive integral in insertion order: growable
+    arrays of lower and upper corners, values, errors and split axes.
+
+    A popped cell stays in place with error -inf until popped cells make up
+    half of the rows in use; they are then packed away, order kept."""
+
+    def __init__(self, m):
+        self.lo, self.hi = np.empty((64, m)), np.empty((64, m))
+        self.value, self.error = np.empty(64), np.empty(64)
+        self.axis = np.empty(64, dtype=np.intp)
+        self.rows = self.live = 0
+
+    def _arrays(self):
+        return self.lo, self.hi, self.value, self.error, self.axis
+
+    def push(self, lo, hi, value, error, axis):
+        """Append cells after every cell held."""
+        start, count = self.rows, len(value)
+        if start + count > len(self.value):
+            size = max(2 * len(self.value), start + count)
+            grown = []
+            for arr in self._arrays():
+                new = np.empty((size,) + arr.shape[1:], dtype=arr.dtype)
+                new[:start] = arr[:start]
+                grown.append(new)
+            self.lo, self.hi, self.value, self.error, self.axis = grown
+        for arr, new in zip(self._arrays(), (lo, hi, value, error, axis)):
+            arr[start:start + count] = new
+        self.rows, self.live = start + count, self.live + count
+
+    def pop(self, count):
+        """Remove the ``count`` worst cells (every cell, when fewer are held)
+        and return their (lo, hi, value, error, axis), ordered by error
+        downwards and, among equal errors, by insertion: the order in which
+        a heap keyed on (-error, insertion) pops them.  Equal errors at the
+        cut also go to the earliest-inserted cells."""
+        error = self.error[:self.rows]
+        if count >= self.live:
+            idx = np.flatnonzero(error >= 0.0)
+        else:
+            idx = np.argpartition(error, self.rows - count)[self.rows - count:]
+            cut = error[idx].min()
+            if np.count_nonzero(error >= cut) > count:
+                above = idx[error[idx] > cut]
+                idx = np.concatenate([above, np.flatnonzero(error == cut)[:count - len(above)]])
+        idx = idx[np.lexsort((idx, -error[idx]))]
+        batch = tuple(arr[idx] for arr in self._arrays())
+        error[idx] = -np.inf
+        self.live -= len(idx)
+        if 2 * self.live <= self.rows:
+            held = error >= 0.0
+            for arr in self._arrays():
+                arr[:self.live] = arr[:self.rows][held]
+            self.rows = self.live
+        return batch
+
+    def held(self):
+        """Values and errors of the cells held, as lists."""
+        held = self.error[:self.rows] >= 0.0
+        return self.value[:self.rows][held].tolist(), self.error[:self.rows][held].tolist()
+
+
 def _adaptive(f, los, his, abs_tol, rel_tol, grow=False):
     """Adaptive cubature of vectorized f from the seed cells (los, his);
     returns (value, error, cells, nodes): the leaf cells and the integrand
-    evaluations spent on every cell the heap ever held.
+    evaluations spent on every cell the store ever held.
 
-    Each cell carries its value, error and split axis from ``_cell_rule``;
-    the 16 worst are halved at a time.  With ``grow`` the seeds tile a cube
-    [-r, r]^m and the region grows over R^m: a shell enters the heap while
-    the newest one's value exceeds the summed cell error, and that value
-    counts as the error of truncating there.  Raises ConvergenceError with
-    the partial value when the integrand is not finite (the value then sums
-    the finite cells), when the leaf cells hold ``MAX_NODES`` integrand
-    nodes, or when the error budget lies below the roundoff floor of the
-    cell sums.
+    Each cell carries its value, error and split axis from ``_cell_rule``,
+    in an array-backed store (:class:`_Cells`); each pass halves the
+    rule's number of worst cells, and the running totals drop them in
+    order of error, as a heap would pop them.  With ``grow`` the seeds
+    tile a cube [-r, r]^m and the region grows over R^m: a shell enters
+    the store while the newest one's value exceeds the summed cell error,
+    and that value counts as the error of truncating there.  Raises
+    ConvergenceError with the partial value when the integrand is not
+    finite (the value then sums the finite cells), when the leaf cells
+    hold ``MAX_NODES`` integrand nodes, or when the error budget lies below
+    the roundoff floor of the cell sums.
     """
     m = los.shape[1]
-    per_cell, rule = _cell_rule(m)
-    heap = []
-    order = itertools.count()
+    per_cell, per_pass, rule = _cell_rule(m)
+    cells = _Cells(m)
     evaluated = 0
 
     def push(los, his):
-        """Evaluate cells, push them; returns sums of value, error and |value|."""
+        """Evaluate cells, store them; returns sums of value, error and |value|."""
         nonlocal evaluated
         values, errs, axes = rule(f, los, his)
         evaluated += len(values)
@@ -294,12 +370,9 @@ def _adaptive(f, los, his, abs_tol, rel_tol, grow=False):
         if not finite.all():
             raise ConvergenceError(
                 f"integrand is not finite on {int((~finite).sum())} of {len(errs)} new cells",
-                value=math.fsum(entry[4] for entry in heap) + math.fsum(values[finite]),
+                value=math.fsum(cells.held()[0]) + math.fsum(values[finite]),
             )
-        # Entries (-error, insertion order, lo, hi, value, split axis).
-        columns = ((-errs).tolist(), order, los.tolist(), his.tolist(), values.tolist(), axes.tolist())
-        for entry in zip(*columns):
-            heapq.heappush(heap, entry)
+        cells.push(los, his, values, errs, axes)
         return float(values.sum()), float(errs.sum()), float(np.abs(values).sum())
 
     total, error, mass = push(los, his)
@@ -317,17 +390,16 @@ def _adaptive(f, los, his, abs_tol, rel_tol, grow=False):
             total, error, mass = total + shell, error + de, mass + dm
             radius, shells = 2.0 * radius, shells + 1
             continue
-        if len(heap) * per_cell >= MAX_NODES:
+        if cells.live * per_cell >= MAX_NODES:
             raise ConvergenceError(
-                f"node budget {MAX_NODES} exhausted ({len(heap)} cells of {per_cell} nodes)",
+                f"node budget {MAX_NODES} exhausted ({cells.live} cells of {per_cell} nodes)",
                 value=total,
                 residual=error + abs(shell),
             )
-        batch = [heapq.heappop(heap) for _ in range(min(16, len(heap)))]
-        for neg_err, _, _, _, value, _ in batch:
-            total, error, mass = total - value, error + neg_err, mass - abs(value)
-        _, _, lo, hi, _, axis = zip(*batch)
-        lo, hi, split = np.array(lo), np.array(hi), (np.arange(len(batch)), list(axis))
+        lo, hi, values, errs, axes = cells.pop(per_pass)
+        for value, err in zip(values.tolist(), errs.tolist()):
+            total, error, mass = total - value, error - err, mass - abs(value)
+        split = (np.arange(len(axes)), axes)
         lo_mid, hi_mid = lo.copy(), hi.copy()
         lo_mid[split] = hi_mid[split] = 0.5 * (lo[split] + hi[split])
         # Children in the order (lo, hi_mid), (lo_mid, hi) per popped cell.
@@ -342,9 +414,8 @@ def _adaptive(f, los, his, abs_tol, rel_tol, grow=False):
             value=total,
             residual=error + abs(shell),
         )
-    value = math.fsum(entry[4] for entry in heap)
-    error = math.fsum(-entry[0] for entry in heap) + abs(shell)
-    return value, error, len(heap), evaluated * per_cell
+    values, errs = cells.held()
+    return math.fsum(values), math.fsum(errs) + abs(shell), len(values), evaluated * per_cell
 
 
 def _over_rm(f, E: ExpSum, abs_tol, rel_tol):
@@ -383,7 +454,7 @@ def _over_rm(f, E: ExpSum, abs_tol, rel_tol):
 def esol_total(E: ExpSum, q: Quadrature | None = None) -> IntegralResult:
     """Expected number of zeros: the density integrated over R^m.
 
-    The heap starts on a cube in metric-normalized coordinates and adds
+    The integral starts on a cube in metric-normalized coordinates and adds
     shells until the newest is negligible.  Degenerate supports
     (dim conv(A) < m) carry zero density and return 0.
     """
@@ -422,7 +493,7 @@ def esol_pspace(E: ExpSum, q: Quadrature | None = None) -> IntegralResult:
     is mapped bilinearly from [0, 1]^m and then a = sin t per axis, t in
     [0, pi/2]: the distances to the two facets at v_i are (1 - a) and
     (1 - b) times smooth factors, so the 1/sqrt(distance) layer and the
-    corner both become smooth.  All cells share one adaptive heap, seeded
+    corner both become smooth.  All cells share one adaptive integral, seeded
     4 per axis per cell, whose Gauss nodes never touch the boundary, all
     relative to the support's barycenter (``ExpSum._centred``).  A failed
     moment inversion makes the integrand NaN, which raises

@@ -31,8 +31,8 @@ from .errors import DegenerateMetricError, InputError, SparseKacRiceError
 from .expsum import LEGENDRE_MARGIN, ExpSum, _invert_moment_many, _simplex_sum, _softmax
 from .expsum import _sorted_products, invert_moment
 from .expsum import evaluate  # noqa: F401 (perfbench's tracer wraps it)
-from .geometry import SupportSet, _check_box, _check_vector, _cone_dets, _grid, _is_int
-from .geometry import _interior_mask, _sorted_tuples, diameter
+from .geometry import SupportSet, _cauchy_binet_tables, _check_box, _check_vector, _cone_dets, _grid
+from .geometry import _interior_mask, _is_int, diameter
 from .geometry import interior_contains  # noqa: F401 (perfbench's tracer wraps it)
 
 __all__ = [
@@ -156,9 +156,8 @@ def _psi_many(E: ExpSum, aug: Augmentation, X: np.ndarray):
     flat = det_sum == 0.0
     if flat.any():
         raise DegenerateMetricError(f"det g underflows at x = {X[flat][0].tolist()}; Psi undefined")
-    s = _sorted_tuples(k, m - 1)
-    tuples = np.hstack([np.repeat(s, k, axis=0), np.tile(np.arange(k), len(s))[:, None]])
-    M = _cone_dets(E.support.points, tuples, a0).reshape(len(s), k)
+    cones = _cauchy_binet_tables(k, m)[2]
+    M = _cone_dets(E.support.points, cones, a0).reshape(-1, k)
     MW = M @ W
     np.square(MW, out=MW)
     q = (MW[0] if m == 1 else np.einsum("tn,tn->n", _sorted_products(W, m - 1), MW)) / det_sum

@@ -13,6 +13,7 @@ import pytest
 
 import sparse_kacrice
 from sparse_kacrice import ComplexExpSum, ExpSum, kostlan
+from sparse_kacrice import cli
 from sparse_kacrice.cli import main
 
 
@@ -58,6 +59,34 @@ class TestAnalyze:
         # "both" compare a box integral with a whole-line one
         assert main(["analyze", "--input", two_term_file, "--route", route, "--box=-1,2"]) == 2
         assert "--box" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("route", ["x", "p"])
+    def test_reports_work_counters(self, two_term_file, route, capsys):
+        assert main(["analyze", "--input", two_term_file, "--route", route]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["route"] == route
+        # 13 nodes a cell in one variable, for every cell ever evaluated
+        assert doc["cells"] > 0 and doc["nodes"] >= 13 * doc["cells"] and doc["nodes"] % 13 == 0
+
+    def test_both_routes_report_work_counters(self, two_term_file, capsys):
+        assert main(["analyze", "--input", two_term_file, "--route", "both"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        for route in ("x", "p"):
+            assert doc[route]["cells"] > 0 and doc[route]["nodes"] >= 13 * doc[route]["cells"]
+
+    @pytest.mark.parametrize("route", ["p", "both"])
+    def test_moment_route_refuses_three_variables_before_integrating(
+        self, tmp_path, monkeypatch, route, capsys
+    ):
+        def no_integral(*args, **kwargs):
+            raise AssertionError("integrated before refusing")
+
+        monkeypatch.setattr(cli, "esol_total", no_integral)
+        monkeypatch.setattr(cli, "esol_pspace", no_integral)
+        path = tmp_path / "simplex3.json"
+        path.write_text(ExpSum([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]).to_json())
+        assert main(["analyze", "--input", str(path), "--route", route]) == 2
+        assert "two variables" in capsys.readouterr().err
 
     def test_thin_triangle(self, tmp_path, capsys):
         # Its barycenter is 3.3e-11 from a facet, inside the 2e-9 margin
@@ -176,6 +205,8 @@ class TestStochasticAndComplex:
         assert doc["density_route_total"] == pytest.approx(2.0, abs=1e-6)
         assert doc["n_factorial_vol"] == pytest.approx(2.0)
         assert doc["abs_diff"] < 1e-6
+        # 13 nodes a cell in one variable, for every cell ever evaluated
+        assert doc["cells"] > 0 and doc["nodes"] >= 13 * doc["cells"] and doc["nodes"] % 13 == 0
 
 
 class TestAlgebra:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -30,10 +31,14 @@ from sparse_kacrice.expsum import _batch_moments
 from sparse_kacrice.geometry import (
     DET_FLOOR,
     DUAL_COND_LIMIT,
+    _cauchy_binet_tables,
     _check_box,
     _cholesky_solve,
+    _cone_dets,
     _grid,
     _interior_mask,
+    _sorted_tuples,
+    _tuple_ranks,
 )
 
 SQUARE = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
@@ -195,6 +200,57 @@ class TestHullGeometry:
         assert A.facets is None
         assert A.vertices is None
         assert not _interior_mask(A, np.array([[1.0, 1.0], [0.5, 0.5]]), 1e-12).any()
+
+
+def _simplex_form_by_pairs(A: SupportSet) -> np.ndarray:
+    """The Cauchy-Binet block built split by split, ranking every pair and
+    tuple afresh: the reference for the cached index tables."""
+    points = A.points
+    k, m = points.shape
+    S = _sorted_tuples(k, m + 1)
+    D = _cone_dets(points, S[:, 1:], points[S[:, 0]])
+    D[(np.abs(D) <= 1e-12 * np.ptp(points, axis=0).max() ** m) | A.degenerate] = 0.0
+    D *= D / math.comb(m + 1, 2)
+    B = np.zeros((math.comb(k, 2), math.comb(k, m - 1)))
+    for pair in itertools.combinations(range(m + 1), 2):
+        rest = [p for p in range(m + 1) if p not in pair]
+        B[_tuple_ranks(S[:, pair], k), _tuple_ranks(S[:, rest], k)] = D
+    return B
+
+
+class TestCauchyBinetTables:
+    @pytest.mark.parametrize("m, k", [(m, k) for m in (1, 2) for k in range(m + 1, 10)]
+                             + [(3, k) for k in range(4, 9)])
+    def test_simplex_form_equals_the_per_pair_build(self, m, k):
+        # a real support and a lattice one, whose collinear triples make flat simplices
+        rng = np.random.default_rng(100 * m + k)
+        lattice = np.array(list(itertools.product(range(10 if m == 1 else 4), repeat=m)), dtype=float)
+        for points in (rng.normal(size=(k, m)), lattice[rng.choice(len(lattice), k, replace=False)]):
+            A = SupportSet(points)
+            np.testing.assert_array_equal(A._simplex_form, _simplex_form_by_pairs(A))
+
+    def test_degenerate_support_equals_the_per_pair_build(self):
+        A = SupportSet([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0], [2.0, 3.0, 0.0]])
+        assert A.degenerate
+        np.testing.assert_array_equal(A._simplex_form, _simplex_form_by_pairs(A))
+        assert not A._simplex_form.any()
+
+    @pytest.mark.parametrize("k, m", [(2, 1), (5, 2), (6, 3)])
+    def test_tables_are_cached_read_only(self, k, m):
+        tables = _cauchy_binet_tables(k, m)
+        assert _cauchy_binet_tables(k, m) is tables
+        subsets, places, cones = tables
+        np.testing.assert_array_equal(subsets, _sorted_tuples(k, m + 1))
+        assert places.shape == (math.comb(m + 1, 2), math.comb(k, m + 1))
+        # every (pair, tuple) entry of the block is some split of one subset, at most once
+        assert len(np.unique(places)) == places.size
+        s = _sorted_tuples(k, m - 1)
+        want = np.hstack([np.repeat(s, k, axis=0), np.tile(np.arange(k), len(s))[:, None]])
+        np.testing.assert_array_equal(cones, want)
+        for table in tables:
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0, 0] = 0
 
 
 class TestBoxAndGrid:

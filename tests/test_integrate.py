@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import heapq
 import itertools
 import math
 import time
@@ -294,10 +295,12 @@ class TestCellRules:
     def test_cell_rule_is_cached_read_only_and_equals_a_fresh_build(self, m):
         rule = _cell_rule(m)
         assert _cell_rule(m) is rule
-        per_cell, apply = rule
+        per_cell, per_pass, apply = rule
         nodes, weights = apply.args
         fresh_nodes, fresh_weights = (_gauss_legendre_rule if m < 3 else _genz_malik_rule)(m)
         assert per_cell == len(fresh_weights)
+        # 16 cells a pass for the tensor Gauss-Legendre pairs, 64 for Genz-Malik
+        assert per_pass == (16 if m < 3 else 64)
         np.testing.assert_array_equal(nodes, fresh_nodes.T)
         np.testing.assert_array_equal(weights, fresh_weights)
         for cached in (nodes, weights):
@@ -308,7 +311,7 @@ class TestCellRules:
     @pytest.mark.parametrize("m", [2, 3])
     def test_split_axis(self, m):
         # a cell longest along axis 0; f varies along the last axis alone
-        per_cell, apply = _cell_rule(m)
+        per_cell, _, apply = _cell_rule(m)
         los, his = np.zeros((1, m)), np.array([[4.0] + [1.0] * (m - 1)])
         value, error, axes = apply(lambda X: np.exp(3.0 * X[-1]), los, his)
         assert per_cell == {2: 89, 3: 33}[m]
@@ -334,13 +337,13 @@ class TestCellRules:
             return density_many(E, X)
 
         def counted_rule(m):
-            nodes, apply = cell_rule(m)
+            nodes, per_pass, apply = cell_rule(m)
 
             def counted_apply(f, los, his):
                 pushed.append(len(los))
                 return apply(f, los, his)
 
-            return nodes, counted_apply
+            return nodes, per_pass, counted_apply
 
         monkeypatch.setattr(integrate, "density_many", counted)
         monkeypatch.setattr(integrate, "_cell_rule", counted_rule)
@@ -369,6 +372,101 @@ class TestCellRules:
                 assert not cached.flags.writeable
                 with pytest.raises(ValueError):
                     cached[0, 0] = 0.0
+
+
+def _heap_adaptive(f, los, his, abs_tol, rel_tol, per_pass, grow=False):
+    """The adaptive loop on a heapq of tuples (-error, insertion order, lo,
+    hi, value, split axis), per_pass cells popped per pass: the reference
+    for the array-backed cell store, on the same rule and stop rule."""
+    m = los.shape[1]
+    per_cell, _, rule = _cell_rule(m)
+    heap, order, evaluated = [], itertools.count(), 0
+
+    def push(los, his):
+        nonlocal evaluated
+        values, errs, axes = rule(f, los, his)
+        evaluated += len(values)
+        assert np.isfinite(errs).all()
+        columns = ((-errs).tolist(), order, los.tolist(), his.tolist(), values.tolist(), axes.tolist())
+        for entry in zip(*columns):
+            heapq.heappush(heap, entry)
+        return float(values.sum()), float(errs.sum()), float(np.abs(values).sum())
+
+    total, error, mass = push(los, his)
+    shell, radius = (math.inf if grow else 0.0), float(his.max())
+    while error + abs(shell) > max(abs_tol, rel_tol * abs(total), integrate.ROUNDOFF * mass):
+        if abs(shell) > error:
+            shell, de, dm = push(*integrate._shell_cells(radius, m))
+            total, error, mass = total + shell, error + de, mass + dm
+            radius *= 2.0
+            continue
+        assert len(heap) * per_cell < integrate.MAX_NODES
+        batch = [heapq.heappop(heap) for _ in range(min(per_pass, len(heap)))]
+        for neg_err, _, _, _, value, _ in batch:
+            total, error, mass = total - value, error + neg_err, mass - abs(value)
+        _, _, lo, hi, _, axis = zip(*batch)
+        lo, hi, split = np.array(lo), np.array(hi), (np.arange(len(batch)), list(axis))
+        lo_mid, hi_mid = lo.copy(), hi.copy()
+        lo_mid[split] = hi_mid[split] = 0.5 * (lo[split] + hi[split])
+        child_los = np.stack([lo, lo_mid], axis=1).reshape(-1, m)
+        child_his = np.stack([hi_mid, hi], axis=1).reshape(-1, m)
+        dv, de, dm = push(child_los, child_his)
+        total, error, mass = total + dv, error + de, mass + dm
+    value = math.fsum(entry[4] for entry in heap)
+    error = math.fsum(-entry[0] for entry in heap) + abs(shell)
+    return value, error, len(heap), evaluated * per_cell
+
+
+def _cone(X):
+    """exp(-|x|): on cells mirrored about the origin its errors often tie
+    exactly, and splitting the one cell or the other changes the result."""
+    return np.exp(-np.sqrt((X * X).sum(axis=0)))
+
+
+class TestCellStore:
+    """The array-backed store splits the cells a heap would pop, in its order."""
+
+    @pytest.mark.parametrize("E, box", [
+        (TWO_TERM, [(-40.0, 40.0)]),
+        (kostlan(2, 1), [(-30.0, 30.0)] * 2),
+        (kostlan(3, 1), [(-20.0, 20.0)] * 3),
+    ], ids=["1-D", "2-D", "3-D"])
+    def test_region_matches_the_reference_heap_bit_for_bit(self, E, box):
+        f = lambda X: expsum.density_many(E, X.T)
+        seeds = _seed_grid(box, 8)
+        per_pass = _cell_rule(E.dim)[1]
+        got = _adaptive(f, *seeds, 1e-4, 1e-4)
+        assert got == _heap_adaptive(f, *seeds, 1e-4, 1e-4, per_pass)
+        r = esol_region(E, box, LOOSE)
+        assert (r.value, r.error, r.cells, r.nodes) == got
+
+    @pytest.mark.parametrize("m, tol", [(1, 1e-12), (2, 1e-8), (3, 1e-4)])
+    def test_tied_errors_match_the_reference_heap_bit_for_bit(self, m, tol):
+        # In two and three variables, splitting the latest-inserted of the
+        # cells tied at a cut changes (value, error, cells, nodes).
+        seeds = _seed_grid(((-4.0, 4.0),) * m, 4)
+        per_pass = _cell_rule(m)[1]
+        got = _adaptive(_cone, *seeds, tol, tol)
+        assert got == _heap_adaptive(_cone, *seeds, tol, tol, per_pass)
+
+    def test_growing_region_matches_the_reference_heap_bit_for_bit(self):
+        f = lambda X: np.exp(-0.5 * (X * X).sum(axis=0)) / (2.0 * math.pi)
+        seeds = integrate._cube_cells(integrate.AUTO_RADIUS, 2)
+        got = _adaptive(f, *seeds, 1e-9, 1e-9, grow=True)
+        assert got == _heap_adaptive(f, *seeds, 1e-9, 1e-9, 16, grow=True)
+        assert got[0] == pytest.approx(1.0, abs=1e-9)
+
+    def test_pop_orders_ties_by_insertion_and_packs_popped_cells(self):
+        cells = integrate._Cells(1)
+        errors = np.array([1.0, 3.0, 2.0, 3.0, 2.0, 2.0, 0.5, 2.0])
+        idx = np.arange(8.0)
+        cells.push(idx[:, None], idx[:, None] + 1.0, idx, errors, np.zeros(8, dtype=np.intp))
+        *_, value, error, _ = cells.pop(4)
+        assert value.tolist() == [1.0, 3.0, 2.0, 4.0] and error.tolist() == [3.0, 3.0, 2.0, 2.0]
+        assert cells.live == 4 and cells.rows == 4
+        assert cells.held() == ([0.0, 5.0, 6.0, 7.0], [1.0, 2.0, 0.5, 2.0])
+        assert cells.pop(8)[2].tolist() == [5.0, 7.0, 0.0, 6.0]
+        assert cells.live == cells.rows == 0
 
 
 class TestRegion:
