@@ -123,6 +123,10 @@ class ExpSum:
         log_coeffs = np.log(arr)
         log_coeffs.flags.writeable = False
         self.log_coeffs = log_coeffs
+        # The last moment-coordinate grid scanned and its preimages, kept by
+        # :func:`.monotonicity.region_scan`: ((box, resolution), node
+        # indices, X), read-only; None until the first such scan.
+        self._grid_preimages = None
 
     @cached_property
     def _centred(self) -> tuple[np.ndarray, "ExpSum"]:
@@ -132,10 +136,12 @@ class ExpSum:
         copy carries eps * diam(P) of rounding, not eps * |a|.  Targets are
         translated once, on the way in, never back; densities read E's own
         Cauchy-Binet block (D_S is translation-invariant).  The copy is its
-        own centred copy, with c = 0."""
+        own centred copy, with c = 0.  Both c and that 0 are read-only."""
         c = self.support.points.mean(axis=0)
         copy = ExpSum(self.support.points - c, self.coeffs)
-        copy._centred = (np.zeros_like(c), copy)
+        zero = np.zeros_like(c)
+        c.flags.writeable = zero.flags.writeable = False
+        copy._centred = (zero, copy)
         return c, copy
 
     @cached_property

@@ -5,7 +5,8 @@ Two routes to the same number:
 * the x-space route integrates the zero density (2/s_m) sqrt(det g_x)
   over R^m (:func:`esol_total`) in metric-normalized coordinates
   x = x0 + W y, where x0 is the moment preimage of the support's
-  barycenter and W^T g(x0) W = I, so the region sits in the same place
+  barycenter and W = L^-T from the Cholesky factor g(x0) = L L^T, so
+  W^T g(x0) W = I and the region sits in the same place
   relative to the support under every affine map of it, thin supports
   included: the cube [-4, 4]^m, then shells [-2r, 2r]^m minus [-r, r]^m for as long as
   the newest shell outweighs the error of the cells already in hand
@@ -426,7 +427,10 @@ def _over_rm(f, E: ExpSum, abs_tol, rel_tol):
     inversion (:func:`.expsum._invert_moment_many`) at its one residual:
     the barycenter of a full-dimensional support is interior, so no margin
     gate applies and a thin support inverts like any other.
-    W = V diag(lam)^(-1/2) from g(x0) = V diag(lam) V^T.  An inversion
+    W = L^-T from the Cholesky factor g(x0) = L L^T, so W^T g(x0) W = I;
+    unlike an eigenbasis, which follows roundoff where g(x0) has a repeated
+    eigenvalue, L is continuous in g, so a roundoff change in x0 cannot
+    rotate the frame and reorder the cells.  An inversion
     that fails raises ConvergenceError, with the residual read from the
     same row as g(x0), before any cell is integrated.
     """
@@ -438,9 +442,9 @@ def _over_rm(f, E: ExpSum, abs_tol, rel_tol):
         message = f"no frame over R^m: damped Newton stopped at residual {residual:.3e}"
         raise ConvergenceError(message, residual=residual)
     x0 = X[0]
-    lam, V = np.linalg.eigh(G[0])
-    W = V / np.sqrt(lam)
-    jac = abs(float(np.linalg.det(W)))
+    L = np.linalg.cholesky(G[0])
+    W = np.linalg.inv(L).T
+    jac = 1.0 / float(np.prod(np.diag(L)))
     return _adaptive(
         lambda Y: jac * f(x0[:, None] + W @ Y), *_cube_cells(AUTO_RADIUS, E.dim), abs_tol, rel_tol,
         grow=True,
@@ -484,7 +488,8 @@ def esol_region(E: ExpSum, U, q: Quadrature | None = None) -> IntegralResult:
 
 
 def esol_pspace(E: ExpSum, q: Quadrature | None = None) -> IntegralResult:
-    """Expected number of zeros via the Newton-polytope route (m <= 2).
+    """Expected number of zeros via the Newton-polytope route (m <= 2;
+    InputError for more variables, before the degenerate case's 0).
 
     Integrates the Legendre-transform density over the polytope P, split
     into one cell per hull vertex v_i: the quadrilateral
@@ -500,11 +505,11 @@ def esol_pspace(E: ExpSum, q: Quadrature | None = None) -> IntegralResult:
     ConvergenceError with the partial value.
     """
     q = q or Quadrature()
-    if E.support.degenerate:
-        return IntegralResult(0.0, 0.0, "p", 0, 0)
     m = E.dim
     if m > 2:
         raise InputError("moment-space integration is limited to two variables")
+    if E.support.degenerate:
+        return IntegralResult(0.0, 0.0, "p", 0, 0)
     prefactor = 1.0 / (2.0 ** ((m - 2) / 2.0) * ball_sphere_constants(m)[1])
     V = E.support.vertices - E._centred[0]
     n = V.shape[0]

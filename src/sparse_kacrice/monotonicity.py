@@ -15,6 +15,11 @@ sums of non-negative terms over simplices of the support, formed from the
 softmax weights of :mod:`.expsum` without a metric, and Psi is defined
 wherever det g does not underflow.  No metric is formed or inverted on
 this route; the test suite checks it against one that does.
+
+A moment-coordinate region scan inverts its grid once per sum: the sum
+keeps the preimages of its last p-grid (m N floats and N node indices)
+and every later scan of that grid, under any added exponent, evaluates
+Psi on them alone.  Scanning another grid replaces them.
 """
 
 from __future__ import annotations
@@ -136,8 +141,10 @@ def augment(E: ExpSum, aug: Augmentation) -> ExpSum:
     )
 
 
-def _psi_many(E: ExpSum, aug: Augmentation, X: np.ndarray):
-    """Psi, phi0, g^x(tau) and K/K_0 at each row of X (shape (N, m)).
+def _psi_many(E: ExpSum, aug: Augmentation, a0: np.ndarray, X: np.ndarray):
+    """Psi, phi0, g^x(tau) and K/K_0 at each row of X (shape (N, m)); a0 is
+    aug's exponent as :func:`_check_augmentation` returns it, checked once
+    per scan by the caller.
 
     g^x(tau) = (f_0^2 / K_0) q with q = (mu - a_0)^T g^-1 (mu - a_0), and
     by Cauchy-Binet on g + (mu - a_0)(mu - a_0)^T, q det g is the sum over
@@ -149,7 +156,6 @@ def _psi_many(E: ExpSum, aug: Augmentation, X: np.ndarray):
     accuracy in every tail, whichever term dominates; no metric is formed
     or solved.  Raises DegenerateMetricError where det g underflows to 0.
     """
-    a0 = _check_augmentation(E, aug)
     top, W, total = _softmax(E, X.T)
     m, k = E.dim, E.n_terms
     det_sum = _simplex_sum(W, E.support._simplex_form, m)
@@ -172,7 +178,7 @@ def _psi_many(E: ExpSum, aug: Augmentation, X: np.ndarray):
 
 def _psi_evals(E: ExpSum, aug: Augmentation, X: np.ndarray) -> list[PsiEval]:
     """:func:`psi` at each row of X, from one :func:`_psi_many` call."""
-    values, phi0, tau_normsq, ratio = _psi_many(E, aug, X)
+    values, phi0, tau_normsq, ratio = _psi_many(E, aug, _check_augmentation(E, aug), X)
     rows = zip(X, phi0.tolist(), tau_normsq.tolist(), ratio.tolist(), values.tolist())
     return [PsiEval(*row, label) for row, label in zip(rows, _classify_psi(values))]
 
@@ -276,6 +282,28 @@ class RegionScan:
         return json.dumps(payload)
 
 
+def _moment_preimages(E: ExpSum, box: tuple, resolution: tuple, nodes: np.ndarray):
+    """(usable, X): the indices of the p-grid nodes at least
+    ``LEGENDRE_MARGIN`` diam(P) inside every facet whose inversion
+    converged, and their preimages X (rows, in node order).
+
+    They depend on E, the box and the resolution alone, not on a_0, so they
+    are kept read-only on E (``E._grid_preimages``) and serve every later
+    scan of the same grid; a scan of another grid replaces them.
+    """
+    key = (box, resolution)
+    stored = E._grid_preimages
+    if stored is None or stored[0] != key:
+        margin = LEGENDRE_MARGIN * diameter(E.support)
+        usable = np.flatnonzero(_interior_mask(E.support, nodes, margin))
+        X, ok = _invert_moment_many(E, nodes[usable])
+        stored = (key, usable[ok], X[ok])
+        for array in stored[1:]:
+            array.flags.writeable = False
+        E._grid_preimages = stored
+    return stored[1:]
+
+
 def region_scan(
     E: ExpSum,
     aug: Augmentation,
@@ -293,7 +321,12 @@ def region_scan(
     every inversion, residual ``INVERT_TOL`` (1 + diam P), so near a facet
     Psi is taken at the preimage, not at a nearby point: 2.4e-5 inside the
     facet of an affine square it is 9e-13 relative off the Psi of a 50-digit
-    preimage.  An "x" space scan evaluates the grid directly.  Either way
+    preimage.  The usable node indices and their preimages depend on E and
+    the grid alone, so E keeps those of its last p-grid, keyed by (box,
+    resolution): m N floats and N indices, read-only.  A later p-scan of
+    the same sum and grid, under any a_0, reuses them and only evaluates
+    Psi, with the same numbers bit for bit; a p-scan of another grid
+    replaces them.  An "x" space scan evaluates the grid directly.  Either way
     Psi is evaluated once for the whole grid by the kernel behind
     :func:`psi`, with no per-node Python call; a node where det g underflows
     to 0 raises DegenerateMetricError for the scan.  ``box`` defaults to the
@@ -302,7 +335,7 @@ def region_scan(
     per axis, at least 2 each.  Both follow :func:`.geometry._check_box`
     and :func:`.geometry._grid` and raise InputError where those do.
     """
-    _check_augmentation(E, aug)
+    a0 = _check_augmentation(E, aug)
     if space not in ("p", "x"):
         raise InputError("space must be 'p' or 'x'")
     if E.support.degenerate:
@@ -315,14 +348,11 @@ def region_scan(
     resolution, axes, nodes = _grid(box, resolution)
     values = np.full(nodes.shape[0], np.nan)
     if space == "x":
-        values[:] = _psi_many(E, aug, nodes)[0]
+        values[:] = _psi_many(E, aug, a0, nodes)[0]
     else:
-        margin = LEGENDRE_MARGIN * diameter(E.support)
-        usable = np.flatnonzero(_interior_mask(E.support, nodes, margin))
-        X, ok = _invert_moment_many(E, nodes[usable])
-        usable = usable[ok]
+        usable, X = _moment_preimages(E, box, resolution, nodes)
         if usable.size:
-            values[usable] = _psi_many(E, aug, X[ok])[0]
+            values[usable] = _psi_many(E, aug, a0, X)[0]
     return RegionScan(
         space=space,
         box=box,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import time
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 from sparse_kacrice import (
+    Augmentation,
     ConvergenceError,
     DomainError,
     ExpSum,
@@ -32,9 +34,11 @@ from sparse_kacrice import (
     kostlan,
     legendre_density,
     potential,
+    region_scan,
 )
 from sparse_kacrice.expsum import INVERT_TOL, _batch_moments, _invert_moment_many, _log_det, _softmax
-from sparse_kacrice.geometry import DET_FLOOR, SIMPLEX_FORM_LIMIT, diameter
+from sparse_kacrice.geometry import DET_FLOOR, SIMPLEX_FORM_LIMIT, SupportSet, _cauchy_binet_tables, diameter
+from sparse_kacrice.integrate import _cell_rule
 
 TWO_TERM = ExpSum([[0.0], [1.0]])
 IRREGULAR = ExpSum([[0.0], [0.5], [1.7]], [1.0, 2.0, 1.0])
@@ -113,6 +117,40 @@ class TestConstruction:
             with pytest.raises(InputError, match="dim"):
                 ExpSum.from_dict({"dim": dim, "support": support})
         assert ExpSum.from_dict({"dim": np.int64(2), "support": [[0, 0], [1, 0], [0, 1]]}).dim == 2
+
+    def test_no_cached_array_is_writeable(self):
+        # Cached state is shared by every later call on the sum, so none of
+        # it may be written in place; the barycenter of _centred once was.
+        E = ExpSum([[0, 0], [1, 0], [0, 1], [1, 1]], [1.0, 0.7, 1.3, 0.9])
+        region_scan(E, Augmentation([0.3, 0.6]), resolution=8)
+        esol_total(E, Quadrature(abs_tol=1e-4, rel_tol=1e-4))
+        assert E._newton_start is not None and E.support.vertices is not None
+        c, centred = E._centred
+        for sum_, names in ((E, ["_centred", "_newton_start", "_grid_preimages"]),
+                            (centred, ["_centred", "_newton_start"])):
+            assert all(vars(sum_).get(name) is not None for name in names)
+        assert {"_hull", "_simplex_form"} <= set(vars(E.support))
+        arrays = _reachable_arrays([E, _cauchy_binet_tables(E.n_terms, E.dim), _cell_rule(E.dim)])
+        assert len(arrays) >= 20
+        assert [a.shape for a in arrays if a.flags.writeable] == []
+
+
+def _reachable_arrays(obj, seen=None) -> list:
+    """Every numpy array reachable from obj through lists, tuples, partials
+    and the attributes of sums and supports, cached properties included."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return []
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, functools.partial):
+        obj = obj.args
+    elif isinstance(obj, (ExpSum, SupportSet)):
+        obj = list(vars(obj).values())
+    if isinstance(obj, (list, tuple)):
+        return [a for item in obj for a in _reachable_arrays(item, seen)]
+    return []
 
 
 class TestEvaluate:

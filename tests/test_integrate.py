@@ -255,6 +255,19 @@ class TestThreeVariables:
         assert r.value == pytest.approx(ref, abs=max(tol, tol * ref))
         assert _within_budget(r, q)
 
+    def test_reweightings_take_equal_cells(self):
+        # A reweighting a -> alpha_a e^<a, c> is a shift of x, so in frame
+        # coordinates these are one integral.  g(x0) = I/4 has one triple
+        # eigenvalue, and an eigenbasis frame rotated with the roundoff of
+        # x0: the same integral took between 736 and 1504 cells.
+        E = kostlan(3, 1)
+        cells = set()
+        for c in np.random.default_rng(0).uniform(-0.5, 0.5, (8, 3)):
+            r = esol_total(ExpSum(E.support.points, E.coeffs * np.exp(E.support.points @ c)), LOOSE)
+            assert r.value == pytest.approx(math.pi / 8.0, abs=1e-4)
+            cells.add(r.cells)
+        assert len(cells) == 1
+
     def test_node_budget_raises_with_partial_value(self, monkeypatch):
         monkeypatch.setattr(integrate, "MAX_NODES", 1000 * 33)
         with pytest.raises(ConvergenceError, match="node budget 33000") as info:
@@ -579,8 +592,11 @@ class TestMomentRoute:
         assert esol_pspace(moved).value == pytest.approx(math.pi / 8.0, rel=1e-12, abs=0.0)
 
     def test_three_variables_unsupported(self):
-        with pytest.raises(InputError):
-            esol_pspace(kostlan(3, 1))
+        # A planar support in R^3 is refused like a full-dimensional one,
+        # as the CLI refuses both; it once returned 0.
+        for E in (kostlan(3, 1), ExpSum([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]])):
+            with pytest.raises(InputError, match="two variables"):
+                esol_pspace(E)
 
     def test_degenerate_support_is_zero(self):
         assert esol_pspace(ExpSum([[2.0]])).value == 0.0

@@ -29,6 +29,7 @@ from sparse_kacrice import (
     region_scan,
     witness_interior,
 )
+from sparse_kacrice import expsum, monotonicity
 from sparse_kacrice.expsum import _batch_moments, _invert_moment_many
 from sparse_kacrice.geometry import DET_FLOOR, DUAL_COND_LIMIT
 from sparse_kacrice.monotonicity import BOUNDARY_BAND, _classify_psi
@@ -448,6 +449,14 @@ class TestLevelsetProjection:
     def test_tangent_restriction_matches(self):
         assert _levelset_residual(SQUARE, SQ_AUG, [0.7, -0.3]) < 1e-10
 
+#: Sums for the preimage-store tests: the points, the weights, an interior
+#: and an exterior a0, and a resolution.
+STORE_CASES = {
+    "three_terms": ([[0], [1], [3]], [1.0, 2.0, 1.0], [1.2], [4.0], 50),
+    "weighted_square": ([[0, 0], [1, 0], [0, 1], [1, 1]], [1.0, 0.7, 1.3, 0.9],
+                        [0.3, 0.6], [2.0, -1.0], 16),
+}
+
 
 class TestRegionScan:
     def test_moment_grid_contains_drop_region(self):
@@ -595,3 +604,83 @@ class TestRegionScan:
         rows = [line.split(",") for line in scan.to_csv().strip().split("\n")[1:]]
         want = np.stack(np.meshgrid(*scan.axes, indexing="ij"), axis=-1).reshape(-1, 2)
         np.testing.assert_array_equal([[float(r[0]), float(r[1])] for r in rows], want)
+
+
+class TestGridPreimages:
+    """A sum keeps the preimages of its last p-grid for every later a0."""
+
+    @pytest.mark.parametrize("where", ["interior", "exterior"])
+    @pytest.mark.parametrize("name", sorted(STORE_CASES))
+    def test_reuse_equals_a_fresh_sum(self, name, where):
+        points, coeffs, inner, outer, resolution = STORE_CASES[name]
+        first, then = (outer, inner) if where == "interior" else (inner, outer)
+        E = ExpSum(points, coeffs)
+        region_scan(E, Augmentation(first), resolution=resolution)
+        stored = E._grid_preimages
+        got = region_scan(E, Augmentation(then), resolution=resolution)
+        assert E._grid_preimages is stored
+        want = region_scan(ExpSum(points, coeffs), Augmentation(then), resolution=resolution)
+        assert got.psi.tobytes() == want.psi.tobytes()
+        np.testing.assert_array_equal(got.classes, want.classes)
+        assert (got.classes != "outside").any()
+
+    def test_each_grid_is_inverted_once(self, monkeypatch):
+        calls = []
+
+        def counted(E, P):
+            calls.append(len(P))
+            return _invert_moment_many(E, P)
+
+        monkeypatch.setattr(monotonicity, "_invert_moment_many", counted)
+        E = ExpSum(SQUARE.support.points)
+        narrow = [(0.1, 0.9), (0.0, 1.0)]
+        runs = [
+            ({"resolution": 8}, 1),
+            ({"resolution": 8}, 1),
+            ({"resolution": 8, "space": "x"}, 1),
+            ({"box": [(0.0, 1.0), (0.0, 1.0)], "resolution": 8}, 1),
+            ({"box": narrow, "resolution": 8}, 2),
+            ({"box": narrow, "resolution": 8}, 2),
+            ({"box": narrow, "resolution": (8, 9)}, 3),
+            ({"resolution": 8}, 4),
+        ]
+        for i, (kwargs, want) in enumerate(runs):
+            region_scan(E, Augmentation([0.3, 0.6] if i % 2 else [2.0, -1.0]), **kwargs)
+            assert len(calls) == want, kwargs
+        assert E._grid_preimages[0] == (((0.0, 1.0), (0.0, 1.0)), (8, 8))
+
+    def test_failed_nodes_stay_outside_on_reuse(self, monkeypatch):
+        points, coeffs, inner, outer, _ = STORE_CASES["weighted_square"]
+        E = ExpSum(points, coeffs)
+        # Four Newton iterations invert 64 of the 196 usable nodes.
+        monkeypatch.setattr(expsum, "INVERT_MAX_ITER", 4)
+        first = region_scan(E, Augmentation(inner), resolution=16)
+        monkeypatch.undo()
+        again = region_scan(E, Augmentation(outer), resolution=16)
+        fresh = region_scan(ExpSum(points, coeffs), Augmentation(outer), resolution=16)
+        failed = (first.classes == "outside") & (fresh.classes != "outside")
+        assert failed.any() and (first.classes != "outside").any()
+        np.testing.assert_array_equal(again.classes == "outside", first.classes == "outside")
+        assert np.isnan(again.psi[failed]).all()
+
+    def test_degenerate_metric_raises_again_on_reuse(self, monkeypatch):
+        # det g does not underflow at a preimage of a real grid, so the
+        # kernel's det g sum is made to vanish at one node.
+        real = monotonicity._simplex_sum
+
+        def flat_at_one_node(W, B, m):
+            total = real(W, B, m)
+            total[0] = 0.0
+            return total
+
+        monkeypatch.setattr(monotonicity, "_simplex_sum", flat_at_one_node)
+        E = ExpSum(SQUARE.support.points)
+        for a0 in ([0.3, 0.6], [2.0, -1.0]):
+            with pytest.raises(DegenerateMetricError):
+                region_scan(E, Augmentation(a0), resolution=8)
+        assert E._grid_preimages is not None
+        flat = ExpSum([[0, 0], [1, 1], [2, 2]])
+        for a0 in ([0.3, 0.6], [2.0, -1.0]):
+            with pytest.raises(DegenerateMetricError):
+                region_scan(flat, Augmentation(a0), resolution=8)
+        assert flat._grid_preimages is None
