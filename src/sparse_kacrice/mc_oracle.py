@@ -14,8 +14,17 @@ a sum with one term fewer and the same coefficient signs.  Recursing down
 to two terms, whose zero is closed-form, the zeros of each level split a
 per-draw root bound (outside it the leading or trailing term outweighs all
 others) into pieces on which the level above is monotone, so each piece
-holds at most one of its zeros, found by safeguarded Newton.  The zeros
-of f are the sign changes of f over its own pieces.
+holds at most one of its zeros, found by safeguarded Newton.
+
+The top level needs fewer of them.  On each piece of level 1 (the k - 1
+terms from the second on) that level is monotone, so ``exp(-b_1 x) f`` is
+unimodal there, with its extremum at the piece's level-1 zero.  Where f's
+signs at the piece's two ends strictly differ, the piece holds exactly one
+zero of f whatever the extremum's sign, so Newton runs only on the other
+level-1 brackets, those whose end signs agree or touch zero.  The zeros of
+f are then the strict sign changes along f's signs at minus infinity, the
+level-1 ends, the extrema located and plus infinity, plus the exact zeros
+among those points.
 
 Every array of the count is terms-major: a block of n draws of a k-term
 sum is held as C-contiguous log weights L and signs S of shape (k, n), one
@@ -30,7 +39,8 @@ of the level, which is nearly linear in x.
 Signs are evaluated overflow-safely (each value is scaled by its largest
 term; signs are unchanged) and results are reproducible: the sample
 stream is partitioned into fixed-size chunks with counter-based
-substreams, so results do not depend on how work is scheduled.
+substreams, so results do not depend on how work is scheduled.  One
+Philox bit generator serves a whole estimate, its counter set per chunk.
 """
 
 from __future__ import annotations
@@ -48,8 +58,11 @@ __all__ = ["McConfig", "sample_zero_count", "estimate_esol"]
 
 #: Samples per substream chunk (fixed, so the stream is scheduler-independent).
 CHUNK = 512
-#: Chunks counted together, so memory does not grow with the sample count.
-BLOCK_CHUNKS = 8
+#: Chunks counted together (8192 draws), so memory does not grow with the
+#: sample count.  The count keeps its working set to a few (terms, draws)
+#: arrays per block, which lets a block this size stay within the memory
+#: that blocks of 8 chunks took before.
+BLOCK_CHUNKS = 16
 #: Relative step size at which a Newton zero counts as converged, and the
 #: iteration cap (bisection alone would reach the tolerance well within it).
 NEWTON_TOL = 1e-13
@@ -84,16 +97,19 @@ def _sorted_terms(E: ExpSum):
 def _signs(b, L, S, X):
     """Signs of sum_j S_j exp(b_j x + L_j) at points X, shape (points, draws).
 
-    ``L`` and ``S`` are (terms, draws) and ``X`` is (points, draws).  The
-    block is built points-major, (points, terms, draws): every broadcast
-    then runs along whole draw rows instead of stepping over the short
-    points axis, and the sum over terms still adds contiguous rows.
+    ``L`` and ``S`` are (terms, draws) and ``X`` is (points, draws).  One
+    point is evaluated at a time, so the working set is a single
+    (terms, draws) array whose sum over terms adds contiguous rows.
     """
-    T = X[:, None, :] * b[:, None] + L
-    T -= T.max(axis=1, keepdims=True)
-    T = np.exp(T, out=T)
-    T *= S
-    return np.sign(T.sum(axis=1))
+    out = np.empty(X.shape)
+    for p, x in enumerate(X):
+        T = b[:, None] * x
+        T += L
+        T -= T.max(axis=0)
+        T = np.exp(T, out=T)
+        T *= S
+        np.sign(T.sum(axis=0), out=out[p])
+    return out
 
 
 def _pieces(b, L, S, crit):
@@ -136,12 +152,15 @@ def _newton(b, L, S, lo, hi, s_lo):
         for _ in range(NEWTON_STEPS):
             if idx.size == 0:
                 break
-            T = b[:, None] * x + L
+            T = b[:, None] * x
+            T += L
             T -= T.max(axis=0)
-            E = np.exp(T, out=T)
-            a, da = E.sum(axis=0), b @ E
-            E *= S
-            v, dv = E.sum(axis=0), b @ E
+            T = np.exp(T, out=T)
+            a, da = T.sum(axis=0), b @ T
+            T *= S
+            v, dv = T.sum(axis=0), b @ T
+            # freed here, not when the next iteration's block is built
+            del T
             left = np.sign(v) == s_lo
             lo, hi = np.where(left, x, lo), np.where(left, hi, x)
             r = v / a
@@ -165,10 +184,67 @@ def _newton(b, L, S, lo, hi, s_lo):
     return out
 
 
+def _level_zeros(b, L, S, crit):
+    """Zeros of one level of the cascade, (m - 1, draws) for m terms.
+
+    ``crit`` holds the zeros of the level below (see :func:`_pieces`).  Each
+    zero goes to its rank among its draw's sign-change pieces, so the result
+    is ascending in each draw with the absent zeros (inf) last.
+    """
+    ends, signs = _pieces(b, L, S, crit)
+    change = signs[:-1] * signs[1:] < 0
+    piece, draw = np.nonzero(change)
+    rank = np.cumsum(change, axis=0)[piece, draw] - 1
+    zeros = np.full((len(b) - 1, S.shape[1]), np.inf)
+    lo, hi = ends[piece, draw], ends[piece + 1, draw]
+    zeros[rank, draw] = _newton(
+        b, L.take(draw, axis=1), S.take(draw, axis=1), lo, hi, signs[piece, draw]
+    )
+    return zeros
+
+
+def _top_count(b, L, S, L1, crit):
+    """Zeros of f = sum_j S_j exp(b_j x + L_j) per draw, given level 1.
+
+    ``L1`` holds the log weights of level 1, the last k - 1 terms, and
+    ``crit`` the zeros of level 2, which end level 1's pieces.  On each
+    piece, ``exp(-b[0] x) f`` is unimodal, so a piece whose f-signs at its
+    ends strictly differ holds exactly one zero of f and its extremum is
+    not located.  A piece with an exact zero at an end still needs it.
+    """
+    S1 = S[1:]
+    ends, signs = _pieces(b[1:], L1, S1, crit)
+    fs = _signs(b, L, S, ends)
+    need = (signs[:-1] * signs[1:] < 0) & ~(fs[:-1] * fs[1:] < 0)
+    piece, draw = np.nonzero(need)
+    lo, hi = ends[piece, draw], ends[piece + 1, draw]
+    x = _newton(b[1:], L1.take(draw, axis=1), S1.take(draw, axis=1), lo, hi, signs[piece, draw])
+    fx = _signs(b, L.take(draw, axis=1), S.take(draw, axis=1), x[None])[0]
+    # f's signs in x order: S_0 at minus infinity, the ends, S_{k-1} at plus
+    # infinity; a located extremum splits its piece, whose ends' signs do
+    # not strictly differ, into two
+    f_lo, f_hi = fs[piece, draw], fs[piece + 1, draw]
+    split = np.concatenate([draw[f_lo * fx < 0], draw[fx * f_hi < 0], draw[fx == 0]])
+    # a level-2 zero clipped to (or absent and set to) an outer end repeats
+    # that end, where an exact zero of f counts once
+    zero = fs == 0
+    zero[1:] &= ends[1:] != ends[:-1]
+    return (
+        zero.sum(axis=0)
+        + (fs[:-1] * fs[1:] < 0).sum(axis=0)
+        + (S[0] * fs[0] < 0)
+        + (fs[-1] * S[-1] < 0)
+        + np.bincount(split, minlength=S.shape[1])
+    )
+
+
 def _rolle_count(b, L, S):
     """Zeros of sum_j S_j exp(b_j x + L_j) per draw, for at least 3 terms.
 
     ``L`` and ``S`` are (terms, draws), C-contiguous; the result is (draws,).
+    Each level below the top passes its zeros up (:func:`_level_zeros`);
+    the top level locates only the extrema that can change its count
+    (:func:`_top_count`).
     """
     # Level i holds the terms from i on, the last k - i rows: the derivative
     # of exp(-b_{i-1} x) times level i - 1, whose coefficients gain the
@@ -178,42 +254,42 @@ def _rolle_count(b, L, S):
         Ls.append(Ls[-1][1:] + np.log(b[i:] - b[i - 1])[:, None])
     L2 = Ls.pop()
     crit = np.where(S[-2] != S[-1], (L2[0] - L2[1]) / (b[-1] - b[-2]), np.inf)[None, :]
-    for Li in reversed(Ls[1:]):
+    if len(b) == 3:
+        # level 1 is the two-term level, whose zero is already closed-form
+        _, signs = _pieces(b, L, S, crit)
+        return (signs == 0).sum(axis=0) + (signs[:-1] * signs[1:] < 0).sum(axis=0)
+    # each level is dropped once the level above has its zeros
+    del L2
+    while len(Ls) > 2:
+        Li = Ls.pop()
         m = len(Li)
-        bi, Si = b[-m:], S[-m:]
-        ends, signs = _pieces(bi, Li, Si, crit)
-        # each zero goes to its rank among its draw's sign-change pieces,
-        # so crit reaches the next level ascending, absent zeros last
-        change = signs[:-1] * signs[1:] < 0
-        piece, draw = np.nonzero(change)
-        rank = np.cumsum(change, axis=0)[piece, draw] - 1
-        crit = np.full((m - 1, S.shape[1]), np.inf)
-        lo, hi = ends[piece, draw], ends[piece + 1, draw]
-        crit[rank, draw] = _newton(
-            bi, Li.take(draw, axis=1), Si.take(draw, axis=1), lo, hi, signs[piece, draw]
-        )
-    _, signs = _pieces(b, L, S, crit)
-    return (signs == 0).sum(axis=0) + (signs[:-1] * signs[1:] < 0).sum(axis=0)
+        crit = _level_zeros(b[-m:], Li, S[-m:], crit)
+    return _top_count(b, L, S, Ls[1], crit)
 
 
 def _count_zeros(b, w, C):
     """Real zeros of sum_j C[j, r] exp(b_j x + w_j) for each draw r, b ascending.
 
-    ``C`` is (terms, draws), one column per draw.  The draws that need the
-    cascade are gathered with ``take``, which keeps them C-contiguous.
+    ``C`` is (terms, draws), one column per draw.  Descartes' sign changes
+    come from a bool array; only the draws that need the cascade get float
+    signs and log weights, gathered with ``take``, which keeps them
+    C-contiguous.
     """
     counts = np.zeros(C.shape[1], dtype=np.int64)
     sparse = np.any(C == 0.0, axis=0)
     for r in np.flatnonzero(sparse):
         keep = C[:, r] != 0.0
         counts[r] = _count_zeros(b[keep], w[keep], C[keep, r : r + 1])[0]
-    S = np.sign(C)
-    changes = (S[1:] != S[:-1]).sum(axis=0)
+    neg = C < 0.0
+    changes = (neg[1:] != neg[:-1]).sum(axis=0)
     counts[~sparse] = changes[~sparse]
     hard = np.flatnonzero(~sparse & (changes > 1))
     if hard.size:
-        L = np.log(np.abs(C.take(hard, axis=1))) + w[:, None]
-        counts[hard] = _rolle_count(b, L, S.take(hard, axis=1))
+        H = C.take(hard, axis=1)
+        S = np.sign(H)
+        L = np.log(np.abs(H, out=H), out=H)
+        L += w[:, None]
+        counts[hard] = _rolle_count(b, L, S)
     return counts
 
 
@@ -232,14 +308,28 @@ def sample_zero_count(E: ExpSum, coeffs_draw) -> int:
     return int(_count_zeros(b, w, xi[order][:, None])[0])
 
 
-def _chunk_draws(E: ExpSum, seed: int, chunk_index: int) -> np.ndarray:
-    """Standard normal draws for one fixed-size chunk, from its own substream.
+def _draw_blocks(order, seed: int, n: int):
+    """Standard normal draws for n samples, (terms, draws) blocks in turn.
 
-    The substream is ``Philox(key=seed).jumped(chunk_index)``, built
-    directly at its counter: a jump advances the third counter word by one.
+    Row i of a block holds term ``order[i]``.  A block holds up to
+    ``BLOCK_CHUNKS`` chunks; the last one is cut to n draws.  Chunk c comes
+    from its own substream, ``Philox(key=seed).jumped(c)``: a jump
+    advances the third counter word by one, so one bit generator serves
+    every chunk, set to the counter [0, 0, c, 0] with an empty buffer
+    before the chunk is drawn.
     """
-    rng = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, chunk_index, 0]))
-    return rng.standard_normal((E.n_terms, CHUNK))
+    bits = np.random.Philox(key=seed)
+    rng = np.random.Generator(bits)
+    state = bits.state
+    n_chunks = (n + CHUNK - 1) // CHUNK
+    for first in range(0, n_chunks, BLOCK_CHUNKS):
+        chunks = range(first, min(first + BLOCK_CHUNKS, n_chunks))
+        block = np.empty((len(order), len(chunks) * CHUNK))
+        for j, c in enumerate(chunks):
+            state["state"]["counter"][2] = c
+            bits.state = state
+            block[:, j * CHUNK : (j + 1) * CHUNK] = rng.standard_normal((len(order), CHUNK))[order]
+        yield block[:, : n - first * CHUNK]
 
 
 def estimate_esol(E: ExpSum, cfg: McConfig | None = None) -> tuple[float, float]:
@@ -247,18 +337,15 @@ def estimate_esol(E: ExpSum, cfg: McConfig | None = None) -> tuple[float, float]
 
     Every sample's zeros are counted exactly, as in
     :func:`sample_zero_count`, over the whole real line; there is no scan
-    interval.  Draws are counted in blocks of ``BLOCK_CHUNKS`` chunks and
-    only a histogram of counts is kept.
+    interval.  Draws come from one Philox generator per estimate, chunk by
+    chunk (:func:`_draw_blocks`), and are counted in blocks of
+    ``BLOCK_CHUNKS`` chunks; only a histogram of counts is kept.
     """
     order, b, w = _sorted_terms(E)
     cfg = cfg or McConfig()
     n = cfg.n_samples
-    n_chunks = (n + CHUNK - 1) // CHUNK
     tally = np.zeros(E.n_terms, dtype=np.int64)
-    for first in range(0, n_chunks, BLOCK_CHUNKS):
-        chunks = range(first, min(first + BLOCK_CHUNKS, n_chunks))
-        xi = np.concatenate([_chunk_draws(E, cfg.seed, c) for c in chunks], axis=1)
-        xi = xi[order, : n - first * CHUNK]
+    for xi in _draw_blocks(order, cfg.seed, n):
         tally += np.bincount(_count_zeros(b, w, xi), minlength=E.n_terms)
     s1 = int(tally @ np.arange(E.n_terms))
     s2 = int(tally @ np.arange(E.n_terms) ** 2)

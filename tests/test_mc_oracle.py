@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -18,7 +19,7 @@ from sparse_kacrice import (
     sample_zero_count,
 )
 from sparse_kacrice import mc_oracle
-from sparse_kacrice.mc_oracle import CHUNK, _chunk_draws
+from sparse_kacrice.mc_oracle import BLOCK_CHUNKS, CHUNK, _draw_blocks
 
 TWO_TERM = ExpSum([[0.0], [1.0]])
 THREE_TERM = ExpSum([[0.0], [1.0], [2.0]])
@@ -144,9 +145,18 @@ class TestEstimate:
         b = estimate_esol(TWO_TERM, cfg)
         assert a == b
 
-    @pytest.mark.parametrize("seed", [0, 3, 12345, 2**31 - 1])
+    @pytest.mark.parametrize("seed", [0, 3, 12345, 2**31 - 1, 2**128 - 1])
     def test_chunk_stream_is_the_jumped_philox_stream(self, seed):
-        for chunk in (0, 1, 7, 39, 1000):
+        # one generator per estimate, its counter set per chunk, draws what
+        # a fresh generator at that counter and the jumped stream draw; the
+        # blocks span several and end in a partial one
+        n = 2 * BLOCK_CHUNKS * CHUNK + 3 * CHUNK + 100
+        got = np.concatenate(list(_draw_blocks(np.arange(THREE_TERM.n_terms), seed, n)), axis=1)
+        assert got.shape == (THREE_TERM.n_terms, n)
+        for chunk in range(-(-n // CHUNK)):
+            want = _chunk_draws(THREE_TERM, seed, chunk)[:, : n - chunk * CHUNK]
+            np.testing.assert_array_equal(got[:, chunk * CHUNK : (chunk + 1) * CHUNK], want)
+        for chunk in (0, 1, 7, 35, 1000):
             jumped = np.random.Generator(np.random.Philox(key=seed).jumped(chunk))
             want = jumped.standard_normal((THREE_TERM.n_terms, CHUNK))
             np.testing.assert_array_equal(_chunk_draws(THREE_TERM, seed, chunk), want)
@@ -260,6 +270,101 @@ class TestPinnedEstimates:
     )
     def test_estimate_is_pinned(self, E, seed, want):
         assert estimate_esol(E, McConfig(n_samples=10_000, seed=seed)) == want
+
+    @pytest.mark.parametrize(
+        "E, seed, want",
+        [
+            (TWO_TERM, 21, (0.498, 0.003535594012503566)),
+            (kostlan(1, 2), 22, (0.70935, 0.004561213556549992)),
+            (kostlan(1, 4), 23, (1.00385, 0.005467015025373937)),
+            (ExpSum([[0.0], [math.sqrt(2)], [math.pi]], [1, 2, 1]), 24, (0.7558, 0.004722227543400316)),
+        ],
+        ids=["two-term", "kostlan(1,2)", "kostlan(1,4)", "real-exponent"],
+    )
+    def test_multi_block_estimate_is_pinned(self, E, seed, want):
+        # 20 000 draws span several blocks and end in a partial one
+        assert 20_000 > 2 * BLOCK_CHUNKS * CHUNK and 20_000 % (BLOCK_CHUNKS * CHUNK)
+        assert estimate_esol(E, McConfig(n_samples=20_000, seed=seed)) == want
+
+
+class TestTopLevelRule:
+    """On each piece of level 1, exp(-b_0 x) f is unimodal with its
+    extremum at the piece's level-1 zero, so the top level locates that
+    extremum only where f's signs at the piece's ends do not strictly
+    differ.  The draws are for e^{jx}, j < k, and each puts a piece with a
+    level-1 zero in the named case; ``want`` is the number of positive
+    roots of sum_j draw_j u^j."""
+
+    CASES = {
+        "k4-signs-differ": ((-1, -1, 1, 1), 1),
+        "k4-agree-two-zeros": ((-2, 1, 2, -1), 2),
+        "k4-agree-no-zero": ((-1, -1, -1, 1), 1),
+        # a zero of f at x = log 2, level 1's root bound
+        "k4-zero-at-end": ((-2, 3, 3, -2), 2),
+        "k5-signs-differ": ((-1, -1, -1, -1, 1), 1),
+        "k5-agree-two-zeros": ((-2, 1, 1, 1, -1), 2),
+        "k5-agree-no-zero": ((-1, -1, 1, 1, -1), 0),
+        # a zero of f at x = 0, level 1's root bound
+        "k5-zero-at-end": ((-1, 1, 2, 1, -3), 2),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_count_matches_dense_grid(self, name):
+        draw, want = self.CASES[name]
+        b = np.arange(len(draw), dtype=float)
+        assert sample_zero_count(ExpSum(b[:, None]), draw) == want
+        assert _grid_zero_count(b, np.array(draw, dtype=float)) == want
+
+    def test_top_call_gets_only_brackets_whose_f_signs_agree(self, monkeypatch):
+        calls, newton = [], mc_oracle._newton
+
+        def record(b, L, S, lo, hi, s_lo):
+            calls.append((len(b), lo, hi))
+            return newton(b, L, S, lo, hi, s_lo)
+
+        monkeypatch.setattr(mc_oracle, "_newton", record)
+        rng = np.random.default_rng(4)
+        draws = [np.array(draw, dtype=float) for draw, _ in self.CASES.values()]
+        draws += list(rng.standard_normal((200, 4))) + list(rng.standard_normal((200, 5)))
+        located = 0
+        for draw in draws:
+            b = np.arange(draw.size, dtype=float)
+            calls.clear()
+            sample_zero_count(ExpSum(b[:, None]), draw)
+            for m, lo, hi in calls:
+                if m == draw.size - 1:
+                    assert np.all(_f_signs(b, draw, lo) * _f_signs(b, draw, hi) >= 0)
+                    located += lo.size
+        assert located > 0
+
+
+class TestBlockMemory:
+    def test_block_working_set(self):
+        # a block of 8192 draws of a 5-term sum, with the cascade's arrays
+        # held terms by draws; about 2.95 MB when measured
+        E, cfg = kostlan(1, 4), McConfig(n_samples=20_000, seed=3)
+        estimate_esol(E, McConfig(n_samples=1000, seed=3))
+        tracemalloc.start()
+        try:
+            estimate_esol(E, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5e6
+
+
+def _f_signs(b, draw, X):
+    """Signs of sum_j draw_j e^{b_j x} at the points X, each scaled by its
+    largest term, as the count evaluates them."""
+    T = b[:, None] * X + np.log(np.abs(draw))[:, None]
+    T -= T.max(axis=0)
+    return np.sign((np.sign(draw)[:, None] * np.exp(T)).sum(axis=0))
+
+
+def _chunk_draws(E, seed, chunk_index):
+    """The draws of one chunk from a fresh generator at its counter."""
+    rng = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, chunk_index, 0]))
+    return rng.standard_normal((E.n_terms, CHUNK))
 
 
 def _grid_zero_count(b, draw, per_unit=500):
