@@ -127,6 +127,10 @@ class ExpSum:
         # :func:`.monotonicity.region_scan`: ((box, resolution), node
         # indices, X), read-only; None until the first such scan.
         self._grid_preimages = None
+        # The last added exponent's cone-determinant block, kept by
+        # :func:`.monotonicity._psi_many`: (a_0 bytes, M), M read-only; None
+        # until the first Psi evaluation.
+        self._cone_block = None
 
     @cached_property
     def _centred(self) -> tuple[np.ndarray, "ExpSum"]:
@@ -135,13 +139,23 @@ class ExpSum:
         the softmax weights and preimages and moves mu by -c, which on the
         copy carries eps * diam(P) of rounding, not eps * |a|.  Targets are
         translated once, on the way in, never back; densities read E's own
-        Cauchy-Binet block (D_S is translation-invariant).  The copy is its
-        own centred copy, with c = 0.  Both c and that 0 are read-only."""
+        Cauchy-Binet block (D_S is translation-invariant).
+
+        The copy shares E's read-only ``coeffs`` and ``log_coeffs`` and skips
+        the validation E passed: its support holds the translated points
+        without a second distinctness check.  It keeps its own cached
+        diameter and balancing point (:attr:`_newton_start`), taken from the
+        translated points.  The copy is its own centred copy, with c = 0.
+        Both c and that 0 are read-only."""
         c = self.support.points.mean(axis=0)
-        copy = ExpSum(self.support.points - c, self.coeffs)
+        points = self.support.points - c
         zero = np.zeros_like(c)
-        c.flags.writeable = zero.flags.writeable = False
-        copy._centred = (zero, copy)
+        for array in (c, points, zero):
+            array.flags.writeable = False
+        support, copy = object.__new__(SupportSet), object.__new__(ExpSum)
+        support.points = points
+        vars(copy).update(support=support, coeffs=self.coeffs, log_coeffs=self.log_coeffs,
+                          _grid_preimages=None, _cone_block=None, _centred=(zero, copy))
         return c, copy
 
     @cached_property
@@ -471,12 +485,14 @@ def _invert_moment_many(E: ExpSum, P: np.ndarray):
     P = np.atleast_2d(np.asarray(P, dtype=float))
     p = np.subtract(P.T, c[:, None], order="C")
     x0, mu0, G0 = E._newton_start
-    X = np.tile(x0, (P.shape[0], 1))
+    X = np.repeat(x0[None], P.shape[0], axis=0)
     res2 = ((mu0[:, None] - p) ** 2).sum(axis=0)
     tol2 = (INVERT_TOL * (1.0 + diameter(E.support))) ** 2
     far = res2 > tol2
     idx = np.flatnonzero(far)
     n = idx.size
+    if n == 0:
+        return X, res2 <= tol2
     p, r2 = p.compress(far, axis=1), res2.compress(far)
     x, mu = np.repeat(x0[:, None], n, axis=1), np.repeat(mu0[:, None], n, axis=1)
     G = np.repeat(G0[:, :, None], n, axis=2)
@@ -492,15 +508,16 @@ def _invert_moment_many(E: ExpSum, P: np.ndarray):
         r2_t = ((mu_t - p) ** 2).sum(axis=0)
         accepted = ok & (r2_t < r2)
         stay = held & ~accepted
+        todo = ()
         if stay.any():
             for new, old in ((trial, x), (mu_t, mu), (G_t, G), (r2_t, r2)):
                 np.copyto(new, old, where=stay)
+            # Backtrack only the held rows whose full step did not lower the residual.
+            todo = np.flatnonzero(ok & stay)
         x, mu, G, r2 = trial, mu_t, G_t, r2_t
-        # Backtrack only the held rows whose full step did not lower the residual.
-        todo = np.flatnonzero(ok & stay)
         step = 1.0
         for _ in range(44):
-            if todo.size == 0:
+            if len(todo) == 0:
                 break
             step *= 0.5
             trial = x[:, todo] + step * delta[:, todo]
@@ -517,7 +534,7 @@ def _invert_moment_many(E: ExpSum, P: np.ndarray):
             continue
         out = idx.compress(done)
         X[out], res2[out] = x.compress(done, axis=1).T, r2.compress(done)
-        held &= ~done
+        held ^= done  # done rows are held rows
         n = np.count_nonzero(held)
         if 2 * n <= held.size:
             idx, x, p, mu, G, r2 = (a.compress(held, axis=-1) for a in (idx, x, p, mu, G, r2))

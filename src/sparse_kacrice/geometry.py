@@ -474,14 +474,13 @@ def _cholesky_solve(G: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarra
     factorization fails; those columns of X hold NaN.
     """
     m = G.shape[0]
-    ok = np.ones(G.shape[-1], dtype=bool)
     L = [[None] * m for _ in range(m)]
     for j in range(m):
         pivot = G[j, j]
         for k in range(j):
             pivot = pivot - L[j][k] * L[j][k]
         positive = pivot > 0.0
-        ok &= positive
+        ok = positive if j == 0 else ok & positive
         root = np.sqrt(np.where(positive, pivot, np.nan))
         L[j][j] = root
         for i in range(j + 1, m):

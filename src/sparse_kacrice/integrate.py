@@ -32,13 +32,24 @@ fourth difference.  Each pair is one node set with a weight column per
 rule, built once per dimension (``_cell_rule``), so every batch of cells
 costs one integrand call.  The nodes of a batch go to the integrand
 coordinate-major, as one (m, N) array, the layout of the kernel's
-:func:`.expsum._softmax`.  The cells live in growable arrays; each pass
-halves the worst of them, 16 a pass for the Gauss-Legendre pairs and 64
-for Genz-Malik, chosen and ordered as a heap keyed on error would pop
-them, until the summed cell error, plus the newest shell's value when the
-region grows, meets one budget max(abs_tol, rel_tol |total|); the leaf
+:func:`.expsum._softmax`.  The cells are the rows of one growable array;
+each pass halves the worst of them, 16 a pass for the Gauss-Legendre pairs
+and 64 for Genz-Malik, chosen and ordered as a heap keyed on error would
+pop them, until the summed cell error, plus the newest shell's value when
+the region grows, meets one budget max(abs_tol, rel_tol |total|); the leaf
 cells may hold at most ``MAX_NODES`` integrand nodes.  Final sums are
 compensated (math.fsum), so results do not depend on evaluation order.
+
+What a solve builds, and how often:
+
+* once per sum, cached on it and read by every later solve: the rank
+  test, the centred copy (``ExpSum._centred``) with its balancing point
+  and diameter, and the Cauchy-Binet block of the density;
+* once per solve: the frame (x0, W and the Jacobian) and the cell store;
+* once per integrand call: one (m, N) node array, written in place, one
+  frame-mapped copy of it on the x route, and the kernel's own arrays;
+* once per pass: one gather of the popped rows, the rows of their
+  children and one push of them.
 """
 
 from __future__ import annotations
@@ -52,7 +63,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import ConvergenceError, InputError
-from .expsum import ExpSum, _batch_moments, _invert_moment_many, _legendre_density_many, density_many
+from .expsum import ExpSum, _invert_moment_many, _legendre_density_many, _moments, _softmax, density_many
 # ``invert_moment`` is imported for perfbench's tracer, which wraps it as an
 # integrate boundary; nothing here calls it.
 from .expsum import invert_moment  # noqa: F401
@@ -232,18 +243,23 @@ def _cell_rule(m):
 def _apply_rule(nodes, weights, f, los, his):
     """Value, error and split axis of each cell (los, his), each (C, m),
     from one call of f on the (m, C n) array of every cell's nodes, cell
-    by cell; see :func:`_cell_rule`."""
+    by cell; see :func:`_cell_rule`.  The nodes are built in one array,
+    half-width times rule node and then plus the centre, in place; los and
+    his may be column views of the cell store's rows."""
     m, n = nodes.shape
-    half = 0.5 * (his - los)
-    pts = (0.5 * (his + los)).T[:, :, None] + half.T[:, :, None] * nodes[:, None, :]
+    width = his - los
+    half = 0.5 * width
+    pts = np.multiply(half.T[:, :, None], nodes[:, None, :], out=np.empty((m, len(los), n)))
+    pts += (0.5 * (his + los)).T[:, :, None]
     vals = f(pts.reshape(m, -1)).reshape(len(los), n)
-    sums = np.prod(half, axis=1) * (vals @ weights).T
+    sums = np.multiply.reduce(half, axis=1) * (vals @ weights).T
     if m < 3:
-        axes = np.argmax(his - los, axis=1)
+        axes = width.argmax(axis=1)
     else:
         # The Jacobian scales a cell's differences alike, so it leaves the argmax.
-        axes = np.argmax(np.abs(sums[2:]), axis=0)
-    return sums[0], np.abs(sums[0] - sums[1]), axes
+        axes = np.abs(sums[2:]).argmax(axis=0)
+    errs = np.subtract(sums[0], sums[1])
+    return sums[0], np.abs(errs, out=errs), axes
 
 
 def _seed_grid(box, per_axis):
@@ -278,66 +294,59 @@ def _shell_cells(r, m):
 
 
 class _Cells:
-    """The cells of one adaptive integral in insertion order: growable
-    arrays of lower and upper corners, values, errors and split axes.
+    """The cells of one adaptive integral in insertion order, as the rows of
+    one growable (rows, 2m + 3) array: lower corner, upper corner, value,
+    error and split axis.  A push is one write of such rows and a pop one
+    gather.
 
     A popped cell stays in place with error -inf until popped cells make up
     half of the rows in use; they are then packed away, order kept."""
 
     def __init__(self, m):
-        self.lo, self.hi = np.empty((64, m)), np.empty((64, m))
-        self.value, self.error = np.empty(64), np.empty(64)
-        self.axis = np.empty(64, dtype=np.intp)
+        self.data = np.empty((64, 2 * m + 3))
         self.rows = self.live = 0
 
-    def _arrays(self):
-        return self.lo, self.hi, self.value, self.error, self.axis
-
-    def push(self, lo, hi, value, error, axis):
-        """Append cells after every cell held."""
-        start, count = self.rows, len(value)
-        if start + count > len(self.value):
-            size = max(2 * len(self.value), start + count)
-            grown = []
-            for arr in self._arrays():
-                new = np.empty((size,) + arr.shape[1:], dtype=arr.dtype)
-                new[:start] = arr[:start]
-                grown.append(new)
-            self.lo, self.hi, self.value, self.error, self.axis = grown
-        for arr, new in zip(self._arrays(), (lo, hi, value, error, axis)):
-            arr[start:start + count] = new
+    def push(self, block):
+        """Append the cells of block, (count, 2m + 3), after every cell held."""
+        start, count = self.rows, len(block)
+        if start + count > len(self.data):
+            grown = np.empty((max(2 * len(self.data), start + count), self.data.shape[1]))
+            grown[:start] = self.data[:start]
+            self.data = grown
+        self.data[start:start + count] = block
         self.rows, self.live = start + count, self.live + count
 
     def pop(self, count):
         """Remove the ``count`` worst cells (every cell, when fewer are held)
-        and return their (lo, hi, value, error, axis), ordered by error
-        downwards and, among equal errors, by insertion: the order in which
-        a heap keyed on (-error, insertion) pops them.  Equal errors at the
-        cut also go to the earliest-inserted cells."""
-        error = self.error[:self.rows]
+        and return their rows, ordered by error downwards and, among equal
+        errors, by insertion: the order in which a heap keyed on (-error,
+        insertion) pops them.  Equal errors at the cut also go to the
+        earliest-inserted cells."""
+        error = self.data[:self.rows, -2]
         if count >= self.live:
             idx = np.flatnonzero(error >= 0.0)
         else:
+            # The kth-order error leads the partitioned tail: the cut.
             idx = np.argpartition(error, self.rows - count)[self.rows - count:]
-            cut = error[idx].min()
+            worst = error[idx]
+            cut = worst[0]
             if np.count_nonzero(error >= cut) > count:
-                above = idx[error[idx] > cut]
+                above = idx[worst > cut]
                 idx = np.concatenate([above, np.flatnonzero(error == cut)[:count - len(above)]])
         idx = idx[np.lexsort((idx, -error[idx]))]
-        batch = tuple(arr[idx] for arr in self._arrays())
+        batch = self.data[idx]
         error[idx] = -np.inf
         self.live -= len(idx)
         if 2 * self.live <= self.rows:
-            held = error >= 0.0
-            for arr in self._arrays():
-                arr[:self.live] = arr[:self.rows][held]
+            self.data[:self.live] = self.data[:self.rows][error >= 0.0]
             self.rows = self.live
         return batch
 
     def held(self):
         """Values and errors of the cells held, as lists."""
-        held = self.error[:self.rows] >= 0.0
-        return self.value[:self.rows][held].tolist(), self.error[:self.rows][held].tolist()
+        block = self.data[:self.rows]
+        block = block[block[:, -2] >= 0.0]
+        return block[:, -3].tolist(), block[:, -2].tolist()
 
 
 def _adaptive(f, los, his, abs_tol, rel_tol, grow=False):
@@ -348,10 +357,14 @@ def _adaptive(f, los, his, abs_tol, rel_tol, grow=False):
     Each cell carries its value, error and split axis from ``_cell_rule``,
     in an array-backed store (:class:`_Cells`); each pass halves the
     rule's number of worst cells, and the running totals drop them in
-    order of error, as a heap would pop them.  With ``grow`` the seeds
-    tile a cube [-r, r]^m and the region grows over R^m: a shell enters
-    the store while the newest one's value exceeds the summed cell error,
-    and that value counts as the error of truncating there.  Raises
+    order of error, as a heap would pop them.  A pass builds its children
+    as store rows, two per popped cell, by copying the popped rows and
+    moving one bound of each to the midpoint; the rule reads their corners
+    in place, their value, error and axis are written into the same rows,
+    and one push stores them.  With ``grow`` the seeds tile a cube
+    [-r, r]^m and the region grows over R^m: a shell enters the store
+    while the newest one's value exceeds the summed cell error, and that
+    value counts as the error of truncating there.  Raises
     ConvergenceError with the partial value when the integrand is not
     finite (the value then sums the finite cells), when the leaf cells
     hold ``MAX_NODES`` integrand nodes, or when the error budget lies below
@@ -361,22 +374,34 @@ def _adaptive(f, los, his, abs_tol, rel_tol, grow=False):
     per_cell, per_pass, rule = _cell_rule(m)
     cells = _Cells(m)
     evaluated = 0
+    axis_ids = np.arange(m)
 
-    def push(los, his):
-        """Evaluate cells, store them; returns sums of value, error and |value|."""
+    def push(block):
+        """Evaluate the cells whose corners fill block's first 2m columns,
+        fill in the rest and store them; returns sums of value, error and
+        |value|."""
         nonlocal evaluated
-        values, errs, axes = rule(f, los, his)
+        values, errs, axes = rule(f, block[:, :m], block[:, m:-3])
         evaluated += len(values)
-        finite = np.isfinite(errs)
-        if not finite.all():
-            raise ConvergenceError(
-                f"integrand is not finite on {int((~finite).sum())} of {len(errs)} new cells",
-                value=math.fsum(cells.held()[0]) + math.fsum(values[finite]),
-            )
-        cells.push(los, his, values, errs, axes)
-        return float(values.sum()), float(errs.sum()), float(np.abs(values).sum())
+        err = float(errs.sum())
+        # A finite sum has finite terms: only a non-finite one needs the test.
+        if not math.isfinite(err):
+            finite = np.isfinite(errs)
+            if not finite.all():
+                raise ConvergenceError(
+                    f"integrand is not finite on {int((~finite).sum())} of {len(errs)} new cells",
+                    value=math.fsum(cells.held()[0]) + math.fsum(values[finite]),
+                )
+        block[:, -3], block[:, -2], block[:, -1] = values, errs, axes
+        cells.push(block)
+        return float(values.sum()), err, float(np.abs(values).sum())
 
-    total, error, mass = push(los, his)
+    def seeded(los, his):
+        block = np.empty((len(los), 2 * m + 3))
+        block[:, :m], block[:, m:-3] = los, his
+        return push(block)
+
+    total, error, mass = seeded(los, his)
     # The tail is unknown until a first shell measures it.
     shell, radius, shells = (math.inf if grow else 0.0), float(his.max()), 0
     while error + abs(shell) > max(abs_tol, rel_tol * abs(total), ROUNDOFF * mass):
@@ -387,7 +412,7 @@ def _adaptive(f, los, his, abs_tol, rel_tol, grow=False):
                     value=total,
                     residual=abs(shell),
                 )
-            shell, de, dm = push(*_shell_cells(radius, m))
+            shell, de, dm = seeded(*_shell_cells(radius, m))
             total, error, mass = total + shell, error + de, mass + dm
             radius, shells = 2.0 * radius, shells + 1
             continue
@@ -397,16 +422,16 @@ def _adaptive(f, los, his, abs_tol, rel_tol, grow=False):
                 value=total,
                 residual=error + abs(shell),
             )
-        lo, hi, values, errs, axes = cells.pop(per_pass)
-        for value, err in zip(values.tolist(), errs.tolist()):
+        batch = cells.pop(per_pass)
+        for value, err in batch[:, -3:-1].tolist():
             total, error, mass = total - value, error - err, mass - abs(value)
-        split = (np.arange(len(axes)), axes)
-        lo_mid, hi_mid = lo.copy(), hi.copy()
-        lo_mid[split] = hi_mid[split] = 0.5 * (lo[split] + hi[split])
         # Children in the order (lo, hi_mid), (lo_mid, hi) per popped cell.
-        child_los = np.stack([lo, lo_mid], axis=1).reshape(-1, m)
-        child_his = np.stack([hi_mid, hi], axis=1).reshape(-1, m)
-        dv, de, dm = push(child_los, child_his)
+        split = batch[:, -1:] == axis_ids
+        mid = 0.5 * (batch[:, :m] + batch[:, m:-3])
+        children = np.repeat(batch, 2, axis=0)
+        np.copyto(children[0::2, m:-3], mid, where=split)
+        np.copyto(children[1::2, :m], mid, where=split)
+        dv, de, dm = push(children)
         total, error, mass = total + dv, error + de, mass + dm
 
     if error + abs(shell) > max(abs_tol, rel_tol * abs(total)):
@@ -433,22 +458,31 @@ def _over_rm(f, E: ExpSum, abs_tol, rel_tol):
     rotate the frame and reorder the cells.  An inversion
     that fails raises ConvergenceError, with the residual read from the
     same row as g(x0), before any cell is integrated.
+
+    The frame is built once per solve, from the sum's cached centred copy;
+    each integrand call then writes W Y into a new array, adds x0 and
+    scales f's values by the Jacobian, both in place, and calls f once.
     """
     c = E._centred[0]
     X, ok = _invert_moment_many(E, c[None])
-    _, _, mu, G = _batch_moments(E, X)
+    x0 = X.T
+    _, mu, G = _moments(E, *_softmax(E, x0)[1:])
     if not ok[0]:
-        residual = float(np.linalg.norm(mu[0] - c))
+        residual = float(np.linalg.norm(mu[:, 0] - c))
         message = f"no frame over R^m: damped Newton stopped at residual {residual:.3e}"
         raise ConvergenceError(message, residual=residual)
-    x0 = X[0]
-    L = np.linalg.cholesky(G[0])
+    L = np.linalg.cholesky(G[..., 0])
     W = np.linalg.inv(L).T
-    jac = 1.0 / float(np.prod(np.diag(L)))
-    return _adaptive(
-        lambda Y: jac * f(x0[:, None] + W @ Y), *_cube_cells(AUTO_RADIUS, E.dim), abs_tol, rel_tol,
-        grow=True,
-    )
+    jac = 1.0 / math.prod(L.diagonal().tolist())
+
+    def frame(Y):
+        X = np.matmul(W, Y, out=np.empty_like(Y))
+        X += x0
+        values = f(X)
+        values *= jac
+        return values
+
+    return _adaptive(frame, *_cube_cells(AUTO_RADIUS, E.dim), abs_tol, rel_tol, grow=True)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,9 @@ this route; the test suite checks it against one that does.
 A moment-coordinate region scan inverts its grid once per sum: the sum
 keeps the preimages of its last p-grid (m N floats and N node indices)
 and every later scan of that grid, under any added exponent, evaluates
-Psi on them alone.  Scanning another grid replaces them.
+Psi on them alone.  Scanning another grid replaces them.  Likewise the
+sum keeps the cone-determinant block of its last added exponent, which
+every Psi evaluation under that exponent reads.
 """
 
 from __future__ import annotations
@@ -155,6 +157,11 @@ def _psi_many(E: ExpSum, aug: Augmentation, a0: np.ndarray, X: np.ndarray):
     terms on E's own softmax scale, so g^x(tau) and Psi keep their relative
     accuracy in every tail, whichever term dominates; no metric is formed
     or solved.  Raises DegenerateMetricError where det g underflows to 0.
+
+    M depends on E and a_0 alone, so E keeps the last a_0's block,
+    read-only (``E._cone_block``): the p- and x-scans of one a_0, scalar
+    :func:`psi` and :func:`ray_scan_unbounded` build it once; another a_0
+    replaces it.
     """
     top, W, total = _softmax(E, X.T)
     m, k = E.dim, E.n_terms
@@ -162,9 +169,12 @@ def _psi_many(E: ExpSum, aug: Augmentation, a0: np.ndarray, X: np.ndarray):
     flat = det_sum == 0.0
     if flat.any():
         raise DegenerateMetricError(f"det g underflows at x = {X[flat][0].tolist()}; Psi undefined")
-    cones = _cauchy_binet_tables(k, m)[2]
-    M = _cone_dets(E.support.points, cones, a0).reshape(-1, k)
-    MW = M @ W
+    key = a0.tobytes()
+    if E._cone_block is None or E._cone_block[0] != key:
+        M = _cone_dets(E.support.points, _cauchy_binet_tables(k, m)[2], a0).reshape(-1, k)
+        M.flags.writeable = False
+        E._cone_block = (key, M)
+    MW = E._cone_block[1] @ W
     np.square(MW, out=MW)
     q = (MW[0] if m == 1 else np.einsum("tn,tn->n", _sorted_products(W, m - 1), MW)) / det_sum
     phi = top + 0.5 * np.log(total)

@@ -126,13 +126,45 @@ class TestConstruction:
         esol_total(E, Quadrature(abs_tol=1e-4, rel_tol=1e-4))
         assert E._newton_start is not None and E.support.vertices is not None
         c, centred = E._centred
-        for sum_, names in ((E, ["_centred", "_newton_start", "_grid_preimages"]),
+        for sum_, names in ((E, ["_centred", "_newton_start", "_grid_preimages", "_cone_block"]),
                             (centred, ["_centred", "_newton_start"])):
             assert all(vars(sum_).get(name) is not None for name in names)
         assert {"_hull", "_simplex_form"} <= set(vars(E.support))
+        assert "_diameter" in vars(centred.support)
         arrays = _reachable_arrays([E, _cauchy_binet_tables(E.n_terms, E.dim), _cell_rule(E.dim)])
         assert len(arrays) >= 20
         assert [a.shape for a in arrays if a.flags.writeable] == []
+
+
+class TestCentredCopy:
+    """The centred copy is built once per sum, without a second validation."""
+
+    def test_fresh_sum_solve_builds_no_support(self, monkeypatch):
+        E = ExpSum([[0, 0], [1, 0], [0, 1], [1, 1]], [1.0, 0.7, 1.3, 0.9])
+        built = []
+        init = SupportSet.__init__
+
+        def counted(self, points):
+            built.append(len(points))
+            init(self, points)
+
+        monkeypatch.setattr(SupportSet, "__init__", counted)
+        esol_total(E, Quadrature(abs_tol=1e-4, rel_tol=1e-4))
+        assert built == [] and "_centred" in vars(E)
+
+    @pytest.mark.parametrize("E", [IRREGULAR, EXTREME, SKEWED_BOX, kostlan(3, 1)],
+                             ids=["irregular", "extreme", "skewed box", "cube"])
+    def test_copy_equals_a_validated_sum_on_the_translated_points(self, E):
+        E = ExpSum(E.support.points, E.coeffs)
+        c, centred = E._centred
+        validated = ExpSum(E.support.points - c, E.coeffs)
+        assert centred.coeffs is E.coeffs and centred.log_coeffs is E.log_coeffs
+        np.testing.assert_array_equal(centred.log_coeffs, validated.log_coeffs)
+        assert centred.support == validated.support and centred._centred[1] is centred
+        assert diameter(centred.support) == diameter(validated.support)
+        for got, want in zip(centred._newton_start, validated._newton_start):
+            assert got.tobytes() == want.tobytes()
+        assert (centred._grid_preimages, centred._cone_block) == (None, None)
 
 
 def _reachable_arrays(obj, seen=None) -> list:

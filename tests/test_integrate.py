@@ -342,6 +342,31 @@ class TestCellRules:
         ids=["1-D", "2-D", "3-D"],
     )
     def test_nodes_count_integrand_evaluations(self, monkeypatch, E, box, per_cell):
+        rows, pushed = self._count_calls(monkeypatch)
+        r = esol_region(E, box, Quadrature(abs_tol=1e-4, rel_tol=1e-4))
+        seeds = 8 ** E.dim
+        # every split evaluates two children for one leaf it removes
+        assert r.cells > seeds
+        assert r.nodes == sum(rows) == (2 * r.cells - seeds) * per_cell
+        # one integrand call per batch of cells, on all nodes of both rules
+        assert rows == [cells * per_cell for cells in pushed]
+
+    @pytest.mark.parametrize("E, tol, per_cell", [
+        (IRREGULAR, 1e-7, 13),
+        (ExpSum([[0, 0], [1, 0], [0, 1], [1, 1]], [1.0, 0.7, 1.3, 0.9]), 1e-7, 89),
+        (kostlan(3, 1), 1e-4, 33),
+    ], ids=["1-D", "2-D", "3-D"])
+    def test_total_reaches_density_many_once_per_batch(self, monkeypatch, E, tol, per_cell):
+        # perfbench counts integrate.x_nodes through this module global.
+        rows, pushed = self._count_calls(monkeypatch)
+        r = esol_total(E, Quadrature(abs_tol=tol, rel_tol=tol))
+        assert len(pushed) > 2 and r.nodes == sum(rows)
+        assert rows == [cells * per_cell for cells in pushed]
+
+    @staticmethod
+    def _count_calls(monkeypatch):
+        """Lists of the rows of every ``integrate.density_many`` call and the
+        cells of every rule application, in call order."""
         rows, pushed = [], []
         density_many, cell_rule = integrate.density_many, integrate._cell_rule
 
@@ -360,13 +385,7 @@ class TestCellRules:
 
         monkeypatch.setattr(integrate, "density_many", counted)
         monkeypatch.setattr(integrate, "_cell_rule", counted_rule)
-        r = esol_region(E, box, Quadrature(abs_tol=1e-4, rel_tol=1e-4))
-        seeds = 8 ** E.dim
-        # every split evaluates two children for one leaf it removes
-        assert r.cells > seeds
-        assert r.nodes == sum(rows) == (2 * r.cells - seeds) * per_cell
-        # one integrand call per batch of cells, on all nodes of both rules
-        assert rows == [cells * per_cell for cells in pushed]
+        return rows, pushed
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_seed_cells_are_cached_read_only_and_equal_a_fresh_build(self, m):
@@ -473,12 +492,13 @@ class TestCellStore:
         cells = integrate._Cells(1)
         errors = np.array([1.0, 3.0, 2.0, 3.0, 2.0, 2.0, 0.5, 2.0])
         idx = np.arange(8.0)
-        cells.push(idx[:, None], idx[:, None] + 1.0, idx, errors, np.zeros(8, dtype=np.intp))
-        *_, value, error, _ = cells.pop(4)
+        # rows (lo, hi, value, error, axis)
+        cells.push(np.column_stack([idx, idx + 1.0, idx, errors, np.zeros(8)]))
+        *_, value, error, _ = cells.pop(4).T
         assert value.tolist() == [1.0, 3.0, 2.0, 4.0] and error.tolist() == [3.0, 3.0, 2.0, 2.0]
         assert cells.live == 4 and cells.rows == 4
         assert cells.held() == ([0.0, 5.0, 6.0, 7.0], [1.0, 2.0, 0.5, 2.0])
-        assert cells.pop(8)[2].tolist() == [5.0, 7.0, 0.0, 6.0]
+        assert cells.pop(8)[:, 2].tolist() == [5.0, 7.0, 0.0, 6.0]
         assert cells.live == cells.rows == 0
 
 

@@ -684,3 +684,40 @@ class TestGridPreimages:
             with pytest.raises(DegenerateMetricError):
                 region_scan(flat, Augmentation(a0), resolution=8)
         assert flat._grid_preimages is None
+
+
+class TestConeBlock:
+    """A sum keeps the cone-determinant block of its last a0."""
+
+    def test_one_a0_builds_its_block_once(self, monkeypatch):
+        built = []
+        cone_dets = monotonicity._cone_dets
+
+        def counted(points, tuples, apex):
+            built.append(apex.tolist())
+            return cone_dets(points, tuples, apex)
+
+        monkeypatch.setattr(monotonicity, "_cone_dets", counted)
+        E = ExpSum([[0, 0], [1, 0], [0, 1], [1, 1]], [1.0, 0.7, 1.3, 0.9])
+        inner, outer = Augmentation([0.3, 0.6]), Augmentation([2.0, -1.0], 1.5)
+        # (call, blocks it builds on E): another a0 replaces the block.
+        calls = [
+            (lambda S: region_scan(S, inner, resolution=8), 1),
+            (lambda S: region_scan(S, inner, resolution=8, space="x"), 0),
+            (lambda S: [psi(S, inner, [0.2, -0.4])], 0),
+            (lambda S: ray_scan_unbounded(S, inner, [1.0, 0.3], 20.0, 4), 0),
+            (lambda S: region_scan(S, outer, resolution=8), 1),
+            (lambda S: [psi(S, inner, [0.2, -0.4])], 1),
+        ]
+        for call, blocks in calls:
+            before = len(built)
+            got = call(E)
+            assert len(built) - before == blocks and not E._cone_block[1].flags.writeable
+            # the same numbers as a fresh sum, which builds its own block
+            want = call(ExpSum(E.support.points, E.coeffs))
+            if isinstance(got, list):
+                fields = lambda evs: [(e.psi, e.tau_normsq, e.ratio, e.classification) for e in evs]
+                assert fields(got) == fields(want)
+            else:
+                assert got.psi.tobytes() == want.psi.tobytes()
+                np.testing.assert_array_equal(got.classes, want.classes)
