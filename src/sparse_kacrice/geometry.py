@@ -146,6 +146,32 @@ class SupportSet:
         return vertices, rows, float(volume)
 
     @cached_property
+    def _facet_table(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """(rows, gaps) of conv(A), one entry per facet, from the one hull
+        (``_hull``); None when the hull has no interior.
+
+        Qhull triangulates its facets, so a facet with more than m vertices
+        comes as several rows whose normals agree up to rounding.  A row's
+        points of A are those within the exposed-face tolerance of
+        :func:`exposed_face` of its support value; rows with the same points
+        are one facet, which keeps the first of them, in Qhull's order.
+        ``rows`` (F, m+1) hold (unit normal, offset), normal . p + offset
+        <= 0 inside.  ``gaps`` (F,) hold each facet's distance to the
+        nearest point of A off its hyperplane (inf if none is)."""
+        if self._hull is None:
+            return None
+        rows = self._hull[1]
+        values = self.points @ rows[:, :-1].T
+        slack = values.max(axis=0) - values
+        on = slack <= 1e-12 * max(1.0, float(np.linalg.norm(self.points, axis=1).max()))
+        keep = np.sort(np.unique(on.T, axis=0, return_index=True)[1])
+        gaps = np.min(slack[:, keep], axis=0, where=~on[:, keep], initial=np.inf)
+        table = (rows[keep], gaps)
+        for array in table:
+            array.flags.writeable = False
+        return table
+
+    @cached_property
     def _simplex_form(self) -> np.ndarray:
         """The Cauchy-Binet block B, shape (C(k, 2), C(k, m-1)): rows are the
         pairs i < j and columns the sorted (m-1)-tuples t, both in
@@ -189,9 +215,10 @@ class SupportSet:
 
     @property
     def facets(self) -> np.ndarray | None:
-        """Facet rows (unit normal, offset) of conv(A), with normal . p +
-        offset <= 0 inside; None when the hull has no interior."""
-        return None if self._hull is None else self._hull[1]
+        """Facet rows (unit normal, offset) of conv(A), one per facet, with
+        normal . p + offset <= 0 inside (``_facet_table``); None when the
+        hull has no interior."""
+        return None if self._hull is None else self._facet_table[0]
 
     @property
     def vertices(self) -> np.ndarray | None:

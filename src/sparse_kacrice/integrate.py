@@ -44,7 +44,10 @@ What a solve builds, and how often:
 
 * once per sum, cached on it and read by every later solve: the rank
   test, the centred copy (``ExpSum._centred``) with its balancing point
-  and diameter, and the Cauchy-Binet block of the density;
+  and diameter, the Cauchy-Binet block of the density and, once a target
+  is not already at the balancing point's moment, the hull's facet table
+  and the facet-log start built from it (``ExpSum._facet_start``), which
+  inverts the closed-form sums' nodes with no Newton step;
 * once per solve: the frame (x0, W and the Jacobian) and the cell store;
 * once per integrand call: one (m, N) node array, written in place, one
   frame-mapped copy of it on the x route, and the kernel's own arrays;

@@ -25,6 +25,7 @@ from sparse_kacrice import (
     density,
     density_many,
     dual_form,
+    esol_pspace,
     esol_region,
     evaluate,
     face_metric_limit,
@@ -36,8 +37,26 @@ from sparse_kacrice import (
     potential,
     region_scan,
 )
-from sparse_kacrice.expsum import INVERT_TOL, _batch_moments, _invert_moment_many, _log_det, _softmax
-from sparse_kacrice.geometry import DET_FLOOR, SIMPLEX_FORM_LIMIT, SupportSet, _cauchy_binet_tables, diameter
+from sparse_kacrice import expsum
+from sparse_kacrice.expsum import (
+    INVERT_TOL,
+    LEGENDRE_MARGIN,
+    _batch_moments,
+    _facet_predictor,
+    _invert_moment_many,
+    _log_det,
+    _softmax,
+)
+from sparse_kacrice.geometry import (
+    DET_FLOOR,
+    SIMPLEX_FORM_LIMIT,
+    SupportSet,
+    _cauchy_binet_tables,
+    _cholesky_solve,
+    _grid,
+    _interior_mask,
+    diameter,
+)
 from sparse_kacrice.integrate import _cell_rule
 
 TWO_TERM = ExpSum([[0.0], [1.0]])
@@ -514,6 +533,193 @@ class TestMomentInversion:
         assert auto == pytest.approx(boxed, abs=1e-6)
         assert auto == pytest.approx(1.0, abs=1e-3)
         assert esol_total(SKEWED_BOX).value == pytest.approx(math.pi / 8.0, abs=1e-6)
+
+
+def _canonical_sums() -> dict:
+    """The closed-form sums whose moment map the facet-log predictor
+    inverts, each with a seeded reweighting alpha_a e^<a, c> and a seeded
+    affine image."""
+    base = {"two-term": TWO_TERM, "two-term weighted": ExpSum([[-0.4], [2.1]], [0.3, 2.0]),
+            **{f"kostlan(1,{d})": kostlan(1, d) for d in range(2, 7)},
+            "kostlan(2,1)": kostlan(2, 1), "kostlan(2,2)": kostlan(2, 2),
+            "simplex(2,1)": ExpSum([[0, 0], [1, 0], [0, 1]]),
+            # weights sqrt(multinomial): K = (1 + e^(2 x_1) + e^(2 x_2))^2
+            "simplex(2,2)": ExpSum([[0, 0], [1, 0], [0, 1], [2, 0], [1, 1], [0, 2]],
+                                   np.sqrt([1.0, 2.0, 2.0, 1.0, 2.0, 1.0])),
+            "kostlan(3,1)": kostlan(3, 1)}
+    rng = np.random.default_rng(31)
+    sums = {}
+    for name, E in base.items():
+        A, m = E.support.points, E.dim
+        sums[name] = E
+        sums[f"{name} reweighted"] = ExpSum(A, E.coeffs * np.exp(A @ rng.normal(size=m)))
+        # A turn, axis scales in [0.5, 2] and a shear: thin images would
+        # leave their bounding-box grid almost empty.
+        L = np.linalg.qr(rng.normal(size=(m, m)))[0] * rng.uniform(0.5, 2.0, m)
+        L = L @ (np.eye(m) + np.triu(rng.uniform(-1.0, 1.0, (m, m)), 1))
+        sums[f"{name} affine"] = ExpSum(A @ L.T + rng.uniform(-1, 1, m), E.coeffs)
+    return sums
+
+
+def _generic_sums() -> dict:
+    """Supports with no closed form: S2 and the next four draws of
+    default_rng(2026), three lattice supports in {0..5}^2, the pentagon,
+    two 6-point draws in R^3 and the extreme-weights sum."""
+    sums = {}
+    rng = np.random.default_rng(2026)
+    for j in range(5):
+        sums[f"R2 draw {j}"] = ExpSum(rng.normal(size=(8, 2)), rng.uniform(0.2, 5, size=8))
+    sums["lattice 0"] = ExpSum([[0, 4], [1, 3], [2, 0], [3, 1], [4, 3], [5, 5]])
+    rng = np.random.default_rng(2028)
+    for j in (1, 2):
+        cells = rng.choice(36, size=6, replace=False)
+        points = np.stack([cells // 6, cells % 6], axis=1)
+        sums[f"lattice {j}"] = ExpSum(points, rng.uniform(0.2, 5, size=6))
+    sums["pentagon"] = PENTAGON
+    rng = np.random.default_rng(2027)
+    for j in range(2):
+        sums[f"R3 draw {j}"] = ExpSum(rng.normal(size=(6, 3)), rng.uniform(0.2, 5, size=6))
+    sums["extreme weights"] = EXTREME
+    return sums
+
+
+CANONICAL = _canonical_sums()
+GENERIC = _generic_sums()
+
+
+def _interior_grid(E) -> np.ndarray:
+    """A grid over the support's bounding box, 64, 24 or 10 nodes an axis
+    in one, two or three variables, kept at least LEGENDRE_MARGIN diam(P)
+    inside every facet, as a moment-coordinate scan keeps it."""
+    points = E.support.points
+    box = list(zip(points.min(axis=0), points.max(axis=0)))
+    nodes = _grid(box, {1: 64, 2: 24, 3: 10}[E.dim])[2]
+    return nodes[_interior_mask(E.support, nodes, LEGENDRE_MARGIN * diameter(E.support))]
+
+
+def _with_start(E, start: str, monkeypatch) -> ExpSum:
+    """A fresh copy of E whose centred copy has its facet-log start as
+    built ("built"), none, today's path without a predictor ("none"), or
+    one built without the sum test of ``ExpSum._facet_start`` ("lifted")."""
+    fresh = ExpSum(E.support.points, E.coeffs)
+    centred = fresh._centred[1]
+    if start == "none":
+        vars(centred)["_facet_start"] = None
+    elif start == "lifted":
+        with monkeypatch.context() as patch:
+            patch.setattr(expsum, "FACET_START_SHARE", math.inf)
+            assert centred._facet_start is not None
+    return fresh
+
+
+class TestFacetStart:
+    """The facet-log predictor as the Newton start of moment inversion."""
+
+    @pytest.mark.parametrize("name", sorted(CANONICAL))
+    def test_exact_on_closed_form_sums(self, name, monkeypatch):
+        # Every row is done at its predicted start, before any Newton solve.
+        E = CANONICAL[name]
+        solves = []
+
+        def counted(G, B):
+            solves.append(B.shape[1])
+            return _cholesky_solve(G, B)
+
+        monkeypatch.setattr(expsum, "_cholesky_solve", counted)
+        nodes = _interior_grid(E)
+        X, ok = _invert_moment_many(E, nodes)
+        assert len(nodes) >= 50 and ok.all() and solves == []
+        c, centred = E._centred
+        residual = np.linalg.norm(_batch_moments(centred, X)[2] - (nodes - c), axis=1)
+        assert residual.max() <= INVERT_TOL * (1.0 + diameter(E.support))
+
+    @pytest.mark.parametrize("name", sorted(GENERIC))
+    def test_start_loses_no_row_on_generic_supports(self, name, monkeypatch):
+        # No generic sum passes the predictor's sum test, so as built it
+        # inverts as without one; with the test lifted, the row rule alone
+        # must keep every row that converges from the balancing point.
+        E = GENERIC[name]
+        targets = np.random.default_rng(8).dirichlet(np.ones(E.n_terms), size=3000) @ E.support.points
+        today = _invert_moment_many(_with_start(E, "none", monkeypatch), targets)
+        assert today[1].sum() >= 2600
+        built = _with_start(E, "built", monkeypatch)
+        assert built._centred[1]._facet_start is None
+        X, ok = _invert_moment_many(built, targets)
+        np.testing.assert_array_equal(X, today[0])
+        np.testing.assert_array_equal(ok, today[1])
+        _, ok = _invert_moment_many(_with_start(E, "lifted", monkeypatch), targets)
+        assert not (today[1] & ~ok).any()
+
+    def test_target_on_or_past_a_facet_starts_at_the_balancing_point(self, monkeypatch):
+        # Targets on an edge, past one by rounding, at a vertex, and one inside.
+        E = CANONICAL["kostlan(2,1) reweighted"]
+        targets = np.array([[0.5, 0.0], [0.5, -1e-12], [1.0, 1.0], [0.3, 1.0 + 1e-15], [0.25, 0.5]])
+        c, centred = E._centred
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            guess, d_min = _facet_predictor(centred, (targets - c).T)
+            X, ok = _invert_moment_many(E, targets)
+            want, want_ok = _invert_moment_many(_with_start(E, "none", monkeypatch), targets)
+        np.testing.assert_array_equal(guess[:, :4], np.repeat(centred._newton_start[0][:, None], 4, axis=1))
+        assert (d_min[:4] == 0.0).all() and d_min[4] > 0.0
+        np.testing.assert_array_equal(X[:4], want[:4])
+        np.testing.assert_array_equal(ok, want_ok | [False] * 4 + [True])
+
+    @pytest.mark.parametrize("name", ["kostlan(2,2) affine", "simplex(2,1) reweighted", "kostlan(1,4)",
+                                      "two-term weighted affine", "kostlan(3,1) affine"])
+    def test_one_row_equals_its_batch_row(self, name):
+        # The predictor is summed without BLAS, so a row done at its
+        # predicted start is the same in any batch, bit for bit.
+        E = CANONICAL[name]
+        targets = np.random.default_rng(13).dirichlet(np.ones(E.n_terms), size=40) @ E.support.points
+        X, ok = _invert_moment_many(E, targets)
+        assert ok.all()
+        for x, p in zip(X, targets):
+            np.testing.assert_array_equal(invert_moment(E, p), x)
+
+    def test_rows_refined_from_the_predictor_match_one_row_calls(self, monkeypatch):
+        # Weights 1 % off kostlan(2, 2): the sum keeps its predictor, and
+        # rows that take it go on to Newton steps.  The kernel's BLAS
+        # products round by batch size, so a Newton row matches its one-row
+        # call to rounding, as rows started at the balancing point do.
+        points, coeffs = kostlan(2, 2).support.points, kostlan(2, 2).coeffs
+        E = ExpSum(points, coeffs * np.exp(np.random.default_rng(12).normal(0.0, 0.01, 9)))
+        assert E._centred[1]._facet_start is not None
+        targets = np.random.default_rng(13).dirichlet(np.ones(9), size=40) @ points
+        solves = []
+
+        def counted(G, B):
+            solves.append(B.shape[1])
+            return _cholesky_solve(G, B)
+
+        monkeypatch.setattr(expsum, "_cholesky_solve", counted)
+        X, ok = _invert_moment_many(E, targets)
+        rows = sum(solves)
+        assert ok.all() and _invert_moment_many(_with_start(E, "none", monkeypatch), targets)[1].all()
+        assert 0 < rows < sum(solves) - rows  # fewer Newton rows than from the balancing point
+        for x, p in zip(X, targets):
+            np.testing.assert_allclose(invert_moment(E, p), x, rtol=0.0, atol=1e-14)
+
+    def test_one_hull_per_support(self, monkeypatch):
+        # The centred copy reads the facet table of the sum's own support.
+        import scipy.spatial
+
+        hulls = []
+        hull = scipy.spatial.ConvexHull
+
+        def counted(points):
+            hulls.append(len(points))
+            return hull(points)
+
+        monkeypatch.setattr(scipy.spatial, "ConvexHull", counted)
+        E = ExpSum(kostlan(2, 2).support.points, CANONICAL["kostlan(2,2) reweighted"].coeffs)
+        region_scan(E, Augmentation([0.7, 1.1]), resolution=16)
+        esol_pspace(E, Quadrature(abs_tol=1e-4, rel_tol=1e-4))
+        legendre_density(E, [0.5, 0.7])
+        invert_moment(E, [1.2, 0.3])
+        centred = E._centred[1]
+        assert hulls == [9] and centred._facet_start is not None
+        assert not {"_hull", "_facet_table"} & set(vars(centred.support))
 
 
 class TestLegendreDensity:

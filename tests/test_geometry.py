@@ -197,9 +197,56 @@ class TestHullGeometry:
 
     def test_degenerate_hull_has_no_facets(self):
         A = SupportSet([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
-        assert A.facets is None
+        assert A.facets is None and A._facet_table is None
         assert A.vertices is None
         assert not _interior_mask(A, np.array([[1.0, 1.0], [0.5, 0.5]]), 1e-12).any()
+
+    def test_coplanar_triangles_are_one_facet(self):
+        # Qhull gives the unit cube 12 triangles; each square face is one row.
+        cube = SupportSet(list(itertools.product([0.0, 1.0], repeat=3)))
+        rows, gaps = cube._facet_table
+        assert len(cube._hull[1]) == 12 and cube.facets is rows and rows.shape == (6, 4)
+        normals = sorted(map(tuple, np.round(rows[:, :-1], 12).tolist()))
+        assert normals == sorted(map(tuple, np.vstack([np.eye(3), -np.eye(3)]).tolist()))
+        assert not rows.flags.writeable and not gaps.flags.writeable
+        np.testing.assert_allclose(gaps, 1.0, rtol=1e-14)
+        assert len(SupportSet(list(itertools.product(range(3), repeat=2))).facets) == 4
+
+    def test_facet_gaps(self):
+        # Each facet's gap is its distance to the nearest support point off
+        # its line: 1 on the legs of the unit triangle, 1/sqrt(2) on the
+        # hypotenuse; on an interval, the distance to the next point in.
+        rows, gaps = SupportSet([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])._facet_table
+        hypotenuse = rows[:, 0] > 0.5
+        np.testing.assert_allclose(gaps[hypotenuse], math.sqrt(0.5), rtol=1e-14)
+        np.testing.assert_allclose(gaps[~hypotenuse], 1.0, rtol=1e-14)
+        rows, gaps = SupportSet([[3.0], [0.0], [0.5], [2.0]])._facet_table
+        np.testing.assert_array_equal(rows, [[-1.0, 0.0], [1.0, -3.0]])
+        np.testing.assert_array_equal(gaps, [0.5, 1.0])
+        # The first draw of default_rng(2026): an edge with a point 0.0031 off it.
+        rng = np.random.default_rng(2026)
+        gaps = SupportSet(rng.normal(size=(8, 2)))._facet_table[1]
+        assert gaps.min() == pytest.approx(0.0031342, rel=1e-4)
+
+    @pytest.mark.parametrize("points", [
+        list(itertools.product([0.0, 1.0], repeat=3)),
+        list(itertools.product(range(3), repeat=3)),
+        [[0, 0, 0], [2, 0, 0], [0, 2, 0], [2, 2, 0], [1, 1, 2], [0, 0, 1], [1, 0, 0]],
+    ], ids=["cube", "3x3x3 grid", "pyramid"])
+    def test_merged_rows_keep_every_interior_answer(self, points):
+        # Against every row of the hull Qhull returns, on a seeded point set
+        # over and around the hull and on its faces.
+        A = SupportSet(points)
+        rng = np.random.default_rng(44)
+        P = np.vstack([rng.uniform(-0.5, 2.5, size=(2000, 3)),
+                       rng.dirichlet(np.ones(len(points)), size=500) @ A.points,
+                       np.round(rng.uniform(-0.5, 2.5, size=(500, 3)) * 2) / 2])
+        eq = ConvexHull(A.points).equations
+        assert len(A.facets) < len(eq)
+        for tol in (1e-12, 1e-6 * diameter(A)):
+            want = np.all(P @ eq[:, :-1].T + eq[:, -1] <= -tol, axis=1)
+            np.testing.assert_array_equal(_interior_mask(A, P, tol), want)
+            np.testing.assert_array_equal([interior_contains(A, p, tol) for p in P[::10]], want[::10])
 
 
 def _simplex_form_by_pairs(A: SupportSet) -> np.ndarray:

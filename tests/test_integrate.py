@@ -638,11 +638,13 @@ class TestConvergenceFailure:
         assert time.perf_counter() - start < 2.0
 
     def test_failed_frame_raises_with_its_residual(self, monkeypatch):
-        # No Newton step at all: the frame stays at the balancing point,
-        # whose moment is not the barycenter 4/3 of these weights.
+        # No Newton step at all: the frame stays at the start its row took.
+        # This sum has no facet-log predictor, so that is the balancing
+        # point, whose moment is not the barycenter 4/3 of these weights.
         E = ExpSum([[0.0], [1.0], [3.0]], [1.0, 2.0, 1.0])
         monkeypatch.setattr(expsum, "INVERT_MAX_ITER", 0)
         c, centred = E._centred
+        assert centred._facet_start is None
         want = abs(float(_batch_moments(E, centred._newton_start[0][None])[2][0, 0]) - c[0])
         with pytest.raises(ConvergenceError, match="no frame over R") as info:
             esol_total(E)
