@@ -150,6 +150,14 @@ class TestKostlan:
                 want = float(np.prod((1.0 + np.exp(2.0 * x)) ** d))
                 assert evaluate(K, x).K == pytest.approx(want, rel=1e-12)
 
+    def test_coefficients_are_root_binomials(self):
+        want = [1.0, math.sqrt(2.0), 1.0]
+        np.testing.assert_allclose(kostlan(1, 2).coeffs, want, rtol=0.0, atol=1e-12)
+        K = kostlan(1, 6)
+        np.testing.assert_array_equal(K.support.points.ravel(), np.arange(7.0))
+        want = np.sqrt([math.comb(6, i) for i in range(7)])
+        np.testing.assert_allclose(K.coeffs, want, rtol=1e-13)
+
     def test_equals_tensor_of_one_variable_factors(self):
         p1, c1 = _canonical(kostlan(2, 2))
         p2, c2 = _canonical(tensor(kostlan(1, 2), kostlan(1, 2)))

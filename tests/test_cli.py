@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import json
 import math
 import os
@@ -262,6 +263,26 @@ class TestSelftestAndErrors:
         assert "0 failed" in out
         assert "PASS  kernel_rows_match_batch" in out
         assert "PASS  simplex_sum_matches_subsets" in out
+
+    def test_cli_imports_only_public_names(self):
+        # The selftest checks an installed package, so the CLI reaches it
+        # through public names alone; geometry's input checks validate
+        # density-grid's --box and --resolution.
+        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        imported = {
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and (node.level or node.module == "sparse_kacrice")
+            for alias in node.names
+        }
+        assert imported - set(sparse_kacrice.__all__) == {"_check_box", "_grid"}
+        private = {
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+            and not node.attr.endswith("__")
+        }
+        assert private == set()
 
     @pytest.mark.parametrize(
         "record, argv",

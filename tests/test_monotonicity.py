@@ -650,9 +650,14 @@ class TestGridPreimages:
         assert E._grid_preimages[0] == (((0.0, 1.0), (0.0, 1.0)), (8, 8))
 
     def test_failed_nodes_stay_outside_on_reuse(self, monkeypatch):
-        points, coeffs, inner, outer, _ = STORE_CASES["weighted_square"]
+        # c00 c11 = 3 against c10 c01 = 1: far from a product of two-term
+        # sums, this square has no facet-log predictor, so every node starts
+        # at the balancing point and four Newton iterations invert 66 of the
+        # 196 usable nodes.
+        points, coeffs = [[0, 0], [1, 0], [0, 1], [1, 1]], [1.0, 0.5, 2.0, 3.0]
+        inner, outer = [0.3, 0.6], [2.0, -1.0]
         E = ExpSum(points, coeffs)
-        # Four Newton iterations invert 64 of the 196 usable nodes.
+        assert E._centred[1]._facet_start is None
         monkeypatch.setattr(expsum, "INVERT_MAX_ITER", 4)
         first = region_scan(E, Augmentation(inner), resolution=16)
         monkeypatch.undo()
