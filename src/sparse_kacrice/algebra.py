@@ -139,7 +139,7 @@ def kostlan(m: int, d: int) -> ExpSum:
     the d-th Aronszajn power of the tensor m-th power of the two-term seed
     on {0, 1}, built directly from binomials (log domain; degrees beyond
     double range raise InputError, d <= 500 is safe).  Densities need the
-    Cauchy-Binet block's C(k, 2) C(k, m-1) entries, k = (d+1)^m, within
+    Cauchy-Binet block's C(k-m+1, 2) C(k-2, m-1) entries, k = (d+1)^m, within
     ``geometry.SIMPLEX_FORM_LIMIT``: kostlan(3, 2) and kostlan(2, 10) fit,
     kostlan(3, 3) and kostlan(2, 11) raise InputError.
     """

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import InputError
 # ``evaluate`` is imported for perfbench's tracer, which wraps it as a
 # complexcase boundary; the densities here use the batched kernel.
-from .expsum import ExpSum, _log_det, _softmax, evaluate  # noqa: F401
+from .expsum import ExpSum, _det_g, _softmax, evaluate  # noqa: F401
 from .integrate import IntegralResult, Quadrature, _over_rm
 from .geometry import _check_vector, hull_volume
 
@@ -49,9 +49,7 @@ def bkk_density(E: ComplexExpSum, x) -> float:
 
 def _bkk_density_many(E: ComplexExpSum, X: np.ndarray) -> np.ndarray:
     """:func:`bkk_density` at each column of the coordinate-major X (m, N)."""
-    n = E.dim
-    _, W, total = _softmax(E, X)
-    return math.factorial(n) / math.pi**n * np.exp(_log_det(E, W, total))
+    return math.factorial(E.dim) / math.pi**E.dim * _det_g(E, *_softmax(E, X)[1:])
 
 
 def n_factorial_volume(E: ComplexExpSum) -> float:
@@ -76,9 +74,8 @@ def bkk_total(E: ComplexExpSum, q: Quadrature | None = None) -> IntegralResult:
     if E.support.degenerate:
         return IntegralResult(0.0, 0.0, "bkk", 0, 0)
     factor = (2.0 * math.pi) ** E.dim
-
-    def f(X):
-        return factor * _bkk_density_many(E, X)
-
+    # The framed sum's det g is jac^2 times E's, and the integral over y
+    # takes E's times jac, the Jacobian.
+    f = lambda F, jac, Y: factor / jac * _bkk_density_many(F, Y)
     value, error, cells, nodes = _over_rm(f, E, q.abs_tol, q.rel_tol)
     return IntegralResult(value, error, "bkk", cells, nodes)

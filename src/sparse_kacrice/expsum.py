@@ -21,7 +21,7 @@ along the long axis of points.  Every caller hands it that layout: the
 quadrature cells build their nodes in it, and callers that hold points as
 rows pass a transposed view.  From that one triple, :func:`_moments` gives
 Phi, mu and g coordinate-major (mu as (m, N), g as (m, m, N)) and
-:func:`_log_det` a cancellation-free log det g for every density.
+:func:`_det_g` a cancellation-free det g for every density.
 :func:`_batch_moments` returns the moments per row, shape (N, ...), as
 transposed views.  :func:`_invert_moment_many` inverts the
 moment map for many targets by damped Newton in the kernel's own layout:
@@ -172,6 +172,25 @@ class ExpSum:
                           _grid_preimages=None, _cone_block=None, _centred=(zero, copy),
                           _uncentred_support=self.support)
         return c, copy
+
+    def _framed(self, x0: np.ndarray, W: np.ndarray, jac: float) -> "ExpSum":
+        """The sum in the coordinates y of x = x0 + W y, jac = |det W|:
+        E(x0 + W y) is the sum on the points A W with log-weights
+        log alpha + A x0, so its softmax at y is E's at x0 + W y.  Its
+        Cauchy-Binet block is E's times jac^2 (D_S of A W is det W times
+        D_S of A), so its density at y is jac times E's at x0 + W y, and
+        its det g is jac^2 times E's.  The x route integrates it over y
+        with no frame map and no Jacobian multiply per node.
+
+        Like :attr:`_centred` the copy skips validation; it holds only what
+        the density kernels read, its points, log-weights and block, all
+        read-only, and is built once per solve."""
+        A, support, copy = self.support.points, object.__new__(SupportSet), object.__new__(ExpSum)
+        vars(support).update(points=A @ W, _simplex_form=self.support._simplex_form * jac**2)
+        vars(copy).update(support=support, log_coeffs=self.log_coeffs + A @ x0)
+        for array in (support.points, support._simplex_form, copy.log_coeffs):
+            array.flags.writeable = False
+        return copy
 
     @cached_property
     def _newton_start(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -377,19 +396,18 @@ def _moments(E: ExpSum, W: np.ndarray, total: np.ndarray):
     return lam, mu, G
 
 
-def _log_det(E: ExpSum, W: np.ndarray, total: np.ndarray):
-    """log det g at each column of the softmax (W, total); -inf where det g
+def _det_g(E: ExpSum, W: np.ndarray, total: np.ndarray):
+    """det g at each column of the softmax (W, total); 0 where it
     underflows.
 
     By Cauchy-Binet (Horn & Johnson, Matrix Analysis, 0.8.7), det g is the
     sum over (m+1)-subsets S of A of prod_S lambda_a D_S^2, with no
     cancellation: total^(m+1) det g is :func:`_simplex_sum` of the softmax
     weights with the block ``E.support._simplex_form``, which holds each
-    subset once.
+    subset once.  det g is their plain ratio: W <= 1 and total lies in
+    [1, k], so neither the sum nor total^(m+1) overflows.
     """
-    with np.errstate(divide="ignore"):
-        log_sum = np.log(_simplex_sum(W, E.support._simplex_form, E.dim))
-    return log_sum - (E.dim + 1) * np.log(total)
+    return _simplex_sum(W, E.support._simplex_form, E.dim) / total ** (E.dim + 1)
 
 
 def _sorted_products(W: np.ndarray, r: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -413,40 +431,39 @@ def _sorted_products(W: np.ndarray, r: int, out: np.ndarray | None = None) -> np
 
 def _simplex_sum(W: np.ndarray, B: np.ndarray, m: int) -> np.ndarray:
     """sum over S of D_S^2 prod_S W at each column of the terms-major W
-    (k, N), from the Cauchy-Binet block B (``SupportSet._simplex_form``):
-    sum over pairs i < j of W_i W_j (B @ R)_ij, with R the products of W over
-    sorted (m-1)-tuples (:func:`_sorted_products`; one row of ones for
-    m = 1, W for m = 2, the pair products for m = 3).
+    (k, N), from the Cauchy-Binet block B (``SupportSet._simplex_form``),
+    which splits each S once into its lowest pair a < b and the (m-1)-tuple
+    t of the rest: sum over t of R_t (B^T @ P)_t, with P the products of
+    the pairs of W[:k-m+1] and R those of the sorted (m-1)-tuples of W[2:]
+    (:func:`_sorted_products`; one row of ones for m = 1, W[2:] for m = 2).
 
-    It is taken as sum_t R_t (B^T @ P)_t, with P the pair products: one GEMM
-    of C(k, 2) C(k, m-1) multiply-adds per column, whose output Z has
-    C(k, m-1) rows, not C(k, 2).  P and Z share one allocation: as the
+    One GEMM of C(k-m+1, 2) C(k-2, m-1) multiply-adds per column, whose
+    output Z has C(k-2, m-1) rows.  P, Z and R share one allocation: as the
     call's largest array it keeps glibc's dynamic trim threshold above the
     call's other temporaries, which would otherwise be handed back to the
     kernel and page-faulted in again on every call.
     """
     pairs, tuples = B.shape
-    work = np.empty((pairs + tuples, W.shape[1]))
-    P = _sorted_products(W, 2, out=work[:pairs])
-    Z = np.matmul(B.T, P, out=work[pairs:])
+    work = np.empty((pairs + 2 * tuples, W.shape[1]))
+    P = _sorted_products(W[:max(len(W) - m + 1, 0)], 2, out=work[:pairs])
+    Z = np.matmul(B.T, P, out=work[pairs:pairs + tuples])
     if m == 1:
         return Z[0]
-    return np.einsum("tn,tn->n", P if m == 3 else _sorted_products(W, m - 1), Z)
+    return np.einsum("tn,tn->n", _sorted_products(W[2:], m - 1, out=work[pairs + tuples:]), Z)
 
 
 def _density(E: ExpSum, W: np.ndarray, total: np.ndarray) -> np.ndarray:
     """(2/s_m) sqrt(det g) at each column of the softmax (W, total)."""
-    _, s_m = ball_sphere_constants(E.dim)
-    return (2.0 / s_m) * np.exp(0.5 * _log_det(E, W, total))
+    return (2.0 / ball_sphere_constants(E.dim)[1]) * np.sqrt(_det_g(E, W, total))
 
 
 def density_many(E: ExpSum, X) -> np.ndarray:
     """Expected-zero density (2/s_m) sqrt(det g), one value per row of X
-    (shape (N, m)), from the Cauchy-Binet kernel :func:`_log_det`;
-    InputError for k support points in R^m whose block, C(k, 2) C(k, m-1)
-    entries, is past ``geometry.SIMPLEX_FORM_LIMIT``.  The kernel reads X
-    coordinate-major, so the transposed view of an (m, N) array, as the
-    quadrature cells pass it, costs no copy."""
+    (shape (N, m)), from the Cauchy-Binet kernel :func:`_det_g`;
+    InputError for k support points in R^m whose block,
+    C(k-m+1, 2) C(k-2, m-1) entries, is past ``geometry.SIMPLEX_FORM_LIMIT``.
+    The kernel reads X coordinate-major, so the transposed view of an
+    (m, N) array, as the quadrature cells pass it, costs no copy."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != E.dim:
         raise InputError(f"points have dimension {X.shape[1]}, expected {E.dim}")
@@ -667,11 +684,9 @@ def _legendre_density_many(E: ExpSum, Q: np.ndarray) -> np.ndarray:
     inversion fails.  The inversion is :func:`_invert_moment_many`'s, at
     its one residual.  No interior check is performed here.
     """
-    centred = E._centred[1]
-    X, ok = _invert_moment_many(centred, Q)
-    _, W, total = _softmax(centred, X.T)
-    log_det = _log_det(E, W, total)
-    return np.where(ok, np.exp(-0.5 * (log_det + E.dim * math.log(2.0))), np.nan)
+    X, ok = _invert_moment_many(E._centred[1], Q)
+    det = _det_g(E, *_softmax(E._centred[1], X.T)[1:])
+    return 1.0 / np.sqrt(2.0**E.dim * np.where(ok, det, np.nan))
 
 
 def legendre_density(E: ExpSum, p) -> float:

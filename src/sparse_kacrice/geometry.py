@@ -41,10 +41,10 @@ DUAL_COND_LIMIT = 1e12
 #: Below this determinant a form counts as flat: dual_form refuses it.
 DET_FLOOR = 1e-300
 
-#: Most entries a support's Cauchy-Binet block may store: C(k, 2) C(k, m-1)
-#: for k points in R^m (kostlan(3, 2) has 351^2 and kostlan(2, 10) 7260 * 121;
-#: kostlan(3, 3) has 2016^2, over it).  Each density row costs that many
-#: multiply-adds.
+#: Most entries a support's Cauchy-Binet block may store:
+#: C(k-m+1, 2) C(k-2, m-1) for k points in R^m (kostlan(3, 2) has 300^2 and
+#: kostlan(2, 10) 7140 * 119; kostlan(3, 3) has 1891^2 and kostlan(2, 11)
+#: 10153 * 142, over it).  Each density row costs that many multiply-adds.
 SIMPLEX_FORM_LIMIT = 2**20
 
 
@@ -173,24 +173,24 @@ class SupportSet:
 
     @cached_property
     def _simplex_form(self) -> np.ndarray:
-        """The Cauchy-Binet block B, shape (C(k, 2), C(k, m-1)): rows are the
-        pairs i < j and columns the sorted (m-1)-tuples t, both in
-        lexicographic order, and B[(i, j), t] = D_S^2 / C(m+1, 2) where
-        S = {i, j} + t has m+1 distinct points, 0 where they overlap.  Each
-        (m+1)-subset is split C(m+1, 2) ways into a pair and a tuple, so
-        sum over i < j and t of W_i W_j B[(i, j), t] prod_t W is sum over S of
-        D_S^2 prod_S W.  D = det[1 a_i] = det[a_i - a_i0] (m! times the
-        simplex volume) comes from the C(k, m+1) sorted subsets; a D within
-        1e-12 w^m, w the widest coordinate range, is rounding on a flat
-        simplex, set to 0.  A ``degenerate`` support (the rank test) has
-        every D set to 0, so det g = 0 everywhere exactly where the
-        integrals return 0.  The subsets and the place of each split in B
-        depend on (k, m) alone (:func:`_cauchy_binet_tables`), so a support
-        computes only its determinants and scatters them once.
-        Raises InputError past ``SIMPLEX_FORM_LIMIT`` entries, before
-        allocating anything."""
+        """The Cauchy-Binet block B, shape (C(k-m+1, 2), C(k-2, m-1)), which
+        holds each (m+1)-subset S once, split into its two lowest indices
+        a < b and the sorted (m-1)-tuple t of the rest: rows are the pairs
+        of range(k-m+1) and columns the sorted (m-1)-tuples of range(2, k),
+        both in lexicographic order, and B[(a, b), t] = D_S^2 where
+        min t > b, 0 elsewhere.  So sum over a < b and t of
+        W_a W_b B[(a, b), t] prod_t W is sum over S of D_S^2 prod_S W.
+        D = det[1 a_i] = det[a_i - a_i0] (m! times the simplex volume)
+        comes from the C(k, m+1) sorted subsets; a D within 1e-12 w^m, w the
+        widest coordinate range, is rounding on a flat simplex, set to 0.  A
+        ``degenerate`` support (the rank test) has every D set to 0, so
+        det g = 0 everywhere exactly where the integrals return 0.  The
+        subsets and the place of each in B depend on (k, m) alone
+        (:func:`_cauchy_binet_tables`), so a support computes only its
+        determinants and scatters them once.  Raises InputError past
+        ``SIMPLEX_FORM_LIMIT`` entries, before allocating anything."""
         k, m = self.points.shape
-        shape = (math.comb(k, 2), math.comb(k, m - 1))
+        shape = (math.comb(max(k - m + 1, 0), 2), math.comb(max(k - 2, 0), m - 1))
         if shape[0] * shape[1] > SIMPLEX_FORM_LIMIT:
             raise InputError(
                 f"{k} points in R^{m} need a Cauchy-Binet block of {shape[0] * shape[1]} "
@@ -199,9 +199,8 @@ class SupportSet:
         S, places, _ = _cauchy_binet_tables(k, m)
         D = _cone_dets(self.points, S[:, 1:], self.points[S[:, 0]])
         D[(np.abs(D) <= 1e-12 * np.ptp(self.points, axis=0).max() ** m) | self.degenerate] = 0.0
-        D *= D / math.comb(m + 1, 2)
         B = np.zeros(shape)
-        B.reshape(-1)[places] = D
+        B.reshape(-1)[places] = D * D
         B.flags.writeable = False
         return B
 
@@ -272,14 +271,16 @@ def _tuple_ranks(tuples: np.ndarray, k: int) -> np.ndarray:
     :func:`_sorted_tuples` (k, r): C(k, r) - 1 - sum_p C(k - 1 - t_p, r - p)."""
     r = tuples.shape[1]
     binom = np.array([[math.comb(a, b) for b in range(r + 1)] for a in range(k)], dtype=np.intp)
+    binom = binom.reshape(k, r + 1)  # (0, r + 1) for k = 0, read by no tuple
     rank = np.full(len(tuples), math.comb(k, r) - 1, dtype=np.intp)
     for p in range(r):
         rank -= binom[k - 1 - tuples[:, p], r - p]
     return rank
 
 
-# A table of k points in R^m holds (m+1)(m+2)/2 C(k, m+1) indices (1.4 MB for
-# 27 points in R^3, 16 MB for 128 in R^2), so only the most recent shapes stay.
+# A table of k points in R^m holds (m+2) C(k, m+1) + m k C(k, m-1) indices
+# (0.9 MB for 27 points in R^3, 11 MB for 128 in R^2), so only the most recent
+# shapes stay.
 @lru_cache(maxsize=32)
 def _cauchy_binet_tables(k: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Index tables of the Cauchy-Binet sums over k points in R^m, built
@@ -288,21 +289,19 @@ def _cauchy_binet_tables(k: int, m: int) -> tuple[np.ndarray, np.ndarray, np.nda
     Returns (subsets, places, cones):
     * subsets, (C(k, m+1), m+1): the sorted (m+1)-subsets S,
       :func:`_sorted_tuples` (k, m+1);
-    * places, (C(m+1, 2), C(k, m+1)): for each of the C(m+1, 2) splits of S
-      into a pair and an (m-1)-tuple, the flat index of its entry in
-      ``SupportSet._simplex_form``, pair rank times C(k, m-1) plus tuple
-      rank (:func:`_tuple_ranks`);
+    * places, (C(k, m+1),): the flat index of each S in
+      ``SupportSet._simplex_form``, split once into its lowest pair and the
+      (m-1)-tuple of the rest: pair rank among the pairs of range(k-m+1)
+      times C(k-2, m-1), plus the rank of the tuple, less 2, among the
+      (m-1)-tuples of range(k-2) (:func:`_tuple_ranks`);
     * cones, (C(k, m-1) k, m): each sorted (m-1)-tuple s followed by each
       point j, s-major, the rows t of the cone determinants det[a_t - a_0]
       of Psi's (C(k, m-1), k) matrix.
     """
     subsets = _sorted_tuples(k, m + 1)
-    splits = list(itertools.combinations(range(m + 1), 2))
-    places = np.empty((len(splits), len(subsets)), dtype=np.intp)
-    for row, pair in enumerate(splits):
-        rest = [p for p in range(m + 1) if p not in pair]
-        places[row] = _tuple_ranks(subsets[:, pair], k) * math.comb(k, m - 1)
-        places[row] += _tuple_ranks(subsets[:, rest], k)
+    pairs, tuples = max(k - m + 1, 0), max(k - 2, 0)
+    places = _tuple_ranks(subsets[:, :2], pairs) * math.comb(tuples, m - 1)
+    places += _tuple_ranks(subsets[:, 2:] - 2, tuples)
     s = _sorted_tuples(k, m - 1)
     cones = np.hstack([np.repeat(s, k, axis=0), np.tile(np.arange(k), len(s))[:, None]])
     tables = (subsets, places, cones)

@@ -4,12 +4,13 @@ Two routes to the same number:
 
 * the x-space route integrates the zero density (2/s_m) sqrt(det g_x)
   over R^m (:func:`esol_total`) in metric-normalized coordinates
-  x = x0 + W y, where x0 is the moment preimage of the support's
-  barycenter and W = L^-T from the Cholesky factor g(x0) = L L^T, so
-  W^T g(x0) W = I and the region sits in the same place
-  relative to the support under every affine map of it, thin supports
-  included: the cube [-4, 4]^m, then shells [-2r, 2r]^m minus [-r, r]^m for as long as
-  the newest shell outweighs the error of the cells already in hand
+  x = x0 + W y, as the density of the sum in y, where x0 is the moment
+  preimage of the support's barycenter and W = L^-T from the Cholesky
+  factor g(x0) = L L^T, so W^T g(x0) W = I and the region sits in the
+  same place relative to the support under every affine map of it, thin
+  supports included: the cube [-4, 4]^m, then shells [-2r, 2r]^m minus
+  [-r, r]^m for as long as the newest shell outweighs the error of the
+  cells already in hand
   (:func:`esol_region` integrates the same density over a box alone);
 * the moment-space route integrates the Legendre-transform density over
   the Newton polytope (m <= 2), split into one quadrilateral per hull
@@ -48,9 +49,12 @@ What a solve builds, and how often:
   is not already at the balancing point's moment, the hull's facet table
   and the facet-log start built from it (``ExpSum._facet_start``), which
   inverts the closed-form sums' nodes with no Newton step;
-* once per solve: the frame (x0, W and the Jacobian) and the cell store;
-* once per integrand call: one (m, N) node array, written in place, one
-  frame-mapped copy of it on the x route, and the kernel's own arrays;
+* once per solve: the frame (x0, W and the Jacobian |det W|), folded into
+  a framed copy of the sum (``ExpSum._framed``: support A W, log-weights
+  log alpha + A x0 and the block times (det W)^2), and the cell store;
+* once per integrand call: one (m, N) node array, written in place, and
+  the kernel's own arrays; the x route reads the nodes as the framed
+  sum's points, with no frame map and no Jacobian multiply;
 * once per pass: one gather of the popped rows, the rows of their
   children and one push of them.
 """
@@ -367,7 +371,9 @@ def _adaptive(f, los, his, abs_tol, rel_tol, grow=False):
     and one push stores them.  With ``grow`` the seeds tile a cube
     [-r, r]^m and the region grows over R^m: a shell enters the store
     while the newest one's value exceeds the summed cell error, and that
-    value counts as the error of truncating there.  Raises
+    value counts as the error of truncating there.  The first shell always
+    enters, so it is evaluated in the seed cube's integrand call and
+    stored after the cube's cells.  Raises
     ConvergenceError with the partial value when the integrand is not
     finite (the value then sums the finite cells), when the leaf cells
     hold ``MAX_NODES`` integrand nodes, or when the error budget lies below
@@ -379,16 +385,18 @@ def _adaptive(f, los, his, abs_tol, rel_tol, grow=False):
     evaluated = 0
     axis_ids = np.arange(m)
 
-    def push(block):
+    def push(block, *parts):
         """Evaluate the cells whose corners fill block's first 2m columns,
         fill in the rest and store them; returns sums of value, error and
-        |value|."""
+        |value| over the block's rows, or over each of the row ranges in
+        ``parts`` in turn."""
         nonlocal evaluated
         values, errs, axes = rule(f, block[:, :m], block[:, m:-3])
         evaluated += len(values)
-        err = float(errs.sum())
+        sums = [(float(values[p].sum()), float(errs[p].sum()), float(np.abs(values[p]).sum()))
+                for p in parts or (slice(None),)]
         # A finite sum has finite terms: only a non-finite one needs the test.
-        if not math.isfinite(err):
+        if not all(math.isfinite(err) for _, err, _ in sums):
             finite = np.isfinite(errs)
             if not finite.all():
                 raise ConvergenceError(
@@ -397,16 +405,24 @@ def _adaptive(f, los, his, abs_tol, rel_tol, grow=False):
                 )
         block[:, -3], block[:, -2], block[:, -1] = values, errs, axes
         cells.push(block)
-        return float(values.sum()), err, float(np.abs(values).sum())
+        return sums if parts else sums[0]
 
-    def seeded(los, his):
-        block = np.empty((len(los), 2 * m + 3))
-        block[:, :m], block[:, m:-3] = los, his
-        return push(block)
+    def seeded(*corners):
+        """Evaluate and store the seed cells of each (los, his) in one call;
+        returns the sums of each."""
+        ends = np.cumsum([len(lo) for lo, _ in corners]).tolist()
+        block = np.empty((ends[-1], 2 * m + 3))
+        block[:, :m], block[:, m:-3] = (np.concatenate(c) for c in zip(*corners))
+        return push(block, *map(slice, [0] + ends[:-1], ends))
 
-    total, error, mass = seeded(los, his)
-    # The tail is unknown until a first shell measures it.
-    shell, radius, shells = (math.inf if grow else 0.0), float(his.max()), 0
+    radius, shells, shell = float(his.max()), 0, 0.0
+    if grow:
+        # The tail is unknown until a first shell measures it, so the first
+        # shell always enters, in the seed cube's integrand call.
+        (total, error, mass), (shell, de, dm) = seeded((los, his), _shell_cells(radius, m))
+        total, error, mass, radius, shells = total + shell, error + de, mass + dm, 2.0 * radius, 1
+    else:
+        ((total, error, mass),) = seeded((los, his))
     while error + abs(shell) > max(abs_tol, rel_tol * abs(total), ROUNDOFF * mass):
         if abs(shell) > error:
             if shells == MAX_DOUBLINGS:
@@ -415,7 +431,7 @@ def _adaptive(f, los, his, abs_tol, rel_tol, grow=False):
                     value=total,
                     residual=abs(shell),
                 )
-            shell, de, dm = seeded(*_shell_cells(radius, m))
+            ((shell, de, dm),) = seeded(_shell_cells(radius, m))
             total, error, mass = total + shell, error + de, mass + dm
             radius, shells = 2.0 * radius, shells + 1
             continue
@@ -447,9 +463,10 @@ def _adaptive(f, los, his, abs_tol, rel_tol, grow=False):
     return math.fsum(values), math.fsum(errs) + abs(shell), len(values), evaluated * per_cell
 
 
-def _over_rm(f, E: ExpSum, abs_tol, rel_tol):
-    """Integrate f over R^m in metric-normalized coordinates x = x0 + W y;
-    f takes points coordinate-major, (m, N).
+def _frame(E: ExpSum):
+    """(F, jac): E in metric-normalized coordinates x = x0 + W y
+    (``ExpSum._framed``), so F's density at y is jac = |det W| times E's
+    density at x, and its det g is jac^2 times E's.
 
     x0 is the moment preimage of the support's barycenter, by the kernel's
     inversion (:func:`.expsum._invert_moment_many`) at its one residual:
@@ -460,32 +477,27 @@ def _over_rm(f, E: ExpSum, abs_tol, rel_tol):
     eigenvalue, L is continuous in g, so a roundoff change in x0 cannot
     rotate the frame and reorder the cells.  An inversion
     that fails raises ConvergenceError, with the residual read from the
-    same row as g(x0), before any cell is integrated.
-
-    The frame is built once per solve, from the sum's cached centred copy;
-    each integrand call then writes W Y into a new array, adds x0 and
-    scales f's values by the Jacobian, both in place, and calls f once.
+    same row as g(x0), before any cell is integrated.  Built once per
+    solve, from the sum's cached centred copy.
     """
     c = E._centred[0]
     X, ok = _invert_moment_many(E, c[None])
-    x0 = X.T
-    _, mu, G = _moments(E, *_softmax(E, x0)[1:])
+    _, mu, G = _moments(E, *_softmax(E, X.T)[1:])
     if not ok[0]:
         residual = float(np.linalg.norm(mu[:, 0] - c))
         message = f"no frame over R^m: damped Newton stopped at residual {residual:.3e}"
         raise ConvergenceError(message, residual=residual)
     L = np.linalg.cholesky(G[..., 0])
-    W = np.linalg.inv(L).T
     jac = 1.0 / math.prod(L.diagonal().tolist())
+    return E._framed(X[0], np.linalg.inv(L).T, jac), jac
 
-    def frame(Y):
-        X = np.matmul(W, Y, out=np.empty_like(Y))
-        X += x0
-        values = f(X)
-        values *= jac
-        return values
 
-    return _adaptive(frame, *_cube_cells(AUTO_RADIUS, E.dim), abs_tol, rel_tol, grow=True)
+def _over_rm(f, E: ExpSum, abs_tol, rel_tol):
+    """Integrate f(F, jac, Y) over the frame coordinates y, (F, jac) the
+    frame of :func:`_frame` and Y (m, N) the nodes, coordinate-major, which
+    f reads as they are: from the cube [-AUTO_RADIUS, AUTO_RADIUS]^m out by
+    shells, over R^m."""
+    return _adaptive(partial(f, *_frame(E)), *_cube_cells(AUTO_RADIUS, E.dim), abs_tol, rel_tol, grow=True)
 
 
 # ---------------------------------------------------------------------------
@@ -502,9 +514,11 @@ def esol_total(E: ExpSum, q: Quadrature | None = None) -> IntegralResult:
     q = q or Quadrature()
     if E.support.degenerate:
         return IntegralResult(0.0, 0.0, "x", 0, 0)
-    # density_many takes rows: the transposed view hands its kernel the
+    # The framed sum's density is the integrand in y, Jacobian included;
+    # density_many takes rows, and the transposed view hands its kernel the
     # coordinate-major nodes without a copy.
-    value, error, cells, nodes = _over_rm(lambda X: density_many(E, X.T), E, q.abs_tol, q.rel_tol)
+    f = lambda F, jac, Y: density_many(F, Y.T)
+    value, error, cells, nodes = _over_rm(f, E, q.abs_tol, q.rel_tol)
     return IntegralResult(value, error, "x", cells, nodes)
 
 

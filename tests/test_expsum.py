@@ -42,9 +42,9 @@ from sparse_kacrice.expsum import (
     INVERT_TOL,
     LEGENDRE_MARGIN,
     _batch_moments,
+    _det_g,
     _facet_predictor,
     _invert_moment_many,
-    _log_det,
     _softmax,
 )
 from sparse_kacrice.geometry import (
@@ -348,24 +348,33 @@ class TestContractionAgainstSubsets:
 
     @pytest.mark.parametrize("name", CASES)
     def test_log_det_equals_the_subset_sum(self, name):
+        # log of the ratio det g = (subset sum) / total^(m+1), relative 1e-13
         E = self.CASES[name]()
         X = np.random.default_rng(14).uniform(-3.0, 3.0, size=(40, E.dim))
         _, W, total = _softmax(E, X.T)
         want = np.log(_subset_sum(E, W)) - (E.dim + 1) * np.log(total)
-        np.testing.assert_allclose(np.exp(_log_det(E, W, total) - want), 1.0, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(np.exp(np.log(_det_g(E, W, total)) - want), 1.0, rtol=1e-13, atol=0.0)
 
     def test_block_shape_and_limit(self):
         for E in (kostlan(1, 7), kostlan(2, 9), kostlan(3, 2)):
             k, m = E.n_terms, E.dim
             form = E.support._simplex_form
-            assert form.shape == (math.comb(k, 2), math.comb(k, m - 1))
+            assert form.shape == (math.comb(k - m + 1, 2), math.comb(k - 2, m - 1))
             assert form.size <= SIMPLEX_FORM_LIMIT and not form.flags.writeable
-        # 2016^2 entries for kostlan(3, 3), four times the limit
-        with pytest.raises(InputError, match="limit"):
-            kostlan(3, 3).support._simplex_form
+        # 1891^2 entries for kostlan(3, 3) and 10153 * 142 for kostlan(2, 11)
+        for E in (kostlan(3, 3), kostlan(2, 11)):
+            with pytest.raises(InputError, match="limit"):
+                E.support._simplex_form
+        # the limit counts the block: 47 points in R^3 fit (990^2 entries),
+        # 48 do not (1035^2), and in R^2 129 fit and 130 do not
+        rng = np.random.default_rng(45)
+        for m, k in ((3, 48), (2, 130)):
+            with pytest.raises(InputError, match="limit"):
+                SupportSet(rng.normal(size=(k, m)))._simplex_form
+        assert SupportSet(rng.normal(size=(47, 3)))._simplex_form.shape == (990, 990)
 
     def test_build_memory(self):
-        # C(27, 4) = 17 550 subset determinants and a 351^2 block, not 27^4
+        # C(27, 4) = 17 550 subset determinants and a 300^2 block, not 27^4
         # determinants and a 27^4 tensor.
         E = kostlan(3, 2)
         tracemalloc.start()

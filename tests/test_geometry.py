@@ -38,7 +38,6 @@ from sparse_kacrice.geometry import (
     _grid,
     _interior_mask,
     _sorted_tuples,
-    _tuple_ranks,
 )
 
 SQUARE = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
@@ -249,19 +248,20 @@ class TestHullGeometry:
             np.testing.assert_array_equal([interior_contains(A, p, tol) for p in P[::10]], want[::10])
 
 
-def _simplex_form_by_pairs(A: SupportSet) -> np.ndarray:
-    """The Cauchy-Binet block built split by split, ranking every pair and
-    tuple afresh: the reference for the cached index tables."""
+def _simplex_form_by_subsets(A: SupportSet) -> np.ndarray:
+    """The Cauchy-Binet block built subset by subset, each placed at its
+    lowest pair and the tuple of the rest, looked up in freshly enumerated
+    pair and tuple lists: the reference for the cached index tables."""
     points = A.points
     k, m = points.shape
-    S = _sorted_tuples(k, m + 1)
-    D = _cone_dets(points, S[:, 1:], points[S[:, 0]])
-    D[(np.abs(D) <= 1e-12 * np.ptp(points, axis=0).max() ** m) | A.degenerate] = 0.0
-    D *= D / math.comb(m + 1, 2)
-    B = np.zeros((math.comb(k, 2), math.comb(k, m - 1)))
-    for pair in itertools.combinations(range(m + 1), 2):
-        rest = [p for p in range(m + 1) if p not in pair]
-        B[_tuple_ranks(S[:, pair], k), _tuple_ranks(S[:, rest], k)] = D
+    pairs = {pair: i for i, pair in enumerate(itertools.combinations(range(k - m + 1), 2))}
+    tuples = {t: i for i, t in enumerate(itertools.combinations(range(2, k), m - 1))}
+    B = np.zeros((len(pairs), len(tuples)))
+    scale = 1e-12 * np.ptp(points, axis=0).max() ** m
+    for S in itertools.combinations(range(k), m + 1):
+        D = _cone_dets(points, np.array([S[1:]]), points[S[0]])[0]
+        if abs(D) > scale and not A.degenerate:
+            B[pairs[S[:2]], tuples[S[2:]]] = D * D
     return B
 
 
@@ -274,12 +274,12 @@ class TestCauchyBinetTables:
         lattice = np.array(list(itertools.product(range(10 if m == 1 else 4), repeat=m)), dtype=float)
         for points in (rng.normal(size=(k, m)), lattice[rng.choice(len(lattice), k, replace=False)]):
             A = SupportSet(points)
-            np.testing.assert_array_equal(A._simplex_form, _simplex_form_by_pairs(A))
+            np.testing.assert_array_equal(A._simplex_form, _simplex_form_by_subsets(A))
 
     def test_degenerate_support_equals_the_per_pair_build(self):
         A = SupportSet([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0], [2.0, 3.0, 0.0]])
         assert A.degenerate
-        np.testing.assert_array_equal(A._simplex_form, _simplex_form_by_pairs(A))
+        np.testing.assert_array_equal(A._simplex_form, _simplex_form_by_subsets(A))
         assert not A._simplex_form.any()
 
     @pytest.mark.parametrize("k, m", [(2, 1), (5, 2), (6, 3)])
@@ -288,16 +288,17 @@ class TestCauchyBinetTables:
         assert _cauchy_binet_tables(k, m) is tables
         subsets, places, cones = tables
         np.testing.assert_array_equal(subsets, _sorted_tuples(k, m + 1))
-        assert places.shape == (math.comb(m + 1, 2), math.comb(k, m + 1))
-        # every (pair, tuple) entry of the block is some split of one subset, at most once
+        # one place per subset, each a different entry of the block
+        assert places.shape == (math.comb(k, m + 1),)
         assert len(np.unique(places)) == places.size
+        assert places.min() >= 0 and places.max() < math.comb(k - m + 1, 2) * math.comb(k - 2, m - 1)
         s = _sorted_tuples(k, m - 1)
         want = np.hstack([np.repeat(s, k, axis=0), np.tile(np.arange(k), len(s))[:, None]])
         np.testing.assert_array_equal(cones, want)
         for table in tables:
             assert not table.flags.writeable
             with pytest.raises(ValueError):
-                table[0, 0] = 0
+                table[(0,) * table.ndim] = 0
 
 
 class TestBoxAndGrid:

@@ -19,10 +19,13 @@ from sparse_kacrice import (
     McConfig,
     Quadrature,
     bkk_total,
+    density_many,
     esol_pspace,
     esol_region,
     esol_total,
     estimate_esol,
+    evaluate,
+    invert_moment,
     kostlan,
     lower_bound_check,
     tensor,
@@ -620,6 +623,27 @@ class TestMomentRoute:
 
     def test_degenerate_support_is_zero(self):
         assert esol_pspace(ExpSum([[2.0]])).value == 0.0
+
+
+class TestFrame:
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_framed_density_is_the_density_times_the_jacobian(self, m):
+        # The x route integrates the framed sum's density over y; it is E's
+        # density at x0 + W y times |det W|, from the sum's own frame.  Nodes
+        # reach 16 frame units, four times the cube's half-width: the two
+        # round the exponents <a, x> + log alpha apart, so they drift apart
+        # by about eps |<a, x>| (1.4e-13 at 32 units in three variables).
+        rng = np.random.default_rng(41 + m)
+        E = ExpSum(rng.normal(size=(7, m)), rng.uniform(0.3, 3.0, size=7))
+        F, jac = integrate._frame(E)
+        x0 = invert_moment(E, E.support.points.mean(axis=0))
+        W = np.linalg.inv(np.linalg.cholesky(evaluate(E, x0).g.entries)).T
+        assert jac == pytest.approx(np.linalg.det(W), rel=1e-14)
+        Y = np.random.default_rng(7).uniform(-1.0, 1.0, size=(400, E.dim))
+        Y *= np.repeat([1.0, 4.0, 8.0, 16.0], 100)[:, None]
+        want = density_many(E, x0 + Y @ W.T) * jac
+        assert want.min() > 1e-100
+        np.testing.assert_allclose(density_many(F, Y), want, rtol=1e-13, atol=0.0)
 
 
 class TestConvergenceFailure:
