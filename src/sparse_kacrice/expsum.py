@@ -40,6 +40,17 @@ for bit; :func:`evaluate` takes g and the density from one softmax and
 forms no dual: the dual form and its gate are :func:`.geometry.dual_form`,
 called only where a dual is read.
 
+Every kernel reads the support centred at its barycenter c, the points
+A - c that the constructor stores once (``ExpSum._points``).  Translating
+the support multiplies every realization of E by e^<c, x> > 0, which keeps
+the softmax weights, the metric and every density, and moves mu by -c; on
+the centred points the kernels carry eps diam(P) of rounding, not eps |a|,
+and a sum and its translate by an exactly representable vector give the
+same densities and integrals bit for bit.  The potential and the moment
+map take c back where they leave the kernels in user coordinates
+(:func:`_batch_moments`, :func:`evaluate`), and moment-map targets enter
+:func:`_invert_moment_many` relative to c.
+
 All evaluation is done in the log domain with a softmax shift, so points
 with coordinates far beyond the overflow range of exp stay finite.
 """
@@ -104,8 +115,8 @@ LEGENDRE_MARGIN = 1e-6
 FACET_START_SHARE = 0.01
 
 #: Moment residual of every moment-map inversion, scaled by (1 + diam P) and
-#: measured on the centred copy ``ExpSum._centred``: a preimage of a point at
-#: distance d from a facet keeps a relative error near INVERT_TOL / d.
+#: measured about the barycenter, where the kernels work: a preimage of a
+#: point at distance d from a facet keeps a relative error near INVERT_TOL / d.
 INVERT_TOL = 1e-14
 
 
@@ -137,6 +148,11 @@ class ExpSum:
         log_coeffs = np.log(arr)
         log_coeffs.flags.writeable = False
         self.log_coeffs = log_coeffs
+        # The barycenter c and the centred points A - c, the coordinates of
+        # every kernel; read-only.
+        self._c = self.support.points.mean(axis=0)
+        self._points = self.support.points - self._c
+        self._c.flags.writeable = self._points.flags.writeable = False
         # The last moment-coordinate grid scanned and its preimages, kept by
         # :func:`.monotonicity.region_scan`: ((box, resolution), node
         # indices, X), read-only; None until the first such scan.
@@ -146,67 +162,42 @@ class ExpSum:
         # until the first Psi evaluation.
         self._cone_block = None
 
-    @cached_property
-    def _centred(self) -> tuple[np.ndarray, "ExpSum"]:
-        """(c, the sum on A - c), c the barycenter of A: built once per sum,
-        the one copy on which the moment map is inverted.  Translation keeps
-        the softmax weights and preimages and moves mu by -c, which on the
-        copy carries eps * diam(P) of rounding, not eps * |a|.  Targets are
-        translated once, on the way in, never back; densities read E's own
-        Cauchy-Binet block (D_S is translation-invariant).
-
-        The copy shares E's read-only ``coeffs`` and ``log_coeffs`` and skips
-        the validation E passed: its support holds the translated points
-        without a second distinctness check.  It keeps its own cached
-        diameter and balancing point (:attr:`_newton_start`), taken from the
-        translated points.  The copy is its own centred copy, with c = 0.
-        Both c and that 0 are read-only."""
-        c = self.support.points.mean(axis=0)
-        points = self.support.points - c
-        zero = np.zeros_like(c)
-        for array in (c, points, zero):
-            array.flags.writeable = False
-        support, copy = object.__new__(SupportSet), object.__new__(ExpSum)
-        support.points = points
-        vars(copy).update(support=support, coeffs=self.coeffs, log_coeffs=self.log_coeffs,
-                          _grid_preimages=None, _cone_block=None, _centred=(zero, copy),
-                          _uncentred_support=self.support)
-        return c, copy
-
     def _framed(self, x0: np.ndarray, W: np.ndarray, jac: float) -> "ExpSum":
         """The sum in the coordinates y of x = x0 + W y, jac = |det W|:
-        E(x0 + W y) is the sum on the points A W with log-weights
-        log alpha + A x0, so its softmax at y is E's at x0 + W y.  Its
+        E(x0 + W y) is, up to the positive factor e^<c, x>, the sum on the
+        centred points times W, (A - c) W, with log-weights
+        log alpha + (A - c) x0, so its softmax at y is E's at x0 + W y.  Its
         Cauchy-Binet block is E's times jac^2 (D_S of A W is det W times
         D_S of A), so its density at y is jac times E's at x0 + W y, and
         its det g is jac^2 times E's.  The x route integrates it over y
         with no frame map and no Jacobian multiply per node.
 
-        Like :attr:`_centred` the copy skips validation; it holds only what
-        the density kernels read, its points, log-weights and block, all
-        read-only, and is built once per solve."""
-        A, support, copy = self.support.points, object.__new__(SupportSet), object.__new__(ExpSum)
-        vars(support).update(points=A @ W, _simplex_form=self.support._simplex_form * jac**2)
-        vars(copy).update(support=support, log_coeffs=self.log_coeffs + A @ x0)
-        for array in (support.points, support._simplex_form, copy.log_coeffs):
+        The copy skips validation; it holds only what the density kernels
+        read, its points, log-weights and block, all read-only, and is
+        built once per solve."""
+        A, support, copy = self._points, object.__new__(SupportSet), object.__new__(ExpSum)
+        points = A @ W
+        vars(support).update(points=points, _simplex_form=self.support._simplex_form * jac**2)
+        vars(copy).update(support=support, _points=points, log_coeffs=self.log_coeffs + A @ x0)
+        for array in (points, support._simplex_form, copy.log_coeffs):
             array.flags.writeable = False
         return copy
 
     @cached_property
     def _newton_start(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(x0, mu0, G0): the Newton start of moment-map inversion and its
-        moment map (m,) and metric (m, m), taken once per sum; read on the
-        centred copy (:func:`_invert_moment_many`), which starts a target
-        at the facet-log predictor (:attr:`_facet_start`) instead where that
-        passes its start rule.
+        moment map (m,) and metric (m, m), taken once per sum, mu0 about the
+        barycenter; read by :func:`_invert_moment_many`, which
+        starts a target at the facet-log predictor (:attr:`_facet_start`)
+        instead where that passes its start rule.
 
         x0 is the balancing point, the x minimizing
-        sum_a (<a, x> + log alpha_a - c)^2 over x and c.  There the terms'
+        sum_a (<a, x> + log alpha_a - s)^2 over x and s.  There the terms'
         magnitudes are as close to equal as a least-squares fit makes them,
         so the softmax weights are spread and the metric is well
         conditioned.  It is x = 0 for unit weights.
         """
-        design = np.hstack([self.support.points, -np.ones((self.n_terms, 1))])
+        design = np.hstack([self._points, -np.ones((self.n_terms, 1))])
         x0 = np.linalg.lstsq(design, -self.log_coeffs, rcond=None)[0][:-1]
         _, mu0, G0 = _moments(self, *_softmax(self, x0[:, None])[1:])
         start = (x0, mu0[:, 0], G0[..., 0])
@@ -217,15 +208,14 @@ class ExpSum:
     @cached_property
     def _facet_start(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
         """(S, nu, h, log d0): the facets of the facet-log predictor
-        (:func:`_facet_predictor`), read on the centred copy and taken once
-        per sum from the facet table of the uncentred support
-        (``SupportSet._facet_table``), so no second hull is computed.
+        (:func:`_facet_predictor`), taken once per sum from the support's
+        one facet table (``SupportSet._facet_table``).
 
         For each of the F facets, nu (F, m) is the inward unit normal and
-        h (F,) the least <nu, a> over the copy's points, so that
-        d(p) = <nu, p> - h is the distance of p to the facet; S (F, m) is
-        nu / (2 gap) and log d0 (F,) the log distance of the start's moment
-        mu0 (:attr:`_newton_start`).
+        h (F,) the least <nu, a - c> over the centred points, so that
+        d(p) = <nu, p> - h is the distance of a target p, taken about the
+        barycenter, to the facet; S (F, m) is nu / (2 gap) and log d0 (F,)
+        the log distance of the start's moment mu0 (:attr:`_newton_start`).
 
         None when the hull has no interior, when mu0 is not inside every
         facet, or when the predictor's Jacobian at mu0,
@@ -237,13 +227,13 @@ class ExpSum:
         Newton rows by under 0.1 % and added about 15 % to the inversion
         time.
         """
-        table = self._uncentred_support._facet_table
+        table = self.support._facet_table
         if table is None:
             return None
         rows, gaps = table
         _, mu0, G0 = self._newton_start
         nu = -rows[:, :-1]
-        h = (self.support.points @ nu.T).min(axis=0)
+        h = (self._points @ nu.T).min(axis=0)
         d0 = nu @ mu0 - h
         if not np.all(d0 > 0.0):
             return None
@@ -352,19 +342,29 @@ def _batch_moments(E: ExpSum, X: np.ndarray):
     :func:`_moments` of the terms-major :func:`_softmax`.
 
     Returns (phi (N,), lam (N, k), mu (N, m), G (N, m, m)), transposed views
-    of the (k, N), (m, N) and (m, m, N) arrays the kernel works on.
+    of the (k, N), (m, N) and (m, m, N) arrays the kernel works on, with phi
+    and mu in user coordinates (:func:`_potential`, mu + c).
     """
     top, W, total = _softmax(E, X.T)
     lam, mu, G = _moments(E, W, total)
-    return top + 0.5 * np.log(total), lam.T, mu.T, G.transpose(2, 0, 1)
+    mu += E._c[:, None]
+    return _potential(E, X, top, total), lam.T, mu.T, G.transpose(2, 0, 1)
+
+
+def _potential(E: ExpSum, X: np.ndarray, top: np.ndarray, total: np.ndarray) -> np.ndarray:
+    """phi = (1/2) log K at each row of X from its softmax (top, total):
+    the log-sum-exp on the centred points plus <c, x>, which the centring
+    took out."""
+    return top + 0.5 * np.log(total) + X @ E._c
 
 
 def _softmax(E: ExpSum, X: np.ndarray):
-    """(top = max T, W = exp(2 (T - top)), sum W) with T = <a, x> + log alpha_a
-    at each column x of the coordinate-major X (m, N), terms-major: W is
-    (k, N), so the max and the sum over the k terms run along the long axis
-    of N points.  Callers that hold points as rows pass ``X.T``."""
-    T = E.support.points @ X
+    """(top = max T, W = exp(2 (T - top)), sum W) with
+    T = <a - c, x> + log alpha_a, on the centred points, at each column x of
+    the coordinate-major X (m, N), terms-major: W is (k, N), so the max and
+    the sum over the k terms run along the long axis of N points.  Callers
+    that hold points as rows pass ``X.T``."""
+    T = E._points @ X
     T += E.log_coeffs[:, None]
     top = T.max(axis=0)
     T -= top
@@ -375,9 +375,9 @@ def _softmax(E: ExpSum, X: np.ndarray):
 
 def _moments(E: ExpSum, W: np.ndarray, total: np.ndarray):
     """(lam, mu, G) from the softmax (W, total), coordinate-major: lam
-    (k, N), mu (m, N) and G (m, m, N), so every entry is a contiguous row of
-    N points.  (The potential phi = (1/2) log K is top + (1/2) log total, from
-    the log-sum-exp that gives the weights.)
+    (k, N), mu (m, N) about the barycenter and G (m, m, N), so every entry
+    is a contiguous row of N points.  (The potential is :func:`_potential`,
+    from the log-sum-exp that gives the weights.)
 
     lam = W / total is written over W, which the caller gives up; mu is one
     (m, k)@(k, N) product, and the metric G_ij = sum_a lam_a C_ia C_ja of the
@@ -388,7 +388,7 @@ def _moments(E: ExpSum, W: np.ndarray, total: np.ndarray):
     factorization reads its lower triangle and :class:`.QuadForm`
     symmetrizes it.  No determinant is taken of it.
     """
-    points = E.support.points.T
+    points = E._points.T
     lam = np.divide(W, total, out=W)
     mu = points @ lam
     C = points[:, :, None] - mu[:, None, :]
@@ -491,11 +491,11 @@ def evaluate(E: ExpSum, x) -> EvalBundle:
     top, W, total = _softmax(E, x[:, None])
     density = float(_density(E, W, total)[0])
     lam, mu, G = _moments(E, W, total)
-    phi = float((top + 0.5 * np.log(total))[0])
+    phi = float(_potential(E, x[None], top, total)[0])
     with np.errstate(over="ignore"):
         K = float(np.exp(2.0 * phi))
     return EvalBundle(
-        x=x, K=K, phi=phi, weights=lam[:, 0], mu=mu[:, 0], g=QuadForm(G[..., 0]), density=density
+        x=x, K=K, phi=phi, weights=lam[:, 0], mu=mu[:, 0] + E._c, g=QuadForm(G[..., 0]), density=density
     )
 
 
@@ -532,22 +532,23 @@ def invert_moment(E: ExpSum, p) -> np.ndarray:
     margin = INVERT_MARGIN * (1.0 + diameter(E.support))
     if not interior_contains(E.support, p, margin):
         raise DomainError(f"target {p.tolist()} is not interior to the Newton polytope")
-    X, ok = _invert_moment_many(E, p[None])
+    q = p - E._c
+    X, ok = _invert_moment_many(E, q[None])
     if not ok[0]:
-        c, centred = E._centred
-        residual = float(np.linalg.norm(_batch_moments(centred, X)[2][0] - (p - c)))
+        residual = float(np.linalg.norm(_moments(E, *_softmax(E, X.T)[1:])[1][:, 0] - q))
         message = f"damped Newton stopped at residual {residual:.3e}"
         raise ConvergenceError(message, value=X[0], residual=residual)
     return X[0]
 
 
 def _invert_moment_many(E: ExpSum, P: np.ndarray):
-    """Vectorized damped Newton for many interior targets at once, on ``E._centred``.
+    """Vectorized damped Newton for many interior targets at once, each row
+    of P a target relative to the barycenter, as the kernels' mu is.
 
-    Returns (X, ok) where ok flags rows whose residual |mu(x) - p| on the
-    centred copy reached ``INVERT_TOL`` (1 + diam P), the one residual rule,
-    within ``INVERT_MAX_ITER`` iterations.  The rows are kept
-    coordinate-major: x, p and mu as (m, n) and the metric G as (m, m, n).
+    Returns (X, ok) where ok flags rows whose residual |mu(x) - p| reached
+    ``INVERT_TOL`` (1 + diam P), the one residual rule, within
+    ``INVERT_MAX_ITER`` iterations.  The rows are kept coordinate-major: x,
+    p and mu as (m, n) and the metric G as (m, m, n).
 
     Rows already within the residual at the balancing point x0 are done
     there.  Every other row starts at the facet-log predictor x_hat
@@ -573,9 +574,8 @@ def _invert_moment_many(E: ExpSum, P: np.ndarray):
     half of the arrays.  No interior check is performed here — callers own
     the masking.
     """
-    c, E = E._centred
     P = np.atleast_2d(np.asarray(P, dtype=float))
-    p = np.subtract(P.T, c[:, None], order="C")
+    p = np.ascontiguousarray(P.T)
     x0, mu0, G0 = E._newton_start
     X = np.repeat(x0[None], P.shape[0], axis=0)
     res2 = ((mu0[:, None] - p) ** 2).sum(axis=0)
@@ -645,8 +645,8 @@ def _invert_moment_many(E: ExpSum, P: np.ndarray):
 
 def _facet_predictor(E: ExpSum, p: np.ndarray):
     """(x_hat, d_min): the facet-log predictor of the preimages of the
-    columns of p (m, n) on the centred copy E, and each column's least
-    facet distance.
+    columns of p (m, n), relative to the barycenter, and each column's
+    least facet distance.
 
     x_hat = x0 + (1/2) sum_j (nu_j / gap_j) (log d_j(p) - log d_j(mu0)) is
     the gradient of Guillemin's symplectic potential (1/2) sum_j l_j log l_j,
@@ -680,12 +680,12 @@ def _facet_predictor(E: ExpSum, p: np.ndarray):
 
 def _legendre_density_many(E: ExpSum, Q: np.ndarray) -> np.ndarray:
     """1/sqrt(det 2g) at the moment preimage of each row of Q, a target
-    relative to the support's barycenter (``E._centred``); NaN where the
+    relative to the support's barycenter (``E._c``); NaN where the
     inversion fails.  The inversion is :func:`_invert_moment_many`'s, at
     its one residual.  No interior check is performed here.
     """
-    X, ok = _invert_moment_many(E._centred[1], Q)
-    det = _det_g(E, *_softmax(E._centred[1], X.T)[1:])
+    X, ok = _invert_moment_many(E, Q)
+    det = _det_g(E, *_softmax(E, X.T)[1:])
     return 1.0 / np.sqrt(2.0**E.dim * np.where(ok, det, np.nan))
 
 
@@ -702,7 +702,7 @@ def legendre_density(E: ExpSum, p) -> float:
     margin = LEGENDRE_MARGIN * diameter(E.support)
     if margin == 0.0 or not interior_contains(E.support, p, margin):
         raise DomainError(f"{p.tolist()} is outside the interior margin of the polytope")
-    value = float(_legendre_density_many(E, (p - E._centred[0])[None, :])[0])
+    value = float(_legendre_density_many(E, (p - E._c)[None, :])[0])
     if not math.isfinite(value):
         raise ConvergenceError(f"moment inversion failed at {p.tolist()}")
     return value

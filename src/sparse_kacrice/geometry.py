@@ -181,13 +181,13 @@ class SupportSet:
         min t > b, 0 elsewhere.  So sum over a < b and t of
         W_a W_b B[(a, b), t] prod_t W is sum over S of D_S^2 prod_S W.
         D = det[1 a_i] = det[a_i - a_i0] (m! times the simplex volume)
-        comes from the C(k, m+1) sorted subsets; a D within 1e-12 w^m, w the
-        widest coordinate range, is rounding on a flat simplex, set to 0.  A
-        ``degenerate`` support (the rank test) has every D set to 0, so
-        det g = 0 everywhere exactly where the integrals return 0.  The
-        subsets and the place of each in B depend on (k, m) alone
-        (:func:`_cauchy_binet_tables`), so a support computes only its
-        determinants and scatters them once.  Raises InputError past
+        comes from the C(k, m+1) sorted subsets (:func:`_cauchy_binet_tables`);
+        a D within 1e-12 w^m, w the widest coordinate range, is rounding on
+        a flat simplex, set to 0.  A ``degenerate`` support (the rank test)
+        has every D set to 0, so det g = 0 everywhere exactly where the
+        integrals return 0.  The subsets (a, b, t), in lexicographic order,
+        are B's entries with min t > b in row-major order, so one masked
+        write places them all.  Raises InputError past
         ``SIMPLEX_FORM_LIMIT`` entries, before allocating anything."""
         k, m = self.points.shape
         shape = (math.comb(max(k - m + 1, 0), 2), math.comb(max(k - 2, 0), m - 1))
@@ -196,11 +196,15 @@ class SupportSet:
                 f"{k} points in R^{m} need a Cauchy-Binet block of {shape[0] * shape[1]} "
                 f"entries, over the limit of {SIMPLEX_FORM_LIMIT}"
             )
-        S, places, _ = _cauchy_binet_tables(k, m)
+        S = _cauchy_binet_tables(k, m)[0]
         D = _cone_dets(self.points, S[:, 1:], self.points[S[:, 0]])
         D[(np.abs(D) <= 1e-12 * np.ptp(self.points, axis=0).max() ** m) | self.degenerate] = 0.0
+        # The second index of each row pair, and the first of each column
+        # tuple: k for the one empty tuple of m = 1, above every b.
+        b_row = _sorted_tuples(max(k - m + 1, 0), 2)[:, 1]
+        first_t = np.min(_sorted_tuples(max(k - 2, 0), m - 1), axis=1, initial=k - 2) + 2
         B = np.zeros(shape)
-        B.reshape(-1)[places] = D * D
+        B[first_t[None, :] > b_row[:, None]] = D * D
         B.flags.writeable = False
         return B
 
@@ -266,45 +270,26 @@ def _sorted_tuples(k: int, r: int) -> np.ndarray:
     return np.fromiter(flat, dtype=np.intp, count=n * r).reshape(n, r)
 
 
-def _tuple_ranks(tuples: np.ndarray, k: int) -> np.ndarray:
-    """Row of each sorted tuple (rows of ``tuples``, shape (n, r)) in
-    :func:`_sorted_tuples` (k, r): C(k, r) - 1 - sum_p C(k - 1 - t_p, r - p)."""
-    r = tuples.shape[1]
-    binom = np.array([[math.comb(a, b) for b in range(r + 1)] for a in range(k)], dtype=np.intp)
-    binom = binom.reshape(k, r + 1)  # (0, r + 1) for k = 0, read by no tuple
-    rank = np.full(len(tuples), math.comb(k, r) - 1, dtype=np.intp)
-    for p in range(r):
-        rank -= binom[k - 1 - tuples[:, p], r - p]
-    return rank
-
-
-# A table of k points in R^m holds (m+2) C(k, m+1) + m k C(k, m-1) indices
-# (0.9 MB for 27 points in R^3, 11 MB for 128 in R^2), so only the most recent
+# A table of k points in R^m holds (m+1) C(k, m+1) + m k C(k, m-1) indices
+# (0.8 MB for 27 points in R^3, 8.5 MB for 128 in R^2), so only the most recent
 # shapes stay.
 @lru_cache(maxsize=32)
-def _cauchy_binet_tables(k: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _cauchy_binet_tables(k: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Index tables of the Cauchy-Binet sums over k points in R^m, built
     once per (k, m); cached, read-only.
 
-    Returns (subsets, places, cones):
+    Returns (subsets, cones):
     * subsets, (C(k, m+1), m+1): the sorted (m+1)-subsets S,
-      :func:`_sorted_tuples` (k, m+1);
-    * places, (C(k, m+1),): the flat index of each S in
-      ``SupportSet._simplex_form``, split once into its lowest pair and the
-      (m-1)-tuple of the rest: pair rank among the pairs of range(k-m+1)
-      times C(k-2, m-1), plus the rank of the tuple, less 2, among the
-      (m-1)-tuples of range(k-2) (:func:`_tuple_ranks`);
+      :func:`_sorted_tuples` (k, m+1), the simplices of
+      ``SupportSet._simplex_form``;
     * cones, (C(k, m-1) k, m): each sorted (m-1)-tuple s followed by each
       point j, s-major, the rows t of the cone determinants det[a_t - a_0]
       of Psi's (C(k, m-1), k) matrix.
     """
     subsets = _sorted_tuples(k, m + 1)
-    pairs, tuples = max(k - m + 1, 0), max(k - 2, 0)
-    places = _tuple_ranks(subsets[:, :2], pairs) * math.comb(tuples, m - 1)
-    places += _tuple_ranks(subsets[:, 2:] - 2, tuples)
     s = _sorted_tuples(k, m - 1)
     cones = np.hstack([np.repeat(s, k, axis=0), np.tile(np.arange(k), len(s))[:, None]])
-    tables = (subsets, places, cones)
+    tables = (subsets, cones)
     for table in tables:
         table.flags.writeable = False
     return tables
@@ -320,7 +305,11 @@ def _is_int(v) -> bool:
 
 
 def _check_vector(u, m: int, name: str = "u") -> np.ndarray:
-    vec = np.asarray(u, dtype=float).reshape(-1)
+    """u as a finite float vector of length m; InputError otherwise."""
+    try:
+        vec = np.asarray(u, dtype=float).reshape(-1)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{name} must give real numbers, got {u!r}") from exc
     if vec.shape[0] != m:
         raise InputError(f"{name} has length {vec.shape[0]}, expected {m}")
     if not np.all(np.isfinite(vec)):

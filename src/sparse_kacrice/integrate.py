@@ -19,8 +19,11 @@ Two routes to the same number:
 
 Both routes invert the moment map by the kernel's one rule
 (:func:`.expsum._invert_moment_many`, residual ``INVERT_TOL`` (1 + diam P)
-on the centred copy): the x route once, for x0, and the moment route at
-every integrand node.
+about the barycenter): the x route once, for x0, and the moment route at
+every integrand node.  Both work where the kernels do, about the support's
+barycenter c (``ExpSum._points``): the frame's moment target and the
+polytope cells are taken relative to it, so a sum and its translate by an
+exactly representable vector give the same integrals and cells.
 
 Every integral, in every dimension, is one adaptive set of cells, each
 with an embedded pair of rules whose difference is its error estimate.
@@ -44,14 +47,15 @@ compensated (math.fsum), so results do not depend on evaluation order.
 What a solve builds, and how often:
 
 * once per sum, cached on it and read by every later solve: the rank
-  test, the centred copy (``ExpSum._centred``) with its balancing point
-  and diameter, the Cauchy-Binet block of the density and, once a target
+  test, the balancing point (``ExpSum._newton_start``), the diameter, the
+  Cauchy-Binet block of the density and, once a target
   is not already at the balancing point's moment, the hull's facet table
   and the facet-log start built from it (``ExpSum._facet_start``), which
   inverts the closed-form sums' nodes with no Newton step;
 * once per solve: the frame (x0, W and the Jacobian |det W|), folded into
-  a framed copy of the sum (``ExpSum._framed``: support A W, log-weights
-  log alpha + A x0 and the block times (det W)^2), and the cell store;
+  a framed copy of the sum (``ExpSum._framed``: support (A - c) W,
+  log-weights log alpha + (A - c) x0 and the block times (det W)^2), and
+  the cell store;
 * once per integrand call: one (m, N) node array, written in place, and
   the kernel's own arrays; the x route reads the nodes as the framed
   sum's points, with no frame map and no Jacobian multiply;
@@ -468,23 +472,23 @@ def _frame(E: ExpSum):
     (``ExpSum._framed``), so F's density at y is jac = |det W| times E's
     density at x, and its det g is jac^2 times E's.
 
-    x0 is the moment preimage of the support's barycenter, by the kernel's
-    inversion (:func:`.expsum._invert_moment_many`) at its one residual:
-    the barycenter of a full-dimensional support is interior, so no margin
-    gate applies and a thin support inverts like any other.
+    x0 is the moment preimage of the support's barycenter, the target 0
+    about it, by the kernel's inversion (:func:`.expsum._invert_moment_many`)
+    at its one residual: the barycenter of a full-dimensional support is
+    interior, so no margin gate applies and a thin support inverts like any
+    other.
     W = L^-T from the Cholesky factor g(x0) = L L^T, so W^T g(x0) W = I;
     unlike an eigenbasis, which follows roundoff where g(x0) has a repeated
     eigenvalue, L is continuous in g, so a roundoff change in x0 cannot
     rotate the frame and reorder the cells.  An inversion
     that fails raises ConvergenceError, with the residual read from the
     same row as g(x0), before any cell is integrated.  Built once per
-    solve, from the sum's cached centred copy.
+    solve.
     """
-    c = E._centred[0]
-    X, ok = _invert_moment_many(E, c[None])
+    X, ok = _invert_moment_many(E, np.zeros((1, E.dim)))
     _, mu, G = _moments(E, *_softmax(E, X.T)[1:])
     if not ok[0]:
-        residual = float(np.linalg.norm(mu[:, 0] - c))
+        residual = float(np.linalg.norm(mu[:, 0]))
         message = f"no frame over R^m: damped Newton stopped at residual {residual:.3e}"
         raise ConvergenceError(message, residual=residual)
     L = np.linalg.cholesky(G[..., 0])
@@ -551,7 +555,7 @@ def esol_pspace(E: ExpSum, q: Quadrature | None = None) -> IntegralResult:
     (1 - b) times smooth factors, so the 1/sqrt(distance) layer and the
     corner both become smooth.  All cells share one adaptive integral, seeded
     4 per axis per cell, whose Gauss nodes never touch the boundary, all
-    relative to the support's barycenter (``ExpSum._centred``).  A failed
+    relative to the support's barycenter (``ExpSum._c``).  A failed
     moment inversion makes the integrand NaN, which raises
     ConvergenceError with the partial value.
     """
@@ -562,7 +566,7 @@ def esol_pspace(E: ExpSum, q: Quadrature | None = None) -> IntegralResult:
     if E.support.degenerate:
         return IntegralResult(0.0, 0.0, "p", 0, 0)
     prefactor = 1.0 / (2.0 ** ((m - 2) / 2.0) * ball_sphere_constants(m)[1])
-    V = E.support.vertices - E._centred[0]
+    V = E.support.vertices - E._c
     n = V.shape[0]
     # The per-vertex maps are held coordinate-major, like the nodes: vertex
     # i is column i of A, B and D.

@@ -30,6 +30,7 @@ import csv
 import io
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,6 +159,10 @@ def _psi_many(E: ExpSum, aug: Augmentation, a0: np.ndarray, X: np.ndarray):
     accuracy in every tail, whichever term dominates; no metric is formed
     or solved.  Raises DegenerateMetricError where det g underflows to 0.
 
+    Like the kernels, M and log f_0 are taken about the barycenter c, M on
+    the centred points with apex a_0 - c and log f_0 with <a_0 - c, x>,
+    against phi without its <c, x>: Psi, phi0, g^x(tau) and K/K_0 keep
+    their values, since K and f_0^2 both lose the factor e^(2 <c, x>).
     M depends on E and a_0 alone, so E keeps the last a_0's block,
     read-only (``E._cone_block``): the p- and x-scans of one a_0, scalar
     :func:`psi` and :func:`ray_scan_unbounded` build it once; another a_0
@@ -169,16 +174,16 @@ def _psi_many(E: ExpSum, aug: Augmentation, a0: np.ndarray, X: np.ndarray):
     flat = det_sum == 0.0
     if flat.any():
         raise DegenerateMetricError(f"det g underflows at x = {X[flat][0].tolist()}; Psi undefined")
-    key = a0.tobytes()
+    key, apex = a0.tobytes(), a0 - E._c
     if E._cone_block is None or E._cone_block[0] != key:
-        M = _cone_dets(E.support.points, _cauchy_binet_tables(k, m)[2], a0).reshape(-1, k)
+        M = _cone_dets(E._points, _cauchy_binet_tables(k, m)[1], apex).reshape(-1, k)
         M.flags.writeable = False
         E._cone_block = (key, M)
     MW = E._cone_block[1] @ W
     np.square(MW, out=MW)
     q = (MW[0] if m == 1 else np.einsum("tn,tn->n", _sorted_products(W, m - 1), MW)) / det_sum
     phi = top + 0.5 * np.log(total)
-    log_f0 = math.log(aug.alpha0) + X @ a0
+    log_f0 = math.log(aug.alpha0) + X @ apex
     log_K0 = np.logaddexp(2.0 * phi, 2.0 * log_f0)
     log_ratio = 2.0 * phi - log_K0
     tau_normsq = np.exp(2.0 * log_f0 - log_K0) * q
@@ -238,8 +243,9 @@ def ray_scan_unbounded(
     norm = float(np.linalg.norm(x_dir))
     if norm == 0.0:
         raise InputError("x_dir must be nonzero")
-    if not (t_max > 0 and math.isfinite(t_max) and _is_int(n_steps) and n_steps >= 1):
-        raise InputError("need a finite t_max > 0 and an integer n_steps >= 1")
+    real = isinstance(t_max, numbers.Real) and not isinstance(t_max, bool)  # numpy's bool is not Real
+    if not (real and 0.0 < t_max < math.inf and _is_int(n_steps) and n_steps >= 1):
+        raise InputError("need a finite real t_max > 0 and an integer n_steps >= 1")
     ts = np.linspace(t_max / n_steps, t_max, n_steps)
     return _psi_evals(E, aug, ts[:, None] * (x_dir / norm))
 
@@ -306,7 +312,7 @@ def _moment_preimages(E: ExpSum, box: tuple, resolution: tuple, nodes: np.ndarra
     if stored is None or stored[0] != key:
         margin = LEGENDRE_MARGIN * diameter(E.support)
         usable = np.flatnonzero(_interior_mask(E.support, nodes, margin))
-        X, ok = _invert_moment_many(E, nodes[usable])
+        X, ok = _invert_moment_many(E, nodes[usable] - E._c)
         stored = (key, usable[ok], X[ok])
         for array in stored[1:]:
             array.flags.writeable = False
@@ -326,7 +332,7 @@ def region_scan(
     In the default moment-coordinate scan ("p" space) the nodes at least
     ``LEGENDRE_MARGIN`` diam(P) inside every facet of the Newton polytope
     (tested against the support's cached facet rows) are mapped back by one
-    batched Newton solve on ``E._centred``; the other nodes, and any whose
+    batched Newton solve about the barycenter; the other nodes, and any whose
     inversion fails, are marked "outside".  The inversion is the one rule of
     every inversion, residual ``INVERT_TOL`` (1 + diam P), so near a facet
     Psi is taken at the preimage, not at a nearby point: 2.4e-5 inside the

@@ -11,7 +11,11 @@ from __future__ import annotations
 
 import inspect
 
+import numpy as np
+import pytest
+
 import sparse_kacrice
+from sparse_kacrice import Augmentation, InputError, kostlan
 
 #: Every public name, sorted (52 names).
 PUBLIC = [
@@ -106,3 +110,27 @@ def test_defaulted_parameters_are_pinned():
 
 def test_public_names_are_pinned():
     assert sorted(sparse_kacrice.__all__) == PUBLIC
+
+
+SQUARE = kostlan(2, 1)
+LINE = kostlan(1, 2)
+
+#: Malformed point and parameter inputs of the public entry points: each
+#: raises InputError, not the TypeError or ValueError of a failed float
+#: conversion, and a bool is not a real parameter.
+MALFORMED = {
+    "evaluate str": ("evaluate", (SQUARE, "ab")),
+    "invert_moment str entry": ("invert_moment", (SQUARE, ["a", 0.5])),
+    "support_function str": ("support_function", (SQUARE.support, "xy")),
+    "interior_contains str": ("interior_contains", (SQUARE.support, "xy", 1e-3)),
+    "psi dict": ("psi", (SQUARE, Augmentation([0.3, 0.6]), {"a": 1})),
+    **{f"ray_scan_unbounded t_max {t_max!r}": ("ray_scan_unbounded", (LINE, Augmentation([3.0]), [1.0], t_max, 3))
+       for t_max in ("5", None, [5.0], True, np.True_)},
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED)
+def test_malformed_inputs_raise_input_error(name):
+    entry, args = MALFORMED[name]
+    with pytest.raises(InputError):
+        getattr(sparse_kacrice, entry)(*args)

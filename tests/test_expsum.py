@@ -45,6 +45,7 @@ from sparse_kacrice.expsum import (
     _det_g,
     _facet_predictor,
     _invert_moment_many,
+    _moments,
     _softmax,
 )
 from sparse_kacrice.geometry import (
@@ -86,6 +87,12 @@ def derivative_residuals(E, x):
             hess[i, j] = hess[j, i] = (up - f(x - e[i] + e[j]) + f(x - e[i] - e[j])) / (4.0 * h**2)
     bundle = evaluate(E, x)
     return np.abs(grad - bundle.mu).max(), np.abs(hess - 2.0 * bundle.g.entries).max()
+
+
+def _centred_mu(E, X):
+    """mu about the barycenter at each row of X, where the inversion's
+    residual rule is stated."""
+    return _moments(E, *_softmax(E, X.T)[1:])[1].T
 
 
 def _reference_moments(E, X):
@@ -139,51 +146,58 @@ class TestConstruction:
 
     def test_no_cached_array_is_writeable(self):
         # Cached state is shared by every later call on the sum, so none of
-        # it may be written in place; the barycenter of _centred once was.
+        # it may be written in place; the barycenter once was.
         E = ExpSum([[0, 0], [1, 0], [0, 1], [1, 1]], [1.0, 0.7, 1.3, 0.9])
         region_scan(E, Augmentation([0.3, 0.6]), resolution=8)
         esol_total(E, Quadrature(abs_tol=1e-4, rel_tol=1e-4))
         assert E._newton_start is not None and E.support.vertices is not None
-        c, centred = E._centred
-        for sum_, names in ((E, ["_centred", "_newton_start", "_grid_preimages", "_cone_block"]),
-                            (centred, ["_centred", "_newton_start"])):
-            assert all(vars(sum_).get(name) is not None for name in names)
-        assert {"_hull", "_simplex_form"} <= set(vars(E.support))
-        assert "_diameter" in vars(centred.support)
+        names = ["_c", "_points", "_newton_start", "_grid_preimages", "_cone_block"]
+        assert all(vars(E).get(name) is not None for name in names)
+        assert {"_hull", "_simplex_form", "_diameter"} <= set(vars(E.support))
+        for array in (E._c, E._points):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
         arrays = _reachable_arrays([E, _cauchy_binet_tables(E.n_terms, E.dim), _cell_rule(E.dim)])
         assert len(arrays) >= 20
         assert [a.shape for a in arrays if a.flags.writeable] == []
 
 
 class TestCentredCopy:
-    """The centred copy is built once per sum, without a second validation."""
+    """The centred points A - c, the coordinates of every kernel, are stored
+    once per sum, at construction: no solve builds a second sum or support."""
 
     def test_fresh_sum_solve_builds_no_support(self, monkeypatch):
         E = ExpSum([[0, 0], [1, 0], [0, 1], [1, 1]], [1.0, 0.7, 1.3, 0.9])
         built = []
-        init = SupportSet.__init__
+        for cls in (SupportSet, ExpSum):
+            def counted(self, *args, init=cls.__init__):
+                built.append(type(self).__name__)
+                init(self, *args)
 
-        def counted(self, points):
-            built.append(len(points))
-            init(self, points)
-
-        monkeypatch.setattr(SupportSet, "__init__", counted)
+            monkeypatch.setattr(cls, "__init__", counted)
         esol_total(E, Quadrature(abs_tol=1e-4, rel_tol=1e-4))
-        assert built == [] and "_centred" in vars(E)
+        esol_pspace(E, Quadrature(abs_tol=1e-4, rel_tol=1e-4))
+        invert_moment(E, [0.4, 0.7])
+        region_scan(E, Augmentation([0.3, 0.6]), resolution=8)
+        assert built == [] and "_facet_start" in vars(E)
 
     @pytest.mark.parametrize("E", [IRREGULAR, EXTREME, SKEWED_BOX, kostlan(3, 1)],
                              ids=["irregular", "extreme", "skewed box", "cube"])
     def test_copy_equals_a_validated_sum_on_the_translated_points(self, E):
         E = ExpSum(E.support.points, E.coeffs)
-        c, centred = E._centred
-        validated = ExpSum(E.support.points - c, E.coeffs)
-        assert centred.coeffs is E.coeffs and centred.log_coeffs is E.log_coeffs
-        np.testing.assert_array_equal(centred.log_coeffs, validated.log_coeffs)
-        assert centred.support == validated.support and centred._centred[1] is centred
-        assert diameter(centred.support) == diameter(validated.support)
-        for got, want in zip(centred._newton_start, validated._newton_start):
-            assert got.tobytes() == want.tobytes()
-        assert (centred._grid_preimages, centred._cone_block) == (None, None)
+        A = E.support.points
+        c = A.mean(axis=0)
+        validated = ExpSum(A - c, E.coeffs)
+        assert E._c.tobytes() == c.tobytes() and E._points.tobytes() == validated.support.points.tobytes()
+        assert not E._c.flags.writeable and not E._points.flags.writeable
+        # The balancing point is the least-squares fit on the centred points.
+        x0, mu0, G0 = E._newton_start
+        design = np.hstack([A - c, -np.ones((E.n_terms, 1))])
+        assert x0.tobytes() == np.linalg.lstsq(design, -E.log_coeffs, rcond=None)[0][:-1].tobytes()
+        _, _, mu, G = _reference_moments(E, x0[None])
+        scale = 1.0 + diameter(E.support)
+        np.testing.assert_allclose(mu0 + c, mu[0], rtol=0.0, atol=1e-13 * scale)
+        np.testing.assert_allclose(G0, G[0], rtol=0.0, atol=1e-13 * scale**2)
 
 
 def _reachable_arrays(obj, seen=None) -> list:
@@ -410,7 +424,7 @@ class TestScalarCallsAreOneRowKernels:
         E = self.CASES[name]
         weights = np.random.default_rng(6).dirichlet(np.ones(E.n_terms), size=20)
         for p in weights @ E.support.points:
-            X, ok = _invert_moment_many(E, p[None])
+            X, ok = _invert_moment_many(E, p[None] - E._c)
             assert ok[0]
             np.testing.assert_array_equal(invert_moment(E, p), X[0])
 
@@ -462,9 +476,9 @@ class TestMomentInversion:
         E = ExpSum([[0.0], [1.0], [3.0]], [1.0, 2.0, 1.0])
         moved = ExpSum(E.support.points + 1e6, E.coeffs)
         targets = np.linspace(0.0, 3.0, 202)[1:-1, None]
-        X, ok = _invert_moment_many(moved, targets + 1e6)
+        X, ok = _invert_moment_many(moved, targets + 1e6 - moved._c)
         assert ok.all()
-        want, ok = _invert_moment_many(E, targets)
+        want, ok = _invert_moment_many(E, targets - E._c)
         assert ok.all()
         np.testing.assert_allclose(X, want, rtol=0.0, atol=1e-8)
 
@@ -490,7 +504,7 @@ class TestMomentInversion:
                 assert exc.residual > 1e-10
             else:
                 assert evaluate(EXTREME, x).mu[0] == pytest.approx(p, abs=1e-9)
-        X, ok = _invert_moment_many(EXTREME, targets[:, None])
+        X, ok = _invert_moment_many(EXTREME, targets[:, None] - EXTREME._c)
         assert ok.any()
         for x, p in zip(X[ok], targets[ok]):
             assert evaluate(EXTREME, x).mu[0] == pytest.approx(p, abs=1e-9)
@@ -500,9 +514,8 @@ class TestMomentInversion:
         # moment), rows that backtrack and rows that fail (21 of the 41 on
         # the line): rows done early are carried through later iterations
         # before they are packed away, and must neither move nor warn.
-        c, centred = EXTREME._centred
-        start = centred._newton_start[1] + c
-        targets = np.vstack([np.linspace(-49.0, 79.0, 41)[:, None], start[None]])
+        start = EXTREME._newton_start[1] + EXTREME._c
+        targets = np.vstack([np.linspace(-49.0, 79.0, 41)[:, None], start[None]]) - EXTREME._c
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             X, ok = _invert_moment_many(EXTREME, targets)
@@ -514,7 +527,7 @@ class TestMomentInversion:
                 np.testing.assert_allclose(x, one[0], rtol=0.0, atol=1e-12)
 
     def test_extreme_weights_fail_on_at_most_21_targets(self):
-        _, ok = _invert_moment_many(EXTREME, np.linspace(-49.0, 79.0, 41)[:, None])
+        _, ok = _invert_moment_many(EXTREME, np.linspace(-49.0, 79.0, 41)[:, None] - EXTREME._c)
         assert (~ok).sum() <= 21
 
     @pytest.mark.parametrize("coeffs", [None, [1.0, 2.0, 0.5, 3.0, 0.7]])
@@ -524,15 +537,14 @@ class TestMomentInversion:
         axes = [np.linspace(-1.0, 3.0, 24), np.linspace(0.0, 3.0, 24)]
         nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
         nodes = nodes[[interior_contains(E.support, p, 1e-6) for p in nodes]]
-        X, ok = _invert_moment_many(E, nodes)
+        X, ok = _invert_moment_many(E, nodes - E._c)
         assert len(nodes) > 200 and ok.all()
         for x, p in zip(X, nodes):
             scalar = invert_moment(E, p)
             np.testing.assert_allclose(x, scalar, rtol=1e-12, atol=1e-12)
-        # The rule is stated on the centred copy, which has the same preimages.
-        c, centred = E._centred
-        residual = np.linalg.norm(_batch_moments(centred, X)[2] - (nodes - c), axis=1)
-        assert (residual <= INVERT_TOL * (1.0 + diameter(centred.support))).all()
+        # The rule is stated about the barycenter, where the kernels work.
+        residual = np.linalg.norm(_centred_mu(E, X) - (nodes - E._c), axis=1)
+        assert (residual <= INVERT_TOL * (1.0 + diameter(E.support))).all()
 
     def test_skewed_weights_total(self):
         # the x route centres its frame on the inverted barycenter; an
@@ -607,17 +619,16 @@ def _interior_grid(E) -> np.ndarray:
 
 
 def _with_start(E, start: str, monkeypatch) -> ExpSum:
-    """A fresh copy of E whose centred copy has its facet-log start as
-    built ("built"), none, today's path without a predictor ("none"), or
-    one built without the sum test of ``ExpSum._facet_start`` ("lifted")."""
+    """A fresh copy of E with its facet-log start as built ("built"), none,
+    today's path without a predictor ("none"), or one built without the sum
+    test of ``ExpSum._facet_start`` ("lifted")."""
     fresh = ExpSum(E.support.points, E.coeffs)
-    centred = fresh._centred[1]
     if start == "none":
-        vars(centred)["_facet_start"] = None
+        vars(fresh)["_facet_start"] = None
     elif start == "lifted":
         with monkeypatch.context() as patch:
             patch.setattr(expsum, "FACET_START_SHARE", math.inf)
-            assert centred._facet_start is not None
+            assert fresh._facet_start is not None
     return fresh
 
 
@@ -635,11 +646,10 @@ class TestFacetStart:
             return _cholesky_solve(G, B)
 
         monkeypatch.setattr(expsum, "_cholesky_solve", counted)
-        nodes = _interior_grid(E)
+        nodes = _interior_grid(E) - E._c
         X, ok = _invert_moment_many(E, nodes)
         assert len(nodes) >= 50 and ok.all() and solves == []
-        c, centred = E._centred
-        residual = np.linalg.norm(_batch_moments(centred, X)[2] - (nodes - c), axis=1)
+        residual = np.linalg.norm(_centred_mu(E, X) - nodes, axis=1)
         assert residual.max() <= INVERT_TOL * (1.0 + diameter(E.support))
 
     @pytest.mark.parametrize("name", sorted(GENERIC))
@@ -649,10 +659,11 @@ class TestFacetStart:
         # must keep every row that converges from the balancing point.
         E = GENERIC[name]
         targets = np.random.default_rng(8).dirichlet(np.ones(E.n_terms), size=3000) @ E.support.points
+        targets -= E._c
         today = _invert_moment_many(_with_start(E, "none", monkeypatch), targets)
         assert today[1].sum() >= 2600
         built = _with_start(E, "built", monkeypatch)
-        assert built._centred[1]._facet_start is None
+        assert built._facet_start is None
         X, ok = _invert_moment_many(built, targets)
         np.testing.assert_array_equal(X, today[0])
         np.testing.assert_array_equal(ok, today[1])
@@ -662,14 +673,13 @@ class TestFacetStart:
     def test_target_on_or_past_a_facet_starts_at_the_balancing_point(self, monkeypatch):
         # Targets on an edge, past one by rounding, at a vertex, and one inside.
         E = CANONICAL["kostlan(2,1) reweighted"]
-        targets = np.array([[0.5, 0.0], [0.5, -1e-12], [1.0, 1.0], [0.3, 1.0 + 1e-15], [0.25, 0.5]])
-        c, centred = E._centred
+        targets = np.array([[0.5, 0.0], [0.5, -1e-12], [1.0, 1.0], [0.3, 1.0 + 1e-15], [0.25, 0.5]]) - E._c
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            guess, d_min = _facet_predictor(centred, (targets - c).T)
+            guess, d_min = _facet_predictor(E, targets.T)
             X, ok = _invert_moment_many(E, targets)
             want, want_ok = _invert_moment_many(_with_start(E, "none", monkeypatch), targets)
-        np.testing.assert_array_equal(guess[:, :4], np.repeat(centred._newton_start[0][:, None], 4, axis=1))
+        np.testing.assert_array_equal(guess[:, :4], np.repeat(E._newton_start[0][:, None], 4, axis=1))
         assert (d_min[:4] == 0.0).all() and d_min[4] > 0.0
         np.testing.assert_array_equal(X[:4], want[:4])
         np.testing.assert_array_equal(ok, want_ok | [False] * 4 + [True])
@@ -681,7 +691,7 @@ class TestFacetStart:
         # predicted start is the same in any batch, bit for bit.
         E = CANONICAL[name]
         targets = np.random.default_rng(13).dirichlet(np.ones(E.n_terms), size=40) @ E.support.points
-        X, ok = _invert_moment_many(E, targets)
+        X, ok = _invert_moment_many(E, targets - E._c)
         assert ok.all()
         for x, p in zip(X, targets):
             np.testing.assert_array_equal(invert_moment(E, p), x)
@@ -693,7 +703,7 @@ class TestFacetStart:
         # call to rounding, as rows started at the balancing point do.
         points, coeffs = kostlan(2, 2).support.points, kostlan(2, 2).coeffs
         E = ExpSum(points, coeffs * np.exp(np.random.default_rng(12).normal(0.0, 0.01, 9)))
-        assert E._centred[1]._facet_start is not None
+        assert E._facet_start is not None
         targets = np.random.default_rng(13).dirichlet(np.ones(9), size=40) @ points
         solves = []
 
@@ -702,15 +712,15 @@ class TestFacetStart:
             return _cholesky_solve(G, B)
 
         monkeypatch.setattr(expsum, "_cholesky_solve", counted)
-        X, ok = _invert_moment_many(E, targets)
+        X, ok = _invert_moment_many(E, targets - E._c)
         rows = sum(solves)
-        assert ok.all() and _invert_moment_many(_with_start(E, "none", monkeypatch), targets)[1].all()
+        assert ok.all() and _invert_moment_many(_with_start(E, "none", monkeypatch), targets - E._c)[1].all()
         assert 0 < rows < sum(solves) - rows  # fewer Newton rows than from the balancing point
         for x, p in zip(X, targets):
             np.testing.assert_allclose(invert_moment(E, p), x, rtol=0.0, atol=1e-14)
 
     def test_one_hull_per_support(self, monkeypatch):
-        # The centred copy reads the facet table of the sum's own support.
+        # The facet-log start reads the facet table of the sum's own support.
         import scipy.spatial
 
         hulls = []
@@ -726,9 +736,7 @@ class TestFacetStart:
         esol_pspace(E, Quadrature(abs_tol=1e-4, rel_tol=1e-4))
         legendre_density(E, [0.5, 0.7])
         invert_moment(E, [1.2, 0.3])
-        centred = E._centred[1]
-        assert hulls == [9] and centred._facet_start is not None
-        assert not {"_hull", "_facet_table"} & set(vars(centred.support))
+        assert hulls == [9] and E._facet_start is not None
 
 
 class TestLegendreDensity:

@@ -17,6 +17,7 @@ from sparse_kacrice import (
     ExpSum,
     InputError,
     McConfig,
+    Augmentation,
     Quadrature,
     bkk_total,
     density_many,
@@ -28,6 +29,7 @@ from sparse_kacrice import (
     invert_moment,
     kostlan,
     lower_bound_check,
+    region_scan,
     tensor,
 )
 from sparse_kacrice import expsum, integrate
@@ -646,6 +648,44 @@ class TestFrame:
         np.testing.assert_allclose(density_many(F, Y), want, rtol=1e-13, atol=0.0)
 
 
+#: Weights for the pentagon, and a shift that keeps every point, the
+#: barycenter (1, 1) and its translate exactly representable.
+PENTAGON_WEIGHTS = [1.0, 0.5, 2.0, 1.5, 0.75]
+SHIFT = np.array([2.0**26, -3.0 * 2.0**24])
+
+
+class TestTranslation:
+    """Translating the support by b multiplies every realization of E by
+    e^<b, x> > 0, so densities, counts, preimages and Psi stay where they
+    are.  The kernels work about the barycenter, so a translate by an
+    exactly representable b gives the same results bit for bit, cells
+    included; on raw points they drifted by about eps |b| |x|."""
+
+    @pytest.mark.parametrize("entry", [esol_total, esol_pspace, bkk_total])
+    def test_integrals(self, entry):
+        cls, q = ComplexExpSum if entry is bkk_total else ExpSum, Quadrature(abs_tol=1e-6, rel_tol=1e-6)
+        points, weights = PENTAGON.support.points, PENTAGON_WEIGHTS
+        assert entry(cls(points + SHIFT, weights), q) == entry(cls(points, weights), q)
+
+    def test_densities_preimages_and_psi(self):
+        points, weights = PENTAGON.support.points, PENTAGON_WEIGHTS
+        E, F = ExpSum(points, weights), ExpSum(points + SHIFT, weights)
+        X = np.random.default_rng(30).normal(0.0, 2.0, size=(200, 2))
+        assert density_many(F, X).tobytes() == density_many(E, X).tobytes()
+        for p in ([1.25, 0.75], [0.5, 0.25], [2.0, 1.5], [0.0, 1.0]):
+            assert invert_moment(F, p + SHIFT).tobytes() == invert_moment(E, p).tobytes()
+        for a0 in ([1.0, 1.25], [4.0, -1.0]):
+            got = region_scan(F, Augmentation(a0 + SHIFT), resolution=16, space="x")
+            want = region_scan(E, Augmentation(a0), resolution=16, space="x")
+            assert got.psi.tobytes() == want.psi.tobytes()
+            np.testing.assert_array_equal(got.classes, want.classes)
+
+    def test_two_term_far_from_the_origin(self):
+        # 140 cells against 76 when the kernels read the raw points.
+        q = Quadrature(abs_tol=1e-10, rel_tol=1e-10)
+        assert esol_total(ExpSum([[1e8], [1e8 + 1.0]]), q) == esol_total(TWO_TERM, q)
+
+
 class TestConvergenceFailure:
     def test_non_finite_integrand_raises_with_finite_cells(self):
         # one of the eight seed cells of [0, 1] has a node within 0.01 of 0.3
@@ -667,9 +707,8 @@ class TestConvergenceFailure:
         # point, whose moment is not the barycenter 4/3 of these weights.
         E = ExpSum([[0.0], [1.0], [3.0]], [1.0, 2.0, 1.0])
         monkeypatch.setattr(expsum, "INVERT_MAX_ITER", 0)
-        c, centred = E._centred
-        assert centred._facet_start is None
-        want = abs(float(_batch_moments(E, centred._newton_start[0][None])[2][0, 0]) - c[0])
+        assert E._facet_start is None
+        want = abs(float(_batch_moments(E, E._newton_start[0][None])[2][0, 0]) - E._c[0])
         with pytest.raises(ConvergenceError, match="no frame over R") as info:
             esol_total(E)
         assert info.value.residual == pytest.approx(want, rel=1e-12) and want > 0.05

@@ -489,7 +489,7 @@ class TestRegionScan:
             margin = 1e-6 * diameter(E.support)
             inside = np.array([interior_contains(E.support, p, margin) for p in nodes])
             np.testing.assert_array_equal(labels == "outside", ~inside)
-            X, ok = _invert_moment_many(E, nodes[inside])
+            X, ok = _invert_moment_many(E, nodes[inside] - E._c)
             assert ok.all()
             classified = np.flatnonzero(inside)
         assert classified.size > 0
@@ -657,7 +657,7 @@ class TestGridPreimages:
         points, coeffs = [[0, 0], [1, 0], [0, 1], [1, 1]], [1.0, 0.5, 2.0, 3.0]
         inner, outer = [0.3, 0.6], [2.0, -1.0]
         E = ExpSum(points, coeffs)
-        assert E._centred[1]._facet_start is None
+        assert E._facet_start is None
         monkeypatch.setattr(expsum, "INVERT_MAX_ITER", 4)
         first = region_scan(E, Augmentation(inner), resolution=16)
         monkeypatch.undo()
