@@ -125,8 +125,9 @@ class SupportSet:
 
     @cached_property
     def _hull(self) -> tuple[np.ndarray, np.ndarray, float] | None:
-        """(vertices, facet rows, volume) of conv(A) from one hull; None
-        without interior."""
+        """(vertices, facet rows, volume) of conv(A) from one hull of the
+        points about their barycenter, the rows' offsets moved back to the
+        origin; None without interior."""
         if self.degenerate:
             return None
         if self.dim == 1:
@@ -136,11 +137,13 @@ class SupportSet:
         else:
             from scipy.spatial import ConvexHull, QhullError
 
+            c = self.points.mean(axis=0)
             try:
-                hull = ConvexHull(self.points)
+                hull = ConvexHull(self.points - c)
             except QhullError:
                 return None
             vertices, rows, volume = self.points[hull.vertices], hull.equations, hull.volume
+            rows[:, -1] -= rows[:, :-1] @ c
         vertices.flags.writeable = False
         rows.flags.writeable = False
         return vertices, rows, float(volume)
@@ -153,18 +156,25 @@ class SupportSet:
         Qhull triangulates its facets, so a facet with more than m vertices
         comes as several rows whose normals agree up to rounding.  A row's
         points of A are those within the exposed-face tolerance of
-        :func:`exposed_face` of its support value; rows with the same points
+        :func:`exposed_face` of its support value, both taken on the points
+        about their barycenter, as the hull is; rows with the same points
         are one facet, which keeps the first of them, in Qhull's order.
         ``rows`` (F, m+1) hold (unit normal, offset), normal . p + offset
         <= 0 inside.  ``gaps`` (F,) hold each facet's distance to the
-        nearest point of A off its hyperplane (inf if none is)."""
+        nearest point of A off its hyperplane (inf if none is).  So a
+        translate whose points about the barycenter are the same bit for bit
+        gets the same normals and gaps."""
         if self._hull is None:
             return None
         rows = self._hull[1]
-        values = self.points @ rows[:, :-1].T
+        centred = self.points - self.points.mean(axis=0)
+        values = centred @ rows[:, :-1].T
         slack = values.max(axis=0) - values
-        on = slack <= 1e-12 * max(1.0, float(np.linalg.norm(self.points, axis=1).max()))
-        keep = np.sort(np.unique(on.T, axis=0, return_index=True)[1])
+        on = slack <= 1e-12 * max(1.0, float(np.linalg.norm(centred, axis=1).max()))
+        first = {}
+        for j, row in enumerate(on.T):
+            first.setdefault(row.tobytes(), j)
+        keep = list(first.values())
         gaps = np.min(slack[:, keep], axis=0, where=~on[:, keep], initial=np.inf)
         table = (rows[keep], gaps)
         for array in table:

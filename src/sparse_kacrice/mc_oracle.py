@@ -20,11 +20,18 @@ The top level needs fewer of them.  On each piece of level 1 (the k - 1
 terms from the second on) that level is monotone, so ``exp(-b_1 x) f`` is
 unimodal there, with its extremum at the piece's level-1 zero.  Where f's
 signs at the piece's two ends strictly differ, the piece holds exactly one
-zero of f whatever the extremum's sign, so Newton runs only on the other
-level-1 brackets, those whose end signs agree or touch zero.  The zeros of
-f are then the strict sign changes along f's signs at minus infinity, the
-level-1 ends, the extrema located and plus infinity, plus the exact zeros
-among those points.
+zero of f whatever the extremum's sign.  Where level 1's sign at the
+piece's left end equals f's, ``s exp(-b_1 x) f`` (s that sign) rises to a
+maximum and then falls, and the piece holds no zero.  So Newton runs only
+on the other level-1 brackets, those whose end signs agree or touch zero
+and that hold a minimum.  The zeros of f are then the strict sign changes
+along f's signs at minus infinity, the level-1 ends, the extrema located
+and plus infinity, plus the exact zeros among those points.  A three-term
+draw needs no cascade: with signs +-+ or -+-, the weighted AM-GM
+inequality bounds its outer terms below by one exponential, equal to them
+at one x, so its count is closed-form.  And Newton stops a row once its
+accepted step is below 1e-8 (1 + |x|): it converges quadratically, so the
+error left is of order that step's square, roundoff.
 
 Every array of the count is terms-major: a block of n draws of a k-term
 sum is held as C-contiguous log weights L and signs S of shape (k, n), one
@@ -63,9 +70,13 @@ CHUNK = 512
 #: arrays per block, which lets a block this size stay within the memory
 #: that blocks of 8 chunks took before.
 BLOCK_CHUNKS = 16
-#: Relative step size at which a Newton zero counts as converged, and the
-#: iteration cap (bisection alone would reach the tolerance well within it).
+#: Relative step sizes at which a zero counts as converged: a bisection
+#: step below NEWTON_TOL, or an accepted Newton step below NEWTON_STOP,
+#: since the error that Newton's quadratic convergence leaves after such a
+#: step is of order its square, roundoff.  And the iteration cap (bisection
+#: alone would reach NEWTON_TOL well within it).
 NEWTON_TOL = 1e-13
+NEWTON_STOP = 1e-8
 NEWTON_STEPS = 100
 
 
@@ -139,7 +150,9 @@ def _newton(b, L, S, lo, hi, s_lo):
     negative signs: psi has the level's zeros and is linear in x for two
     terms.  With a = P + N and v = P - N, psi = 2 artanh(v / a).  A step is
     kept when it lands inside the bracket and at least halves the step
-    before; otherwise the bracket is bisected.  Each zero is written out in
+    before; otherwise the bracket is bisected.  A row converges on a kept
+    step below ``NEWTON_STOP`` or a bisection step below ``NEWTON_TOL``,
+    relative to 1 + |x|.  Each zero is written out in
     the iteration its bracket converges, but converged brackets are only
     packed away once they make up at least half of those held.
     """
@@ -167,8 +180,9 @@ def _newton(b, L, S, lo, hi, s_lo):
             newton = a * np.arctanh(r) * (1.0 - r * r) / (dv - r * da)
             inside = (x - newton >= lo) & (x - newton <= hi)
             halves = np.abs(newton) < 0.5 * np.abs(step)
-            step = np.where(inside & halves, newton, x - 0.5 * (lo + hi))
-            live = np.abs(step) > NEWTON_TOL * (1.0 + np.abs(x))
+            accept = inside & halves
+            step = np.where(accept, newton, x - 0.5 * (lo + hi))
+            live = np.abs(step) > np.where(accept, NEWTON_STOP, NEWTON_TOL) * (1.0 + np.abs(x))
             x = x - step
             done = held & ~live
             if not done.any():
@@ -210,12 +224,14 @@ def _top_count(b, L, S, L1, crit):
     ``crit`` the zeros of level 2, which end level 1's pieces.  On each
     piece, ``exp(-b[0] x) f`` is unimodal, so a piece whose f-signs at its
     ends strictly differ holds exactly one zero of f and its extremum is
-    not located.  A piece with an exact zero at an end still needs it.
+    not located; nor is it where level 1's sign at the left end equals
+    f's, a maximum of f's sign times ``exp(-b[0] x) f``.  A piece with an
+    exact zero at an end still needs it, unless it holds a maximum.
     """
     S1 = S[1:]
     ends, signs = _pieces(b[1:], L1, S1, crit)
     fs = _signs(b, L, S, ends)
-    need = (signs[:-1] * signs[1:] < 0) & ~(fs[:-1] * fs[1:] < 0)
+    need = (signs[:-1] * signs[1:] < 0) & ~(fs[:-1] * fs[1:] < 0) & (signs[:-1] != fs[:-1])
     piece, draw = np.nonzero(need)
     lo, hi = ends[piece, draw], ends[piece + 1, draw]
     x = _newton(b[1:], L1.take(draw, axis=1), S1.take(draw, axis=1), lo, hi, signs[piece, draw])
@@ -242,10 +258,17 @@ def _rolle_count(b, L, S):
     """Zeros of sum_j S_j exp(b_j x + L_j) per draw, for at least 3 terms.
 
     ``L`` and ``S`` are (terms, draws), C-contiguous; the result is (draws,).
-    Each level below the top passes its zeros up (:func:`_level_zeros`);
-    the top level locates only the extrema that can change its count
-    (:func:`_top_count`).
+    Three terms are counted in closed form.  Above that, each level below
+    the top passes its zeros up (:func:`_level_zeros`); the top level
+    locates only the extrema that can change its count (:func:`_top_count`).
     """
+    if len(b) == 3:
+        # Signs +-+ or -+-: by weighted AM-GM the outer terms together are at
+        # least exp(M + b_1 x), with equality at one x, so there are 2, 1 or
+        # 0 zeros as L_1 is above, equal to or below M.
+        lam = (b[2] - b[1]) / (b[2] - b[0])
+        M = lam * (L[0] - math.log(lam)) + (1.0 - lam) * (L[2] - math.log(1.0 - lam))
+        return 2 * (L[1] > M) + (L[1] == M)
     # Level i holds the terms from i on, the last k - i rows: the derivative
     # of exp(-b_{i-1} x) times level i - 1, whose coefficients gain the
     # factors b_j - b_{i-1} > 0.
@@ -254,10 +277,6 @@ def _rolle_count(b, L, S):
         Ls.append(Ls[-1][1:] + np.log(b[i:] - b[i - 1])[:, None])
     L2 = Ls.pop()
     crit = np.where(S[-2] != S[-1], (L2[0] - L2[1]) / (b[-1] - b[-2]), np.inf)[None, :]
-    if len(b) == 3:
-        # level 1 is the two-term level, whose zero is already closed-form
-        _, signs = _pieces(b, L, S, crit)
-        return (signs == 0).sum(axis=0) + (signs[:-1] * signs[1:] < 0).sum(axis=0)
     # each level is dropped once the level above has its zeros
     del L2
     while len(Ls) > 2:
@@ -297,9 +316,11 @@ def sample_zero_count(E: ExpSum, coeffs_draw) -> int:
     """Number of real zeros of the sum with coefficients alpha_a * draw_a.
 
     Exact for any real exponents: Descartes' rule of signs when the signs
-    change at most once, else a Rolle cascade inside the draw's own root
-    bound.  A zero coefficient drops its term, and a multiple zero counts
-    once.  The result never exceeds the number of terms minus one.
+    change at most once, the weighted AM-GM bound of the outer terms for
+    three terms whose signs change twice, else a Rolle cascade inside the
+    draw's own root bound.  A zero coefficient drops its term, and a
+    multiple zero counts once.  The result never exceeds the number of
+    terms minus one.
     """
     order, b, w = _sorted_terms(E)
     xi = np.asarray(coeffs_draw, dtype=float).reshape(-1)

@@ -227,6 +227,24 @@ class TestHullGeometry:
         gaps = SupportSet(rng.normal(size=(8, 2)))._facet_table[1]
         assert gaps.min() == pytest.approx(0.0031342, rel=1e-4)
 
+    @pytest.mark.parametrize("points, n_facets", [
+        (list(itertools.product([0.0, 1.0], repeat=3)), 6),
+        ([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0], [0.5, 0.5, 1]], 5),
+        (kostlan(2, 3).support.points, 4),
+    ], ids=["cube", "square pyramid", "kostlan(2,3)"])
+    def test_kept_rows_are_the_first_of_each_facet(self, points, n_facets):
+        # The first row of each set of points on a hull row, in Qhull's
+        # order, as np.unique's sorted first indices give them.
+        A = SupportSet(points)
+        rows = A._hull[1]
+        centred = A.points - A.points.mean(axis=0)
+        values = centred @ rows[:, :-1].T
+        slack = values.max(axis=0) - values
+        on = slack <= 1e-12 * max(1.0, float(np.linalg.norm(centred, axis=1).max()))
+        keep = np.sort(np.unique(on.T, axis=0, return_index=True)[1])
+        assert len(keep) == n_facets
+        np.testing.assert_array_equal(A.facets, rows[keep])
+
     @pytest.mark.parametrize("points", [
         list(itertools.product([0.0, 1.0], repeat=3)),
         list(itertools.product(range(3), repeat=3)),

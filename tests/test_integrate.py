@@ -680,6 +680,27 @@ class TestTranslation:
             assert got.psi.tobytes() == want.psi.tobytes()
             np.testing.assert_array_equal(got.classes, want.classes)
 
+    def test_facet_log_start_preimages_and_p_scan(self):
+        # kostlan(2, 2) sheared has a facet-log start; its hull and facet
+        # table are taken about the barycenter, so the translate gets the
+        # same normals and gaps.  The targets and the 17 x 17 grid's nodes
+        # are dyadic, so they shift exactly.
+        E0 = kostlan(2, 2)
+        points = E0.support.points @ np.array([[1.0, 0.5], [0.25, 1.0]])
+        E, F = ExpSum(points, E0.coeffs), ExpSum(points + SHIFT, E0.coeffs)
+        assert E._facet_start is not None
+        for got, want in zip(F._facet_start, E._facet_start):
+            assert got.tobytes() == want.tobytes()
+        rng = np.random.default_rng(31)
+        targets = np.round(rng.dirichlet(np.ones(9), size=40) @ points * 64) / 64
+        for p in targets:
+            assert invert_moment(F, p + SHIFT).tobytes() == invert_moment(E, p).tobytes()
+        for a0 in ([1.0, 1.25], [4.0, -1.0]):
+            got = region_scan(F, Augmentation(a0 + SHIFT), resolution=17)
+            want = region_scan(E, Augmentation(a0), resolution=17)
+            assert got.psi.tobytes() == want.psi.tobytes()
+            np.testing.assert_array_equal(got.classes, want.classes)
+
     def test_two_term_far_from_the_origin(self):
         # 140 cells against 76 when the kernels read the raw points.
         q = Quadrature(abs_tol=1e-10, rel_tol=1e-10)

@@ -291,9 +291,10 @@ class TestTopLevelRule:
     """On each piece of level 1, exp(-b_0 x) f is unimodal with its
     extremum at the piece's level-1 zero, so the top level locates that
     extremum only where f's signs at the piece's ends do not strictly
-    differ.  The draws are for e^{jx}, j < k, and each puts a piece with a
-    level-1 zero in the named case; ``want`` is the number of positive
-    roots of sum_j draw_j u^j."""
+    differ, and not where s exp(-b_0 x) f, s f's sign at the left end,
+    rises to it: such a maximum holds no zero.  The draws are for e^{jx},
+    j < k, and each puts a piece with a level-1 zero in the named case;
+    ``want`` is the number of positive roots of sum_j draw_j u^j."""
 
     CASES = {
         "k4-signs-differ": ((-1, -1, 1, 1), 1),
@@ -301,11 +302,15 @@ class TestTopLevelRule:
         "k4-agree-no-zero": ((-1, -1, -1, 1), 1),
         # a zero of f at x = log 2, level 1's root bound
         "k4-zero-at-end": ((-2, 3, 3, -2), 2),
+        # the one piece whose f-signs agree holds a maximum of f > 0
+        "k4-agree-maximum": ((-1, 3, 1, -1), 2),
         "k5-signs-differ": ((-1, -1, -1, -1, 1), 1),
         "k5-agree-two-zeros": ((-2, 1, 1, 1, -1), 2),
         "k5-agree-no-zero": ((-1, -1, 1, 1, -1), 0),
         # a zero of f at x = 0, level 1's root bound
         "k5-zero-at-end": ((-1, 1, 2, 1, -3), 2),
+        # the one piece whose f-signs agree holds a maximum of -f > 0
+        "k5-agree-maximum": ((-3, -1, 1, -1, 2), 1),
     }
 
     @pytest.mark.parametrize("name", CASES)
@@ -319,7 +324,7 @@ class TestTopLevelRule:
         calls, newton = [], mc_oracle._newton
 
         def record(b, L, S, lo, hi, s_lo):
-            calls.append((len(b), lo, hi))
+            calls.append((len(b), lo, hi, s_lo))
             return newton(b, L, S, lo, hi, s_lo)
 
         monkeypatch.setattr(mc_oracle, "_newton", record)
@@ -331,11 +336,70 @@ class TestTopLevelRule:
             b = np.arange(draw.size, dtype=float)
             calls.clear()
             sample_zero_count(ExpSum(b[:, None]), draw)
-            for m, lo, hi in calls:
+            for m, lo, hi, s_lo in calls:
                 if m == draw.size - 1:
-                    assert np.all(_f_signs(b, draw, lo) * _f_signs(b, draw, hi) >= 0)
+                    f_lo = _f_signs(b, draw, lo)
+                    assert np.all(f_lo * _f_signs(b, draw, hi) >= 0)
+                    # a minimum of s exp(-b_0 x) f: level 1's sign is
+                    # opposite to f's, or f vanishes there
+                    assert np.all(s_lo * f_lo <= 0)
                     located += lo.size
         assert located > 0
+
+
+class TestThreeTermCount:
+    """A three-term draw with signs +-+ or -+- has 2, 1 or 0 zeros as |c_1|
+    is above, at or below the weighted AM-GM bound of the outer terms.
+    Draws 1e-9 either side of the bound are checked against the sign of
+    the sum at its extremum, taken in 50 digits."""
+
+    @pytest.mark.parametrize("side", [1.0 + 1e-9, 1.0 - 1e-9], ids=["above", "below"])
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["+-+", "-+-"])
+    @pytest.mark.parametrize("b", [(0.0, 1.0, 2.0), (0.0, math.sqrt(2), math.pi)], ids=["integer", "real"])
+    def test_draws_next_to_the_bound(self, b, sign, side):
+        mpmath = pytest.importorskip("mpmath")
+        c0, c2 = 0.7, 1.9
+        with mpmath.workdps(50):
+            b0, b1, b2 = map(mpmath.mpf, b)
+            lam = (b2 - b1) / (b2 - b0)
+            bound = mpmath.exp(lam * mpmath.log(c0 / lam) + (1 - lam) * mpmath.log(c2 / (1 - lam)))
+            c1 = float(bound * side)
+            # e^{-b_1 x} f is least where its derivative vanishes
+            x = mpmath.log(c0 * (b1 - b0) / (c2 * (b2 - b1))) / (b2 - b0)
+            g = c0 * mpmath.exp(b0 * x) - c1 * mpmath.exp(b1 * x) + c2 * mpmath.exp(b2 * x)
+            want = 2 if g < 0 else 0
+        assert want == (2 if side > 1.0 else 0)
+        E = ExpSum(np.array(b)[:, None])
+        assert sample_zero_count(E, [sign * c0, -sign * c1, sign * c2]) == want
+
+
+class TestNewtonAccuracy:
+    """A row leaves Newton once its accepted Newton step is below 1e-8
+    (1 + |x|); the error left is of order that step's square."""
+
+    @pytest.mark.parametrize(
+        "E",
+        [kostlan(1, 4), ExpSum(_REAL[:, None], np.exp(0.4 * _REAL) * [1, 2, 0.5, 3, 1])],
+        ids=["kostlan(1,4)", "reweighted-real"],
+    )
+    def test_zeros_match_50_digit_roots(self, monkeypatch, E):
+        mpmath = pytest.importorskip("mpmath")
+        calls, newton = [], mc_oracle._newton
+
+        def record(b, L, S, lo, hi, s_lo):
+            calls.append((b, L, S, lo, hi, newton(b, L, S, lo, hi, s_lo)))
+            return calls[-1][-1]
+
+        monkeypatch.setattr(mc_oracle, "_newton", record)
+        estimate_esol(E, McConfig(n_samples=2048, seed=5))
+        # the 3-term level 2 and the 4-term level 1
+        assert sorted(len(call[0]) for call in calls) == [3, 4]
+        rng = np.random.default_rng(8)
+        with mpmath.workdps(50):
+            for b, L, S, lo, hi, x in calls:
+                for r in rng.choice(x.size, size=25, replace=False):
+                    root = _bisected_root(mpmath, b, L[:, r], S[:, r], lo[r], hi[r])
+                    assert abs(x[r] - root) <= 1e-12 * (1.0 + abs(root))
 
 
 class TestBlockMemory:
@@ -359,6 +423,24 @@ def _f_signs(b, draw, X):
     T = b[:, None] * X + np.log(np.abs(draw))[:, None]
     T -= T.max(axis=0)
     return np.sign((np.sign(draw)[:, None] * np.exp(T)).sum(axis=0))
+
+
+def _bisected_root(mpmath, b, L, S, lo, hi):
+    """The zero of sum_j S_j e^{b_j x + L_j} in the bracket (lo, hi), whose
+    ends it has opposite signs at, bisected at the working precision to a
+    width of 1e-30 (1 + |x|)."""
+    terms = [(mpmath.mpf(bj), mpmath.mpf(lj), sj) for bj, lj, sj in zip(b, L, S)]
+    sign = lambda t: mpmath.sign(mpmath.fsum(sj * mpmath.exp(bj * t + lj) for bj, lj, sj in terms))
+    lo, hi = mpmath.mpf(lo), mpmath.mpf(hi)
+    s_lo = sign(lo)
+    assert s_lo * sign(hi) < 0
+    while hi - lo > 1e-30 * (1 + abs(lo)):
+        mid = (lo + hi) / 2
+        if sign(mid) == s_lo:
+            lo = mid
+        else:
+            hi = mid
+    return float((lo + hi) / 2)
 
 
 def _chunk_draws(E, seed, chunk_index):
