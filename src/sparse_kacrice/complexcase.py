@@ -6,9 +6,10 @@ Hessian, evaluated on the real slice (the density is invariant under
 imaginary translations), is exactly the weighted covariance of the
 support — the same matrix as the real metric g — so evaluation reuses
 the real machinery.  Integrating the density over R^n and one imaginary
-fundamental cell (-pi, pi)^n must reproduce n! times the volume of the
-Newton polytope when the support is integral; :func:`bkk_total` performs
-that integral.
+fundamental cell (-pi, pi)^n gives n! times the volume of the Newton
+polytope for every full-dimensional support, by the moment map's volume
+identity; :func:`bkk_total` performs that integral.  Only for integer
+exponents is that number the root count of Bernstein–Kushnirenko.
 """
 
 from __future__ import annotations
@@ -53,7 +54,8 @@ def _bkk_density_many(E: ComplexExpSum, X: np.ndarray) -> np.ndarray:
 
 
 def n_factorial_volume(E: ComplexExpSum) -> float:
-    """n! times the Newton-polytope volume — the classical root count."""
+    """n! times the Newton-polytope volume: for integer exponents, the
+    classical root count."""
     return math.factorial(E.dim) * hull_volume(E.support)
 
 
@@ -61,14 +63,12 @@ def bkk_total(E: ComplexExpSum, q: Quadrature | None = None) -> IntegralResult:
     """Expected zeros in R^n x i(-pi, pi)^n: the density route.
 
     (2 pi)^n times the integral of :func:`bkk_density` over R^n, on the
-    same metric-normalized cube and shells as ``esol_total``.  Requires
-    integer exponents (the volume identity is asserted only there) and at
-    most three variables.
+    same metric-normalized cube and shells as ``esol_total``: n! vol(P)
+    for every full-dimensional real support (the moment map carries the
+    density onto the polytope), which counts roots only for integer
+    exponents.  At most three variables.
     """
     q = q or Quadrature()
-    pts = E.support.points
-    if not np.allclose(pts, np.round(pts), atol=1e-9, rtol=0.0):
-        raise InputError("the volume identity requires integer exponents")
     if E.dim > 3:
         raise InputError("quadrature is limited to three variables")
     if E.support.degenerate:

@@ -29,7 +29,7 @@ x, p and mu are (m, N) and g is (m, m, N), so one stacked Cholesky
 factor-and-solve (:mod:`.geometry`) works on contiguous rows with no
 per-matrix LAPACK call.  Every target starts at the sum's cached
 balancing point, or at the facet-log predictor (the gradient of
-Guillemin's symplectic potential, from the support's one facet table) where
+Guillemin's symplectic potential, from the support's one hull) where
 that is close enough, which inverts the canonical toric sums with no Newton
 step; a row is written out in the iteration it converges or fails, and done
 rows are packed away only once they are half of those held, so most
@@ -41,15 +41,17 @@ forms no dual: the dual form and its gate are :func:`.geometry.dual_form`,
 called only where a dual is read.
 
 Every kernel reads the support centred at its barycenter c, the points
-A - c that the constructor stores once (``ExpSum._points``).  Translating
-the support multiplies every realization of E by e^<c, x> > 0, which keeps
-the softmax weights, the metric and every density, and moves mu by -c; on
-the centred points the kernels carry eps diam(P) of rounding, not eps |a|,
-and a sum and its translate by an exactly representable vector give the
-same densities and integrals bit for bit.  The potential and the moment
-map take c back where they leave the kernels in user coordinates
-(:func:`_batch_moments`, :func:`evaluate`), and moment-map targets enter
-:func:`_invert_moment_many` relative to c.
+A - c that the support stores once (``ExpSum._c`` and ``ExpSum._points``
+are the support's own arrays), as its hull, facet rows and exposed faces
+do (:mod:`.geometry`).  Translating the support multiplies every
+realization of E by e^<c, x> > 0, which keeps the softmax weights, the
+metric and every density, and moves mu by -c; on the centred points the
+kernels carry eps diam(P) of rounding, not eps |a|, and a sum and its
+translate by an exactly representable vector give the same densities,
+integrals, preimages and exposed faces bit for bit.  The potential and
+the moment map take c back where they leave the kernels in user
+coordinates (:func:`_batch_moments`, :func:`evaluate`), and moment-map
+targets enter :func:`_invert_moment_many` relative to c.
 
 All evaluation is done in the log domain with a softmax shift, so points
 with coordinates far beyond the overflow range of exp stay finite.
@@ -71,6 +73,7 @@ from .geometry import (
     _check_vector,
     _cholesky_solve,
     _face_mask,
+    _facet_slack,
     _is_int,
     ball_sphere_constants,
     diameter,
@@ -148,11 +151,9 @@ class ExpSum:
         log_coeffs = np.log(arr)
         log_coeffs.flags.writeable = False
         self.log_coeffs = log_coeffs
-        # The barycenter c and the centred points A - c, the coordinates of
-        # every kernel; read-only.
-        self._c = self.support.points.mean(axis=0)
-        self._points = self.support.points - self._c
-        self._c.flags.writeable = self._points.flags.writeable = False
+        # The support's barycenter c and centred points A - c, the
+        # coordinates of every kernel; read-only.
+        self._c, self._points = self.support._c, self.support._centred
         # The last moment-coordinate grid scanned and its preimages, kept by
         # :func:`.monotonicity.region_scan`: ((box, resolution), node
         # indices, X), read-only; None until the first such scan.
@@ -206,16 +207,17 @@ class ExpSum:
         return start
 
     @cached_property
-    def _facet_start(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
-        """(S, nu, h, log d0): the facets of the facet-log predictor
+    def _facet_start(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        """(S, rows, log d0): the facets of the facet-log predictor
         (:func:`_facet_predictor`), taken once per sum from the support's
-        one facet table (``SupportSet._facet_table``).
+        one hull (``SupportSet._hull``).
 
-        For each of the F facets, nu (F, m) is the inward unit normal and
-        h (F,) the least <nu, a - c> over the centred points, so that
-        d(p) = <nu, p> - h is the distance of a target p, taken about the
-        barycenter, to the facet; S (F, m) is nu / (2 gap) and log d0 (F,)
-        the log distance of the start's moment mu0 (:attr:`_newton_start`).
+        For each of the F facets, the hull's row (n, offset) about the
+        barycenter gives the inward unit normal nu = -n and h = offset, the
+        least <nu, a - c>, so that d(p) = <nu, p> - h is the distance of a
+        target p, taken about the barycenter, to the facet; S (F, m) is
+        nu / (2 gap) and log d0 (F,) the log distance of the start's moment
+        mu0 (:attr:`_newton_start`).
 
         None when the hull has no interior, when mu0 is not inside every
         facet, or when the predictor's Jacobian at mu0,
@@ -227,21 +229,20 @@ class ExpSum:
         Newton rows by under 0.1 % and added about 15 % to the inversion
         time.
         """
-        table = self.support._facet_table
-        if table is None:
+        hull = self.support._hull
+        if hull is None:
             return None
-        rows, gaps = table
+        rows, gaps = hull[1], hull[2]
         _, mu0, G0 = self._newton_start
         nu = -rows[:, :-1]
-        h = (self._points @ nu.T).min(axis=0)
-        d0 = nu @ mu0 - h
+        d0 = nu @ mu0 - rows[:, -1]
         if not np.all(d0 > 0.0):
             return None
         S = nu / (2.0 * gaps[:, None])
         jacobian = (S / d0[:, None]).T @ nu
         if np.linalg.norm(2.0 * G0 @ jacobian - np.eye(self.dim), 2) > FACET_START_SHARE:
             return None
-        start = (S, nu, h, np.log(d0))
+        start = (S, rows, np.log(d0))
         for array in start:
             array.flags.writeable = False
         return start
@@ -653,17 +654,15 @@ def _facet_predictor(E: ExpSum, p: np.ndarray):
     l_j = d_j / gap_j, moved to pass through the start (x0, mu0)
     (``E._facet_start``).  It inverts the moment map of the canonical toric
     sums exactly and has the right slope along every facet.  The distances
+    d = -slack (:func:`.geometry._facet_slack`, the interior test's loop)
     and the sum over facets are accumulated in a fixed order without BLAS,
-    as in :func:`.geometry._interior_mask`, so a column's x_hat does not
-    depend on its batch.  A column with a facet distance that is not
-    positive (a target on or past a facet through rounding) gets x0 and a
-    least distance of 0.
+    so a column's x_hat does not depend on its batch.  A column with a
+    facet distance that is not positive (a target on or past a facet
+    through rounding) gets x0 and a least distance of 0.
     """
-    S, nu, h, log_d0 = E._facet_start
-    d = np.multiply.outer(nu[:, 0], p[0])
-    for i in range(1, E.dim):
-        d += np.multiply.outer(nu[:, i], p[i])
-    d -= h[:, None]
+    S, rows, log_d0 = E._facet_start
+    d = _facet_slack(rows, p)
+    np.negative(d, out=d)
     d_min = np.maximum(d.min(axis=0), 0.0)
     x_hat = np.repeat(E._newton_start[0][:, None], p.shape[1], axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -717,7 +716,7 @@ def asymptotic_moment(E: ExpSum, x_dir) -> np.ndarray:
     x_dir = _check_vector(x_dir, E.dim, "x_dir")
     if np.linalg.norm(x_dir) == 0.0:
         raise InputError("x_dir must be nonzero")
-    mask = _face_mask(E.support, x_dir)
+    mask = _face_mask(E.support, x_dir)[0]
     sq = E.coeffs[mask] ** 2
     return (sq / sq.sum()) @ E.support.points[mask]
 
@@ -733,6 +732,6 @@ def face_metric_limit(E: ExpSum, x_dir, y) -> QuadForm:
     if np.linalg.norm(x_dir) == 0.0:
         raise InputError("x_dir must be nonzero")
     y = _check_vector(y, E.dim, "y")
-    mask = _face_mask(E.support, x_dir)
+    mask = _face_mask(E.support, x_dir)[0]
     restricted = ExpSum(E.support.points[mask], E.coeffs[mask])
     return evaluate(restricted, y).g

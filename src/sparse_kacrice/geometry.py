@@ -3,7 +3,17 @@
 A finite set A of points in R^m carries everything the rest of the package
 needs from convex geometry: its support function, exposed faces, diameter,
 the volume of its convex hull, and the squared volumes of its simplices
-that every density determinant is summed from.  Quadratic forms enter
+that every density determinant is summed from.  The set's geometry lives
+in one coordinate system, about its barycenter c: :class:`SupportSet`
+stores c and the centred points A - c once, and the one hull (vertices,
+facet rows, gaps and volume, Qhull's coplanar triangles merged), the
+exposed faces and every interior test read the centred points, by one
+on-face rule (:func:`_face_mask`) and one facet-slack loop
+(:func:`_facet_slack`).  User coordinates appear only at the public
+boundary (``facets``, ``vertices``, :func:`support_function`,
+:func:`exposed_face`, :func:`interior_contains`), so a translate of A by an
+exactly representable vector has the same faces and facet rows and gives
+the same interior answers bit for bit.  Quadratic forms enter
 through the metric of an exponential sum; this module supplies the dual
 form (Gram-array inverse), whose gate :func:`dual_form` alone decides,
 determinants, the stacked Cholesky factor-and-solve of Newton's method,
@@ -78,17 +88,19 @@ class SupportSet:
 
     def __init__(self, points):
         arr = _as_point_array(points)
-        tol = self.dedup_tolerance(arr)
-        k = arr.shape[0]
-        if k > 1:
-            diff = arr[:, None, :] - arr[None, :, :]
-            dist = np.sqrt((diff**2).sum(axis=-1))
-            iu = np.triu_indices(k, 1)
-            if dist[iu].min() <= tol:
-                raise InputError("support points must be pairwise distinct")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        self.points = arr
+        # One pairwise pass gives the duplicate test and the diameter.
+        diff = arr[:, None, :] - arr[None, :, :]
+        dist = np.sqrt((diff**2).sum(axis=-1))
+        if len(arr) > 1 and dist[np.triu_indices(len(arr), 1)].min() <= self.dedup_tolerance(arr):
+            raise InputError("support points must be pairwise distinct")
+        self._diameter = float(dist.max())
+        # The points, their barycenter c and the centred points A - c, the
+        # coordinates of the hull, the faces and every kernel; read-only.
+        self.points = arr.copy()
+        self._c = self.points.mean(axis=0)
+        self._centred = self.points - self._c
+        for array in (self.points, self._c, self._centred):
+            array.flags.writeable = False
 
     @staticmethod
     def dedup_tolerance(points) -> float:
@@ -109,14 +121,17 @@ class SupportSet:
 
     @cached_property
     def affine_dim(self) -> int:
-        """Dimension of the affine hull of the points."""
+        """Dimension of the affine hull of the points.
+
+        The rank is taken on the differences a_i - a_0, not on the centred
+        points: those are exact for a representable translate, while every
+        centred row carries the barycenter's rounding, about eps |c|, which
+        would lift a flat support far from the origin to full rank."""
         if self.size == 1:
             return 0
-        centered = self.points[1:] - self.points[0]
-        scale = np.abs(centered).max()
-        if scale == 0.0:
-            return 0
-        return int(np.linalg.matrix_rank(centered, tol=1e-12 * scale * max(centered.shape)))
+        diffs = self.points[1:] - self.points[0]
+        scale = np.abs(diffs).max()
+        return int(np.linalg.matrix_rank(diffs, tol=1e-12 * scale * max(diffs.shape)))
 
     @property
     def degenerate(self) -> bool:
@@ -124,62 +139,43 @@ class SupportSet:
         return self.affine_dim < self.dim
 
     @cached_property
-    def _hull(self) -> tuple[np.ndarray, np.ndarray, float] | None:
-        """(vertices, facet rows, volume) of conv(A) from one hull of the
-        points about their barycenter, the rows' offsets moved back to the
-        origin; None without interior."""
+    def _hull(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float] | None:
+        """(vertices, rows, gaps, volume) of conv(A) from one hull of the
+        centred points A - c; None when the hull has no interior.
+
+        Qhull triangulates its facets, so a facet with more than m vertices
+        comes as several rows whose normals agree up to rounding.  A row's
+        points of A are its exposed face (:func:`_face_mask`); rows with
+        the same points are one facet, which keeps the first of them, in
+        Qhull's order.  ``rows`` (F, m+1) hold (unit normal n, offset
+        -max n . (a - c)), so n . (p - c) + offset <= 0 inside and the
+        plane passes through its face; ``gaps`` (F,) hold each facet's
+        distance to the nearest point of A off its hyperplane (inf if none
+        is).  So a translate whose centred points are the same bit for bit
+        gets the same rows and gaps."""
         if self.degenerate:
             return None
         if self.dim == 1:
             lo, hi = self.points.min(), self.points.max()
-            vertices, rows = np.array([[lo], [hi]]), np.array([[-1.0, lo], [1.0, -hi]])
-            volume = float(hi - lo)
+            vertices, normals, volume = np.array([[lo], [hi]]), np.array([[-1.0], [1.0]]), hi - lo
         else:
             from scipy.spatial import ConvexHull, QhullError
 
-            c = self.points.mean(axis=0)
             try:
-                hull = ConvexHull(self.points - c)
+                hull = ConvexHull(self._centred)
             except QhullError:
                 return None
-            vertices, rows, volume = self.points[hull.vertices], hull.equations, hull.volume
-            rows[:, -1] -= rows[:, :-1] @ c
-        vertices.flags.writeable = False
-        rows.flags.writeable = False
-        return vertices, rows, float(volume)
-
-    @cached_property
-    def _facet_table(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """(rows, gaps) of conv(A), one entry per facet, from the one hull
-        (``_hull``); None when the hull has no interior.
-
-        Qhull triangulates its facets, so a facet with more than m vertices
-        comes as several rows whose normals agree up to rounding.  A row's
-        points of A are those within the exposed-face tolerance of
-        :func:`exposed_face` of its support value, both taken on the points
-        about their barycenter, as the hull is; rows with the same points
-        are one facet, which keeps the first of them, in Qhull's order.
-        ``rows`` (F, m+1) hold (unit normal, offset), normal . p + offset
-        <= 0 inside.  ``gaps`` (F,) hold each facet's distance to the
-        nearest point of A off its hyperplane (inf if none is).  So a
-        translate whose points about the barycenter are the same bit for bit
-        gets the same normals and gaps."""
-        if self._hull is None:
-            return None
-        rows = self._hull[1]
-        centred = self.points - self.points.mean(axis=0)
-        values = centred @ rows[:, :-1].T
-        slack = values.max(axis=0) - values
-        on = slack <= 1e-12 * max(1.0, float(np.linalg.norm(centred, axis=1).max()))
+            vertices, normals, volume = self.points[hull.vertices], hull.equations[:, :-1], hull.volume
+        on, slack, top = _face_mask(self, normals.T)
         first = {}
-        for j, row in enumerate(on.T):
-            first.setdefault(row.tobytes(), j)
+        for j, column in enumerate(on.T):
+            first.setdefault(column.tobytes(), j)
         keep = list(first.values())
+        rows = np.hstack([normals[keep], -top[keep, None]])
         gaps = np.min(slack[:, keep], axis=0, where=~on[:, keep], initial=np.inf)
-        table = (rows[keep], gaps)
-        for array in table:
+        for array in (vertices, rows, gaps):
             array.flags.writeable = False
-        return table
+        return vertices, rows, gaps, float(volume)
 
     @cached_property
     def _simplex_form(self) -> np.ndarray:
@@ -219,19 +215,17 @@ class SupportSet:
         return B
 
     @cached_property
-    def _diameter(self) -> float:
-        """:func:`diameter` of the set."""
-        if self.size == 1:
-            return 0.0
-        diff = self.points[:, None, :] - self.points[None, :, :]
-        return float(np.sqrt((diff**2).sum(axis=-1)).max())
-
-    @property
     def facets(self) -> np.ndarray | None:
         """Facet rows (unit normal, offset) of conv(A), one per facet, with
-        normal . p + offset <= 0 inside (``_facet_table``); None when the
-        hull has no interior."""
-        return None if self._hull is None else self._facet_table[0]
+        normal . p + offset <= 0 inside: the hull's rows (``_hull``) with
+        their offsets taken to the origin; read-only, None when the hull
+        has no interior."""
+        if self._hull is None:
+            return None
+        rows = self._hull[1].copy()
+        rows[:, -1] -= rows[:, :-1] @ self._c
+        rows.flags.writeable = False
+        return rows
 
     @property
     def vertices(self) -> np.ndarray | None:
@@ -375,20 +369,27 @@ def exposed_face(A, u) -> SupportSet:
     """Points of A at the support value in direction u.
 
     This is the exposed face A^u = {a : <u, a> = h_A(u)} up to a gap
-    tolerance of 1e-12 * max(1, |u| * max_a |a|), which scales with the
-    problem so that floating-point ties are kept together.  Never empty.
+    tolerance of 1e-12 * max(1, |u| * max_a |a - c|), c the barycenter of
+    A, which scales with the problem so that floating-point ties are kept
+    together and a translate of A has the same face.  Never empty.
     """
     A = _coerce_support(A)
     u = _check_vector(u, A.dim)
-    return SupportSet(A.points[_face_mask(A, u)])
+    return SupportSet(A.points[_face_mask(A, u)[0]])
 
 
-def _face_mask(A: SupportSet, u: np.ndarray) -> np.ndarray:
-    """Boolean mask over A of the exposed face in direction u, with the
-    gap tolerance of :func:`exposed_face`."""
-    values = A.points @ u
-    scale = float(np.linalg.norm(u)) * float(np.linalg.norm(A.points, axis=1).max())
-    return values >= values.max() - 1e-12 * max(1.0, scale)
+def _face_mask(A: SupportSet, U: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(on, slack, top) of A's exposed faces in the directions U, shape (m,)
+    or (m, F), on the centred points: top = max <u, a - c>, slack =
+    top - <u, a - c> and ``on`` the points within the gap tolerance of
+    :func:`exposed_face` (slack and on (k,) or (k, F), top a value per
+    direction).  The one on-face rule, of exposed faces and of the hull's
+    facets (``SupportSet._hull``)."""
+    values = A._centred @ U
+    top = values.max(axis=0)
+    slack = top - values
+    scale = np.linalg.norm(U, axis=0) * np.linalg.norm(A._centred, axis=1).max()
+    return slack <= 1e-12 * np.maximum(1.0, scale), slack, top
 
 
 def diameter(A) -> float:
@@ -407,7 +408,7 @@ def hull_volume(A) -> float:
     A = _coerce_support(A)
     if A.dim > 3:
         raise InputError(f"hull_volume supports m <= 3, got m = {A.dim}")
-    return 0.0 if A._hull is None else A._hull[2]
+    return 0.0 if A._hull is None else A._hull[3]
 
 
 def interior_contains(A, p, tol: float) -> bool:
@@ -424,20 +425,26 @@ def interior_contains(A, p, tol: float) -> bool:
 
 
 def _interior_mask(A: SupportSet, P: np.ndarray, tol: float) -> np.ndarray:
-    """:func:`interior_contains` for each row of P (shape (N, m)).
-
-    The slack of the F facets, shape (F, N), is accumulated one coordinate
-    at a time in coordinate order, the order of a sum over the coordinate
-    axis, and without BLAS, so a point's answer does not depend on its
-    batch; the test over the facets then runs along rows of N points."""
-    rows = A.facets
-    if rows is None:
+    """:func:`interior_contains` for each row of P (shape (N, m)): the
+    hull's rows (``SupportSet._hull``) against P - c, through
+    :func:`_facet_slack`, so a point's answer does not depend on its
+    batch; the test over the facets runs along rows of N points."""
+    if A._hull is None:
         return np.zeros(P.shape[0], dtype=bool)
-    slack = np.multiply.outer(rows[:, 0], P[:, 0])
-    for i in range(1, A.dim):
-        slack += np.multiply.outer(rows[:, i], P[:, i])
+    return np.all(_facet_slack(A._hull[1], (P - A._c).T) <= -tol, axis=0)
+
+
+def _facet_slack(rows: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """n . q + offset of each hull row (F, m+1) (``SupportSet._hull``) at
+    each column q of the centred, coordinate-major Q (m, N): shape (F, N),
+    accumulated one coordinate at a time in coordinate order, the order of
+    a sum over the coordinate axis, and without BLAS, so a column's slack
+    does not depend on its batch."""
+    slack = np.multiply.outer(rows[:, 0], Q[0])
+    for i in range(1, len(Q)):
+        slack += np.multiply.outer(rows[:, i], Q[i])
     slack += rows[:, -1, None]
-    return np.all(slack <= -tol, axis=0)
+    return slack
 
 
 class QuadForm:

@@ -46,12 +46,15 @@ compensated (math.fsum), so results do not depend on evaluation order.
 
 What a solve builds, and how often:
 
-* once per sum, cached on it and read by every later solve: the rank
-  test, the balancing point (``ExpSum._newton_start``), the diameter, the
-  Cauchy-Binet block of the density and, once a target
-  is not already at the balancing point's moment, the hull's facet table
-  and the facet-log start built from it (``ExpSum._facet_start``), which
-  inverts the closed-form sums' nodes with no Newton step;
+* once per sum, cached on it and read by every later solve: the
+  barycenter and the centred points, with the diameter, at construction;
+  the rank test, the balancing point (``ExpSum._newton_start``), the
+  Cauchy-Binet block of the density, the merged hull where a solve reads
+  it (``SupportSet._hull``: vertices, one facet row per facet about the
+  barycenter, gaps and volume, from one Qhull run) and, once a target is
+  not already at the balancing point's moment, the facet-log start built
+  from that hull (``ExpSum._facet_start``), which inverts the
+  closed-form sums' nodes with no Newton step;
 * once per solve: the frame (x0, W and the Jacobian |det W|), folded into
   a framed copy of the sum (``ExpSum._framed``: support (A - c) W,
   log-weights log alpha + (A - c) x0 and the block times (det W)^2), and

@@ -11,9 +11,11 @@ from sparse_kacrice import (
     ComplexExpSum,
     ExpSum,
     InputError,
+    Quadrature,
     bkk_density,
     bkk_total,
     evaluate,
+    kostlan,
     n_factorial_volume,
 )
 
@@ -83,9 +85,19 @@ class TestTotal:
         assert bkk_total(line).value == 0.0
         assert n_factorial_volume(line) == 0.0
 
-    def test_non_integer_support_rejected(self):
-        with pytest.raises(InputError):
-            bkk_total(ComplexExpSum([[0.0], [0.5]]))
+    @pytest.mark.parametrize("points, coeffs, want", [
+        ([[0.0], [0.5]], None, 0.5),
+        (SQUARE.support.points @ [[math.cos(0.7), math.sin(0.7)], [-math.sin(0.7), math.cos(0.7)]], None, 2.0),
+        (kostlan(2, 2).support.points @ [[1.0, 0.5], [0.25, 1.0]], kostlan(2, 2).coeffs, 7.0),
+        ([[0.0], [math.sqrt(2.0)], [math.pi]], None, math.pi),
+    ], ids=["half segment", "turned square", "sheared kostlan(2,2)", "irrational line"])
+    def test_real_exponents_give_n_factorial_volume(self, points, coeffs, want):
+        # The volume identity holds for every full-dimensional real
+        # support; only the root-count reading needs integer exponents.
+        C = ComplexExpSum(points, coeffs)
+        q = Quadrature()
+        assert n_factorial_volume(C) == pytest.approx(want, rel=1e-14)
+        assert abs(bkk_total(C, q).value - want) <= max(q.abs_tol, q.rel_tol * want)
 
     def test_too_many_variables_rejected(self):
         pts = np.vstack([np.zeros(4), np.eye(4)])

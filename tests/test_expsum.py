@@ -720,7 +720,7 @@ class TestFacetStart:
             np.testing.assert_allclose(invert_moment(E, p), x, rtol=0.0, atol=1e-14)
 
     def test_one_hull_per_support(self, monkeypatch):
-        # The facet-log start reads the facet table of the sum's own support.
+        # The facet-log start reads the one hull of the sum's own support.
         import scipy.spatial
 
         hulls = []

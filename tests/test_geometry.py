@@ -165,9 +165,11 @@ class TestHullGeometry:
             mask = _interior_mask(A, P, tol)
             scalar = np.array([interior_contains(A, p, tol) for p in P])
             np.testing.assert_array_equal(mask, scalar)
-            # The per-coordinate slack adds in the order of the broadcast
-            # product summed over its last axis: the same answer, bit for bit.
-            broadcast = (P[:, None, :] * rows[:, :-1]).sum(axis=-1) + rows[:, -1]
+            # The per-coordinate slack of the hull's rows about the
+            # barycenter adds in the order of the broadcast product summed
+            # over its last axis: the same answer, bit for bit.
+            centred = A._hull[1]
+            broadcast = ((P - A._c)[:, None, :] * centred[:, :-1]).sum(axis=-1) + centred[:, -1]
             np.testing.assert_array_equal(mask, np.all(broadcast <= -tol, axis=1))
             # An independent reference: a fresh hull, on decisive points.
             if m == 1:
@@ -196,15 +198,17 @@ class TestHullGeometry:
 
     def test_degenerate_hull_has_no_facets(self):
         A = SupportSet([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
-        assert A.facets is None and A._facet_table is None
+        assert A.facets is None and A._hull is None
         assert A.vertices is None
         assert not _interior_mask(A, np.array([[1.0, 1.0], [0.5, 0.5]]), 1e-12).any()
 
     def test_coplanar_triangles_are_one_facet(self):
         # Qhull gives the unit cube 12 triangles; each square face is one row.
         cube = SupportSet(list(itertools.product([0.0, 1.0], repeat=3)))
-        rows, gaps = cube._facet_table
-        assert len(cube._hull[1]) == 12 and cube.facets is rows and rows.shape == (6, 4)
+        rows, gaps = cube._hull[1:3]
+        assert len(ConvexHull(cube.points - cube.points.mean(axis=0)).equations) == 12
+        assert rows.shape == (6, 4) and cube.facets.shape == (6, 4)
+        np.testing.assert_array_equal(cube.facets[:, :-1], rows[:, :-1])
         normals = sorted(map(tuple, np.round(rows[:, :-1], 12).tolist()))
         assert normals == sorted(map(tuple, np.vstack([np.eye(3), -np.eye(3)]).tolist()))
         assert not rows.flags.writeable and not gaps.flags.writeable
@@ -215,16 +219,19 @@ class TestHullGeometry:
         # Each facet's gap is its distance to the nearest support point off
         # its line: 1 on the legs of the unit triangle, 1/sqrt(2) on the
         # hypotenuse; on an interval, the distance to the next point in.
-        rows, gaps = SupportSet([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])._facet_table
+        rows, gaps = SupportSet([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])._hull[1:3]
         hypotenuse = rows[:, 0] > 0.5
         np.testing.assert_allclose(gaps[hypotenuse], math.sqrt(0.5), rtol=1e-14)
         np.testing.assert_allclose(gaps[~hypotenuse], 1.0, rtol=1e-14)
-        rows, gaps = SupportSet([[3.0], [0.0], [0.5], [2.0]])._facet_table
-        np.testing.assert_array_equal(rows, [[-1.0, 0.0], [1.0, -3.0]])
+        # The rows are about the barycenter 1.375; facets takes them to the origin.
+        A = SupportSet([[3.0], [0.0], [0.5], [2.0]])
+        rows, gaps = A._hull[1:3]
+        np.testing.assert_array_equal(rows, [[-1.0, -1.375], [1.0, -1.625]])
+        np.testing.assert_array_equal(A.facets, [[-1.0, 0.0], [1.0, -3.0]])
         np.testing.assert_array_equal(gaps, [0.5, 1.0])
         # The first draw of default_rng(2026): an edge with a point 0.0031 off it.
         rng = np.random.default_rng(2026)
-        gaps = SupportSet(rng.normal(size=(8, 2)))._facet_table[1]
+        gaps = SupportSet(rng.normal(size=(8, 2)))._hull[2]
         assert gaps.min() == pytest.approx(0.0031342, rel=1e-4)
 
     @pytest.mark.parametrize("points, n_facets", [
@@ -233,17 +240,20 @@ class TestHullGeometry:
         (kostlan(2, 3).support.points, 4),
     ], ids=["cube", "square pyramid", "kostlan(2,3)"])
     def test_kept_rows_are_the_first_of_each_facet(self, points, n_facets):
-        # The first row of each set of points on a hull row, in Qhull's
-        # order, as np.unique's sorted first indices give them.
+        # The first row of each set of points on a row of Qhull's hull of
+        # the centred points, in Qhull's order, as np.unique's sorted first
+        # indices give them; each kept row's plane passes through its face.
         A = SupportSet(points)
-        rows = A._hull[1]
         centred = A.points - A.points.mean(axis=0)
-        values = centred @ rows[:, :-1].T
+        normals = ConvexHull(centred).equations[:, :-1]
+        values = centred @ normals.T
         slack = values.max(axis=0) - values
         on = slack <= 1e-12 * max(1.0, float(np.linalg.norm(centred, axis=1).max()))
         keep = np.sort(np.unique(on.T, axis=0, return_index=True)[1])
         assert len(keep) == n_facets
-        np.testing.assert_array_equal(A.facets, rows[keep])
+        rows = A._hull[1]
+        np.testing.assert_array_equal(rows[:, :-1], normals[keep])
+        np.testing.assert_array_equal(rows[:, -1], -values.max(axis=0)[keep])
 
     @pytest.mark.parametrize("points", [
         list(itertools.product([0.0, 1.0], repeat=3)),

@@ -19,13 +19,18 @@ from sparse_kacrice import (
     McConfig,
     Augmentation,
     Quadrature,
+    asymptotic_moment,
     bkk_total,
     density_many,
+    diameter,
     esol_pspace,
     esol_region,
     esol_total,
     estimate_esol,
     evaluate,
+    exposed_face,
+    face_metric_limit,
+    hull_volume,
     invert_moment,
     kostlan,
     lower_bound_check,
@@ -34,6 +39,7 @@ from sparse_kacrice import (
 )
 from sparse_kacrice import expsum, integrate
 from sparse_kacrice.expsum import _batch_moments
+from sparse_kacrice.geometry import _interior_mask
 from sparse_kacrice.integrate import (
     _adaptive, _cell_rule, _gauss_legendre_rule, _genz_malik_rule, _seed_grid,
 )
@@ -700,6 +706,49 @@ class TestTranslation:
             want = region_scan(E, Augmentation(a0), resolution=17)
             assert got.psi.tobytes() == want.psi.tobytes()
             np.testing.assert_array_equal(got.classes, want.classes)
+
+    def test_exposed_faces_and_their_limits(self):
+        # The top edge is 2^-20 off level: one point in direction (0, 1) on
+        # both sides.  The face tolerance once scaled with max |a|, so the
+        # translate's face held both top points and its limiting moment,
+        # minus the shift, read (0.027, 0.99999997).
+        points = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0 - 2.0**-20]])
+        E, F = ExpSum(points), ExpSum(points + SHIFT)
+        assert len(exposed_face(F.support, [0.0, 1.0])) == 1
+        for u in ([0.0, 1.0], [1.0, 0.0], [1.0, 1.0], [-1.0, -1.0], [0.0, -1.0], [1.0, -3.0]):
+            want = exposed_face(E.support, u).points
+            assert (exposed_face(F.support, u).points - SHIFT).tobytes() == want.tobytes()
+            assert (asymptotic_moment(F, u) - SHIFT).tobytes() == asymptotic_moment(E, u).tobytes()
+            for y in ([0.0, 0.0], [0.5, -2.0]):
+                got, want = face_metric_limit(F, u, y), face_metric_limit(E, u, y)
+                assert got.entries.tobytes() == want.entries.tobytes()
+
+    def test_hull_rows_gaps_and_interior_answers(self):
+        sheared = kostlan(2, 2).support.points @ np.array([[1.0, 0.5], [0.25, 1.0]])
+        rng = np.random.default_rng(32)
+        for points in (sheared, PENTAGON.support.points):
+            A, B = ExpSum(points).support, ExpSum(points + SHIFT).support
+            for got, want in zip(B._hull[1:3], A._hull[1:3]):
+                assert got.tobytes() == want.tobytes()
+            # A dyadic grid over and around the hull, with nodes on its
+            # edges and vertices, shifts exactly.
+            P = np.round(rng.uniform(-1.0, 4.0, size=(2000, 2)) * 8) / 8
+            for tol in (1e-12, 1e-6 * diameter(A)):
+                want = _interior_mask(A, P, tol)
+                assert want.any() and not want.all()
+                np.testing.assert_array_equal(_interior_mask(B, P + SHIFT, tol), want)
+
+    def test_flat_support_stays_flat(self):
+        # Collinear integer points: the differences a_i - a_0 shift
+        # exactly, while the centred points carry the barycenter's rounding
+        # (7e-9 apart between the two shifted columns), which a rank test
+        # on them reads as a second dimension.
+        points = np.array([[0.0, 0.0], [1.0, 1.0], [3.0, 3.0]])
+        for E in (ExpSum(points), ExpSum(points + SHIFT)):
+            assert E.support.degenerate and E.support._hull is None
+            assert hull_volume(E.support) == 0.0
+            assert esol_total(E).value == 0.0
+            assert bkk_total(ComplexExpSum(E.support.points)).value == 0.0
 
     def test_two_term_far_from_the_origin(self):
         # 140 cells against 76 when the kernels read the raw points.
