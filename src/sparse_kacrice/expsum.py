@@ -31,9 +31,12 @@ per-matrix LAPACK call.  Every target starts at the sum's cached
 balancing point, or at the facet-log predictor (the gradient of
 Guillemin's symplectic potential, from the support's one hull) where
 that is close enough, which inverts the canonical toric sums with no Newton
-step; a row is written out in the iteration it converges or fails, and done
-rows are packed away only once they are half of those held, so most
-iterations copy nothing.  The scalar API (:func:`potential`,
+step and no metric (:func:`_metric`, the one place the metric is formed):
+where at least half of the rows settle at their start they are written out
+there, before any metric or Newton state is formed for the rest.  A Newton
+row is written out in the iteration it converges or fails, and done rows
+are packed away only once they are half of those held, so most iterations
+copy nothing.  The scalar API (:func:`potential`,
 :func:`evaluate`, :func:`density`, :func:`invert_moment`) is these kernels
 on one row, so a scalar call and a one-row batch give the same numbers bit
 for bit; :func:`evaluate` takes g and the density from one softmax and
@@ -222,7 +225,8 @@ class ExpSum:
         None when the hull has no interior, when mu0 is not inside every
         facet, or when the predictor's Jacobian at mu0,
         J = sum_j S_j nu_j^T / d0_j, is not the inverse of 2 g(x0) to within
-        ``FACET_START_SHARE`` (the spectral norm of 2 g(x0) J - I).  The
+        ``FACET_START_SHARE`` (the spectral norm of 2 g(x0) J - I, from an
+        SVD only where its upper bound, the Frobenius norm, exceeds it).  The
         predictor is then not the inverse of the sum's moment map even at
         first order at the start.  With this test lifted, on 3 000 Dirichlet
         targets on each of twelve generic supports, it changed their total
@@ -239,8 +243,8 @@ class ExpSum:
         if not np.all(d0 > 0.0):
             return None
         S = nu / (2.0 * gaps[:, None])
-        jacobian = (S / d0[:, None]).T @ nu
-        if np.linalg.norm(2.0 * G0 @ jacobian - np.eye(self.dim), 2) > FACET_START_SHARE:
+        off = 2.0 * G0 @ ((S / d0[:, None]).T @ nu) - np.eye(self.dim)
+        if np.linalg.norm(off) > FACET_START_SHARE and np.linalg.norm(off, 2) > FACET_START_SHARE:
             return None
         start = (S, rows, np.log(d0))
         for array in start:
@@ -380,21 +384,32 @@ def _moments(E: ExpSum, W: np.ndarray, total: np.ndarray):
     is a contiguous row of N points.  (The potential is :func:`_potential`,
     from the log-sum-exp that gives the weights.)
 
-    lam = W / total is written over W, which the caller gives up; mu is one
-    (m, k)@(k, N) product, and the metric G_ij = sum_a lam_a C_ia C_ja of the
-    centred support C = a - mu (m, k, N) is one three-operand einsum over the
-    terms for all N points at once, with no (m, k, N) product of C and lam
-    held.  Both keep the Newton loop's peak low (see
-    :func:`_invert_moment_many`).  G is not symmetrized: the Cholesky
-    factorization reads its lower triangle and :class:`.QuadForm`
-    symmetrizes it.  No determinant is taken of it.
+    lam = W / total is written over W, which the caller gives up, and mu is
+    one (m, k)@(k, N) product (:func:`_mu`); G is :func:`_metric` of them.
     """
-    points = E._points.T
+    lam, mu = _mu(E, W, total)
+    return lam, mu, _metric(E, lam, mu)
+
+
+def _mu(E: ExpSum, W: np.ndarray, total: np.ndarray):
+    """(lam, mu) of :func:`_moments`, with no metric: lam = W / total,
+    written over W, and mu = (A - c)^T lam."""
     lam = np.divide(W, total, out=W)
-    mu = points @ lam
-    C = points[:, :, None] - mu[:, None, :]
-    G = np.einsum("ikn,kn,jkn->ijn", C, lam, C)
-    return lam, mu, G
+    return lam, E._points.T @ lam
+
+
+def _metric(E: ExpSum, lam: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """The metric G (m, m, N) at each column of (lam, mu), the one place G
+    is formed: G_ij = sum_a lam_a C_ia C_ja of the centred support
+    C = a - mu (m, k, N), one three-operand einsum over the terms for all N
+    points at once, with no (m, k, N) product of C and lam held, which
+    keeps the Newton loop's peak low (see :func:`_invert_moment_many`).
+    The einsum has no BLAS call, so a column's G does not depend on its
+    batch.  G is not symmetrized: the Cholesky factorization reads its
+    lower triangle and :class:`.QuadForm` symmetrizes it.  No determinant
+    is taken of it."""
+    C = E._points.T[:, :, None] - mu[:, None, :]
+    return np.einsum("ikn,kn,jkn->ijn", C, lam, C)
 
 
 def _det_g(E: ExpSum, W: np.ndarray, total: np.ndarray):
@@ -536,7 +551,7 @@ def invert_moment(E: ExpSum, p) -> np.ndarray:
     q = p - E._c
     X, ok = _invert_moment_many(E, q[None])
     if not ok[0]:
-        residual = float(np.linalg.norm(_moments(E, *_softmax(E, X.T)[1:])[1][:, 0] - q))
+        residual = float(np.linalg.norm(_mu(E, *_softmax(E, X.T)[1:])[1][:, 0] - q))
         message = f"damped Newton stopped at residual {residual:.3e}"
         raise ConvergenceError(message, value=X[0], residual=residual)
     return X[0]
@@ -557,11 +572,15 @@ def _invert_moment_many(E: ExpSum, P: np.ndarray):
     hull with interior and a predictor whose Jacobian at the start is right
     to ``FACET_START_SHARE``), mu(x_hat) is closer to p than mu0 is, and
     |mu(x_hat) - p| is at most ``FACET_START_SHARE`` of p's least facet
-    distance; the rest start at x0, as without a predictor.  A row that
-    meets the residual rule at its start is done before the first solve.
-    The predictor is exact on the canonical toric sums (two-term, Kostlan
-    box and simplex sums, their reweightings and affine images), whose
-    rows are then all done before any solve.
+    distance; the rest start at x0, as without a predictor.  The starts are
+    checked on mu alone (:func:`_mu`).  A row that meets the residual rule
+    at its start is done before the first solve: where such settled rows
+    are at least half of the rows, they are written out at once and the
+    metric (:func:`_metric`, per column from the same weights), the
+    x0/mu0/G0 repeats and the Newton state are formed for the other rows
+    alone.  The predictor is exact on the canonical toric sums (two-term,
+    Kostlan box and simplex sums, their reweightings and affine images),
+    whose rows all settle at their start: they form no metric at all.
     A start that merely brings mu closer is not safe: near a small facet
     gap x_hat can sit where the metric saturates and Newton stalls.
 
@@ -574,6 +593,12 @@ def _invert_moment_many(E: ExpSum, P: np.ndarray):
     then on, and done rows are packed away only once they make up at least
     half of the arrays.  No interior check is performed here — callers own
     the masking.
+
+    A row settled at the balancing point or at the predicted start keeps
+    that start's bits in any batch (the predictor is summed without BLAS)
+    and, where settled rows are at least half of the batch, forms no
+    metric.  A Newton row's bits depend on its batch, through the BLAS
+    products in :func:`_softmax` and :func:`_mu`, which round by batch size.
     """
     P = np.atleast_2d(np.asarray(P, dtype=float))
     p = np.ascontiguousarray(P.T)
@@ -583,26 +608,43 @@ def _invert_moment_many(E: ExpSum, P: np.ndarray):
     tol2 = (INVERT_TOL * (1.0 + diameter(E.support))) ** 2
     far = res2 > tol2
     idx = np.flatnonzero(far)
+    p, r2 = p.compress(far, axis=1), res2.compress(far)
+
+    def write(done, x, r2):
+        # The rows done among those held (idx), from their coordinate-major
+        # iterates x and residuals r2: one 1-D scatter per coordinate,
+        # several times faster than one scatter of rows of m floats.
+        out = idx.compress(done)
+        for column, values in zip(X.T, x.compress(done, axis=1)):
+            column[out] = values
+        res2[out] = r2.compress(done)
+
+    start = ()
+    if idx.size and E._facet_start is not None:
+        guess, d_min = _facet_predictor(E, p)
+        lam_t, mu_t = _mu(E, *_softmax(E, guess)[1:])
+        r2_t = ((mu_t - p) ** 2).sum(axis=0)
+        take = (r2_t < r2) & (r2_t <= (FACET_START_SHARE * d_min) ** 2)
+        settled = take & (r2_t <= tol2)
+        start = (guess, mu_t, lam_t, r2_t, take)
+        if 2 * np.count_nonzero(settled) >= idx.size:
+            write(settled, guess, r2_t)
+            idx, p, r2, *start = (a.compress(~settled, axis=-1) for a in (idx, p, r2) + start)
     n = idx.size
     if n == 0:
         return X, res2 <= tol2
-    p, r2 = p.compress(far, axis=1), res2.compress(far)
     x, mu = np.repeat(x0[:, None], n, axis=1), np.repeat(mu0[:, None], n, axis=1)
     G = np.repeat(G0[:, :, None], n, axis=2)
-    if E._facet_start is not None:
-        guess, d_min = _facet_predictor(E, p)
-        _, mu_t, G_t = _moments(E, *_softmax(E, guess)[1:])
-        r2_t = ((mu_t - p) ** 2).sum(axis=0)
-        take = (r2_t < r2) & (r2_t <= (FACET_START_SHARE * d_min) ** 2)
-        for new, old in ((guess, x), (mu_t, mu), (G_t, G), (r2_t, r2)):
+    if start:
+        guess, mu_t, lam_t, r2_t, take = start
+        for new, old in ((guess, x), (mu_t, mu), (_metric(E, lam_t, mu_t), G), (r2_t, r2)):
             np.copyto(old, new, where=take)
     held = np.ones(n, dtype=bool)
     accepted = True  # every row's start counts as its first accepted step
     for iteration in range(INVERT_MAX_ITER + 1):
         done = held & ~(accepted & (r2 > tol2))
         if done.any():
-            out = idx.compress(done)
-            X[out], res2[out] = x.compress(done, axis=1).T, r2.compress(done)
+            write(done, x, r2)
             held ^= done  # done rows are held rows
             n = np.count_nonzero(held)
             if 2 * n <= held.size:
@@ -639,8 +681,7 @@ def _invert_moment_many(E: ExpSum, P: np.ndarray):
             r2[sub] = r2_t[better]
             accepted[sub] = True
             todo = todo[~better]
-    out = idx.compress(held)
-    X[out], res2[out] = x.compress(held, axis=1).T, r2.compress(held)
+    write(held, x, r2)
     return X, res2 <= tol2
 
 

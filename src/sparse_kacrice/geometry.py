@@ -104,10 +104,13 @@ class SupportSet:
 
     @staticmethod
     def dedup_tolerance(points) -> float:
-        """Distance below which two points count as the same point."""
+        """Distance below which two points count as the same point:
+        1e-9 (1 + max |a - c|), c the barycenter of the points, so that a
+        translate of them has the same tolerance, as the on-face rule
+        (:func:`_face_mask`) scales with the spread about c."""
         arr = np.asarray(points, dtype=float)
-        scale = float(np.abs(arr).max()) if arr.size else 0.0
-        return 1e-9 * (1.0 + scale)
+        spread = float(np.linalg.norm(arr - arr.mean(axis=0), axis=-1).max()) if arr.size else 0.0
+        return 1e-9 * (1.0 + spread)
 
     @property
     def dim(self) -> int:
@@ -130,8 +133,8 @@ class SupportSet:
         if self.size == 1:
             return 0
         diffs = self.points[1:] - self.points[0]
-        scale = np.abs(diffs).max()
-        return int(np.linalg.matrix_rank(diffs, tol=1e-12 * scale * max(diffs.shape)))
+        tol = 1e-12 * np.abs(diffs).max() * max(diffs.shape)
+        return int(np.count_nonzero(np.linalg.svd(diffs, compute_uv=False) > tol))
 
     @property
     def degenerate(self) -> bool:
@@ -205,12 +208,8 @@ class SupportSet:
         S = _cauchy_binet_tables(k, m)[0]
         D = _cone_dets(self.points, S[:, 1:], self.points[S[:, 0]])
         D[(np.abs(D) <= 1e-12 * np.ptp(self.points, axis=0).max() ** m) | self.degenerate] = 0.0
-        # The second index of each row pair, and the first of each column
-        # tuple: k for the one empty tuple of m = 1, above every b.
-        b_row = _sorted_tuples(max(k - m + 1, 0), 2)[:, 1]
-        first_t = np.min(_sorted_tuples(max(k - 2, 0), m - 1), axis=1, initial=k - 2) + 2
         B = np.zeros(shape)
-        B[first_t[None, :] > b_row[:, None]] = D * D
+        B[_simplex_mask(k, m)] = D * D
         B.flags.writeable = False
         return B
 
@@ -299,6 +298,21 @@ def _cauchy_binet_tables(k: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     return tables
 
 
+@lru_cache(maxsize=32)
+def _simplex_mask(k: int, m: int) -> np.ndarray:
+    """Where ``SupportSet._simplex_form`` of k points in R^m holds a
+    simplex: the entries of its (pair (a, b), tuple t) grid with min t > b,
+    built once per (k, m), as :func:`_cauchy_binet_tables` are; cached,
+    read-only."""
+    # The second index of each row pair, and the first of each column
+    # tuple: k for the one empty tuple of m = 1, above every b.
+    b_row = _sorted_tuples(max(k - m + 1, 0), 2)[:, 1]
+    first_t = np.min(_sorted_tuples(max(k - 2, 0), m - 1), axis=1, initial=k - 2) + 2
+    mask = first_t[None, :] > b_row[:, None]
+    mask.flags.writeable = False
+    return mask
+
+
 def _coerce_support(A) -> SupportSet:
     return A if isinstance(A, SupportSet) else SupportSet(A)
 
@@ -340,7 +354,8 @@ def _check_box(box, m: int) -> tuple:
 def _grid(box, resolution):
     """(resolution, axes, nodes) of the grid on a checked box: resolution a
     whole number or one per axis, at least 2 each, else InputError; axes
-    the linspace of each axis; nodes (prod(resolution), m), row-major."""
+    the linspace of each axis; nodes (prod(resolution), m), row-major, each
+    axis broadcast into its column of one array."""
     m = len(box)
     per_axis = (resolution,) * m if np.isscalar(resolution) else resolution
     try:
@@ -350,8 +365,10 @@ def _grid(box, resolution):
     if len(counts) != m or any(n < 2 or n != r for n, r in zip(counts, per_axis)):
         raise InputError(f"resolution must be whole numbers >= 2 on {m} axes, got {resolution!r}")
     axes = tuple(np.linspace(a, b, n) for (a, b), n in zip(box, counts))
-    nodes = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
-    return counts, axes, nodes
+    nodes = np.empty(counts + (m,))
+    for i, axis in enumerate(axes):
+        nodes[..., i] = axis.reshape((-1,) + (1,) * (m - 1 - i))
+    return counts, axes, nodes.reshape(-1, m)
 
 
 def support_function(A, u) -> float:
@@ -426,12 +443,13 @@ def interior_contains(A, p, tol: float) -> bool:
 
 def _interior_mask(A: SupportSet, P: np.ndarray, tol: float) -> np.ndarray:
     """:func:`interior_contains` for each row of P (shape (N, m)): the
-    hull's rows (``SupportSet._hull``) against P - c, through
-    :func:`_facet_slack`, so a point's answer does not depend on its
-    batch; the test over the facets runs along rows of N points."""
+    hull's rows (``SupportSet._hull``) against P - c, written
+    coordinate-major, through :func:`_facet_slack`, so a point's answer
+    does not depend on its batch; the test over the facets runs along rows
+    of N points."""
     if A._hull is None:
         return np.zeros(P.shape[0], dtype=bool)
-    return np.all(_facet_slack(A._hull[1], (P - A._c).T) <= -tol, axis=0)
+    return np.all(_facet_slack(A._hull[1], np.subtract(P.T, A._c[:, None], order="C")) <= -tol, axis=0)
 
 
 def _facet_slack(rows: np.ndarray, Q: np.ndarray) -> np.ndarray:

@@ -61,7 +61,11 @@ What a solve builds, and how often:
   the cell store;
 * once per integrand call: one (m, N) node array, written in place, and
   the kernel's own arrays; the x route reads the nodes as the framed
-  sum's points, with no frame map and no Jacobian multiply;
+  sum's points, with no frame map and no Jacobian multiply; the moment
+  route's inversion checks each start on mu alone and, where at least half
+  of the nodes settle at their predicted start (every node of the
+  closed-form sums), writes those out there and forms the metric and the
+  Newton state for the other nodes alone;
 * once per pass: one gather of the popped rows, the rows of their
   children and one push of them.
 """

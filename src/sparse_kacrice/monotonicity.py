@@ -145,9 +145,10 @@ def augment(E: ExpSum, aug: Augmentation) -> ExpSum:
 
 
 def _psi_many(E: ExpSum, aug: Augmentation, a0: np.ndarray, X: np.ndarray):
-    """Psi, phi0, g^x(tau) and K/K_0 at each row of X (shape (N, m)); a0 is
-    aug's exponent as :func:`_check_augmentation` returns it, checked once
-    per scan by the caller.
+    """Psi, phi0, g^x(tau) and log K/K_0 at each row of X (shape (N, m));
+    a0 is aug's exponent as :func:`_check_augmentation` returns it, checked
+    once per scan by the caller.  The ratio stays a log: only :func:`psi`'s
+    evaluations take its exp, not a scan's nodes.
 
     g^x(tau) = (f_0^2 / K_0) q with q = (mu - a_0)^T g^-1 (mu - a_0), and
     by Cauchy-Binet on g + (mu - a_0)(mu - a_0)^T, q det g is the sum over
@@ -188,13 +189,13 @@ def _psi_many(E: ExpSum, aug: Augmentation, a0: np.ndarray, X: np.ndarray):
     log_ratio = 2.0 * phi - log_K0
     tau_normsq = np.exp(2.0 * log_f0 - log_K0) * q
     values = np.exp(0.5 * (E.dim * log_ratio + np.log1p(tau_normsq)))
-    return values, phi - log_f0, tau_normsq, np.exp(log_ratio)
+    return values, phi - log_f0, tau_normsq, log_ratio
 
 
 def _psi_evals(E: ExpSum, aug: Augmentation, X: np.ndarray) -> list[PsiEval]:
     """:func:`psi` at each row of X, from one :func:`_psi_many` call."""
-    values, phi0, tau_normsq, ratio = _psi_many(E, aug, _check_augmentation(E, aug), X)
-    rows = zip(X, phi0.tolist(), tau_normsq.tolist(), ratio.tolist(), values.tolist())
+    values, phi0, tau_normsq, log_ratio = _psi_many(E, aug, _check_augmentation(E, aug), X)
+    rows = zip(X, phi0.tolist(), tau_normsq.tolist(), np.exp(log_ratio).tolist(), values.tolist())
     return [PsiEval(*row, label) for row, label in zip(rows, _classify_psi(values))]
 
 
@@ -204,7 +205,8 @@ def psi(E: ExpSum, aug: Augmentation, x) -> PsiEval:
     Built from the one-form tau = (f_0/sqrt(K_0)) (mu - a_0):
     Psi = (K/K_0)^{m/2} sqrt(1 + g^x(tau)), the ratio of the two densities;
     DegenerateMetricError where det g underflows to 0.  This is the batched
-    kernel of the grid scans on one row, so the two cannot drift.
+    kernel of the grid scans on one row, so the two cannot drift; the
+    kernel gives log K/K_0, and ``ratio`` is its exp, taken here.
     """
     x = _check_vector(x, E.dim, "x")
     return _psi_evals(E, aug, x[None, :])[0]
@@ -312,8 +314,13 @@ def _moment_preimages(E: ExpSum, box: tuple, resolution: tuple, nodes: np.ndarra
     if stored is None or stored[0] != key:
         margin = LEGENDRE_MARGIN * diameter(E.support)
         usable = np.flatnonzero(_interior_mask(E.support, nodes, margin))
-        X, ok = _invert_moment_many(E, nodes[usable] - E._c)
-        stored = (key, usable[ok], X[ok])
+        # The targets about the barycenter, written coordinate-major, as the
+        # inversion holds them, and passed as rows by a transposed view:
+        # fancy indexing and broadcasting over rows of m floats cost several
+        # times as much.
+        Q = np.subtract(nodes.take(usable, axis=0).T, E._c[:, None], order="C")
+        X, ok = _invert_moment_many(E, Q.T)
+        stored = (key, usable.compress(ok), X.compress(ok, axis=0))
         for array in stored[1:]:
             array.flags.writeable = False
         E._grid_preimages = stored
@@ -362,10 +369,10 @@ def region_scan(
         box = np.column_stack([points.min(0), points.max(0)]) if space == "p" else [(-5.0, 5.0)] * m
     box = _check_box(box, m)
     resolution, axes, nodes = _grid(box, resolution)
-    values = np.full(nodes.shape[0], np.nan)
     if space == "x":
-        values[:] = _psi_many(E, aug, a0, nodes)[0]
+        values = _psi_many(E, aug, a0, nodes)[0]
     else:
+        values = np.full(nodes.shape[0], np.nan)
         usable, X = _moment_preimages(E, box, resolution, nodes)
         if usable.size:
             values[usable] = _psi_many(E, aug, a0, X)[0]

@@ -637,20 +637,41 @@ class TestFacetStart:
 
     @pytest.mark.parametrize("name", sorted(CANONICAL))
     def test_exact_on_closed_form_sums(self, name, monkeypatch):
-        # Every row is done at its predicted start, before any Newton solve.
+        # Every row is done at its predicted start, before any Newton solve,
+        # and leaves the inversion there: no metric is formed for it.
         E = CANONICAL[name]
-        solves = []
+        assert E._facet_start is not None  # the per-sum start forms its own metric once
+        solves, metric_columns = [], []
+        metric = expsum._metric
 
         def counted(G, B):
             solves.append(B.shape[1])
             return _cholesky_solve(G, B)
 
+        def counted_metric(E, lam, mu):
+            metric_columns.append(mu.shape[1])
+            return metric(E, lam, mu)
+
         monkeypatch.setattr(expsum, "_cholesky_solve", counted)
+        monkeypatch.setattr(expsum, "_metric", counted_metric)
         nodes = _interior_grid(E) - E._c
         X, ok = _invert_moment_many(E, nodes)
-        assert len(nodes) >= 50 and ok.all() and solves == []
+        assert len(nodes) >= 50 and ok.all() and solves == [] and metric_columns == []
         residual = np.linalg.norm(_centred_mu(E, X) - nodes, axis=1)
         assert residual.max() <= INVERT_TOL * (1.0 + diameter(E.support))
+
+    @pytest.mark.parametrize("k, m", [(3, 1), (9, 2), (16, 2), (8, 3)])
+    def test_metric_column_is_the_same_in_any_batch(self, k, m):
+        # A batch whose rows mostly settle forms the metric of the others
+        # alone, from the weights of the whole batch: that must not move a bit.
+        rng = np.random.default_rng(k + m)
+        E = ExpSum(rng.normal(size=(k, m)), rng.uniform(0.2, 5.0, size=k))
+        lam, mu = expsum._mu(E, *_softmax(E, rng.normal(0.0, 2.0, size=(m, 300)))[1:])
+        G = expsum._metric(E, lam, mu)
+        rows = np.sort(rng.choice(300, size=40, replace=False))
+        for some in (rows, rows[:1]):
+            got = expsum._metric(E, lam[:, some], mu[:, some])
+            assert got.tobytes() == np.ascontiguousarray(G[..., some]).tobytes()
 
     @pytest.mark.parametrize("name", sorted(GENERIC))
     def test_start_loses_no_row_on_generic_supports(self, name, monkeypatch):

@@ -340,6 +340,18 @@ class TestBoxAndGrid:
             nodes, [[0, -2], [0, 0], [0, 2], [1, -2], [1, 0], [1, 2]])
         assert _grid(((0.0, 1.0),) * 3, 4)[2].shape == (64, 3)
 
+    @pytest.mark.parametrize("resolution", [(7,), (3, 5), (4, 2, 3)])
+    def test_grid_nodes_are_the_ij_meshgrid(self, resolution):
+        # Axes and nodes, bit for bit and row-major, against the meshgrid
+        # construction, with a different count and box on every axis.
+        box = tuple((-0.1 * (i + 1), 0.3 + 0.7 * i) for i in range(len(resolution)))
+        counts, axes, nodes = _grid(box, resolution)
+        assert counts == resolution
+        for axis, (lo, hi), n in zip(axes, box, resolution):
+            assert axis.tobytes() == np.linspace(lo, hi, n).tobytes()
+        want = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+        assert nodes.shape == want.shape and nodes.tobytes() == want.tobytes()
+
 
 class TestBallSphereConstants:
     def test_frozen_values(self):

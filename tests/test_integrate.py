@@ -19,7 +19,9 @@ from sparse_kacrice import (
     McConfig,
     Augmentation,
     Quadrature,
+    SupportSet,
     asymptotic_moment,
+    augment,
     bkk_total,
     density_many,
     diameter,
@@ -749,6 +751,23 @@ class TestTranslation:
             assert hull_volume(E.support) == 0.0
             assert esol_total(E).value == 0.0
             assert bkk_total(ComplexExpSum(E.support.points)).value == 0.0
+
+    def test_close_support_points_stay_distinct(self):
+        # The coincidence tolerance scales with the spread about the
+        # barycenter; scaled with max |a|, the translate's was 0.067, and
+        # it refused these two points 0.05 apart as one.
+        points = np.array([[0.0, 0.0], [0.05, 0.0], [0.0, 1.0]])
+        A, B = SupportSet(points), SupportSet(points + SHIFT)
+        assert len(B) == len(A) == 3
+        assert SupportSet.dedup_tolerance(B.points) == pytest.approx(SupportSet.dedup_tolerance(A.points), rel=1e-6)
+
+    def test_close_added_exponent_stays_distinct(self):
+        # a0 0.02 from the vertex (1, 1): against a tolerance scaled with
+        # max |a|, 0.067 on the translate, it was refused as that vertex.
+        E = kostlan(2, 1)
+        F = ExpSum(E.support.points + SHIFT, E.coeffs)
+        a0 = np.array([1.0, 1.02])
+        assert augment(F, Augmentation(a0 + SHIFT)).n_terms == augment(E, Augmentation(a0)).n_terms == 5
 
     def test_two_term_far_from_the_origin(self):
         # 140 cells against 76 when the kernels read the raw points.
