@@ -14,9 +14,11 @@ selftest      closed-form checks of an installation, pass/fail table
 
 ``selftest`` uses the package's public names only.  It checks the
 closed-form counts (two terms 1/2, kostlan(1,4) 1, the unit square pi/8
-turned two ways, kostlan(3,1) pi/8 at 1e-6, the triangle 1/4 on the
-moment route, the complex segment's root count 2), two Monte-Carlo
-counts, and that the batched density kernel on this machine's BLAS equals
+turned two ways over the Newton polytope, kostlan(3,1) pi/8 at 1e-6 on
+the x route, the triangle 1/4 on the moment route, the complex segment's
+root count 2), the weighted pentagon's complex total 14 on the x route
+(a two-variable sum with no facet-log start), two Monte-Carlo counts,
+and that the batched density kernel on this machine's BLAS equals
 one-row calls and a direct Cauchy-Binet sum.  Checks of the private
 kernels live in the test suite.
 
@@ -317,6 +319,12 @@ def _selftest_checks():
         E = ComplexExpSum([[0.0], [1.0], [2.0]])
         return abs(bkk_total(E).value - 2.0) < 1e-3
 
+    def bkk_weighted_pentagon():
+        # No facet-log start, so this two-variable integral runs on the x route.
+        E = ComplexExpSum([[0.0, 0.0], [2.0, 0.0], [3.0, 1.0], [1.0, 3.0], [-1.0, 1.0]],
+                          [1.0, 0.5, 2.0, 1.5, 0.75])
+        return abs(bkk_total(E).value - 14.0) < 1e-5
+
     def mc_two_term():
         mean, stderr = estimate_esol(two_term, McConfig(n_samples=4000, seed=7))
         return abs(mean - 0.5) < 4.0 * stderr
@@ -330,8 +338,8 @@ def _selftest_checks():
     return [
         ("two-term expected zero count is 1/2", esol_two_term),
         ("degree-4 one-variable count is sqrt(4)/2", esol_degree_four),
-        ("rotated unit square is pi/8 on the x route", rotated_square),
-        ("rotated square (0.7 rad) is pi/8 at 1e-10 on the x route", square_at_0_7_rad),
+        ("rotated unit square is pi/8 over the Newton polytope", rotated_square),
+        ("rotated square (0.7 rad) is pi/8 at 1e-10 over the Newton polytope", square_at_0_7_rad),
         ("kostlan(3,1) is pi/8 at 1e-6 on the x route", kostlan_three_variables),
         ("moment route on the triangle is 1/4", moment_triangle),
         ("kernel_rows_match_batch: 64-row pentagon and kostlan(3,1) batches equal one-row"
@@ -339,6 +347,8 @@ def _selftest_checks():
         ("simplex_sum_matches_subsets: the batched density equals a direct sum over the"
          " 4-subsets of a seeded 7-point support in R^3", simplex_sum_matches_subsets),
         ("complex density total equals the root count", bkk_segment),
+        ("weighted pentagon's complex density total is 2 x its area 7 on the x route",
+         bkk_weighted_pentagon),
         ("Monte-Carlo two-term count is 1/2", mc_two_term),
         ("Monte-Carlo Rolle cascade: kostlan(1,4) count is sqrt(4)/2", mc_rolle_cascade),
     ]

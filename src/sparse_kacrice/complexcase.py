@@ -62,11 +62,13 @@ def n_factorial_volume(E: ComplexExpSum) -> float:
 def bkk_total(E: ComplexExpSum, q: Quadrature | None = None) -> IntegralResult:
     """Expected zeros in R^n x i(-pi, pi)^n: the density route.
 
-    (2 pi)^n times the integral of :func:`bkk_density` over R^n, on the
-    same metric-normalized cube and shells as ``esol_total``: n! vol(P)
-    for every full-dimensional real support (the moment map carries the
-    density onto the polytope), which counts roots only for integer
-    exponents.  At most three variables.
+    (2 pi)^n times the integral of :func:`bkk_density` over R^n, taken as
+    ``esol_total`` takes its own: over the Newton polytope through the
+    facet-log map for a sum in one or two variables with a facet-log
+    start, on a metric-normalized cube and shells otherwise.  It is
+    n! vol(P) for every full-dimensional real support (the moment map
+    carries the density onto the polytope), which counts roots only for
+    integer exponents.  At most three variables.
     """
     q = q or Quadrature()
     if E.dim > 3:
@@ -74,8 +76,8 @@ def bkk_total(E: ComplexExpSum, q: Quadrature | None = None) -> IntegralResult:
     if E.support.degenerate:
         return IntegralResult(0.0, 0.0, "bkk", 0, 0)
     factor = (2.0 * math.pi) ** E.dim
-    # The framed sum's det g is jac^2 times E's, and the integral over y
-    # takes E's times jac, the Jacobian.
+    # A framed sum's det g is jac^2 times E's, and the integral over y
+    # takes E's times jac, the Jacobian; over P, F is E and jac is 1.
     f = lambda F, jac, Y: factor / jac * _bkk_density_many(F, Y)
     value, error, cells, nodes = _over_rm(f, E, q.abs_tol, q.rel_tol)
     return IntegralResult(value, error, "bkk", cells, nodes)

@@ -685,10 +685,9 @@ def _invert_moment_many(E: ExpSum, P: np.ndarray):
     return X, res2 <= tol2
 
 
-def _facet_predictor(E: ExpSum, p: np.ndarray):
-    """(x_hat, d_min): the facet-log predictor of the preimages of the
-    columns of p (m, n), relative to the barycenter, and each column's
-    least facet distance.
+def _facet_log_map(E: ExpSum, p: np.ndarray):
+    """(x_hat, d): the facet-log map at each column of p (m, n), relative
+    to the barycenter, and the facet distances d (F, n) it reads.
 
     x_hat = x0 + (1/2) sum_j (nu_j / gap_j) (log d_j(p) - log d_j(mu0)) is
     the gradient of Guillemin's symplectic potential (1/2) sum_j l_j log l_j,
@@ -699,20 +698,30 @@ def _facet_predictor(E: ExpSum, p: np.ndarray):
     and the sum over facets are accumulated in a fixed order without BLAS,
     so a column's x_hat does not depend on its batch.  A column with a
     facet distance that is not positive (a target on or past a facet
-    through rounding) gets x0 and a least distance of 0.
+    through rounding) gets x0; its callers read that from d.
     """
     S, rows, log_d0 = E._facet_start
     d = _facet_slack(rows, p)
     np.negative(d, out=d)
-    d_min = np.maximum(d.min(axis=0), 0.0)
-    x_hat = np.repeat(E._newton_start[0][:, None], p.shape[1], axis=1)
+    x0 = E._newton_start[0][:, None]
+    x_hat = np.repeat(x0, p.shape[1], axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         log_d = np.log(d)
         log_d -= log_d0[:, None]
         for j in range(len(S)):
             x_hat += np.multiply.outer(S[j], log_d[j])
-    np.copyto(x_hat, E._newton_start[0][:, None], where=~(d_min > 0.0))
-    return x_hat, d_min
+    np.copyto(x_hat, x0, where=~(d.min(axis=0) > 0.0))
+    return x_hat, d
+
+
+def _facet_predictor(E: ExpSum, p: np.ndarray):
+    """(x_hat, d_min): the facet-log predictor of the preimages of the
+    columns of p (m, n), relative to the barycenter (:func:`_facet_log_map`),
+    and each column's least facet distance, 0 where a facet distance is
+    not positive (x_hat is x0 there).
+    """
+    x_hat, d = _facet_log_map(E, p)
+    return x_hat, np.maximum(d.min(axis=0), 0.0)
 
 
 # -- polytope-side density --------------------------------------------------

@@ -3,25 +3,33 @@
 Two routes to the same number:
 
 * the x-space route integrates the zero density (2/s_m) sqrt(det g_x)
-  over R^m (:func:`esol_total`) in metric-normalized coordinates
-  x = x0 + W y, as the density of the sum in y, where x0 is the moment
-  preimage of the support's barycenter and W = L^-T from the Cholesky
-  factor g(x0) = L L^T, so W^T g(x0) W = I and the region sits in the
-  same place relative to the support under every affine map of it, thin
-  supports included: the cube [-4, 4]^m, then shells [-2r, 2r]^m minus
-  [-r, r]^m for as long as the newest shell outweighs the error of the
-  cells already in hand
-  (:func:`esol_region` integrates the same density over a box alone);
+  over R^m (:func:`esol_total`).  A sum in one or two variables with a
+  facet-log start (``ExpSum._facet_start``) takes that integral over the
+  Newton polytope P, by the change of variables x = x_hat(p) through the
+  facet-log map, the gradient of Guillemin's symplectic potential
+  (Guillemin 1994, J. Differential Geom. 40), on the moment route's vertex
+  cells: the integrand is the density at x_hat(p) times det Dx_hat(p), and
+  on the canonical toric sums x_hat is the inverse moment map.  Every
+  other sum is integrated in metric-normalized coordinates x = x0 + W y,
+  as the density of the sum in y, where x0 is the moment preimage of the
+  support's barycenter and W = L^-T from the Cholesky factor
+  g(x0) = L L^T, so W^T g(x0) W = I and the region sits in the same place
+  relative to the support under every affine map of it, thin supports
+  included: the cube [-4, 4]^m, then shells [-2r, 2r]^m minus [-r, r]^m
+  for as long as the newest shell outweighs the error of the cells
+  already in hand (:func:`esol_region` integrates the same density over a
+  box alone);
 * the moment-space route integrates the Legendre-transform density over
   the Newton polytope (m <= 2), split into one quadrilateral per hull
   vertex and mapped so that the square-root boundary layer and the
   vertex corners are smooth up to the boundary.
 
-Both routes invert the moment map by the kernel's one rule
+The routes invert the moment map by the kernel's one rule
 (:func:`.expsum._invert_moment_many`, residual ``INVERT_TOL`` (1 + diam P)
-about the barycenter): the x route once, for x0, and the moment route at
-every integrand node.  Both work where the kernels do, about the support's
-barycenter c (``ExpSum._points``): the frame's moment target and the
+about the barycenter): the x route once, for x0, where it builds a frame
+(over P it inverts nothing), and the moment route at every integrand
+node.  All work where the kernels do, about the support's barycenter c
+(``ExpSum._points``): the frame's moment target, the facet rows and the
 polytope cells are taken relative to it, so a sum and its translate by an
 exactly representable vector give the same integrals and cells.
 
@@ -51,21 +59,25 @@ What a solve builds, and how often:
   the rank test, the balancing point (``ExpSum._newton_start``), the
   Cauchy-Binet block of the density, the merged hull where a solve reads
   it (``SupportSet._hull``: vertices, one facet row per facet about the
-  barycenter, gaps and volume, from one Qhull run) and, once a target is
-  not already at the balancing point's moment, the facet-log start built
-  from that hull (``ExpSum._facet_start``), which inverts the
-  closed-form sums' nodes with no Newton step;
-* once per solve: the frame (x0, W and the Jacobian |det W|), folded into
-  a framed copy of the sum (``ExpSum._framed``: support (A - c) W,
-  log-weights log alpha + (A - c) x0 and the block times (det W)^2), and
-  the cell store;
+  barycenter, gaps and volume, from one Qhull run) and the facet-log
+  start built from that hull (``ExpSum._facet_start``), read where a one-
+  or two-variable ``esol_total`` or ``bkk_total`` picks its region and
+  where a target is not already at the balancing point's moment, which
+  maps the closed-form sums onto P and inverts their nodes with no Newton
+  step;
+* once per solve: the cell store, and either the vertex cells with the
+  facet pairs' Cauchy-Binet coefficients (over P; no frame) or the frame
+  (x0, W and the Jacobian |det W|), folded into a framed copy of the sum
+  (``ExpSum._framed``: support (A - c) W, log-weights
+  log alpha + (A - c) x0 and the block times (det W)^2);
 * once per integrand call: one (m, N) node array, written in place, and
-  the kernel's own arrays; the x route reads the nodes as the framed
-  sum's points, with no frame map and no Jacobian multiply; the moment
-  route's inversion checks each start on mu alone and, where at least half
-  of the nodes settle at their predicted start (every node of the
-  closed-form sums), writes those out there and forms the metric and the
-  Newton state for the other nodes alone;
+  the kernel's own arrays; over R^m the x route reads the nodes as the
+  framed sum's points, with no frame map and no Jacobian multiply; over P
+  it maps the nodes into P, and one pass of facet distances serves x_hat
+  and det Dx_hat; the moment route's inversion checks each start on mu
+  alone and, where at least half of the nodes settle at their predicted
+  start (every node of the closed-form sums), writes those out there and
+  forms the metric and the Newton state for the other nodes alone;
 * once per pass: one gather of the popped rows, the rows of their
   children and one push of them.
 """
@@ -81,7 +93,9 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import ConvergenceError, InputError
-from .expsum import ExpSum, _invert_moment_many, _legendre_density_many, _moments, _softmax, density_many
+from .expsum import (
+    ExpSum, _facet_log_map, _invert_moment_many, _legendre_density_many, _moments, _softmax, density_many,
+)
 # ``invert_moment`` is imported for perfbench's tracer, which wraps it as an
 # integrate boundary; nothing here calls it.
 from .expsum import invert_moment  # noqa: F401
@@ -503,12 +517,113 @@ def _frame(E: ExpSum):
     return E._framed(X[0], np.linalg.inv(L).T, jac), jac
 
 
+def _vertex_cells(E: ExpSum):
+    """(cell_map, seeds): the Newton polytope P (m <= 2), about the
+    support's barycenter (``ExpSum._c``), as one cell per hull vertex v_i:
+    the quadrilateral (c, M_{i-1}, v_i, M_i) from the centroid c of P and
+    the midpoints M of the edges at v_i (in one variable, the segment
+    [c, v_i]).
+
+    cell_map(U) takes the (m, N) cell coordinates U, whose integer part of
+    U[0] names the cell, to (Q, jac): the nodes Q (m, N) in P and the
+    Jacobian |det dQ/dU| (N,).  Each cell is mapped bilinearly from
+    [0, 1]^m and then a = sin t per axis, t in [0, pi/2]: the distances to
+    the two facets at v_i are (1 - a) and (1 - b) times smooth factors, so a
+    1/sqrt(distance) layer and the corner both become smooth.  The vertex
+    columns are gathered with ``take``, several times faster than fancy
+    indexing on a pass's nodes.  seeds: 4 per axis per cell, whose Gauss
+    nodes never touch the boundary."""
+    m = E.dim
+    V = E.support.vertices - E._c
+    n = V.shape[0]
+    # The per-vertex maps are held coordinate-major, like the nodes: vertex
+    # i is column i of A, B and D.
+    if m == 1:
+        c = V.mean(axis=0)
+        A = (V - c).T
+    else:
+        # The centroid of P lies outside every corner triangle (M_{i-1}, v_i,
+        # M_i): such a triangle holds at most a quarter of the area, and each
+        # side of a line through the centroid holds at least 4/9 of it
+        # (Gruenbaum).  So every cell is convex and its map one-to-one.
+        nxt = np.roll(V, -1, axis=0)
+        cross = V[:, 0] * nxt[:, 1] - nxt[:, 0] * V[:, 1]
+        c = ((V + nxt) * cross[:, None]).sum(axis=0) / (3.0 * cross.sum())
+        A = (0.5 * (np.roll(V, 1, axis=0) + V) - c).T
+        B = (0.5 * (V + nxt) - c).T
+        D = (V - c).T - A - B
+    c = c[:, None]
+
+    def cell_map(U):
+        whole = np.floor(U)
+        i = whole[0].astype(int)
+        T = 0.5 * np.pi * (U - whole)
+        a = np.sin(T)
+        jac = np.prod(0.5 * np.pi * np.cos(T), axis=0)
+        Ai = A.take(i, axis=1)
+        if m == 1:
+            return c + a * Ai, jac * np.abs(Ai[0])
+        Di = D.take(i, axis=1)
+        Ja = Ai + a[1] * Di
+        Jb = B.take(i, axis=1) + a[0] * Di
+        return c + a[0] * Ai + a[1] * Jb, jac * np.abs(Ja[0] * Jb[1] - Ja[1] * Jb[0])
+
+    return cell_map, _seed_grid(((0.0, float(n)),) + ((0.0, 1.0),) * (m - 1), 4 * n)
+
+
 def _over_rm(f, E: ExpSum, abs_tol, rel_tol):
-    """Integrate f(F, jac, Y) over the frame coordinates y, (F, jac) the
-    frame of :func:`_frame` and Y (m, N) the nodes, coordinate-major, which
-    f reads as they are: from the cube [-AUTO_RADIUS, AUTO_RADIUS]^m out by
-    shells, over R^m."""
+    """Integrate over R^m the density f(F, jac, Y) of E, F a sum whose
+    density at the (m, N) nodes Y, coordinate-major, f reads as E's density
+    at x times the Jacobian jac of x in Y.
+
+    A sum in one or two variables with a facet-log start
+    (``ExpSum._facet_start``) is integrated over P through that map:
+    :func:`_over_polytope`, with F = E and jac = 1.  Every other sum is
+    integrated in the frame coordinates y, (F, jac) the frame of
+    :func:`_frame` and Y the nodes as they are: from the cube
+    [-AUTO_RADIUS, AUTO_RADIUS]^m out by shells."""
+    if E.dim < 3 and E._facet_start is not None:
+        return _over_polytope(f, E, abs_tol, rel_tol)
     return _adaptive(partial(f, *_frame(E)), *_cube_cells(AUTO_RADIUS, E.dim), abs_tol, rel_tol, grow=True)
+
+
+def _over_polytope(f, E: ExpSum, abs_tol, rel_tol):
+    """The integral of :func:`_over_rm` taken over P: the change of
+    variables x = x_hat(p) by the facet-log map (:func:`.expsum._facet_log_map`),
+    the gradient of Guillemin's symplectic potential, a bijection of the
+    interior of P onto R^m, on the cells of :func:`_vertex_cells`.
+
+    The integrand is f(E, 1, x_hat(p)) |det Dx_hat(p)| times the cell
+    Jacobian.  Dx_hat = sum_j S_j nu_j^T / d_j, S_j = nu_j / (2 gap_j), reads
+    the facet distances d that x_hat reads, and by Cauchy-Binet its
+    determinant is the sum over m-subsets T of facets of
+    det S_T det nu_T / prod_T d_j, whose terms are non-negative: nothing
+    cancels near a facet.  On the canonical toric sums (two-term, Kostlan
+    box and simplex sums, their reweightings and affine images) x_hat is the
+    inverse moment map, so esol_total's integrand is :func:`esol_pspace`'s,
+    with no Newton step, and bkk_total's the constant m!/2^m.  A node on or past a facet through rounding
+    gets NaN, which raises ConvergenceError with the partial value."""
+    S, rows, _ = E._facet_start
+    nu = -rows[:, :-1]
+    if E.dim == 1:
+        C = S[:, 0] * nu[:, 0]
+    else:
+        # C_ij = det[S_i, S_j] det[nu_i, nu_j] / 2: each facet pair once in u^T C u.
+        C, N = np.outer(S[:, 0], S[:, 1]), np.outer(nu[:, 0], nu[:, 1])
+        C = 0.5 * (C - C.T) * (N - N.T)
+    cell_map, seeds = _vertex_cells(E)
+
+    def integrand(U):
+        Q, jac = cell_map(U)
+        X, d = _facet_log_map(E, Q)
+        on_facet = ~(d.min(axis=0) > 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            u = np.reciprocal(d, out=d)
+            jac *= C @ u if E.dim == 1 else np.einsum("fn,fn->n", u, C @ u)
+        np.copyto(jac, np.nan, where=on_facet)
+        return f(E, 1.0, X) * jac
+
+    return _adaptive(integrand, *seeds, abs_tol, rel_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -518,16 +633,21 @@ def _over_rm(f, E: ExpSum, abs_tol, rel_tol):
 def esol_total(E: ExpSum, q: Quadrature | None = None) -> IntegralResult:
     """Expected number of zeros: the density integrated over R^m.
 
-    The integral starts on a cube in metric-normalized coordinates and adds
-    shells until the newest is negligible.  Degenerate supports
+    A sum in one or two variables with a facet-log start
+    (``ExpSum._facet_start``: the canonical toric sums and sums near them)
+    is integrated over the Newton polytope through the facet-log map, with
+    no frame, cube or shells; its closed forms converge on their 8, 48 or
+    64 seed cells.  Every other sum is integrated in metric-normalized
+    coordinates, from a cube out by shells until the newest is negligible.
+    Either way the route is reported as "x".  Degenerate supports
     (dim conv(A) < m) carry zero density and return 0.
     """
     q = q or Quadrature()
     if E.support.degenerate:
         return IntegralResult(0.0, 0.0, "x", 0, 0)
-    # The framed sum's density is the integrand in y, Jacobian included;
-    # density_many takes rows, and the transposed view hands its kernel the
-    # coordinate-major nodes without a copy.
+    # A framed sum's density is the integrand in y, Jacobian included (over
+    # P, F is E itself); density_many takes rows, and the transposed view
+    # hands its kernel the coordinate-major nodes without a copy.
     f = lambda F, jac, Y: density_many(F, Y.T)
     value, error, cells, nodes = _over_rm(f, E, q.abs_tol, q.rel_tol)
     return IntegralResult(value, error, "x", cells, nodes)
@@ -554,16 +674,12 @@ def esol_pspace(E: ExpSum, q: Quadrature | None = None) -> IntegralResult:
     InputError for more variables, before the degenerate case's 0).
 
     Integrates the Legendre-transform density over the polytope P, split
-    into one cell per hull vertex v_i: the quadrilateral
-    (c, M_{i-1}, v_i, M_i) from the centroid c of P and the midpoints M of
-    the edges at v_i (in one variable, the segment [c, v_i]).  Each cell
-    is mapped bilinearly from [0, 1]^m and then a = sin t per axis, t in
-    [0, pi/2]: the distances to the two facets at v_i are (1 - a) and
-    (1 - b) times smooth factors, so the 1/sqrt(distance) layer and the
-    corner both become smooth.  All cells share one adaptive integral, seeded
-    4 per axis per cell, whose Gauss nodes never touch the boundary, all
-    relative to the support's barycenter (``ExpSum._c``).  A failed
-    moment inversion makes the integrand NaN, which raises
+    into one sine-mapped cell per hull vertex (:func:`_vertex_cells`, the
+    cells ``esol_total`` takes over P), so the 1/sqrt(distance) layer and
+    the corners become smooth; the density is taken at each node's moment
+    preimage.  All cells share one adaptive integral, seeded 4 per axis
+    per cell, all relative to the support's barycenter (``ExpSum._c``).  A
+    failed moment inversion makes the integrand NaN, which raises
     ConvergenceError with the partial value.
     """
     q = q or Quadrature()
@@ -573,45 +689,13 @@ def esol_pspace(E: ExpSum, q: Quadrature | None = None) -> IntegralResult:
     if E.support.degenerate:
         return IntegralResult(0.0, 0.0, "p", 0, 0)
     prefactor = 1.0 / (2.0 ** ((m - 2) / 2.0) * ball_sphere_constants(m)[1])
-    V = E.support.vertices - E._c
-    n = V.shape[0]
-    # The per-vertex maps are held coordinate-major, like the nodes: vertex
-    # i is column i of A, B and D.
-    if m == 1:
-        c = V.mean(axis=0)
-        A = (V - c).T
-    else:
-        # The centroid of P lies outside every corner triangle (M_{i-1}, v_i,
-        # M_i): such a triangle holds at most a quarter of the area, and each
-        # side of a line through the centroid holds at least 4/9 of it
-        # (Gruenbaum).  So every cell is convex and its map one-to-one.
-        nxt = np.roll(V, -1, axis=0)
-        cross = V[:, 0] * nxt[:, 1] - nxt[:, 0] * V[:, 1]
-        c = ((V + nxt) * cross[:, None]).sum(axis=0) / (3.0 * cross.sum())
-        A = (0.5 * (np.roll(V, 1, axis=0) + V) - c).T
-        B = (0.5 * (V + nxt) - c).T
-        D = (V - c).T - A - B
-    c = c[:, None]
+    cell_map, seeds = _vertex_cells(E)
 
     def f(U):
-        """Density times Jacobian at the (m, N) nodes U; the integer part of
-        U[0] is the cell."""
-        whole = np.floor(U)
-        i = whole[0].astype(int)
-        T = 0.5 * np.pi * (U - whole)
-        a = np.sin(T)
-        jac = np.prod(0.5 * np.pi * np.cos(T), axis=0)
-        if m == 1:
-            Q = c + a * A[:, i]
-            jac = jac * np.abs(A[0, i])
-        else:
-            Ja = A[:, i] + a[1] * D[:, i]
-            Jb = B[:, i] + a[0] * D[:, i]
-            Q = c + a[0] * A[:, i] + a[1] * Jb
-            jac = jac * np.abs(Ja[0] * Jb[1] - Ja[1] * Jb[0])
+        """Density times Jacobian at the (m, N) cell coordinates U."""
+        Q, jac = cell_map(U)
         return prefactor * jac * _legendre_density_many(E, Q.T)
 
-    seeds = _seed_grid(((0.0, float(n)),) + ((0.0, 1.0),) * (m - 1), 4 * n)
     value, error, cells, nodes = _adaptive(f, *seeds, q.abs_tol, q.rel_tol)
     return IntegralResult(value, error, "p", cells, nodes)
 

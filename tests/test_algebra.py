@@ -10,9 +10,12 @@ import pytest
 from sparse_kacrice import (
     ExpSum,
     InputError,
+    McConfig,
     aronszajn,
     aronszajn_power,
     density,
+    esol_total,
+    estimate_esol,
     evaluate,
     kostlan,
     tensor,
@@ -206,3 +209,39 @@ class TestDensityBounds:
             da, db, dp = density(Ea, x), density(Eb, x), density(P, x)
             assert dp <= da + db + 1e-12
             assert dp >= max(da, db) / math.sqrt(2.0) - 1e-12
+
+
+class TestAronszajnCounts:
+    """The product's metric is the sum of its factors' metrics, so by
+    Minkowski's determinant inequality its density satisfies
+    rho_ab^(2/m) >= rho_a^(2/m) + rho_b^(2/m): for m >= 2 the count is
+    superadditive, with equality where g_a is proportional to g_b.  In one
+    variable only rho_ab >= (rho_a + rho_b)/sqrt(2) holds.  Each bound is
+    checked within the summed claimed errors of the three counts."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_superadditive_in_two_variables(self, seed):
+        rng = np.random.default_rng(seed)
+        a = ExpSum(rng.normal(size=(3, 2)), rng.uniform(0.5, 2.0, 3))
+        b = ExpSum(rng.normal(size=(4, 2)), rng.uniform(0.5, 2.0, 4))
+        ra, rb, rab = (esol_total(E) for E in (a, b, aronszajn(a, b)))
+        assert rab.value >= ra.value + rb.value - (ra.error + rb.error + rab.error)
+
+    def test_equal_for_a_square_times_itself(self):
+        # kostlan(2, 1) squared is kostlan(2, 2): pi/4 = 2 pi/8.
+        a = kostlan(2, 1)
+        ra, rab = esol_total(a), esol_total(aronszajn(a, a))
+        assert abs(rab.value - 2.0 * ra.value) <= 2.0 * ra.error + rab.error
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_root_two_bound_in_one_variable(self, seed):
+        # The product's count is also checked against its exact
+        # Monte-Carlo count, within 4 standard errors.
+        rng = np.random.default_rng(100 + seed)
+        a = ExpSum(np.sort(rng.uniform(0.0, 3.0, size=(3, 1)), axis=0), rng.uniform(0.3, 3.0, 3))
+        b = ExpSum(np.sort(rng.uniform(0.0, 3.0, size=(2, 1)), axis=0), rng.uniform(0.3, 3.0, 2))
+        ab = aronszajn(a, b)
+        ra, rb, rab = (esol_total(E) for E in (a, b, ab))
+        assert rab.value >= (ra.value + rb.value) / math.sqrt(2.0) - (ra.error + rb.error + rab.error)
+        mean, stderr = estimate_esol(ab, McConfig(n_samples=20_000, seed=seed))
+        assert abs(mean - rab.value) <= 4.0 * stderr

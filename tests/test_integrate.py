@@ -36,6 +36,7 @@ from sparse_kacrice import (
     invert_moment,
     kostlan,
     lower_bound_check,
+    n_factorial_volume,
     region_scan,
     tensor,
 )
@@ -366,15 +367,32 @@ class TestCellRules:
 
     @pytest.mark.parametrize("E, tol, per_cell", [
         (IRREGULAR, 1e-7, 13),
-        (ExpSum([[0, 0], [1, 0], [0, 1], [1, 1]], [1.0, 0.7, 1.3, 0.9]), 1e-7, 89),
+        (ExpSum([[0, 0], [1, 0], [0, 1], [1, 1]], [1.0, 0.5, 2.0, 1.5]), 1e-7, 89),
         (kostlan(3, 1), 1e-4, 33),
     ], ids=["1-D", "2-D", "3-D"])
     def test_total_reaches_density_many_once_per_batch(self, monkeypatch, E, tol, per_cell):
         # perfbench counts integrate.x_nodes through this module global.
+        # These sums run on the x route: none in one or two variables has a
+        # facet-log start.
+        assert E.dim == 3 or E._facet_start is None
         rows, pushed = self._count_calls(monkeypatch)
         r = esol_total(E, Quadrature(abs_tol=tol, rel_tol=tol))
         assert len(pushed) > 2 and r.nodes == sum(rows)
         assert rows == [cells * per_cell for cells in pushed]
+
+    @pytest.mark.parametrize("E, per_cell", [
+        (ExpSum([[0.0], [1.0], [2.0], [3.0]], [1.0, 1.74, 1.72, 1.01]), 13),
+        (ExpSum([[0, 0], [1, 0], [0, 1], [1, 1]], [1.0, 0.7, 1.3, 0.9]), 89),
+    ], ids=["1-D", "2-D"])
+    def test_total_over_the_polytope_reaches_density_many_once(self, monkeypatch, E, per_cell):
+        # A sum with a facet-log start integrates over P, at x_hat(p),
+        # through the same module global; near a closed form, in the seed
+        # cells' one call, 8 or 64 cells.
+        assert E._facet_start is not None
+        rows, pushed = self._count_calls(monkeypatch)
+        r = esol_total(E, Quadrature(abs_tol=1e-7, rel_tol=1e-7))
+        assert pushed == [r.cells] == [8 if E.dim == 1 else 64]
+        assert rows == [r.nodes] == [r.cells * per_cell]
 
     @staticmethod
     def _count_calls(monkeypatch):
@@ -635,6 +653,106 @@ class TestMomentRoute:
         assert esol_pspace(ExpSum([[2.0]])).value == 0.0
 
 
+def _facet_start_images():
+    """(name, E, ref): closed forms with a facet-log start, each as built,
+    reweighted (alpha_a e^<a, c>, a shift of x) and as a seeded affine
+    image of the reweighting; the count is the same for all three."""
+    rng = np.random.default_rng(40)
+    bases = [
+        ("two-term", ExpSum([[0.0], [1.3]], [0.6, 2.0]), 0.5),
+        *[(f"kostlan(1,{d})", kostlan(1, d), math.sqrt(d) / 2.0) for d in (2, 3, 5)],
+        *[(f"kostlan(2,{d})", kostlan(2, d), math.pi * d / 8.0) for d in (1, 2, 3)],
+        ("simplex(2,1)", TRIANGLE, 0.25),
+        ("simplex(2,2)", SIMPLEX_2_2, 0.5),
+    ]
+    cases = []
+    for name, E, ref in bases:
+        points = E.support.points
+        moved = ExpSum(points, E.coeffs * np.exp(points @ rng.uniform(-0.5, 0.5, E.dim)))
+        L, b = (([[rng.uniform(0.6, 1.6)]], rng.uniform(-1.0, 1.0, 1)) if E.dim == 1
+                else _random_affine2(int(rng.integers(1000))))
+        cases += [(name, E, ref), (f"reweighted {name}", moved, ref),
+                  (f"affine {name}", _image(moved, L, b), ref)]
+    return cases
+
+
+FACET_START_IMAGES = _facet_start_images()
+TIGHT = Quadrature(abs_tol=1e-10, rel_tol=1e-10)
+
+
+class TestOverThePolytope:
+    """esol_total and bkk_total of a sum in one or two variables with a
+    facet-log start integrate over P, through the facet-log map x_hat, in
+    place of the region over R^m."""
+
+    @pytest.mark.parametrize("name, E, ref", FACET_START_IMAGES, ids=[c[0] for c in FACET_START_IMAGES])
+    def test_closed_forms_in_one_integrand_call(self, name, E, ref):
+        # x_hat is the inverse moment map here: the integrand is smooth on
+        # every cell and the seed cells (8, 48 or 64) meet 1e-10 at once.
+        assert E._facet_start is not None
+        r = esol_total(E, TIGHT)
+        assert r.route == "x" and r.nodes == r.cells * (13 if E.dim == 1 else 89)
+        assert abs(r.value - ref) <= 1e-12 and _within_budget(r, TIGHT)
+
+    @pytest.mark.parametrize("name, E, ref", FACET_START_IMAGES, ids=[c[0] for c in FACET_START_IMAGES])
+    def test_bkk_total_is_n_factorial_volume(self, name, E, ref):
+        # |det Dx_hat| is 1/det(2g) at the inverse moment map: the
+        # integrand is the constant m!/2^m on P, up to rounding.
+        C = ComplexExpSum(E.support.points, E.coeffs)
+        r = bkk_total(C, TIGHT)
+        assert r.route == "bkk" and r.nodes == r.cells * (13 if E.dim == 1 else 89)
+        assert abs(r.value - n_factorial_volume(C)) <= 1e-12 * n_factorial_volume(C)
+
+    def test_near_closed_forms_agree_with_the_other_routes(self):
+        # Weights times e^(eps xi): x_hat is no longer the inverse moment
+        # map, but it is still a change of variables.  The x route runs on
+        # a copy of the sum with no facet-log start.  esol_pspace's claimed
+        # error leaves out its inversion residual, INVERT_TOL / d relative
+        # near a facet: on a reweighted kostlan(1, 2) it lies 2.4e-13 below
+        # both other routes and claims 6.0e-14, hence the 1e-12 allowance.
+        rng = np.random.default_rng(41)
+        kept = 0
+        for _, E0, _ in FACET_START_IMAGES[::3]:
+            for eps in (1e-3, 1e-2):
+                E = ExpSum(E0.support.points, E0.coeffs * np.exp(eps * rng.normal(size=E0.n_terms)))
+                if E._facet_start is None:
+                    continue
+                kept += 1
+                x_route = ExpSum(E.support.points, E.coeffs)
+                vars(x_route)["_facet_start"] = None
+                r, x, p = esol_total(E, TIGHT), esol_total(x_route, TIGHT), esol_pspace(E, TIGHT)
+                assert r.nodes == r.cells * (13 if E.dim == 1 else 89)
+                assert abs(r.value - x.value) <= r.error + x.error
+                assert abs(r.value - p.value) <= r.error + p.error + 1e-12
+        assert kept >= 10
+
+    @pytest.mark.parametrize("past", [0.0, 1e-12], ids=["on", "past"])
+    def test_node_on_or_past_a_facet_raises_with_partial_value(self, monkeypatch, past):
+        # One seed node moved onto the midpoint of an edge, or just past it,
+        # where the facet-log map has no value: the integrand is NaN there,
+        # not the density at the balancing point that the Newton start takes
+        # (past the edge, that times a finite, negative det Dx_hat).
+        E = kostlan(2, 1)
+        edge = 0.5 * (E.support.vertices[0] + E.support.vertices[1]) - E._c
+        edge *= 1.0 + past / np.linalg.norm(edge)  # the square is centred: outward
+        vertex_cells = integrate._vertex_cells
+
+        def moved(E):
+            cell_map, seeds = vertex_cells(E)
+
+            def on_facet(U):
+                Q, jac = cell_map(U)
+                Q[:, 0] = edge
+                return Q, jac
+
+            return on_facet, seeds
+
+        monkeypatch.setattr(integrate, "_vertex_cells", moved)
+        with pytest.raises(ConvergenceError, match="not finite on 1 of 64") as info:
+            esol_total(E)
+        assert 0.9 * math.pi / 8.0 < info.value.value < math.pi / 8.0
+
+
 class TestFrame:
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_framed_density_is_the_density_times_the_jacobian(self, m):
@@ -671,9 +789,14 @@ class TestTranslation:
 
     @pytest.mark.parametrize("entry", [esol_total, esol_pspace, bkk_total])
     def test_integrals(self, entry):
+        # The sheared kostlan(2, 2) has a facet-log start, so esol_total and
+        # bkk_total integrate it over P; the pentagon has none.
         cls, q = ComplexExpSum if entry is bkk_total else ExpSum, Quadrature(abs_tol=1e-6, rel_tol=1e-6)
-        points, weights = PENTAGON.support.points, PENTAGON_WEIGHTS
-        assert entry(cls(points + SHIFT, weights), q) == entry(cls(points, weights), q)
+        sheared = kostlan(2, 2).support.points @ np.array([[1.0, 0.5], [0.25, 1.0]])
+        for points, weights in ((PENTAGON.support.points, PENTAGON_WEIGHTS), (sheared, kostlan(2, 2).coeffs)):
+            E = cls(points, weights)
+            assert (E._facet_start is None) == (points is PENTAGON.support.points)
+            assert entry(cls(points + SHIFT, weights), q) == entry(E, q)
 
     def test_densities_preimages_and_psi(self):
         points, weights = PENTAGON.support.points, PENTAGON_WEIGHTS
