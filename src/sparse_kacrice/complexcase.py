@@ -75,9 +75,9 @@ def bkk_total(E: ComplexExpSum, q: Quadrature | None = None) -> IntegralResult:
         raise InputError("quadrature is limited to three variables")
     if E.support.degenerate:
         return IntegralResult(0.0, 0.0, "bkk", 0, 0)
+    # The imaginary cell (-pi, pi)^n multiplies the integral over R^n by its
+    # volume; _over_rm multiplies by the chart's Jacobian.
     factor = (2.0 * math.pi) ** E.dim
-    # A framed sum's det g is jac^2 times E's, and the integral over y
-    # takes E's times jac, the Jacobian; over P, F is E and jac is 1.
-    f = lambda F, jac, Y: factor / jac * _bkk_density_many(F, Y)
+    f = lambda X: factor * _bkk_density_many(E, X)
     value, error, cells, nodes = _over_rm(f, E, q.abs_tol, q.rel_tol)
     return IntegralResult(value, error, "bkk", cells, nodes)

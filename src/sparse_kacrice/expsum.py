@@ -99,15 +99,13 @@ __all__ = [
     "face_metric_limit",
 ]
 
-#: Default interior margin for moment-map inversion, scaled by (1 + diam P).
+#: Interior margin of every moment target, scaled by (1 + diam P): the
+#: targets of invert_moment and legendre_density, and the p-grid nodes of
+#: region_scan, lie at least this far inside every facet.
 INVERT_MARGIN = 1e-9
 
 #: Newton iterations of moment-map inversion before a row counts as failed.
 INVERT_MAX_ITER = 80
-
-#: Points closer than this fraction of diam(P) to the polytope boundary are
-#: rejected by legendre_density (the metric blows up at the faces).
-LEGENDRE_MARGIN = 1e-6
 
 #: The one share of the facet-log start (_invert_moment_many): a row starts
 #: at the predictor only where its moment residual there is below the
@@ -166,27 +164,6 @@ class ExpSum:
         # until the first Psi evaluation.
         self._cone_block = None
 
-    def _framed(self, x0: np.ndarray, W: np.ndarray, jac: float) -> "ExpSum":
-        """The sum in the coordinates y of x = x0 + W y, jac = |det W|:
-        E(x0 + W y) is, up to the positive factor e^<c, x>, the sum on the
-        centred points times W, (A - c) W, with log-weights
-        log alpha + (A - c) x0, so its softmax at y is E's at x0 + W y.  Its
-        Cauchy-Binet block is E's times jac^2 (D_S of A W is det W times
-        D_S of A), so its density at y is jac times E's at x0 + W y, and
-        its det g is jac^2 times E's.  The x route integrates it over y
-        with no frame map and no Jacobian multiply per node.
-
-        The copy skips validation; it holds only what the density kernels
-        read, its points, log-weights and block, all read-only, and is
-        built once per solve."""
-        A, support, copy = self._points, object.__new__(SupportSet), object.__new__(ExpSum)
-        points = A @ W
-        vars(support).update(points=points, _simplex_form=self.support._simplex_form * jac**2)
-        vars(copy).update(support=support, _points=points, log_coeffs=self.log_coeffs + A @ x0)
-        for array in (points, support._simplex_form, copy.log_coeffs):
-            array.flags.writeable = False
-        return copy
-
     @cached_property
     def _newton_start(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(x0, mu0, G0): the Newton start of moment-map inversion and its
@@ -212,7 +189,7 @@ class ExpSum:
     @cached_property
     def _facet_start(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
         """(S, rows, log d0): the facets of the facet-log predictor
-        (:func:`_facet_predictor`), taken once per sum from the support's
+        (:func:`_facet_log_map`), taken once per sum from the support's
         one hull (``SupportSet._hull``).
 
         For each of the F facets, the hull's row (n, offset) about the
@@ -568,7 +545,7 @@ def _invert_moment_many(E: ExpSum, P: np.ndarray):
 
     Rows already within the residual at the balancing point x0 are done
     there.  Every other row starts at the facet-log predictor x_hat
-    (:func:`_facet_predictor`) where the sum has one (``_facet_start``: a
+    (:func:`_facet_log_map`) where the sum has one (``_facet_start``: a
     hull with interior and a predictor whose Jacobian at the start is right
     to ``FACET_START_SHARE``), mu(x_hat) is closer to p than mu0 is, and
     |mu(x_hat) - p| is at most ``FACET_START_SHARE`` of p's least facet
@@ -621,9 +598,11 @@ def _invert_moment_many(E: ExpSum, P: np.ndarray):
 
     start = ()
     if idx.size and E._facet_start is not None:
-        guess, d_min = _facet_predictor(E, p)
+        guess, d = _facet_log_map(E, p)
         lam_t, mu_t = _mu(E, *_softmax(E, guess)[1:])
         r2_t = ((mu_t - p) ** 2).sum(axis=0)
+        # A target on or past a facet (least distance not positive) keeps x0.
+        d_min = np.maximum(d.min(axis=0), 0.0)
         take = (r2_t < r2) & (r2_t <= (FACET_START_SHARE * d_min) ** 2)
         settled = take & (r2_t <= tol2)
         start = (guess, mu_t, lam_t, r2_t, take)
@@ -714,16 +693,6 @@ def _facet_log_map(E: ExpSum, p: np.ndarray):
     return x_hat, d
 
 
-def _facet_predictor(E: ExpSum, p: np.ndarray):
-    """(x_hat, d_min): the facet-log predictor of the preimages of the
-    columns of p (m, n), relative to the barycenter (:func:`_facet_log_map`),
-    and each column's least facet distance, 0 where a facet distance is
-    not positive (x_hat is x0 there).
-    """
-    x_hat, d = _facet_log_map(E, p)
-    return x_hat, np.maximum(d.min(axis=0), 0.0)
-
-
 # -- polytope-side density --------------------------------------------------
 
 
@@ -743,13 +712,16 @@ def legendre_density(E: ExpSum, p) -> float:
 
     Equals 1/sqrt(det 2 g) at the moment preimage x of p — the square-rooted
     Hessian determinant of the convex conjugate of the potential — by the
-    same inversion as the moment route.  Points within ``1e-6 * diam(P)``
-    of the boundary are rejected (DomainError): the value diverges there.
-    A failed inversion raises ConvergenceError.
+    same inversion as the moment route, at its one residual
+    ``INVERT_TOL`` (1 + diam P): at distance d from a facet the value keeps
+    a relative error of about ``INVERT_TOL`` (1 + diam P) / (2 d).  Points
+    within the margin of :func:`invert_moment`, ``INVERT_MARGIN``
+    (1 + diam P), of the boundary are rejected (DomainError): the value
+    diverges there.  A failed inversion raises ConvergenceError.
     """
     p = _check_vector(p, E.dim, "p")
-    margin = LEGENDRE_MARGIN * diameter(E.support)
-    if margin == 0.0 or not interior_contains(E.support, p, margin):
+    margin = INVERT_MARGIN * (1.0 + diameter(E.support))
+    if not interior_contains(E.support, p, margin):
         raise DomainError(f"{p.tolist()} is outside the interior margin of the polytope")
     value = float(_legendre_density_many(E, (p - E._c)[None, :])[0])
     if not math.isfinite(value):

@@ -3,22 +3,24 @@
 Two routes to the same number:
 
 * the x-space route integrates the zero density (2/s_m) sqrt(det g_x)
-  over R^m (:func:`esol_total`).  A sum in one or two variables with a
-  facet-log start (``ExpSum._facet_start``) takes that integral over the
-  Newton polytope P, by the change of variables x = x_hat(p) through the
-  facet-log map, the gradient of Guillemin's symplectic potential
-  (Guillemin 1994, J. Differential Geom. 40), on the moment route's vertex
-  cells: the integrand is the density at x_hat(p) times det Dx_hat(p), and
-  on the canonical toric sums x_hat is the inverse moment map.  Every
-  other sum is integrated in metric-normalized coordinates x = x0 + W y,
-  as the density of the sum in y, where x0 is the moment preimage of the
-  support's barycenter and W = L^-T from the Cholesky factor
-  g(x0) = L L^T, so W^T g(x0) W = I and the region sits in the same place
-  relative to the support under every affine map of it, thin supports
-  included: the cube [-4, 4]^m, then shells [-2r, 2r]^m minus [-r, r]^m
-  for as long as the newest shell outweighs the error of the cells
-  already in hand (:func:`esol_region` integrates the same density over a
-  box alone);
+  over R^m (:func:`esol_total`) through a chart, which takes cell
+  coordinates to nodes x and gives its Jacobian, so the integrand is the
+  sum's own density at x times |det Dx| in either region.  A sum in one or
+  two variables with a facet-log start (``ExpSum._facet_start``) takes
+  that integral over the Newton polytope P, by the change of variables
+  x = x_hat(p) through the facet-log map, the gradient of Guillemin's
+  symplectic potential (Guillemin 1994, J. Differential Geom. 40), on the
+  moment route's vertex cells: the Jacobian is det Dx_hat(p) times the
+  cell's, and on the canonical toric sums x_hat is the inverse moment map.
+  Every other sum is integrated in metric-normalized coordinates, the
+  chart x = x0 + W y with Jacobian |det W|, where x0 is the moment
+  preimage of the support's barycenter and W = L^-T from the Cholesky
+  factor g(x0) = L L^T, so W^T g(x0) W = I and the region sits in the
+  same place relative to the support under every affine map of it, thin
+  supports included: the cube [-4, 4]^m, then shells [-2r, 2r]^m minus
+  [-r, r]^m for as long as the newest shell outweighs the error of the
+  cells already in hand (:func:`esol_region` integrates the same density
+  over a box alone);
 * the moment-space route integrates the Legendre-transform density over
   the Newton polytope (m <= 2), split into one quadrilateral per hull
   vertex and mapped so that the square-root boundary layer and the
@@ -65,16 +67,14 @@ What a solve builds, and how often:
   where a target is not already at the balancing point's moment, which
   maps the closed-form sums onto P and inverts their nodes with no Newton
   step;
-* once per solve: the cell store, and either the vertex cells with the
-  facet pairs' Cauchy-Binet coefficients (over P; no frame) or the frame
-  (x0, W and the Jacobian |det W|), folded into a framed copy of the sum
-  (``ExpSum._framed``: support (A - c) W, log-weights
-  log alpha + (A - c) x0 and the block times (det W)^2);
-* once per integrand call: one (m, N) node array, written in place, and
-  the kernel's own arrays; over R^m the x route reads the nodes as the
-  framed sum's points, with no frame map and no Jacobian multiply; over P
-  it maps the nodes into P, and one pass of facet distances serves x_hat
-  and det Dx_hat; the moment route's inversion checks each start on mu
+* once per solve: the cell store and the x route's chart, either the
+  vertex cells with the facet pairs' Cauchy-Binet coefficients (over P;
+  no frame) or the frame (x0, W and the Jacobian |det W|);
+* once per integrand call: one (m, N) node array, written in place, the
+  chart's nodes x and the kernel's own arrays; over R^m the chart is one
+  (m, m)(m, N) product plus x0, and the integrand one multiply by |det W|;
+  over P it maps the nodes into P, and one pass of facet distances serves
+  x_hat and det Dx_hat; the moment route's inversion checks each start on mu
   alone and, where at least half of the nodes settle at their predicted
   start (every node of the closed-form sums), writes those out there and
   forms the metric and the Newton state for the other nodes alone;
@@ -489,9 +489,9 @@ def _adaptive(f, los, his, abs_tol, rel_tol, grow=False):
 
 
 def _frame(E: ExpSum):
-    """(F, jac): E in metric-normalized coordinates x = x0 + W y
-    (``ExpSum._framed``), so F's density at y is jac = |det W| times E's
-    density at x, and its det g is jac^2 times E's.
+    """The chart of the region over R^m: metric-normalized coordinates
+    x = x0 + W y, as ``functools.partial(_affine_chart, x0, W, jac)`` with
+    x0 a column and jac = |det W|.
 
     x0 is the moment preimage of the support's barycenter, the target 0
     about it, by the kernel's inversion (:func:`.expsum._invert_moment_many`)
@@ -514,7 +514,15 @@ def _frame(E: ExpSum):
         raise ConvergenceError(message, residual=residual)
     L = np.linalg.cholesky(G[..., 0])
     jac = 1.0 / math.prod(L.diagonal().tolist())
-    return E._framed(X[0], np.linalg.inv(L).T, jac), jac
+    return partial(_affine_chart, X.T, np.linalg.inv(L).T, jac)
+
+
+def _affine_chart(x0, W, jac, Y):
+    """(X, jac): the nodes x0 + W Y of the (m, N) coordinates Y and the
+    chart's constant Jacobian jac = |det W|."""
+    X = W @ Y
+    X += x0
+    return X, jac
 
 
 def _vertex_cells(E: ExpSum):
@@ -572,28 +580,32 @@ def _vertex_cells(E: ExpSum):
 
 
 def _over_rm(f, E: ExpSum, abs_tol, rel_tol):
-    """Integrate over R^m the density f(F, jac, Y) of E, F a sum whose
-    density at the (m, N) nodes Y, coordinate-major, f reads as E's density
-    at x times the Jacobian jac of x in Y.
+    """Integrate over R^m the density f of E, f(X) at the (m, N) nodes X,
+    coordinate-major, through a chart: cell coordinates to nodes x and the
+    Jacobian |det Dx|, so the integrand is f(x) |det Dx| in either region.
 
     A sum in one or two variables with a facet-log start
-    (``ExpSum._facet_start``) is integrated over P through that map:
-    :func:`_over_polytope`, with F = E and jac = 1.  Every other sum is
-    integrated in the frame coordinates y, (F, jac) the frame of
-    :func:`_frame` and Y the nodes as they are: from the cube
+    (``ExpSum._facet_start``) is integrated over P through that map
+    (:func:`_facet_log_chart`).  Every other sum is integrated in the frame
+    coordinates y of :func:`_frame`, from the cube
     [-AUTO_RADIUS, AUTO_RADIUS]^m out by shells."""
-    if E.dim < 3 and E._facet_start is not None:
-        return _over_polytope(f, E, abs_tol, rel_tol)
-    return _adaptive(partial(f, *_frame(E)), *_cube_cells(AUTO_RADIUS, E.dim), abs_tol, rel_tol, grow=True)
+    grow = E.dim > 2 or E._facet_start is None
+    chart, seeds = (_frame(E), _cube_cells(AUTO_RADIUS, E.dim)) if grow else _facet_log_chart(E)
+
+    def integrand(U):
+        X, jac = chart(U)
+        return f(X) * jac
+
+    return _adaptive(integrand, *seeds, abs_tol, rel_tol, grow=grow)
 
 
-def _over_polytope(f, E: ExpSum, abs_tol, rel_tol):
-    """The integral of :func:`_over_rm` taken over P: the change of
+def _facet_log_chart(E: ExpSum):
+    """(chart, seeds): the region of :func:`_over_rm` over P, the change of
     variables x = x_hat(p) by the facet-log map (:func:`.expsum._facet_log_map`),
     the gradient of Guillemin's symplectic potential, a bijection of the
     interior of P onto R^m, on the cells of :func:`_vertex_cells`.
 
-    The integrand is f(E, 1, x_hat(p)) |det Dx_hat(p)| times the cell
+    chart(U) gives the nodes x_hat(p) and |det Dx_hat(p)| times the cell
     Jacobian.  Dx_hat = sum_j S_j nu_j^T / d_j, S_j = nu_j / (2 gap_j), reads
     the facet distances d that x_hat reads, and by Cauchy-Binet its
     determinant is the sum over m-subsets T of facets of
@@ -601,8 +613,9 @@ def _over_polytope(f, E: ExpSum, abs_tol, rel_tol):
     cancels near a facet.  On the canonical toric sums (two-term, Kostlan
     box and simplex sums, their reweightings and affine images) x_hat is the
     inverse moment map, so esol_total's integrand is :func:`esol_pspace`'s,
-    with no Newton step, and bkk_total's the constant m!/2^m.  A node on or past a facet through rounding
-    gets NaN, which raises ConvergenceError with the partial value."""
+    with no Newton step, and bkk_total's the constant m!/2^m.  A node on or
+    past a facet through rounding gets a NaN Jacobian, which raises
+    ConvergenceError with the partial value."""
     S, rows, _ = E._facet_start
     nu = -rows[:, :-1]
     if E.dim == 1:
@@ -613,7 +626,7 @@ def _over_polytope(f, E: ExpSum, abs_tol, rel_tol):
         C = 0.5 * (C - C.T) * (N - N.T)
     cell_map, seeds = _vertex_cells(E)
 
-    def integrand(U):
+    def chart(U):
         Q, jac = cell_map(U)
         X, d = _facet_log_map(E, Q)
         on_facet = ~(d.min(axis=0) > 0.0)
@@ -621,9 +634,9 @@ def _over_polytope(f, E: ExpSum, abs_tol, rel_tol):
             u = np.reciprocal(d, out=d)
             jac *= C @ u if E.dim == 1 else np.einsum("fn,fn->n", u, C @ u)
         np.copyto(jac, np.nan, where=on_facet)
-        return f(E, 1.0, X) * jac
+        return X, jac
 
-    return _adaptive(integrand, *seeds, abs_tol, rel_tol)
+    return chart, seeds
 
 
 # ---------------------------------------------------------------------------
@@ -645,10 +658,10 @@ def esol_total(E: ExpSum, q: Quadrature | None = None) -> IntegralResult:
     q = q or Quadrature()
     if E.support.degenerate:
         return IntegralResult(0.0, 0.0, "x", 0, 0)
-    # A framed sum's density is the integrand in y, Jacobian included (over
-    # P, F is E itself); density_many takes rows, and the transposed view
-    # hands its kernel the coordinate-major nodes without a copy.
-    f = lambda F, jac, Y: density_many(F, Y.T)
+    # density_many takes rows, and the transposed view hands its kernel the
+    # coordinate-major nodes without a copy; it is called through this
+    # module's global, where perfbench counts the nodes.
+    f = lambda X: density_many(E, X.T)
     value, error, cells, nodes = _over_rm(f, E, q.abs_tol, q.rel_tol)
     return IntegralResult(value, error, "x", cells, nodes)
 
@@ -681,6 +694,15 @@ def esol_pspace(E: ExpSum, q: Quadrature | None = None) -> IntegralResult:
     per cell, all relative to the support's barycenter (``ExpSum._c``).  A
     failed moment inversion makes the integrand NaN, which raises
     ConvergenceError with the partial value.
+
+    The claimed error is the cells' quadrature error alone: it leaves out
+    the moment-inversion residual, ``INVERT_TOL`` (1 + diam P), about
+    ``INVERT_TOL`` (1 + diam P) / (2 d) relative at distance d from a facet
+    (:func:`.expsum.legendre_density`), a few 1e-13 on the sums measured.
+    On ``kostlan(1, 2)`` with weights times e^(1e-3 xi) the value lies
+    2.4e-13 below esol_total's and claims 6.0e-14, at every tolerance from
+    1e-7 to 1e-13: a claim below about 3e-13 can understate the error, and
+    a tolerance below about 3e-13 can see it in the value.
     """
     q = q or Quadrature()
     m = E.dim

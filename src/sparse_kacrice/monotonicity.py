@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateMetricError, InputError, SparseKacRiceError
-from .expsum import LEGENDRE_MARGIN, ExpSum, _invert_moment_many, _simplex_sum, _softmax
+from .expsum import INVERT_MARGIN, ExpSum, _invert_moment_many, _simplex_sum, _softmax
 from .expsum import _sorted_products, invert_moment
 from .expsum import evaluate  # noqa: F401 (perfbench's tracer wraps it)
 from .geometry import SupportSet, _cauchy_binet_tables, _check_box, _check_vector, _cone_dets, _grid
@@ -302,7 +302,7 @@ class RegionScan:
 
 def _moment_preimages(E: ExpSum, box: tuple, resolution: tuple, nodes: np.ndarray):
     """(usable, X): the indices of the p-grid nodes at least
-    ``LEGENDRE_MARGIN`` diam(P) inside every facet whose inversion
+    ``INVERT_MARGIN`` (1 + diam P) inside every facet whose inversion
     converged, and their preimages X (rows, in node order).
 
     They depend on E, the box and the resolution alone, not on a_0, so they
@@ -312,7 +312,7 @@ def _moment_preimages(E: ExpSum, box: tuple, resolution: tuple, nodes: np.ndarra
     key = (box, resolution)
     stored = E._grid_preimages
     if stored is None or stored[0] != key:
-        margin = LEGENDRE_MARGIN * diameter(E.support)
+        margin = INVERT_MARGIN * (1.0 + diameter(E.support))
         usable = np.flatnonzero(_interior_mask(E.support, nodes, margin))
         # The targets about the barycenter, written coordinate-major, as the
         # inversion holds them, and passed as rows by a transposed view:
@@ -337,7 +337,7 @@ def region_scan(
     """Psi on a rectangular grid, in moment coordinates or x coordinates.
 
     In the default moment-coordinate scan ("p" space) the nodes at least
-    ``LEGENDRE_MARGIN`` diam(P) inside every facet of the Newton polytope
+    ``INVERT_MARGIN`` (1 + diam P) inside every facet of the Newton polytope
     (tested against the support's cached facet rows) are mapped back by one
     batched Newton solve about the barycenter; the other nodes, and any whose
     inversion fails, are marked "outside".  The inversion is the one rule of

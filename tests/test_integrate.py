@@ -40,7 +40,7 @@ from sparse_kacrice import (
     region_scan,
     tensor,
 )
-from sparse_kacrice import expsum, integrate
+from sparse_kacrice import complexcase, expsum, integrate
 from sparse_kacrice.expsum import _batch_moments
 from sparse_kacrice.geometry import _interior_mask
 from sparse_kacrice.integrate import (
@@ -755,23 +755,39 @@ class TestOverThePolytope:
 
 class TestFrame:
     @pytest.mark.parametrize("m", [1, 2, 3])
-    def test_framed_density_is_the_density_times_the_jacobian(self, m):
-        # The x route integrates the framed sum's density over y; it is E's
-        # density at x0 + W y times |det W|, from the sum's own frame.  Nodes
-        # reach 16 frame units, four times the cube's half-width: the two
-        # round the exponents <a, x> + log alpha apart, so they drift apart
-        # by about eps |<a, x>| (1.4e-13 at 32 units in three variables).
+    def test_frame_chart_and_the_x_route_integrand(self, m, monkeypatch):
+        # The region over R^m is a chart: nodes x0 + W y, x0 the preimage of
+        # the barycenter and W^T g(x0) W = I, with Jacobian |det W|.  Both
+        # integrands read E's own density at those nodes times it.  Nodes
+        # reach 16 frame units, four times the cube's half-width.
         rng = np.random.default_rng(41 + m)
-        E = ExpSum(rng.normal(size=(7, m)), rng.uniform(0.3, 3.0, size=7))
-        F, jac = integrate._frame(E)
-        x0 = invert_moment(E, E.support.points.mean(axis=0))
-        W = np.linalg.inv(np.linalg.cholesky(evaluate(E, x0).g.entries)).T
-        assert jac == pytest.approx(np.linalg.det(W), rel=1e-14)
-        Y = np.random.default_rng(7).uniform(-1.0, 1.0, size=(400, E.dim))
-        Y *= np.repeat([1.0, 4.0, 8.0, 16.0], 100)[:, None]
-        want = density_many(E, x0 + Y @ W.T) * jac
+        E = ComplexExpSum(rng.normal(size=(7, m)), rng.uniform(0.3, 3.0, size=7))
+        chart = integrate._frame(E)
+        x0, W, jac = chart.args
+        assert x0[:, 0].tobytes() == invert_moment(E, E.support.points.mean(axis=0)).tobytes()
+        np.testing.assert_allclose(W.T @ evaluate(E, x0[:, 0]).g.entries @ W, np.eye(m), rtol=0.0, atol=1e-13)
+        assert jac == pytest.approx(abs(np.linalg.det(W)), rel=1e-14)
+        Y = np.random.default_rng(7).uniform(-1.0, 1.0, size=(400, m))
+        Y = np.ascontiguousarray((Y * np.repeat([1.0, 4.0, 8.0, 16.0], 100)[:, None]).T)
+        X = x0 + W @ Y
+        nodes, got_jac = chart(Y)
+        assert nodes.tobytes() == X.tobytes() and got_jac == jac
+
+        integrands = []
+
+        def captured(f, los, his, abs_tol, rel_tol, grow=False):
+            assert grow  # no facet-log start: the cube and shells of the frame
+            integrands.append(f)
+            return 0.0, 0.0, 0, 0
+
+        monkeypatch.setattr(integrate, "_adaptive", captured)
+        esol_total(E)
+        bkk_total(E)
+        want = density_many(E, X.T) * jac
         assert want.min() > 1e-100
-        np.testing.assert_allclose(density_many(F, Y), want, rtol=1e-13, atol=0.0)
+        assert integrands[0](Y).tobytes() == want.tobytes()
+        want = (2.0 * math.pi) ** m * complexcase._bkk_density_many(E, X) * jac
+        assert integrands[1](Y).tobytes() == want.tobytes()
 
 
 #: Weights for the pentagon, and a shift that keeps every point, the

@@ -30,7 +30,7 @@ from sparse_kacrice import (
     witness_interior,
 )
 from sparse_kacrice import expsum, monotonicity
-from sparse_kacrice.expsum import _batch_moments, _invert_moment_many
+from sparse_kacrice.expsum import INVERT_MARGIN, _batch_moments, _invert_moment_many
 from sparse_kacrice.geometry import DET_FLOOR, DUAL_COND_LIMIT
 from sparse_kacrice.monotonicity import BOUNDARY_BAND, _classify_psi
 
@@ -486,7 +486,7 @@ class TestRegionScan:
         if space == "x":
             X, classified = nodes, np.arange(len(nodes))
         else:
-            margin = 1e-6 * diameter(E.support)
+            margin = INVERT_MARGIN * (1.0 + diameter(E.support))
             inside = np.array([interior_contains(E.support, p, margin) for p in nodes])
             np.testing.assert_array_equal(labels == "outside", ~inside)
             X, ok = _invert_moment_many(E, nodes[inside] - E._c)
