@@ -22,7 +22,7 @@ from .errors import InputError
 # ``evaluate`` is imported for perfbench's tracer, which wraps it as a
 # complexcase boundary; the densities here use the batched kernel.
 from .expsum import ExpSum, _det_g, _softmax, evaluate  # noqa: F401
-from .integrate import IntegralResult, Quadrature, _over_rm
+from .integrate import IntegralResult, Quadrature, _integral, _over_rm
 from .geometry import _check_vector, hull_volume
 
 __all__ = ["ComplexExpSum", "bkk_density", "bkk_total", "n_factorial_volume"]
@@ -70,14 +70,9 @@ def bkk_total(E: ComplexExpSum, q: Quadrature | None = None) -> IntegralResult:
     carries the density onto the polytope), which counts roots only for
     integer exponents.  At most three variables.
     """
-    q = q or Quadrature()
     if E.dim > 3:
         raise InputError("quadrature is limited to three variables")
-    if E.support.degenerate:
-        return IntegralResult(0.0, 0.0, "bkk", 0, 0)
     # The imaginary cell (-pi, pi)^n multiplies the integral over R^n by its
-    # volume; _over_rm multiplies by the chart's Jacobian.
+    # volume.
     factor = (2.0 * math.pi) ** E.dim
-    f = lambda X: factor * _bkk_density_many(E, X)
-    value, error, cells, nodes = _over_rm(f, E, q.abs_tol, q.rel_tol)
-    return IntegralResult(value, error, "bkk", cells, nodes)
+    return _integral(E, q, "bkk", lambda X: factor * _bkk_density_many(E, X), _over_rm)

@@ -22,21 +22,19 @@ quadrature cells build their nodes in it, and callers that hold points as
 rows pass a transposed view.  From that one triple, :func:`_moments` gives
 Phi, mu and g coordinate-major (mu as (m, N), g as (m, m, N)) and
 :func:`_det_g` a cancellation-free det g for every density.
-:func:`_batch_moments` returns the moments per row, shape (N, ...), as
-transposed views.  :func:`_invert_moment_many` inverts the
-moment map for many targets by damped Newton in the kernel's own layout:
-x, p and mu are (m, N) and g is (m, m, N), so one stacked Cholesky
-factor-and-solve (:mod:`.geometry`) works on contiguous rows with no
-per-matrix LAPACK call.  Every target starts at the sum's cached
-balancing point, or at the facet-log predictor (the gradient of
-Guillemin's symplectic potential, from the support's one hull) where
-that is close enough, which inverts the canonical toric sums with no Newton
-step and no metric (:func:`_metric`, the one place the metric is formed):
-where at least half of the rows settle at their start they are written out
-there, before any metric or Newton state is formed for the rest.  A Newton
-row is written out in the iteration it converges or fails, and done rows
-are packed away only once they are half of those held, so most iterations
-copy nothing.  The scalar API (:func:`potential`,
+:func:`_invert_moment_many` inverts the moment map for many targets by
+damped Newton in the kernel's own layout: x, p and mu are (m, N) and g is
+(m, m, N), so one stacked Cholesky factor-and-solve (:mod:`.geometry`)
+works on contiguous rows with no per-matrix LAPACK call.  Every target
+starts at the sum's cached balancing point, or at the facet-log predictor
+(the gradient of Guillemin's symplectic potential, from the support's one
+hull) where that is close enough, which inverts the canonical toric sums
+with no Newton step and no metric (:func:`_metric`, the one place the
+metric is formed): where at least half of the rows settle at their start
+they are written out there, before any metric or Newton state is formed
+for the rest.  A Newton row is written out in the iteration it converges
+or fails, and done rows are packed away only once they are half of those
+held, so most iterations copy nothing.  The scalar API (:func:`potential`,
 :func:`evaluate`, :func:`density`, :func:`invert_moment`) is these kernels
 on one row, so a scalar call and a one-row batch give the same numbers bit
 for bit; :func:`evaluate` takes g and the density from one softmax and
@@ -53,7 +51,7 @@ kernels carry eps diam(P) of rounding, not eps |a|, and a sum and its
 translate by an exactly representable vector give the same densities,
 integrals, preimages and exposed faces bit for bit.  The potential and
 the moment map take c back where they leave the kernels in user
-coordinates (:func:`_batch_moments`, :func:`evaluate`), and moment-map
+coordinates (:func:`potential`, :func:`evaluate`), and moment-map
 targets enter :func:`_invert_moment_many` relative to c.
 
 All evaluation is done in the log domain with a softmax shift, so points
@@ -319,20 +317,6 @@ class EvalBundle:
 # -- the batched kernel (grid scans, quadrature, and the scalar API) -------
 
 
-def _batch_moments(E: ExpSum, X: np.ndarray):
-    """Potential, softmax weights, moment map, and metric at each row of X:
-    :func:`_moments` of the terms-major :func:`_softmax`.
-
-    Returns (phi (N,), lam (N, k), mu (N, m), G (N, m, m)), transposed views
-    of the (k, N), (m, N) and (m, m, N) arrays the kernel works on, with phi
-    and mu in user coordinates (:func:`_potential`, mu + c).
-    """
-    top, W, total = _softmax(E, X.T)
-    lam, mu, G = _moments(E, W, total)
-    mu += E._c[:, None]
-    return _potential(E, X, top, total), lam.T, mu.T, G.transpose(2, 0, 1)
-
-
 def _potential(E: ExpSum, X: np.ndarray, top: np.ndarray, total: np.ndarray) -> np.ndarray:
     """phi = (1/2) log K at each row of X from its softmax (top, total):
     the log-sum-exp on the centred points plus <c, x>, which the centring
@@ -468,9 +452,12 @@ def density_many(E: ExpSum, X) -> np.ndarray:
 
 
 def potential(E: ExpSum, x) -> float:
-    """The potential Phi(x) = (1/2) log K(x): the batched kernel on one row."""
+    """The potential Phi(x) = (1/2) log K(x): the batched kernel's
+    log-sum-exp (:func:`_softmax`, :func:`_potential`) on one row, with no
+    moments or metric."""
     x = _check_vector(x, E.dim, "x")
-    return float(_batch_moments(E, x[None])[0][0])
+    top, _, total = _softmax(E, x[:, None])
+    return float(_potential(E, x[None], top, total)[0])
 
 
 def evaluate(E: ExpSum, x) -> EvalBundle:

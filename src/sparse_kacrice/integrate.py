@@ -35,24 +35,27 @@ node.  All work where the kernels do, about the support's barycenter c
 polytope cells are taken relative to it, so a sum and its translate by an
 exactly representable vector give the same integrals and cells.
 
-Every integral, in every dimension, is one adaptive set of cells, each
-with an embedded pair of rules whose difference is its error estimate.
-The dimension alone picks the pair: in one and two variables, the tensor
-Gauss-Legendre rule of 8 points per axis for the value (degree 15) and
-that of 5 points for the error (degree 9), and a cell is halved along its
-longest side; from three on, the Genz-Malik degree-7/5 pair (33 nodes
-against 637 in 3-D), and a cell is halved along the axis of largest
-fourth difference.  Each pair is one node set with a weight column per
-rule, built once per dimension (``_cell_rule``), so every batch of cells
-costs one integrand call.  The nodes of a batch go to the integrand
-coordinate-major, as one (m, N) array, the layout of the kernel's
-:func:`.expsum._softmax`.  The cells are the rows of one growable array;
-each pass halves the worst of them, 16 a pass for the Gauss-Legendre pairs
-and 64 for Genz-Malik, chosen and ordered as a heap keyed on error would
-pop them, until the summed cell error, plus the newest shell's value when
-the region grows, meets one budget max(abs_tol, rel_tol |total|); the leaf
-cells may hold at most ``MAX_NODES`` integrand nodes.  Final sums are
-compensated (math.fsum), so results do not depend on evaluation order.
+Every integral goes through one driver (:func:`_integral`): the default
+budget, the zero of a degenerate support, the integrand f(x) |det Dx| of
+its region's chart and the result.  Every integral, in every dimension, is
+one adaptive set of cells, each with an embedded pair of rules whose
+difference is its error estimate.  The dimension alone picks the pair: in
+one and two variables, the tensor Gauss-Legendre rule of 8 points per axis
+for the value (degree 15) and that of 5 points for the error (degree 9),
+and a cell is halved along its longest side; from three on, the Genz-Malik
+degree-7/5 pair (33 nodes against 637 in 3-D), and a cell is halved along
+the axis of largest fourth difference.  Each pair is one node set with a
+weight column per rule, built once per dimension (``_cell_rule``), so
+every batch of cells costs one integrand call.  The nodes of a batch go to
+the integrand coordinate-major, as one (m, N) array, the layout of the
+kernel's :func:`.expsum._softmax`.  The cells are the rows of one growable
+array; each pass halves the worst of them, 16 a pass for the
+Gauss-Legendre pairs and 64 for Genz-Malik, chosen and ordered as a heap
+keyed on error would pop them, until the summed cell error, plus the
+newest shell's value when the region grows, meets one budget max(abs_tol,
+rel_tol |total|); the leaf cells may hold at most ``MAX_NODES`` integrand
+nodes.  Final sums are compensated (math.fsum), so results do not depend
+on evaluation order.
 
 What a solve builds, and how often:
 
@@ -68,8 +71,8 @@ What a solve builds, and how often:
   maps the closed-form sums onto P and inverts their nodes with no Newton
   step;
 * once per solve: the cell store and the x route's chart, either the
-  vertex cells with the facet pairs' Cauchy-Binet coefficients (over P;
-  no frame) or the frame (x0, W and the Jacobian |det W|);
+  vertex cells with the Cauchy-Binet coefficients of the facets' m-subsets
+  (over P; no frame) or the frame (x0, W and the Jacobian |det W|);
 * once per integrand call: one (m, N) node array, written in place, the
   chart's nodes x and the kernel's own arrays; over R^m the chart is one
   (m, m)(m, N) product plus x0, and the integrand one multiply by |det W|;
@@ -94,12 +97,13 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import ConvergenceError, InputError
 from .expsum import (
-    ExpSum, _facet_log_map, _invert_moment_many, _legendre_density_many, _moments, _softmax, density_many,
+    ExpSum, _facet_log_map, _invert_moment_many, _legendre_density_many, _moments, _softmax, _sorted_products,
+    density_many,
 )
 # ``invert_moment`` is imported for perfbench's tracer, which wraps it as an
 # integrate boundary; nothing here calls it.
 from .expsum import invert_moment  # noqa: F401
-from .geometry import _check_box, _grid, ball_sphere_constants, diameter, hull_volume
+from .geometry import _check_box, _grid, _sorted_tuples, ball_sphere_constants, diameter, hull_volume
 
 __all__ = [
     "Quadrature",
@@ -397,8 +401,7 @@ def _adaptive(f, los, his, abs_tol, rel_tol, grow=False):
     [-r, r]^m and the region grows over R^m: a shell enters the store
     while the newest one's value exceeds the summed cell error, and that
     value counts as the error of truncating there.  The first shell always
-    enters, so it is evaluated in the seed cube's integrand call and
-    stored after the cube's cells.  Raises
+    enters, in the pass after the seed cube's.  Raises
     ConvergenceError with the partial value when the integrand is not
     finite (the value then sums the finite cells), when the leaf cells
     hold ``MAX_NODES`` integrand nodes, or when the error budget lies below
@@ -410,18 +413,16 @@ def _adaptive(f, los, his, abs_tol, rel_tol, grow=False):
     evaluated = 0
     axis_ids = np.arange(m)
 
-    def push(block, *parts):
+    def push(block):
         """Evaluate the cells whose corners fill block's first 2m columns,
-        fill in the rest and store them; returns sums of value, error and
-        |value| over the block's rows, or over each of the row ranges in
-        ``parts`` in turn."""
+        fill in the rest and store them; returns the sums of value, error
+        and |value| over the block's rows."""
         nonlocal evaluated
         values, errs, axes = rule(f, block[:, :m], block[:, m:-3])
         evaluated += len(values)
-        sums = [(float(values[p].sum()), float(errs[p].sum()), float(np.abs(values[p]).sum()))
-                for p in parts or (slice(None),)]
+        value, err = float(values.sum()), float(errs.sum())
         # A finite sum has finite terms: only a non-finite one needs the test.
-        if not all(math.isfinite(err) for _, err, _ in sums):
+        if not math.isfinite(err):
             finite = np.isfinite(errs)
             if not finite.all():
                 raise ConvergenceError(
@@ -430,24 +431,18 @@ def _adaptive(f, los, his, abs_tol, rel_tol, grow=False):
                 )
         block[:, -3], block[:, -2], block[:, -1] = values, errs, axes
         cells.push(block)
-        return sums if parts else sums[0]
+        return value, err, float(np.abs(values).sum())
 
-    def seeded(*corners):
-        """Evaluate and store the seed cells of each (los, his) in one call;
-        returns the sums of each."""
-        ends = np.cumsum([len(lo) for lo, _ in corners]).tolist()
-        block = np.empty((ends[-1], 2 * m + 3))
-        block[:, :m], block[:, m:-3] = (np.concatenate(c) for c in zip(*corners))
-        return push(block, *map(slice, [0] + ends[:-1], ends))
+    def seeded(los, his):
+        """Evaluate and store the seed cells (los, his); returns their sums."""
+        block = np.empty((len(los), 2 * m + 3))
+        block[:, :m], block[:, m:-3] = los, his
+        return push(block)
 
-    radius, shells, shell = float(his.max()), 0, 0.0
-    if grow:
-        # The tail is unknown until a first shell measures it, so the first
-        # shell always enters, in the seed cube's integrand call.
-        (total, error, mass), (shell, de, dm) = seeded((los, his), _shell_cells(radius, m))
-        total, error, mass, radius, shells = total + shell, error + de, mass + dm, 2.0 * radius, 1
-    else:
-        ((total, error, mass),) = seeded((los, his))
+    total, error, mass = seeded(los, his)
+    # The tail is unknown until a first shell measures it: with ``grow`` the
+    # shell branch takes the first pass.
+    radius, shells, shell = float(his.max()), 0, (math.inf if grow else 0.0)
     while error + abs(shell) > max(abs_tol, rel_tol * abs(total), ROUNDOFF * mass):
         if abs(shell) > error:
             if shells == MAX_DOUBLINGS:
@@ -456,7 +451,7 @@ def _adaptive(f, los, his, abs_tol, rel_tol, grow=False):
                     value=total,
                     residual=abs(shell),
                 )
-            ((shell, de, dm),) = seeded(_shell_cells(radius, m))
+            shell, de, dm = seeded(*_shell_cells(radius, m))
             total, error, mass = total + shell, error + de, mass + dm
             radius, shells = 2.0 * radius, shells + 1
             continue
@@ -579,24 +574,18 @@ def _vertex_cells(E: ExpSum):
     return cell_map, _seed_grid(((0.0, float(n)),) + ((0.0, 1.0),) * (m - 1), 4 * n)
 
 
-def _over_rm(f, E: ExpSum, abs_tol, rel_tol):
-    """Integrate over R^m the density f of E, f(X) at the (m, N) nodes X,
-    coordinate-major, through a chart: cell coordinates to nodes x and the
-    Jacobian |det Dx|, so the integrand is f(x) |det Dx| in either region.
+def _over_rm(E: ExpSum):
+    """The region of :func:`esol_total` and :func:`bkk_total`, as
+    (chart, seeds, grow) for :func:`_integral`.
 
     A sum in one or two variables with a facet-log start
     (``ExpSum._facet_start``) is integrated over P through that map
     (:func:`_facet_log_chart`).  Every other sum is integrated in the frame
     coordinates y of :func:`_frame`, from the cube
     [-AUTO_RADIUS, AUTO_RADIUS]^m out by shells."""
-    grow = E.dim > 2 or E._facet_start is None
-    chart, seeds = (_frame(E), _cube_cells(AUTO_RADIUS, E.dim)) if grow else _facet_log_chart(E)
-
-    def integrand(U):
-        X, jac = chart(U)
-        return f(X) * jac
-
-    return _adaptive(integrand, *seeds, abs_tol, rel_tol, grow=grow)
+    if E.dim > 2 or E._facet_start is None:
+        return _frame(E), _cube_cells(AUTO_RADIUS, E.dim), True
+    return (*_facet_log_chart(E), False)
 
 
 def _facet_log_chart(E: ExpSum):
@@ -608,22 +597,20 @@ def _facet_log_chart(E: ExpSum):
     chart(U) gives the nodes x_hat(p) and |det Dx_hat(p)| times the cell
     Jacobian.  Dx_hat = sum_j S_j nu_j^T / d_j, S_j = nu_j / (2 gap_j), reads
     the facet distances d that x_hat reads, and by Cauchy-Binet its
-    determinant is the sum over m-subsets T of facets of
-    det S_T det nu_T / prod_T d_j, whose terms are non-negative: nothing
-    cancels near a facet.  On the canonical toric sums (two-term, Kostlan
-    box and simplex sums, their reweightings and affine images) x_hat is the
-    inverse moment map, so esol_total's integrand is :func:`esol_pspace`'s,
-    with no Newton step, and bkk_total's the constant m!/2^m.  A node on or
-    past a facet through rounding gets a NaN Jacobian, which raises
-    ConvergenceError with the partial value."""
+    determinant is the sum over the sorted m-subsets T of facets
+    (:func:`.geometry._sorted_tuples`) of C_T = det S_T det nu_T against the
+    products of 1/d over T (:func:`.expsum._sorted_products`), whose terms
+    are non-negative: nothing cancels near a facet.  On the canonical toric
+    sums (two-term, Kostlan box and simplex sums, their reweightings and
+    affine images) x_hat is the inverse moment map, so esol_total's
+    integrand is :func:`esol_pspace`'s, with no Newton step, and
+    bkk_total's the constant m!/2^m.  A node on or past a facet through
+    rounding gets a NaN Jacobian, which raises ConvergenceError with the
+    partial value."""
     S, rows, _ = E._facet_start
     nu = -rows[:, :-1]
-    if E.dim == 1:
-        C = S[:, 0] * nu[:, 0]
-    else:
-        # C_ij = det[S_i, S_j] det[nu_i, nu_j] / 2: each facet pair once in u^T C u.
-        C, N = np.outer(S[:, 0], S[:, 1]), np.outer(nu[:, 0], nu[:, 1])
-        C = 0.5 * (C - C.T) * (N - N.T)
+    T = _sorted_tuples(len(S), E.dim)
+    C = np.linalg.det(S[T]) * np.linalg.det(nu[T])
     cell_map, seeds = _vertex_cells(E)
 
     def chart(U):
@@ -631,12 +618,34 @@ def _facet_log_chart(E: ExpSum):
         X, d = _facet_log_map(E, Q)
         on_facet = ~(d.min(axis=0) > 0.0)
         with np.errstate(divide="ignore", invalid="ignore"):
-            u = np.reciprocal(d, out=d)
-            jac *= C @ u if E.dim == 1 else np.einsum("fn,fn->n", u, C @ u)
+            jac *= C @ _sorted_products(np.reciprocal(d, out=d), E.dim)
         np.copyto(jac, np.nan, where=on_facet)
         return X, jac
 
     return chart, seeds
+
+
+def _integral(E: ExpSum, q: Quadrature | None, route: str, f, region) -> IntegralResult:
+    """The one driver of every integral: f(x) |det Dx| over region(E).
+
+    f is the density, f(X) at the (m, N) nodes X, coordinate-major.
+    region(E) gives (chart, seeds, grow): the chart takes the (m, N) cell
+    coordinates U to (X, |det Dx|), the seeds are the first cells (los, his)
+    of :func:`_adaptive` and ``grow`` makes it grow them over R^m by shells.
+    Takes the default :class:`Quadrature` for ``q=None``, and returns 0 on
+    a degenerate support (dim conv(A) < m), which carries zero density,
+    before the region is built."""
+    q = q or Quadrature()
+    if E.support.degenerate:
+        return IntegralResult(0.0, 0.0, route, 0, 0)
+    chart, seeds, grow = region(E)
+
+    def integrand(U):
+        X, jac = chart(U)
+        return f(X) * jac
+
+    value, error, cells, nodes = _adaptive(integrand, *seeds, q.abs_tol, q.rel_tol, grow=grow)
+    return IntegralResult(value, error, route, cells, nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -655,15 +664,10 @@ def esol_total(E: ExpSum, q: Quadrature | None = None) -> IntegralResult:
     Either way the route is reported as "x".  Degenerate supports
     (dim conv(A) < m) carry zero density and return 0.
     """
-    q = q or Quadrature()
-    if E.support.degenerate:
-        return IntegralResult(0.0, 0.0, "x", 0, 0)
     # density_many takes rows, and the transposed view hands its kernel the
     # coordinate-major nodes without a copy; it is called through this
     # module's global, where perfbench counts the nodes.
-    f = lambda X: density_many(E, X.T)
-    value, error, cells, nodes = _over_rm(f, E, q.abs_tol, q.rel_tol)
-    return IntegralResult(value, error, "x", cells, nodes)
+    return _integral(E, q, "x", lambda X: density_many(E, X.T), _over_rm)
 
 
 def esol_region(E: ExpSum, U, q: Quadrature | None = None) -> IntegralResult:
@@ -674,12 +678,8 @@ def esol_region(E: ExpSum, U, q: Quadrature | None = None) -> IntegralResult:
     comparisons between a sum and its augmentation.
     """
     box = _check_box(U, E.dim)
-    q = q or Quadrature()
-    if E.support.degenerate:
-        return IntegralResult(0.0, 0.0, "x", 0, 0)
-    f = lambda X: density_many(E, X.T)
-    value, error, cells, nodes = _adaptive(f, *_seed_grid(box, 8), q.abs_tol, q.rel_tol)
-    return IntegralResult(value, error, "x", cells, nodes)
+    region = lambda _: (lambda U: (U, 1.0), _seed_grid(box, 8), False)
+    return _integral(E, q, "x", lambda X: density_many(E, X.T), region)
 
 
 def esol_pspace(E: ExpSum, q: Quadrature | None = None) -> IntegralResult:
@@ -704,22 +704,12 @@ def esol_pspace(E: ExpSum, q: Quadrature | None = None) -> IntegralResult:
     1e-7 to 1e-13: a claim below about 3e-13 can understate the error, and
     a tolerance below about 3e-13 can see it in the value.
     """
-    q = q or Quadrature()
     m = E.dim
     if m > 2:
         raise InputError("moment-space integration is limited to two variables")
-    if E.support.degenerate:
-        return IntegralResult(0.0, 0.0, "p", 0, 0)
     prefactor = 1.0 / (2.0 ** ((m - 2) / 2.0) * ball_sphere_constants(m)[1])
-    cell_map, seeds = _vertex_cells(E)
-
-    def f(U):
-        """Density times Jacobian at the (m, N) cell coordinates U."""
-        Q, jac = cell_map(U)
-        return prefactor * jac * _legendre_density_many(E, Q.T)
-
-    value, error, cells, nodes = _adaptive(f, *seeds, q.abs_tol, q.rel_tol)
-    return IntegralResult(value, error, "p", cells, nodes)
+    f = lambda Q: prefactor * _legendre_density_many(E, Q.T)
+    return _integral(E, q, "p", f, lambda E: (*_vertex_cells(E), False))
 
 
 @dataclass(frozen=True)

@@ -41,11 +41,11 @@ from sparse_kacrice import expsum
 from sparse_kacrice.expsum import (
     INVERT_MARGIN,
     INVERT_TOL,
-    _batch_moments,
     _det_g,
     _facet_log_map,
     _invert_moment_many,
     _moments,
+    _potential,
     _softmax,
 )
 from sparse_kacrice.geometry import (
@@ -107,6 +107,17 @@ def _reference_moments(E, X):
         G = sum(l * np.outer(a - mu, a - mu) for l, a in zip(lam, E.support.points))
         rows.append((t.max() + 0.5 * math.log(w.sum()), lam, mu, G))
     return [np.array(column) for column in zip(*rows)]
+
+
+def batch_moments(E, X):
+    """(phi (N,), lam (N, k), mu (N, m), G (N, m, m)) at each row of X from
+    the terms-major kernel (``_softmax``, ``_moments`` and ``_potential``),
+    as transposed views, phi and mu in user coordinates: the kernel's rows
+    that the layout-free reference and the scalar API are checked against."""
+    top, W, total = _softmax(E, X.T)
+    lam, mu, G = _moments(E, W, total)
+    mu += E._c[:, None]
+    return _potential(E, X, top, total), lam.T, mu.T, G.transpose(2, 0, 1)
 
 
 class TestConstruction:
@@ -314,14 +325,14 @@ class TestKernelAgainstReference:
     def test_moments_density_and_rows(self, name):
         E = kostlan(*self.CASES[name])
         X = np.random.default_rng(13).uniform(-1.0, 1.0, size=(300, E.dim))
-        got, want = _batch_moments(E, X), _reference_moments(E, X)
+        got, want = batch_moments(E, X), _reference_moments(E, X)
         for g, w in zip(got, want):
             np.testing.assert_allclose(g, w, rtol=1e-13, atol=1e-13)
         densities = density_many(E, X)
         formed = 2.0 / ball_sphere_constants(E.dim)[1] * np.sqrt(np.linalg.det(want[3]))
         np.testing.assert_allclose(densities, formed, rtol=1e-12, atol=0.0)
         for i, x in enumerate(X):
-            for g, one in zip(got, _batch_moments(E, x[None])):
+            for g, one in zip(got, batch_moments(E, x[None])):
                 np.testing.assert_allclose(g[i], one[0], rtol=1e-13, atol=1e-13)
         singles = [density_many(E, x[None])[0] for x in X]
         np.testing.assert_allclose(densities, singles, rtol=1e-13, atol=0.0)
@@ -412,7 +423,7 @@ class TestScalarCallsAreOneRowKernels:
         for x in X:
             assert density(E, x) == density_many(E, x[None])[0]
             bundle = evaluate(E, x)
-            phi, lam, mu, G = _batch_moments(E, x[None])
+            phi, lam, mu, G = batch_moments(E, x[None])
             assert bundle.phi == potential(E, x) == phi[0]
             np.testing.assert_array_equal(bundle.weights, lam[0])
             np.testing.assert_array_equal(bundle.mu, mu[0])
@@ -431,7 +442,7 @@ class TestScalarCallsAreOneRowKernels:
     def test_density_floor_applies_to_both(self):
         # det g = lambda_0 lambda_1, about e^-700 = 1e-304 at x = 350: below
         # DET_FLOOR, which guards the dual form only; the density is exact.
-        G = _batch_moments(TWO_TERM, np.array([[350.0]]))[3]
+        G = batch_moments(TWO_TERM, np.array([[350.0]]))[3]
         assert 0.0 < np.linalg.det(G)[0] < DET_FLOOR
         want = 1.0 / (2.0 * math.pi * math.cosh(350.0))
         for got in (density(TWO_TERM, [350.0]), density_many(TWO_TERM, [[350.0]])[0],

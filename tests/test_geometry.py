@@ -27,7 +27,6 @@ from sparse_kacrice import (
     kostlan,
     support_function,
 )
-from sparse_kacrice.expsum import _batch_moments
 from sparse_kacrice.geometry import (
     DET_FLOOR,
     DUAL_COND_LIMIT,
@@ -39,6 +38,7 @@ from sparse_kacrice.geometry import (
     _interior_mask,
     _sorted_tuples,
 )
+from test_expsum import batch_moments
 
 SQUARE = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
 
@@ -499,7 +499,7 @@ class TestDualGate:
         for E in self.SUMS:
             d = rng.normal(size=(1500, E.dim))
             X = d / np.linalg.norm(d, axis=1, keepdims=True) * rng.uniform(5, 200, (1500, 1))
-            S, duals, refused = _dual_forms(_batch_moments(E, X)[3])
+            S, duals, refused = _dual_forms(batch_moments(E, X)[3])
             np.testing.assert_array_equal(refused, _reference_gate(S, DET_FLOOR))
             flat_rows += refused.sum()
             _assert_duals_invert(S, duals)

@@ -41,11 +41,11 @@ from sparse_kacrice import (
     tensor,
 )
 from sparse_kacrice import complexcase, expsum, integrate
-from sparse_kacrice.expsum import _batch_moments
 from sparse_kacrice.geometry import _interior_mask
 from sparse_kacrice.integrate import (
     _adaptive, _cell_rule, _gauss_legendre_rule, _genz_malik_rule, _seed_grid,
 )
+from test_expsum import batch_moments
 
 TWO_TERM = ExpSum([[0.0], [1.0]])
 IRREGULAR = ExpSum([[0.0], [0.5], [1.7]], [1.0, 2.0, 1.0])
@@ -558,6 +558,39 @@ class TestRegion:
             esol_region(TWO_TERM, box)
 
 
+#: Flat supports (dim conv(A) < m) in one to four variables.
+FLAT = {
+    1: [[2.0]],
+    2: [[0.0, 0.0], [1.0, 1.0], [3.0, 3.0]],
+    3: [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]],
+    4: [[0.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]],
+}
+
+
+class TestFlatSupports:
+    """Every integral checks its own input, then returns (0, 0, route, 0, 0)
+    on a flat support without integrating anything."""
+
+    @pytest.mark.parametrize("integral, route, refused", [
+        (esol_total, "x", None),
+        (lambda E: esol_region(E, [(-1.0, 2.0)] * E.dim), "x",
+         lambda: esol_region(ExpSum(FLAT[2]), [(2.0, -1.0)] * 2)),
+        (esol_pspace, "p", lambda: esol_pspace(ExpSum(FLAT[3]))),
+        (lambda E: bkk_total(ComplexExpSum(E.support.points)), "bkk", lambda: bkk_total(ComplexExpSum(FLAT[4]))),
+    ], ids=["esol_total", "esol_region", "esol_pspace", "bkk_total"])
+    def test_zero_after_the_input_check(self, monkeypatch, integral, route, refused):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a flat support reached the integrator")
+
+        monkeypatch.setattr(integrate, "_adaptive", unreachable)
+        assert all(SupportSet(points).degenerate for points in FLAT.values())
+        for m in (1, 2):
+            assert dataclasses.astuple(integral(ExpSum(FLAT[m]))) == (0.0, 0.0, route, 0, 0)
+        if refused is not None:
+            with pytest.raises(InputError):
+                refused()
+
+
 STRICT = Quadrature(abs_tol=1e-7, rel_tol=1e-7)
 TRIANGLE = ExpSum([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 SIMPLEX_2_2 = ExpSum([[0, 0], [1, 0], [2, 0], [0, 1], [1, 1], [0, 2]], [1, ROOT2, 1, ROOT2, ROOT2, 1])
@@ -936,7 +969,7 @@ class TestConvergenceFailure:
         E = ExpSum([[0.0], [1.0], [3.0]], [1.0, 2.0, 1.0])
         monkeypatch.setattr(expsum, "INVERT_MAX_ITER", 0)
         assert E._facet_start is None
-        want = abs(float(_batch_moments(E, E._newton_start[0][None])[2][0, 0]) - E._c[0])
+        want = abs(float(batch_moments(E, E._newton_start[0][None])[2][0, 0]) - E._c[0])
         with pytest.raises(ConvergenceError, match="no frame over R") as info:
             esol_total(E)
         assert info.value.residual == pytest.approx(want, rel=1e-12) and want > 0.05

@@ -30,9 +30,10 @@ from sparse_kacrice import (
     witness_interior,
 )
 from sparse_kacrice import expsum, monotonicity
-from sparse_kacrice.expsum import INVERT_MARGIN, _batch_moments, _invert_moment_many
+from sparse_kacrice.expsum import INVERT_MARGIN, _invert_moment_many
 from sparse_kacrice.geometry import DET_FLOOR, DUAL_COND_LIMIT
 from sparse_kacrice.monotonicity import BOUNDARY_BAND, _classify_psi
+from test_expsum import batch_moments
 
 TWO_TERM = ExpSum([[0.0], [1.0]])
 SQUARE = kostlan(2, 1)
@@ -258,7 +259,7 @@ class TestPsi:
         errors = []
         for E, inside, outside in SCAN_CASES.values():
             X = rng.uniform(-20.0, 20.0, size=(20000, 2))
-            G = _batch_moments(E, X)[3]
+            G = batch_moments(E, X)[3]
             eigs = np.linalg.eigvalsh(G)
             usable = ~_refused_by_dual_form(G) & (eigs[:, 1] > 1e6 * eigs[:, 0])
             for x in X[usable][:100]:
@@ -506,7 +507,7 @@ class TestRegionScan:
         mp = pytest.importorskip("mpmath")
         scan = region_scan(SQUARE, SQ_AUG, box=[(-20, 20), (-20, 20)], resolution=64, space="x")
         nodes = np.stack(np.meshgrid(*scan.axes, indexing="ij"), axis=-1).reshape(-1, 2)
-        flat = _refused_by_dual_form(_batch_moments(SQUARE, nodes)[3])
+        flat = _refused_by_dual_form(batch_moments(SQUARE, nodes)[3])
         assert flat.sum() > 400
         errors = []
         for x, got in zip(nodes[flat], scan.psi.ravel()[flat]):
