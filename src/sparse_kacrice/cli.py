@@ -24,8 +24,11 @@ kernels live in the test suite.
 
 Inputs are JSON objects {"dim": m, "support": [[...], ...], "coeffs":
 [...]} (coeffs optional).  Exit codes: 0 success, 2 bad input, 3
-numerical non-convergence.  Data outputs carry "schema": 1 and contain
-nothing time-dependent.
+numerical non-convergence.  An ``--input`` that cannot be read and an
+``--output`` that cannot be written are bad input, exit 2.  Every JSON
+data output carries "schema": 1; CSV numbers are written by ``repr``, so
+they read back as the same doubles.  No output holds anything
+time-dependent.
 """
 
 from __future__ import annotations
@@ -84,14 +87,24 @@ def _load_expsum(path: str, cls=ExpSum):
 
 def _emit(text: str, output: str | None) -> None:
     if output:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {output}: {exc}") from exc
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
 def _emit_json(payload: dict, output: str | None) -> None:
-    _emit(json.dumps(payload, indent=2), output)
+    _emit(json.dumps({"schema": 1, **payload}, indent=2), output)
+
+
+def _emit_csv(header, rows, output: str | None) -> None:
+    """One line per row; numbers as ``repr(float(v))``, text as it is."""
+    lines = [",".join(header)]
+    lines += [",".join(v if isinstance(v, str) else repr(float(v)) for v in row) for row in rows]
+    _emit("\n".join(lines) + "\n", output)
 
 
 def _wants_json(args) -> bool:
@@ -100,6 +113,12 @@ def _wants_json(args) -> bool:
     if args.format is not None:
         return args.format == "json"
     return (args.output or "").endswith(".json")
+
+
+def _counters(r) -> dict:
+    """An integral's value, claimed error and work counters, as each
+    ``analyze`` payload reports them."""
+    return {"value": r.value, "error": r.error, "cells": r.cells, "nodes": r.nodes}
 
 
 # ---------------------------------------------------------------------------
@@ -119,10 +138,9 @@ def _cmd_analyze(args) -> int:
         rx, rp = esol_total(E, q), esol_pspace(E, q)
         _emit_json(
             {
-                "schema": 1,
                 "route": "both",
-                "x": {"value": rx.value, "error": rx.error, "cells": rx.cells, "nodes": rx.nodes},
-                "p": {"value": rp.value, "error": rp.error, "cells": rp.cells, "nodes": rp.nodes},
+                "x": _counters(rx),
+                "p": _counters(rp),
                 "abs_diff": abs(rx.value - rp.value),
             },
             args.output,
@@ -132,17 +150,7 @@ def _cmd_analyze(args) -> int:
         result = esol_pspace(E, q)
     else:
         result = esol_total(E, q) if box is None else esol_region(E, box, q)
-    _emit_json(
-        {
-            "schema": 1,
-            "value": result.value,
-            "error": result.error,
-            "route": result.route,
-            "cells": result.cells,
-            "nodes": result.nodes,
-        },
-        args.output,
-    )
+    _emit_json({**_counters(result), "route": result.route}, args.output)
     return 0
 
 
@@ -154,17 +162,14 @@ def _cmd_density_grid(args) -> int:
     values = density_many(E, points)
     if _wants_json(args):
         payload = {
-            "schema": 1,
             "box": [list(map(float, b)) for b in box],
             "axes": [axis.tolist() for axis in axes],
             "density": values.tolist(),
         }
         _emit_json(payload, args.output)
     else:
-        lines = [",".join([f"x{i + 1}" for i in range(m)] + ["density"])]
-        for row, value in zip(points, values):
-            lines.append(",".join([repr(float(c)) for c in row] + [repr(float(value))]))
-        _emit("\n".join(lines) + "\n", args.output)
+        header = [f"x{i + 1}" for i in range(m)] + ["density"]
+        _emit_csv(header, ((*row, value) for row, value in zip(points, values)), args.output)
     return 0
 
 
@@ -173,10 +178,7 @@ def _cmd_psi_grid(args) -> int:
     aug = Augmentation(_parse_floats(args.a0), args.alpha0)
     box, resolution = _parse_box(args.box, E.dim), _parse_resolution(args.resolution)
     scan = region_scan(E, aug, box=box, resolution=resolution, space=args.space)
-    if _wants_json(args):
-        _emit(scan.to_json(), args.output)
-    else:
-        _emit(scan.to_csv(), args.output)
+    _emit(scan.to_json() if _wants_json(args) else scan.to_csv(), args.output)
     return 0
 
 
@@ -187,7 +189,6 @@ def _cmd_witness(args) -> int:
     result = psi(E, aug, x0)
     _emit_json(
         {
-            "schema": 1,
             "x0": x0.tolist(),
             "psi": result.psi,
             "classification": result.classification,
@@ -203,10 +204,8 @@ def _cmd_ray(args) -> int:
     direction = _parse_floats(args.direction)
     evals = ray_scan_unbounded(E, aug, direction, args.t_max, args.steps)
     ts = np.linspace(args.t_max / args.steps, args.t_max, args.steps)
-    lines = ["t,psi,class"]
-    for t, e in zip(ts, evals):
-        lines.append(f"{float(t)!r},{e.psi!r},{e.classification}")
-    _emit("\n".join(lines) + "\n", args.output)
+    rows = ((t, e.psi, e.classification) for t, e in zip(ts, evals))
+    _emit_csv(["t", "psi", "class"], rows, args.output)
     return 0
 
 
@@ -215,33 +214,29 @@ def _cmd_mc(args) -> int:
     cfg = McConfig(n_samples=args.samples, seed=args.seed)
     mean, stderr = estimate_esol(E, cfg)
     _emit_json(
-        {"schema": 1, "mean": mean, "stderr": stderr, "samples": args.samples},
+        {"mean": mean, "stderr": stderr, "samples": args.samples},
         args.output,
     )
     return 0
 
 
+# Each algebra op: the arguments it needs, in the order its builder takes
+# them (an --input names a sum file to load), and the builder.
+_ALGEBRA_OPS = {
+    "tensor": (("input", "input2"), tensor),
+    "aronszajn": (("input", "input2"), aronszajn),
+    "power": (("input", "degree"), aronszajn_power),
+    "kostlan": (("dim", "degree"), kostlan),
+}
+
+
 def _cmd_algebra(args) -> int:
-    if args.op == "kostlan":
-        if args.dim is None or args.degree is None:
-            raise InputError("kostlan needs --dim and --degree")
-        result = kostlan(args.dim, args.degree)
-    elif args.op == "power":
-        if args.input is None or args.degree is None:
-            raise InputError("power needs --input and --degree")
-        result = aronszajn_power(_load_expsum(args.input), args.degree)
-    else:
-        if args.input is None or args.input2 is None:
-            raise InputError(f"{args.op} needs --input and --input2")
-        E_a = _load_expsum(args.input)
-        E_b = _load_expsum(args.input2)
-        if args.op == "tensor":
-            result = tensor(E_a, E_b)
-        else:
-            result = aronszajn(E_a, E_b)
-    payload = {"schema": 1}
-    payload.update(result.to_dict())
-    _emit_json(payload, args.output)
+    names, build = _ALGEBRA_OPS[args.op]
+    values = [getattr(args, name) for name in names]
+    if None in values:
+        raise InputError(f"{args.op} needs " + " and ".join(f"--{name}" for name in names))
+    values = [_load_expsum(v) if n.startswith("input") else v for n, v in zip(names, values)]
+    _emit_json(build(*values).to_dict(), args.output)
     return 0
 
 
@@ -251,7 +246,6 @@ def _cmd_bkk(args) -> int:
     reference = n_factorial_volume(E)
     _emit_json(
         {
-            "schema": 1,
             "density_route_total": result.value,
             "n_factorial_vol": reference,
             "abs_diff": abs(result.value - reference),
@@ -372,84 +366,61 @@ def _cmd_selftest(args) -> int:
 # Parser
 
 
-_FORMAT_HELP = "default: json when --output ends in .json, else csv"
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sparse-kacrice",
         description="Expected real zeros of Gaussian exponential sums.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # The flag groups that several subcommands share, each declared once.
+    io, aug, grid = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    io.add_argument("--input", required=True, help="exponential-sum JSON file")
+    io.add_argument("--output")
+    aug.add_argument("--a0", required=True, help="comma-separated exponent")
+    aug.add_argument("--alpha0", type=float, default=1.0)
+    grid.add_argument("--box", default="auto", help="auto or lo,hi per axis")
+    grid.add_argument("--resolution", default="64")
+    grid.add_argument("--format", choices=("csv", "json"),
+                      help="default: json when --output ends in .json, else csv")
 
-    p = sub.add_parser("analyze", help="expected zero count")
-    p.add_argument("--input", required=True, help="exponential-sum JSON file")
+    def command(name, handler, help_text, *parents):
+        p = sub.add_parser(name, help=help_text, parents=parents)
+        p.set_defaults(handler=handler)
+        return p
+
+    p = command("analyze", _cmd_analyze, "expected zero count", io)
     p.add_argument("--tol", type=float, default=1e-7)
     p.add_argument("--box", default="auto", help="auto or lo,hi per axis")
     p.add_argument("--route", choices=("x", "p", "both"), default="x")
-    p.add_argument("--output")
-    p.set_defaults(handler=_cmd_analyze)
 
-    p = sub.add_parser("density-grid", help="zero density on a grid")
-    p.add_argument("--input", required=True)
-    p.add_argument("--box", default="auto")
-    p.add_argument("--resolution", default="64")
-    p.add_argument("--format", choices=("csv", "json"), help=_FORMAT_HELP)
-    p.add_argument("--output")
-    p.set_defaults(handler=_cmd_density_grid)
+    command("density-grid", _cmd_density_grid, "zero density on a grid", io, grid)
 
-    p = sub.add_parser("psi-grid", help="added-exponent classification grid")
-    p.add_argument("--input", required=True)
-    p.add_argument("--a0", required=True, help="comma-separated exponent")
-    p.add_argument("--alpha0", type=float, default=1.0)
+    p = command("psi-grid", _cmd_psi_grid, "added-exponent classification grid", io, aug, grid)
     p.add_argument("--space", choices=("p", "x"), default="p")
-    p.add_argument("--box", default="auto")
-    p.add_argument("--resolution", default="64")
-    p.add_argument("--format", choices=("csv", "json"), help=_FORMAT_HELP)
-    p.add_argument("--output")
-    p.set_defaults(handler=_cmd_psi_grid)
 
-    p = sub.add_parser("witness", help="interior decrease-region witness")
-    p.add_argument("--input", required=True)
-    p.add_argument("--a0", required=True)
-    p.add_argument("--alpha0", type=float, default=1.0)
-    p.add_argument("--output")
-    p.set_defaults(handler=_cmd_witness)
+    command("witness", _cmd_witness, "interior decrease-region witness", io, aug)
 
-    p = sub.add_parser("ray", help="density ratio along a ray")
-    p.add_argument("--input", required=True)
-    p.add_argument("--a0", required=True)
-    p.add_argument("--alpha0", type=float, default=1.0)
+    p = command("ray", _cmd_ray, "density ratio along a ray", io, aug)
     p.add_argument("--direction", required=True)
     p.add_argument("--t-max", type=float, default=40.0)
     p.add_argument("--steps", type=int, default=64)
-    p.add_argument("--output")
-    p.set_defaults(handler=_cmd_ray)
 
-    p = sub.add_parser("mc", help="Monte-Carlo zero count (one variable)")
-    p.add_argument("--input", required=True)
+    p = command("mc", _cmd_mc, "Monte-Carlo zero count (one variable)", io)
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--output")
-    p.set_defaults(handler=_cmd_mc)
 
-    p = sub.add_parser("algebra", help="products and power builders")
-    p.add_argument("--op", choices=("tensor", "aronszajn", "power", "kostlan"), required=True)
+    p = command("algebra", _cmd_algebra, "products and power builders")
+    p.add_argument("--op", choices=tuple(_ALGEBRA_OPS), required=True)
     p.add_argument("--input")
     p.add_argument("--input2")
     p.add_argument("--dim", type=int)
     p.add_argument("--degree", type=int)
     p.add_argument("--output")
-    p.set_defaults(handler=_cmd_algebra)
 
-    p = sub.add_parser("bkk", help="complex density total vs. volume count")
-    p.add_argument("--input", required=True)
+    p = command("bkk", _cmd_bkk, "complex density total vs. volume count", io)
     p.add_argument("--tol", type=float, default=1e-5)
-    p.add_argument("--output")
-    p.set_defaults(handler=_cmd_bkk)
 
-    p = sub.add_parser("selftest", help="closed-form smoke checks")
-    p.set_defaults(handler=_cmd_selftest)
+    command("selftest", _cmd_selftest, "closed-form smoke checks")
 
     return parser
 

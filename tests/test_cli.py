@@ -10,10 +10,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sparse_kacrice
-from sparse_kacrice import ComplexExpSum, ExpSum, kostlan
+from sparse_kacrice import (
+    Augmentation, ComplexExpSum, ExpSum, density_many, kostlan, ray_scan_unbounded,
+)
 from sparse_kacrice import cli
 from sparse_kacrice.cli import main
 
@@ -103,6 +106,42 @@ class TestAnalyze:
         assert main(["analyze", "--input", two_term_file, "--output", str(out)]) == 0
         assert json.loads(out.read_text())["value"] == pytest.approx(0.5, abs=1e-6)
 
+    def test_unwritable_output_exits_two(self, two_term_file, tmp_path, capsys):
+        # the same contract as an unreadable --input: bad input, not a traceback
+        out = tmp_path / "missing" / "out.json"
+        assert main(["analyze", "--input", two_term_file, "--output", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot write")
+        assert not out.parent.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["analyze", "--input", "{two}", "--route", "x"], id="analyze-x"),
+        pytest.param(["analyze", "--input", "{two}", "--route", "p"], id="analyze-p"),
+        pytest.param(["analyze", "--input", "{two}", "--route", "both"], id="analyze-both"),
+        pytest.param(["density-grid", "--input", "{square}", "--resolution", "3", "--format", "json"],
+                     id="density-grid"),
+        pytest.param(["psi-grid", "--input", "{square}", "--a0", "0.5,0.5", "--resolution", "3",
+                      "--format", "json"], id="psi-grid"),
+        pytest.param(["witness", "--input", "{square}", "--a0", "0.5,0.5"], id="witness"),
+        pytest.param(["mc", "--input", "{two}", "--samples", "400", "--seed", "7"], id="mc"),
+        pytest.param(["algebra", "--op", "tensor", "--input", "{two}", "--input2", "{two}"],
+                     id="algebra-tensor"),
+        pytest.param(["algebra", "--op", "aronszajn", "--input", "{two}", "--input2", "{two}"],
+                     id="algebra-aronszajn"),
+        pytest.param(["algebra", "--op", "power", "--input", "{two}", "--degree", "2"],
+                     id="algebra-power"),
+        pytest.param(["algebra", "--op", "kostlan", "--dim", "1", "--degree", "2"],
+                     id="algebra-kostlan"),
+        pytest.param(["bkk", "--input", "{segment}"], id="bkk"),
+    ],
+)
+def test_every_json_output_carries_schema_one(argv, two_term_file, square_file, segment_file, capsys):
+    files = {"two": two_term_file, "square": square_file, "segment": segment_file}
+    assert main([arg.format(**files) for arg in argv]) == 0
+    assert json.loads(capsys.readouterr().out)["schema"] == 1
+
 
 class TestGrids:
     def test_density_grid_csv(self, two_term_file, capsys):
@@ -152,6 +191,29 @@ class TestGrids:
                 assert json.loads(text)["schema"] == 1
             else:
                 assert text.startswith(header)
+
+
+class TestCsvFormat:
+    # Each number is written as repr(float(v)) of the library's own value,
+    # so the line is pinned digit for digit whatever the platform's bits.
+    def test_density_grid_lines(self, two_term_file, capsys):
+        argv = ["density-grid", "--input", two_term_file, "--box=-1,2", "--resolution", "3"]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.split("\n")
+        points = np.linspace(-1.0, 2.0, 3)[:, None]
+        values = density_many(ExpSum([[0.0], [1.0]]), points)
+        want = [",".join(repr(float(v)) for v in (*x, d)) for x, d in zip(points, values)]
+        assert lines == ["x1,density", *want, ""]
+
+    def test_ray_lines(self, two_term_file, capsys):
+        argv = ["ray", "--input", two_term_file, "--a0", "3", "--alpha0", "0.5",
+                "--direction", "1", "--t-max", "9", "--steps", "3"]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.split("\n")
+        evals = ray_scan_unbounded(ExpSum([[0.0], [1.0]]), Augmentation([3.0], 0.5), [1.0], 9.0, 3)
+        want = [f"{float(t)!r},{float(e.psi)!r},{e.classification}"
+                for t, e in zip(np.linspace(3.0, 9.0, 3), evals)]
+        assert lines == ["t,psi,class", *want, ""]
 
 
 class TestPointwise:
@@ -242,6 +304,31 @@ class TestAlgebra:
         assert rc == 0
         doc = json.loads(capsys.readouterr().out)
         assert len(doc["support"]) == 4
+
+    def test_aronszajn(self, two_term_file, capsys):
+        # shared variable: {0, 1} + {0, 1} = {0, 1, 2}
+        argv = ["algebra", "--op", "aronszajn", "--input", two_term_file, "--input2", two_term_file]
+        assert main(argv) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["dim"] == 1
+        assert sorted(p[0] for p in doc["support"]) == [0.0, 1.0, 2.0]
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--op", "kostlan"], "kostlan needs --dim and --degree"),
+            (["--op", "kostlan", "--dim", "2"], "kostlan needs --dim and --degree"),
+            (["--op", "kostlan", "--degree", "2"], "kostlan needs --dim and --degree"),
+            (["--op", "power", "--degree", "2"], "power needs --input and --degree"),
+            (["--op", "power", "--input", "{two}"], "power needs --input and --degree"),
+            (["--op", "tensor", "--input", "{two}"], "tensor needs --input and --input2"),
+            (["--op", "tensor", "--input2", "{two}"], "tensor needs --input and --input2"),
+            (["--op", "aronszajn", "--input", "{two}"], "aronszajn needs --input and --input2"),
+        ],
+    )
+    def test_missing_argument_exits_two(self, two_term_file, argv, message, capsys):
+        assert main(["algebra"] + [arg.format(two=two_term_file) for arg in argv]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_import_leaves_scipy_out():
