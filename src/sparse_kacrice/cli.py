@@ -25,7 +25,9 @@ kernels live in the test suite.
 Inputs are JSON objects {"dim": m, "support": [[...], ...], "coeffs":
 [...]} (coeffs optional).  Exit codes: 0 success, 2 bad input, 3
 numerical non-convergence.  An ``--input`` that cannot be read and an
-``--output`` that cannot be written are bad input, exit 2.  Every JSON
+``--output`` that cannot be written are bad input, exit 2; an ``--output``
+whose directory is missing or not writable is refused before any
+computation, and nothing is opened until the output is written.  Every JSON
 data output carries "schema": 1; CSV numbers are written by ``repr``, so
 they read back as the same doubles.  No output holds anything
 time-dependent.
@@ -37,6 +39,7 @@ import argparse
 import itertools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -47,7 +50,7 @@ from . import (
     density, density_many, esol_pspace, esol_region, esol_total, estimate_esol, evaluate, kostlan,
     n_factorial_volume, psi, ray_scan_unbounded, region_scan, tensor, witness_interior,
 )
-from .geometry import _check_box, _grid
+from .geometry import _check_box, _csv_text, _grid
 
 __all__ = ["main", "console_main"]
 
@@ -85,6 +88,14 @@ def _load_expsum(path: str, cls=ExpSum):
     return cls.from_json(text)
 
 
+def _check_output(output: str | None) -> None:
+    """InputError unless ``--output``'s directory exists and is writable,
+    checked before the handler computes; the file itself is not opened."""
+    folder = os.path.dirname(os.path.abspath(output)) if output else None
+    if folder and not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+        raise InputError(f"cannot write {output}: {folder} is not a writable directory")
+
+
 def _emit(text: str, output: str | None) -> None:
     if output:
         try:
@@ -98,13 +109,6 @@ def _emit(text: str, output: str | None) -> None:
 
 def _emit_json(payload: dict, output: str | None) -> None:
     _emit(json.dumps({"schema": 1, **payload}, indent=2), output)
-
-
-def _emit_csv(header, rows, output: str | None) -> None:
-    """One line per row; numbers as ``repr(float(v))``, text as it is."""
-    lines = [",".join(header)]
-    lines += [",".join(v if isinstance(v, str) else repr(float(v)) for v in row) for row in rows]
-    _emit("\n".join(lines) + "\n", output)
 
 
 def _wants_json(args) -> bool:
@@ -169,7 +173,7 @@ def _cmd_density_grid(args) -> int:
         _emit_json(payload, args.output)
     else:
         header = [f"x{i + 1}" for i in range(m)] + ["density"]
-        _emit_csv(header, ((*row, value) for row, value in zip(points, values)), args.output)
+        _emit(_csv_text(header, ((*row, value) for row, value in zip(points, values))), args.output)
     return 0
 
 
@@ -205,7 +209,7 @@ def _cmd_ray(args) -> int:
     evals = ray_scan_unbounded(E, aug, direction, args.t_max, args.steps)
     ts = np.linspace(args.t_max / args.steps, args.t_max, args.steps)
     rows = ((t, e.psi, e.classification) for t, e in zip(ts, evals))
-    _emit_csv(["t", "psi", "class"], rows, args.output)
+    _emit(_csv_text(["t", "psi", "class"], rows), args.output)
     return 0
 
 
@@ -429,6 +433,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_output(getattr(args, "output", None))
         return args.handler(args)
     except (InputError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -23,18 +23,20 @@ rows pass a transposed view.  From that one triple, :func:`_moments` gives
 Phi, mu and g coordinate-major (mu as (m, N), g as (m, m, N)) and
 :func:`_det_g` a cancellation-free det g for every density.
 :func:`_invert_moment_many` inverts the moment map for many targets by
-damped Newton in the kernel's own layout: x, p and mu are (m, N) and g is
-(m, m, N), so one stacked Cholesky factor-and-solve (:mod:`.geometry`)
-works on contiguous rows with no per-matrix LAPACK call.  Every target
-starts at the sum's cached balancing point, or at the facet-log predictor
-(the gradient of Guillemin's symplectic potential, from the support's one
-hull) where that is close enough, which inverts the canonical toric sums
-with no Newton step and no metric (:func:`_metric`, the one place the
-metric is formed): where at least half of the rows settle at their start
-they are written out there, before any metric or Newton state is formed
-for the rest.  A Newton row is written out in the iteration it converges
-or fails, and done rows are packed away only once they are half of those
-held, so most iterations copy nothing.  The scalar API (:func:`potential`,
+damped Newton in the kernel's own layout: the rows hold x, p and mu as
+(m, N) and the softmax weights as (k, N), and each iteration forms the
+metric (m, m, N) of the rows it holds once (:func:`_metric`, the one place
+the metric is formed) for one stacked Cholesky factor-and-solve
+(:mod:`.geometry`) on contiguous rows with no per-matrix LAPACK call.
+Every target starts at the sum's cached balancing point, or at the
+facet-log predictor (the gradient of Guillemin's symplectic potential,
+from the support's one hull) where that is close enough, and its start is
+the loop's first iterate.  A row is written out in the iteration it
+settles, converges or fails, and done rows are packed away only once they
+are half of those held, so most iterations copy nothing.  Trials and
+backtracks read mu alone, so the canonical toric sums, whose rows all
+settle at their predicted start, invert with no Newton step and no
+metric.  The scalar API (:func:`potential`,
 :func:`evaluate`, :func:`density`, :func:`invert_moment`) is these kernels
 on one row, so a scalar call and a one-row batch give the same numbers bit
 for bit; :func:`evaluate` takes g and the density from one softmax and
@@ -76,6 +78,7 @@ from .geometry import (
     _face_mask,
     _facet_slack,
     _is_int,
+    _read_only,
     ball_sphere_constants,
     diameter,
     interior_contains,
@@ -144,12 +147,7 @@ class ExpSum:
             raise InputError(f"{arr.shape[0]} coefficients for {k} support points")
         if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
             raise InputError("coefficients must be finite and strictly positive")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        self.coeffs = arr
-        log_coeffs = np.log(arr)
-        log_coeffs.flags.writeable = False
-        self.log_coeffs = log_coeffs
+        self.coeffs, self.log_coeffs = _read_only(arr.copy(), np.log(arr))
         # The support's barycenter c and centred points A - c, the
         # coordinates of every kernel; read-only.
         self._c, self._points = self.support._c, self.support._centred
@@ -164,11 +162,11 @@ class ExpSum:
 
     @cached_property
     def _newton_start(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(x0, mu0, G0): the Newton start of moment-map inversion and its
-        moment map (m,) and metric (m, m), taken once per sum, mu0 about the
-        barycenter; read by :func:`_invert_moment_many`, which
-        starts a target at the facet-log predictor (:attr:`_facet_start`)
-        instead where that passes its start rule.
+        """(x0, mu0, lam0): the Newton start of moment-map inversion, its
+        moment map (m,) about the barycenter and its softmax weights (k,),
+        taken once per sum; the state of every row of
+        :func:`_invert_moment_many` that does not start at the facet-log
+        predictor (:attr:`_facet_start`).
 
         x0 is the balancing point, the x minimizing
         sum_a (<a, x> + log alpha_a - s)^2 over x and s.  There the terms'
@@ -178,11 +176,8 @@ class ExpSum:
         """
         design = np.hstack([self._points, -np.ones((self.n_terms, 1))])
         x0 = np.linalg.lstsq(design, -self.log_coeffs, rcond=None)[0][:-1]
-        _, mu0, G0 = _moments(self, *_softmax(self, x0[:, None])[1:])
-        start = (x0, mu0[:, 0], G0[..., 0])
-        for array in start:
-            array.flags.writeable = False
-        return start
+        lam0, mu0 = _mu(self, *_softmax(self, x0[:, None])[1:])
+        return _read_only(x0, mu0[:, 0], lam0[:, 0])
 
     @cached_property
     def _facet_start(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
@@ -199,11 +194,12 @@ class ExpSum:
 
         None when the hull has no interior, when mu0 is not inside every
         facet, or when the predictor's Jacobian at mu0,
-        J = sum_j S_j nu_j^T / d0_j, is not the inverse of 2 g(x0) to within
-        ``FACET_START_SHARE`` (the spectral norm of 2 g(x0) J - I, from an
-        SVD only where its upper bound, the Frobenius norm, exceeds it).  The
-        predictor is then not the inverse of the sum's moment map even at
-        first order at the start.  With this test lifted, on 3 000 Dirichlet
+        J = sum_j S_j nu_j^T / d0_j, is not the inverse of 2 g(x0) (the
+        start's one-column :func:`_metric`, formed here for this test alone)
+        to within ``FACET_START_SHARE`` (the spectral norm of 2 g(x0) J - I,
+        from an SVD only where its upper bound, the Frobenius norm, exceeds
+        it).  The predictor is then not the inverse of the sum's moment map
+        even at first order at the start.  With this test lifted, on 3 000 Dirichlet
         targets on each of twelve generic supports, it changed their total
         Newton rows by under 0.1 % and added about 15 % to the inversion
         time.
@@ -212,19 +208,17 @@ class ExpSum:
         if hull is None:
             return None
         rows, gaps = hull[1], hull[2]
-        _, mu0, G0 = self._newton_start
+        _, mu0, lam0 = self._newton_start
         nu = -rows[:, :-1]
         d0 = nu @ mu0 - rows[:, -1]
         if not np.all(d0 > 0.0):
             return None
         S = nu / (2.0 * gaps[:, None])
+        G0 = _metric(self, lam0[:, None], mu0[:, None])[..., 0]
         off = 2.0 * G0 @ ((S / d0[:, None]).T @ nu) - np.eye(self.dim)
         if np.linalg.norm(off) > FACET_START_SHARE and np.linalg.norm(off, 2) > FACET_START_SHARE:
             return None
-        start = (S, rows, np.log(d0))
-        for array in start:
-            array.flags.writeable = False
-        return start
+        return _read_only(S, rows, np.log(d0))
 
     @property
     def dim(self) -> int:
@@ -527,8 +521,9 @@ def _invert_moment_many(E: ExpSum, P: np.ndarray):
 
     Returns (X, ok) where ok flags rows whose residual |mu(x) - p| reached
     ``INVERT_TOL`` (1 + diam P), the one residual rule, within
-    ``INVERT_MAX_ITER`` iterations.  The rows are kept coordinate-major: x,
-    p and mu as (m, n) and the metric G as (m, m, n).
+    ``INVERT_MAX_ITER`` iterations.  Each held row carries its state
+    coordinate-major: x, p and mu as (m, n), the softmax weights lam as
+    (k, n) and the squared residual r2 as (n,).
 
     Rows already within the residual at the balancing point x0 are done
     there.  Every other row starts at the facet-log predictor x_hat
@@ -536,43 +531,58 @@ def _invert_moment_many(E: ExpSum, P: np.ndarray):
     hull with interior and a predictor whose Jacobian at the start is right
     to ``FACET_START_SHARE``), mu(x_hat) is closer to p than mu0 is, and
     |mu(x_hat) - p| is at most ``FACET_START_SHARE`` of p's least facet
-    distance; the rest start at x0, as without a predictor.  The starts are
-    checked on mu alone (:func:`_mu`).  A row that meets the residual rule
-    at its start is done before the first solve: where such settled rows
-    are at least half of the rows, they are written out at once and the
-    metric (:func:`_metric`, per column from the same weights), the
-    x0/mu0/G0 repeats and the Newton state are formed for the other rows
-    alone.  The predictor is exact on the canonical toric sums (two-term,
-    Kostlan box and simplex sums, their reweightings and affine images),
-    whose rows all settle at their start: they form no metric at all.
-    A start that merely brings mu closer is not safe: near a small facet
-    gap x_hat can sit where the metric saturates and Newton stalls.
+    distance; the rest start at (x0, mu0, lam0) (``_newton_start``), as
+    without a predictor.  The starts are checked on mu alone (:func:`_mu`),
+    and the predictor's own arrays hold the start state.  The predictor is
+    exact on the canonical toric sums (two-term, Kostlan box and simplex
+    sums, their reweightings and affine images), whose rows all settle at
+    their start.  A start that merely brings mu closer is not safe: near a
+    small facet gap x_hat can sit where the metric saturates and Newton
+    stalls.
 
-    Each iteration solves 2 g delta = p - mu on every row by one stacked
-    Cholesky factor-and-solve (:func:`._cholesky_solve`) and halves the step
-    (at most 44 times) only on the held rows whose residual did not fall.
-    A row is done once it converges, has no accepted step or fails its
-    factorization, the last two as failed.  It is written out in the
-    iteration it is done and stops being held: it takes a zero step from
-    then on, and done rows are packed away only once they make up at least
-    half of the arrays.  No interior check is performed here — callers own
-    the masking.
+    The start is the loop's first iterate: a row is done once it meets the
+    residual rule, has no accepted step or fails its factorization, the
+    last two as failed, and the start counts as an accepted step.  A done
+    row is written out in the iteration it is done and stops being held: it
+    takes a zero step from then on, and done rows are packed away only once
+    they make up at least half of the arrays.  Each iteration forms the
+    metric (:func:`_metric`) of the arrays it holds, once, and solves
+    2 g delta = p - mu on them by one stacked Cholesky factor-and-solve
+    (:func:`._cholesky_solve`); it halves the step (at most 44 times) only
+    on the held rows whose residual did not fall.  Trials and backtracks
+    take the weights and mu alone, so no start, trial or backtrack forms a
+    metric, and a batch whose rows all settle at their start forms none.
+    No interior check is performed here — callers own the masking.
 
     A row settled at the balancing point or at the predicted start keeps
-    that start's bits in any batch (the predictor is summed without BLAS)
-    and, where settled rows are at least half of the batch, forms no
-    metric.  A Newton row's bits depend on its batch, through the BLAS
-    products in :func:`_softmax` and :func:`_mu`, which round by batch size.
+    that start's bits in any batch (the predictor is summed without BLAS).
+    A Newton row's bits depend on its batch, through the BLAS products in
+    :func:`_softmax` and :func:`_mu`, which round by batch size.
     """
     P = np.atleast_2d(np.asarray(P, dtype=float))
     p = np.ascontiguousarray(P.T)
-    x0, mu0, G0 = E._newton_start
+    x0, mu0, lam0 = E._newton_start
     X = np.repeat(x0[None], P.shape[0], axis=0)
     res2 = ((mu0[:, None] - p) ** 2).sum(axis=0)
     tol2 = (INVERT_TOL * (1.0 + diameter(E.support))) ** 2
     far = res2 > tol2
     idx = np.flatnonzero(far)
     p, r2 = p.compress(far, axis=1), res2.compress(far)
+    n = idx.size
+    if n == 0:
+        return X, res2 <= tol2
+    if E._facet_start is not None:
+        x, d = _facet_log_map(E, p)
+        lam, mu = _mu(E, *_softmax(E, x)[1:])
+        r2_t = ((mu - p) ** 2).sum(axis=0)
+        # A target on or past a facet (least distance not positive) keeps x0.
+        d_min = np.maximum(d.min(axis=0), 0.0)
+        take = (r2_t < r2) & (r2_t <= (FACET_START_SHARE * d_min) ** 2)
+        for new, start in ((x, x0), (mu, mu0), (lam, lam0)):
+            np.copyto(new, start[:, None], where=~take)
+        np.copyto(r2, r2_t, where=take)
+    else:
+        x, mu, lam = (np.repeat(start[:, None], n, axis=1) for start in (x0, mu0, lam0))
 
     def write(done, x, r2):
         # The rows done among those held (idx), from their coordinate-major
@@ -583,28 +593,6 @@ def _invert_moment_many(E: ExpSum, P: np.ndarray):
             column[out] = values
         res2[out] = r2.compress(done)
 
-    start = ()
-    if idx.size and E._facet_start is not None:
-        guess, d = _facet_log_map(E, p)
-        lam_t, mu_t = _mu(E, *_softmax(E, guess)[1:])
-        r2_t = ((mu_t - p) ** 2).sum(axis=0)
-        # A target on or past a facet (least distance not positive) keeps x0.
-        d_min = np.maximum(d.min(axis=0), 0.0)
-        take = (r2_t < r2) & (r2_t <= (FACET_START_SHARE * d_min) ** 2)
-        settled = take & (r2_t <= tol2)
-        start = (guess, mu_t, lam_t, r2_t, take)
-        if 2 * np.count_nonzero(settled) >= idx.size:
-            write(settled, guess, r2_t)
-            idx, p, r2, *start = (a.compress(~settled, axis=-1) for a in (idx, p, r2) + start)
-    n = idx.size
-    if n == 0:
-        return X, res2 <= tol2
-    x, mu = np.repeat(x0[:, None], n, axis=1), np.repeat(mu0[:, None], n, axis=1)
-    G = np.repeat(G0[:, :, None], n, axis=2)
-    if start:
-        guess, mu_t, lam_t, r2_t, take = start
-        for new, old in ((guess, x), (mu_t, mu), (_metric(E, lam_t, mu_t), G), (r2_t, r2)):
-            np.copyto(old, new, where=take)
     held = np.ones(n, dtype=bool)
     accepted = True  # every row's start counts as its first accepted step
     for iteration in range(INVERT_MAX_ITER + 1):
@@ -614,36 +602,36 @@ def _invert_moment_many(E: ExpSum, P: np.ndarray):
             held ^= done  # done rows are held rows
             n = np.count_nonzero(held)
             if 2 * n <= held.size:
-                idx, x, p, mu, G, r2 = (a.compress(held, axis=-1) for a in (idx, x, p, mu, G, r2))
+                idx, x, p, mu, lam, r2 = (a.compress(held, axis=-1) for a in (idx, x, p, mu, lam, r2))
                 held = np.ones(n, dtype=bool)
         if n == 0 or iteration == INVERT_MAX_ITER:
             break
-        delta, ok = _cholesky_solve(G, p - mu)
+        delta, ok = _cholesky_solve(_metric(E, lam, mu), p - mu)
         ok &= held
         delta = np.where(ok, 0.5 * delta, 0.0)
         trial = x + delta
-        _, mu_t, G_t = _moments(E, *_softmax(E, trial)[1:])
+        lam_t, mu_t = _mu(E, *_softmax(E, trial)[1:])
         r2_t = ((mu_t - p) ** 2).sum(axis=0)
         accepted = ok & (r2_t < r2)
         stay = held & ~accepted
         todo = ()
         if stay.any():
-            for new, old in ((trial, x), (mu_t, mu), (G_t, G), (r2_t, r2)):
+            for new, old in ((trial, x), (mu_t, mu), (lam_t, lam), (r2_t, r2)):
                 np.copyto(new, old, where=stay)
             # Backtrack only the held rows whose full step did not lower the residual.
             todo = np.flatnonzero(ok & stay)
-        x, mu, G, r2 = trial, mu_t, G_t, r2_t
+        x, mu, lam, r2 = trial, mu_t, lam_t, r2_t
         step = 1.0
         for _ in range(44):
             if len(todo) == 0:
                 break
             step *= 0.5
             trial = x[:, todo] + step * delta[:, todo]
-            _, mu_t, G_t = _moments(E, *_softmax(E, trial)[1:])
+            lam_t, mu_t = _mu(E, *_softmax(E, trial)[1:])
             r2_t = ((mu_t - p[:, todo]) ** 2).sum(axis=0)
             better = r2_t < r2[todo]
             sub = todo[better]
-            x[:, sub], mu[:, sub], G[..., sub] = trial[:, better], mu_t[:, better], G_t[..., better]
+            x[:, sub], mu[:, sub], lam[:, sub] = trial[:, better], mu_t[:, better], lam_t[:, better]
             r2[sub] = r2_t[better]
             accepted[sub] = True
             todo = todo[~better]
@@ -695,24 +683,25 @@ def _legendre_density_many(E: ExpSum, Q: np.ndarray) -> np.ndarray:
 
 
 def legendre_density(E: ExpSum, p) -> float:
-    """Density of the polytope-side volume form at an interior point p.
+    """Density of the polytope-side volume form at an interior point p:
+    1/sqrt(det 2 g) at x = :func:`invert_moment` (E, p), from :func:`_det_g`
+    on that one row, the value of :func:`_legendre_density_many` bit for bit.
 
-    Equals 1/sqrt(det 2 g) at the moment preimage x of p — the square-rooted
-    Hessian determinant of the convex conjugate of the potential — by the
-    same inversion as the moment route, at its one residual
-    ``INVERT_TOL`` (1 + diam P): at distance d from a facet the value keeps
-    a relative error of about ``INVERT_TOL`` (1 + diam P) / (2 d).  Points
-    within the margin of :func:`invert_moment`, ``INVERT_MARGIN``
-    (1 + diam P), of the boundary are rejected (DomainError): the value
-    diverges there.  A failed inversion raises ConvergenceError.
+    It is the square-rooted Hessian determinant of the convex conjugate of
+    the potential.  The inversion is the moment route's, at its one residual
+    ``INVERT_TOL`` (1 + diam P): at distance d from a facet the value keeps a
+    relative error of about ``INVERT_TOL`` (1 + diam P) / (2 d).  Raises what
+    :func:`invert_moment` raises: DegenerateMetricError for a support that
+    is not full-dimensional, DomainError for p within ``INVERT_MARGIN``
+    (1 + diam P) of the boundary, where the value diverges, and
+    ConvergenceError, with the last iterate and its residual, for a failed
+    inversion; and ConvergenceError where det g underflows at x, so the
+    value is not finite.
     """
-    p = _check_vector(p, E.dim, "p")
-    margin = INVERT_MARGIN * (1.0 + diameter(E.support))
-    if not interior_contains(E.support, p, margin):
-        raise DomainError(f"{p.tolist()} is outside the interior margin of the polytope")
-    value = float(_legendre_density_many(E, (p - E._c)[None, :])[0])
+    x = invert_moment(E, p)
+    value = float(1.0 / np.sqrt(2.0**E.dim * _det_g(E, *_softmax(E, x[:, None])[1:]))[0])
     if not math.isfinite(value):
-        raise ConvergenceError(f"moment inversion failed at {p.tolist()}")
+        raise ConvergenceError(f"det g underflows at the preimage {x.tolist()}", value=x)
     return value
 
 

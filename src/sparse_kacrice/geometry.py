@@ -99,8 +99,7 @@ class SupportSet:
         self.points = arr.copy()
         self._c = self.points.mean(axis=0)
         self._centred = self.points - self._c
-        for array in (self.points, self._c, self._centred):
-            array.flags.writeable = False
+        _read_only(self.points, self._c, self._centred)
 
     @staticmethod
     def dedup_tolerance(points) -> float:
@@ -176,9 +175,7 @@ class SupportSet:
         keep = list(first.values())
         rows = np.hstack([normals[keep], -top[keep, None]])
         gaps = np.min(slack[:, keep], axis=0, where=~on[:, keep], initial=np.inf)
-        for array in (vertices, rows, gaps):
-            array.flags.writeable = False
-        return vertices, rows, gaps, float(volume)
+        return (*_read_only(vertices, rows, gaps), float(volume))
 
     @cached_property
     def _simplex_form(self) -> np.ndarray:
@@ -292,10 +289,7 @@ def _cauchy_binet_tables(k: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     subsets = _sorted_tuples(k, m + 1)
     s = _sorted_tuples(k, m - 1)
     cones = np.hstack([np.repeat(s, k, axis=0), np.tile(np.arange(k), len(s))[:, None]])
-    tables = (subsets, cones)
-    for table in tables:
-        table.flags.writeable = False
-    return tables
+    return _read_only(subsets, cones)
 
 
 @lru_cache(maxsize=32)
@@ -315,6 +309,13 @@ def _simplex_mask(k: int, m: int) -> np.ndarray:
 
 def _coerce_support(A) -> SupportSet:
     return A if isinstance(A, SupportSet) else SupportSet(A)
+
+
+def _read_only(*arrays):
+    """The arrays, each made read-only in place, as a tuple."""
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
 
 
 def _is_int(v) -> bool:
@@ -369,6 +370,15 @@ def _grid(box, resolution):
     for i, axis in enumerate(axes):
         nodes[..., i] = axis.reshape((-1,) + (1,) * (m - 1 - i))
     return counts, axes, nodes.reshape(-1, m)
+
+
+def _csv_text(header, rows) -> str:
+    """The CSV text of a header and rows, one line each: numbers as
+    ``repr(float(v))``, so they read back as the same doubles, text as it
+    is; every grid and ray writes its CSV by this one rule."""
+    lines = [",".join(header)]
+    lines += [",".join(v if isinstance(v, str) else repr(float(v)) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def support_function(A, u) -> float:

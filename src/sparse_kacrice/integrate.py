@@ -78,9 +78,10 @@ What a solve builds, and how often:
   (m, m)(m, N) product plus x0, and the integrand one multiply by |det W|;
   over P it maps the nodes into P, and one pass of facet distances serves
   x_hat and det Dx_hat; the moment route's inversion checks each start on mu
-  alone and, where at least half of the nodes settle at their predicted
-  start (every node of the closed-form sums), writes those out there and
-  forms the metric and the Newton state for the other nodes alone;
+  alone, writes out the nodes that settle there (every node of the
+  closed-form sums) in its first iteration, and forms the metric once per
+  Newton iteration for the nodes it still holds, never for a trial or a
+  backtrack;
 * once per pass: one gather of the popped rows, the rows of their
   children and one push of them.
 """
@@ -103,7 +104,7 @@ from .expsum import (
 # ``invert_moment`` is imported for perfbench's tracer, which wraps it as an
 # integrate boundary; nothing here calls it.
 from .expsum import invert_moment  # noqa: F401
-from .geometry import _check_box, _grid, _sorted_tuples, ball_sphere_constants, diameter, hull_volume
+from .geometry import _check_box, _grid, _read_only, _sorted_tuples, ball_sphere_constants, diameter, hull_volume
 
 __all__ = [
     "Quadrature",
@@ -231,12 +232,6 @@ def _genz_malik_rule(m):
                         np.zeros((len(pairs) + len(corners), m))])
     rules = 2.0**m * np.stack([np.repeat(w7, counts), np.repeat(w5, counts)], axis=1)
     return nodes, np.hstack([rules, fourth])
-
-
-def _read_only(*arrays):
-    for arr in arrays:
-        arr.flags.writeable = False
-    return arrays
 
 
 @lru_cache(maxsize=None)

@@ -26,8 +26,6 @@ every Psi evaluation under that exponent reads.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 import numbers
@@ -39,8 +37,8 @@ from .errors import DegenerateMetricError, InputError, SparseKacRiceError
 from .expsum import INVERT_MARGIN, ExpSum, _invert_moment_many, _simplex_sum, _softmax
 from .expsum import _sorted_products, invert_moment
 from .expsum import evaluate  # noqa: F401 (perfbench's tracer wraps it)
-from .geometry import SupportSet, _cauchy_binet_tables, _check_box, _check_vector, _cone_dets, _grid
-from .geometry import _interior_mask, _is_int, diameter
+from .geometry import SupportSet, _cauchy_binet_tables, _check_box, _check_vector, _cone_dets, _csv_text, _grid
+from .geometry import _interior_mask, _is_int, _read_only, diameter
 from .geometry import interior_contains  # noqa: F401 (perfbench's tracer wraps it)
 
 __all__ = [
@@ -273,16 +271,11 @@ class RegionScan:
         return [f"{prefix}{i + 1}" for i in range(len(self.axes))]
 
     def to_csv(self) -> str:
-        """Serialize as CSV with a header row, nodes in row-major order."""
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(self._column_names() + ["psi", "class"])
-        coords = _grid(self.box, self.resolution)[2]
-        flat_psi = self.psi.ravel()
-        flat_cls = self.classes.ravel()
-        for row, value, label in zip(coords, flat_psi, flat_cls):
-            writer.writerow([repr(float(c)) for c in row] + [repr(float(value)), str(label)])
-        return out.getvalue()
+        """Serialize as CSV with a header row, nodes in row-major order
+        (:func:`.geometry._csv_text`)."""
+        nodes = _grid(self.box, self.resolution)[2]
+        rows = ((*x, value, label) for x, value, label in zip(nodes, self.psi.ravel(), self.classes.ravel()))
+        return _csv_text(self._column_names() + ["psi", "class"], rows)
 
     def to_json(self) -> str:
         """Serialize with grid metadata; NaN encodes as null."""
@@ -320,9 +313,7 @@ def _moment_preimages(E: ExpSum, box: tuple, resolution: tuple, nodes: np.ndarra
         # times as much.
         Q = np.subtract(nodes.take(usable, axis=0).T, E._c[:, None], order="C")
         X, ok = _invert_moment_many(E, Q.T)
-        stored = (key, usable.compress(ok), X.compress(ok, axis=0))
-        for array in stored[1:]:
-            array.flags.writeable = False
+        stored = (key, *_read_only(usable.compress(ok), X.compress(ok, axis=0)))
         E._grid_preimages = stored
     return stored[1:]
 

@@ -113,6 +113,20 @@ class TestAnalyze:
         assert capsys.readouterr().err.startswith("error: cannot write")
         assert not out.parent.exists()
 
+    def test_unwritable_output_is_refused_before_the_computation(self, two_term_file, tmp_path, capsys,
+                                                                  monkeypatch):
+        called = []
+
+        def patched(*args, **kwargs):
+            called.append(args)
+            raise AssertionError("the integral ran before --output was checked")
+
+        monkeypatch.setattr(cli, "esol_total", patched)
+        out = tmp_path / "missing" / "out.json"
+        assert main(["analyze", "--input", two_term_file, "--output", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot write")
+        assert called == [] and not out.parent.exists()
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -354,7 +368,9 @@ class TestSelftestAndErrors:
     def test_cli_imports_only_public_names(self):
         # The selftest checks an installed package, so the CLI reaches it
         # through public names alone; geometry's input checks validate
-        # density-grid's --box and --resolution.
+        # density-grid's --box and --resolution, and geometry's one CSV
+        # writer, which psi-grid's RegionScan.to_csv also uses, writes
+        # density-grid and ray.
         tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
         imported = {
             alias.name
@@ -362,7 +378,7 @@ class TestSelftestAndErrors:
             if isinstance(node, ast.ImportFrom) and (node.level or node.module == "sparse_kacrice")
             for alias in node.names
         }
-        assert imported - set(sparse_kacrice.__all__) == {"_check_box", "_grid"}
+        assert imported - set(sparse_kacrice.__all__) == {"_check_box", "_csv_text", "_grid"}
         private = {
             node.attr
             for node in ast.walk(tree)

@@ -15,6 +15,7 @@ import pytest
 from sparse_kacrice import (
     Augmentation,
     ConvergenceError,
+    DegenerateMetricError,
     DomainError,
     ExpSum,
     InputError,
@@ -44,6 +45,7 @@ from sparse_kacrice.expsum import (
     _det_g,
     _facet_log_map,
     _invert_moment_many,
+    _legendre_density_many,
     _moments,
     _potential,
     _softmax,
@@ -202,12 +204,14 @@ class TestCentredCopy:
         assert E._c.tobytes() == c.tobytes() and E._points.tobytes() == validated.support.points.tobytes()
         assert not E._c.flags.writeable and not E._points.flags.writeable
         # The balancing point is the least-squares fit on the centred points.
-        x0, mu0, G0 = E._newton_start
+        x0, mu0, lam0 = E._newton_start
         design = np.hstack([A - c, -np.ones((E.n_terms, 1))])
         assert x0.tobytes() == np.linalg.lstsq(design, -E.log_coeffs, rcond=None)[0][:-1].tobytes()
-        _, _, mu, G = _reference_moments(E, x0[None])
+        _, lam, mu, G = _reference_moments(E, x0[None])
         scale = 1.0 + diameter(E.support)
         np.testing.assert_allclose(mu0 + c, mu[0], rtol=0.0, atol=1e-13 * scale)
+        np.testing.assert_allclose(lam0, lam[0], rtol=0.0, atol=1e-13)
+        G0 = expsum._metric(E, lam0[:, None], mu0[:, None])[..., 0]
         np.testing.assert_allclose(G0, G[0], rtol=0.0, atol=1e-13 * scale**2)
 
 
@@ -751,6 +755,34 @@ class TestFacetStart:
         for x, p in zip(X, targets):
             np.testing.assert_allclose(invert_moment(E, p), x, rtol=0.0, atol=1e-14)
 
+    @pytest.mark.parametrize("name", ["kostlan(2,2) 1% off", "R2 draw 0", "R3 draw 0"])
+    def test_metric_is_formed_only_for_newton_solves(self, name, monkeypatch):
+        # Each Newton iteration forms the metric of the rows it solves on,
+        # once; no start, trial or backtrack forms one.
+        if name in GENERIC:
+            E = ExpSum(GENERIC[name].support.points, GENERIC[name].coeffs)
+        else:
+            points, coeffs = kostlan(2, 2).support.points, kostlan(2, 2).coeffs
+            E = ExpSum(points, coeffs * np.exp(np.random.default_rng(12).normal(0.0, 0.01, 9)))
+        E._facet_start  # the per-sum start forms its own one-column metric
+        solves, metric_columns = [], []
+        metric = expsum._metric
+
+        def counted(G, B):
+            solves.append(B.shape[1])
+            return _cholesky_solve(G, B)
+
+        def counted_metric(E, lam, mu):
+            metric_columns.append(mu.shape[1])
+            return metric(E, lam, mu)
+
+        monkeypatch.setattr(expsum, "_cholesky_solve", counted)
+        monkeypatch.setattr(expsum, "_metric", counted_metric)
+        targets = np.random.default_rng(8).dirichlet(np.ones(E.n_terms), size=2000) @ E.support.points
+        _, ok = _invert_moment_many(E, targets - E._c)
+        assert ok.sum() >= 1900 and sum(solves) > 2000
+        assert sum(metric_columns) == sum(solves)
+
     def test_one_hull_per_support(self, monkeypatch):
         # The facet-log start reads the one hull of the sum's own support.
         import scipy.spatial
@@ -786,6 +818,24 @@ class TestLegendreDensity:
     def test_near_boundary_rejected(self):
         with pytest.raises(DomainError):
             legendre_density(TWO_TERM, [1.0 - 1e-9])
+
+    @pytest.mark.parametrize("name", ["kostlan(2,2) affine", "two-term weighted", "R2 draw 1", "pentagon",
+                                      "R3 draw 0", "lattice 1"])
+    def test_one_row_equals_the_batched_kernel(self, name):
+        # legendre_density is invert_moment and det g on that one row: the
+        # batched kernel's one-row value, bit for bit.
+        E = {**CANONICAL, **GENERIC}[name]
+        targets = np.random.default_rng(21).dirichlet(np.ones(E.n_terms), size=20) @ E.support.points
+        for p in targets:
+            want = _legendre_density_many(E, (p - E._c)[None])[0]
+            assert math.isfinite(want)
+            assert np.float64(legendre_density(E, p)).tobytes() == want.tobytes()
+
+    def test_flat_support_raises_as_invert_moment_does(self):
+        flat = ExpSum([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
+        for f in (invert_moment, legendre_density):
+            with pytest.raises(DegenerateMetricError):
+                f(flat, [1.0, 1.0])
 
     def test_closed_form_near_the_boundary(self):
         # an absolute moment residual of 1e-10 gave 4e-6 relative here
