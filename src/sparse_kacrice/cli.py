@@ -14,9 +14,9 @@ selftest      closed-form checks of an installation, pass/fail table
 
 ``selftest`` uses the package's public names only.  It checks the
 closed-form counts (two terms 1/2, kostlan(1,4) 1, the unit square pi/8
-turned two ways over the Newton polytope, kostlan(3,1) pi/8 at 1e-6 on
-the x route, the triangle 1/4 on the moment route, the complex segment's
-root count 2), the weighted pentagon's complex total 14 on the x route
+turned two ways over the Newton polytope, kostlan(3,1) pi/8 at 1e-6 and
+kostlan(3,2) pi 2^(3/2)/8 at 1e-7 over it, the triangle 1/4 on the
+moment route, the complex segment's root count 2), the weighted pentagon's complex total 14 on the x route
 (a two-variable sum with no facet-log start), two Monte-Carlo counts,
 and that the batched density kernel on this machine's BLAS equals
 one-row calls and a direct Cauchy-Binet sum.  Checks of the private
@@ -284,6 +284,11 @@ def _selftest_checks():
         r = esol_total(kostlan(3, 1), Quadrature(abs_tol=tol, rel_tol=tol))
         return abs(r.value - math.pi / 8.0) < tol
 
+    def kostlan_three_variables_degree_two():
+        tol = 1e-7
+        r = esol_total(kostlan(3, 2), Quadrature(abs_tol=tol, rel_tol=tol))
+        return abs(r.value - math.pi * 2.0**1.5 / 8.0) < tol
+
     def moment_triangle():
         E = ExpSum([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         return abs(esol_pspace(E).value - 0.25) < 1e-6
@@ -338,7 +343,8 @@ def _selftest_checks():
         ("degree-4 one-variable count is sqrt(4)/2", esol_degree_four),
         ("rotated unit square is pi/8 over the Newton polytope", rotated_square),
         ("rotated square (0.7 rad) is pi/8 at 1e-10 over the Newton polytope", square_at_0_7_rad),
-        ("kostlan(3,1) is pi/8 at 1e-6 on the x route", kostlan_three_variables),
+        ("kostlan(3,1) is pi/8 at 1e-6 over the Newton polytope", kostlan_three_variables),
+        ("kostlan(3,2) is pi 2^(3/2)/8 at 1e-7 over the Newton polytope", kostlan_three_variables_degree_two),
         ("moment route on the triangle is 1/4", moment_triangle),
         ("kernel_rows_match_batch: 64-row pentagon and kostlan(3,1) batches equal one-row"
          " density calls", kernel_rows_match_batch),

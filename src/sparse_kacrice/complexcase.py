@@ -64,8 +64,9 @@ def bkk_total(E: ComplexExpSum, q: Quadrature | None = None) -> IntegralResult:
 
     (2 pi)^n times the integral of :func:`bkk_density` over R^n, taken as
     ``esol_total`` takes its own: over the Newton polytope through the
-    facet-log map for a sum in one or two variables with a facet-log
-    start, on a metric-normalized cube and shells otherwise.  It is
+    facet-log map for a sum with a facet-log start on a simple polytope (in
+    up to three variables), on a metric-normalized cube and shells
+    otherwise.  It is
     n! vol(P) for every full-dimensional real support (the moment map
     carries the density onto the polytope), which counts roots only for
     integer exponents.  At most three variables.

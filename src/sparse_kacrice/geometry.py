@@ -141,9 +141,9 @@ class SupportSet:
         return self.affine_dim < self.dim
 
     @cached_property
-    def _hull(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float] | None:
-        """(vertices, rows, gaps, volume) of conv(A) from one hull of the
-        centred points A - c; None when the hull has no interior.
+    def _hull(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, np.ndarray] | None:
+        """(vertices, rows, gaps, volume, on) of conv(A) from one hull of
+        the centred points A - c; None when the hull has no interior.
 
         Qhull triangulates its facets, so a facet with more than m vertices
         comes as several rows whose normals agree up to rounding.  A row's
@@ -153,8 +153,9 @@ class SupportSet:
         -max n . (a - c)), so n . (p - c) + offset <= 0 inside and the
         plane passes through its face; ``gaps`` (F,) hold each facet's
         distance to the nearest point of A off its hyperplane (inf if none
-        is).  So a translate whose centred points are the same bit for bit
-        gets the same rows and gaps."""
+        is), and ``on`` (k, F) which points lie on each facet.  So a
+        translate whose centred points are the same bit for bit gets the
+        same rows, gaps and incidence."""
         if self.degenerate:
             return None
         if self.dim == 1:
@@ -174,8 +175,81 @@ class SupportSet:
             first.setdefault(column.tobytes(), j)
         keep = list(first.values())
         rows = np.hstack([normals[keep], -top[keep, None]])
-        gaps = np.min(slack[:, keep], axis=0, where=~on[:, keep], initial=np.inf)
-        return (*_read_only(vertices, rows, gaps), float(volume))
+        on = on[:, keep]
+        gaps = np.min(slack[:, keep], axis=0, where=~on, initial=np.inf)
+        vertices, rows, gaps, on = _read_only(vertices, rows, gaps, on)
+        return vertices, rows, gaps, float(volume), on
+
+    @cached_property
+    def _vertex_corners(self) -> np.ndarray | None:
+        """The corners of one combinatorial cube per vertex of a simple
+        conv(A), about the barycenter, from the hull's facet rows
+        (``_hull``); read-only, shape (n, 2, ..., 2, m) with m binary axes.
+        None when the hull has no interior, m > 3, some vertex lies on more
+        than m facets, or some vertex lacks one neighbour across each of
+        its facets.
+
+        Incidence is the hull's ``on``, from the on-face rule
+        (:func:`_face_mask`): the vertices are the points of A on m facets
+        (a point on more is a vertex where P is not simple), and two
+        vertices span an edge when they share m - 1 facets.  Axis b of
+        vertex i stands for the b-th of its m facets, in row order, and the
+        corner whose ones pick the facets S is the centroid of the face they
+        cut out: the vertex for all m, the midpoint of the edge for m - 1,
+        the area centroid of the facet for one of three (each facet fanned
+        from its vertex mean over its edges), and the centroid of P for none
+        (P fanned from its vertex mean over the edges in two variables and
+        the facet fans in three).  So the face of vertex i's cube with axis
+        b at one lies on that facet, and two cubes that meet share a face's
+        four corners."""
+        m = self.dim
+        if self._hull is None or m > 3:
+            return None
+        normals, on = self._hull[1][:, :-1], self._hull[4]
+        count = on.sum(axis=1)
+        if count.max() > m:
+            return None
+        on, V = on[count == m], self._centred[count == m]
+        facets = np.nonzero(on)[1].reshape(-1, m)
+        adjacent = on.astype(np.intp) @ on.T == m - 1
+        # across[i, w, b]: w is vertex i's neighbour off its b-th facet.
+        across = adjacent[:, :, None] & ~on[:, facets].transpose(1, 0, 2)
+        if len(V) <= m or np.any(across.sum(axis=1) != 1):
+            return None
+        # mids[i, b]: the midpoint of the edge from vertex i off its b-th facet.
+        mids = 0.5 * (V[:, None] + V[across.argmax(axis=1)])
+        u, w = np.nonzero(np.triu(adjacent))
+        if m == 3:
+            # Each edge lies on two facets j: one triangle (o_j, a_u, a_w) of
+            # each facet's fan, whose area is |det[n_j, a_u - o_j, a_w - o_j]| / 2.
+            j = np.nonzero(on[u] & on[w])[1]
+            u, w = u.repeat(2), w.repeat(2)
+            means = (on.T @ V) / on.sum(axis=0)[:, None]
+            fan = np.stack([means[j], V[u], V[w]], axis=1)
+            sides = fan - means[j][:, None]
+            sides[:, 0] = normals[j]
+            area = np.abs(np.linalg.det(sides))
+            hot = j == np.arange(len(normals))[:, None]
+            centroids = hot @ (area[:, None] * fan.sum(axis=1)) / (3.0 * (hot @ area)[:, None])
+        else:
+            # The fan of P over its edges, or over its two ends in one variable.
+            fan = np.stack([V[u], V[w]], axis=1) if m == 2 else V[:, None]
+        o = V.sum(axis=0) / len(V)
+        volume = np.abs(np.linalg.det(fan - o))
+        c = volume @ (o + fan.sum(axis=1)) / ((m + 1) * volume.sum())
+        corners = np.empty((len(V),) + (2,) * m + (m,))
+        for s in itertools.product((0, 1), repeat=m):
+            ones = sum(s)
+            if ones == m:
+                corners[(slice(None),) + s] = V
+            elif ones == 0:
+                corners[(slice(None),) + s] = c
+            elif ones == m - 1:
+                corners[(slice(None),) + s] = mids[:, s.index(0)]
+            else:
+                corners[(slice(None),) + s] = centroids[facets[:, s.index(1)]]
+        corners.flags.writeable = False
+        return corners
 
     @cached_property
     def _simplex_form(self) -> np.ndarray:

@@ -5,22 +5,24 @@ Two routes to the same number:
 * the x-space route integrates the zero density (2/s_m) sqrt(det g_x)
   over R^m (:func:`esol_total`) through a chart, which takes cell
   coordinates to nodes x and gives its Jacobian, so the integrand is the
-  sum's own density at x times |det Dx| in either region.  A sum in one or
-  two variables with a facet-log start (``ExpSum._facet_start``) takes
-  that integral over the Newton polytope P, by the change of variables
-  x = x_hat(p) through the facet-log map, the gradient of Guillemin's
-  symplectic potential (Guillemin 1994, J. Differential Geom. 40), on the
-  moment route's vertex cells: the Jacobian is det Dx_hat(p) times the
-  cell's, and on the canonical toric sums x_hat is the inverse moment map.
-  Every other sum is integrated in metric-normalized coordinates, the
-  chart x = x0 + W y with Jacobian |det W|, where x0 is the moment
-  preimage of the support's barycenter and W = L^-T from the Cholesky
-  factor g(x0) = L L^T, so W^T g(x0) W = I and the region sits in the
-  same place relative to the support under every affine map of it, thin
-  supports included: the cube [-4, 4]^m, then shells [-2r, 2r]^m minus
-  [-r, r]^m for as long as the newest shell outweighs the error of the
-  cells already in hand (:func:`esol_region` integrates the same density
-  over a box alone);
+  sum's own density at x times |det Dx| in either region.  A sum with a
+  facet-log start (``ExpSum._facet_start``) whose Newton polytope P is
+  simple (``SupportSet._vertex_corners``: every P in one or two
+  variables; in three, each vertex on three facets) takes that integral
+  over P, by the change of variables x = x_hat(p) through the facet-log
+  map, the gradient of Guillemin's symplectic potential (Guillemin 1994,
+  J. Differential Geom. 40), on one multilinear cube per vertex of P (in
+  one and two variables the moment route's cells): the Jacobian is
+  det Dx_hat(p) times the cell's, and on the canonical toric sums x_hat
+  is the inverse moment map.  Every other sum is integrated in
+  metric-normalized coordinates, the chart x = x0 + W y with Jacobian
+  |det W|, where x0 is the moment preimage of the support's barycenter
+  and W = L^-T from the Cholesky factor g(x0) = L L^T, so W^T g(x0) W = I
+  and the region sits in the same place relative to the support under
+  every affine map of it, thin supports included: the cube [-4, 4]^m,
+  then shells [-2r, 2r]^m minus [-r, r]^m for as long as the newest shell
+  outweighs the error of the cells already in hand (:func:`esol_region`
+  integrates the same density over a box alone);
 * the moment-space route integrates the Legendre-transform density over
   the Newton polytope (m <= 2), split into one quadrilateral per hull
   vertex and mapped so that the square-root boundary layer and the
@@ -65,14 +67,17 @@ What a solve builds, and how often:
   Cauchy-Binet block of the density, the merged hull where a solve reads
   it (``SupportSet._hull``: vertices, one facet row per facet about the
   barycenter, gaps and volume, from one Qhull run) and the facet-log
-  start built from that hull (``ExpSum._facet_start``), read where a one-
-  or two-variable ``esol_total`` or ``bkk_total`` picks its region and
-  where a target is not already at the balancing point's moment, which
-  maps the closed-form sums onto P and inverts their nodes with no Newton
-  step;
+  start built from that hull (``ExpSum._facet_start``), read where
+  ``esol_total`` or ``bkk_total`` picks its region and where a target is
+  not already at the balancing point's moment, which maps the closed-form
+  sums onto P and inverts their nodes with no Newton step; the corners of
+  the vertex cells (``SupportSet._vertex_corners``), read where a sum
+  with that start picks its region and by the moment route;
 * once per solve: the cell store and the x route's chart, either the
-  vertex cells with the Cauchy-Binet coefficients of the facets' m-subsets
-  (over P; no frame) or the frame (x0, W and the Jacobian |det W|);
+  vertex cells' coefficients with the Cauchy-Binet coefficients of the
+  facets' m-subsets (over P; no frame) or the frame (x0, W and the
+  Jacobian |det W|); once per process, the seed cells of each vertex
+  count and dimension (``_vertex_seeds``);
 * once per integrand call: one (m, N) node array, written in place, the
   chart's nodes x and the kernel's own arrays; over R^m the chart is one
   (m, m)(m, N) product plus x0, and the integrand one multiply by |det W|;
@@ -516,69 +521,96 @@ def _affine_chart(x0, W, jac, Y):
 
 
 def _vertex_cells(E: ExpSum):
-    """(cell_map, seeds): the Newton polytope P (m <= 2), about the
-    support's barycenter (``ExpSum._c``), as one cell per hull vertex v_i:
-    the quadrilateral (c, M_{i-1}, v_i, M_i) from the centroid c of P and
-    the midpoints M of the edges at v_i (in one variable, the segment
-    [c, v_i]).
+    """(cell_map, seeds): the Newton polytope P, simple and m <= 3
+    (``SupportSet._vertex_corners``), about the support's barycenter
+    (``ExpSum._c``), as one combinatorial cube per hull vertex v_i.  Its
+    corners are the centroids of the faces of P at v_i: the centroid c of
+    P, the facet centroids g_j (in three variables), the midpoints M of the
+    edges and v_i itself.  That is the quadrilateral (c, M_{i-1}, v_i, M_i)
+    in two variables and the segment [c, v_i] in one.  In two variables c
+    lies outside every corner triangle (M_{i-1}, v_i, M_i): such a triangle
+    holds at most a quarter of the area, and each side of a line through
+    the centroid holds at least 4/9 of it (Gruenbaum), so every cell is
+    convex and its map one-to-one.
 
     cell_map(U) takes the (m, N) cell coordinates U, whose integer part of
     U[0] names the cell, to (Q, jac): the nodes Q (m, N) in P and the
-    Jacobian |det dQ/dU| (N,).  Each cell is mapped bilinearly from
-    [0, 1]^m and then a = sin t per axis, t in [0, pi/2]: the distances to
-    the two facets at v_i are (1 - a) and (1 - b) times smooth factors, so a
-    1/sqrt(distance) layer and the corner both become smooth.  The vertex
-    columns are gathered with ``take``, several times faster than fancy
-    indexing on a pass's nodes.  seeds: 4 per axis per cell, whose Gauss
-    nodes never touch the boundary."""
+    Jacobian |det dQ/dU| (N,).  Each cell is mapped multilinearly from
+    [0, 1]^m and then a = sin t per axis, t in [0, pi/2]: the face a_b = 1
+    lies on the b-th facet at v_i, whose distance is (1 - a_b) times a
+    smooth factor, so a 1/sqrt(distance) layer and the corner both become
+    smooth.  The map is held as its coefficients on the products of the
+    a_b, coordinate-major with the vertex last, and gathered with ``take``,
+    several times faster than fancy indexing on a pass's nodes; det dQ/da
+    is the Leibniz sum over the permutations of its columns.  seeds
+    (:func:`_vertex_seeds`): 4 per axis per cell in one and two variables,
+    whose Gauss nodes never touch the boundary, and 2 in three, 64 cells
+    for a cube and 32 for a tetrahedron."""
     m = E.dim
-    V = E.support.vertices - E._c
-    n = V.shape[0]
-    # The per-vertex maps are held coordinate-major, like the nodes: vertex
-    # i is column i of A, B and D.
-    if m == 1:
-        c = V.mean(axis=0)
-        A = (V - c).T
-    else:
-        # The centroid of P lies outside every corner triangle (M_{i-1}, v_i,
-        # M_i): such a triangle holds at most a quarter of the area, and each
-        # side of a line through the centroid holds at least 4/9 of it
-        # (Gruenbaum).  So every cell is convex and its map one-to-one.
-        nxt = np.roll(V, -1, axis=0)
-        cross = V[:, 0] * nxt[:, 1] - nxt[:, 0] * V[:, 1]
-        c = ((V + nxt) * cross[:, None]).sum(axis=0) / (3.0 * cross.sum())
-        A = (0.5 * (np.roll(V, 1, axis=0) + V) - c).T
-        B = (0.5 * (V + nxt) - c).T
-        D = (V - c).T - A - B
-    c = c[:, None]
+    if E.support._vertex_corners is None:
+        raise ConvergenceError("no vertex cells: the Newton polytope is not simple, or its incidence does not close")
+    K = np.moveaxis(E.support._vertex_corners, 0, -1).copy()
+    # Differences along each binary axis turn the corners into the coefficients.
+    for axis in range(m):
+        K[(slice(None),) * axis + (1,)] -= K[(slice(None),) * axis + (0,)]
+    signs = [(perm, sum(p > q for p, q in itertools.combinations(perm, 2)) % 2 == 0)
+             for perm in itertools.permutations(range(m))]
 
     def cell_map(U):
         whole = np.floor(U)
-        i = whole[0].astype(int)
-        T = 0.5 * np.pi * (U - whole)
+        T = U - whole
+        T *= 0.5 * np.pi
         a = np.sin(T)
-        jac = np.prod(0.5 * np.pi * np.cos(T), axis=0)
-        Ai = A.take(i, axis=1)
-        if m == 1:
-            return c + a * Ai, jac * np.abs(Ai[0])
-        Di = D.take(i, axis=1)
-        Ja = Ai + a[1] * Di
-        Jb = B.take(i, axis=1) + a[0] * Di
-        return c + a[0] * Ai + a[1] * Jb, jac * np.abs(Ja[0] * Jb[1] - Ja[1] * Jb[0])
+        slope = np.cos(T)
+        slope *= 0.5 * np.pi
+        jac = np.prod(slope, axis=0)
+        # Summing out the binary axes last first leaves Q; the slice at 1 of
+        # axis b, summed over the axes before it, is the column dQ/da_b.
+        Q = K.take(whole[0].astype(int), axis=-1)
+        columns = [None] * m
+        for b in reversed(range(m)):
+            columns[b] = _sum_out(Q[..., 1, :, :], a[:b])
+            Q = _sum_out(Q, a[b:b + 1])
+        det = None
+        for perm, even in signs:
+            term = math.prod((column[row] for column, row in zip(columns[1:], perm[1:])), start=columns[0][perm[0]])
+            det = term if det is None else (det + term if even else det - term)
+        jac *= np.abs(det)
+        return Q, jac
 
-    return cell_map, _seed_grid(((0.0, float(n)),) + ((0.0, 1.0),) * (m - 1), 4 * n)
+    return cell_map, _vertex_seeds(K.shape[-1], m)
+
+
+@lru_cache(maxsize=None)
+def _vertex_seeds(n, m):
+    """Seeded cells of n vertex cells in m variables, cell i on
+    [i, i + 1] x [0, 1]^(m-1): 4 per axis per cell in one and two
+    variables, 2 in three; cached, read-only."""
+    return _read_only(*_seed_grid(((0.0, float(n)),) + ((0.0, 1.0),) * (m - 1), (2 if m == 3 else 4) * n))
+
+
+def _sum_out(K, a):
+    """K[..., 0, :, :] + a_b K[..., 1, :, :] over K's last binary axes, one
+    per row of a (r, N), the last first: K of shape (..., 2, ..., 2, m, N)."""
+    for b in reversed(range(len(a))):
+        S = a[b] * K[..., 1, :, :]
+        S += K[..., 0, :, :]
+        K = S
+    return K
 
 
 def _over_rm(E: ExpSum):
     """The region of :func:`esol_total` and :func:`bkk_total`, as
     (chart, seeds, grow) for :func:`_integral`.
 
-    A sum in one or two variables with a facet-log start
-    (``ExpSum._facet_start``) is integrated over P through that map
-    (:func:`_facet_log_chart`).  Every other sum is integrated in the frame
-    coordinates y of :func:`_frame`, from the cube
+    A sum with a facet-log start (``ExpSum._facet_start``) whose P is
+    simple, every vertex on exactly m facets (``SupportSet._vertex_corners``:
+    every P in one or two variables, and in three such as the cube, the
+    tetrahedron and the prism, not the octahedron), is integrated over P
+    through that map (:func:`_facet_log_chart`).  Every other sum is
+    integrated in the frame coordinates y of :func:`_frame`, from the cube
     [-AUTO_RADIUS, AUTO_RADIUS]^m out by shells."""
-    if E.dim > 2 or E._facet_start is None:
+    if E._facet_start is None or E.support._vertex_corners is None:
         return _frame(E), _cube_cells(AUTO_RADIUS, E.dim), True
     return (*_facet_log_chart(E), False)
 
@@ -587,7 +619,8 @@ def _facet_log_chart(E: ExpSum):
     """(chart, seeds): the region of :func:`_over_rm` over P, the change of
     variables x = x_hat(p) by the facet-log map (:func:`.expsum._facet_log_map`),
     the gradient of Guillemin's symplectic potential, a bijection of the
-    interior of P onto R^m, on the cells of :func:`_vertex_cells`.
+    interior of P onto R^m, on the cells of :func:`_vertex_cells`, in one,
+    two or three variables.
 
     chart(U) gives the nodes x_hat(p) and |det Dx_hat(p)| times the cell
     Jacobian.  Dx_hat = sum_j S_j nu_j^T / d_j, S_j = nu_j / (2 gap_j), reads
@@ -650,14 +683,16 @@ def _integral(E: ExpSum, q: Quadrature | None, route: str, f, region) -> Integra
 def esol_total(E: ExpSum, q: Quadrature | None = None) -> IntegralResult:
     """Expected number of zeros: the density integrated over R^m.
 
-    A sum in one or two variables with a facet-log start
-    (``ExpSum._facet_start``: the canonical toric sums and sums near them)
-    is integrated over the Newton polytope through the facet-log map, with
-    no frame, cube or shells; its closed forms converge on their 8, 48 or
-    64 seed cells.  Every other sum is integrated in metric-normalized
-    coordinates, from a cube out by shells until the newest is negligible.
-    Either way the route is reported as "x".  Degenerate supports
-    (dim conv(A) < m) carry zero density and return 0.
+    A sum with a facet-log start (``ExpSum._facet_start``: the canonical
+    toric sums and sums near them) whose Newton polytope is simple (every
+    polytope in one or two variables; in three, each vertex on three
+    facets) is integrated over that polytope through the facet-log map,
+    with no frame, cube or shells; its closed forms in one and two
+    variables converge on their 8, 48 or 64 seed cells, and the Kostlan
+    box sums in three on their 64.  Every other sum is integrated in
+    metric-normalized coordinates, from a cube out by shells until the
+    newest is negligible.  Either way the route is reported as "x".
+    Degenerate supports (dim conv(A) < m) carry zero density and return 0.
     """
     # density_many takes rows, and the transposed view hands its kernel the
     # coordinate-major nodes without a copy; it is called through this

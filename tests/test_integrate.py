@@ -232,6 +232,15 @@ SHEAR3 = [[1.0, 0.7, -0.4], [0.0, 1.2, 0.5], [0.0, 0.0, 0.8]]
 #: A tensor of three two-term sums, gaps 0.3, 3 and 1: an image of kostlan(3, 1).
 TWO_TERM_CUBE = tensor(tensor(ExpSum([[0.0], [0.3]]), ExpSum([[0.0], [3.0]])), ExpSum([[0.0], [1.0]]))
 UNIT_CUBE = ComplexExpSum([[i, j, k] for i in (0, 1) for j in (0, 1) for k in (0, 1)])
+#: Two polytopes that are not simple: each vertex of the octahedron lies on
+#: four facets, and the apex of the square pyramid too.  Neither sum has a
+#: facet-log start.  Their counts have no closed form here: these are
+#: esol_total's at 1e-8, which claimed 1e-8 (the pyramid's lies 4e-10 below
+#: pi/16).
+OCTAHEDRON = ExpSum([[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]])
+OCTAHEDRON_COUNT = 0.3275113015
+SQUARE_PYRAMID = ExpSum([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0], [0.5, 0.5, 1]])
+SQUARE_PYRAMID_COUNT = 0.1963495404
 
 
 class TestThreeVariables:
@@ -241,6 +250,8 @@ class TestThreeVariables:
         "integral, E, tol, ref, seconds",
         [
             (esol_total, kostlan(3, 1), 1e-7, math.pi / 8.0, 2.5),
+            # 9936 cells at 1e-6 and 31 312 at 1e-7 over R^3, in metric-normalized coordinates
+            (esol_total, kostlan(3, 2), 1e-7, math.pi * 2.0**1.5 / 8.0, 0.5),
             (
                 esol_total,
                 ExpSum([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], [1.0, 1.0, 1.0, 1.0]),
@@ -257,7 +268,7 @@ class TestThreeVariables:
             *[(esol_total, ExpSum([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0.3, 0.3, h]]), 1e-5, 0.125, 1.0)
               for h in (1e-9, 1e-11)],
         ],
-        ids=["kostlan(3,1)", "simplex(3,1)", "tensor of two-term sums", "sheared kostlan(3,1)",
+        ids=["kostlan(3,1)", "kostlan(3,2)", "simplex(3,1)", "tensor of two-term sums", "sheared kostlan(3,1)",
              "rotated kostlan(3,1)", "unit cube bkk", "seeded affine kostlan(3,1)",
              "tetrahedron of height 1e-09", "tetrahedron of height 1e-11"],
     )
@@ -283,10 +294,11 @@ class TestThreeVariables:
         assert len(cells) == 1
 
     def test_node_budget_raises_with_partial_value(self, monkeypatch):
+        # The octahedron is not simple, so its sum keeps the region over R^3.
         monkeypatch.setattr(integrate, "MAX_NODES", 1000 * 33)
         with pytest.raises(ConvergenceError, match="node budget 33000") as info:
-            esol_total(kostlan(3, 1))
-        assert info.value.value == pytest.approx(math.pi / 8.0, abs=1e-3)
+            esol_total(OCTAHEDRON)
+        assert info.value.value == pytest.approx(OCTAHEDRON_COUNT, abs=1e-3)
 
 
 class TestCellRules:
@@ -368,13 +380,12 @@ class TestCellRules:
     @pytest.mark.parametrize("E, tol, per_cell", [
         (IRREGULAR, 1e-7, 13),
         (ExpSum([[0, 0], [1, 0], [0, 1], [1, 1]], [1.0, 0.5, 2.0, 1.5]), 1e-7, 89),
-        (kostlan(3, 1), 1e-4, 33),
+        (OCTAHEDRON, 1e-4, 33),
     ], ids=["1-D", "2-D", "3-D"])
     def test_total_reaches_density_many_once_per_batch(self, monkeypatch, E, tol, per_cell):
         # perfbench counts integrate.x_nodes through this module global.
-        # These sums run on the x route: none in one or two variables has a
-        # facet-log start.
-        assert E.dim == 3 or E._facet_start is None
+        # These sums run on the region over R^m: none has a facet-log start.
+        assert E._facet_start is None
         rows, pushed = self._count_calls(monkeypatch)
         r = esol_total(E, Quadrature(abs_tol=tol, rel_tol=tol))
         assert len(pushed) > 2 and r.nodes == sum(rows)
@@ -383,11 +394,12 @@ class TestCellRules:
     @pytest.mark.parametrize("E, per_cell", [
         (ExpSum([[0.0], [1.0], [2.0], [3.0]], [1.0, 1.74, 1.72, 1.01]), 13),
         (ExpSum([[0, 0], [1, 0], [0, 1], [1, 1]], [1.0, 0.7, 1.3, 0.9]), 89),
-    ], ids=["1-D", "2-D"])
+        (ExpSum(kostlan(3, 1).support.points, [1.0, 1.11, 0.82, 0.9, 1.35, 1.49, 1.11, 1.22]), 33),
+    ], ids=["1-D", "2-D", "3-D"])
     def test_total_over_the_polytope_reaches_density_many_once(self, monkeypatch, E, per_cell):
-        # A sum with a facet-log start integrates over P, at x_hat(p),
-        # through the same module global; near a closed form, in the seed
-        # cells' one call, 8 or 64 cells.
+        # A sum with a facet-log start on a simple P integrates over P, at
+        # x_hat(p), through the same module global; near a closed form, in
+        # the seed cells' one call, 8 or 64 cells.
         assert E._facet_start is not None
         rows, pushed = self._count_calls(monkeypatch)
         r = esol_total(E, Quadrature(abs_tol=1e-7, rel_tol=1e-7))
@@ -784,6 +796,112 @@ class TestOverThePolytope:
         with pytest.raises(ConvergenceError, match="not finite on 1 of 64") as info:
             esol_total(E)
         assert 0.9 * math.pi / 8.0 < info.value.value < math.pi / 8.0
+
+
+#: Simple polytopes in R^3, each vertex on three facets, as unit-weight sums.
+SIMPLE_3D = {
+    "cube": ExpSum(kostlan(3, 1).support.points),
+    "tetrahedron": ExpSum([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+    "sheared parallelepiped": ExpSum(kostlan(3, 1).support.points @ np.array(SHEAR3).T),
+    "triangular prism": ExpSum([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 0, 1], [0, 1, 1]]),
+}
+
+
+def _seed_nodes(seeds):
+    """The Genz-Malik nodes of every seed cell, coordinate-major (3, N)."""
+    nodes = _genz_malik_rule(3)[0]
+    los, his = seeds
+    return (0.5 * (los + his)[:, None, :] + 0.5 * (his - los)[:, None, :] * nodes).reshape(-1, 3).T
+
+
+class TestVertexCells:
+    """One trilinear cube per vertex of a simple P in three variables."""
+
+    @pytest.mark.parametrize("name", SIMPLE_3D)
+    def test_cells_tile_the_polytope(self, name):
+        # Before the sine grading a cell's Jacobian is a polynomial of degree
+        # 2 per axis, which 3-point Gauss-Legendre integrates exactly.
+        E = SIMPLE_3D[name]
+        cell_map, seeds = integrate._vertex_cells(E)
+        n = len(E.support.vertices)
+        assert len(seeds[0]) == 8 * n
+        nodes, weights = np.polynomial.legendre.leggauss(3)
+        a = np.array(list(itertools.product(0.5 * (nodes + 1.0), repeat=3))).T
+        w = np.prod(list(itertools.product(0.5 * weights, repeat=3)), axis=1)
+        u = np.arcsin(a) / (0.5 * np.pi)
+        grading = np.prod(0.5 * np.pi * np.cos(0.5 * np.pi * u), axis=0)
+        volume = sum(w @ (cell_map(u + np.eye(3)[:, :1] * i)[1] / grading) for i in range(n))
+        assert abs(volume - hull_volume(E.support)) <= 1e-12 * hull_volume(E.support)
+
+    @pytest.mark.parametrize("name", SIMPLE_3D)
+    def test_face_at_one_lies_on_a_facet_of_its_vertex(self, name):
+        # Axis b at 1 (just below the next whole number, where sin rounds to
+        # 1) is one facet for every node of the face, a different one per axis.
+        E = SIMPLE_3D[name]
+        cell_map, _ = integrate._vertex_cells(E)
+        rows = E.support._hull[1]
+        tol = 1e-14 * (1.0 + diameter(E.support))
+        grid = np.array(list(itertools.product(np.linspace(0.05, 0.95, 5), repeat=2))).T
+        for i in range(len(E.support.vertices)):
+            on = []
+            for b in range(3):
+                U = np.insert(grid, b, np.nextafter(1.0, 0.0), axis=0)
+                U[0] = np.nextafter(i + 1.0, 0.0) if b == 0 else U[0] + i
+                Q = cell_map(U)[0]
+                slack = np.abs(rows[:, :-1] @ Q + rows[:, -1:]).max(axis=1)
+                assert np.count_nonzero(slack <= tol) == 1
+                on.append(int(slack.argmin()))
+            assert len(set(on)) == 3
+
+    @pytest.mark.parametrize("name", SIMPLE_3D)
+    def test_jacobian_is_positive_and_matches_differences_at_the_seed_nodes(self, name):
+        # Central differences of the cell map give a determinant of one sign
+        # per cell, which the chart's Jacobian matches in size.
+        E = SIMPLE_3D[name]
+        cell_map, seeds = integrate._vertex_cells(E)
+        U = _seed_nodes(seeds)
+        _, jac = cell_map(U)
+        assert jac.min() > 0.0
+        h = 1e-6
+        columns = [(cell_map(U + h * e[:, None])[0] - cell_map(U - h * e[:, None])[0]) / (2.0 * h)
+                   for e in np.eye(3)]
+        det = np.linalg.det(np.stack(columns, axis=-1).transpose(1, 0, 2))
+        np.testing.assert_allclose(np.abs(det), jac, rtol=1e-6)
+        per_cell = np.sign(det).reshape(len(seeds[0]), -1)
+        assert (per_cell == per_cell[:, :1]).all()
+
+    @pytest.mark.parametrize("name", SIMPLE_3D)
+    def test_closed_forms_take_the_chart(self, name):
+        E = SIMPLE_3D[name]
+        assert E._facet_start is not None
+        assert integrate._over_rm(E)[2] is False
+
+    @pytest.mark.parametrize("E, ref", [(OCTAHEDRON, OCTAHEDRON_COUNT), (SQUARE_PYRAMID, SQUARE_PYRAMID_COUNT)],
+                             ids=["octahedron", "square pyramid"])
+    def test_polytopes_that_are_not_simple_keep_the_region_over_r3(self, E, ref):
+        assert E.support._vertex_corners is None
+        assert integrate._over_rm(E)[2] is True
+        q = Quadrature(abs_tol=1e-6, rel_tol=1e-6)
+        r = esol_total(E, q)
+        assert r.value == pytest.approx(ref, abs=1e-6) and _within_budget(r, q)
+
+    def test_a_point_on_two_edges_off_the_vertex_keeps_the_frame(self):
+        # A point 2e-9 from the 1e-4 rad tip of a triangle lies within the
+        # on-face rule of both edges there, so the tip looks like two
+        # vertices without a neighbour across each edge: no cells.  The
+        # count is still 1/4 over R^2, and the moment route refuses it.
+        E = ExpSum([[0, 0], [1, 0], [1, 1e-4], [2e-9, 1e-13]])
+        assert E._facet_start is not None and E.support._vertex_corners is None
+        q = Quadrature(abs_tol=1e-4, rel_tol=1e-4)
+        assert esol_total(E, q).value == pytest.approx(0.25, abs=1e-4)
+        with pytest.raises(ConvergenceError, match="no vertex cells"):
+            esol_pspace(E, q)
+
+    def test_corners_are_cached_read_only(self):
+        A = SIMPLE_3D["cube"].support
+        corners = A._vertex_corners
+        assert A._vertex_corners is corners and corners.shape == (8, 2, 2, 2, 3)
+        assert not corners.flags.writeable
 
 
 class TestFrame:
