@@ -12,11 +12,16 @@ algebra       tensor/shared-variable products and power builders
 bkk           complex-coefficient density total vs. n! times polytope volume
 selftest      closed-form checks of an installation, pass/fail table
 
+``analyze``'s moment route (``--route p`` or ``both``) takes m <= 3 and a
+simple Newton polytope; under ``both`` it runs first, so an input it
+refuses exits 2 before the x route integrates anything.
+
 ``selftest`` uses the package's public names only.  It checks the
 closed-form counts (two terms 1/2, kostlan(1,4) 1, the unit square pi/8
 turned two ways over the Newton polytope, kostlan(3,1) pi/8 at 1e-6 and
-kostlan(3,2) pi 2^(3/2)/8 at 1e-7 over it, the triangle 1/4 on the
-moment route, the complex segment's root count 2), the weighted pentagon's complex total 14 on the x route
+kostlan(3,2) pi 2^(3/2)/8 at 1e-7 over it, the triangle 1/4 and
+kostlan(3,1) pi/8 at 1e-6 on the moment route, the complex segment's
+root count 2), the weighted pentagon's complex total 14 on the x route
 (a two-variable sum with no facet-log start), two Monte-Carlo counts,
 and that the batched density kernel on this machine's BLAS equals
 one-row calls and a direct Cauchy-Binet sum.  Checks of the private
@@ -134,12 +139,10 @@ def _cmd_analyze(args) -> int:
     box = _parse_box(args.box, E.dim)
     if args.route != "x" and box is not None:
         raise InputError("--box applies to the x route only; the moment route covers the polytope")
-    # Refused before any integral: "both" would otherwise finish the x route first.
-    if args.route != "x" and E.dim > 2:
-        raise InputError("the moment route (--route p or both) is limited to two variables")
     q = Quadrature(abs_tol=args.tol, rel_tol=args.tol)
     if args.route == "both":
-        rx, rp = esol_total(E, q), esol_pspace(E, q)
+        # The moment route first: it refuses its inputs before the x route integrates.
+        rp, rx = esol_pspace(E, q), esol_total(E, q)
         _emit_json(
             {
                 "route": "both",
@@ -279,9 +282,9 @@ def _selftest_checks():
         E = ExpSum([[0.0, 0.0], [c, s], [-s, c], [c - s, s + c]])
         return abs(esol_total(E, Quadrature(1e-10, 1e-10)).value - math.pi / 8.0) < 1e-10
 
-    def kostlan_three_variables():
+    def kostlan_three_variables(integral=esol_total):
         tol = 1e-6
-        r = esol_total(kostlan(3, 1), Quadrature(abs_tol=tol, rel_tol=tol))
+        r = integral(kostlan(3, 1), Quadrature(abs_tol=tol, rel_tol=tol))
         return abs(r.value - math.pi / 8.0) < tol
 
     def kostlan_three_variables_degree_two():
@@ -346,6 +349,7 @@ def _selftest_checks():
         ("kostlan(3,1) is pi/8 at 1e-6 over the Newton polytope", kostlan_three_variables),
         ("kostlan(3,2) is pi 2^(3/2)/8 at 1e-7 over the Newton polytope", kostlan_three_variables_degree_two),
         ("moment route on the triangle is 1/4", moment_triangle),
+        ("kostlan(3,1) is pi/8 on the moment route", lambda: kostlan_three_variables(esol_pspace)),
         ("kernel_rows_match_batch: 64-row pentagon and kostlan(3,1) batches equal one-row"
          " density calls", kernel_rows_match_batch),
         ("simplex_sum_matches_subsets: the batched density equals a direct sum over the"

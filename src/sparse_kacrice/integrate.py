@@ -11,8 +11,8 @@ Two routes to the same number:
   variables; in three, each vertex on three facets) takes that integral
   over P, by the change of variables x = x_hat(p) through the facet-log
   map, the gradient of Guillemin's symplectic potential (Guillemin 1994,
-  J. Differential Geom. 40), on one multilinear cube per vertex of P (in
-  one and two variables the moment route's cells): the Jacobian is
+  J. Differential Geom. 40), on one multilinear cube per vertex of P (the
+  moment route's cells): the Jacobian is
   det Dx_hat(p) times the cell's, and on the canonical toric sums x_hat
   is the inverse moment map.  Every other sum is integrated in
   metric-normalized coordinates, the chart x = x0 + W y with Jacobian
@@ -24,9 +24,9 @@ Two routes to the same number:
   outweighs the error of the cells already in hand (:func:`esol_region`
   integrates the same density over a box alone);
 * the moment-space route integrates the Legendre-transform density over
-  the Newton polytope (m <= 2), split into one quadrilateral per hull
-  vertex and mapped so that the square-root boundary layer and the
-  vertex corners are smooth up to the boundary.
+  the Newton polytope (m <= 3, simple P) on the same vertex cells, mapped
+  so that the square-root boundary layer and the vertex corners are
+  smooth up to the boundary.
 
 The routes invert the moment map by the kernel's one rule
 (:func:`.expsum._invert_moment_many`, residual ``INVERT_TOL`` (1 + diam P)
@@ -255,6 +255,10 @@ def _cell_rule(m):
     0.66, 0.55, 0.52, 0.49 and 0.54 s, 96 splitting 16 % more cells than
     64; two variables took 7 % longer at 32 than at 16, and one variable
     at 110 (a two-variable pass's nodes) split 18 % more cells for no gain.
+    Those three-variable timings were taken while the closed forms ran over
+    R^3 in frame coordinates; they now run on the vertex cells over P in
+    one or two passes, so the pass size has not been measured on them
+    since.
 
     Each pair is one node set with a weight column per rule, so a batch of
     cells costs one integrand call.  One and two variables take the 8- and
@@ -545,10 +549,13 @@ def _vertex_cells(E: ExpSum):
     is the Leibniz sum over the permutations of its columns.  seeds
     (:func:`_vertex_seeds`): 4 per axis per cell in one and two variables,
     whose Gauss nodes never touch the boundary, and 2 in three, 64 cells
-    for a cube and 32 for a tetrahedron."""
+    for a cube and 32 for a tetrahedron.  A P with no such cells (past
+    three variables, not simple, as the octahedron, or with an incidence
+    that does not close) raises InputError before any cell is integrated:
+    the sum is outside the cells' domain, not a failure to converge."""
     m = E.dim
     if E.support._vertex_corners is None:
-        raise ConvergenceError("no vertex cells: the Newton polytope is not simple, or its incidence does not close")
+        raise InputError("no vertex cells: the Newton polytope is not simple, or its incidence does not close")
     K = np.moveaxis(E.support._vertex_corners, 0, -1).copy()
     # Differences along each binary axis turn the corners into the coefficients.
     for axis in range(m):
@@ -713,17 +720,21 @@ def esol_region(E: ExpSum, U, q: Quadrature | None = None) -> IntegralResult:
 
 
 def esol_pspace(E: ExpSum, q: Quadrature | None = None) -> IntegralResult:
-    """Expected number of zeros via the Newton-polytope route (m <= 2;
-    InputError for more variables, before the degenerate case's 0).
+    """Expected number of zeros via the Newton-polytope route (m <= 3,
+    simple P).
 
     Integrates the Legendre-transform density over the polytope P, split
     into one sine-mapped cell per hull vertex (:func:`_vertex_cells`, the
     cells ``esol_total`` takes over P), so the 1/sqrt(distance) layer and
     the corners become smooth; the density is taken at each node's moment
-    preimage.  All cells share one adaptive integral, seeded 4 per axis
-    per cell, all relative to the support's barycenter (``ExpSum._c``).  A
-    failed moment inversion makes the integrand NaN, which raises
-    ConvergenceError with the partial value.
+    preimage.  All cells share one adaptive integral, seeded as
+    :func:`_vertex_seeds` seeds them, all relative to the support's
+    barycenter (``ExpSum._c``).  It refuses before any cell is integrated,
+    with InputError: past three variables (flat or not, before the
+    degenerate case's 0), and on a full-dimensional P with no vertex cells,
+    such as the octahedron or the square pyramid.  A failed moment
+    inversion makes the integrand NaN, which raises ConvergenceError with
+    the partial value.
 
     The claimed error is the cells' quadrature error alone: it leaves out
     the moment-inversion residual, ``INVERT_TOL`` (1 + diam P), about
@@ -735,8 +746,8 @@ def esol_pspace(E: ExpSum, q: Quadrature | None = None) -> IntegralResult:
     a tolerance below about 3e-13 can see it in the value.
     """
     m = E.dim
-    if m > 2:
-        raise InputError("moment-space integration is limited to two variables")
+    if m > 3:
+        raise InputError("quadrature is limited to three variables")
     prefactor = 1.0 / (2.0 ** ((m - 2) / 2.0) * ball_sphere_constants(m)[1])
     f = lambda Q: prefactor * _legendre_density_many(E, Q.T)
     return _integral(E, q, "p", f, lambda E: (*_vertex_cells(E), False))

@@ -85,7 +85,10 @@ def test_04_route_consistency():
     worst = 0.0
     triangle = ExpSum([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     rotated_square = ExpSum([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
-    for E in (TWO_TERM, kostlan(2, 1), triangle, rotated_square):
+    simplex = ExpSum([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    shear = np.array([[1.0, 0.7, -0.4], [0.0, 1.2, 0.5], [0.0, 0.0, 0.8]])
+    sheared_cube = ExpSum(kostlan(3, 1).support.points @ shear.T)
+    for E in (TWO_TERM, kostlan(2, 1), triangle, rotated_square, kostlan(3, 1), simplex, sheared_cube):
         a = esol_total(E).value
         b = esol_pspace(E).value
         worst = max(worst, abs(a - b))

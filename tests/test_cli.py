@@ -17,7 +17,7 @@ import sparse_kacrice
 from sparse_kacrice import (
     Augmentation, ComplexExpSum, ExpSum, density_many, kostlan, ray_scan_unbounded,
 )
-from sparse_kacrice import cli
+from sparse_kacrice import cli, integrate
 from sparse_kacrice.cli import main
 
 
@@ -79,18 +79,37 @@ class TestAnalyze:
             assert doc[route]["cells"] > 0 and doc[route]["nodes"] >= 13 * doc[route]["cells"]
 
     @pytest.mark.parametrize("route", ["p", "both"])
-    def test_moment_route_refuses_three_variables_before_integrating(
-        self, tmp_path, monkeypatch, route, capsys
-    ):
+    def test_moment_route_refuses_before_integrating(self, tmp_path, monkeypatch, route, capsys):
+        # Past three variables, and on a P with no vertex cells (the
+        # octahedron is not simple; a point 2e-9 from a triangle's tip breaks
+        # its incidence): bad input, before any cell or the x route's integral.
         def no_integral(*args, **kwargs):
             raise AssertionError("integrated before refusing")
 
+        monkeypatch.setattr(integrate, "_adaptive", no_integral)
         monkeypatch.setattr(cli, "esol_total", no_integral)
-        monkeypatch.setattr(cli, "esol_pspace", no_integral)
-        path = tmp_path / "simplex3.json"
-        path.write_text(ExpSum([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]).to_json())
-        assert main(["analyze", "--input", str(path), "--route", route]) == 2
-        assert "two variables" in capsys.readouterr().err
+        octahedron = [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]]
+        tip = [[0, 0], [1, 0], [1, 1e-4], [2e-9, 1e-13]]
+        for points, message in (([[0] * 4] + np.eye(4).tolist(), "three variables"),
+                                (octahedron, "no vertex cells"), (tip, "no vertex cells")):
+            path = tmp_path / "refused.json"
+            path.write_text(ExpSum(points).to_json())
+            assert main(["analyze", "--input", str(path), "--route", route]) == 2
+            assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("route", ["p", "both"])
+    def test_moment_route_in_three_variables(self, tmp_path, route, capsys):
+        # kostlan(3,1) and the simplex run on the vertex cells both routes
+        # take over P, so the routes agree to rounding.
+        for E, want in ((kostlan(3, 1), math.pi / 8.0), (ExpSum([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]), 0.125)):
+            path = tmp_path / "sum3.json"
+            path.write_text(E.to_json())
+            assert main(["analyze", "--input", str(path), "--route", route]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            value = doc["value"] if route == "p" else doc["p"]["value"]
+            assert value == pytest.approx(want, abs=1e-7)
+            if route == "both":
+                assert doc["abs_diff"] < 1e-12
 
     def test_thin_triangle(self, tmp_path, capsys):
         # Its barycenter is 3.3e-11 from a facet, inside the 2e-9 margin
@@ -364,6 +383,8 @@ class TestSelftestAndErrors:
         assert "0 failed" in out
         assert "PASS  kernel_rows_match_batch" in out
         assert "PASS  simplex_sum_matches_subsets" in out
+        assert "PASS  kostlan(3,1) is pi/8 on the moment route" in out
+        assert out.splitlines()[-1] == "14 passed, 0 failed"
 
     def test_cli_imports_only_public_names(self):
         # The selftest checks an installed package, so the CLI reaches it

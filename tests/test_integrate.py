@@ -579,6 +579,11 @@ FLAT = {
 }
 
 
+def _unreachable(*args, **kwargs):
+    """Stands in for ``integrate._adaptive`` where no cell may be integrated."""
+    raise AssertionError("reached the integrator")
+
+
 class TestFlatSupports:
     """Every integral checks its own input, then returns (0, 0, route, 0, 0)
     on a flat support without integrating anything."""
@@ -587,16 +592,13 @@ class TestFlatSupports:
         (esol_total, "x", None),
         (lambda E: esol_region(E, [(-1.0, 2.0)] * E.dim), "x",
          lambda: esol_region(ExpSum(FLAT[2]), [(2.0, -1.0)] * 2)),
-        (esol_pspace, "p", lambda: esol_pspace(ExpSum(FLAT[3]))),
+        (esol_pspace, "p", lambda: esol_pspace(ExpSum(FLAT[4]))),
         (lambda E: bkk_total(ComplexExpSum(E.support.points)), "bkk", lambda: bkk_total(ComplexExpSum(FLAT[4]))),
     ], ids=["esol_total", "esol_region", "esol_pspace", "bkk_total"])
     def test_zero_after_the_input_check(self, monkeypatch, integral, route, refused):
-        def unreachable(*args, **kwargs):
-            raise AssertionError("a flat support reached the integrator")
-
-        monkeypatch.setattr(integrate, "_adaptive", unreachable)
+        monkeypatch.setattr(integrate, "_adaptive", _unreachable)
         assert all(SupportSet(points).degenerate for points in FLAT.values())
-        for m in (1, 2):
+        for m in (1, 2, 3):
             assert dataclasses.astuple(integral(ExpSum(FLAT[m]))) == (0.0, 0.0, route, 0, 0)
         if refused is not None:
             with pytest.raises(InputError):
@@ -609,6 +611,20 @@ SIMPLEX_2_2 = ExpSum([[0, 0], [1, 0], [2, 0], [0, 1], [1, 1], [0, 2]], [1, ROOT2
 PENTAGON = ExpSum([[0, 0], [2, 0], [3, 1], [1, 3], [-1, 1]])
 SHEARED_SQUARE = ExpSum([[0, 0], [1, 0], [0.5, 1], [1.5, 1]])
 THREE_TERM = ExpSum([[0], [1], [3]], [1, 2, 1])
+
+
+def _weighted_3d():
+    """Weights U(0.2, 5) from default_rng(7) on the unit cube and the prism
+    {0, e1, e2, e3, e1 + e3, e2 + e3}: the 2nd and 3rd 8-weight draws, then
+    the next two 6-weight draws.  The 1st draw is skipped: on it the moment
+    route stops on a failed inversion, a known fault of damped Newton far
+    out in x."""
+    rng = np.random.default_rng(7)
+    rng.uniform(0.2, 5.0, 8)
+    cube = UNIT_CUBE.support.points
+    prism = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 0, 1], [0, 1, 1]]
+    cubes = [ExpSum(cube, rng.uniform(0.2, 5.0, 8)) for _ in range(2)]
+    return cubes + [ExpSum(prism, rng.uniform(0.2, 5.0, 6)) for _ in range(2)]
 
 
 def _within_budget(result, q):
@@ -687,11 +703,47 @@ class TestMomentRoute:
         moved = ExpSum(kostlan(2, 1).support.points + 1e8)
         assert esol_pspace(moved).value == pytest.approx(math.pi / 8.0, rel=1e-12, abs=0.0)
 
-    def test_three_variables_unsupported(self):
-        # A planar support in R^3 is refused like a full-dimensional one,
-        # as the CLI refuses both; it once returned 0.
-        for E in (kostlan(3, 1), ExpSum([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]])):
-            with pytest.raises(InputError, match="two variables"):
+    @pytest.mark.parametrize(
+        "E, ref",
+        [
+            (kostlan(3, 1), math.pi / 8.0),
+            (ExpSum([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]), 0.125),
+            (_image(kostlan(3, 1), SHEAR3), math.pi / 8.0),
+            (_image(kostlan(3, 1), *_random_affine3(11)), math.pi / 8.0),
+            (kostlan(3, 2), math.pi * 2.0**1.5 / 8.0),
+            (_image(kostlan(3, 2), SHEAR3), math.pi * 2.0**1.5 / 8.0),
+            (_image(kostlan(3, 2), *_random_affine3(11)), math.pi * 2.0**1.5 / 8.0),
+        ],
+        ids=["kostlan(3,1)", "simplex(3,1)", "sheared kostlan(3,1)", "affine kostlan(3,1)", "kostlan(3,2)",
+             "sheared kostlan(3,2)", "affine kostlan(3,2)"],
+    )
+    def test_three_variable_closed_forms(self, E, ref):
+        # The vertex cells esol_total takes over P: 64 seed cells on the
+        # cubes, 128 on the tetrahedron.
+        _check_closed_form(E, ref, STRICT)
+        _check_against_native(E, STRICT)
+
+    @pytest.mark.parametrize("tol", [1e-5, 1e-7])
+    @pytest.mark.parametrize("E", _weighted_3d(), ids=["cube 2", "cube 3", "prism 1", "prism 2"])
+    def test_weighted_cubes_and_prisms_agree_with_native_route(self, E, tol):
+        # No facet-log start: esol_total integrates these over R^3, in 8 to
+        # 26 times the moment route's cells at 1e-7.  The slowest, cube 3 at
+        # 1e-7, took 0.55-0.98 s alone on 2 CPUs, so the bound is the 2 s a
+        # solve may take.
+        q = Quadrature(abs_tol=tol, rel_tol=tol)
+        start = time.perf_counter()
+        b = esol_pspace(E, q)
+        assert time.perf_counter() - start < 2.0
+        a = esol_total(E, q)
+        assert _within_budget(b, q)
+        assert abs(a.value - b.value) <= a.error + b.error
+
+    def test_four_variables_unsupported(self, monkeypatch):
+        # A flat support in R^4 is refused like a full-dimensional one, as
+        # bkk_total refuses both, before any cell is integrated.
+        monkeypatch.setattr(integrate, "_adaptive", _unreachable)
+        for E in (ExpSum(np.vstack([np.zeros(4), np.eye(4)])), ExpSum(FLAT[4])):
+            with pytest.raises(InputError, match="three variables"):
                 esol_pspace(E)
 
     def test_degenerate_support_is_zero(self):
@@ -885,17 +937,25 @@ class TestVertexCells:
         r = esol_total(E, q)
         assert r.value == pytest.approx(ref, abs=1e-6) and _within_budget(r, q)
 
-    def test_a_point_on_two_edges_off_the_vertex_keeps_the_frame(self):
+    def test_a_point_on_two_edges_off_the_vertex_keeps_the_frame(self, monkeypatch):
         # A point 2e-9 from the 1e-4 rad tip of a triangle lies within the
         # on-face rule of both edges there, so the tip looks like two
         # vertices without a neighbour across each edge: no cells.  The
-        # count is still 1/4 over R^2, and the moment route refuses it.
+        # count is still 1/4 over R^2, and the moment route refuses it as
+        # bad input before integrating anything.
         E = ExpSum([[0, 0], [1, 0], [1, 1e-4], [2e-9, 1e-13]])
         assert E._facet_start is not None and E.support._vertex_corners is None
         q = Quadrature(abs_tol=1e-4, rel_tol=1e-4)
         assert esol_total(E, q).value == pytest.approx(0.25, abs=1e-4)
-        with pytest.raises(ConvergenceError, match="no vertex cells"):
+        monkeypatch.setattr(integrate, "_adaptive", _unreachable)
+        with pytest.raises(InputError, match="no vertex cells"):
             esol_pspace(E, q)
+
+    @pytest.mark.parametrize("E", [OCTAHEDRON, SQUARE_PYRAMID], ids=["octahedron", "square pyramid"])
+    def test_the_moment_route_refuses_polytopes_that_are_not_simple(self, E, monkeypatch):
+        monkeypatch.setattr(integrate, "_adaptive", _unreachable)
+        with pytest.raises(InputError, match="no vertex cells"):
+            esol_pspace(E)
 
     def test_corners_are_cached_read_only(self):
         A = SIMPLE_3D["cube"].support
@@ -956,14 +1016,18 @@ class TestTranslation:
 
     @pytest.mark.parametrize("entry", [esol_total, esol_pspace, bkk_total])
     def test_integrals(self, entry):
-        # The sheared kostlan(2, 2) has a facet-log start, so esol_total and
-        # bkk_total integrate it over P; the pentagon has none.
+        # The sheared kostlan(2, 2) and kostlan(3, 1) have a facet-log start,
+        # so esol_total and bkk_total integrate them over P; the pentagon has
+        # none.  The shears and shifts are dyadic, so the points shift exactly.
         cls, q = ComplexExpSum if entry is bkk_total else ExpSum, Quadrature(abs_tol=1e-6, rel_tol=1e-6)
         sheared = kostlan(2, 2).support.points @ np.array([[1.0, 0.5], [0.25, 1.0]])
-        for points, weights in ((PENTAGON.support.points, PENTAGON_WEIGHTS), (sheared, kostlan(2, 2).coeffs)):
+        sheared3 = kostlan(3, 1).support.points @ np.array([[1.0, 0.5, -0.25], [0.0, 1.0, 0.5], [0.0, 0.0, 1.0]])
+        cases = [(PENTAGON.support.points, PENTAGON_WEIGHTS, SHIFT), (sheared, kostlan(2, 2).coeffs, SHIFT),
+                 (sheared3, kostlan(3, 1).coeffs, np.append(SHIFT, 2.0**25))]
+        for points, weights, shift in cases:
             E = cls(points, weights)
             assert (E._facet_start is None) == (points is PENTAGON.support.points)
-            assert entry(cls(points + SHIFT, weights), q) == entry(E, q)
+            assert entry(cls(points + shift, weights), q) == entry(E, q)
 
     def test_densities_preimages_and_psi(self):
         points, weights = PENTAGON.support.points, PENTAGON_WEIGHTS
