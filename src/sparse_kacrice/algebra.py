@@ -94,23 +94,26 @@ def aronszajn(E_a: ExpSum, E_b: ExpSum) -> ExpSum:
     return ExpSum(*_lex_sorted(points, np.sqrt(sq)))
 
 
-def _two_term_power(E: ExpSum, d: int) -> ExpSum:
-    """Closed form for the d-th Aronszajn power of a two-term sum.
-
-    The k-th merged coefficient squares to C(d,k) alpha_p^{2(d-k)}
-    alpha_q^{2k}, evaluated in log domain so large d stays exact.
-    """
+def _binomial_sum(d: int, what: str, terms) -> ExpSum:
+    """The sum whose points and log coefficients ``terms(k, h)`` forms from
+    k = 0, ..., d and the row h_k = log C(d, k) / 2, taken in log domain so
+    large d stays exact; InputError naming ``what`` d when a coefficient
+    overflows a double."""
     from scipy.special import gammaln
 
-    (p, q), (cp, cq) = E.support.points, E.coeffs
     k = np.arange(d + 1)
-    log_coeffs = 0.5 * (
-        gammaln(d + 1) - gammaln(k + 1) - gammaln(d - k + 1)
-    ) + (d - k) * math.log(cp) + k * math.log(cq)
+    points, log_coeffs = terms(k, 0.5 * (gammaln(d + 1) - gammaln(k + 1) - gammaln(d - k + 1)))
     if not np.all(log_coeffs < math.log(np.finfo(float).max)):
-        raise InputError(f"power {d} overflows double-precision coefficients")
-    points = d * p + k[:, None] * (q - p)
+        raise InputError(f"{what} {d} overflows double-precision coefficients")
     return ExpSum(*_lex_sorted(points, np.exp(log_coeffs)))
+
+
+def _two_term_power(E: ExpSum, d: int) -> ExpSum:
+    """Closed form for the d-th Aronszajn power of a two-term sum: the k-th
+    merged coefficient squares to C(d,k) alpha_p^{2(d-k)} alpha_q^{2k}."""
+    (p, q), (cp, cq) = E.support.points, E.coeffs
+    return _binomial_sum(d, "power", lambda k, h: (
+        d * p + k[:, None] * (q - p), h + (d - k) * math.log(cp) + k * math.log(cq)))
 
 
 def aronszajn_power(E: ExpSum, d: int) -> ExpSum:
@@ -147,14 +150,11 @@ def kostlan(m: int, d: int) -> ExpSum:
         raise InputError("dimension must be a positive integer")
     if not (_is_int(d) and d >= 1):
         raise InputError("degree must be a positive integer")
-    from scipy.special import gammaln
+    m = int(m)
 
-    m, d = int(m), int(d)
-    k = np.arange(d + 1)
-    half_log_binom = 0.5 * (gammaln(d + 1) - gammaln(k + 1) - gammaln(d - k + 1))
-    grids = np.meshgrid(*([k] * m), indexing="ij")
-    points = np.stack([g.ravel() for g in grids], axis=1).astype(float)
-    log_coeffs = half_log_binom[points.astype(int)].sum(axis=1)
-    if not np.all(log_coeffs < math.log(np.finfo(float).max)):
-        raise InputError(f"degree {d} overflows double-precision coefficients")
-    return ExpSum(*_lex_sorted(points, np.exp(log_coeffs)))
+    def terms(k, h):
+        grids = np.meshgrid(*([k] * m), indexing="ij")
+        points = np.stack([g.ravel() for g in grids], axis=1).astype(float)
+        return points, h[points.astype(int)].sum(axis=1)
+
+    return _binomial_sum(int(d), "degree", terms)

@@ -24,7 +24,11 @@ kostlan(3,1) pi/8 at 1e-6 on the moment route, the complex segment's
 root count 2), the weighted pentagon's complex total 14 on the x route
 (a two-variable sum with no facet-log start), two Monte-Carlo counts,
 and that the batched density kernel on this machine's BLAS equals
-one-row calls and a direct Cauchy-Binet sum.  Checks of the private
+one-row calls and a direct Cauchy-Binet sum.  Each check is a row that one
+rule reads: an integral within a bound of its closed form, a Monte-Carlo
+count within four standard errors of it, or one of the two kernel checks.
+A row builds its sum inside its check, so a sum that fails to build fails
+that row alone and the other rows still run.  Checks of the private
 kernels live in the test suite.
 
 Inputs are JSON objects {"dim": m, "support": [[...], ...], "coeffs":
@@ -264,44 +268,34 @@ def _cmd_bkk(args) -> int:
     return 0
 
 
+def _integral_near(integral, build, ref, bound, tol=None) -> bool:
+    """|integral(build(), q) - ref| < bound, with q Quadrature(tol, tol), or
+    none (the default Quadrature) when no tol is given."""
+    q = None if tol is None else Quadrature(abs_tol=tol, rel_tol=tol)
+    return abs(integral(build(), q).value - ref) < bound
+
+
+def _mc_near(build, ref) -> bool:
+    """A 4000-draw Monte-Carlo count of build() within 4 standard errors of ref."""
+    mean, stderr = estimate_esol(build(), McConfig(n_samples=4000, seed=7))
+    return abs(mean - ref) < 4.0 * stderr
+
+
 def _selftest_checks():
-    two_term = ExpSum([[0.0], [1.0]])
+    """The selftest's rows: a label, a rule, and the rule's arguments.  Each
+    sum is built inside its check, so one that fails to build fails only
+    its own row."""
+    pi_8, c, s = math.pi / 8.0, math.cos(0.7), math.sin(0.7)
+    pentagon = [[0.0, 0.0], [2.0, 0.0], [3.0, 1.0], [1.0, 3.0], [-1.0, 1.0]]
 
-    def esol_two_term():
-        return abs(esol_total(two_term).value - 0.5) < 1e-6
-
-    def esol_degree_four():
-        return abs(esol_total(kostlan(1, 4)).value - 1.0) < 1e-4
-
-    def rotated_square():
-        E = ExpSum([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
-        return abs(esol_total(E).value - math.pi / 8.0) < 1e-6
-
-    def square_at_0_7_rad():
-        c, s = math.cos(0.7), math.sin(0.7)
-        E = ExpSum([[0.0, 0.0], [c, s], [-s, c], [c - s, s + c]])
-        return abs(esol_total(E, Quadrature(1e-10, 1e-10)).value - math.pi / 8.0) < 1e-10
-
-    def kostlan_three_variables(integral=esol_total):
-        tol = 1e-6
-        r = integral(kostlan(3, 1), Quadrature(abs_tol=tol, rel_tol=tol))
-        return abs(r.value - math.pi / 8.0) < tol
-
-    def kostlan_three_variables_degree_two():
-        tol = 1e-7
-        r = esol_total(kostlan(3, 2), Quadrature(abs_tol=tol, rel_tol=tol))
-        return abs(r.value - math.pi * 2.0**1.5 / 8.0) < tol
-
-    def moment_triangle():
-        E = ExpSum([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        return abs(esol_pspace(E).value - 0.25) < 1e-6
+    def two_term():
+        return ExpSum([[0.0], [1.0]])
 
     def kernel_rows_match_batch():
         # 64 rows take other BLAS blockings than one row does, so a layout
         # fault in the batched kernel on this BLAS shows as a mismatch.
         rng = np.random.default_rng(3)
-        pentagon = ExpSum([[0.0, 0.0], [2.0, 0.0], [3.0, 1.0], [1.0, 3.0], [-1.0, 1.0]])
-        for E in (pentagon, kostlan(3, 1)):
+        for E in (ExpSum(pentagon), kostlan(3, 1)):
             X = rng.uniform(-1.0, 1.0, size=(64, E.dim))
             rows = [density(E, x) for x in X]
             if not np.allclose(density_many(E, X), rows, rtol=1e-13, atol=0.0):
@@ -321,52 +315,43 @@ def _selftest_checks():
         want = 2.0 / ball_sphere_constants(3)[1] * np.sqrt(np.prod(W[:, subsets], axis=2) @ (D * D))
         return np.allclose(density_many(E, X), want, rtol=1e-13, atol=0.0)
 
-    def bkk_segment():
-        E = ComplexExpSum([[0.0], [1.0], [2.0]])
-        return abs(bkk_total(E).value - 2.0) < 1e-3
-
-    def bkk_weighted_pentagon():
-        # No facet-log start, so this two-variable integral runs on the x route.
-        E = ComplexExpSum([[0.0, 0.0], [2.0, 0.0], [3.0, 1.0], [1.0, 3.0], [-1.0, 1.0]],
-                          [1.0, 0.5, 2.0, 1.5, 0.75])
-        return abs(bkk_total(E).value - 14.0) < 1e-5
-
-    def mc_two_term():
-        mean, stderr = estimate_esol(two_term, McConfig(n_samples=4000, seed=7))
-        return abs(mean - 0.5) < 4.0 * stderr
-
-    def mc_rolle_cascade():
-        # five terms: most draws change sign twice or more, so the Rolle
-        # cascade, not Descartes' rule, counts them
-        mean, stderr = estimate_esol(kostlan(1, 4), McConfig(n_samples=4000, seed=7))
-        return abs(mean - 1.0) < 4.0 * stderr
-
     return [
-        ("two-term expected zero count is 1/2", esol_two_term),
-        ("degree-4 one-variable count is sqrt(4)/2", esol_degree_four),
-        ("rotated unit square is pi/8 over the Newton polytope", rotated_square),
-        ("rotated square (0.7 rad) is pi/8 at 1e-10 over the Newton polytope", square_at_0_7_rad),
-        ("kostlan(3,1) is pi/8 at 1e-6 over the Newton polytope", kostlan_three_variables),
-        ("kostlan(3,2) is pi 2^(3/2)/8 at 1e-7 over the Newton polytope", kostlan_three_variables_degree_two),
-        ("moment route on the triangle is 1/4", moment_triangle),
-        ("kostlan(3,1) is pi/8 on the moment route", lambda: kostlan_three_variables(esol_pspace)),
+        ("two-term expected zero count is 1/2", _integral_near, esol_total, two_term, 0.5, 1e-6),
+        ("degree-4 one-variable count is sqrt(4)/2", _integral_near, esol_total,
+         lambda: kostlan(1, 4), 1.0, 1e-4),
+        ("rotated unit square is pi/8 over the Newton polytope", _integral_near, esol_total,
+         lambda: ExpSum([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]), pi_8, 1e-6),
+        ("rotated square (0.7 rad) is pi/8 at 1e-10 over the Newton polytope", _integral_near, esol_total,
+         lambda: ExpSum([[0.0, 0.0], [c, s], [-s, c], [c - s, s + c]]), pi_8, 1e-10, 1e-10),
+        ("kostlan(3,1) is pi/8 at 1e-6 over the Newton polytope", _integral_near, esol_total,
+         lambda: kostlan(3, 1), pi_8, 1e-6, 1e-6),
+        ("kostlan(3,2) is pi 2^(3/2)/8 at 1e-7 over the Newton polytope", _integral_near, esol_total,
+         lambda: kostlan(3, 2), math.pi * 2.0**1.5 / 8.0, 1e-7, 1e-7),
+        ("moment route on the triangle is 1/4", _integral_near, esol_pspace,
+         lambda: ExpSum([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), 0.25, 1e-6),
+        ("kostlan(3,1) is pi/8 on the moment route", _integral_near, esol_pspace,
+         lambda: kostlan(3, 1), pi_8, 1e-6, 1e-6),
         ("kernel_rows_match_batch: 64-row pentagon and kostlan(3,1) batches equal one-row"
          " density calls", kernel_rows_match_batch),
         ("simplex_sum_matches_subsets: the batched density equals a direct sum over the"
          " 4-subsets of a seeded 7-point support in R^3", simplex_sum_matches_subsets),
-        ("complex density total equals the root count", bkk_segment),
-        ("weighted pentagon's complex density total is 2 x its area 7 on the x route",
-         bkk_weighted_pentagon),
-        ("Monte-Carlo two-term count is 1/2", mc_two_term),
-        ("Monte-Carlo Rolle cascade: kostlan(1,4) count is sqrt(4)/2", mc_rolle_cascade),
+        ("complex density total equals the root count", _integral_near, bkk_total,
+         lambda: ComplexExpSum([[0.0], [1.0], [2.0]]), 2.0, 1e-3),
+        # No facet-log start, so this two-variable integral runs on the x route.
+        ("weighted pentagon's complex density total is 2 x its area 7 on the x route", _integral_near,
+         bkk_total, lambda: ComplexExpSum(pentagon, [1.0, 0.5, 2.0, 1.5, 0.75]), 14.0, 1e-5),
+        ("Monte-Carlo two-term count is 1/2", _mc_near, two_term, 0.5),
+        # five terms: most draws change sign twice or more, so the Rolle
+        # cascade, not Descartes' rule, counts them
+        ("Monte-Carlo Rolle cascade: kostlan(1,4) count is sqrt(4)/2", _mc_near, lambda: kostlan(1, 4), 1.0),
     ]
 
 
 def _cmd_selftest(args) -> int:
     checks, failures = _selftest_checks(), 0
-    for label, check in checks:
+    for label, rule, *arguments in checks:
         try:
-            ok = bool(check())
+            ok = bool(rule(*arguments))
         except Exception as exc:  # honest report, keep going
             ok = False
             label = f"{label} ({type(exc).__name__}: {exc})"

@@ -191,25 +191,33 @@ class SupportSet:
 
         Incidence is the hull's ``on``, from the on-face rule
         (:func:`_face_mask`): the vertices are the points of A on m facets
-        (a point on more is a vertex where P is not simple), and two
-        vertices span an edge when they share m - 1 facets.  Axis b of
-        vertex i stands for the b-th of its m facets, in row order, and the
-        corner whose ones pick the facets S is the centroid of the face they
-        cut out: the vertex for all m, the midpoint of the edge for m - 1,
-        the area centroid of the facet for one of three (each facet fanned
-        from its vertex mean over its edges), and the centroid of P for none
-        (P fanned from its vertex mean over the edges in two variables and
-        the facet fans in three).  So the face of vertex i's cube with axis
-        b at one lies on that facet, and two cubes that meet share a face's
-        four corners."""
+        (a point on more is a vertex where P is not simple), one per set of
+        m facets: the point with the least summed distance to them, since a
+        point near a sharp vertex can lie within the rule of the same facets
+        as the vertex.  Two vertices span an edge when they share m - 1
+        facets.  Axis b of vertex i stands for the b-th of its m facets, in
+        row order, and the corner whose ones pick the facets S is the
+        centroid of the face they cut out: the vertex for all m, the
+        midpoint of the edge for m - 1, the area centroid of the facet for
+        one of three (each facet fanned from its vertex mean over its
+        edges), and the centroid of P for none (P fanned from its vertex
+        mean over the edges in two variables and the facet fans in three).
+        So the face of vertex i's cube with axis b at one lies on that
+        facet, and two cubes that meet share a face's four corners."""
         m = self.dim
         if self._hull is None or m > 3:
             return None
-        normals, on = self._hull[1][:, :-1], self._hull[4]
-        count = on.sum(axis=1)
+        rows, on = self._hull[1], self._hull[4]
+        normals, count = rows[:, :-1], on.sum(axis=1)
         if count.max() > m:
             return None
-        on, V = on[count == m], self._centred[count == m]
+        # One vertex per set of m facets: the point nearest them.
+        distance = np.sum(-(self._centred @ normals.T + rows[:, -1]), axis=1, where=on)
+        vertex = np.nonzero(count == m)[0]
+        vertex = vertex[np.argsort(distance[vertex], kind="stable")]
+        key = np.ravel_multi_index(np.nonzero(on[vertex])[1].reshape(-1, m).T, (on.shape[1],) * m)
+        vertex = np.sort(vertex[np.unique(key, return_index=True)[1]])
+        on, V = on[vertex], self._centred[vertex]
         facets = np.nonzero(on)[1].reshape(-1, m)
         adjacent = on.astype(np.intp) @ on.T == m - 1
         # across[i, w, b]: w is vertex i's neighbour off its b-th facet.
@@ -276,11 +284,11 @@ class SupportSet:
                 f"{k} points in R^{m} need a Cauchy-Binet block of {shape[0] * shape[1]} "
                 f"entries, over the limit of {SIMPLEX_FORM_LIMIT}"
             )
-        S = _cauchy_binet_tables(k, m)[0]
+        S, _, mask = _cauchy_binet_tables(k, m)
         D = _cone_dets(self.points, S[:, 1:], self.points[S[:, 0]])
         D[(np.abs(D) <= 1e-12 * np.ptp(self.points, axis=0).max() ** m) | self.degenerate] = 0.0
         B = np.zeros(shape)
-        B[_simplex_mask(k, m)] = D * D
+        B[mask] = D * D
         B.flags.writeable = False
         return B
 
@@ -345,40 +353,32 @@ def _sorted_tuples(k: int, r: int) -> np.ndarray:
 
 
 # A table of k points in R^m holds (m+1) C(k, m+1) + m k C(k, m-1) indices
-# (0.8 MB for 27 points in R^3, 8.5 MB for 128 in R^2), so only the most recent
-# shapes stay.
+# (0.8 MB for 27 points in R^3, 8.5 MB for 128 in R^2) and a mask of up to
+# SIMPLEX_FORM_LIMIT bytes, so only the most recent shapes stay.
 @lru_cache(maxsize=32)
-def _cauchy_binet_tables(k: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+def _cauchy_binet_tables(k: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Index tables of the Cauchy-Binet sums over k points in R^m, built
     once per (k, m); cached, read-only.
 
-    Returns (subsets, cones):
+    Returns (subsets, cones, mask):
     * subsets, (C(k, m+1), m+1): the sorted (m+1)-subsets S,
       :func:`_sorted_tuples` (k, m+1), the simplices of
       ``SupportSet._simplex_form``;
     * cones, (C(k, m-1) k, m): each sorted (m-1)-tuple s followed by each
       point j, s-major, the rows t of the cone determinants det[a_t - a_0]
-      of Psi's (C(k, m-1), k) matrix.
+      of Psi's (C(k, m-1), k) matrix;
+    * mask, (C(k-m+1, 2), C(k-2, m-1)): where ``SupportSet._simplex_form``
+      holds a simplex, the entries of its (pair (a, b), tuple t) grid with
+      min t > b.
     """
     subsets = _sorted_tuples(k, m + 1)
     s = _sorted_tuples(k, m - 1)
     cones = np.hstack([np.repeat(s, k, axis=0), np.tile(np.arange(k), len(s))[:, None]])
-    return _read_only(subsets, cones)
-
-
-@lru_cache(maxsize=32)
-def _simplex_mask(k: int, m: int) -> np.ndarray:
-    """Where ``SupportSet._simplex_form`` of k points in R^m holds a
-    simplex: the entries of its (pair (a, b), tuple t) grid with min t > b,
-    built once per (k, m), as :func:`_cauchy_binet_tables` are; cached,
-    read-only."""
     # The second index of each row pair, and the first of each column
     # tuple: k for the one empty tuple of m = 1, above every b.
     b_row = _sorted_tuples(max(k - m + 1, 0), 2)[:, 1]
     first_t = np.min(_sorted_tuples(max(k - 2, 0), m - 1), axis=1, initial=k - 2) + 2
-    mask = first_t[None, :] > b_row[:, None]
-    mask.flags.writeable = False
-    return mask
+    return _read_only(subsets, cones, first_t[None, :] > b_row[:, None])
 
 
 def _coerce_support(A) -> SupportSet:

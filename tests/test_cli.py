@@ -15,7 +15,7 @@ import pytest
 
 import sparse_kacrice
 from sparse_kacrice import (
-    Augmentation, ComplexExpSum, ExpSum, density_many, kostlan, ray_scan_unbounded,
+    Augmentation, ComplexExpSum, ExpSum, InputError, density_many, kostlan, ray_scan_unbounded,
 )
 from sparse_kacrice import cli, integrate
 from sparse_kacrice.cli import main
@@ -81,17 +81,16 @@ class TestAnalyze:
     @pytest.mark.parametrize("route", ["p", "both"])
     def test_moment_route_refuses_before_integrating(self, tmp_path, monkeypatch, route, capsys):
         # Past three variables, and on a P with no vertex cells (the
-        # octahedron is not simple; a point 2e-9 from a triangle's tip breaks
-        # its incidence): bad input, before any cell or the x route's integral.
+        # octahedron is not simple): bad input, before any cell or the x
+        # route's integral.
         def no_integral(*args, **kwargs):
             raise AssertionError("integrated before refusing")
 
         monkeypatch.setattr(integrate, "_adaptive", no_integral)
         monkeypatch.setattr(cli, "esol_total", no_integral)
         octahedron = [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]]
-        tip = [[0, 0], [1, 0], [1, 1e-4], [2e-9, 1e-13]]
         for points, message in (([[0] * 4] + np.eye(4).tolist(), "three variables"),
-                                (octahedron, "no vertex cells"), (tip, "no vertex cells")):
+                                (octahedron, "no vertex cells")):
             path = tmp_path / "refused.json"
             path.write_text(ExpSum(points).to_json())
             assert main(["analyze", "--input", str(path), "--route", route]) == 2
@@ -385,6 +384,26 @@ class TestSelftestAndErrors:
         assert "PASS  simplex_sum_matches_subsets" in out
         assert "PASS  kostlan(3,1) is pi/8 on the moment route" in out
         assert out.splitlines()[-1] == "14 passed, 0 failed"
+
+    def test_a_failing_check_does_not_stop_the_rest(self, monkeypatch, capsys):
+        # Each row builds its sum inside its check, so a builder that raises
+        # fails the rows that call it and no other.
+        def refuse(m, d):
+            raise InputError(f"kostlan({m},{d}) refused")
+
+        monkeypatch.setattr(cli, "kostlan", refuse)
+        assert main(["selftest"]) == 3
+        lines = capsys.readouterr().out.splitlines()
+        labels = [row[0] for row in cli._selftest_checks()]
+        # The degree-4, the kostlan(3,*), the kernel-rows and the Rolle-cascade rows.
+        builds_kostlan = {1, 4, 5, 7, 8, 13}
+        assert len(lines) == len(labels) + 1
+        for i, (label, line) in enumerate(zip(labels, lines)):
+            if i in builds_kostlan:
+                assert line.startswith(f"FAIL  {label} (InputError: kostlan(") and line.endswith(") refused)")
+            else:
+                assert line == f"PASS  {label}"
+        assert lines[-1] == "8 passed, 6 failed"
 
     def test_cli_imports_only_public_names(self):
         # The selftest checks an installed package, so the CLI reaches it

@@ -314,11 +314,15 @@ class TestCauchyBinetTables:
     def test_tables_are_cached_read_only(self, k, m):
         tables = _cauchy_binet_tables(k, m)
         assert _cauchy_binet_tables(k, m) is tables
-        subsets, cones = tables
+        subsets, cones, mask = tables
         np.testing.assert_array_equal(subsets, _sorted_tuples(k, m + 1))
         s = _sorted_tuples(k, m - 1)
         want = np.hstack([np.repeat(s, k, axis=0), np.tile(np.arange(k), len(s))[:, None]])
         np.testing.assert_array_equal(cones, want)
+        # The mask marks the (pair (a, b), tuple t) entries with min t > b.
+        pairs, tuples = _sorted_tuples(k - m + 1, 2), _sorted_tuples(k - 2, m - 1) + 2
+        want = [[min(t, default=k) > b for t in tuples] for _, b in pairs]
+        np.testing.assert_array_equal(mask, want)
         for table in tables:
             assert not table.flags.writeable
             with pytest.raises(ValueError):

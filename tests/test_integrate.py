@@ -937,19 +937,24 @@ class TestVertexCells:
         r = esol_total(E, q)
         assert r.value == pytest.approx(ref, abs=1e-6) and _within_budget(r, q)
 
-    def test_a_point_on_two_edges_off_the_vertex_keeps_the_frame(self, monkeypatch):
+    def test_a_point_on_two_edges_off_the_vertex_takes_the_chart(self):
         # A point 2e-9 from the 1e-4 rad tip of a triangle lies within the
-        # on-face rule of both edges there, so the tip looks like two
-        # vertices without a neighbour across each edge: no cells.  The
-        # count is still 1/4 over R^2, and the moment route refuses it as
-        # bad input before integrating anything.
-        E = ExpSum([[0, 0], [1, 0], [1, 1e-4], [2e-9, 1e-13]])
-        assert E._facet_start is not None and E.support._vertex_corners is None
-        q = Quadrature(abs_tol=1e-4, rel_tol=1e-4)
-        assert esol_total(E, q).value == pytest.approx(0.25, abs=1e-4)
-        monkeypatch.setattr(integrate, "_adaptive", _unreachable)
-        with pytest.raises(InputError, match="no vertex cells"):
-            esol_pspace(E, q)
+        # on-face rule of both edges there, as the tip does.  The tip, the
+        # nearer of the two to those edges, is the vertex in either order,
+        # so the count of 1/4 lands on the chart.  The moment route's
+        # inversion fails on nodes next to the tip (ROADMAP item 19), so it
+        # raises with its partial value.
+        tip = [[0, 0], [1, 0], [1, 1e-4], [2e-9, 1e-13]]
+        for points in (tip, tip[3:] + tip[:3]):
+            E = ExpSum(points)
+            assert E.support._vertex_corners is not None and integrate._over_rm(E)[2] is False
+            for tol in (1e-4, 1e-7):
+                q = Quadrature(abs_tol=tol, rel_tol=tol)
+                r = esol_total(E, q)
+                assert abs(r.value - 0.25) <= r.error and _within_budget(r, q) and r.cells <= 48
+                with pytest.raises(ConvergenceError) as info:
+                    esol_pspace(E, q)
+                assert info.value.value is not None
 
     @pytest.mark.parametrize("E", [OCTAHEDRON, SQUARE_PYRAMID], ids=["octahedron", "square pyramid"])
     def test_the_moment_route_refuses_polytopes_that_are_not_simple(self, E, monkeypatch):
