@@ -10,118 +10,24 @@ shared-variable product calculus of coefficient systems, and checks the
 complex-coefficient density against the classical polytope-volume count.
 """
 
-from .errors import (
-    ConvergenceError,
-    DegenerateMetricError,
-    DomainError,
-    InputError,
-    SingularFormError,
-    SparseKacRiceError,
-)
-from .geometry import (
-    QuadForm,
-    SupportSet,
-    ball_sphere_constants,
-    diameter,
-    dual_form,
-    exposed_face,
-    form_det,
-    hull_volume,
-    interior_contains,
-    support_function,
-)
-from .expsum import (
-    EvalBundle,
-    ExpSum,
-    asymptotic_moment,
-    density,
-    density_many,
-    evaluate,
-    face_metric_limit,
-    invert_moment,
-    legendre_density,
-    potential,
-)
-from .monotonicity import (
-    Augmentation,
-    PsiEval,
-    RegionScan,
-    augment,
-    psi,
-    ray_scan_unbounded,
-    region_scan,
-    witness_interior,
-)
-from .algebra import (
-    aronszajn,
-    aronszajn_power,
-    kostlan,
-    tensor,
-)
-from .integrate import (
-    IntegralResult,
-    Quadrature,
-    esol_pspace,
-    esol_region,
-    esol_total,
-    lower_bound_check,
-)
-from .mc_oracle import McConfig, estimate_esol, sample_zero_count
-from .complexcase import ComplexExpSum, bkk_density, bkk_total, n_factorial_volume
+from . import errors, geometry, expsum, monotonicity, algebra, integrate, mc_oracle, complexcase
+from .errors import *  # noqa: F401,F403
+from .geometry import *  # noqa: F401,F403
+from .expsum import *  # noqa: F401,F403
+from .monotonicity import *  # noqa: F401,F403
+from .algebra import *  # noqa: F401,F403
+from .integrate import *  # noqa: F401,F403
+from .mc_oracle import *  # noqa: F401,F403
+from .complexcase import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConvergenceError",
-    "DegenerateMetricError",
-    "DomainError",
-    "InputError",
-    "SingularFormError",
-    "SparseKacRiceError",
-    "QuadForm",
-    "SupportSet",
-    "ball_sphere_constants",
-    "diameter",
-    "dual_form",
-    "exposed_face",
-    "form_det",
-    "hull_volume",
-    "interior_contains",
-    "support_function",
-    "EvalBundle",
-    "ExpSum",
-    "asymptotic_moment",
-    "density",
-    "density_many",
-    "evaluate",
-    "face_metric_limit",
-    "invert_moment",
-    "legendre_density",
-    "potential",
-    "Augmentation",
-    "PsiEval",
-    "RegionScan",
-    "augment",
-    "psi",
-    "ray_scan_unbounded",
-    "region_scan",
-    "witness_interior",
-    "aronszajn",
-    "aronszajn_power",
-    "kostlan",
-    "tensor",
-    "IntegralResult",
-    "Quadrature",
-    "esol_pspace",
-    "esol_region",
-    "esol_total",
-    "lower_bound_check",
-    "McConfig",
-    "estimate_esol",
-    "sample_zero_count",
-    "ComplexExpSum",
-    "bkk_density",
-    "bkk_total",
-    "n_factorial_volume",
-    "__version__",
-]
+__all__ = ["__version__"]
+__all__ += errors.__all__
+__all__ += geometry.__all__
+__all__ += expsum.__all__
+__all__ += monotonicity.__all__
+__all__ += algebra.__all__
+__all__ += integrate.__all__
+__all__ += mc_oracle.__all__
+__all__ += complexcase.__all__

@@ -94,26 +94,29 @@ def aronszajn(E_a: ExpSum, E_b: ExpSum) -> ExpSum:
     return ExpSum(*_lex_sorted(points, np.sqrt(sq)))
 
 
-def _binomial_sum(d: int, what: str, terms) -> ExpSum:
-    """The sum whose points and log coefficients ``terms(k, h)`` forms from
-    k = 0, ..., d and the row h_k = log C(d, k) / 2, taken in log domain so
-    large d stays exact; InputError naming ``what`` d when a coefficient
-    overflows a double."""
+def _binomial_sum(d: int, what: str, m: int, row, place) -> ExpSum:
+    """The sum over the multi-indices c in {0, ..., d}^m: the point
+    ``place(c)`` with log coefficient sum_i r[c_i], where r = ``row(k, h)``
+    is formed from k = 0, ..., d and h_k = log C(d, k) / 2, in log domain so
+    large d stays exact.  InputError naming ``what`` d when a coefficient
+    overflows a double, raised from the row before any (d+1)^m array exists."""
     from scipy.special import gammaln
 
     k = np.arange(d + 1)
-    points, log_coeffs = terms(k, 0.5 * (gammaln(d + 1) - gammaln(k + 1) - gammaln(d - k + 1)))
-    if not np.all(log_coeffs < math.log(np.finfo(float).max)):
+    r = row(k, 0.5 * (gammaln(d + 1) - gammaln(k + 1) - gammaln(d - k + 1)))
+    # The largest log coefficient is m copies of r's largest, summed as below.
+    if not r[np.full((1, m), np.argmax(r))].sum(axis=1)[0] < math.log(np.finfo(float).max):
         raise InputError(f"{what} {d} overflows double-precision coefficients")
-    return ExpSum(*_lex_sorted(points, np.exp(log_coeffs)))
+    c = np.stack([g.ravel() for g in np.meshgrid(*([k] * m), indexing="ij")], axis=1)
+    return ExpSum(*_lex_sorted(place(c), np.exp(r[c].sum(axis=1))))
 
 
 def _two_term_power(E: ExpSum, d: int) -> ExpSum:
     """Closed form for the d-th Aronszajn power of a two-term sum: the k-th
     merged coefficient squares to C(d,k) alpha_p^{2(d-k)} alpha_q^{2k}."""
     (p, q), (cp, cq) = E.support.points, E.coeffs
-    return _binomial_sum(d, "power", lambda k, h: (
-        d * p + k[:, None] * (q - p), h + (d - k) * math.log(cp) + k * math.log(cq)))
+    return _binomial_sum(d, "power", 1, lambda k, h: h + (d - k) * math.log(cp) + k * math.log(cq),
+                         lambda c: d * p + c * (q - p))
 
 
 def aronszajn_power(E: ExpSum, d: int) -> ExpSum:
@@ -140,8 +143,13 @@ def kostlan(m: int, d: int) -> ExpSum:
 
     Support {0, ..., d}^m with coefficient sqrt(prod_i C(d, c_i)) at c —
     the d-th Aronszajn power of the tensor m-th power of the two-term seed
-    on {0, 1}, built directly from binomials (log domain; degrees beyond
-    double range raise InputError, d <= 500 is safe).  Densities need the
+    on {0, 1}, built directly from binomials (log domain; the coefficients
+    stay in double range for d up to about 2050 / m, and a larger degree
+    raises InputError before the support is formed).  For m >= 2 the
+    support is the limit instead: ``SupportSet``'s pairwise pass holds a
+    (k, k, m) array, k = (d+1)^m, so kostlan(2, 45) peaks at 171 MiB,
+    kostlan(3, 12) at 258 MiB, and kostlan(2, 500) asks numpy for 939 GiB
+    and raises its MemoryError.  Densities need the
     Cauchy-Binet block's C(k-m+1, 2) C(k-2, m-1) entries, k = (d+1)^m, within
     ``geometry.SIMPLEX_FORM_LIMIT``: kostlan(3, 2) and kostlan(2, 10) fit,
     kostlan(3, 3) and kostlan(2, 11) raise InputError.
@@ -150,11 +158,4 @@ def kostlan(m: int, d: int) -> ExpSum:
         raise InputError("dimension must be a positive integer")
     if not (_is_int(d) and d >= 1):
         raise InputError("degree must be a positive integer")
-    m = int(m)
-
-    def terms(k, h):
-        grids = np.meshgrid(*([k] * m), indexing="ij")
-        points = np.stack([g.ravel() for g in grids], axis=1).astype(float)
-        return points, h[points.astype(int)].sum(axis=1)
-
-    return _binomial_sum(int(d), "degree", terms)
+    return _binomial_sum(int(d), "degree", int(m), lambda k, h: h, lambda c: c.astype(float))

@@ -6,6 +6,15 @@ matching: bad inputs, points outside a domain of definition, iterative
 methods that ran out of budget, and linear algebra that degenerated.
 """
 
+__all__ = [
+    "SparseKacRiceError",
+    "InputError",
+    "DomainError",
+    "ConvergenceError",
+    "SingularFormError",
+    "DegenerateMetricError",
+]
+
 
 class SparseKacRiceError(Exception):
     """Base class for all errors raised by this package."""

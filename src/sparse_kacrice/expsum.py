@@ -98,6 +98,7 @@ __all__ = [
     "legendre_density",
     "asymptotic_moment",
     "face_metric_limit",
+    "potential",
 ]
 
 #: Interior margin of every moment target, scaled by (1 + diam P): the

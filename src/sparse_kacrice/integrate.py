@@ -117,7 +117,6 @@ __all__ = [
     "esol_total",
     "esol_region",
     "esol_pspace",
-    "LowerBoundReport",
     "lower_bound_check",
 ]
 

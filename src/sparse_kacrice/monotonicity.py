@@ -42,10 +42,6 @@ from .geometry import _interior_mask, _is_int, _read_only, diameter
 from .geometry import interior_contains  # noqa: F401 (perfbench's tracer wraps it)
 
 __all__ = [
-    "U_MINUS",
-    "U_PLUS",
-    "BOUNDARY",
-    "OUTSIDE",
     "Augmentation",
     "PsiEval",
     "RegionScan",

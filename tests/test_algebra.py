@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -176,6 +177,19 @@ class TestKostlan:
             kostlan(1, 0)
         with pytest.raises(InputError):
             kostlan(1, 3000)
+
+    def test_overflow_is_refused_from_the_row(self):
+        # The refusal reads the 2101-entry binomial row, not the 2101^2
+        # grid of log coefficients (270 MiB if it were built first).
+        kostlan(2, 2)
+        tracemalloc.start()
+        try:
+            with pytest.raises(InputError, match="^degree 2100 overflows double-precision coefficients$"):
+                kostlan(2, 2100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_counts_follow_the_integer_rule(self):
         for m, d in ((True, 2), (2, True), (2.0, 1), (1, 2.5), ("2", 1)):

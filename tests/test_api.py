@@ -9,13 +9,18 @@ not options of a computation.
 
 from __future__ import annotations
 
+import importlib
 import inspect
+import operator
 
 import numpy as np
 import pytest
 
 import sparse_kacrice
 from sparse_kacrice import Augmentation, InputError, kostlan
+
+#: The modules whose ``__all__`` lists make up the package's, in order.
+MODULES = ("errors", "geometry", "expsum", "monotonicity", "algebra", "integrate", "mc_oracle", "complexcase")
 
 #: Every public name, sorted (52 names).
 PUBLIC = [
@@ -112,12 +117,25 @@ def test_public_names_are_pinned():
     assert sorted(sparse_kacrice.__all__) == PUBLIC
 
 
+def test_public_names_are_stated_once_in_their_modules():
+    modules = [importlib.import_module(f"sparse_kacrice.{name}") for name in MODULES]
+    assert sparse_kacrice.__all__ == ["__version__"] + [name for mod in modules for name in mod.__all__]
+    assert len(set(sparse_kacrice.__all__)) == len(sparse_kacrice.__all__)
+    for mod in modules:
+        for name in mod.__all__:
+            obj = getattr(mod, name)
+            assert obj.__module__ == mod.__name__, f"{mod.__name__}.{name} is defined in {obj.__module__}"
+            assert getattr(sparse_kacrice, name) is obj, name
+
+
 SQUARE = kostlan(2, 1)
 LINE = kostlan(1, 2)
 
-#: Malformed point and parameter inputs of the public entry points: each
-#: raises InputError, not the TypeError or ValueError of a failed float
-#: conversion, and a bool is not a real parameter.
+#: Malformed point and parameter inputs of the public entry points, and
+#: inputs outside their contracts (records, shapes, dimensions, zero
+#: directions): each raises InputError, not the TypeError or ValueError of a
+#: failed float conversion, and a bool is not a real parameter.  An entry
+#: may be dotted, for a class method.
 MALFORMED = {
     "evaluate str": ("evaluate", (SQUARE, "ab")),
     "invert_moment str entry": ("invert_moment", (SQUARE, ["a", 0.5])),
@@ -126,6 +144,19 @@ MALFORMED = {
     "psi dict": ("psi", (SQUARE, Augmentation([0.3, 0.6]), {"a": 1})),
     **{f"ray_scan_unbounded t_max {t_max!r}": ("ray_scan_unbounded", (LINE, Augmentation([3.0]), [1.0], t_max, 3))
        for t_max in ("5", None, [5.0], True, np.True_)},
+    "ExpSum.from_dict list": ("ExpSum.from_dict", ([[0.0], [1.0]],)),
+    "ExpSum.from_dict support shape": ("ExpSum.from_dict", ({"dim": 2, "support": [[0.0], [1.0]]},)),
+    "ExpSum.from_json invalid": ("ExpSum.from_json", ('{"dim": 1,',)),
+    "density_many width": ("density_many", (SQUARE, np.zeros((3, 3)))),
+    "hull_volume four variables": ("hull_volume", (kostlan(4, 1).support,)),
+    "interior_contains tol 0": ("interior_contains", (SQUARE.support, [0.5, 0.5], 0.0)),
+    "ball_sphere_constants 0": ("ball_sphere_constants", (0,)),
+    "QuadForm non-square": ("QuadForm", (np.ones((2, 3)),)),
+    "QuadForm non-finite": ("QuadForm", (np.array([[1.0, np.nan], [np.nan, 1.0]]),)),
+    "estimate_esol two variables": ("estimate_esol", (SQUARE,)),
+    "asymptotic_moment zero x_dir": ("asymptotic_moment", (SQUARE, [0.0, 0.0])),
+    "face_metric_limit zero x_dir": ("face_metric_limit", (SQUARE, [0.0, 0.0], [0.0, 0.0])),
+    "ray_scan_unbounded zero direction": ("ray_scan_unbounded", (LINE, Augmentation([3.0]), [0.0], 5.0, 3)),
 }
 
 
@@ -133,4 +164,4 @@ MALFORMED = {
 def test_malformed_inputs_raise_input_error(name):
     entry, args = MALFORMED[name]
     with pytest.raises(InputError):
-        getattr(sparse_kacrice, entry)(*args)
+        operator.attrgetter(entry)(sparse_kacrice)(*args)

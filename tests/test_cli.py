@@ -6,6 +6,7 @@ import ast
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -468,3 +469,33 @@ class TestSelftestAndErrors:
     def test_domain_error_exits_two(self, two_term_file):
         # witness point outside the exponent hull
         assert main(["witness", "--input", two_term_file, "--a0", "-0.5"]) == 2
+
+
+#: Exit paths of ``main`` and of its input parsers: sum support, arguments
+#: ("{input}" the sum's file, "{dir}" an existing directory), exit code,
+#: and a pattern the whole of stderr matches.
+EXIT_PATHS = {
+    # A ConvergenceError with its partial value: on this near-degenerate
+    # quadrilateral the moment route's integrand is not finite at some nodes.
+    "convergence-error": ([[0, 0], [1, 0], [1, 1e-4], [2e-9, 1e-13]], ["analyze", "--route", "p"], 3,
+                          r"error: integrand is not finite on 2 of 48 new cells \(partial value 0\.2396\d*\)\n"),
+    # A DegenerateMetricError, which reaches main's SparseKacRiceError branch.
+    "degenerate-metric": ([[0, 0], [1, 1], [2, 2]], ["witness", "--a0", "0.5,0.5"], 3,
+                          r"error: support is not full-dimensional; moment map is not open\n"),
+    "output-is-a-directory": ([[0], [1]], ["analyze", "--output", "{dir}"], 2,
+                              r"error: cannot write {dir}: .*\n"),
+    "direction-not-reals": ([[0], [1]], ["ray", "--a0", "3", "--direction", "1,a"], 2,
+                            r"error: could not parse '1,a' as comma-separated reals\n"),
+    "box-count": ([[0, 0], [1, 0], [0, 1], [1, 1]], ["analyze", "--box", "0,1"], 2,
+                  r"error: --box needs 4 comma-separated reals \(lo,hi per axis\)\n"),
+}
+
+
+@pytest.mark.parametrize("case", EXIT_PATHS)
+def test_exit_paths(case, tmp_path, capsys):
+    support, argv, code, stderr = EXIT_PATHS[case]
+    path = tmp_path / "sum.json"
+    path.write_text(ExpSum(support).to_json())
+    fill = {"input": str(path), "dir": str(tmp_path)}
+    assert main([arg.format(**fill) for arg in argv[:1] + ["--input", "{input}"] + argv[1:]]) == code
+    assert re.fullmatch(stderr.format(dir=re.escape(str(tmp_path))), capsys.readouterr().err)

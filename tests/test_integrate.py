@@ -1005,6 +1005,17 @@ class TestFrame:
         want = (2.0 * math.pi) ** m * complexcase._bkk_density_many(E, X) * jac
         assert integrands[1](Y).tobytes() == want.tobytes()
 
+    def test_four_variables_integrate_over_the_frame(self):
+        # No vertex cells in four variables: the frame over R^4 is the only
+        # route.  kostlan(4, 1) is the fourth tensor power of the two-term
+        # sum, whose sqrt(g) integrates to pi/2, so its count is
+        # (2/s_4) (pi/2)^4 = 3 pi^2 / 64, with s_4 = 8 pi^2 / 3.
+        start = time.perf_counter()
+        r = esol_total(kostlan(4, 1), Quadrature(abs_tol=1e-3, rel_tol=1e-3))
+        assert r.route == "x"
+        assert abs(r.value - 3.0 * math.pi**2 / 64.0) <= r.error
+        assert time.perf_counter() - start < 4.0
+
 
 #: Weights for the pentagon, and a shift that keeps every point, the
 #: barycenter (1, 1) and its translate exactly representable.
@@ -1148,6 +1159,16 @@ class TestConvergenceFailure:
             esol_total(TWO_TERM, Quadrature(abs_tol=1e-300, rel_tol=1e-300))
         assert info.value.value == pytest.approx(0.5, abs=1e-6)
         assert time.perf_counter() - start < 2.0
+
+    def test_region_that_keeps_growing_raises_with_its_tail(self, monkeypatch):
+        # Exponents 1e-4 apart spread part of the count out to |x| of order
+        # 1e4, so after one shell doubling the tail shell still exceeds the
+        # error.
+        monkeypatch.setattr(integrate, "MAX_DOUBLINGS", 1)
+        with pytest.raises(ConvergenceError, match="region over R\\^m kept growing") as info:
+            esol_total(ExpSum([[0.0], [1e-4], [1.0], [1.0001]]))
+        assert info.value.value == pytest.approx(0.50018, abs=1e-5)
+        assert info.value.residual == pytest.approx(3.95e-4, rel=1e-2)
 
     def test_failed_frame_raises_with_its_residual(self, monkeypatch):
         # No Newton step at all: the frame stays at the start its row took.
