@@ -73,6 +73,7 @@ from .errors import ConvergenceError, DegenerateMetricError, DomainError, InputE
 from .geometry import (
     QuadForm,
     SupportSet,
+    _as_floats,
     _check_vector,
     _cholesky_solve,
     _face_mask,
@@ -143,7 +144,7 @@ class ExpSum:
         if coeffs is None:
             arr = np.ones(k)
         else:
-            arr = np.asarray(coeffs, dtype=float).reshape(-1)
+            arr = _as_floats(coeffs, "coefficients must be real numbers").reshape(-1)
         if arr.shape[0] != k:
             raise InputError(f"{arr.shape[0]} coefficients for {k} support points")
         if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
@@ -152,10 +153,10 @@ class ExpSum:
         # The support's barycenter c and centred points A - c, the
         # coordinates of every kernel; read-only.
         self._c, self._points = self.support._c, self.support._centred
-        # The last moment-coordinate grid scanned and its preimages, kept by
-        # :func:`.monotonicity.region_scan`: ((box, resolution), node
-        # indices, X), read-only; None until the first such scan.
-        self._grid_preimages = None
+        # The last grid scanned in each space ("p", "x"), with its scan
+        # points and the sum's part of Psi there, kept read-only by
+        # :func:`.monotonicity._scan_grid`; empty until the first scan.
+        self._scan_grids = {}
         # The last added exponent's cone-determinant block, kept by
         # :func:`.monotonicity._psi_many`: (a_0 bytes, M), M read-only; None
         # until the first Psi evaluation.
@@ -700,10 +701,10 @@ def legendre_density(E: ExpSum, p) -> float:
     value is not finite.
     """
     x = invert_moment(E, p)
-    value = float(1.0 / np.sqrt(2.0**E.dim * _det_g(E, *_softmax(E, x[:, None])[1:]))[0])
-    if not math.isfinite(value):
+    det = _det_g(E, *_softmax(E, x[:, None])[1:])
+    if not det[0] > 0.0:
         raise ConvergenceError(f"det g underflows at the preimage {x.tolist()}", value=x)
-    return value
+    return float(1.0 / np.sqrt(2.0**E.dim * det)[0])
 
 
 # -- asymptotics ------------------------------------------------------------

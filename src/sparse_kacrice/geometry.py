@@ -58,9 +58,19 @@ DET_FLOOR = 1e-300
 SIMPLEX_FORM_LIMIT = 2**20
 
 
+def _as_floats(value, what: str) -> np.ndarray:
+    """value as a float array; InputError "<what>, got <value>" where the
+    conversion fails, as it does on a string, a ragged nesting or a
+    complex entry."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{what}, got {value!r}") from exc
+
+
 def _as_point_array(points) -> np.ndarray:
     """Coerce point input to a float array of shape (k, m)."""
-    arr = np.asarray(points, dtype=float)
+    arr = _as_floats(points, "support points must be real numbers")
     if arr.ndim == 0:
         arr = arr.reshape(1, 1)
     elif arr.ndim == 1:
@@ -399,10 +409,7 @@ def _is_int(v) -> bool:
 
 def _check_vector(u, m: int, name: str = "u") -> np.ndarray:
     """u as a finite float vector of length m; InputError otherwise."""
-    try:
-        vec = np.asarray(u, dtype=float).reshape(-1)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{name} must give real numbers, got {u!r}") from exc
+    vec = _as_floats(u, f"{name} must give real numbers").reshape(-1)
     if vec.shape[0] != m:
         raise InputError(f"{name} has length {vec.shape[0]}, expected {m}")
     if not np.all(np.isfinite(vec)):
@@ -413,10 +420,7 @@ def _check_vector(u, m: int, name: str = "u") -> np.ndarray:
 def _check_box(box, m: int) -> tuple:
     """A box as m (lo, hi) float pairs: shape (m, 2), or (2,) in one variable,
     every bound finite and lo < hi.  InputError otherwise."""
-    try:
-        arr = np.asarray(box, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"box must give numeric (lo, hi) pairs, got {box!r}") from exc
+    arr = _as_floats(box, "box must give numeric (lo, hi) pairs")
     if arr.shape == (2,) and m == 1:
         arr = arr[None, :]
     if arr.shape != (m, 2):
@@ -557,7 +561,7 @@ class QuadForm:
     """
 
     def __init__(self, entries):
-        arr = np.asarray(entries, dtype=float)
+        arr = _as_floats(entries, "Gram entries must be real numbers")
         if arr.ndim == 0:
             arr = arr.reshape(1, 1)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:

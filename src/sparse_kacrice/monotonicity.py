@@ -16,12 +16,21 @@ softmax weights of :mod:`.expsum` without a metric, and Psi is defined
 wherever det g does not underflow.  No metric is formed or inverted on
 this route; the test suite checks it against one that does.
 
-A moment-coordinate region scan inverts its grid once per sum: the sum
-keeps the preimages of its last p-grid (m N floats and N node indices)
-and every later scan of that grid, under any added exponent, evaluates
-Psi on them alone.  Scanning another grid replaces them.  Likewise the
+A region scan keeps its grid.  Psi splits into the sum's part, which
+depends on the sum and the point alone (:func:`_sum_part`: the potential,
+the softmax weights and the det g sum), and the exponent's part
+(:func:`_psi_many`).  Each sum keeps, read-only, its last grid in each
+space ("p" and "x"): the request, the resolved box, axes and resolution,
+the scan points (the x nodes, or the p-grid's usable node indices and
+their preimages) and the sum's part there.  A later scan of that grid,
+under any added exponent, runs only the exponent's part: no grid, default
+box, inversion or softmax, with the same numbers bit for bit.  Scanning
+another grid replaces that space's entry.  The trade is memory: about
+k + m + 2 floats per scan point per space, 0.3 MB for a 64^2 grid with
+k = 4 terms and about 60 MB for a 512^2 grid with k = 25.  Likewise the
 sum keeps the cone-determinant block of its last added exponent, which
-every Psi evaluation under that exponent reads.
+every Psi evaluation under that exponent reads; its key marks that
+exponent as checked against the sum, so a re-scan skips that check too.
 """
 
 from __future__ import annotations
@@ -69,8 +78,8 @@ _LABELS = np.array([BOUNDARY, U_MINUS, U_PLUS, OUTSIDE], dtype=object)
 @dataclass(frozen=True)
 class Augmentation:
     """One extra exponent a_0 with positive weight alpha_0; InputError for a
-    field that is not a finite real number (alpha0 also positive, and not a
-    bool) or an a0 that is neither a scalar nor 1-D."""
+    field that is not a finite real number (alpha0 also positive, a scalar
+    and not a bool) or an a0 that is neither a scalar nor 1-D."""
 
     a0: np.ndarray
     alpha0: float = 1.0
@@ -80,7 +89,8 @@ class Augmentation:
             raise InputError("alpha0 must be a real number, not a bool")
         try:
             a0 = np.asarray(self.a0, dtype=float)
-            positive = bool(np.isfinite(self.alpha0) and self.alpha0 > 0)
+            scalar = np.ndim(self.alpha0) == 0
+            positive = scalar and bool(np.isfinite(self.alpha0) and self.alpha0 > 0)
         except (TypeError, ValueError) as exc:
             raise InputError(f"a0 and alpha0 must be real numbers: {exc}") from exc
         if a0.ndim > 1:
@@ -89,6 +99,8 @@ class Augmentation:
         if not np.all(np.isfinite(a0)):
             raise InputError("a0 must be finite")
         object.__setattr__(self, "a0", a0)
+        if not scalar:
+            raise InputError(f"alpha0 must be a scalar, got shape {np.shape(self.alpha0)}")
         if not positive:
             raise InputError("alpha0 must be finite and positive")
 
@@ -138,21 +150,51 @@ def augment(E: ExpSum, aug: Augmentation) -> ExpSum:
     )
 
 
-def _psi_many(E: ExpSum, aug: Augmentation, a0: np.ndarray, X: np.ndarray):
-    """Psi, phi0, g^x(tau) and log K/K_0 at each row of X (shape (N, m));
-    a0 is aug's exponent as :func:`_check_augmentation` returns it, checked
-    once per scan by the caller.  The ratio stays a log: only :func:`psi`'s
-    evaluations take its exp, not a scan's nodes.
+def _checked_a0(E: ExpSum, aug: Augmentation) -> np.ndarray:
+    """aug's exponent checked against E by :func:`_check_augmentation`,
+    unless it is the exponent of E's cone block, which only a checked
+    exponent builds (:func:`_psi_many`)."""
+    block = E._cone_block
+    if block is not None and block[0] == aug.a0.tobytes():
+        return aug.a0
+    return _check_augmentation(E, aug)
+
+
+def _sum_part(E: ExpSum, X: np.ndarray):
+    """(phi, W, det_sum) at each row of X (shape (N, m)): the part of Psi
+    that depends on E and the points alone, not on a_0.  phi is the
+    potential top + (1/2) log total without its <c, x>, W the softmax
+    weights (k, N) of :func:`.expsum._softmax` and det_sum the Cauchy-Binet
+    sum total^(m+1) det g of :func:`.expsum._simplex_sum`.  Raises
+    DegenerateMetricError where det g underflows to 0."""
+    top, W, total = _softmax(E, X.T)
+    det_sum = _simplex_sum(W, E.support._simplex_form, E.dim)
+    if E.dim == 1:
+        # a row of _simplex_sum's work buffer, which a stored grid would
+        # otherwise keep whole: C(k, 2) + 2 rows of N floats
+        det_sum = det_sum.copy()
+    flat = det_sum == 0.0
+    if flat.any():
+        raise DegenerateMetricError(f"det g underflows at x = {X[flat][0].tolist()}; Psi undefined")
+    return top + 0.5 * np.log(total), W, det_sum
+
+
+def _psi_many(E: ExpSum, aug: Augmentation, a0: np.ndarray, X: np.ndarray, part):
+    """Psi, phi0, g^x(tau) and log K/K_0 at each row of X (shape (N, m)),
+    the exponent's part of Psi from the sum's part ``part`` there
+    (:func:`_sum_part`, which it only reads); a0 is aug's exponent as
+    :func:`_checked_a0` returns it, checked once per call by the caller.
+    The ratio stays a log: only :func:`psi`'s evaluations take its exp,
+    not a scan's nodes.
 
     g^x(tau) = (f_0^2 / K_0) q with q = (mu - a_0)^T g^-1 (mu - a_0), and
     by Cauchy-Binet on g + (mu - a_0)(mu - a_0)^T, q det g is the sum over
     sorted (m-1)-tuples s of prod_s lambda (sum_j lambda_j M_sj)^2, with
     M_sj = det[a_s - a_0, a_j - a_0]: one (C(k, m-1), k) @ (k, N) product,
     squared, against the tuple products of :func:`.expsum._sorted_products`.
-    It and det g (:func:`.expsum._simplex_sum`) are sums of non-negative
-    terms on E's own softmax scale, so g^x(tau) and Psi keep their relative
-    accuracy in every tail, whichever term dominates; no metric is formed
-    or solved.  Raises DegenerateMetricError where det g underflows to 0.
+    It and det g are sums of non-negative terms on E's own softmax scale,
+    so g^x(tau) and Psi keep their relative accuracy in every tail,
+    whichever term dominates; no metric is formed or solved.
 
     Like the kernels, M and log f_0 are taken about the barycenter c, M on
     the centred points with apex a_0 - c and log f_0 with <a_0 - c, x>,
@@ -163,12 +205,8 @@ def _psi_many(E: ExpSum, aug: Augmentation, a0: np.ndarray, X: np.ndarray):
     :func:`psi` and :func:`ray_scan_unbounded` build it once; another a_0
     replaces it.
     """
-    top, W, total = _softmax(E, X.T)
+    phi, W, det_sum = part
     m, k = E.dim, E.n_terms
-    det_sum = _simplex_sum(W, E.support._simplex_form, m)
-    flat = det_sum == 0.0
-    if flat.any():
-        raise DegenerateMetricError(f"det g underflows at x = {X[flat][0].tolist()}; Psi undefined")
     key, apex = a0.tobytes(), a0 - E._c
     if E._cone_block is None or E._cone_block[0] != key:
         M = _cone_dets(E._points, _cauchy_binet_tables(k, m)[1], apex).reshape(-1, k)
@@ -177,7 +215,6 @@ def _psi_many(E: ExpSum, aug: Augmentation, a0: np.ndarray, X: np.ndarray):
     MW = E._cone_block[1] @ W
     np.square(MW, out=MW)
     q = (MW[0] if m == 1 else np.einsum("tn,tn->n", _sorted_products(W, m - 1), MW)) / det_sum
-    phi = top + 0.5 * np.log(total)
     log_f0 = math.log(aug.alpha0) + X @ apex
     log_K0 = np.logaddexp(2.0 * phi, 2.0 * log_f0)
     log_ratio = 2.0 * phi - log_K0
@@ -187,8 +224,9 @@ def _psi_many(E: ExpSum, aug: Augmentation, a0: np.ndarray, X: np.ndarray):
 
 
 def _psi_evals(E: ExpSum, aug: Augmentation, X: np.ndarray) -> list[PsiEval]:
-    """:func:`psi` at each row of X, from one :func:`_psi_many` call."""
-    values, phi0, tau_normsq, log_ratio = _psi_many(E, aug, _check_augmentation(E, aug), X)
+    """:func:`psi` at each row of X, from one :func:`_psi_many` call on the
+    sum's part taken here."""
+    values, phi0, tau_normsq, log_ratio = _psi_many(E, aug, _checked_a0(E, aug), X, _sum_part(E, X))
     rows = zip(X, phi0.tolist(), tau_normsq.tolist(), np.exp(log_ratio).tolist(), values.tolist())
     return [PsiEval(*row, label) for row, label in zip(rows, _classify_psi(values))]
 
@@ -289,29 +327,53 @@ class RegionScan:
         return json.dumps(payload)
 
 
-def _moment_preimages(E: ExpSum, box: tuple, resolution: tuple, nodes: np.ndarray):
-    """(usable, X): the indices of the p-grid nodes at least
-    ``INVERT_MARGIN`` (1 + diam P) inside every facet whose inversion
-    converged, and their preimages X (rows, in node order).
+def _scan_grid(E: ExpSum, space: str, box, resolution) -> tuple:
+    """E's grid in ``space`` for the request (box, resolution), box checked
+    or None: (request, box, resolution, axes, usable, X, phi, W, det_sum),
+    every array read-only.  X holds the scan points as rows, the x nodes
+    (usable None) or the preimages of the p-nodes at the indices usable,
+    and (phi, W, det_sum) is :func:`_sum_part` there.
 
-    They depend on E, the box and the resolution alone, not on a_0, so they
-    are kept read-only on E (``E._grid_preimages``) and serve every later
-    scan of the same grid; a scan of another grid replaces them.
+    None of it depends on a_0, so E keeps its last grid in each space
+    (``E._scan_grids``): a request equal to the stored one is served with
+    no grid, default box or sum's part, and one that resolves to the
+    stored grid keeps its scan points and sum's part.  A grid of another
+    box or resolution replaces the space's entry; an entry is stored only
+    once its sum's part is taken, so a DegenerateMetricError stores
+    nothing.  The request is kept only for a whole-number resolution (or a
+    tuple of them), whose equality is plain.
+
+    The usable p-nodes lie at least ``INVERT_MARGIN`` (1 + diam P) inside
+    every facet, and their inversion converged.
     """
-    key = (box, resolution)
-    stored = E._grid_preimages
-    if stored is None or stored[0] != key:
-        margin = INVERT_MARGIN * (1.0 + diameter(E.support))
-        usable = np.flatnonzero(_interior_mask(E.support, nodes, margin))
-        # The targets about the barycenter, written coordinate-major, as the
-        # inversion holds them, and passed as rows by a transposed view:
-        # fancy indexing and broadcasting over rows of m floats cost several
-        # times as much.
-        Q = np.subtract(nodes.take(usable, axis=0).T, E._c[:, None], order="C")
-        X, ok = _invert_moment_many(E, Q.T)
-        stored = (key, *_read_only(usable.compress(ok), X.compress(ok, axis=0)))
-        E._grid_preimages = stored
-    return stored[1:]
+    plain = _is_int(resolution) or isinstance(resolution, tuple) and all(map(_is_int, resolution))
+    request = (box, resolution) if plain else None
+    stored = E._scan_grids.get(space)
+    if stored is not None and request is not None and stored[0] == request:
+        return stored
+    if box is None:
+        points = E.support.points
+        box = np.column_stack([points.min(0), points.max(0)]) if space == "p" else [(-5.0, 5.0)] * E.dim
+        box = _check_box(box, E.dim)
+    resolution, axes, nodes = _grid(box, resolution)
+    if stored is not None and stored[1:3] == (box, resolution):
+        grid = (request, *stored[1:])
+    else:
+        usable, X = None, nodes
+        if space == "p":
+            margin = INVERT_MARGIN * (1.0 + diameter(E.support))
+            usable = np.flatnonzero(_interior_mask(E.support, nodes, margin))
+            # The targets about the barycenter, written coordinate-major, as
+            # the inversion holds them, and passed as rows by a transposed
+            # view: fancy indexing and broadcasting over rows of m floats
+            # cost several times as much.
+            Q = np.subtract(nodes.take(usable, axis=0).T, E._c[:, None], order="C")
+            X, ok = _invert_moment_many(E, Q.T)
+            usable, X = _read_only(usable.compress(ok), X.compress(ok, axis=0))
+        part = _read_only(X, *_sum_part(E, X))
+        grid = (request, box, resolution, _read_only(*axes), usable, *part)
+    E._scan_grids[space] = grid
+    return grid
 
 
 def region_scan(
@@ -331,38 +393,39 @@ def region_scan(
     every inversion, residual ``INVERT_TOL`` (1 + diam P), so near a facet
     Psi is taken at the preimage, not at a nearby point: 2.4e-5 inside the
     facet of an affine square it is 9e-13 relative off the Psi of a 50-digit
-    preimage.  The usable node indices and their preimages depend on E and
-    the grid alone, so E keeps those of its last p-grid, keyed by (box,
-    resolution): m N floats and N indices, read-only.  A later p-scan of
-    the same sum and grid, under any a_0, reuses them and only evaluates
-    Psi, with the same numbers bit for bit; a p-scan of another grid
-    replaces them.  An "x" space scan evaluates the grid directly.  Either way
+    preimage.  An "x" space scan evaluates the grid directly.  Either way
     Psi is evaluated once for the whole grid by the kernel behind
     :func:`psi`, with no per-node Python call; a node where det g underflows
-    to 0 raises DegenerateMetricError for the scan.  ``box`` defaults to the
-    support's bounding box ("p") or [-5, 5]^m ("x"), and any box must be
-    finite with lo < hi per axis; ``resolution`` is a whole number or one
-    per axis, at least 2 each.  Both follow :func:`.geometry._check_box`
-    and :func:`.geometry._grid` and raise InputError where those do.
+    to 0 raises DegenerateMetricError for the scan.
+
+    E keeps its last grid in each space (:func:`_scan_grid`): the resolved
+    box, axes and resolution, the scan points (the x nodes, or the usable
+    p-node indices and their preimages) and the sum's part of Psi there
+    (:func:`_sum_part`), read-only.  A later scan of the same grid, under
+    any a_0, skips the grid, the default box, the inversion and the sum's
+    part, and the a_0 check too for the a_0 of E's cone block; it runs only
+    the exponent's part (:func:`_psi_many`), with the same numbers bit for
+    bit.  A scan of another grid replaces that space's entry.  The store
+    costs about k + m + 2 floats per scan point per space (0.3 MB at 64^2
+    with k = 4, about 60 MB at 512^2 with k = 25), kept as long as E is.
+
+    ``box`` defaults to the support's bounding box ("p") or [-5, 5]^m
+    ("x"), and any box must be finite with lo < hi per axis;
+    ``resolution`` is a whole number or one per axis, at least 2 each.
+    Both follow :func:`.geometry._check_box` and :func:`.geometry._grid`
+    and raise InputError where those do.
     """
-    a0 = _check_augmentation(E, aug)
+    a0 = _checked_a0(E, aug)
     if space not in ("p", "x"):
         raise InputError("space must be 'p' or 'x'")
     if E.support.degenerate:
         raise DegenerateMetricError("support is not full-dimensional; Psi undefined")
-    m = E.dim
-    if box is None:
-        points = E.support.points
-        box = np.column_stack([points.min(0), points.max(0)]) if space == "p" else [(-5.0, 5.0)] * m
-    box = _check_box(box, m)
-    resolution, axes, nodes = _grid(box, resolution)
-    if space == "x":
-        values = _psi_many(E, aug, a0, nodes)[0]
-    else:
-        values = np.full(nodes.shape[0], np.nan)
-        usable, X = _moment_preimages(E, box, resolution, nodes)
-        if usable.size:
-            values[usable] = _psi_many(E, aug, a0, X)[0]
+    box = None if box is None else _check_box(box, E.dim)
+    _, box, resolution, axes, usable, X, *part = _scan_grid(E, space, box, resolution)
+    values = _psi_many(E, aug, a0, X, part)[0]
+    if usable is not None:
+        values, inner = np.full(math.prod(resolution), np.nan), values
+        values[usable] = inner
     return RegionScan(
         space=space,
         box=box,

@@ -157,6 +157,18 @@ MALFORMED = {
     "asymptotic_moment zero x_dir": ("asymptotic_moment", (SQUARE, [0.0, 0.0])),
     "face_metric_limit zero x_dir": ("face_metric_limit", (SQUARE, [0.0, 0.0], [0.0, 0.0])),
     "ray_scan_unbounded zero direction": ("ray_scan_unbounded", (LINE, Augmentation([3.0]), [0.0], 5.0, 3)),
+    "SupportSet str": ("SupportSet", ("ab",)),
+    "SupportSet ragged": ("SupportSet", ([[0], [1, 2]],)),
+    "SupportSet complex": ("SupportSet", ([[0], [1j]],)),
+    "ExpSum str": ("ExpSum", ("ab",)),
+    "ComplexExpSum str": ("ComplexExpSum", ("ab",)),
+    "diameter str": ("diameter", ("ab",)),
+    "hull_volume str": ("hull_volume", ("ab",)),
+    "ExpSum coeffs str": ("ExpSum", ([[0], [1]], "ab")),
+    "ExpSum coeffs complex": ("ExpSum", ([[0], [1]], [1j, 1])),
+    "QuadForm str": ("QuadForm", ("ab",)),
+    "QuadForm complex": ("QuadForm", ([[1j, 0], [0, 1]],)),
+    "Augmentation alpha0 array": ("Augmentation", ([0.3, 0.6], np.array([2.0]))),
 }
 
 

@@ -406,6 +406,17 @@ class TestSelftestAndErrors:
                 assert line == f"PASS  {label}"
         assert lines[-1] == "8 passed, 6 failed"
 
+    def test_a_kernel_row_mismatch_fails_its_row(self, monkeypatch, capsys):
+        # The batched kernel equals its one-row calls on every BLAS tested,
+        # so the one-row density is made to differ from it by 1e-12.
+        real = cli.density
+        monkeypatch.setattr(cli, "density", lambda E, x: real(E, x) * (1.0 + 1e-12))
+        assert main(["selftest"]) == 3
+        lines = capsys.readouterr().out.splitlines()
+        failed = [line for line in lines if line.startswith("FAIL")]
+        assert len(failed) == 1 and failed[0].startswith("FAIL  kernel_rows_match_batch: ")
+        assert lines[-1] == "13 passed, 1 failed"
+
     def test_cli_imports_only_public_names(self):
         # The selftest checks an installed package, so the CLI reaches it
         # through public names alone; geometry's input checks validate

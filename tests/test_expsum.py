@@ -139,6 +139,9 @@ class TestConstruction:
         with pytest.raises(InputError):
             ExpSum([[0.0], [1.0]], [1.0])
 
+    def test_repr(self):
+        assert repr(ExpSum([[0, 1], [2, 3]], [1, 0.5])) == "ExpSum([[0.0, 1.0], [2.0, 3.0]], [1.0, 0.5])"
+
     def test_json_round_trip(self):
         E = IRREGULAR
         back = ExpSum.from_json(E.to_json())
@@ -164,14 +167,19 @@ class TestConstruction:
         region_scan(E, Augmentation([0.3, 0.6]), resolution=8)
         esol_total(E, Quadrature(abs_tol=1e-4, rel_tol=1e-4))
         assert E._newton_start is not None and E.support.vertices is not None
-        names = ["_c", "_points", "_newton_start", "_grid_preimages", "_cone_block"]
+        region_scan(E, Augmentation([2.0, -1.0]), resolution=8, space="x")
+        names = ["_c", "_points", "_newton_start", "_scan_grids", "_cone_block"]
         assert all(vars(E).get(name) is not None for name in names)
+        assert set(E._scan_grids) == {"p", "x"}
         assert {"_hull", "_simplex_form", "_diameter"} <= set(vars(E.support))
         for array in (E._c, E._points):
             with pytest.raises(ValueError):
                 array[0] = 0.0
         arrays = _reachable_arrays([E, _cauchy_binet_tables(E.n_terms, E.dim), _cell_rule(E.dim)])
         assert len(arrays) >= 20
+        # The store is reached: both entries' axes, scan points and sum's part.
+        stored = [a for grid in E._scan_grids.values() for a in (*grid[3], *grid[4:]) if a is not None]
+        assert len(stored) == 13 and all(any(a is b for b in arrays) for a in stored)
         assert [a.shape for a in arrays if a.flags.writeable] == []
 
 
@@ -216,8 +224,9 @@ class TestCentredCopy:
 
 
 def _reachable_arrays(obj, seen=None) -> list:
-    """Every numpy array reachable from obj through lists, tuples, partials
-    and the attributes of sums and supports, cached properties included."""
+    """Every numpy array reachable from obj through lists, tuples, dicts,
+    partials and the attributes of sums and supports, cached properties
+    included."""
     seen = set() if seen is None else seen
     if id(obj) in seen:
         return []
@@ -228,6 +237,8 @@ def _reachable_arrays(obj, seen=None) -> list:
         obj = obj.args
     elif isinstance(obj, (ExpSum, SupportSet)):
         obj = list(vars(obj).values())
+    elif isinstance(obj, dict):
+        obj = list(obj.values())
     if isinstance(obj, (list, tuple)):
         return [a for item in obj for a in _reachable_arrays(item, seen)]
     return []
@@ -818,6 +829,16 @@ class TestLegendreDensity:
     def test_near_boundary_rejected(self):
         with pytest.raises(DomainError):
             legendre_density(TWO_TERM, [1.0 - 1e-9])
+
+    def test_underflowing_det_g_raises_with_the_preimage(self, monkeypatch):
+        # No target INVERT_MARGIN inside P has a preimage where det g
+        # underflows (points closer than 1e-9 (1 + spread) are one point),
+        # so the kernel's det g is made to vanish.
+        x = invert_moment(SQUARE, [0.3, 0.6])
+        monkeypatch.setattr(expsum, "_det_g", lambda E, W, total: np.zeros(W.shape[1]))
+        with pytest.raises(ConvergenceError, match="det g underflows at the preimage") as info:
+            legendre_density(SQUARE, [0.3, 0.6])
+        assert info.value.value.tobytes() == x.tobytes()
 
     @pytest.mark.parametrize("name", ["kostlan(2,2) affine", "two-term weighted", "R2 draw 1", "pentagon",
                                       "R3 draw 0", "lattice 1"])

@@ -63,6 +63,20 @@ class TestSupportSet:
         with pytest.raises(InputError):
             SupportSet(np.zeros((0, 1)))
 
+    def test_repr_and_iteration(self):
+        A = SupportSet([[0, 1], [2, 3]])
+        assert repr(A) == "SupportSet([[0.0, 1.0], [2.0, 3.0]])"
+        assert [a.tolist() for a in A] == [[0.0, 1.0], [2.0, 3.0]]
+
+    def test_equality_and_hash(self):
+        A = SupportSet([[0, 1], [2, 3]])
+        same = SupportSet(np.array([[0.0, 1.0], [2.0, 3.0]]))
+        assert A == same and hash(A) == hash(same) and len({A, same}) == 1
+        # Order, values and shape each tell sets apart.
+        for other in ([[2, 3], [0, 1]], [[0, 1], [2, 4]], [[0], [1], [2], [3]]):
+            assert A != SupportSet(other)
+        assert A.__eq__([[0, 1], [2, 3]]) is NotImplemented and A != "A"
+
 
 class TestSupportFunction:
     def test_interval(self):
@@ -386,6 +400,9 @@ class TestQuadForm:
     def test_evaluate(self):
         Q = QuadForm([[2.0, 0.0], [0.0, 3.0]])
         assert Q([1.0, 1.0]) == pytest.approx(5.0)
+
+    def test_repr(self):
+        assert repr(QuadForm([[2, 1], [0, 3]])) == "QuadForm([[2.0, 0.5], [0.5, 3.0]])"
 
     def test_det_and_dual(self):
         Q = QuadForm([[0.25]])

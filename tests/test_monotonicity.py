@@ -17,6 +17,7 @@ from sparse_kacrice import (
     ExpSum,
     InputError,
     SingularFormError,
+    SparseKacRiceError,
     augment,
     density,
     diameter,
@@ -210,6 +211,11 @@ class TestAugmentation:
 
 
 class TestPsi:
+    def test_non_finite_point_refused(self):
+        for x in ([math.nan, 0.0], [0.0, math.inf]):
+            with pytest.raises(InputError, match="x must be finite"):
+                psi(kostlan(2, 1), Augmentation([0.3, 0.6]), x)
+
     def test_witness_value(self):
         ev = psi(SQUARE, SQ_AUG, [0.0, 0.0])
         assert ev.psi == pytest.approx(0.8, rel=1e-12)
@@ -401,6 +407,12 @@ class TestWitness:
     def test_exterior_point_rejected(self):
         with pytest.raises(DomainError):
             witness_interior(TWO_TERM, Augmentation([-0.5]))
+
+    def test_negligible_weight_fails_numerically(self):
+        # With alpha0 = 1e-200, K_0 rounds to K at x_0, so Psi(x_0) is 1.0
+        # exactly and the witness is refused rather than returned.
+        with pytest.raises(SparseKacRiceError, match=r"interior witness failed numerically: Psi\(x0\) = 1\.0"):
+            witness_interior(SQUARE, Augmentation([0.3, 0.6], 1e-200))
 
     def test_every_interior_point_yields_witness(self):
         rng = np.random.default_rng(10)
@@ -608,7 +620,8 @@ class TestRegionScan:
 
 
 class TestGridPreimages:
-    """A sum keeps the preimages of its last p-grid for every later a0."""
+    """A sum keeps its last grid in each space, with the scan points and
+    the sum's part of Psi there, for every later a0."""
 
     @pytest.mark.parametrize("where", ["interior", "exterior"])
     @pytest.mark.parametrize("name", sorted(STORE_CASES))
@@ -617,9 +630,9 @@ class TestGridPreimages:
         first, then = (outer, inner) if where == "interior" else (inner, outer)
         E = ExpSum(points, coeffs)
         region_scan(E, Augmentation(first), resolution=resolution)
-        stored = E._grid_preimages
+        stored = E._scan_grids["p"]
         got = region_scan(E, Augmentation(then), resolution=resolution)
-        assert E._grid_preimages is stored
+        assert E._scan_grids["p"] is stored
         want = region_scan(ExpSum(points, coeffs), Augmentation(then), resolution=resolution)
         assert got.psi.tobytes() == want.psi.tobytes()
         np.testing.assert_array_equal(got.classes, want.classes)
@@ -648,7 +661,7 @@ class TestGridPreimages:
         for i, (kwargs, want) in enumerate(runs):
             region_scan(E, Augmentation([0.3, 0.6] if i % 2 else [2.0, -1.0]), **kwargs)
             assert len(calls) == want, kwargs
-        assert E._grid_preimages[0] == (((0.0, 1.0), (0.0, 1.0)), (8, 8))
+        assert E._scan_grids["p"][1:3] == (((0.0, 1.0), (0.0, 1.0)), (8, 8))
 
     def test_failed_nodes_stay_outside_on_reuse(self, monkeypatch):
         # c00 c11 = 3 against c10 c01 = 1: far from a product of two-term
@@ -682,14 +695,104 @@ class TestGridPreimages:
         monkeypatch.setattr(monotonicity, "_simplex_sum", flat_at_one_node)
         E = ExpSum(SQUARE.support.points)
         for a0 in ([0.3, 0.6], [2.0, -1.0]):
-            with pytest.raises(DegenerateMetricError):
-                region_scan(E, Augmentation(a0), resolution=8)
-        assert E._grid_preimages is not None
+            for space in ("p", "x"):
+                with pytest.raises(DegenerateMetricError):
+                    region_scan(E, Augmentation(a0), resolution=8, space=space)
+        assert E._scan_grids == {}
         flat = ExpSum([[0, 0], [1, 1], [2, 2]])
         for a0 in ([0.3, 0.6], [2.0, -1.0]):
             with pytest.raises(DegenerateMetricError):
                 region_scan(flat, Augmentation(a0), resolution=8)
-        assert flat._grid_preimages is None
+        assert flat._scan_grids == {}
+
+    @pytest.mark.parametrize("name", sorted(STORE_CASES))
+    def test_x_rescan_equals_a_fresh_sum(self, name):
+        points, coeffs, inner, outer, resolution = STORE_CASES[name]
+        box = [(-4.0, 6.0)] * len(inner)
+        E = ExpSum(points, coeffs)
+        region_scan(E, Augmentation(inner), box=box, resolution=resolution, space="x")
+        stored = E._scan_grids["x"]
+        got = region_scan(E, Augmentation(outer, 1.5), box=box, resolution=resolution, space="x")
+        assert E._scan_grids["x"] is stored and "p" not in E._scan_grids
+        want = region_scan(ExpSum(points, coeffs), Augmentation(outer, 1.5), box=box, resolution=resolution,
+                           space="x")
+        assert got.psi.tobytes() == want.psi.tobytes()
+        np.testing.assert_array_equal(got.classes, want.classes)
+        assert got.box == want.box and all(a.tobytes() == b.tobytes() for a, b in zip(got.axes, want.axes))
+
+    @pytest.mark.parametrize("space", ["p", "x"])
+    def test_a_rescan_runs_only_the_exponents_part(self, monkeypatch, space):
+        # The sum's part (softmax, det g sum) and the grid are taken once;
+        # a re-scan under another a0, and a request that resolves to the
+        # same grid, take none of them again.
+        calls = []
+        for name in ("_softmax", "_simplex_sum", "_grid"):
+            def counted(*args, name=name, real=getattr(monotonicity, name)):
+                calls.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(monotonicity, name, counted)
+        E = ExpSum([[0, 0], [1, 0], [0, 1], [1, 1]], [1.0, 0.7, 1.3, 0.9])
+        region_scan(E, Augmentation([0.3, 0.6]), resolution=8, space=space)
+        assert sorted(set(calls)) == ["_grid", "_simplex_sum", "_softmax"]
+        del calls[:]
+        again = [region_scan(E, Augmentation(a0), resolution=8, space=space)
+                 for a0 in ([2.0, -1.0], [0.3, 0.6], [0.5, 0.2])]
+        assert calls == []
+        box = [(0.0, 1.0), (0.0, 1.0)] if space == "p" else [(-5.0, 5.0), (-5.0, 5.0)]
+        explicit = region_scan(E, Augmentation([0.5, 0.2]), box=box, resolution=(8, 8), space=space)
+        assert calls == ["_grid"]
+        assert explicit.psi.tobytes() == again[-1].psi.tobytes()
+
+    def test_a_checked_a0_is_not_checked_again(self, monkeypatch):
+        checks = []
+        real = monotonicity._check_augmentation
+
+        def counted(E, aug):
+            checks.append(aug.a0.tolist())
+            return real(E, aug)
+
+        monkeypatch.setattr(monotonicity, "_check_augmentation", counted)
+        E = ExpSum([[0, 0], [1, 0], [0, 1], [1, 1]], [1.0, 0.7, 1.3, 0.9])
+        inner, outer = Augmentation([0.3, 0.6]), Augmentation([2.0, -1.0])
+        region_scan(E, inner, resolution=8)
+        region_scan(E, inner, resolution=8)
+        region_scan(E, Augmentation([0.3, 0.6], 2.0), resolution=8, space="x")
+        psi(E, inner, [0.2, -0.4])
+        assert checks == [[0.3, 0.6]]
+        region_scan(E, outer, resolution=8)
+        assert checks == [[0.3, 0.6], [2.0, -1.0]]
+        # A sum that holds a store still refuses a bad a0.
+        assert set(E._scan_grids) == {"p", "x"}
+        for bad, match in (([1.0, 0.0], "coincides"), ([0.3], "length"), ([0.3, 0.6, 0.1], "length")):
+            for space in ("p", "x"):
+                with pytest.raises(InputError, match=match):
+                    region_scan(E, Augmentation(bad), resolution=8, space=space)
+            with pytest.raises(InputError, match=match):
+                psi(E, Augmentation(bad), [0.2, -0.4])
+
+    @pytest.mark.parametrize("E", [ExpSum([[0], [1], [2], [3], [5]]), SQUARE, kostlan(3, 1)],
+                             ids=["1-D", "2-D", "3-D"])
+    def test_store_holds_k_plus_m_plus_2_floats_per_point(self, E):
+        # The scan points (m), the softmax weights (k), phi and the det g
+        # sum (1 each), counted over the buffers the store keeps alive: no
+        # kernel work buffer rides along with them.
+        E = ExpSum(E.support.points, E.coeffs)
+        for space in ("p", "x"):
+            region_scan(E, Augmentation(np.full(E.dim, 0.3)), resolution=6, space=space)
+            X, *part = E._scan_grids[space][5:]
+            held = {id(a if a.base is None else a.base): (a if a.base is None else a.base).nbytes for a in (X, *part)}
+            assert len(X) > 0 and sum(held.values()) == (E.n_terms + E.dim + 2) * len(X) * 8
+
+    def test_another_p_grid_replaces_only_the_p_entry(self):
+        E = ExpSum([[0, 0], [1, 0], [0, 1], [1, 1]], [1.0, 0.7, 1.3, 0.9])
+        aug = Augmentation([0.3, 0.6])
+        region_scan(E, aug, resolution=8)
+        region_scan(E, aug, resolution=8, space="x")
+        p_grid, x_grid = E._scan_grids["p"], E._scan_grids["x"]
+        region_scan(E, aug, resolution=(8, 9))
+        assert E._scan_grids["x"] is x_grid and E._scan_grids["p"] is not p_grid
+        assert E._scan_grids["p"][2] == (8, 9) and x_grid[2] == (8, 8)
 
 
 class TestConeBlock:
