@@ -437,7 +437,7 @@ def density_many(E: ExpSum, X) -> np.ndarray:
     C(k-m+1, 2) C(k-2, m-1) entries, is past ``geometry.SIMPLEX_FORM_LIMIT``.
     The kernel reads X coordinate-major, so the transposed view of an
     (m, N) array, as the quadrature cells pass it, costs no copy."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+    X = np.atleast_2d(_as_floats(X, "points must give real numbers"))
     if X.shape[1] != E.dim:
         raise InputError(f"points have dimension {X.shape[1]}, expected {E.dim}")
     _, W, total = _softmax(E, X.T)

@@ -63,7 +63,10 @@ def _as_floats(value, what: str) -> np.ndarray:
     conversion fails, as it does on a string, a ragged nesting or a
     complex entry."""
     try:
-        return np.asarray(value, dtype=float)
+        arr = np.asarray(value)
+        if arr.dtype.kind == "c":
+            raise TypeError("complex entries")
+        return arr.astype(float, copy=False)
     except (TypeError, ValueError) as exc:
         raise InputError(f"{what}, got {value!r}") from exc
 

@@ -44,10 +44,11 @@ sort, and Newton steps on the log ratio of the positive and negative parts
 of the level, which is nearly linear in x.
 
 Signs are evaluated overflow-safely (each value is scaled by its largest
-term; signs are unchanged) and results are reproducible: the sample
-stream is partitioned into fixed-size chunks with counter-based
-substreams, so results do not depend on how work is scheduled.  One
-Philox bit generator serves a whole estimate, its counter set per chunk.
+term; signs are unchanged).  The draws are one keyed stream: for a seed s
+and a k-term sum, draw j is the j-th run of k normals of
+``Generator(Philox(key=s))``, normal i of each run going to term i in the
+sum's own order.  So an estimate of n draws counts exactly the first n
+draws of any longer estimate with the same seed.
 """
 
 from __future__ import annotations
@@ -59,17 +60,13 @@ import numpy as np
 
 from .errors import InputError
 from .expsum import ExpSum
-from .geometry import _is_int
+from .geometry import _as_floats, _is_int
 
 __all__ = ["McConfig", "sample_zero_count", "estimate_esol"]
 
-#: Samples per substream chunk (fixed, so the stream is scheduler-independent).
-CHUNK = 512
-#: Chunks counted together (8192 draws), so memory does not grow with the
-#: sample count.  The count keeps its working set to a few (terms, draws)
-#: arrays per block, which lets a block this size stay within the memory
-#: that blocks of 8 chunks took before.
-BLOCK_CHUNKS = 16
+#: Draws counted together, so memory does not grow with the sample count.
+#: The count keeps its working set to a few (terms, draws) arrays per block.
+BLOCK = 8192
 #: Relative step sizes at which a zero counts as converged: a bisection
 #: step below NEWTON_TOL, or an accepted Newton step below NEWTON_STOP,
 #: since the error that Newton's quadratic convergence leaves after such a
@@ -84,7 +81,8 @@ NEWTON_STEPS = 100
 class McConfig:
     """Monte-Carlo run configuration: sample count and seed.
 
-    The seed is a Philox key, so it must lie in [0, 2**128).
+    The seed is the key of the estimate's one Philox stream, so it must lie
+    in [0, 2**128).
     """
 
     n_samples: int = 100_000
@@ -323,7 +321,7 @@ def sample_zero_count(E: ExpSum, coeffs_draw) -> int:
     terms minus one.
     """
     order, b, w = _sorted_terms(E)
-    xi = np.asarray(coeffs_draw, dtype=float).reshape(-1)
+    xi = _as_floats(coeffs_draw, "coefficient draw must give real numbers").reshape(-1)
     if xi.shape[0] != E.n_terms or not np.all(np.isfinite(xi)):
         raise InputError(f"coefficient draw must be {E.n_terms} finite reals")
     return int(_count_zeros(b, w, xi[order][:, None])[0])
@@ -332,25 +330,15 @@ def sample_zero_count(E: ExpSum, coeffs_draw) -> int:
 def _draw_blocks(order, seed: int, n: int):
     """Standard normal draws for n samples, (terms, draws) blocks in turn.
 
-    Row i of a block holds term ``order[i]``.  A block holds up to
-    ``BLOCK_CHUNKS`` chunks; the last one is cut to n draws.  Chunk c comes
-    from its own substream, ``Philox(key=seed).jumped(c)``: a jump
-    advances the third counter word by one, so one bit generator serves
-    every chunk, set to the counter [0, 0, c, 0] with an empty buffer
-    before the chunk is drawn.
+    One generator, ``Generator(Philox(key=seed))``, draws the stream in
+    (draws, terms) blocks of up to ``BLOCK`` draws, the last one cut to n,
+    so draw j is its j-th run of ``len(order)`` normals.  Each block is
+    handed on terms-major, row i holding term ``order[i]``: a row index
+    gathers it, which gives a C-contiguous copy.
     """
-    bits = np.random.Philox(key=seed)
-    rng = np.random.Generator(bits)
-    state = bits.state
-    n_chunks = (n + CHUNK - 1) // CHUNK
-    for first in range(0, n_chunks, BLOCK_CHUNKS):
-        chunks = range(first, min(first + BLOCK_CHUNKS, n_chunks))
-        block = np.empty((len(order), len(chunks) * CHUNK))
-        for j, c in enumerate(chunks):
-            state["state"]["counter"][2] = c
-            bits.state = state
-            block[:, j * CHUNK : (j + 1) * CHUNK] = rng.standard_normal((len(order), CHUNK))[order]
-        yield block[:, : n - first * CHUNK]
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    for first in range(0, n, BLOCK):
+        yield rng.standard_normal((min(BLOCK, n - first), len(order))).T[order]
 
 
 def estimate_esol(E: ExpSum, cfg: McConfig | None = None) -> tuple[float, float]:
@@ -358,9 +346,10 @@ def estimate_esol(E: ExpSum, cfg: McConfig | None = None) -> tuple[float, float]
 
     Every sample's zeros are counted exactly, as in
     :func:`sample_zero_count`, over the whole real line; there is no scan
-    interval.  Draws come from one Philox generator per estimate, chunk by
-    chunk (:func:`_draw_blocks`), and are counted in blocks of
-    ``BLOCK_CHUNKS`` chunks; only a histogram of counts is kept.
+    interval.  Draw j is the j-th run of ``E.n_terms`` normals of one
+    Philox generator keyed by the seed (:func:`_draw_blocks`), so the first
+    n draws of an estimate do not depend on its sample count.  They are
+    counted in blocks of ``BLOCK`` draws; only a histogram of counts is kept.
     """
     order, b, w = _sorted_terms(E)
     cfg = cfg or McConfig()

@@ -47,7 +47,7 @@ from .expsum import INVERT_MARGIN, ExpSum, _invert_moment_many, _simplex_sum, _s
 from .expsum import _sorted_products, invert_moment
 from .expsum import evaluate  # noqa: F401 (perfbench's tracer wraps it)
 from .geometry import SupportSet, _cauchy_binet_tables, _check_box, _check_vector, _cone_dets, _csv_text, _grid
-from .geometry import _interior_mask, _is_int, _read_only, diameter
+from .geometry import _as_floats, _interior_mask, _is_int, _read_only, diameter
 from .geometry import interior_contains  # noqa: F401 (perfbench's tracer wraps it)
 
 __all__ = [
@@ -79,7 +79,8 @@ _LABELS = np.array([BOUNDARY, U_MINUS, U_PLUS, OUTSIDE], dtype=object)
 class Augmentation:
     """One extra exponent a_0 with positive weight alpha_0; InputError for a
     field that is not a finite real number (alpha0 also positive, a scalar
-    and not a bool) or an a0 that is neither a scalar nor 1-D."""
+    and not a bool) or an a0 that is neither a scalar nor 1-D.  a0 is kept
+    as a read-only 1-D float copy, so no later write reaches it."""
 
     a0: np.ndarray
     alpha0: float = 1.0
@@ -87,17 +88,18 @@ class Augmentation:
     def __post_init__(self):
         if isinstance(self.alpha0, (bool, np.bool_)):
             raise InputError("alpha0 must be a real number, not a bool")
+        a0 = _as_floats(self.a0, "a0 must give real numbers")
         try:
-            a0 = np.asarray(self.a0, dtype=float)
             scalar = np.ndim(self.alpha0) == 0
             positive = scalar and bool(np.isfinite(self.alpha0) and self.alpha0 > 0)
         except (TypeError, ValueError) as exc:
-            raise InputError(f"a0 and alpha0 must be real numbers: {exc}") from exc
+            raise InputError(f"alpha0 must be a real number: {exc}") from exc
         if a0.ndim > 1:
             raise InputError(f"a0 must be a scalar or 1-D, got shape {a0.shape}")
-        a0 = a0.reshape(-1)
+        a0 = a0.reshape(-1).copy()
         if not np.all(np.isfinite(a0)):
             raise InputError("a0 must be finite")
+        _read_only(a0)
         object.__setattr__(self, "a0", a0)
         if not scalar:
             raise InputError(f"alpha0 must be a scalar, got shape {np.shape(self.alpha0)}")
@@ -132,7 +134,7 @@ def _classify_psi(values: np.ndarray) -> np.ndarray:
 
 
 def _check_augmentation(E: ExpSum, aug: Augmentation) -> np.ndarray:
-    a0 = np.asarray(aug.a0, dtype=float).reshape(-1)
+    a0 = aug.a0
     if a0.shape[0] != E.dim:
         raise InputError(f"a0 has length {a0.shape[0]}, expected {E.dim}")
     gap = np.linalg.norm(E.support.points - a0, axis=1).min()

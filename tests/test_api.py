@@ -134,8 +134,9 @@ LINE = kostlan(1, 2)
 #: Malformed point and parameter inputs of the public entry points, and
 #: inputs outside their contracts (records, shapes, dimensions, zero
 #: directions): each raises InputError, not the TypeError or ValueError of a
-#: failed float conversion, and a bool is not a real parameter.  An entry
-#: may be dotted, for a class method.
+#: failed float conversion, a complex array is not cast to its real part,
+#: and a bool is not a real parameter.  An entry may be dotted, for a class
+#: method.
 MALFORMED = {
     "evaluate str": ("evaluate", (SQUARE, "ab")),
     "invert_moment str entry": ("invert_moment", (SQUARE, ["a", 0.5])),
@@ -169,6 +170,13 @@ MALFORMED = {
     "QuadForm str": ("QuadForm", ("ab",)),
     "QuadForm complex": ("QuadForm", ([[1j, 0], [0, 1]],)),
     "Augmentation alpha0 array": ("Augmentation", ([0.3, 0.6], np.array([2.0]))),
+    "ExpSum coeffs complex array": ("ExpSum", ([[0], [1]], np.array([1 + 1j, 1]))),
+    "QuadForm complex array": ("QuadForm", (np.array([[1j, 0], [0, 1]]),)),
+    "SupportSet complex array": ("SupportSet", (np.array([[0], [1j]]),)),
+    "Augmentation a0 complex array": ("Augmentation", (np.array([0.5 + 1j]),)),
+    "density_many complex array": ("density_many", (LINE, np.array([[0.1 + 2j]]))),
+    "density_many str": ("density_many", (LINE, "ab")),
+    "sample_zero_count str": ("sample_zero_count", (LINE, "ab")),
 }
 
 

@@ -19,7 +19,7 @@ from sparse_kacrice import (
     sample_zero_count,
 )
 from sparse_kacrice import mc_oracle
-from sparse_kacrice.mc_oracle import BLOCK_CHUNKS, CHUNK, _draw_blocks
+from sparse_kacrice.mc_oracle import BLOCK, _draw_blocks
 
 TWO_TERM = ExpSum([[0.0], [1.0]])
 THREE_TERM = ExpSum([[0.0], [1.0], [2.0]])
@@ -146,20 +146,32 @@ class TestEstimate:
         assert a == b
 
     @pytest.mark.parametrize("seed", [0, 3, 12345, 2**31 - 1, 2**128 - 1])
-    def test_chunk_stream_is_the_jumped_philox_stream(self, seed):
-        # one generator per estimate, its counter set per chunk, draws what
-        # a fresh generator at that counter and the jumped stream draw; the
-        # blocks span several and end in a partial one
-        n = 2 * BLOCK_CHUNKS * CHUNK + 3 * CHUNK + 100
-        got = np.concatenate(list(_draw_blocks(np.arange(THREE_TERM.n_terms), seed, n)), axis=1)
-        assert got.shape == (THREE_TERM.n_terms, n)
-        for chunk in range(-(-n // CHUNK)):
-            want = _chunk_draws(THREE_TERM, seed, chunk)[:, : n - chunk * CHUNK]
-            np.testing.assert_array_equal(got[:, chunk * CHUNK : (chunk + 1) * CHUNK], want)
-        for chunk in (0, 1, 7, 35, 1000):
-            jumped = np.random.Generator(np.random.Philox(key=seed).jumped(chunk))
-            want = jumped.standard_normal((THREE_TERM.n_terms, CHUNK))
-            np.testing.assert_array_equal(_chunk_draws(THREE_TERM, seed, chunk), want)
+    def test_blocks_are_the_keyed_stream(self, seed):
+        # draw j is the j-th run of k normals of one keyed generator, normal
+        # i going to term i; the blocks span several and end in a partial one
+        n, order = 2 * BLOCK + 100, np.array([2, 0, 1])
+        blocks = list(_draw_blocks(order, seed, n))
+        assert [block.shape for block in blocks] == [(3, BLOCK), (3, BLOCK), (3, 100)]
+        assert all(block.flags.c_contiguous for block in blocks)
+        np.testing.assert_array_equal(np.concatenate(blocks, axis=1), _stream(3, seed, n).T[order])
+
+    def test_shorter_estimate_counts_a_prefix_of_the_draws(self, monkeypatch):
+        # an estimate of n draws counts the first n draws of a longer one
+        count, counts = mc_oracle._count_zeros, []
+
+        def record(*args):
+            counts.append(count(*args))
+            return counts[-1]
+
+        monkeypatch.setattr(mc_oracle, "_count_zeros", record)
+        E = kostlan(1, 4)
+        estimate_esol(E, McConfig(n_samples=5_000, seed=13))
+        short = np.concatenate(counts)
+        counts.clear()
+        estimate_esol(E, McConfig(n_samples=20_000, seed=13))
+        long = np.concatenate(counts)
+        assert short.shape == (5_000,) and long.shape == (20_000,)
+        np.testing.assert_array_equal(short, long[:5_000])
 
     def test_seed_changes_estimate(self):
         a = estimate_esol(TWO_TERM, McConfig(n_samples=4000, seed=11))
@@ -232,8 +244,7 @@ class TestBatchedCount:
         seed = 9
         estimate_esol(E, McConfig(n_samples=n, seed=seed))
         got = blocks[-1]
-        draws = np.concatenate([_chunk_draws(E, seed, c) for c in range(-(-n // CHUNK))], axis=1)
-        want = [sample_zero_count(E, draws[:, j]) for j in range(n)]
+        want = [sample_zero_count(E, draw) for draw in _stream(E.n_terms, seed, n)]
         assert len(got) == n and max(got) >= 2
         np.testing.assert_array_equal(got, want)
 
@@ -262,9 +273,9 @@ class TestPinnedEstimates:
     @pytest.mark.parametrize(
         "E, seed, want",
         [
-            (ExpSum([[0.0], [0.5], [1.7]], [1.0, 2.0, 1.0]), 5, (0.7876, 0.006800974145292165)),
-            (kostlan(1, 4), 6, (1.0014, 0.007733419979443625)),
-            (kostlan(1, 7), 7, (1.32, 0.008917844627222405)),
+            (ExpSum([[0.0], [0.5], [1.7]], [1.0, 2.0, 1.0]), 5, (0.7873, 0.006658100632342758)),
+            (kostlan(1, 4), 6, (1.003, 0.007779791289954476)),
+            (kostlan(1, 7), 7, (1.3053, 0.008925085809989255)),
         ],
         ids=["3-term", "5-term", "8-term"],
     )
@@ -274,16 +285,16 @@ class TestPinnedEstimates:
     @pytest.mark.parametrize(
         "E, seed, want",
         [
-            (TWO_TERM, 21, (0.498, 0.003535594012503566)),
-            (kostlan(1, 2), 22, (0.70935, 0.004561213556549992)),
-            (kostlan(1, 4), 23, (1.00385, 0.005467015025373937)),
-            (ExpSum([[0.0], [math.sqrt(2)], [math.pi]], [1, 2, 1]), 24, (0.7558, 0.004722227543400316)),
+            (TWO_TERM, 21, (0.49765, 0.0035355832464311486)),
+            (kostlan(1, 2), 22, (0.71205, 0.004563198550803011)),
+            (kostlan(1, 4), 23, (1.0055, 0.005461682799188355)),
+            (ExpSum([[0.0], [math.sqrt(2)], [math.pi]], [1, 2, 1]), 24, (0.7608, 0.0047143694450014414)),
         ],
         ids=["two-term", "kostlan(1,2)", "kostlan(1,4)", "real-exponent"],
     )
     def test_multi_block_estimate_is_pinned(self, E, seed, want):
         # 20 000 draws span several blocks and end in a partial one
-        assert 20_000 > 2 * BLOCK_CHUNKS * CHUNK and 20_000 % (BLOCK_CHUNKS * CHUNK)
+        assert 20_000 > 2 * BLOCK and 20_000 % BLOCK
         assert estimate_esol(E, McConfig(n_samples=20_000, seed=seed)) == want
 
 
@@ -443,10 +454,10 @@ def _bisected_root(mpmath, b, L, S, lo, hi):
     return float((lo + hi) / 2)
 
 
-def _chunk_draws(E, seed, chunk_index):
-    """The draws of one chunk from a fresh generator at its counter."""
-    rng = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, chunk_index, 0]))
-    return rng.standard_normal((E.n_terms, CHUNK))
+def _stream(k, seed, n):
+    """The first n draws of a k-term sum's keyed stream, (draws, terms):
+    row j is the j-th run of k normals of a fresh keyed generator."""
+    return np.random.Generator(np.random.Philox(key=seed)).standard_normal((n, k))
 
 
 def _grid_zero_count(b, draw, per_unit=500):

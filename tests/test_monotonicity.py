@@ -209,6 +209,18 @@ class TestAugmentation:
         with pytest.raises(InputError):
             psi(TWO_TERM, Augmentation([1.0, 2.0]), [0.0])
 
+    def test_a0_is_a_read_only_copy(self):
+        # neither a write to the caller's array nor one to a0 can put a NaN
+        # past the checks, which would leave every scan node "outside"
+        a = np.array([0.3, 0.6])
+        aug = Augmentation(a)
+        a[0] = math.nan
+        assert aug.a0.tolist() == [0.3, 0.6]
+        with pytest.raises(ValueError, match="read-only"):
+            aug.a0[0] = math.nan
+        got = region_scan(SQUARE, aug, resolution=8, space="x").classes
+        assert "outside" not in got.tolist()
+
 
 class TestPsi:
     def test_non_finite_point_refused(self):
