@@ -250,7 +250,9 @@ class ExpSum:
 
         ``dim`` must be an integer, as :meth:`to_dict` writes it (no float,
         bool or string); ``coeffs`` may be omitted (all ones).  Values are
-        parsed as doubles; bit-exact round trips are not promised.
+        converted by the package's one rule for outside numbers
+        (:func:`.geometry._as_floats`: no strings, no complex entries);
+        bit-exact round trips are not promised.
         """
         if not isinstance(data, dict):
             raise InputError("expected a JSON object with 'dim' and 'support'")
@@ -258,12 +260,11 @@ class ExpSum:
         dim = data.get("dim")
         if not _is_int(dim):
             raise InputError(f"bad exponential-sum record: dim must be an integer, got {dim!r}")
-        try:
-            support = np.asarray(data["support"], dtype=float)
-            if coeffs is not None:
-                coeffs = np.asarray(coeffs, dtype=float)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"bad exponential-sum record: {exc}") from exc
+        if "support" not in data:
+            raise InputError("bad exponential-sum record: no 'support'")
+        support = _as_floats(data["support"], "bad exponential-sum record: support must be real numbers")
+        if coeffs is not None:
+            coeffs = _as_floats(coeffs, "bad exponential-sum record: coeffs must be real numbers")
         if support.ndim == 1:
             support = support.reshape(-1, 1)
         if support.ndim != 2 or support.shape[1] != dim:

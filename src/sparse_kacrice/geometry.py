@@ -60,12 +60,14 @@ SIMPLEX_FORM_LIMIT = 2**20
 
 def _as_floats(value, what: str) -> np.ndarray:
     """value as a float array; InputError "<what>, got <value>" where the
-    conversion fails, as it does on a string, a ragged nesting or a
-    complex entry."""
+    conversion fails, as it does on a ragged nesting, or where an entry is
+    complex or a string (str or bytes, numeric or not, in an object array
+    too)."""
     try:
         arr = np.asarray(value)
-        if arr.dtype.kind == "c":
-            raise TypeError("complex entries")
+        strings = arr.dtype.kind == "O" and any(isinstance(v, (str, bytes)) for v in arr.flat)
+        if arr.dtype.kind in "cUS" or strings:
+            raise TypeError("complex or string entries")
         return arr.astype(float, copy=False)
     except (TypeError, ValueError) as exc:
         raise InputError(f"{what}, got {value!r}") from exc
@@ -100,19 +102,22 @@ class SupportSet:
     """
 
     def __init__(self, points):
-        arr = _as_point_array(points)
-        # One pairwise pass gives the duplicate test and the diameter.
-        diff = arr[:, None, :] - arr[None, :, :]
-        dist = np.sqrt((diff**2).sum(axis=-1))
-        if len(arr) > 1 and dist[np.triu_indices(len(arr), 1)].min() <= self.dedup_tolerance(arr):
-            raise InputError("support points must be pairwise distinct")
-        self._diameter = float(dist.max())
-        # The points, their barycenter c and the centred points A - c, the
-        # coordinates of the hull, the faces and every kernel; read-only.
-        self.points = arr.copy()
+        # The points, their barycenter c, the centred points A - c (the
+        # coordinates of the hull, the faces and every kernel; read-only)
+        # and their spread max |a - c|, which the dedup tolerance and the
+        # on-face rule (:func:`_face_mask`) scale with.
+        self.points = _as_point_array(points).copy()
         self._c = self.points.mean(axis=0)
         self._centred = self.points - self._c
+        self._spread = _spread(self._centred)
         _read_only(self.points, self._c, self._centred)
+        # One pairwise pass gives the duplicate test and the diameter.
+        arr = self.points
+        diff = arr[:, None, :] - arr[None, :, :]
+        dist = np.sqrt((diff**2).sum(axis=-1))
+        if len(arr) > 1 and dist[np.triu_indices(len(arr), 1)].min() <= 1e-9 * (1.0 + self._spread):
+            raise InputError("support points must be pairwise distinct")
+        self._diameter = float(dist.max())
 
     @staticmethod
     def dedup_tolerance(points) -> float:
@@ -121,8 +126,7 @@ class SupportSet:
         translate of them has the same tolerance, as the on-face rule
         (:func:`_face_mask`) scales with the spread about c."""
         arr = np.asarray(points, dtype=float)
-        spread = float(np.linalg.norm(arr - arr.mean(axis=0), axis=-1).max()) if arr.size else 0.0
-        return 1e-9 * (1.0 + spread)
+        return 1e-9 * (1.0 + (_spread(arr - arr.mean(axis=0)) if arr.size else 0.0))
 
     @property
     def dim(self) -> int:
@@ -162,13 +166,14 @@ class SupportSet:
         comes as several rows whose normals agree up to rounding.  A row's
         points of A are its exposed face (:func:`_face_mask`); rows with
         the same points are one facet, which keeps the first of them, in
-        Qhull's order.  ``rows`` (F, m+1) hold (unit normal n, offset
-        -max n . (a - c)), so n . (p - c) + offset <= 0 inside and the
-        plane passes through its face; ``gaps`` (F,) hold each facet's
-        distance to the nearest point of A off its hyperplane (inf if none
-        is), and ``on`` (k, F) which points lie on each facet.  So a
-        translate whose centred points are the same bit for bit gets the
-        same rows, gaps and incidence."""
+        Qhull's order (where no rows merge, as on every polygon, Qhull's
+        rows are kept as they are, with no copy).  ``rows`` (F, m+1) hold
+        (unit normal n, offset -max n . (a - c)), so n . (p - c) + offset
+        <= 0 inside and the plane passes through its face; ``gaps`` (F,)
+        hold each facet's distance to the nearest point of A off its
+        hyperplane (inf if none is), and ``on`` (k, F) which points lie on
+        each facet.  So a translate whose centred points are the same bit
+        for bit gets the same rows, gaps and incidence."""
         if self.degenerate:
             return None
         if self.dim == 1:
@@ -183,13 +188,15 @@ class SupportSet:
                 return None
             vertices, normals, volume = self.points[hull.vertices], hull.equations[:, :-1], hull.volume
         on, slack, top = _face_mask(self, normals.T)
-        first = {}
-        for j, column in enumerate(on.T):
-            first.setdefault(column.tobytes(), j)
-        keep = list(first.values())
-        rows = np.hstack([normals[keep], -top[keep, None]])
-        on = on[:, keep]
-        gaps = np.min(slack[:, keep], axis=0, where=~on, initial=np.inf)
+        k, first = len(on), {}
+        columns = on.T.tobytes()
+        for j in range(on.shape[1]):
+            first.setdefault(columns[j * k:(j + 1) * k], j)
+        if len(first) < on.shape[1]:
+            keep = list(first.values())
+            normals, on, slack, top = normals[keep], on[:, keep], slack[:, keep], top[keep]
+        rows = np.hstack([normals, -top[:, None]])
+        gaps = np.min(slack, axis=0, where=~on, initial=np.inf)
         vertices, rows, gaps, on = _read_only(vertices, rows, gaps, on)
         return vertices, rows, gaps, float(volume), on
 
@@ -203,47 +210,66 @@ class SupportSet:
         its facets.
 
         Incidence is the hull's ``on``, from the on-face rule
-        (:func:`_face_mask`): the vertices are the points of A on m facets
-        (a point on more is a vertex where P is not simple), one per set of
-        m facets: the point with the least summed distance to them, since a
-        point near a sharp vertex can lie within the rule of the same facets
-        as the vertex.  Two vertices span an edge when they share m - 1
-        facets.  Axis b of vertex i stands for the b-th of its m facets, in
-        row order, and the corner whose ones pick the facets S is the
-        centroid of the face they cut out: the vertex for all m, the
-        midpoint of the edge for m - 1, the area centroid of the facet for
-        one of three (each facet fanned from its vertex mean over its
-        edges), and the centroid of P for none (P fanned from its vertex
-        mean over the edges in two variables and the facet fans in three).
-        So the face of vertex i's cube with axis b at one lies on that
-        facet, and two cubes that meet share a face's four corners."""
+        (:func:`_face_mask`), read in plain Python over its few on-facet
+        pairs (at most m per point): the vertices are the points of A on m
+        facets (a point on more is a vertex where P is not simple), one per
+        set of m facets: the point with the least summed distance to them,
+        the first in point order among equal ones, since a point near a
+        sharp vertex can lie within the rule of the same facets as the
+        vertex; the distances are taken only where a set has more than one
+        point.  Two vertices span an edge when they share m - 1 facets, and
+        each such set must hold exactly two vertices.  Axis b of vertex i
+        stands for the b-th of its m facets, in row order, and the corner
+        whose ones pick the facets S is the centroid of the face they cut
+        out: the vertex for all m, the midpoint of the edge for m - 1, the
+        area centroid of the facet for one of three (each facet fanned from
+        its vertex mean over its edges), and the centroid of P for none (P
+        fanned from its vertex mean over the edges in two variables and the
+        facet fans in three).  So the face of vertex i's cube with axis b at
+        one lies on that facet, and two cubes that meet share a face's four
+        corners."""
         m = self.dim
         if self._hull is None or m > 3:
             return None
         rows, on = self._hull[1], self._hull[4]
-        normals, count = rows[:, :-1], on.sum(axis=1)
-        if count.max() > m:
+        normals = rows[:, :-1]
+        # The incidence, in Python over the few on-facet pairs: each point's
+        # facets, in row order, and the points on exactly m of them by facet set.
+        on_facets = [[] for _ in range(len(on))]
+        for point, facet in zip(*(index.tolist() for index in np.nonzero(on))):
+            on_facets[point].append(facet)
+        if max(map(len, on_facets)) > m:
             return None
-        # One vertex per set of m facets: the point nearest them.
-        distance = np.sum(-(self._centred @ normals.T + rows[:, -1]), axis=1, where=on)
-        vertex = np.nonzero(count == m)[0]
-        vertex = vertex[np.argsort(distance[vertex], kind="stable")]
-        key = np.ravel_multi_index(np.nonzero(on[vertex])[1].reshape(-1, m).T, (on.shape[1],) * m)
-        vertex = np.sort(vertex[np.unique(key, return_index=True)[1]])
+        by_set = {}
+        for point, facet_set in enumerate(on_facets):
+            if len(facet_set) == m:
+                by_set.setdefault(tuple(facet_set), []).append(point)
+        if any(len(points) > 1 for points in by_set.values()):
+            # One vertex per set of m facets: the point nearest them, the
+            # first in point order among equal distances.
+            distance = np.sum(-(self._centred @ normals.T + rows[:, -1]), axis=1, where=on).tolist()
+            by_set = {key: [min(points, key=distance.__getitem__)] for key, points in by_set.items()}
+        vertex = sorted(points[0] for points in by_set.values())
+        facets = [on_facets[point] for point in vertex]
+        # The vertices on each set of m - 1 facets; neighbour[i][b] is vertex
+        # i's one neighbour off its b-th facet, across the edge on the others.
+        sharing = {}
+        for i, facet_set in enumerate(facets):
+            for b in range(m):
+                sharing.setdefault(tuple(facet_set[:b] + facet_set[b + 1:]), []).append(i)
+        if len(vertex) <= m or any(len(ends) != 2 for ends in sharing.values()):
+            return None
+        neighbour = [[sum(sharing[tuple(facet_set[:b] + facet_set[b + 1:])]) - i for b in range(m)]
+                     for i, facet_set in enumerate(facets)]
         on, V = on[vertex], self._centred[vertex]
-        facets = np.nonzero(on)[1].reshape(-1, m)
-        adjacent = on.astype(np.intp) @ on.T == m - 1
-        # across[i, w, b]: w is vertex i's neighbour off its b-th facet.
-        across = adjacent[:, :, None] & ~on[:, facets].transpose(1, 0, 2)
-        if len(V) <= m or np.any(across.sum(axis=1) != 1):
-            return None
         # mids[i, b]: the midpoint of the edge from vertex i off its b-th facet.
-        mids = 0.5 * (V[:, None] + V[across.argmax(axis=1)])
-        u, w = np.nonzero(np.triu(adjacent))
+        mids = 0.5 * (V[:, None] + V[neighbour])
+        edges = sorted(sharing.items(), key=lambda item: item[1])
+        u, w = np.array([ends for _, ends in edges], dtype=np.intp).reshape(-1, 2).T
         if m == 3:
             # Each edge lies on two facets j: one triangle (o_j, a_u, a_w) of
             # each facet's fan, whose area is |det[n_j, a_u - o_j, a_w - o_j]| / 2.
-            j = np.nonzero(on[u] & on[w])[1]
+            j = np.array([key for key, _ in edges], dtype=np.intp).ravel()
             u, w = u.repeat(2), w.repeat(2)
             means = (on.T @ V) / on.sum(axis=0)[:, None]
             fan = np.stack([means[j], V[u], V[w]], axis=1)
@@ -268,7 +294,7 @@ class SupportSet:
             elif ones == m - 1:
                 corners[(slice(None),) + s] = mids[:, s.index(0)]
             else:
-                corners[(slice(None),) + s] = centroids[facets[:, s.index(1)]]
+                corners[(slice(None),) + s] = centroids[[facet_set[s.index(1)] for facet_set in facets]]
         corners.flags.writeable = False
         return corners
 
@@ -394,6 +420,11 @@ def _cauchy_binet_tables(k: int, m: int) -> tuple[np.ndarray, np.ndarray, np.nda
     return _read_only(subsets, cones, first_t[None, :] > b_row[:, None])
 
 
+def _spread(centred: np.ndarray) -> float:
+    """max |a - c| over the rows of the centred points A - c."""
+    return float(np.linalg.norm(centred, axis=-1).max())
+
+
 def _coerce_support(A) -> SupportSet:
     return A if isinstance(A, SupportSet) else SupportSet(A)
 
@@ -496,7 +527,7 @@ def _face_mask(A: SupportSet, U: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     values = A._centred @ U
     top = values.max(axis=0)
     slack = top - values
-    scale = np.linalg.norm(U, axis=0) * np.linalg.norm(A._centred, axis=1).max()
+    scale = np.linalg.norm(U, axis=0) * A._spread
     return slack <= 1e-12 * np.maximum(1.0, scale), slack, top
 
 

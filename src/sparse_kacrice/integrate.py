@@ -77,7 +77,12 @@ What a solve builds, and how often:
   vertex cells' coefficients with the Cauchy-Binet coefficients of the
   facets' m-subsets (over P; no frame) or the frame (x0, W and the
   Jacobian |det W|); once per process, the seed cells of each vertex
-  count and dimension (``_vertex_seeds``);
+  count and dimension (``_vertex_seeds``) and their first pass's nodes
+  with the cell index, the sines and the sine map's Jacobian there
+  (``_seed_terms``), which every sum with that vertex count and dimension
+  reads instead of a sine and a cosine per node: the 8 most recent pairs,
+  16 (m + 1) bytes a node (273 KB for a square, 135 KB for a cube), no
+  pass past 2^15 nodes, so at most 16 MiB;
 * once per integrand call: one (m, N) node array, written in place, the
   chart's nodes x and the kernel's own arrays; over R^m the chart is one
   (m, m)(m, N) product plus x0, and the integrand one multiply by |det W|;
@@ -274,23 +279,37 @@ def _cell_rule(m):
     pair and was slower on all 30, by a median factor of 4.7 (best of 5
     runs each, one BLAS thread).
     """
-    nodes, weights = (_gauss_legendre_rule if m < 3 else _genz_malik_rule)(m)
-    nodes, weights = _read_only(np.ascontiguousarray(nodes.T), weights)
+    nodes, weights = _rule_arrays(m)
     return len(weights), (16 if m < 3 else 64), partial(_apply_rule, nodes, weights)
+
+
+@lru_cache(maxsize=None)
+def _rule_arrays(m):
+    """The nodes, coordinate-major (m, n), and weights of :func:`_cell_rule`'s
+    pair in m variables; built once per dimension, read-only."""
+    nodes, weights = (_gauss_legendre_rule if m < 3 else _genz_malik_rule)(m)
+    return _read_only(np.ascontiguousarray(nodes.T), weights)
+
+
+def _cell_nodes(nodes, half, los, his):
+    """The (m, C n) nodes of the rule's nodes (m, n) in every cell (los,
+    his), each (C, m), with half-widths ``half``, cell by cell: built in one
+    array, half-width times rule node and then plus the centre, in place."""
+    m, n = nodes.shape
+    pts = np.multiply(half.T[:, :, None], nodes[:, None, :], out=np.empty((m, len(los), n)))
+    pts += (0.5 * (his + los)).T[:, :, None]
+    return pts.reshape(m, -1)
 
 
 def _apply_rule(nodes, weights, f, los, his):
     """Value, error and split axis of each cell (los, his), each (C, m),
-    from one call of f on the (m, C n) array of every cell's nodes, cell
-    by cell; see :func:`_cell_rule`.  The nodes are built in one array,
-    half-width times rule node and then plus the centre, in place; los and
-    his may be column views of the cell store's rows."""
+    from one call of f on the (m, C n) array of every cell's nodes
+    (:func:`_cell_nodes`); see :func:`_cell_rule`.  los and his may be
+    column views of the cell store's rows."""
     m, n = nodes.shape
     width = his - los
     half = 0.5 * width
-    pts = np.multiply(half.T[:, :, None], nodes[:, None, :], out=np.empty((m, len(los), n)))
-    pts += (0.5 * (his + los)).T[:, :, None]
-    vals = f(pts.reshape(m, -1)).reshape(len(los), n)
+    vals = f(_cell_nodes(nodes, half, los, his)).reshape(len(los), n)
     sums = np.multiply.reduce(half, axis=1) * (vals @ weights).T
     if m < 3:
         axes = width.argmax(axis=1)
@@ -545,7 +564,11 @@ def _vertex_cells(E: ExpSum):
     smooth.  The map is held as its coefficients on the products of the
     a_b, coordinate-major with the vertex last, and gathered with ``take``,
     several times faster than fancy indexing on a pass's nodes; det dQ/da
-    is the Leibniz sum over the permutations of its columns.  seeds
+    is the Leibniz sum over the permutations of its columns.  The cell
+    index, a and the sine map's Jacobian (:func:`_sine_terms`) depend on U
+    alone: handed exactly the seed pass's nodes (``np.array_equal``),
+    cell_map reads them from :func:`_seed_terms`, built once per vertex
+    count and dimension, and computes them for every other U.  seeds
     (:func:`_vertex_seeds`): 4 per axis per cell in one and two variables,
     whose Gauss nodes never touch the boundary, and 2 in three, 64 cells
     for a cube and 32 for a tetrahedron.  A P with no such cells (past
@@ -559,20 +582,17 @@ def _vertex_cells(E: ExpSum):
     # Differences along each binary axis turn the corners into the coefficients.
     for axis in range(m):
         K[(slice(None),) * axis + (1,)] -= K[(slice(None),) * axis + (0,)]
-    signs = [(perm, sum(p > q for p, q in itertools.combinations(perm, 2)) % 2 == 0)
-             for perm in itertools.permutations(range(m))]
+    signs = _leibniz_signs(m)
+    seed = _seed_terms(K.shape[-1], m)
 
     def cell_map(U):
-        whole = np.floor(U)
-        T = U - whole
-        T *= 0.5 * np.pi
-        a = np.sin(T)
-        slope = np.cos(T)
-        slope *= 0.5 * np.pi
-        jac = np.prod(slope, axis=0)
+        if seed is not None and np.array_equal(U, seed[0]):
+            index, a, jac = seed[1:]
+        else:
+            index, a, jac = _sine_terms(U)
         # Summing out the binary axes last first leaves Q; the slice at 1 of
         # axis b, summed over the axes before it, is the column dQ/da_b.
-        Q = K.take(whole[0].astype(int), axis=-1)
+        Q = K.take(index, axis=-1)
         columns = [None] * m
         for b in reversed(range(m)):
             columns[b] = _sum_out(Q[..., 1, :, :], a[:b])
@@ -581,10 +601,29 @@ def _vertex_cells(E: ExpSum):
         for perm, even in signs:
             term = math.prod((column[row] for column, row in zip(columns[1:], perm[1:])), start=columns[0][perm[0]])
             det = term if det is None else (det + term if even else det - term)
-        jac *= np.abs(det)
-        return Q, jac
+        return Q, jac * np.abs(det)
 
     return cell_map, _vertex_seeds(K.shape[-1], m)
+
+
+@lru_cache(maxsize=None)
+def _leibniz_signs(m):
+    """The permutations of range(m), each with True where it is even."""
+    return [(perm, sum(p > q for p, q in itertools.combinations(perm, 2)) % 2 == 0)
+            for perm in itertools.permutations(range(m))]
+
+
+def _sine_terms(U):
+    """(index, a, jac) of the vertex cells' coordinates U (m, N): the cell
+    index, the integer part of U[0]; a = sin t per axis, t = pi/2 times the
+    fractional part; and the sine map's Jacobian prod (pi/2) cos t."""
+    whole = np.floor(U)
+    T = U - whole
+    T *= 0.5 * np.pi
+    a = np.sin(T)
+    slope = np.cos(T)
+    slope *= 0.5 * np.pi
+    return whole[0].astype(int), a, np.prod(slope, axis=0)
 
 
 @lru_cache(maxsize=None)
@@ -593,6 +632,26 @@ def _vertex_seeds(n, m):
     [i, i + 1] x [0, 1]^(m-1): 4 per axis per cell in one and two
     variables, 2 in three; cached, read-only."""
     return _read_only(*_seed_grid(((0.0, float(n)),) + ((0.0, 1.0),) * (m - 1), (2 if m == 3 else 4) * n))
+
+
+# An entry holds the seed pass's nodes and their terms, 16 (m + 1) bytes a
+# node: 52 n, 1424 n and 264 n nodes for n vertices in one, two and three
+# variables (273 KB for a square, 135 KB for a cube).  Passes of more than
+# 2^15 nodes (2 MiB) are not kept, so the 8 entries hold at most 16 MiB.
+@lru_cache(maxsize=8)
+def _seed_terms(n, m):
+    """(U, index, a, jac): the nodes U (m, N) of the first pass over the
+    seeds of n vertex cells in m variables (:func:`_vertex_seeds`), as
+    :func:`_apply_rule` builds them, and their :func:`_sine_terms`, the same
+    for every P with n vertices; cached, read-only.  None past 2^15 nodes
+    (a polygon of 24 vertices or more, a polytope of 125 or more in three
+    variables)."""
+    los, his = _vertex_seeds(n, m)
+    nodes = _rule_arrays(m)[0]
+    if len(los) * nodes.shape[1] > 2**15:
+        return None
+    U = _cell_nodes(nodes, 0.5 * (his - los), los, his)
+    return _read_only(U, *_sine_terms(U))
 
 
 def _sum_out(K, a):

@@ -79,7 +79,7 @@ _LABELS = np.array([BOUNDARY, U_MINUS, U_PLUS, OUTSIDE], dtype=object)
 class Augmentation:
     """One extra exponent a_0 with positive weight alpha_0; InputError for a
     field that is not a finite real number (alpha0 also positive, a scalar
-    and not a bool) or an a0 that is neither a scalar nor 1-D.  a0 is kept
+    and neither a bool nor complex) or an a0 that is neither a scalar nor 1-D.  a0 is kept
     as a read-only 1-D float copy, so no later write reaches it."""
 
     a0: np.ndarray
@@ -88,6 +88,8 @@ class Augmentation:
     def __post_init__(self):
         if isinstance(self.alpha0, (bool, np.bool_)):
             raise InputError("alpha0 must be a real number, not a bool")
+        if np.iscomplexobj(self.alpha0):
+            raise InputError(f"alpha0 must be a real number, got {self.alpha0!r}")
         a0 = _as_floats(self.a0, "a0 must give real numbers")
         try:
             scalar = np.ndim(self.alpha0) == 0

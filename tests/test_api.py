@@ -177,6 +177,14 @@ MALFORMED = {
     "density_many complex array": ("density_many", (LINE, np.array([[0.1 + 2j]]))),
     "density_many str": ("density_many", (LINE, "ab")),
     "sample_zero_count str": ("sample_zero_count", (LINE, "ab")),
+    # A numeric string is a string, not a real number, under the one rule.
+    "evaluate numeric str": ("evaluate", (kostlan(1, 2), ["0.5"])),
+    "ExpSum numeric str": ("ExpSum", (["0", "1"],)),
+    "SupportSet bytes": ("SupportSet", ([b"0", b"1"],)),
+    "ExpSum numeric str object array": ("ExpSum", (np.array(["0", "1"], dtype=object),)),
+    "ExpSum.from_dict numeric str support": ("ExpSum.from_dict", ({"dim": 1, "support": ["0", "1"]},)),
+    "ExpSum.from_dict numeric str coeffs": ("ExpSum.from_dict", ({"dim": 1, "support": [0, 1], "coeffs": ["1", "2"]},)),
+    "Augmentation alpha0 numpy complex": ("Augmentation", ([3.0], np.complex128(2 + 1j))),
 }
 
 

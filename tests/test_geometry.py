@@ -34,8 +34,10 @@ from sparse_kacrice.geometry import (
     _check_box,
     _cholesky_solve,
     _cone_dets,
+    _face_mask,
     _grid,
     _interior_mask,
+    _read_only,
     _sorted_tuples,
 )
 from test_expsum import batch_moments
@@ -288,6 +290,184 @@ class TestHullGeometry:
             want = np.all(P @ eq[:, :-1].T + eq[:, -1] <= -tol, axis=1)
             np.testing.assert_array_equal(_interior_mask(A, P, tol), want)
             np.testing.assert_array_equal([interior_contains(A, p, tol) for p in P[::10]], want[::10])
+
+
+# ---------------------------------------------------------------------------
+# The hull and the vertex-cell corners as they were built with numpy
+# incidence, kept verbatim as the reference for the rebuilt set-up.
+
+
+def _reference_hull(self):
+    if self.degenerate:
+        return None
+    if self.dim == 1:
+        lo, hi = self.points.min(), self.points.max()
+        vertices, normals, volume = np.array([[lo], [hi]]), np.array([[-1.0], [1.0]]), hi - lo
+    else:
+        from scipy.spatial import ConvexHull, QhullError
+
+        try:
+            hull = ConvexHull(self._centred)
+        except QhullError:
+            return None
+        vertices, normals, volume = self.points[hull.vertices], hull.equations[:, :-1], hull.volume
+    on, slack, top = _face_mask(self, normals.T)
+    first = {}
+    for j, column in enumerate(on.T):
+        first.setdefault(column.tobytes(), j)
+    keep = list(first.values())
+    rows = np.hstack([normals[keep], -top[keep, None]])
+    on = on[:, keep]
+    gaps = np.min(slack[:, keep], axis=0, where=~on, initial=np.inf)
+    vertices, rows, gaps, on = _read_only(vertices, rows, gaps, on)
+    return vertices, rows, gaps, float(volume), on
+
+
+def _reference_vertex_corners(self):
+    m = self.dim
+    if self._hull is None or m > 3:
+        return None
+    rows, on = self._hull[1], self._hull[4]
+    normals, count = rows[:, :-1], on.sum(axis=1)
+    if count.max() > m:
+        return None
+    # One vertex per set of m facets: the point nearest them.
+    distance = np.sum(-(self._centred @ normals.T + rows[:, -1]), axis=1, where=on)
+    vertex = np.nonzero(count == m)[0]
+    vertex = vertex[np.argsort(distance[vertex], kind="stable")]
+    key = np.ravel_multi_index(np.nonzero(on[vertex])[1].reshape(-1, m).T, (on.shape[1],) * m)
+    vertex = np.sort(vertex[np.unique(key, return_index=True)[1]])
+    on, V = on[vertex], self._centred[vertex]
+    facets = np.nonzero(on)[1].reshape(-1, m)
+    adjacent = on.astype(np.intp) @ on.T == m - 1
+    # across[i, w, b]: w is vertex i's neighbour off its b-th facet.
+    across = adjacent[:, :, None] & ~on[:, facets].transpose(1, 0, 2)
+    if len(V) <= m or np.any(across.sum(axis=1) != 1):
+        return None
+    # mids[i, b]: the midpoint of the edge from vertex i off its b-th facet.
+    mids = 0.5 * (V[:, None] + V[across.argmax(axis=1)])
+    u, w = np.nonzero(np.triu(adjacent))
+    if m == 3:
+        # Each edge lies on two facets j: one triangle (o_j, a_u, a_w) of
+        # each facet's fan, whose area is |det[n_j, a_u - o_j, a_w - o_j]| / 2.
+        j = np.nonzero(on[u] & on[w])[1]
+        u, w = u.repeat(2), w.repeat(2)
+        means = (on.T @ V) / on.sum(axis=0)[:, None]
+        fan = np.stack([means[j], V[u], V[w]], axis=1)
+        sides = fan - means[j][:, None]
+        sides[:, 0] = normals[j]
+        area = np.abs(np.linalg.det(sides))
+        hot = j == np.arange(len(normals))[:, None]
+        centroids = hot @ (area[:, None] * fan.sum(axis=1)) / (3.0 * (hot @ area)[:, None])
+    else:
+        # The fan of P over its edges, or over its two ends in one variable.
+        fan = np.stack([V[u], V[w]], axis=1) if m == 2 else V[:, None]
+    o = V.sum(axis=0) / len(V)
+    volume = np.abs(np.linalg.det(fan - o))
+    c = volume @ (o + fan.sum(axis=1)) / ((m + 1) * volume.sum())
+    corners = np.empty((len(V),) + (2,) * m + (m,))
+    for s in itertools.product((0, 1), repeat=m):
+        ones = sum(s)
+        if ones == m:
+            corners[(slice(None),) + s] = V
+        elif ones == 0:
+            corners[(slice(None),) + s] = c
+        elif ones == m - 1:
+            corners[(slice(None),) + s] = mids[:, s.index(0)]
+        else:
+            corners[(slice(None),) + s] = centroids[facets[:, s.index(1)]]
+    corners.flags.writeable = False
+    return corners
+
+
+CUBE = list(itertools.product([0.0, 1.0], repeat=3))
+PRISM = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 0, 1], [0, 1, 1]]
+TETRAHEDRON = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]
+#: A point 2e-9 from the 1e-4 rad tip of a triangle, within the on-face rule
+#: of both edges there: the tip, the nearer of the two, is the vertex.
+NEAR_VERTEX = [[0, 0], [1, 0], [1, 1e-4], [2e-9, 1e-13]]
+NAMED_SUPPORTS = {
+    "square": SQUARE,
+    "pentagon": [[0, 0], [2, 0], [3, 1], [1, 3], [-1, 1]],
+    "triangle": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+    "cube": CUBE,
+    "prism": PRISM,
+    "tetrahedron": TETRAHEDRON,
+    "near-vertex triangle": NEAR_VERTEX,
+    "near-vertex triangle, point first": NEAR_VERTEX[3:] + NEAR_VERTEX[:3],
+    "octahedron": [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]],
+    "square pyramid": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0], [0.5, 0.5, 1]],
+    "four variables": kostlan(4, 1).support.points,
+}
+
+
+def _seeded_supports(m, count=200):
+    """A seeded family of supports in R^m: Gaussian points (simplicial hulls,
+    not simple in three variables), and in three variables every other one
+    an affine image of the cube, the prism or the tetrahedron with interior
+    points; every third support has an extra point on an edge or a facet of
+    its hull (inside the segment in one variable)."""
+    rng = np.random.default_rng(4500 + m)
+    supports = []
+    for i in range(count):
+        if m == 3 and i % 2:
+            base = np.array((CUBE, PRISM, TETRAHEDRON)[i % 3], dtype=float)
+            inside = rng.dirichlet(np.ones(len(base)), size=rng.integers(0, 3)) @ base
+            L = np.eye(3) + rng.uniform(-0.4, 0.4, (3, 3))
+            points = np.vstack([base, inside]) @ L.T + rng.normal(size=3)
+        else:
+            points = rng.normal(size=(rng.integers(m + 1, m + 7), m))
+        if i % 3 == 0:
+            if m == 1:
+                extra = points[:2].mean(axis=0)
+            else:
+                facet = points[ConvexHull(points).simplices[0]]
+                extra = facet[:2].mean(axis=0) if i % 2 else facet.mean(axis=0)
+            points = np.vstack([points, extra])
+        supports.append(points)
+    return supports
+
+
+def _same_bytes(got, want):
+    """True when both are None, or arrays of one shape, dtype and bytes."""
+    if got is None or want is None:
+        return got is None and want is None
+    return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+class TestRebuiltSetUp:
+    """The hull and the vertex-cell corners give the bytes of the numpy
+    incidence references above, or None where they do."""
+
+    @staticmethod
+    def _check(points):
+        A = SupportSet(points)
+        hull, want_hull = A._hull, _reference_hull(A)
+        if want_hull is None:
+            assert hull is None
+        else:
+            assert all(_same_bytes(np.asarray(a), np.asarray(b)) for a, b in zip(hull, want_hull))
+        corners, want = A._vertex_corners, _reference_vertex_corners(A)
+        assert _same_bytes(corners, want)
+        return corners is None
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_seeded_supports_match_the_reference(self, m):
+        missing = [self._check(points) for points in _seeded_supports(m)]
+        # Both outcomes are exercised: in three variables the Gaussian hulls
+        # are simplicial, not simple, and the images are simple.
+        assert (sum(missing), len(missing) - sum(missing)) > (0, 0) if m == 3 else not any(missing)
+
+    @pytest.mark.parametrize("name", NAMED_SUPPORTS)
+    def test_named_supports_match_the_reference(self, name):
+        missing = self._check(NAMED_SUPPORTS[name])
+        assert missing == (name in ("octahedron", "square pyramid", "four variables"))
+
+    def test_near_vertex_triangle_keeps_the_tip_in_either_order(self):
+        for points in (NAMED_SUPPORTS["near-vertex triangle"], NAMED_SUPPORTS["near-vertex triangle, point first"]):
+            A = SupportSet(points)
+            vertices = A._vertex_corners[:, 1, 1] + A._c
+            assert sorted(map(tuple, vertices.tolist())) == [(0.0, 0.0), (1.0, 0.0), (1.0, 1e-4)]
 
 
 def _simplex_form_by_subsets(A: SupportSet) -> np.ndarray:

@@ -886,6 +886,21 @@ class TestVertexCells:
         assert abs(volume - hull_volume(E.support)) <= 1e-12 * hull_volume(E.support)
 
     @pytest.mark.parametrize("name", SIMPLE_3D)
+    def test_seed_pass_sums_to_the_volume(self, monkeypatch, name):
+        # The seed pass's own nodes, whose terms come from the cache: the
+        # Genz-Malik sum of the cells' Jacobian is the volume of P within
+        # the rule's own error estimate (2.7e-6 relative on the tetrahedron's
+        # 32 cells), and the same bits as with the terms computed.
+        E = SIMPLE_3D[name]
+        apply = _cell_rule(3)[2]
+        cell_map, (los, his) = integrate._vertex_cells(E)
+        values, errors, _ = apply(lambda U: cell_map(U)[1], los, his)
+        assert math.fsum(values) == pytest.approx(hull_volume(E.support), abs=2.0 * math.fsum(errors))
+        monkeypatch.setattr(integrate, "_seed_terms", lambda n, m: None)
+        cell_map, _ = integrate._vertex_cells(E)
+        np.testing.assert_array_equal(apply(lambda U: cell_map(U)[1], los, his)[0], values)
+
+    @pytest.mark.parametrize("name", SIMPLE_3D)
     def test_face_at_one_lies_on_a_facet_of_its_vertex(self, name):
         # Axis b at 1 (just below the next whole number, where sin rounds to
         # 1) is one facet for every node of the face, a different one per axis.
@@ -908,19 +923,23 @@ class TestVertexCells:
     @pytest.mark.parametrize("name", SIMPLE_3D)
     def test_jacobian_is_positive_and_matches_differences_at_the_seed_nodes(self, name):
         # Central differences of the cell map give a determinant of one sign
-        # per cell, which the chart's Jacobian matches in size.
+        # per cell, which the chart's Jacobian matches in size: at the seed
+        # pass's own nodes, whose terms the cache holds, and at nodes nudged
+        # off them, whose terms are computed.
         E = SIMPLE_3D[name]
         cell_map, seeds = integrate._vertex_cells(E)
-        U = _seed_nodes(seeds)
-        _, jac = cell_map(U)
-        assert jac.min() > 0.0
-        h = 1e-6
-        columns = [(cell_map(U + h * e[:, None])[0] - cell_map(U - h * e[:, None])[0]) / (2.0 * h)
-                   for e in np.eye(3)]
-        det = np.linalg.det(np.stack(columns, axis=-1).transpose(1, 0, 2))
-        np.testing.assert_allclose(np.abs(det), jac, rtol=1e-6)
-        per_cell = np.sign(det).reshape(len(seeds[0]), -1)
-        assert (per_cell == per_cell[:, :1]).all()
+        np.testing.assert_array_equal(_seed_nodes(seeds), integrate._seed_terms(len(E.support.vertices), 3)[0])
+        for nudge in (0.0, 1e-9):
+            U = _seed_nodes(seeds) + nudge
+            _, jac = cell_map(U)
+            assert jac.min() > 0.0
+            h = 1e-6
+            columns = [(cell_map(U + h * e[:, None])[0] - cell_map(U - h * e[:, None])[0]) / (2.0 * h)
+                       for e in np.eye(3)]
+            det = np.linalg.det(np.stack(columns, axis=-1).transpose(1, 0, 2))
+            np.testing.assert_allclose(np.abs(det), jac, rtol=1e-6)
+            per_cell = np.sign(det).reshape(len(seeds[0]), -1)
+            assert (per_cell == per_cell[:, :1]).all()
 
     @pytest.mark.parametrize("name", SIMPLE_3D)
     def test_closed_forms_take_the_chart(self, name):
@@ -967,6 +986,86 @@ class TestVertexCells:
         corners = A._vertex_corners
         assert A._vertex_corners is corners and corners.shape == (8, 2, 2, 2, 3)
         assert not corners.flags.writeable
+
+
+#: Closed forms whose solves converge on their seed pass, one per shape of it.
+SEED_PASS_SUMS = {
+    "kostlan(1,3)": kostlan(1, 3),
+    "kostlan(2,2)": kostlan(2, 2),
+    "simplex(2,1)": TRIANGLE,
+    "kostlan(3,1)": kostlan(3, 1),
+}
+
+
+class TestSeedPassTerms:
+    """The seed pass's cell index, sines and sine-map Jacobian, kept once
+    per vertex count and dimension (``integrate._seed_terms``)."""
+
+    @pytest.mark.parametrize("route", [esol_total, esol_pspace], ids=["x", "p"])
+    @pytest.mark.parametrize("name", SEED_PASS_SUMS)
+    def test_cold_warm_and_computed_terms_give_one_result(self, monkeypatch, name, route):
+        # A solve that builds the entry, one on an equal fresh sum that reads
+        # it, and one with every term computed give the same bits, and the
+        # warm solve computes the terms of every pass but the seed pass.
+        E = SEED_PASS_SUMS[name]
+        calls = []
+        sine_terms = integrate._sine_terms
+        monkeypatch.setattr(integrate, "_sine_terms", lambda U: calls.append(U.shape) or sine_terms(U))
+        integrate._seed_terms.cache_clear()
+        cold = route(ExpSum(E.support.points, E.coeffs))
+        assert integrate._seed_terms.cache_info().currsize == 1
+        del calls[:]
+        warm = route(ExpSum(E.support.points, E.coeffs))
+        assert integrate._seed_terms.cache_info().hits >= 1
+        warm_calls = len(calls)
+        monkeypatch.setattr(integrate, "_seed_terms", lambda n, m: None)
+        computed = route(ExpSum(E.support.points, E.coeffs))
+        assert len(calls) == 2 * warm_calls + 1
+        assert dataclasses.astuple(cold) == dataclasses.astuple(warm) == dataclasses.astuple(computed)
+
+    def test_nodes_off_the_seed_pass_take_computed_terms(self, monkeypatch):
+        E = kostlan(2, 2)
+        cell_map, _ = integrate._vertex_cells(E)
+        U = np.array(integrate._seed_terms(4, 2)[0])
+        Q, jac = cell_map(U)
+        calls = []
+        sine_terms = integrate._sine_terms
+        monkeypatch.setattr(integrate, "_sine_terms", lambda U: calls.append(U.shape) or sine_terms(U))
+        cell_map(U.copy())
+        assert calls == []
+        # A part of the pass, and the pass with one node moved: every other
+        # node keeps its bits, the moved one moves.
+        part = cell_map(U[:, :100])
+        U[1, 5] += 1e-6
+        moved = cell_map(U)
+        assert calls == [(2, 100), U.shape]
+        np.testing.assert_array_equal(part[0], Q[:, :100])
+        np.testing.assert_array_equal(part[1], jac[:100])
+        others = np.arange(U.shape[1]) != 5
+        np.testing.assert_array_equal(moved[0][:, others], Q[:, others])
+        np.testing.assert_array_equal(moved[1][others], jac[others])
+        assert (moved[0][:, 5] != Q[:, 5]).any() and moved[1][5] != jac[5]
+
+    def test_cache_stays_within_its_bound(self):
+        # Regular polygons of 3 to 30 vertices and every (n, m) up to 40
+        # vertices: at most 8 entries, each of 16 (m + 1) bytes a node and
+        # at most 2 MiB; a pass of more than 2^15 nodes is not kept.
+        integrate._seed_terms.cache_clear()
+        for n in range(3, 31):
+            t = 2.0 * math.pi * np.arange(n) / n
+            integrate._vertex_cells(ExpSum(np.stack([np.cos(t), np.sin(t)], axis=1)))
+            assert integrate._seed_terms.cache_info().currsize <= 8
+        for n, m in itertools.product(range(2, 41), (1, 2, 3)):
+            entry = integrate._seed_terms(n, m)
+            nodes = len(integrate._vertex_seeds(n, m)[0]) * _cell_rule(m)[0]
+            if nodes > 2**15:
+                assert entry is None
+            else:
+                assert sum(a.nbytes for a in entry) == 16 * (m + 1) * nodes <= 2 * 2**20
+                assert not any(a.flags.writeable for a in entry)
+            assert integrate._seed_terms.cache_info().currsize <= 8
+        assert integrate._seed_terms.cache_info().maxsize == 8
+        assert integrate._seed_terms(23, 2) is not None and integrate._seed_terms(24, 2) is None
 
 
 class TestFrame:
