@@ -147,10 +147,12 @@ def kostlan(m: int, d: int) -> ExpSum:
     stay in double range for d up to about 2050 / m, and a larger degree
     raises InputError before the support is formed).  For m >= 2 the
     support is the limit instead: ``SupportSet``'s pairwise pass holds a
-    (k, k, m) array, k = (d+1)^m, so kostlan(2, 45) peaks at 171 MiB,
-    kostlan(3, 12) at 258 MiB, and kostlan(2, 500) asks numpy for 939 GiB
-    and raises its MemoryError.  Densities need the
-    Cauchy-Binet block's C(k-m+1, 2) C(k-2, m-1) entries, k = (d+1)^m, within
+    (k, k, m) array, k = (d+1)^m, of at most ``geometry.PAIRWISE_LIMIT``
+    entries (128 MiB), so kostlan(2, 45), kostlan(3, 12) and kostlan(2, 52)
+    peak at 184, 258 and 315 MiB (tracemalloc), while kostlan(2, 53),
+    kostlan(3, 13) and kostlan(2, 500) raise InputError before the array
+    is built.  Densities need the Cauchy-Binet block's C(k-m+1, 2)
+    C(k-2, m-1) entries, k = (d+1)^m, within
     ``geometry.SIMPLEX_FORM_LIMIT``: kostlan(3, 2) and kostlan(2, 10) fit,
     kostlan(3, 3) and kostlan(2, 11) raise InputError.
     """

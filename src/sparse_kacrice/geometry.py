@@ -57,6 +57,12 @@ DET_FLOOR = 1e-300
 #: 10153 * 142, over it).  Each density row costs that many multiply-adds.
 SIMPLEX_FORM_LIMIT = 2**20
 
+#: Most entries k^2 m of the (k, k, m) difference array of a support's
+#: pairwise pass (duplicate test and diameter), 128 MiB of doubles:
+#: 4096 points on the line, kostlan(2, 52) and kostlan(3, 12) fit, and
+#: kostlan(2, 53), kostlan(3, 13) and kostlan(2, 500) are refused.
+PAIRWISE_LIMIT = 2**24
+
 
 def _as_floats(value, what: str) -> np.ndarray:
     """value as a float array; InputError "<what>, got <value>" where the
@@ -93,7 +99,8 @@ class SupportSet:
 
     The convex hull of A is the Newton polytope of any exponential sum
     supported on A.  Points must be pairwise distinct beyond a dedup
-    tolerance scaled to the set's size.
+    tolerance scaled to the set's size, and k points in R^m are refused
+    with InputError where k^2 m passes ``PAIRWISE_LIMIT``.
 
     Parameters
     ----------
@@ -107,6 +114,9 @@ class SupportSet:
         # and their spread max |a - c|, which the dedup tolerance and the
         # on-face rule (:func:`_face_mask`) scale with.
         self.points = _as_point_array(points).copy()
+        k, m = self.points.shape
+        if k * k * m > PAIRWISE_LIMIT:
+            raise InputError(f"{k} points in R^{m} are over the pairwise limit k^2 m <= {PAIRWISE_LIMIT}")
         self._c = self.points.mean(axis=0)
         self._centred = self.points - self._c
         self._spread = _spread(self._centred)
@@ -145,9 +155,13 @@ class SupportSet:
         The rank is taken on the differences a_i - a_0, not on the centred
         points: those are exact for a representable translate, while every
         centred row carries the barycenter's rounding, about eps |c|, which
-        would lift a flat support far from the origin to full rank."""
+        would lift a flat support far from the origin to full rank.  In one
+        variable k >= 2 distinct points have rank 1 with no SVD: the one
+        singular value |a - a_0| >= max |a_i - a_0| clears the tolerance."""
         if self.size == 1:
             return 0
+        if self.dim == 1:
+            return 1
         diffs = self.points[1:] - self.points[0]
         tol = 1e-12 * np.abs(diffs).max() * max(diffs.shape)
         return int(np.count_nonzero(np.linalg.svd(diffs, compute_uv=False) > tol))

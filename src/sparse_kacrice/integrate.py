@@ -50,14 +50,15 @@ the axis of largest fourth difference.  Each pair is one node set with a
 weight column per rule, built once per dimension (``_cell_rule``), so
 every batch of cells costs one integrand call.  The nodes of a batch go to
 the integrand coordinate-major, as one (m, N) array, the layout of the
-kernel's :func:`.expsum._softmax`.  The cells are the rows of one growable
-array; each pass halves the worst of them, 16 a pass for the
-Gauss-Legendre pairs and 64 for Genz-Malik, chosen and ordered as a heap
-keyed on error would pop them, until the summed cell error, plus the
-newest shell's value when the region grows, meets one budget max(abs_tol,
-rel_tol |total|); the leaf cells may hold at most ``MAX_NODES`` integrand
-nodes.  Final sums are compensated (math.fsum), so results do not depend
-on evaluation order.
+kernel's :func:`.expsum._softmax`.  The cells are the rows of one
+append-only array, where a popped cell keeps its row with error -inf; each
+pass halves the worst of them, 16 a pass for the Gauss-Legendre pairs and
+64 for Genz-Malik, chosen by one cut on the errors and ordered by (-error,
+row), as a heap keyed on error would pop them, until the summed cell
+error, plus the newest shell's value when the region grows, meets one
+budget max(abs_tol, rel_tol |total|); the leaf cells may hold at most
+``MAX_NODES`` integrand nodes.  Final sums are compensated (math.fsum),
+so results do not depend on evaluation order.
 
 What a solve builds, and how often:
 
@@ -76,13 +77,14 @@ What a solve builds, and how often:
 * once per solve: the cell store and the x route's chart, either the
   vertex cells' coefficients with the Cauchy-Binet coefficients of the
   facets' m-subsets (over P; no frame) or the frame (x0, W and the
-  Jacobian |det W|); once per process, the seed cells of each vertex
-  count and dimension (``_vertex_seeds``) and their first pass's nodes
-  with the cell index, the sines and the sine map's Jacobian there
+  Jacobian |det W|); once per process, for each of the 8 most recent
+  (vertex count, dimension) pairs, the seed cells (``_vertex_seeds``, 512
+  bytes a polygon vertex) and, in a cache of its own, their first pass's
+  nodes with the cell index, the sines and the sine map's Jacobian there
   (``_seed_terms``), which every sum with that vertex count and dimension
-  reads instead of a sine and a cosine per node: the 8 most recent pairs,
-  16 (m + 1) bytes a node (273 KB for a square, 135 KB for a cube), no
-  pass past 2^15 nodes, so at most 16 MiB;
+  reads instead of a sine and a cosine per node: 16 (m + 1) bytes a node
+  (273 KB for a square, 135 KB for a cube), no pass past 2^15 nodes, so at
+  most 16 MiB;
 * once per integrand call: one (m, N) node array, written in place, the
   chart's nodes x and the kernel's own arrays; over R^m the chart is one
   (m, m)(m, N) product plus x0, and the integrand one multiply by |det W|;
@@ -92,8 +94,9 @@ What a solve builds, and how often:
   closed-form sums) in its first iteration, and forms the metric once per
   Newton iteration for the nodes it still holds, never for a trial or a
   backtrack;
-* once per pass: one gather of the popped rows, the rows of their
-  children and one push of them.
+* once per pass: one partition of the errors of every row the store
+  holds, popped ones too, one gather of the popped rows, the rows of their
+  children and one append of them; popped rows are never packed away.
 """
 
 from __future__ import annotations
@@ -354,18 +357,17 @@ def _shell_cells(r, m):
 class _Cells:
     """The cells of one adaptive integral in insertion order, as the rows of
     one growable (rows, 2m + 3) array: lower corner, upper corner, value,
-    error and split axis.  A push is one write of such rows and a pop one
-    gather.
-
-    A popped cell stays in place with error -inf until popped cells make up
-    half of the rows in use; they are then packed away, order kept."""
+    error and split axis.  A push is one write of such rows after the last
+    and a pop one gather.  The store only appends: a popped cell stays in
+    its row with error -inf, so ``rows`` counts every cell ever pushed and
+    ``live`` the cells held."""
 
     def __init__(self, m):
         self.data = np.empty((64, 2 * m + 3))
         self.rows = self.live = 0
 
     def push(self, block):
-        """Append the cells of block, (count, 2m + 3), after every cell held."""
+        """Append the cells of block, (count, 2m + 3), after every cell pushed."""
         start, count = self.rows, len(block)
         if start + count > len(self.data):
             grown = np.empty((max(2 * len(self.data), start + count), self.data.shape[1]))
@@ -377,27 +379,17 @@ class _Cells:
     def pop(self, count):
         """Remove the ``count`` worst cells (every cell, when fewer are held)
         and return their rows, ordered by error downwards and, among equal
-        errors, by insertion: the order in which a heap keyed on (-error,
-        insertion) pops them.  Equal errors at the cut also go to the
-        earliest-inserted cells."""
+        errors, by row: the order in which a heap keyed on (-error,
+        insertion) pops them.  One rule: the cut is the error of rank
+        min(count, live) from the top, popped rows (-inf) lowest; of the
+        rows at or above it, the first ``count`` in that order go."""
         error = self.data[:self.rows, -2]
-        if count >= self.live:
-            idx = np.flatnonzero(error >= 0.0)
-        else:
-            # The kth-order error leads the partitioned tail: the cut.
-            idx = np.argpartition(error, self.rows - count)[self.rows - count:]
-            worst = error[idx]
-            cut = worst[0]
-            if np.count_nonzero(error >= cut) > count:
-                above = idx[worst > cut]
-                idx = np.concatenate([above, np.flatnonzero(error == cut)[:count - len(above)]])
-        idx = idx[np.lexsort((idx, -error[idx]))]
+        kth = self.rows - min(count, self.live)
+        idx = np.flatnonzero(error >= np.partition(error, kth)[kth])
+        idx = idx[np.lexsort((idx, -error[idx]))][:count]
         batch = self.data[idx]
         error[idx] = -np.inf
         self.live -= len(idx)
-        if 2 * self.live <= self.rows:
-            self.data[:self.live] = self.data[:self.rows][error >= 0.0]
-            self.rows = self.live
         return batch
 
     def held(self):
@@ -410,20 +402,21 @@ class _Cells:
 def _adaptive(f, los, his, abs_tol, rel_tol, grow=False):
     """Adaptive cubature of vectorized f from the seed cells (los, his);
     returns (value, error, cells, nodes): the leaf cells and the integrand
-    evaluations spent on every cell the store ever held.
+    evaluations spent on every cell the store ever held, its rows times
+    the rule's nodes.
 
     Each cell carries its value, error and split axis from ``_cell_rule``,
-    in an array-backed store (:class:`_Cells`); each pass halves the
-    rule's number of worst cells, and the running totals drop them in
-    order of error, as a heap would pop them.  A pass builds its children
-    as store rows, two per popped cell, by copying the popped rows and
-    moving one bound of each to the midpoint; the rule reads their corners
-    in place, their value, error and axis are written into the same rows,
-    and one push stores them.  With ``grow`` the seeds tile a cube
-    [-r, r]^m and the region grows over R^m: a shell enters the store
-    while the newest one's value exceeds the summed cell error, and that
-    value counts as the error of truncating there.  The first shell always
-    enters, in the pass after the seed cube's.  Raises
+    in an append-only store (:class:`_Cells`); each pass halves the rule's
+    number of worst cells, and the running totals drop them in order of
+    error, as a heap would pop them.  A pass builds its children as store
+    rows, two per popped cell, by copying the popped rows and moving one
+    bound of each to the midpoint; the rule reads their corners in place,
+    their value, error and axis are written into the same rows, and one
+    push appends them.  With ``grow`` the seeds tile a cube [-r, r]^m and
+    the region grows over R^m: a shell enters the store while the newest
+    one's value exceeds the summed cell error, and that value counts as the
+    error of truncating there.  The first shell always enters, in the pass
+    after the seed cube's.  Raises
     ConvergenceError with the partial value when the integrand is not
     finite (the value then sums the finite cells), when the leaf cells
     hold ``MAX_NODES`` integrand nodes, or when the error budget lies below
@@ -432,16 +425,13 @@ def _adaptive(f, los, his, abs_tol, rel_tol, grow=False):
     m = los.shape[1]
     per_cell, per_pass, rule = _cell_rule(m)
     cells = _Cells(m)
-    evaluated = 0
     axis_ids = np.arange(m)
 
     def push(block):
         """Evaluate the cells whose corners fill block's first 2m columns,
         fill in the rest and store them; returns the sums of value, error
         and |value| over the block's rows."""
-        nonlocal evaluated
         values, errs, axes = rule(f, block[:, :m], block[:, m:-3])
-        evaluated += len(values)
         value, err = float(values.sum()), float(errs.sum())
         # A finite sum has finite terms: only a non-finite one needs the test.
         if not math.isfinite(err):
@@ -502,7 +492,7 @@ def _adaptive(f, los, his, abs_tol, rel_tol, grow=False):
             residual=error + abs(shell),
         )
     values, errs = cells.held()
-    return math.fsum(values), math.fsum(errs) + abs(shell), len(values), evaluated * per_cell
+    return math.fsum(values), math.fsum(errs) + abs(shell), len(values), cells.rows * per_cell
 
 
 def _frame(E: ExpSum):
@@ -626,7 +616,9 @@ def _sine_terms(U):
     return whole[0].astype(int), a, np.prod(slope, axis=0)
 
 
-@lru_cache(maxsize=None)
+# Like _seed_terms, the 8 most recent (n, m): a polygon's seeds take 512 n
+# bytes, and a rebuild costs under 1 ms.
+@lru_cache(maxsize=8)
 def _vertex_seeds(n, m):
     """Seeded cells of n vertex cells in m variables, cell i on
     [i, i + 1] x [0, 1]^(m-1): 4 per axis per cell in one and two

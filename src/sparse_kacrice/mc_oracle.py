@@ -150,15 +150,14 @@ def _newton(b, L, S, lo, hi, s_lo):
     kept when it lands inside the bracket and at least halves the step
     before; otherwise the bracket is bisected.  A row converges on a kept
     step below ``NEWTON_STOP`` or a bisection step below ``NEWTON_TOL``,
-    relative to 1 + |x|.  Each zero is written out in
-    the iteration its bracket converges, but converged brackets are only
-    packed away once they make up at least half of those held.
+    relative to 1 + |x|.  Each zero is written out in the iteration its
+    bracket converges, and the bracket leaves every array then, so later
+    iterations work on the live brackets alone.
     """
     x = 0.5 * (lo + hi)
     step = hi - lo
     out = np.empty_like(x)
     idx = np.arange(len(x))
-    held = np.ones(len(x), dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(NEWTON_STEPS):
             if idx.size == 0:
@@ -182,17 +181,12 @@ def _newton(b, L, S, lo, hi, s_lo):
             step = np.where(accept, newton, x - 0.5 * (lo + hi))
             live = np.abs(step) > np.where(accept, NEWTON_STOP, NEWTON_TOL) * (1.0 + np.abs(x))
             x = x - step
-            done = held & ~live
-            if not done.any():
+            if live.all():
                 continue
-            out[idx[done]] = x[done]
-            held &= live
-            n_held = np.count_nonzero(held)
-            if 2 * n_held <= held.size:
-                idx, x, lo, hi, step, s_lo = (u[held] for u in (idx, x, lo, hi, step, s_lo))
-                L, S = L.compress(held, axis=1), S.compress(held, axis=1)
-                held = np.ones(n_held, dtype=bool)
-    out[idx[held]] = x[held]
+            out[idx[~live]] = x[~live]
+            idx, x, lo, hi, step, s_lo = (u[live] for u in (idx, x, lo, hi, step, s_lo))
+            L, S = L.compress(live, axis=1), S.compress(live, axis=1)
+    out[idx] = x
     return out
 
 

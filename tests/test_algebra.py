@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -23,6 +24,7 @@ from sparse_kacrice import (
     kostlan,
     tensor,
 )
+from sparse_kacrice.geometry import PAIRWISE_LIMIT
 
 A2 = ExpSum([[0.0], [0.7]], [1.0, 2.0])
 B3 = ExpSum([[0.1], [1.3], [2.0]], [0.5, 1.0, 1.5])
@@ -190,6 +192,22 @@ class TestKostlan:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+    def test_oversized_support_is_refused_before_the_pairwise_pass(self):
+        # kostlan(2, 500) holds 501^2 points: k^2 m is past PAIRWISE_LIMIT,
+        # so the (k, k, m) difference array (939 GiB) is never asked for.
+        kostlan(2, 2)
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(InputError, match="^251001 points in R\\^2 are over the pairwise limit"):
+                kostlan(2, 500)
+            elapsed, peak = time.perf_counter() - start, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 1.0 and peak < 64 * 2**20
+        # kostlan(2, 45) and kostlan(3, 12) stay within it.
+        assert 46**4 * 2 <= PAIRWISE_LIMIT and 13**6 * 3 <= PAIRWISE_LIMIT
 
     def test_counts_follow_the_integer_rule(self):
         for m, d in ((True, 2), (2, True), (2.0, 1), (1, 2.5), ("2", 1)):

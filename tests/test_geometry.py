@@ -30,6 +30,7 @@ from sparse_kacrice import (
 from sparse_kacrice.geometry import (
     DET_FLOOR,
     DUAL_COND_LIMIT,
+    PAIRWISE_LIMIT,
     _cauchy_binet_tables,
     _check_box,
     _cholesky_solve,
@@ -64,6 +65,37 @@ class TestSupportSet:
     def test_rejects_empty(self):
         with pytest.raises(InputError):
             SupportSet(np.zeros((0, 1)))
+
+    def test_refuses_a_support_over_the_pairwise_limit(self):
+        # 4097 points on the line put k^2 m just past the limit: refused
+        # before the (k, k, m) difference array, over 128 MiB, is built.
+        assert 4096**2 == PAIRWISE_LIMIT
+        with pytest.raises(InputError, match="^4097 points in R\\^1 are over the pairwise limit"):
+            SupportSet(np.arange(4097.0))
+        with pytest.raises(InputError, match="pairwise limit"):
+            ExpSum(np.zeros((2049, 4)))
+
+    def test_rank_in_one_variable_takes_no_svd(self, monkeypatch):
+        # k >= 2 distinct points on the line have rank 1 under the SVD
+        # rule's tolerance too; a fresh one-variable sum builds and solves
+        # to the same bits with np.linalg.svd unavailable.
+        rng = np.random.default_rng(3)
+        for k in (2, 3, 5, 40):
+            points = np.sort(rng.uniform(-1e3, 1e3, k))
+            points[1] = points[0] + 1e-6
+            diffs = (points[1:] - points[0])[:, None]
+            tol = 1e-12 * np.abs(diffs).max() * max(diffs.shape)
+            assert np.count_nonzero(np.linalg.svd(diffs, compute_uv=False) > tol) == 1
+        E = ExpSum([[0.0], [0.5], [1.7]], [1.0, 2.0, 1.0])
+        want = esol_total(E)
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("np.linalg.svd called")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        fresh = ExpSum([[0.0], [0.5], [1.7]], [1.0, 2.0, 1.0])
+        assert fresh.support.affine_dim == 1 and SupportSet([[2.0]]).affine_dim == 0
+        assert esol_total(fresh) == want
 
     def test_repr_and_iteration(self):
         A = SupportSet([[0, 1], [2, 3]])

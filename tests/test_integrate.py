@@ -531,7 +531,7 @@ class TestCellStore:
         assert got == _heap_adaptive(f, *seeds, 1e-9, 1e-9, 16, grow=True)
         assert got[0] == pytest.approx(1.0, abs=1e-9)
 
-    def test_pop_orders_ties_by_insertion_and_packs_popped_cells(self):
+    def test_pop_orders_ties_by_insertion_and_keeps_popped_rows(self):
         cells = integrate._Cells(1)
         errors = np.array([1.0, 3.0, 2.0, 3.0, 2.0, 2.0, 0.5, 2.0])
         idx = np.arange(8.0)
@@ -539,10 +539,20 @@ class TestCellStore:
         cells.push(np.column_stack([idx, idx + 1.0, idx, errors, np.zeros(8)]))
         *_, value, error, _ = cells.pop(4).T
         assert value.tolist() == [1.0, 3.0, 2.0, 4.0] and error.tolist() == [3.0, 3.0, 2.0, 2.0]
-        assert cells.live == 4 and cells.rows == 4
+        assert cells.live == 4 and cells.rows == 8
         assert cells.held() == ([0.0, 5.0, 6.0, 7.0], [1.0, 2.0, 0.5, 2.0])
         assert cells.pop(8)[:, 2].tolist() == [5.0, 7.0, 0.0, 6.0]
-        assert cells.live == cells.rows == 0
+        assert cells.live == 0 and cells.rows == 8
+
+    def test_gaussian_cube_matches_the_reference_heap_bit_for_bit(self):
+        # e^(-|x|^2) on [-3, 3]^3 from 2 seeds per axis at 1e-6: three
+        # passes that split every cell, then 54 cut from up to 3520 cells.
+        f = lambda X: np.exp(-(X * X).sum(axis=0))
+        seeds = _seed_grid(((-3.0, 3.0),) * 3, 2)
+        got = _adaptive(f, *seeds, 1e-6, 1e-6)
+        assert got == _heap_adaptive(f, *seeds, 1e-6, 1e-6, 64)
+        assert got[2] == 3520
+        assert got[0] == pytest.approx(math.pi**1.5 * math.erf(3.0) ** 3, rel=1e-6)
 
 
 class TestRegion:
@@ -1066,6 +1076,27 @@ class TestSeedPassTerms:
             assert integrate._seed_terms.cache_info().currsize <= 8
         assert integrate._seed_terms.cache_info().maxsize == 8
         assert integrate._seed_terms(23, 2) is not None and integrate._seed_terms(24, 2) is None
+
+    def test_vertex_seeds_stay_within_their_bound(self):
+        # Polygons of 3 to 40 vertices leave at most 8 seed entries, and the
+        # area over the vertex cells is the same on seeds rebuilt after
+        # eviction (n = 3, 4) as on seeds read from the cache (n = 39, 40).
+        def area(n):
+            t = 2.0 * math.pi * np.arange(n) / n
+            E = ExpSum(np.stack([np.cos(t), np.sin(t)], axis=1))
+            region = lambda E: (*integrate._vertex_cells(E), False)
+            return integrate._integral(E, STRICT, "p", lambda Q: np.ones(Q.shape[1]), region)
+
+        integrate._vertex_seeds.cache_clear()
+        first = {}
+        for n in range(3, 41):
+            first[n] = area(n)
+            assert first[n].value == pytest.approx(0.5 * n * math.sin(2.0 * math.pi / n), rel=1e-7)
+            assert integrate._vertex_seeds.cache_info().currsize <= 8
+        assert integrate._vertex_seeds.cache_info().maxsize == 8
+        misses = integrate._vertex_seeds.cache_info().misses
+        assert [area(n) for n in (3, 4, 39, 40)] == [first[n] for n in (3, 4, 39, 40)]
+        assert integrate._vertex_seeds.cache_info().misses == misses + 2
 
 
 class TestFrame:
