@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InputError
 from .expsum import ExpSum
-from .geometry import SupportSet, _is_int
+from .geometry import SupportSet, _as_count
 
 __all__ = [
     "tensor",
@@ -127,9 +127,7 @@ def aronszajn_power(E: ExpSum, d: int) -> ExpSum:
     of the result is d times the base metric, so the zero density scales
     by d^{m/2}.
     """
-    if not (_is_int(d) and d >= 1):
-        raise InputError("power must be a positive integer")
-    d = int(d)
+    d = _as_count(d, "power must be a positive integer")
     if E.n_terms == 2:
         return _two_term_power(E, d)
     result = E
@@ -156,8 +154,6 @@ def kostlan(m: int, d: int) -> ExpSum:
     ``geometry.SIMPLEX_FORM_LIMIT``: kostlan(3, 2) and kostlan(2, 10) fit,
     kostlan(3, 3) and kostlan(2, 11) raise InputError.
     """
-    if not (_is_int(m) and m >= 1):
-        raise InputError("dimension must be a positive integer")
-    if not (_is_int(d) and d >= 1):
-        raise InputError("degree must be a positive integer")
-    return _binomial_sum(int(d), "degree", int(m), lambda k, h: h, lambda c: c.astype(float))
+    m = _as_count(m, "dimension must be a positive integer")
+    d = _as_count(d, "degree must be a positive integer")
+    return _binomial_sum(d, "degree", m, lambda k, h: h, lambda c: c.astype(float))

@@ -18,7 +18,11 @@ through the metric of an exponential sum; this module supplies the dual
 form (Gram-array inverse), whose gate :func:`dual_form` alone decides,
 determinants, the stacked Cholesky factor-and-solve of Newton's method,
 the unit-ball/unit-sphere constants that normalize every density in the
-package, and the one box check and grid.
+package, and the one box check and grid.  It also states the package's one
+rule for each kind of outside number: arrays by :func:`_as_floats`, real
+parameters (tolerances, weights, lengths) by :func:`_as_real` and counts by
+:func:`_is_int` (:func:`_as_count` for a count of at least 1, :func:`_counts`
+for a grid resolution); no other module tests for a bool or a complex value.
 """
 
 from __future__ import annotations
@@ -134,8 +138,10 @@ class SupportSet:
         """Distance below which two points count as the same point:
         1e-9 (1 + max |a - c|), c the barycenter of the points, so that a
         translate of them has the same tolerance, as the on-face rule
-        (:func:`_face_mask`) scales with the spread about c."""
-        arr = np.asarray(points, dtype=float)
+        (:func:`_face_mask`) scales with the spread about c.  The points
+        are converted by :func:`_as_floats`, so a string, complex or ragged
+        input raises InputError."""
+        arr = _as_floats(points, "points must be real numbers")
         return 1e-9 * (1.0 + (_spread(arr - arr.mean(axis=0)) if arr.size else 0.0))
 
     @property
@@ -451,8 +457,32 @@ def _read_only(*arrays):
 
 
 def _is_int(v) -> bool:
-    """True for a Python or numpy integer, False for a bool or anything else."""
+    """True for a Python or numpy integer, False for a bool or anything else:
+    the package's one rule for counts."""
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _as_count(value, what: str) -> int:
+    """value as an int where it is a count by :func:`_is_int` and at least
+    1; InputError "<what>, got <value>" otherwise."""
+    if not (_is_int(value) and value >= 1):
+        raise InputError(f"{what}, got {value!r}")
+    return int(value)
+
+
+def _as_real(value, what: str) -> float:
+    """value as a float, the package's one rule for a real parameter: a
+    ``numbers.Real`` that is not a bool (numpy's bool is not Real), finite
+    and above 0 as a float (an int or Fraction past the largest float
+    overflows, and a positive Fraction can round to 0.0); InputError
+    "<what>, got <value>" otherwise."""
+    try:
+        real = float(value) if isinstance(value, numbers.Real) and not isinstance(value, bool) else math.nan
+    except OverflowError:
+        real = math.inf
+    if not 0.0 < real < math.inf:
+        raise InputError(f"{what}, got {value!r}")
+    return real
 
 
 def _check_vector(u, m: int, name: str = "u") -> np.ndarray:
@@ -478,19 +508,24 @@ def _check_box(box, m: int) -> tuple:
     return tuple((float(a), float(b)) for a, b in arr)
 
 
-def _grid(box, resolution):
-    """(resolution, axes, nodes) of the grid on a checked box: resolution a
-    whole number or one per axis, at least 2 each, else InputError; axes
-    the linspace of each axis; nodes (prod(resolution), m), row-major, each
-    axis broadcast into its column of one array."""
-    m = len(box)
-    per_axis = (resolution,) * m if np.isscalar(resolution) else resolution
-    try:
-        counts = tuple(int(r) for r in per_axis)
-    except (TypeError, ValueError, OverflowError):
-        counts = ()
-    if len(counts) != m or any(n < 2 or n != r for n, r in zip(counts, per_axis)):
+def _counts(resolution, m: int) -> tuple:
+    """A grid resolution on m axes as a tuple of m ints: one count for every
+    axis, or one count per axis given as a tuple, list or 1-D array, each a
+    count by :func:`_is_int` and at least 2; InputError otherwise."""
+    listed = isinstance(resolution, (tuple, list)) or isinstance(resolution, np.ndarray) and resolution.ndim == 1
+    per_axis = resolution if listed else (resolution,) * m
+    if len(per_axis) != m or not all(_is_int(n) and n >= 2 for n in per_axis):
         raise InputError(f"resolution must be whole numbers >= 2 on {m} axes, got {resolution!r}")
+    return tuple(map(int, per_axis))
+
+
+def _grid(box, resolution):
+    """(resolution, axes, nodes) of the grid on a checked box: resolution as
+    :func:`_counts` resolves it on the box's axes; axes the linspace of each
+    axis; nodes (prod(resolution), m), row-major, each axis broadcast into
+    its column of one array."""
+    m = len(box)
+    counts = _counts(resolution, m)
     axes = tuple(np.linspace(a, b, n) for (a, b), n in zip(box, counts))
     nodes = np.empty(counts + (m,))
     for i, axis in enumerate(axes):
@@ -569,10 +604,11 @@ def interior_contains(A, p, tol: float) -> bool:
 
     Decided against the facet inequalities of the hull: every facet must
     clear the point by at least ``tol``.  A degenerate hull has no interior.
+    ``tol`` is a real number by :func:`_as_real` (finite, above 0, not a
+    bool), else InputError.
     """
     A = _coerce_support(A)
-    if not tol > 0:
-        raise InputError("tol must be positive")
+    tol = _as_real(tol, "tol must be a finite real number > 0")
     p = _check_vector(p, A.dim, name="p")
     return bool(_interior_mask(A, p[None, :], tol)[0])
 
@@ -693,15 +729,17 @@ def form_det(Q: QuadForm) -> float:
     return float(np.linalg.det(Q.entries))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def ball_sphere_constants(m: int) -> tuple[float, float]:
     """Volumes (b_m, s_m) of the unit ball in R^m and unit sphere S^m in R^{m+1}.
 
     b_m = pi^{m/2} / Gamma(m/2 + 1) and s_m = 2 pi^{(m+1)/2} / Gamma((m+1)/2);
-    they satisfy m! b_m s_m / (2 pi)^m = 2.
+    they satisfy m! b_m s_m / (2 pi)^m = 2.  m is a count by :func:`_is_int`
+    and at least 1 (:func:`_as_count`), else InputError; the cache is keyed
+    by type too, so a key equal to a cached one (True against 1) is checked
+    on its own.
     """
-    if m < 1:
-        raise InputError("m must be a positive integer")
+    m = _as_count(m, "m must be a positive integer")
     b_m = math.exp(0.5 * m * math.log(math.pi) - math.lgamma(0.5 * m + 1.0))
     s_m = 2.0 * math.exp(0.5 * (m + 1) * math.log(math.pi) - math.lgamma(0.5 * (m + 1)))
     return b_m, s_m

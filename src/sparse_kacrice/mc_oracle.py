@@ -60,7 +60,7 @@ import numpy as np
 
 from .errors import InputError
 from .expsum import ExpSum
-from .geometry import _as_floats, _is_int
+from .geometry import _as_count, _as_floats, _is_int
 
 __all__ = ["McConfig", "sample_zero_count", "estimate_esol"]
 
@@ -89,8 +89,7 @@ class McConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not _is_int(self.n_samples) or self.n_samples < 1:
-            raise InputError(f"n_samples must be an integer of at least 1, not {self.n_samples!r}")
+        _as_count(self.n_samples, "n_samples must be an integer of at least 1")
         if not _is_int(self.seed) or not 0 <= self.seed < 2**128:
             raise InputError(f"seed must be an integer in [0, 2**128), not {self.seed!r}")
 

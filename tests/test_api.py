@@ -12,6 +12,7 @@ from __future__ import annotations
 import importlib
 import inspect
 import operator
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -185,6 +186,21 @@ MALFORMED = {
     "ExpSum.from_dict numeric str support": ("ExpSum.from_dict", ({"dim": 1, "support": ["0", "1"]},)),
     "ExpSum.from_dict numeric str coeffs": ("ExpSum.from_dict", ({"dim": 1, "support": [0, 1], "coeffs": ["1", "2"]},)),
     "Augmentation alpha0 numpy complex": ("Augmentation", ([3.0], np.complex128(2 + 1j))),
+    # A real parameter is a real number (geometry._as_real): not an array of
+    # any shape, a bool, a string or a non-finite value.
+    "Quadrature tol array": ("Quadrature", (np.array([1e-5]),)),
+    "Quadrature tol 0-d array": ("Quadrature", (np.array(1e-5),)),
+    "Quadrature rel_tol 0-d array": ("Quadrature", (1e-5, np.array(1e-5))),
+    "Augmentation alpha0 0-d array": ("Augmentation", ([0.3, 0.6], np.array(2.0))),
+    **{f"interior_contains tol {tol!r}": ("interior_contains", (SQUARE.support, [0.5, 0.5], tol))
+       for tol in (True, np.inf, np.array([1e-3]), "1")},
+    # A count is an integer (geometry._is_int): 8.0 is not one.
+    **{f"region_scan resolution {r!r}": ("region_scan", (SQUARE, Augmentation([0.3, 0.6]), None, r))
+       for r in (8.0, (8.0, 8))},
+    **{f"ball_sphere_constants {m!r}": ("ball_sphere_constants", (m,)) for m in (2.5, True, "2")},
+    **{f"SupportSet.dedup_tolerance {label}": ("SupportSet.dedup_tolerance", (points,))
+       for label, points in (("numeric str", ["0", "1"]), ("complex array", np.array([[1j], [0]])),
+                             ("str", "ab"), ("ragged", [[0, 1], [2]]))},
 }
 
 
@@ -193,3 +209,43 @@ def test_malformed_inputs_raise_input_error(name):
     entry, args = MALFORMED[name]
     with pytest.raises(InputError):
         operator.attrgetter(entry)(sparse_kacrice)(*args)
+
+
+#: Accepted scalars: a real parameter takes an int, a float, numpy's float32
+#: and float64 and a Fraction, each with the result of its float; a
+#: resolution takes a count or one count per axis as a tuple, list or 1-D
+#: array, each with the same scan bit for bit.
+REALS = [1, 0.375, np.float32(0.375), np.float64(0.375), Fraction(3, 8)]
+RESOLUTIONS = [8, np.int64(8), (8, 8), [8, 8], np.array([8, 8])]
+
+
+def _real_parameter_results(value) -> dict:
+    """The result of each public real parameter at value, one entry per
+    parameter, and the types that Quadrature and Augmentation store."""
+    q, aug = sparse_kacrice.Quadrature(abs_tol=value, rel_tol=value), Augmentation([0.3, 0.6], value)
+    return {
+        "stored": (type(q.abs_tol), type(q.rel_tol), type(aug.alpha0)),
+        "abs_tol": sparse_kacrice.esol_total(LINE, sparse_kacrice.Quadrature(abs_tol=value)),
+        "rel_tol": sparse_kacrice.esol_total(LINE, sparse_kacrice.Quadrature(rel_tol=value)),
+        "alpha0": sparse_kacrice.psi(SQUARE, aug, [0.2, -0.4]).psi,
+        "t_max": [e.psi for e in sparse_kacrice.ray_scan_unbounded(LINE, Augmentation([3.0]), [1.0], value, 3)],
+        "tol": sparse_kacrice.interior_contains(SQUARE.support, [0.5, 0.6], value),
+    }
+
+
+@pytest.mark.parametrize("value", REALS, ids=[type(v).__name__ for v in REALS])
+def test_real_parameters_give_the_float_result(value):
+    assert _real_parameter_results(value) == _real_parameter_results(float(value))
+
+
+@pytest.mark.parametrize("resolution", RESOLUTIONS, ids=[type(r).__name__ for r in RESOLUTIONS])
+@pytest.mark.parametrize("space", ["p", "x"])
+def test_resolutions_give_the_same_scan(resolution, space):
+    aug = Augmentation([0.3, 0.6])
+    got = sparse_kacrice.region_scan(kostlan(2, 1), aug, resolution=resolution, space=space)
+    want = sparse_kacrice.region_scan(kostlan(2, 1), aug, resolution=8, space=space)
+    assert got.resolution == want.resolution == (8, 8)
+    assert all(type(n) is int for n in got.resolution)
+    assert got.psi.tobytes() == want.psi.tobytes()
+    np.testing.assert_array_equal(got.classes, want.classes)
+    assert got.to_json() == want.to_json()

@@ -675,6 +675,16 @@ class TestGridPreimages:
             assert len(calls) == want, kwargs
         assert E._scan_grids["p"][1:3] == (((0.0, 1.0), (0.0, 1.0)), (8, 8))
 
+    def test_a_list_resolution_is_stored_as_a_request(self):
+        # Every resolution is keyed by its counts, a list's too, so a later
+        # scan of that request skips the default box.
+        E = ExpSum(SQUARE.support.points)
+        region_scan(E, SQ_AUG, resolution=[8, 8])
+        stored = E._scan_grids["p"]
+        assert stored[0] == (None, (8, 8))
+        region_scan(E, Augmentation([2.0, -1.0]), resolution=8)
+        assert E._scan_grids["p"] is stored
+
     def test_failed_nodes_stay_outside_on_reuse(self, monkeypatch):
         # c00 c11 = 3 against c10 c01 = 1: far from a product of two-term
         # sums, this square has no facet-log predictor, so every node starts
