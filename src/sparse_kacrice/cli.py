@@ -60,6 +60,7 @@ from . import (
     n_factorial_volume, psi, ray_scan_unbounded, region_scan, tensor, witness_interior,
 )
 from .geometry import _check_box, _csv_text, _grid
+from .monotonicity import _ray_ts
 
 __all__ = ["main", "console_main"]
 
@@ -214,8 +215,7 @@ def _cmd_ray(args) -> int:
     aug = Augmentation(_parse_floats(args.a0), args.alpha0)
     direction = _parse_floats(args.direction)
     evals = ray_scan_unbounded(E, aug, direction, args.t_max, args.steps)
-    ts = np.linspace(args.t_max / args.steps, args.t_max, args.steps)
-    rows = ((t, e.psi, e.classification) for t, e in zip(ts, evals))
+    rows = ((t, e.psi, e.classification) for t, e in zip(_ray_ts(args.t_max, args.steps), evals))
     _emit(_csv_text(["t", "psi", "class"], rows), args.output)
     return 0
 

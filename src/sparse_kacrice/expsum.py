@@ -80,6 +80,7 @@ from .geometry import (
     _facet_slack,
     _is_int,
     _read_only,
+    _shared_support,
     ball_sphere_constants,
     diameter,
     interior_contains,
@@ -130,6 +131,19 @@ INVERT_TOL = 1e-14
 class ExpSum:
     """A Gaussian exponential sum: support set A plus positive coefficients.
 
+    Everything that depends on the support alone is built once per
+    support, not once per sum: points given as an array take their
+    :class:`.geometry.SupportSet` from one bounded, process-wide table
+    (:func:`.geometry._shared_support`), keyed by the shape and exact bytes
+    of the float64 points, so every sum on the same points, such as the
+    reweightings of a weight study, shares its hull, vertex corners,
+    Cauchy-Binet block, rank and facet-log chart terms.  The table holds at
+    most 64 supports, each with at most 512 KiB of block and chart terms and
+    under 32 KiB of other arrays, 34 MiB at worst.  A SupportSet passed in
+    is used as it is and never enters the table.  The weights, and what
+    depends on them (the balancing point and the facet-log start), stay on
+    the sum.
+
     Parameters
     ----------
     support : SupportSet or array_like
@@ -139,7 +153,7 @@ class ExpSum:
     """
 
     def __init__(self, support, coeffs=None):
-        self.support = support if isinstance(support, SupportSet) else SupportSet(support)
+        self.support = support if isinstance(support, SupportSet) else _shared_support(support)
         k = self.support.size
         if coeffs is None:
             arr = np.ones(k)
@@ -650,31 +664,50 @@ def _invert_moment_many(E: ExpSum, P: np.ndarray):
 
 def _facet_log_map(E: ExpSum, p: np.ndarray):
     """(x_hat, d): the facet-log map at each column of p (m, n), relative
-    to the barycenter, and the facet distances d (F, n) it reads.
+    to the barycenter, and the facet distances d (F, n) it reads: its
+    support part (:func:`_facet_distances`) and its weights part
+    (:func:`_facet_log_x`).
 
     x_hat = x0 + (1/2) sum_j (nu_j / gap_j) (log d_j(p) - log d_j(mu0)) is
     the gradient of Guillemin's symplectic potential (1/2) sum_j l_j log l_j,
     l_j = d_j / gap_j, moved to pass through the start (x0, mu0)
     (``E._facet_start``).  It inverts the moment map of the canonical toric
-    sums exactly and has the right slope along every facet.  The distances
-    d = -slack (:func:`.geometry._facet_slack`, the interior test's loop)
-    and the sum over facets are accumulated in a fixed order without BLAS,
-    so a column's x_hat does not depend on its batch.  A column with a
-    facet distance that is not positive (a target on or past a facet
+    sums exactly and has the right slope along every facet.  A column with
+    a facet distance that is not positive (a target on or past a facet
     through rounding) gets x0; its callers read that from d.
     """
-    S, rows, log_d0 = E._facet_start
+    d, log_d = _facet_distances(E._facet_start[1], p)
+    return _facet_log_x(E, log_d, ~(d.min(axis=0) > 0.0)), d
+
+
+def _facet_distances(rows: np.ndarray, p: np.ndarray):
+    """(d, log d) of the facet-log map at each column of p (m, n): the
+    distances d = -slack (F, n) to the hull's facet rows
+    (:func:`.geometry._facet_slack`, the interior test's loop, without
+    BLAS, so a column's distances do not depend on its batch) and their
+    logs, which depend on the support alone; -inf or NaN where a distance
+    is not positive."""
     d = _facet_slack(rows, p)
     np.negative(d, out=d)
-    x0 = E._newton_start[0][:, None]
-    x_hat = np.repeat(x0, p.shape[1], axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_d = np.log(d)
-        log_d -= log_d0[:, None]
+        return d, np.log(d)
+
+
+def _facet_log_x(E: ExpSum, log_d: np.ndarray, on_facet: np.ndarray) -> np.ndarray:
+    """x_hat of :func:`_facet_log_map` from the log distances (F, n) of
+    :func:`_facet_distances`, the part of the map that reads the weights:
+    x0 plus S_j (log d_j - log d0_j) summed over the facets in row order,
+    one outer product each, without BLAS, so a column's x_hat does not
+    depend on its batch; x0 where ``on_facet`` (n,) is set."""
+    S, _, log_d0 = E._facet_start
+    x0 = E._newton_start[0][:, None]
+    x_hat = np.repeat(x0, log_d.shape[1], axis=1)
+    with np.errstate(invalid="ignore"):
+        rel = log_d - log_d0[:, None]
         for j in range(len(S)):
-            x_hat += np.multiply.outer(S[j], log_d[j])
-    np.copyto(x_hat, x0, where=~(d.min(axis=0) > 0.0))
-    return x_hat, d
+            x_hat += np.multiply.outer(S[j], rel[j])
+    np.copyto(x_hat, x0, where=on_facet)
+    return x_hat
 
 
 # -- polytope-side density --------------------------------------------------

@@ -9,11 +9,13 @@ stores c and the centred points A - c once, and the one hull (vertices,
 facet rows, gaps and volume, Qhull's coplanar triangles merged), the
 exposed faces and every interior test read the centred points, by one
 on-face rule (:func:`_face_mask`) and one facet-slack loop
-(:func:`_facet_slack`).  User coordinates appear only at the public
-boundary (``facets``, ``vertices``, :func:`support_function`,
-:func:`exposed_face`, :func:`interior_contains`), so a translate of A by an
-exactly representable vector has the same faces and facet rows and gives
-the same interior answers bit for bit.  Quadratic forms enter
+(:func:`_facet_slack`).  Every sum built from points shares the support
+of those points through one bounded table (:func:`_shared_support`), so
+all of this is built once per support.  User coordinates appear only at
+the public boundary (``facets``, ``vertices``, :func:`support_function`,
+:func:`exposed_face`, :func:`interior_contains`), so a translate of A by
+an exactly representable vector has the same faces and facet rows and
+gives the same interior answers bit for bit.  Quadratic forms enter
 through the metric of an exponential sum; this module supplies the dual
 form (Gram-array inverse), whose gate :func:`dual_form` alone decides,
 determinants, the stacked Cholesky factor-and-solve of Newton's method,
@@ -30,6 +32,8 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+import threading
+from collections import OrderedDict
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -66,6 +70,21 @@ SIMPLEX_FORM_LIMIT = 2**20
 #: 4096 points on the line, kostlan(2, 52) and kostlan(3, 12) fit, and
 #: kostlan(2, 53), kostlan(3, 13) and kostlan(2, 500) are refused.
 PAIRWISE_LIMIT = 2**24
+
+#: Supports that :func:`_shared_support`'s table holds, the least recently
+#: used leaving first.  The quadrature benchmark's op sets touch 27 distinct
+#: supports each, 8 of them in every set.  Over 11 such sets at seed 7 in
+#: one process (2 CPUs, one BLAS thread, two runs each), the median op took
+#: 0.49-0.50 ms with no table, 0.48-0.51 ms with 16 entries, which keep no
+#: support to the next set, 0.31-0.41 ms with 32 and 0.27-0.31 ms with 64.
+_SHARED_SUPPORTS = 64
+
+#: Bytes that one support in :func:`_shared_support`'s table may hold in its
+#: two large arrays together: its Cauchy-Binet block (``_simplex_form``),
+#: checked before it enters, and the facet-log chart's seed-pass terms,
+#: kept only where they fit what the block leaves (``_chart``; 228 KiB for a
+#: square, 118 KiB for a cube, 476 KiB for a hexagon, none for an octagon).
+_SHARE_BYTES = 2**19
 
 
 def _as_floats(value, what: str) -> np.ndarray:
@@ -106,6 +125,20 @@ class SupportSet:
     tolerance scaled to the set's size, and k points in R^m are refused
     with InputError where k^2 m passes ``PAIRWISE_LIMIT``.
 
+    Everything cached on a support (hull, vertex corners, Cauchy-Binet
+    block, rank, and the facet-log chart's support part, ``_chart``)
+    depends on the points alone, so every sum on the same points can share
+    one support: :class:`.expsum.ExpSum` takes its support from
+    :func:`_shared_support`'s table, keyed by the exact bytes and shape of
+    the float64 points (a -0.0 keeps its own entry), at most
+    ``_SHARED_SUPPORTS`` (64) supports of at most ``_SHARE_BYTES`` (512 KiB)
+    of block and chart terms each, with under 32 KiB of points, hull, cell
+    corners and facet coefficients beside them (a 52-gon, the most points
+    in two variables whose block fits, takes 25 KiB): 34 MiB at worst.  A
+    support passed in explicitly is used as it is and never enters the
+    table.  Equal supports hash alike: the hash reads the points with -0.0
+    taken to 0.0, as ``==`` compares them.
+
     Parameters
     ----------
     points : array_like
@@ -132,6 +165,9 @@ class SupportSet:
         if len(arr) > 1 and dist[np.triu_indices(len(arr), 1)].min() <= 1e-9 * (1.0 + self._spread):
             raise InputError("support points must be pairwise distinct")
         self._diameter = float(dist.max())
+        # The facet-log chart's support part, kept by
+        # :func:`.integrate._facet_log_chart`; None until a solve builds it.
+        self._chart = None
 
     @staticmethod
     def dedup_tolerance(points) -> float:
@@ -337,7 +373,7 @@ class SupportSet:
         write places them all.  Raises InputError past
         ``SIMPLEX_FORM_LIMIT`` entries, before allocating anything."""
         k, m = self.points.shape
-        shape = (math.comb(max(k - m + 1, 0), 2), math.comb(max(k - 2, 0), m - 1))
+        shape = _simplex_form_shape(k, m)
         if shape[0] * shape[1] > SIMPLEX_FORM_LIMIT:
             raise InputError(
                 f"{k} points in R^{m} need a Cauchy-Binet block of {shape[0] * shape[1]} "
@@ -388,7 +424,44 @@ class SupportSet:
         )
 
     def __hash__(self):
-        return hash((self.points.shape, self.points.tobytes()))
+        # + 0.0 takes -0.0 to 0.0, which == counts as equal.
+        return hash((self.points.shape, (self.points + 0.0).tobytes()))
+
+
+_supports = OrderedDict()
+_supports_lock = threading.Lock()
+
+
+def _shared_support(points) -> SupportSet:
+    """The :class:`SupportSet` of points from the process-wide table, keyed
+    by the shape and the exact bytes of the C-ordered float64 points
+    (:func:`_as_point_array`), so every sum on the same points shares one
+    support and what it caches.  A miss builds the support, which checks
+    the points as the constructor does, and enters it when it lies in at
+    most three variables (where its hull's rows are few) and its
+    Cauchy-Binet block fits ``_SHARE_BYTES``; past ``_SHARED_SUPPORTS``
+    entries the least recently used leaves."""
+    arr = _as_point_array(points)
+    key = (arr.shape, arr.tobytes())
+    with _supports_lock:
+        support = _supports.get(key)
+        if support is not None:
+            _supports.move_to_end(key)
+            return support
+    support = SupportSet(arr)
+    k, m = arr.shape
+    if m <= 3 and 8 * math.prod(_simplex_form_shape(k, m)) <= _SHARE_BYTES:
+        with _supports_lock:
+            support = _supports.setdefault(key, support)
+            if len(_supports) > _SHARED_SUPPORTS:
+                _supports.popitem(last=False)
+    return support
+
+
+def _simplex_form_shape(k: int, m: int) -> tuple[int, int]:
+    """Shape (C(k-m+1, 2), C(k-2, m-1)) of the Cauchy-Binet block of k
+    points in R^m (``SupportSet._simplex_form``)."""
+    return math.comb(max(k - m + 1, 0), 2), math.comb(max(k - 2, 0), m - 1)
 
 
 def _cone_dets(points: np.ndarray, tuples: np.ndarray, apex: np.ndarray) -> np.ndarray:
@@ -729,17 +802,21 @@ def form_det(Q: QuadForm) -> float:
     return float(np.linalg.det(Q.entries))
 
 
-@lru_cache(maxsize=None, typed=True)
 def ball_sphere_constants(m: int) -> tuple[float, float]:
     """Volumes (b_m, s_m) of the unit ball in R^m and unit sphere S^m in R^{m+1}.
 
     b_m = pi^{m/2} / Gamma(m/2 + 1) and s_m = 2 pi^{(m+1)/2} / Gamma((m+1)/2);
     they satisfy m! b_m s_m / (2 pi)^m = 2.  m is a count by :func:`_is_int`
-    and at least 1 (:func:`_as_count`), else InputError; the cache is keyed
-    by type too, so a key equal to a cached one (True against 1) is checked
-    on its own.
+    and at least 1 (:func:`_as_count`), else InputError, checked before the
+    cache, which is keyed by the checked int: an unhashable m ([2], a 0-d
+    array) is refused like any other, and True is not served from 1's entry.
     """
-    m = _as_count(m, "m must be a positive integer")
+    return _ball_sphere_constants(_as_count(m, "m must be a positive integer"))
+
+
+@lru_cache(maxsize=None)
+def _ball_sphere_constants(m: int) -> tuple[float, float]:
+    """:func:`ball_sphere_constants` of a checked int m, once per m."""
     b_m = math.exp(0.5 * m * math.log(math.pi) - math.lgamma(0.5 * m + 1.0))
     s_m = 2.0 * math.exp(0.5 * (m + 1) * math.log(math.pi) - math.lgamma(0.5 * (m + 1)))
     return b_m, s_m

@@ -62,22 +62,30 @@ so results do not depend on evaluation order.
 
 What a solve builds, and how often:
 
-* once per sum, cached on it and read by every later solve: the
-  barycenter and the centred points, with the diameter, at construction;
-  the rank test, the balancing point (``ExpSum._newton_start``), the
-  Cauchy-Binet block of the density, the merged hull where a solve reads
-  it (``SupportSet._hull``: vertices, one facet row per facet about the
-  barycenter, gaps and volume, from one Qhull run) and the facet-log
-  start built from that hull (``ExpSum._facet_start``), read where
-  ``esol_total`` or ``bkk_total`` picks its region and where a target is
-  not already at the balancing point's moment, which maps the closed-form
-  sums onto P and inverts their nodes with no Newton step; the corners of
-  the vertex cells (``SupportSet._vertex_corners``), read where a sum
-  with that start picks its region and by the moment route;
-* once per solve: the cell store and the x route's chart, either the
-  vertex cells' coefficients with the Cauchy-Binet coefficients of the
-  facets' m-subsets (over P; no frame) or the frame (x0, W and the
-  Jacobian |det W|); once per process, for each of the 8 most recent
+* once per support, cached on the :class:`.geometry.SupportSet` that
+  every sum on the same points shares (``geometry._shared_support``: at
+  most 64 supports, 34 MiB at worst) and read by every later solve on any
+  of them: the barycenter and the centred points, with the diameter, at
+  construction; the rank test, the Cauchy-Binet block of the density, the
+  merged hull where a solve reads it (``SupportSet._hull``: vertices, one
+  facet row per facet about the barycenter, gaps and volume, from one
+  Qhull run), the corners of the vertex cells
+  (``SupportSet._vertex_corners``), read where a sum with a facet-log
+  start picks its region and by the moment route, and the support part of
+  the chart over P (``SupportSet._chart``, :func:`_facet_log_chart`): the
+  vertex cells' coefficients, the Cauchy-Binet coefficients of the facets'
+  m-subsets and the seed pass's log facet distances, on-facet mask and
+  Jacobian, kept where they fit 512 KiB beside the block, so a solve's
+  seed pass over P computes only x_hat and the density;
+* once per sum, cached on it: the balancing point
+  (``ExpSum._newton_start``) and the facet-log start built from the hull
+  (``ExpSum._facet_start``), read where ``esol_total`` or ``bkk_total``
+  picks its region and where a target is not already at the balancing
+  point's moment, which maps the closed-form sums onto P and inverts their
+  nodes with no Newton step;
+* once per solve: the cell store, the x route's frame (x0, W and the
+  Jacobian |det W|) where it is not over P, and the moment route's vertex
+  cells; once per process, for each of the 8 most recent
   (vertex count, dimension) pairs, the seed cells (``_vertex_seeds``, 512
   bytes a polygon vertex) and, in a cache of its own, their first pass's
   nodes with the cell index, the sines and the sine map's Jacobian there
@@ -89,11 +97,12 @@ What a solve builds, and how often:
   chart's nodes x and the kernel's own arrays; over R^m the chart is one
   (m, m)(m, N) product plus x0, and the integrand one multiply by |det W|;
   over P it maps the nodes into P, and one pass of facet distances serves
-  x_hat and det Dx_hat; the moment route's inversion checks each start on mu
-  alone, writes out the nodes that settle there (every node of the
-  closed-form sums) in its first iteration, and forms the metric once per
-  Newton iteration for the nodes it still holds, never for a trial or a
-  backtrack;
+  x_hat and det Dx_hat, or, on the seed pass of a support that keeps its
+  terms, x_hat alone is formed from the kept log distances; the moment
+  route's inversion checks each start on mu alone, writes out the nodes
+  that settle there (every node of the closed-form sums) in its first
+  iteration, and forms the metric once per Newton iteration for the nodes
+  it still holds, never for a trial or a backtrack;
 * once per pass: one partition of the errors of every row the store
   holds, popped ones too, one gather of the popped rows, the rows of their
   children and one append of them; popped rows are never packed away.
@@ -111,13 +120,13 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import ConvergenceError, InputError
 from .expsum import (
-    ExpSum, _facet_log_map, _invert_moment_many, _legendre_density_many, _moments, _softmax, _sorted_products,
-    density_many,
+    ExpSum, _facet_distances, _facet_log_x, _invert_moment_many, _legendre_density_many, _moments, _softmax,
+    _sorted_products, density_many,
 )
 # ``invert_moment`` is imported for perfbench's tracer, which wraps it as an
 # integrate boundary; nothing here calls it.
 from .expsum import invert_moment  # noqa: F401
-from .geometry import _as_real, _check_box, _grid, _read_only, _sorted_tuples
+from .geometry import _SHARE_BYTES, _as_real, _check_box, _grid, _read_only, _simplex_form_shape, _sorted_tuples
 from .geometry import ball_sphere_constants, diameter, hull_volume
 
 __all__ = [
@@ -560,7 +569,9 @@ def _vertex_cells(E: ExpSum):
     index, a and the sine map's Jacobian (:func:`_sine_terms`) depend on U
     alone: handed exactly the seed pass's nodes (``np.array_equal``),
     cell_map reads them from :func:`_seed_terms`, built once per vertex
-    count and dimension, and computes them for every other U.  seeds
+    count and dimension and looked up at each call, so a cell map kept on a
+    support (``SupportSet._chart``) keeps no entry of that cache alive, and
+    computes them for every other U.  seeds
     (:func:`_vertex_seeds`): 4 per axis per cell in one and two variables,
     whose Gauss nodes never touch the boundary, and 2 in three, 64 cells
     for a cube and 32 for a tetrahedron.  A P with no such cells (past
@@ -574,10 +585,11 @@ def _vertex_cells(E: ExpSum):
     # Differences along each binary axis turn the corners into the coefficients.
     for axis in range(m):
         K[(slice(None),) * axis + (1,)] -= K[(slice(None),) * axis + (0,)]
-    signs = _leibniz_signs(m)
-    seed = _seed_terms(K.shape[-1], m)
+    K.flags.writeable = False
+    signs, n = _leibniz_signs(m), K.shape[-1]
 
     def cell_map(U):
+        seed = _seed_terms(n, m)
         if seed is not None and np.array_equal(U, seed[0]):
             index, a, jac = seed[1:]
         else:
@@ -693,23 +705,64 @@ def _facet_log_chart(E: ExpSum):
     integrand is :func:`esol_pspace`'s, with no Newton step, and
     bkk_total's the constant m!/2^m.  A node on or past a facet through
     rounding gets a NaN Jacobian, which raises ConvergenceError with the
-    partial value."""
-    S, rows, _ = E._facet_start
-    nu = -rows[:, :-1]
-    T = _sorted_tuples(len(S), E.dim)
-    C = np.linalg.det(S[T]) * np.linalg.det(nu[T])
-    cell_map, seeds = _vertex_cells(E)
+    partial value.
+
+    Only x_hat reads the weights (:func:`.expsum._facet_log_x`).  The rest,
+    the cell map, C and, at each node, the log distances, the on-facet mask
+    and the Jacobian, depend on the support alone and are kept on it
+    (``SupportSet._chart``, :func:`_chart_part`) by the first solve over its
+    P, with the seed pass's terms where they fit the support's share
+    ``geometry._SHARE_BYTES`` beside its Cauchy-Binet block, read-only, and
+    read where a solve hands exactly those nodes (``np.array_equal``); the
+    terms of every other U are computed."""
+    support = E.support
+    if support._chart is None:
+        support._chart = _chart_part(E)
+    terms, kept = support._chart
+    m, n = E.dim, len(support._vertex_corners)
+    seed = _seed_terms(n, m) if kept is not None else None
 
     def chart(U):
+        log_d, on_facet, jac = kept if seed is not None and np.array_equal(U, seed[0]) else terms(U)
+        return _facet_log_x(E, log_d, on_facet), jac
+
+    return chart, _vertex_seeds(n, m)
+
+
+def _chart_part(E: ExpSum):
+    """(terms, kept): the support part of :func:`_facet_log_chart`, built
+    once per support from the facet rows and S of ``E._facet_start``, which
+    depend on the support alone.
+
+    terms(U) gives, at the (m, N) cell coordinates U, the log facet
+    distances (F, N) of the nodes p of the cell map (:func:`_vertex_cells`),
+    a mask (N,) of the nodes on or past a facet and the chart's Jacobian
+    |det dQ/dU| C @ prod 1/d (N,), NaN on that mask, with C the
+    Cauchy-Binet coefficients of the facets' m-subsets.  kept is terms of
+    the seed pass's nodes (:func:`_seed_terms`), read-only, or None where
+    there is no such pass to keep or its terms, (8 F + 9) bytes a node, and
+    the support's Cauchy-Binet block together pass ``geometry._SHARE_BYTES``."""
+    # The closures hold support arrays alone, never the sum E.
+    m, (S, rows, _) = E.dim, E._facet_start
+    nu = -rows[:, :-1]
+    T = _sorted_tuples(len(S), m)
+    C = _read_only(np.linalg.det(S[T]) * np.linalg.det(nu[T]))[0]
+    cell_map, _ = _vertex_cells(E)
+
+    def terms(U):
         Q, jac = cell_map(U)
-        X, d = _facet_log_map(E, Q)
+        d, log_d = _facet_distances(rows, Q)
         on_facet = ~(d.min(axis=0) > 0.0)
         with np.errstate(divide="ignore", invalid="ignore"):
-            jac *= C @ _sorted_products(np.reciprocal(d, out=d), E.dim)
+            jac *= C @ _sorted_products(np.reciprocal(d, out=d), m)
         np.copyto(jac, np.nan, where=on_facet)
-        return X, jac
+        return log_d, on_facet, jac
 
-    return chart, seeds
+    seed = _seed_terms(len(E.support._vertex_corners), m)
+    block = 8 * math.prod(_simplex_form_shape(E.n_terms, m))
+    if seed is None or block + (8 * len(S) + 9) * seed[0].shape[1] > _SHARE_BYTES:
+        return terms, None
+    return terms, _read_only(*terms(seed[0]))
 
 
 def _integral(E: ExpSum, q: Quadrature | None, route: str, f, region) -> IntegralResult:

@@ -272,10 +272,18 @@ def ray_scan_unbounded(
     norm = float(np.linalg.norm(x_dir))
     if norm == 0.0:
         raise InputError("x_dir must be nonzero")
+    return _psi_evals(E, aug, _ray_ts(t_max, n_steps)[:, None] * (x_dir / norm))
+
+
+def _ray_ts(t_max, n_steps) -> np.ndarray:
+    """The sample points t of :func:`ray_scan_unbounded`, the one statement
+    of its rule, which the CLI's ``ray`` rows read too: n_steps points
+    equally spaced on (0, t_max], from t_max / n_steps to t_max.  t_max is
+    a real number by :func:`.geometry._as_real` and n_steps a count of at
+    least 1 by :func:`.geometry._as_count`; InputError otherwise."""
     t_max = _as_real(t_max, "t_max must be a finite real number > 0")
     n_steps = _as_count(n_steps, "need an integer n_steps >= 1")
-    ts = np.linspace(t_max / n_steps, t_max, n_steps)
-    return _psi_evals(E, aug, ts[:, None] * (x_dir / norm))
+    return np.linspace(t_max / n_steps, t_max, n_steps)
 
 
 @dataclass(frozen=True, eq=False)

@@ -198,6 +198,9 @@ MALFORMED = {
     **{f"region_scan resolution {r!r}": ("region_scan", (SQUARE, Augmentation([0.3, 0.6]), None, r))
        for r in (8.0, (8.0, 8))},
     **{f"ball_sphere_constants {m!r}": ("ball_sphere_constants", (m,)) for m in (2.5, True, "2")},
+    # Unhashable counts are checked before the cache is asked.
+    "ball_sphere_constants [2]": ("ball_sphere_constants", ([2],)),
+    "ball_sphere_constants 0-d array": ("ball_sphere_constants", (np.array(2),)),
     **{f"SupportSet.dedup_tolerance {label}": ("SupportSet.dedup_tolerance", (points,))
        for label, points in (("numeric str", ["0", "1"]), ("complex array", np.array([[1j], [0]])),
                              ("str", "ab"), ("ragged", [[0, 1], [2]]))},

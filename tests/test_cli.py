@@ -18,7 +18,7 @@ import sparse_kacrice
 from sparse_kacrice import (
     Augmentation, ComplexExpSum, ExpSum, InputError, density_many, kostlan, ray_scan_unbounded,
 )
-from sparse_kacrice import cli, integrate
+from sparse_kacrice import cli, integrate, monotonicity
 from sparse_kacrice.cli import main
 
 
@@ -248,6 +248,23 @@ class TestCsvFormat:
                 for t, e in zip(np.linspace(3.0, 9.0, 3), evals)]
         assert lines == ["t,psi,class", *want, ""]
 
+    def test_ray_t_column_is_the_library_sample_points(self, square_file, capsys):
+        # t_max and step counts whose points are not exact binary fractions:
+        # each row's t, read back from its repr, is the t at which the
+        # library sampled that row, bit for bit.
+        E = ExpSum.from_json(Path(square_file).read_text(encoding="utf-8"))
+        direction = np.array([1.0, 0.3])
+        for t_max, steps in ((0.7, 7), (13.1, 10), (3.0, 1)):
+            argv = ["ray", "--input", square_file, "--a0", "2,-1", "--direction", "1,0.3",
+                    "--t-max", repr(t_max), "--steps", str(steps)]
+            assert main(argv) == 0
+            ts = np.array([float(line.split(",")[0]) for line in capsys.readouterr().out.split("\n")[1:-1]])
+            evals = ray_scan_unbounded(E, Augmentation([2.0, -1.0]), direction, t_max, steps)
+            np.testing.assert_array_equal(ts, monotonicity._ray_ts(t_max, steps))
+            X = np.array([e.x for e in evals])
+            np.testing.assert_array_equal(ts[:, None] * (direction / np.linalg.norm(direction)), X)
+            assert len(ts) == steps and ts[-1] == t_max
+
 
 class TestPointwise:
     def test_witness(self, square_file, capsys):
@@ -420,9 +437,10 @@ class TestSelftestAndErrors:
     def test_cli_imports_only_public_names(self):
         # The selftest checks an installed package, so the CLI reaches it
         # through public names alone; geometry's input checks validate
-        # density-grid's --box and --resolution, and geometry's one CSV
+        # density-grid's --box and --resolution, geometry's one CSV
         # writer, which psi-grid's RegionScan.to_csv also uses, writes
-        # density-grid and ray.
+        # density-grid and ray, and ray's t column is the library's one
+        # rule for a ray's sample points.
         tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
         imported = {
             alias.name
@@ -430,7 +448,7 @@ class TestSelftestAndErrors:
             if isinstance(node, ast.ImportFrom) and (node.level or node.module == "sparse_kacrice")
             for alias in node.names
         }
-        assert imported - set(sparse_kacrice.__all__) == {"_check_box", "_csv_text", "_grid"}
+        assert imported - set(sparse_kacrice.__all__) == {"_check_box", "_csv_text", "_grid", "_ray_ts"}
         private = {
             node.attr
             for node in ast.walk(tree)

@@ -172,6 +172,10 @@ class TestConstruction:
         assert all(vars(E).get(name) is not None for name in names)
         assert set(E._scan_grids) == {"p", "x"}
         assert {"_hull", "_simplex_form", "_diameter"} <= set(vars(E.support))
+        # The support part of the facet-log chart, with the seed pass's
+        # terms (log distances, on-facet mask, Jacobian) and the cell map's
+        # coefficients in its closure, is shared by every sum on the points.
+        assert E.support._chart is not None and E.support._chart[1] is not None
         for array in (E._c, E._points):
             with pytest.raises(ValueError):
                 array[0] = 0.0
@@ -225,8 +229,8 @@ class TestCentredCopy:
 
 def _reachable_arrays(obj, seen=None) -> list:
     """Every numpy array reachable from obj through lists, tuples, dicts,
-    partials and the attributes of sums and supports, cached properties
-    included."""
+    partials, the closures of functions and the attributes of sums and
+    supports, cached properties included."""
     seen = set() if seen is None else seen
     if id(obj) in seen:
         return []
@@ -235,6 +239,8 @@ def _reachable_arrays(obj, seen=None) -> list:
         return [obj]
     if isinstance(obj, functools.partial):
         obj = obj.args
+    elif callable(obj) and getattr(obj, "__closure__", None):
+        obj = [cell.cell_contents for cell in obj.__closure__]
     elif isinstance(obj, (ExpSum, SupportSet)):
         obj = list(vars(obj).values())
     elif isinstance(obj, dict):
@@ -794,7 +800,7 @@ class TestFacetStart:
         assert ok.sum() >= 1900 and sum(solves) > 2000
         assert sum(metric_columns) == sum(solves)
 
-    def test_one_hull_per_support(self, monkeypatch):
+    def test_one_hull_per_support(self, monkeypatch, empty_support_table):
         # The facet-log start reads the one hull of the sum's own support.
         import scipy.spatial
 

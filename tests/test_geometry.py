@@ -111,6 +111,15 @@ class TestSupportSet:
             assert A != SupportSet(other)
         assert A.__eq__([[0, 1], [2, 3]]) is NotImplemented and A != "A"
 
+    def test_signed_zeros_hash_alike(self):
+        # -0.0 == 0.0, so sets that differ only in the sign of a zero are
+        # equal, and equal objects must hash alike: a set holds one of them.
+        A = SupportSet([[0.0, 1.0], [1.0, 0.0], [0.0, 0.0]])
+        B = SupportSet([[-0.0, 1.0], [1.0, -0.0], [-0.0, -0.0]])
+        assert A == B and hash(A) == hash(B) and len({A, B}) == 1
+        # The points keep their own bits.
+        assert np.signbit(B.points[0, 0]) and not np.signbit(A.points[0, 0])
+
 
 class TestSupportFunction:
     def test_interval(self):

@@ -834,11 +834,13 @@ class TestOverThePolytope:
         assert kept >= 10
 
     @pytest.mark.parametrize("past", [0.0, 1e-12], ids=["on", "past"])
-    def test_node_on_or_past_a_facet_raises_with_partial_value(self, monkeypatch, past):
+    def test_node_on_or_past_a_facet_raises_with_partial_value(self, monkeypatch, past, empty_support_table):
         # One seed node moved onto the midpoint of an edge, or just past it,
         # where the facet-log map has no value: the integrand is NaN there,
         # not the density at the balancing point that the Newton start takes
-        # (past the edge, that times a finite, negative det Dx_hat).
+        # (past the edge, that times a finite, negative det Dx_hat).  The
+        # table starts empty, so the chart's support part, seed pass
+        # included, is built from the moved cells.
         E = kostlan(2, 1)
         edge = 0.5 * (E.support.vertices[0] + E.support.vertices[1]) - E._c
         edge *= 1.0 + past / np.linalg.norm(edge)  # the square is centred: outward
@@ -1013,10 +1015,13 @@ class TestSeedPassTerms:
 
     @pytest.mark.parametrize("route", [esol_total, esol_pspace], ids=["x", "p"])
     @pytest.mark.parametrize("name", SEED_PASS_SUMS)
-    def test_cold_warm_and_computed_terms_give_one_result(self, monkeypatch, name, route):
+    def test_cold_warm_and_computed_terms_give_one_result(self, monkeypatch, name, route, empty_support_table):
         # A solve that builds the entry, one on an equal fresh sum that reads
         # it, and one with every term computed give the same bits, and the
         # warm solve computes the terms of every pass but the seed pass.
+        # The table starts empty, so the cold solve builds the support's
+        # chart terms too, and the computed solve runs on a support of its
+        # own, which keeps none.
         E = SEED_PASS_SUMS[name]
         calls = []
         sine_terms = integrate._sine_terms
@@ -1029,7 +1034,7 @@ class TestSeedPassTerms:
         assert integrate._seed_terms.cache_info().hits >= 1
         warm_calls = len(calls)
         monkeypatch.setattr(integrate, "_seed_terms", lambda n, m: None)
-        computed = route(ExpSum(E.support.points, E.coeffs))
+        computed = route(ExpSum(SupportSet(E.support.points), E.coeffs))
         assert len(calls) == 2 * warm_calls + 1
         assert dataclasses.astuple(cold) == dataclasses.astuple(warm) == dataclasses.astuple(computed)
 
