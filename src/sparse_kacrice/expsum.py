@@ -72,7 +72,6 @@ import numpy as np
 from .errors import ConvergenceError, DegenerateMetricError, DomainError, InputError
 from .geometry import (
     QuadForm,
-    SupportSet,
     _as_floats,
     _check_vector,
     _cholesky_solve,
@@ -153,7 +152,7 @@ class ExpSum:
     """
 
     def __init__(self, support, coeffs=None):
-        self.support = support if isinstance(support, SupportSet) else _shared_support(support)
+        self.support = _shared_support(support)
         k = self.support.size
         if coeffs is None:
             arr = np.ones(k)

@@ -9,13 +9,14 @@ stores c and the centred points A - c once, and the one hull (vertices,
 facet rows, gaps and volume, Qhull's coplanar triangles merged), the
 exposed faces and every interior test read the centred points, by one
 on-face rule (:func:`_face_mask`) and one facet-slack loop
-(:func:`_facet_slack`).  Every sum built from points shares the support
-of those points through one bounded table (:func:`_shared_support`), so
-all of this is built once per support.  User coordinates appear only at
-the public boundary (``facets``, ``vertices``, :func:`support_function`,
-:func:`exposed_face`, :func:`interior_contains`), so a translate of A by
-an exactly representable vector has the same faces and facet rows and
-gives the same interior answers bit for bit.  Quadratic forms enter
+(:func:`_facet_slack`).  Every sum and every function here given points
+shares the support of those points through one bounded table
+(:func:`_shared_support`), so all of this is built once per support.
+User coordinates appear only at the public boundary (``facets``,
+``vertices``, :func:`support_function`, :func:`exposed_face`,
+:func:`interior_contains`), so a translate of A by an exactly
+representable vector has the same faces and facet rows and gives the same
+interior answers bit for bit.  Quadratic forms enter
 through the metric of an exponential sum; this module supplies the dual
 form (Gram-array inverse), whose gate :func:`dual_form` alone decides,
 determinants, the stacked Cholesky factor-and-solve of Newton's method,
@@ -79,11 +80,12 @@ PAIRWISE_LIMIT = 2**24
 #: support to the next set, 0.31-0.41 ms with 32 and 0.27-0.31 ms with 64.
 _SHARED_SUPPORTS = 64
 
-#: Bytes that one support in :func:`_shared_support`'s table may hold in its
-#: two large arrays together: its Cauchy-Binet block (``_simplex_form``),
-#: checked before it enters, and the facet-log chart's seed-pass terms,
-#: kept only where they fit what the block leaves (``_chart``; 228 KiB for a
-#: square, 118 KiB for a cube, 476 KiB for a hexagon, none for an octagon).
+#: Bytes that one support may hold in its two large arrays together: its
+#: Cauchy-Binet block (``_simplex_form``), which must fit before the support
+#: enters :func:`_shared_support`'s table, and the facet-log chart's
+#: seed-pass terms, kept only in what the block leaves (``_spare_bytes``;
+#: 228 KiB for a square, 118 KiB for a cube, 476 KiB for a hexagon, none
+#: for an octagon).
 _SHARE_BYTES = 2**19
 
 
@@ -127,17 +129,17 @@ class SupportSet:
 
     Everything cached on a support (hull, vertex corners, Cauchy-Binet
     block, rank, and the facet-log chart's support part, ``_chart``)
-    depends on the points alone, so every sum on the same points can share
-    one support: :class:`.expsum.ExpSum` takes its support from
-    :func:`_shared_support`'s table, keyed by the exact bytes and shape of
-    the float64 points (a -0.0 keeps its own entry), at most
-    ``_SHARED_SUPPORTS`` (64) supports of at most ``_SHARE_BYTES`` (512 KiB)
-    of block and chart terms each, with under 32 KiB of points, hull, cell
-    corners and facet coefficients beside them (a 52-gon, the most points
-    in two variables whose block fits, takes 25 KiB): 34 MiB at worst.  A
-    support passed in explicitly is used as it is and never enters the
-    table.  Equal supports hash alike: the hash reads the points with -0.0
-    taken to 0.0, as ``==`` compares them.
+    depends on the points alone, so every sum and every geometry call on the
+    same points can share one support: :func:`_shared_support` takes points
+    to its table, keyed by the exact bytes and shape of the float64 points
+    (a -0.0 keeps its own entry), at most ``_SHARED_SUPPORTS`` (64)
+    supports of at most ``_SHARE_BYTES`` (512 KiB) of block and chart terms
+    each, with under 32 KiB of points, hull, cell corners and facet
+    coefficients beside them (a 52-gon, the most points in two variables
+    whose block fits, takes 25 KiB): 34 MiB at worst.  A support passed in
+    explicitly is used as it is and never enters the table; it keeps its
+    chart terms within the same share.  Equal supports hash alike: the hash
+    reads the points with -0.0 taken to 0.0, as ``==`` compares them.
 
     Parameters
     ----------
@@ -212,6 +214,15 @@ class SupportSet:
     def degenerate(self) -> bool:
         """True when conv(A) has empty interior (affine dimension < m)."""
         return self.affine_dim < self.dim
+
+    @property
+    def _spare_bytes(self) -> int:
+        """Bytes of ``_SHARE_BYTES`` that the Cauchy-Binet block leaves for
+        the facet-log chart's seed-pass terms (``_chart``); negative where
+        the block alone passes the share, which keeps the support out of
+        :func:`_shared_support`'s table.  Read from the block's shape, so
+        the block is not built."""
+        return _SHARE_BYTES - 8 * math.prod(_simplex_form_shape(self.size, self.dim))
 
     @cached_property
     def _hull(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, np.ndarray] | None:
@@ -433,14 +444,18 @@ _supports_lock = threading.Lock()
 
 
 def _shared_support(points) -> SupportSet:
-    """The :class:`SupportSet` of points from the process-wide table, keyed
-    by the shape and the exact bytes of the C-ordered float64 points
-    (:func:`_as_point_array`), so every sum on the same points shares one
-    support and what it caches.  A miss builds the support, which checks
-    the points as the constructor does, and enters it when it lies in at
-    most three variables (where its hull's rows are few) and its
-    Cauchy-Binet block fits ``_SHARE_BYTES``; past ``_SHARED_SUPPORTS``
-    entries the least recently used leaves."""
+    """The package's one rule from points to a :class:`SupportSet`: a
+    SupportSet is used as it is, and other points take theirs from the
+    process-wide table, keyed by the shape and the exact bytes of the
+    C-ordered float64 points (:func:`_as_point_array`), so every sum and
+    every geometry call on the same points shares one support and what it
+    caches.  A miss builds the support, which checks the points as the
+    constructor does, and enters it when it lies in at most three variables
+    (where its hull's rows are few) and its Cauchy-Binet block fits
+    ``_SHARE_BYTES``; past ``_SHARED_SUPPORTS`` entries the least recently
+    used leaves."""
+    if isinstance(points, SupportSet):
+        return points
     arr = _as_point_array(points)
     key = (arr.shape, arr.tobytes())
     with _supports_lock:
@@ -449,8 +464,7 @@ def _shared_support(points) -> SupportSet:
             _supports.move_to_end(key)
             return support
     support = SupportSet(arr)
-    k, m = arr.shape
-    if m <= 3 and 8 * math.prod(_simplex_form_shape(k, m)) <= _SHARE_BYTES:
+    if support.dim <= 3 and support._spare_bytes >= 0:
         with _supports_lock:
             support = _supports.setdefault(key, support)
             if len(_supports) > _SHARED_SUPPORTS:
@@ -516,10 +530,6 @@ def _cauchy_binet_tables(k: int, m: int) -> tuple[np.ndarray, np.ndarray, np.nda
 def _spread(centred: np.ndarray) -> float:
     """max |a - c| over the rows of the centred points A - c."""
     return float(np.linalg.norm(centred, axis=-1).max())
-
-
-def _coerce_support(A) -> SupportSet:
-    return A if isinstance(A, SupportSet) else SupportSet(A)
 
 
 def _read_only(*arrays):
@@ -621,7 +631,7 @@ def support_function(A, u) -> float:
     For the convex hull this is the polytope's support function: the sup
     over conv(A) is attained on A.
     """
-    A = _coerce_support(A)
+    A = _shared_support(A)
     u = _check_vector(u, A.dim)
     return float(np.max(A.points @ u))
 
@@ -634,7 +644,7 @@ def exposed_face(A, u) -> SupportSet:
     A, which scales with the problem so that floating-point ties are kept
     together and a translate of A has the same face.  Never empty.
     """
-    A = _coerce_support(A)
+    A = _shared_support(A)
     u = _check_vector(u, A.dim)
     return SupportSet(A.points[_face_mask(A, u)[0]])
 
@@ -656,7 +666,7 @@ def _face_mask(A: SupportSet, U: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
 def diameter(A) -> float:
     """Largest pairwise Euclidean distance over A (equals diam conv(A)),
     computed once per support."""
-    return _coerce_support(A)._diameter
+    return _shared_support(A)._diameter
 
 
 def hull_volume(A) -> float:
@@ -666,7 +676,7 @@ def hull_volume(A) -> float:
     (affine dimension < m); the degeneracy itself is queryable as
     ``A.degenerate``.  Dimensions above 3 are refused.
     """
-    A = _coerce_support(A)
+    A = _shared_support(A)
     if A.dim > 3:
         raise InputError(f"hull_volume supports m <= 3, got m = {A.dim}")
     return 0.0 if A._hull is None else A._hull[3]
@@ -680,7 +690,7 @@ def interior_contains(A, p, tol: float) -> bool:
     ``tol`` is a real number by :func:`_as_real` (finite, above 0, not a
     bool), else InputError.
     """
-    A = _coerce_support(A)
+    A = _shared_support(A)
     tol = _as_real(tol, "tol must be a finite real number > 0")
     p = _check_vector(p, A.dim, name="p")
     return bool(_interior_mask(A, p[None, :], tol)[0])

@@ -75,8 +75,9 @@ What a solve builds, and how often:
   the chart over P (``SupportSet._chart``, :func:`_facet_log_chart`): the
   vertex cells' coefficients, the Cauchy-Binet coefficients of the facets'
   m-subsets and the seed pass's log facet distances, on-facet mask and
-  Jacobian, kept where they fit 512 KiB beside the block, so a solve's
-  seed pass over P computes only x_hat and the density;
+  Jacobian, kept where they fit the bytes the support leaves beside its
+  block (``SupportSet._spare_bytes``, 512 KiB for both), so a solve's seed
+  pass over P computes only x_hat and the density;
 * once per sum, cached on it: the balancing point
   (``ExpSum._newton_start``) and the facet-log start built from the hull
   (``ExpSum._facet_start``), read where ``esol_total`` or ``bkk_total``
@@ -87,18 +88,14 @@ What a solve builds, and how often:
   Jacobian |det W|) where it is not over P, and the moment route's vertex
   cells; once per process, for each of the 8 most recent
   (vertex count, dimension) pairs, the seed cells (``_vertex_seeds``, 512
-  bytes a polygon vertex) and, in a cache of its own, their first pass's
-  nodes with the cell index, the sines and the sine map's Jacobian there
-  (``_seed_terms``), which every sum with that vertex count and dimension
-  reads instead of a sine and a cosine per node: 16 (m + 1) bytes a node
-  (273 KB for a square, 135 KB for a cube), no pass past 2^15 nodes, so at
-  most 16 MiB;
+  bytes a polygon vertex);
 * once per integrand call: one (m, N) node array, written in place, the
   chart's nodes x and the kernel's own arrays; over R^m the chart is one
   (m, m)(m, N) product plus x0, and the integrand one multiply by |det W|;
-  over P it maps the nodes into P, and one pass of facet distances serves
-  x_hat and det Dx_hat, or, on the seed pass of a support that keeps its
-  terms, x_hat alone is formed from the kept log distances; the moment
+  over P it maps the nodes into P, a sine and a cosine per node and axis,
+  and one pass of facet distances serves x_hat and det Dx_hat, or, on the
+  seed pass of a support that keeps its terms (a chart's first call),
+  x_hat alone is formed from the kept log distances; the moment
   route's inversion checks each start on mu alone, writes out the nodes
   that settle there (every node of the closed-form sums) in its first
   iteration, and forms the metric once per Newton iteration for the nodes
@@ -126,7 +123,7 @@ from .expsum import (
 # ``invert_moment`` is imported for perfbench's tracer, which wraps it as an
 # integrate boundary; nothing here calls it.
 from .expsum import invert_moment  # noqa: F401
-from .geometry import _SHARE_BYTES, _as_real, _check_box, _grid, _read_only, _simplex_form_shape, _sorted_tuples
+from .geometry import _as_real, _check_box, _grid, _read_only, _sorted_tuples
 from .geometry import ball_sphere_constants, diameter, hull_volume
 
 __all__ = [
@@ -255,10 +252,11 @@ def _genz_malik_rule(m):
 @lru_cache(maxsize=None)
 def _cell_rule(m):
     """The rule pair for m-dimensional cells: (nodes per cell, cells per
-    pass, apply), where apply(f, los, his) gives each cell's value, error
-    and split axis from one call of f on the nodes of every cell.  Built
-    once per dimension; apply is ``functools.partial(_apply_rule, nodes,
-    weights)`` on read-only arrays, nodes coordinate-major (m, n).
+    pass, apply, nodes), where apply(f, los, his) gives each cell's value,
+    error and split axis from one call of f on the nodes of every cell.
+    Built once per dimension; apply is ``functools.partial(_apply_rule,
+    nodes, weights)`` on read-only arrays, nodes coordinate-major (m, n),
+    which :func:`_chart_part` reads to build a seed pass's nodes.
 
     A pass of :func:`_adaptive` splits 16 cells of a Gauss-Legendre pair
     (2 x 16 x 89 = 2848 nodes in two variables) and 64 of the Genz-Malik
@@ -293,16 +291,9 @@ def _cell_rule(m):
     pair and was slower on all 30, by a median factor of 4.7 (best of 5
     runs each, one BLAS thread).
     """
-    nodes, weights = _rule_arrays(m)
-    return len(weights), (16 if m < 3 else 64), partial(_apply_rule, nodes, weights)
-
-
-@lru_cache(maxsize=None)
-def _rule_arrays(m):
-    """The nodes, coordinate-major (m, n), and weights of :func:`_cell_rule`'s
-    pair in m variables; built once per dimension, read-only."""
     nodes, weights = (_gauss_legendre_rule if m < 3 else _genz_malik_rule)(m)
-    return _read_only(np.ascontiguousarray(nodes.T), weights)
+    nodes, weights = _read_only(np.ascontiguousarray(nodes.T), weights)
+    return len(weights), (16 if m < 3 else 64), partial(_apply_rule, nodes, weights), nodes
 
 
 def _cell_nodes(nodes, half, los, his):
@@ -434,7 +425,7 @@ def _adaptive(f, los, his, abs_tol, rel_tol, grow=False):
     the roundoff floor of the cell sums.
     """
     m = los.shape[1]
-    per_cell, per_pass, rule = _cell_rule(m)
+    per_cell, per_pass, rule, _ = _cell_rule(m)
     cells = _Cells(m)
     axis_ids = np.arange(m)
 
@@ -565,13 +556,10 @@ def _vertex_cells(E: ExpSum):
     smooth.  The map is held as its coefficients on the products of the
     a_b, coordinate-major with the vertex last, and gathered with ``take``,
     several times faster than fancy indexing on a pass's nodes; det dQ/da
-    is the Leibniz sum over the permutations of its columns.  The cell
-    index, a and the sine map's Jacobian (:func:`_sine_terms`) depend on U
-    alone: handed exactly the seed pass's nodes (``np.array_equal``),
-    cell_map reads them from :func:`_seed_terms`, built once per vertex
-    count and dimension and looked up at each call, so a cell map kept on a
-    support (``SupportSet._chart``) keeps no entry of that cache alive, and
-    computes them for every other U.  seeds
+    is the Leibniz sum over the permutations of its columns.  Every call
+    computes its sines and cosines: the moment route reads the map once per
+    pass, and the chart over P keeps the seed pass's terms on the support
+    (:func:`_chart_part`).  seeds
     (:func:`_vertex_seeds`): 4 per axis per cell in one and two variables,
     whose Gauss nodes never touch the boundary, and 2 in three, 64 cells
     for a cube and 32 for a tetrahedron.  A P with no such cells (past
@@ -589,14 +577,18 @@ def _vertex_cells(E: ExpSum):
     signs, n = _leibniz_signs(m), K.shape[-1]
 
     def cell_map(U):
-        seed = _seed_terms(n, m)
-        if seed is not None and np.array_equal(U, seed[0]):
-            index, a, jac = seed[1:]
-        else:
-            index, a, jac = _sine_terms(U)
+        # The cell index is the integer part of U[0], and a = sin t per axis,
+        # t = pi/2 times the fractional part, with the sine map's Jacobian
+        # prod (pi/2) cos t.
+        whole = np.floor(U)
+        T = U - whole
+        T *= 0.5 * np.pi
+        a = np.sin(T)
+        slope = np.cos(T)
+        slope *= 0.5 * np.pi
         # Summing out the binary axes last first leaves Q; the slice at 1 of
         # axis b, summed over the axes before it, is the column dQ/da_b.
-        Q = K.take(index, axis=-1)
+        Q = K.take(whole[0].astype(int), axis=-1)
         columns = [None] * m
         for b in reversed(range(m)):
             columns[b] = _sum_out(Q[..., 1, :, :], a[:b])
@@ -605,9 +597,9 @@ def _vertex_cells(E: ExpSum):
         for perm, even in signs:
             term = math.prod((column[row] for column, row in zip(columns[1:], perm[1:])), start=columns[0][perm[0]])
             det = term if det is None else (det + term if even else det - term)
-        return Q, jac * np.abs(det)
+        return Q, np.prod(slope, axis=0) * np.abs(det)
 
-    return cell_map, _vertex_seeds(K.shape[-1], m)
+    return cell_map, _vertex_seeds(n, m)
 
 
 @lru_cache(maxsize=None)
@@ -617,47 +609,14 @@ def _leibniz_signs(m):
             for perm in itertools.permutations(range(m))]
 
 
-def _sine_terms(U):
-    """(index, a, jac) of the vertex cells' coordinates U (m, N): the cell
-    index, the integer part of U[0]; a = sin t per axis, t = pi/2 times the
-    fractional part; and the sine map's Jacobian prod (pi/2) cos t."""
-    whole = np.floor(U)
-    T = U - whole
-    T *= 0.5 * np.pi
-    a = np.sin(T)
-    slope = np.cos(T)
-    slope *= 0.5 * np.pi
-    return whole[0].astype(int), a, np.prod(slope, axis=0)
-
-
-# Like _seed_terms, the 8 most recent (n, m): a polygon's seeds take 512 n
-# bytes, and a rebuild costs under 1 ms.
+# The 8 most recent (n, m): a polygon's seeds take 512 n bytes, and a
+# rebuild costs under 1 ms.
 @lru_cache(maxsize=8)
 def _vertex_seeds(n, m):
     """Seeded cells of n vertex cells in m variables, cell i on
     [i, i + 1] x [0, 1]^(m-1): 4 per axis per cell in one and two
     variables, 2 in three; cached, read-only."""
     return _read_only(*_seed_grid(((0.0, float(n)),) + ((0.0, 1.0),) * (m - 1), (2 if m == 3 else 4) * n))
-
-
-# An entry holds the seed pass's nodes and their terms, 16 (m + 1) bytes a
-# node: 52 n, 1424 n and 264 n nodes for n vertices in one, two and three
-# variables (273 KB for a square, 135 KB for a cube).  Passes of more than
-# 2^15 nodes (2 MiB) are not kept, so the 8 entries hold at most 16 MiB.
-@lru_cache(maxsize=8)
-def _seed_terms(n, m):
-    """(U, index, a, jac): the nodes U (m, N) of the first pass over the
-    seeds of n vertex cells in m variables (:func:`_vertex_seeds`), as
-    :func:`_apply_rule` builds them, and their :func:`_sine_terms`, the same
-    for every P with n vertices; cached, read-only.  None past 2^15 nodes
-    (a polygon of 24 vertices or more, a polytope of 125 or more in three
-    variables)."""
-    los, his = _vertex_seeds(n, m)
-    nodes = _rule_arrays(m)[0]
-    if len(los) * nodes.shape[1] > 2**15:
-        return None
-    U = _cell_nodes(nodes, 0.5 * (his - los), los, his)
-    return _read_only(U, *_sine_terms(U))
 
 
 def _sum_out(K, a):
@@ -711,22 +670,24 @@ def _facet_log_chart(E: ExpSum):
     the cell map, C and, at each node, the log distances, the on-facet mask
     and the Jacobian, depend on the support alone and are kept on it
     (``SupportSet._chart``, :func:`_chart_part`) by the first solve over its
-    P, with the seed pass's terms where they fit the support's share
-    ``geometry._SHARE_BYTES`` beside its Cauchy-Binet block, read-only, and
-    read where a solve hands exactly those nodes (``np.array_equal``); the
-    terms of every other U are computed."""
+    P, with the seed pass's terms where the support has room for them.
+    Each chart hands those kept terms to its first call alone, where they
+    have that call's node count: :func:`_adaptive`'s first call is the seed
+    pass, on the seeds returned here.  Every later call computes its terms,
+    since node count alone does not name the seed pass (a simple P with 16
+    vertices in three variables has 4224 nodes in every pass)."""
     support = E.support
     if support._chart is None:
         support._chart = _chart_part(E)
     terms, kept = support._chart
-    m, n = E.dim, len(support._vertex_corners)
-    seed = _seed_terms(n, m) if kept is not None else None
+    first = iter((kept,))
 
     def chart(U):
-        log_d, on_facet, jac = kept if seed is not None and np.array_equal(U, seed[0]) else terms(U)
+        seed = next(first, None)
+        log_d, on_facet, jac = terms(U) if seed is None or len(seed[2]) != U.shape[1] else seed
         return _facet_log_x(E, log_d, on_facet), jac
 
-    return chart, _vertex_seeds(n, m)
+    return chart, _vertex_seeds(len(support._vertex_corners), E.dim)
 
 
 def _chart_part(E: ExpSum):
@@ -739,15 +700,18 @@ def _chart_part(E: ExpSum):
     a mask (N,) of the nodes on or past a facet and the chart's Jacobian
     |det dQ/dU| C @ prod 1/d (N,), NaN on that mask, with C the
     Cauchy-Binet coefficients of the facets' m-subsets.  kept is terms of
-    the seed pass's nodes (:func:`_seed_terms`), read-only, or None where
-    there is no such pass to keep or its terms, (8 F + 9) bytes a node, and
-    the support's Cauchy-Binet block together pass ``geometry._SHARE_BYTES``."""
+    the seed pass's nodes, the rule's nodes (:func:`_cell_rule`) in every
+    cell of :func:`_vertex_seeds` as :func:`_apply_rule` builds them,
+    read-only, or None where those terms, (8 F + 9) bytes a node, pass the
+    bytes the support leaves beside its Cauchy-Binet block
+    (``SupportSet._spare_bytes``): 52 n, 1424 n and 264 n nodes for n
+    vertices in one, two and three variables."""
     # The closures hold support arrays alone, never the sum E.
     m, (S, rows, _) = E.dim, E._facet_start
     nu = -rows[:, :-1]
     T = _sorted_tuples(len(S), m)
     C = _read_only(np.linalg.det(S[T]) * np.linalg.det(nu[T]))[0]
-    cell_map, _ = _vertex_cells(E)
+    cell_map, (los, his) = _vertex_cells(E)
 
     def terms(U):
         Q, jac = cell_map(U)
@@ -758,11 +722,10 @@ def _chart_part(E: ExpSum):
         np.copyto(jac, np.nan, where=on_facet)
         return log_d, on_facet, jac
 
-    seed = _seed_terms(len(E.support._vertex_corners), m)
-    block = 8 * math.prod(_simplex_form_shape(E.n_terms, m))
-    if seed is None or block + (8 * len(S) + 9) * seed[0].shape[1] > _SHARE_BYTES:
+    per_cell, _, _, nodes = _cell_rule(m)
+    if (8 * len(S) + 9) * len(los) * per_cell > E.support._spare_bytes:
         return terms, None
-    return terms, _read_only(*terms(seed[0]))
+    return terms, _read_only(*terms(_cell_nodes(nodes, 0.5 * (his - los), los, his)))
 
 
 def _integral(E: ExpSum, q: Quadrature | None, route: str, f, region) -> IntegralResult:

@@ -37,11 +37,13 @@ Every array of the count is terms-major: a block of n draws of a k-term
 sum is held as C-contiguous log weights L and signs S of shape (k, n), one
 column per draw, and each level of the cascade keeps its last m rows.
 Columns are gathered with ``take`` and ``compress``, never with a fancy
-index, which would hand back a Fortran-ordered copy.  Reductions over the
-terms then run over axis 0, across contiguous rows.  Each level writes its
-zeros in ascending order per draw, so the next level's piece ends need no
-sort, and Newton steps on the log ratio of the positive and negative parts
-of the level, which is nearly linear in x.
+index, which would hand back a Fortran-ordered copy.  Sums over the terms
+then add contiguous rows, one after another in term order
+(:func:`_term_sum`), so a draw's zeros and count do not depend on the
+other draws of its batch.  Each level writes its zeros in ascending order
+per draw, so the next level's piece ends need no sort, and Newton steps on
+the log ratio of the positive and negative parts of the level, which is
+nearly linear in x.
 
 Signs are evaluated overflow-safely (each value is scaled by its largest
 term; signs are unchanged).  The draws are one keyed stream: for a seed s
@@ -116,8 +118,20 @@ def _signs(b, L, S, X):
         T -= T.max(axis=0)
         T = np.exp(T, out=T)
         T *= S
-        np.sign(T.sum(axis=0), out=out[p])
+        np.sign(_term_sum(T), out=out[p])
     return out
+
+
+def _term_sum(T):
+    """The sum over the terms of T (terms, draws), one row after another in
+    term order, as numpy adds the rows of two or more columns.  So a draw's
+    sum does not depend on its batch: a reduction over a single column's
+    contiguous terms (pairwise from 8 terms on), an einsum there and a BLAS
+    product at any width each round in an order of their own."""
+    total = T[0].copy()
+    for row in T[1:]:
+        total += row
+    return total
 
 
 def _pieces(b, L, S, crit):
@@ -165,9 +179,9 @@ def _newton(b, L, S, lo, hi, s_lo):
             T += L
             T -= T.max(axis=0)
             T = np.exp(T, out=T)
-            a, da = T.sum(axis=0), b @ T
+            a, da = _term_sum(T), _term_sum(b[:, None] * T)
             T *= S
-            v, dv = T.sum(axis=0), b @ T
+            v, dv = _term_sum(T), _term_sum(b[:, None] * T)
             # freed here, not when the next iteration's block is built
             del T
             left = np.sign(v) == s_lo

@@ -334,8 +334,9 @@ class TestCellRules:
     def test_cell_rule_is_cached_read_only_and_equals_a_fresh_build(self, m):
         rule = _cell_rule(m)
         assert _cell_rule(m) is rule
-        per_cell, per_pass, apply = rule
-        nodes, weights = apply.args
+        per_cell, per_pass, apply, nodes = rule
+        assert apply.args[0] is nodes
+        weights = apply.args[1]
         fresh_nodes, fresh_weights = (_gauss_legendre_rule if m < 3 else _genz_malik_rule)(m)
         assert per_cell == len(fresh_weights)
         # 16 cells a pass for the tensor Gauss-Legendre pairs, 64 for Genz-Malik
@@ -350,7 +351,7 @@ class TestCellRules:
     @pytest.mark.parametrize("m", [2, 3])
     def test_split_axis(self, m):
         # a cell longest along axis 0; f varies along the last axis alone
-        per_cell, _, apply = _cell_rule(m)
+        per_cell, _, apply, _ = _cell_rule(m)
         los, his = np.zeros((1, m)), np.array([[4.0] + [1.0] * (m - 1)])
         value, error, axes = apply(lambda X: np.exp(3.0 * X[-1]), los, his)
         assert per_cell == {2: 89, 3: 33}[m]
@@ -418,13 +419,13 @@ class TestCellRules:
             return density_many(E, X)
 
         def counted_rule(m):
-            nodes, per_pass, apply = cell_rule(m)
+            per_cell, per_pass, apply, nodes = cell_rule(m)
 
             def counted_apply(f, los, his):
                 pushed.append(len(los))
                 return apply(f, los, his)
 
-            return nodes, per_pass, counted_apply
+            return per_cell, per_pass, counted_apply, nodes
 
         monkeypatch.setattr(integrate, "density_many", counted)
         monkeypatch.setattr(integrate, "_cell_rule", counted_rule)
@@ -454,7 +455,7 @@ def _heap_adaptive(f, los, his, abs_tol, rel_tol, per_pass, grow=False):
     hi, value, split axis), per_pass cells popped per pass: the reference
     for the array-backed cell store, on the same rule and stop rule."""
     m = los.shape[1]
-    per_cell, _, rule = _cell_rule(m)
+    per_cell, _, rule, _ = _cell_rule(m)
     heap, order, evaluated = [], itertools.count(), 0
 
     def push(los, his):
@@ -898,19 +899,15 @@ class TestVertexCells:
         assert abs(volume - hull_volume(E.support)) <= 1e-12 * hull_volume(E.support)
 
     @pytest.mark.parametrize("name", SIMPLE_3D)
-    def test_seed_pass_sums_to_the_volume(self, monkeypatch, name):
-        # The seed pass's own nodes, whose terms come from the cache: the
-        # Genz-Malik sum of the cells' Jacobian is the volume of P within
-        # the rule's own error estimate (2.7e-6 relative on the tetrahedron's
-        # 32 cells), and the same bits as with the terms computed.
+    def test_seed_pass_sums_to_the_volume(self, name):
+        # On the seed pass's own nodes the Genz-Malik sum of the cells'
+        # Jacobian is the volume of P within the rule's own error estimate
+        # (2.7e-6 relative on the tetrahedron's 32 cells).
         E = SIMPLE_3D[name]
         apply = _cell_rule(3)[2]
         cell_map, (los, his) = integrate._vertex_cells(E)
         values, errors, _ = apply(lambda U: cell_map(U)[1], los, his)
         assert math.fsum(values) == pytest.approx(hull_volume(E.support), abs=2.0 * math.fsum(errors))
-        monkeypatch.setattr(integrate, "_seed_terms", lambda n, m: None)
-        cell_map, _ = integrate._vertex_cells(E)
-        np.testing.assert_array_equal(apply(lambda U: cell_map(U)[1], los, his)[0], values)
 
     @pytest.mark.parametrize("name", SIMPLE_3D)
     def test_face_at_one_lies_on_a_facet_of_its_vertex(self, name):
@@ -936,11 +933,9 @@ class TestVertexCells:
     def test_jacobian_is_positive_and_matches_differences_at_the_seed_nodes(self, name):
         # Central differences of the cell map give a determinant of one sign
         # per cell, which the chart's Jacobian matches in size: at the seed
-        # pass's own nodes, whose terms the cache holds, and at nodes nudged
-        # off them, whose terms are computed.
+        # pass's own nodes and at nodes nudged off them.
         E = SIMPLE_3D[name]
         cell_map, seeds = integrate._vertex_cells(E)
-        np.testing.assert_array_equal(_seed_nodes(seeds), integrate._seed_terms(len(E.support.vertices), 3)[0])
         for nudge in (0.0, 1e-9):
             U = _seed_nodes(seeds) + nudge
             _, jac = cell_map(U)
@@ -1010,77 +1005,63 @@ SEED_PASS_SUMS = {
 
 
 class TestSeedPassTerms:
-    """The seed pass's cell index, sines and sine-map Jacobian, kept once
-    per vertex count and dimension (``integrate._seed_terms``)."""
+    """The seed pass's terms over P, kept on the support (``SupportSet._chart``)
+    and handed to a chart's first call alone."""
 
     @pytest.mark.parametrize("route", [esol_total, esol_pspace], ids=["x", "p"])
     @pytest.mark.parametrize("name", SEED_PASS_SUMS)
-    def test_cold_warm_and_computed_terms_give_one_result(self, monkeypatch, name, route, empty_support_table):
-        # A solve that builds the entry, one on an equal fresh sum that reads
-        # it, and one with every term computed give the same bits, and the
-        # warm solve computes the terms of every pass but the seed pass.
-        # The table starts empty, so the cold solve builds the support's
-        # chart terms too, and the computed solve runs on a support of its
-        # own, which keeps none.
+    def test_cold_warm_and_private_solves_give_one_result(self, name, route, empty_support_table):
+        # A solve that builds the shared support's chart terms, one on an
+        # equal fresh sum that reads them, one on a support of its own, and
+        # one on a support of its own that keeps no terms, so that the chart
+        # computes those of every pass, give the same bits.
         E = SEED_PASS_SUMS[name]
-        calls = []
-        sine_terms = integrate._sine_terms
-        monkeypatch.setattr(integrate, "_sine_terms", lambda U: calls.append(U.shape) or sine_terms(U))
-        integrate._seed_terms.cache_clear()
         cold = route(ExpSum(E.support.points, E.coeffs))
-        assert integrate._seed_terms.cache_info().currsize == 1
-        del calls[:]
         warm = route(ExpSum(E.support.points, E.coeffs))
-        assert integrate._seed_terms.cache_info().hits >= 1
-        warm_calls = len(calls)
-        monkeypatch.setattr(integrate, "_seed_terms", lambda n, m: None)
-        computed = route(ExpSum(SupportSet(E.support.points), E.coeffs))
-        assert len(calls) == 2 * warm_calls + 1
-        assert dataclasses.astuple(cold) == dataclasses.astuple(warm) == dataclasses.astuple(computed)
+        private = route(ExpSum(SupportSet(E.support.points), E.coeffs))
+        bare = ExpSum(SupportSet(E.support.points), E.coeffs)
+        bare.support._chart = (integrate._chart_part(bare)[0], None)
+        computed = route(bare)
+        assert ExpSum(E.support.points).support._chart is not None or route is esol_pspace
+        results = [dataclasses.astuple(r) for r in (cold, warm, private, computed)]
+        assert results == [results[0]] * 4
 
-    def test_nodes_off_the_seed_pass_take_computed_terms(self, monkeypatch):
-        E = kostlan(2, 2)
+    @pytest.mark.parametrize("name", SEED_PASS_SUMS)
+    def test_a_chart_reads_the_kept_terms_on_its_first_call_alone(self, name):
+        # The first call of a chart takes the kept terms of the seed pass;
+        # every later call computes its own, on the seed pass's nodes again
+        # and on other nodes of the same count, with the same bits where the
+        # nodes are the same.  A first call with another node count computes.
+        E = ExpSum(SupportSet(SEED_PASS_SUMS[name].support.points), SEED_PASS_SUMS[name].coeffs)
+        _, (los, his) = integrate._facet_log_chart(E)
+        terms, kept = E.support._chart
+        assert kept is not None and not any(a.flags.writeable for a in kept)
+        computed = []
+        E.support._chart = (lambda U: computed.append(U.shape[1]) or terms(U), kept)
+        U = integrate._cell_nodes(_cell_rule(E.dim)[3], 0.5 * (his - los), los, his)
+        N = U.shape[1]
+        chart, _ = integrate._facet_log_chart(E)
+        X, jac = chart(U)
+        assert computed == [] and jac is kept[2]
+        again = chart(U)
+        moved = U.copy()
+        moved[-1] *= 0.5
+        other = chart(moved)
+        assert computed == [N, N]
+        np.testing.assert_array_equal(again[0], X)
+        np.testing.assert_array_equal(again[1], jac)
+        np.testing.assert_array_equal(other[1], terms(moved)[2])
+        assert (other[1] != jac).any()
+        fresh, _ = integrate._facet_log_chart(E)
+        part = fresh(U[:, :100])
+        assert computed == [N, N, 100]
+        np.testing.assert_array_equal(part[1], terms(U[:, :100])[2])
+        # The cell map under the terms gives each node the same bits in a
+        # part of the pass as in the whole of it.
         cell_map, _ = integrate._vertex_cells(E)
-        U = np.array(integrate._seed_terms(4, 2)[0])
-        Q, jac = cell_map(U)
-        calls = []
-        sine_terms = integrate._sine_terms
-        monkeypatch.setattr(integrate, "_sine_terms", lambda U: calls.append(U.shape) or sine_terms(U))
-        cell_map(U.copy())
-        assert calls == []
-        # A part of the pass, and the pass with one node moved: every other
-        # node keeps its bits, the moved one moves.
-        part = cell_map(U[:, :100])
-        U[1, 5] += 1e-6
-        moved = cell_map(U)
-        assert calls == [(2, 100), U.shape]
-        np.testing.assert_array_equal(part[0], Q[:, :100])
-        np.testing.assert_array_equal(part[1], jac[:100])
-        others = np.arange(U.shape[1]) != 5
-        np.testing.assert_array_equal(moved[0][:, others], Q[:, others])
-        np.testing.assert_array_equal(moved[1][others], jac[others])
-        assert (moved[0][:, 5] != Q[:, 5]).any() and moved[1][5] != jac[5]
-
-    def test_cache_stays_within_its_bound(self):
-        # Regular polygons of 3 to 30 vertices and every (n, m) up to 40
-        # vertices: at most 8 entries, each of 16 (m + 1) bytes a node and
-        # at most 2 MiB; a pass of more than 2^15 nodes is not kept.
-        integrate._seed_terms.cache_clear()
-        for n in range(3, 31):
-            t = 2.0 * math.pi * np.arange(n) / n
-            integrate._vertex_cells(ExpSum(np.stack([np.cos(t), np.sin(t)], axis=1)))
-            assert integrate._seed_terms.cache_info().currsize <= 8
-        for n, m in itertools.product(range(2, 41), (1, 2, 3)):
-            entry = integrate._seed_terms(n, m)
-            nodes = len(integrate._vertex_seeds(n, m)[0]) * _cell_rule(m)[0]
-            if nodes > 2**15:
-                assert entry is None
-            else:
-                assert sum(a.nbytes for a in entry) == 16 * (m + 1) * nodes <= 2 * 2**20
-                assert not any(a.flags.writeable for a in entry)
-            assert integrate._seed_terms.cache_info().currsize <= 8
-        assert integrate._seed_terms.cache_info().maxsize == 8
-        assert integrate._seed_terms(23, 2) is not None and integrate._seed_terms(24, 2) is None
+        whole, head = cell_map(U), cell_map(U[:, :100])
+        np.testing.assert_array_equal(head[0], whole[0][:, :100])
+        np.testing.assert_array_equal(head[1], whole[1][:100])
 
     def test_vertex_seeds_stay_within_their_bound(self):
         # Polygons of 3 to 40 vertices leave at most 8 seed entries, and the

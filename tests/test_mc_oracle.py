@@ -249,6 +249,36 @@ class TestBatchedCount:
         np.testing.assert_array_equal(got, want)
 
 
+class TestNewtonBatch:
+    """A zero does not depend on the batch of brackets it is found in, so a
+    count decided near a double root is the same in a block of any width."""
+
+    @pytest.mark.parametrize(
+        "E",
+        [kostlan(1, 8), ExpSum(_REAL[:, None], np.exp(0.4 * _REAL) * [1, 2, 0.5, 3, 1])],
+        ids=["kostlan(1,8)", "reweighted-real"],
+    )
+    def test_zeros_of_a_batch_equal_those_of_its_sub_batches(self, monkeypatch, E):
+        calls, newton = [], mc_oracle._newton
+
+        def record(*args):
+            calls.append(args)
+            return newton(*args)
+
+        monkeypatch.setattr(mc_oracle, "_newton", record)
+        estimate_esol(E, McConfig(n_samples=512, seed=11))
+        monkeypatch.undo()
+        assert max(len(b) for b, *_ in calls) == E.n_terms - 1 >= 4
+        for b, L, S, lo, hi, s_lo in calls:
+            whole = newton(b, L, S, lo, hi, s_lo)
+            # Halves, thirds and the first 32 brackets one at a time.
+            for parts in (2, 3, lo.size):
+                pieces = np.array_split(np.arange(lo.size), parts)[:32]
+                for idx in pieces:
+                    part = newton(b, L.take(idx, axis=1), S.take(idx, axis=1), lo[idx], hi[idx], s_lo[idx])
+                    np.testing.assert_array_equal(part, whole[idx])
+
+
 class TestLayout:
     def test_cascade_arrays_are_c_contiguous(self, monkeypatch):
         # the cascade reduces over contiguous term rows only if every L and

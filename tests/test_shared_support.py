@@ -106,6 +106,21 @@ def test_sums_on_equal_points_share_one_support(empty_support_table):
     assert len(empty_support_table) == 2
 
 
+def test_geometry_calls_on_points_share_the_sums_support(empty_support_table, monkeypatch):
+    # interior_contains, like every geometry function given points, takes
+    # the support of those points from the table that ExpSum reads.
+    seen = []
+    interior_mask = geometry._interior_mask
+    monkeypatch.setattr(geometry, "_interior_mask", lambda A, P, tol: seen.append(A) or interior_mask(A, P, tol))
+    points = [[0, 0], [2, 0], [0, 2], [2, 2], [1, 3]]
+    assert geometry.interior_contains(points, [1.0, 1.0], 1e-9)
+    assert not geometry.interior_contains(np.array(points, dtype=float), [3.0, 1.0], 1e-9)
+    assert seen[0] is seen[1] is ExpSum(points).support
+    assert len(empty_support_table) == 1
+    assert geometry.hull_volume(points) == 5.0 and geometry.diameter(points) == math.sqrt(10.0)
+    assert len(empty_support_table) == 1
+
+
 def _polygon(n):
     t = 2.0 * math.pi * np.arange(n) / n
     return np.stack([np.cos(t), np.sin(t)], axis=1)
