@@ -416,6 +416,18 @@ def _sorted_products(W: np.ndarray, r: int, out: np.ndarray | None = None) -> np
     return R
 
 
+def _term_sum(T: np.ndarray) -> np.ndarray:
+    """The sum over the rows of T (terms, N), one row after another in row
+    order, as numpy adds the rows of two or more columns.  So a column's
+    sum does not depend on its batch: a reduction over a single column's
+    contiguous rows (pairwise from 8 rows on), an einsum there and a BLAS
+    product at any width each round in an order of their own."""
+    total = T[0].copy()
+    for row in T[1:]:
+        total += row
+    return total
+
+
 def _simplex_sum(W: np.ndarray, B: np.ndarray, m: int) -> np.ndarray:
     """sum over S of D_S^2 prod_S W at each column of the terms-major W
     (k, N), from the Cauchy-Binet block B (``SupportSet._simplex_form``),

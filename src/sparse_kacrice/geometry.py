@@ -84,8 +84,8 @@ _SHARED_SUPPORTS = 64
 #: Cauchy-Binet block (``_simplex_form``), which must fit before the support
 #: enters :func:`_shared_support`'s table, and the facet-log chart's
 #: seed-pass terms, kept only in what the block leaves (``_spare_bytes``;
-#: 228 KiB for a square, 118 KiB for a cube, 476 KiB for a hexagon, none
-#: for an octagon).
+#: 57 KiB for a square, 15 KiB for a cube, 119 KiB for a hexagon and
+#: 438 KiB for a 12-gon, none from the 13-gon on).
 _SHARE_BYTES = 2**19
 
 

@@ -76,8 +76,9 @@ What a solve builds, and how often:
   vertex cells' coefficients, the Cauchy-Binet coefficients of the facets'
   m-subsets and the seed pass's log facet distances, on-facet mask and
   Jacobian, kept where they fit the bytes the support leaves beside its
-  block (``SupportSet._spare_bytes``, 512 KiB for both), so a solve's seed
-  pass over P computes only x_hat and the density;
+  block (``SupportSet._spare_bytes``, 512 KiB for both: 57 KiB of terms
+  for a square, 15 KiB for a cube, 438 KiB for a 12-gon, none past it),
+  so a solve's seed pass over P computes only x_hat and the density;
 * once per sum, cached on it: the balancing point
   (``ExpSum._newton_start``) and the facet-log start built from the hull
   (``ExpSum._facet_start``), read where ``esol_total`` or ``bkk_total``
@@ -87,7 +88,7 @@ What a solve builds, and how often:
 * once per solve: the cell store, the x route's frame (x0, W and the
   Jacobian |det W|) where it is not over P, and the moment route's vertex
   cells; once per process, for each of the 8 most recent
-  (vertex count, dimension) pairs, the seed cells (``_vertex_seeds``, 512
+  (vertex count, dimension) pairs, the seed cells (``_vertex_seeds``, 128
   bytes a polygon vertex);
 * once per integrand call: one (m, N) node array, written in place, the
   chart's nodes x and the kernel's own arrays; over R^m the chart is one
@@ -118,7 +119,7 @@ from numpy.polynomial.legendre import leggauss
 from .errors import ConvergenceError, InputError
 from .expsum import (
     ExpSum, _facet_distances, _facet_log_x, _invert_moment_many, _legendre_density_many, _moments, _softmax,
-    _sorted_products, density_many,
+    _sorted_products, _term_sum, density_many,
 )
 # ``invert_moment`` is imported for perfbench's tracer, which wraps it as an
 # integrate boundary; nothing here calls it.
@@ -267,14 +268,20 @@ def _cell_rule(m):
     64; two variables took 7 % longer at 32 than at 16, and one variable
     at 110 (a two-variable pass's nodes) split 18 % more cells for no gain.
     Those three-variable timings were taken while the closed forms ran over
-    R^3 in frame coordinates.  Over P the pass size makes no difference:
-    on 13 three-variable solves over P (reweighted kostlan(3, 1), reweighted
-    simplex(3, 1) and affine kostlan(3, 1) at 1e-4 and reweighted
-    kostlan(3, 1) at 1e-7, each at seeds 10-12, and the unit cube's
-    ``bkk_total`` at 1e-4; fresh sums, medians of 5 alternating rounds, 2
-    CPUs, one BLAS thread), passes of 16, 32, 64 and 96 cells split the
-    same 736 cells in 31.6 to 31.8 ms in all.  So 64 acts only on the sums
-    integrated in frame coordinates.
+    R^3 in frame coordinates.  Over P, where a cube or a tetrahedron seeds
+    8 or 4 cells (:func:`_vertex_seeds`), so that the first passes split
+    every live cell, 64 is still the fastest of 16, 32 and 64 (fresh sums,
+    medians of 7 alternating rounds, 2 CPUs, one BLAS thread).  The
+    benchmark's 13 three-variable solves over P (reweighted kostlan(3, 1),
+    reweighted simplex(3, 1) and affine kostlan(3, 1) at 1e-4 and
+    reweighted kostlan(3, 1) at 1e-7, each at seeds 10-12, and the unit
+    cube's ``bkk_total`` at 1e-4) all end on their seed pass, 92 cells in
+    3.1 ms at every size.  On 11 that take passes (reweighted simplex(3, 1)
+    by ``esol_total`` and reweighted kostlan(3, 1) by ``esol_pspace`` at
+    1e-7, each at seeds 10-12, the unit cube's ``bkk_total`` at 1e-7, and
+    ``esol_pspace`` at 1e-5 on two weighted unit cubes and two weighted
+    prisms), passes of 16, 32 and 64 took 218, 185 and 178 ms, splitting
+    1640, 1720 and 2072 cells.
 
     Each pair is one node set with a weight column per rule, so a batch of
     cells costs one integrand call.  One and two variables take the 8- and
@@ -560,9 +567,9 @@ def _vertex_cells(E: ExpSum):
     computes its sines and cosines: the moment route reads the map once per
     pass, and the chart over P keeps the seed pass's terms on the support
     (:func:`_chart_part`).  seeds
-    (:func:`_vertex_seeds`): 4 per axis per cell in one and two variables,
-    whose Gauss nodes never touch the boundary, and 2 in three, 64 cells
-    for a cube and 32 for a tetrahedron.  A P with no such cells (past
+    (:func:`_vertex_seeds`): 2 per axis per cell in one and two variables,
+    whose Gauss nodes never touch the boundary, and 1 in three, 8 cells for
+    a cube and 4 for a tetrahedron.  A P with no such cells (past
     three variables, not simple, as the octahedron, or with an incidence
     that does not close) raises InputError before any cell is integrated:
     the sum is outside the cells' domain, not a failure to converge."""
@@ -609,14 +616,17 @@ def _leibniz_signs(m):
             for perm in itertools.permutations(range(m))]
 
 
-# The 8 most recent (n, m): a polygon's seeds take 512 n bytes, and a
+# The 8 most recent (n, m): a polygon's seeds take 128 n bytes, and a
 # rebuild costs under 1 ms.
 @lru_cache(maxsize=8)
 def _vertex_seeds(n, m):
     """Seeded cells of n vertex cells in m variables, cell i on
-    [i, i + 1] x [0, 1]^(m-1): 4 per axis per cell in one and two
-    variables, 2 in three; cached, read-only."""
-    return _read_only(*_seed_grid(((0.0, float(n)),) + ((0.0, 1.0),) * (m - 1), (2 if m == 3 else 4) * n))
+    [i, i + 1] x [0, 1]^(m-1): 2 per axis per cell in one and two
+    variables, 1 in three; cached, read-only.  That is 26, 356 and 33 seed
+    nodes a vertex, on which the closed forms meet 1e-10 in one and two
+    variables and the Kostlan box sums in three; the smaller count in one
+    and two variables, 1 per axis, sends the simplices to a second pass."""
+    return _read_only(*_seed_grid(((0.0, float(n)),) + ((0.0, 1.0),) * (m - 1), (1 if m == 3 else 2) * n))
 
 
 def _sum_out(K, a):
@@ -674,8 +684,8 @@ def _facet_log_chart(E: ExpSum):
     Each chart hands those kept terms to its first call alone, where they
     have that call's node count: :func:`_adaptive`'s first call is the seed
     pass, on the seeds returned here.  Every later call computes its terms,
-    since node count alone does not name the seed pass (a simple P with 16
-    vertices in three variables has 4224 nodes in every pass)."""
+    since node count alone does not name the seed pass (an octagon's has
+    2848 nodes, as has every later pass in two variables)."""
     support = E.support
     if support._chart is None:
         support._chart = _chart_part(E)
@@ -704,8 +714,13 @@ def _chart_part(E: ExpSum):
     cell of :func:`_vertex_seeds` as :func:`_apply_rule` builds them,
     read-only, or None where those terms, (8 F + 9) bytes a node, pass the
     bytes the support leaves beside its Cauchy-Binet block
-    (``SupportSet._spare_bytes``): 52 n, 1424 n and 264 n nodes for n
-    vertices in one, two and three variables."""
+    (``SupportSet._spare_bytes``): 26 n, 356 n and 33 n nodes for n
+    vertices in one, two and three variables, so every polygon up to the
+    12-gon keeps them.  The Jacobian sums C_T prod 1/d over the m-subsets
+    T one row after another (:func:`.expsum._term_sum`), not by a BLAS
+    product, whose rounding follows the call's node count, so a node's
+    terms do not depend on its batch and the kept terms are those any call
+    computes."""
     # The closures hold support arrays alone, never the sum E.
     m, (S, rows, _) = E.dim, E._facet_start
     nu = -rows[:, :-1]
@@ -718,7 +733,9 @@ def _chart_part(E: ExpSum):
         d, log_d = _facet_distances(rows, Q)
         on_facet = ~(d.min(axis=0) > 0.0)
         with np.errstate(divide="ignore", invalid="ignore"):
-            jac *= C @ _sorted_products(np.reciprocal(d, out=d), m)
+            products = _sorted_products(np.reciprocal(d, out=d), m)
+            products *= C[:, None]
+            jac *= _term_sum(products)
         np.copyto(jac, np.nan, where=on_facet)
         return log_d, on_facet, jac
 
@@ -763,8 +780,8 @@ def esol_total(E: ExpSum, q: Quadrature | None = None) -> IntegralResult:
     polytope in one or two variables; in three, each vertex on three
     facets) is integrated over that polytope through the facet-log map,
     with no frame, cube or shells; its closed forms in one and two
-    variables converge on their 8, 48 or 64 seed cells, and the Kostlan
-    box sums in three on their 64.  Every other sum is integrated in
+    variables converge on their 4, 12 or 16 seed cells, and the Kostlan
+    box sums in three on their 8.  Every other sum is integrated in
     metric-normalized coordinates, from a cube out by shells until the
     newest is negligible.  Either way the route is reported as "x".
     Degenerate supports (dim conv(A) < m) carry zero density and return 0.

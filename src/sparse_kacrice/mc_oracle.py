@@ -39,8 +39,8 @@ column per draw, and each level of the cascade keeps its last m rows.
 Columns are gathered with ``take`` and ``compress``, never with a fancy
 index, which would hand back a Fortran-ordered copy.  Sums over the terms
 then add contiguous rows, one after another in term order
-(:func:`_term_sum`), so a draw's zeros and count do not depend on the
-other draws of its batch.  Each level writes its zeros in ascending order
+(:func:`.expsum._term_sum`), so a draw's zeros and count do not depend on
+the other draws of its batch.  Each level writes its zeros in ascending order
 per draw, so the next level's piece ends need no sort, and Newton steps on
 the log ratio of the positive and negative parts of the level, which is
 nearly linear in x.
@@ -61,7 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .expsum import ExpSum
+from .expsum import ExpSum, _term_sum
 from .geometry import _as_count, _as_floats, _is_int
 
 __all__ = ["McConfig", "sample_zero_count", "estimate_esol"]
@@ -120,18 +120,6 @@ def _signs(b, L, S, X):
         T *= S
         np.sign(_term_sum(T), out=out[p])
     return out
-
-
-def _term_sum(T):
-    """The sum over the terms of T (terms, draws), one row after another in
-    term order, as numpy adds the rows of two or more columns.  So a draw's
-    sum does not depend on its batch: a reduction over a single column's
-    contiguous terms (pairwise from 8 terms on), an einsum there and a BLAS
-    product at any width each round in an order of their own."""
-    total = T[0].copy()
-    for row in T[1:]:
-        total += row
-    return total
 
 
 def _pieces(b, L, S, crit):

@@ -507,7 +507,7 @@ EXIT_PATHS = {
     # A ConvergenceError with its partial value: on this near-degenerate
     # quadrilateral the moment route's integrand is not finite at some nodes.
     "convergence-error": ([[0, 0], [1, 0], [1, 1e-4], [2e-9, 1e-13]], ["analyze", "--route", "p"], 3,
-                          r"error: integrand is not finite on 2 of 48 new cells \(partial value 0\.2396\d*\)\n"),
+                          r"error: integrand is not finite on 4 of 12 new cells \(partial value 0\.1603\d*\)\n"),
     # A DegenerateMetricError, which reaches main's SparseKacRiceError branch.
     "degenerate-metric": ([[0, 0], [1, 1], [2, 2]], ["witness", "--a0", "0.5,0.5"], 3,
                           r"error: support is not full-dimensional; moment map is not open\n"),

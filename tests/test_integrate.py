@@ -392,20 +392,22 @@ class TestCellRules:
         assert len(pushed) > 2 and r.nodes == sum(rows)
         assert rows == [cells * per_cell for cells in pushed]
 
-    @pytest.mark.parametrize("E, per_cell", [
-        (ExpSum([[0.0], [1.0], [2.0], [3.0]], [1.0, 1.74, 1.72, 1.01]), 13),
-        (ExpSum([[0, 0], [1, 0], [0, 1], [1, 1]], [1.0, 0.7, 1.3, 0.9]), 89),
-        (ExpSum(kostlan(3, 1).support.points, [1.0, 1.11, 0.82, 0.9, 1.35, 1.49, 1.11, 1.22]), 33),
+    @pytest.mark.parametrize("E, per_cell, calls", [
+        (ExpSum([[0.0], [1.0], [2.0], [3.0]], [1.0, 1.74, 1.72, 1.01]), 13, [4]),
+        (ExpSum([[0, 0], [1, 0], [0, 1], [1, 1]], [1.0, 0.7, 1.3, 0.9]), 89, [16]),
+        (ExpSum(kostlan(3, 1).support.points, [1.0, 1.11, 0.82, 0.9, 1.35, 1.49, 1.11, 1.22]), 33, [8, 16, 32]),
     ], ids=["1-D", "2-D", "3-D"])
-    def test_total_over_the_polytope_reaches_density_many_once(self, monkeypatch, E, per_cell):
+    def test_total_over_the_polytope_reaches_density_many_once(self, monkeypatch, E, per_cell, calls):
         # A sum with a facet-log start on a simple P integrates over P, at
-        # x_hat(p), through the same module global; near a closed form, in
-        # the seed cells' one call, 8 or 64 cells.
+        # x_hat(p), through the same module global, once per batch of cells.
+        # Near a closed form in one and two variables that is the seed
+        # cells' one call, 4 or 16 cells; the cube's 8 seed cells take two
+        # more passes to 1e-7, each splitting every cell.
         assert E._facet_start is not None
         rows, pushed = self._count_calls(monkeypatch)
         r = esol_total(E, Quadrature(abs_tol=1e-7, rel_tol=1e-7))
-        assert pushed == [r.cells] == [8 if E.dim == 1 else 64]
-        assert rows == [r.nodes] == [r.cells * per_cell]
+        assert pushed == calls and r.cells == calls[-1] and r.nodes == sum(rows)
+        assert rows == [cells * per_cell for cells in pushed]
 
     @staticmethod
     def _count_calls(monkeypatch):
@@ -729,8 +731,8 @@ class TestMomentRoute:
              "sheared kostlan(3,2)", "affine kostlan(3,2)"],
     )
     def test_three_variable_closed_forms(self, E, ref):
-        # The vertex cells esol_total takes over P: 64 seed cells on the
-        # cubes, 128 on the tetrahedron.
+        # The vertex cells esol_total takes over P: 8 seed cells on the
+        # cubes, 4 on the tetrahedron, which ends on 128 at 1e-7.
         _check_closed_form(E, ref, STRICT)
         _check_against_native(E, STRICT)
 
@@ -796,7 +798,7 @@ class TestOverThePolytope:
     @pytest.mark.parametrize("name, E, ref", FACET_START_IMAGES, ids=[c[0] for c in FACET_START_IMAGES])
     def test_closed_forms_in_one_integrand_call(self, name, E, ref):
         # x_hat is the inverse moment map here: the integrand is smooth on
-        # every cell and the seed cells (8, 48 or 64) meet 1e-10 at once.
+        # every cell and the seed cells (4, 12 or 16) meet 1e-10 at once.
         assert E._facet_start is not None
         r = esol_total(E, TIGHT)
         assert r.route == "x" and r.nodes == r.cells * (13 if E.dim == 1 else 89)
@@ -858,7 +860,7 @@ class TestOverThePolytope:
             return on_facet, seeds
 
         monkeypatch.setattr(integrate, "_vertex_cells", moved)
-        with pytest.raises(ConvergenceError, match="not finite on 1 of 64") as info:
+        with pytest.raises(ConvergenceError, match="not finite on 1 of 16") as info:
             esol_total(E)
         assert 0.9 * math.pi / 8.0 < info.value.value < math.pi / 8.0
 
@@ -889,7 +891,7 @@ class TestVertexCells:
         E = SIMPLE_3D[name]
         cell_map, seeds = integrate._vertex_cells(E)
         n = len(E.support.vertices)
-        assert len(seeds[0]) == 8 * n
+        assert len(seeds[0]) == n
         nodes, weights = np.polynomial.legendre.leggauss(3)
         a = np.array(list(itertools.product(0.5 * (nodes + 1.0), repeat=3))).T
         w = np.prod(list(itertools.product(0.5 * weights, repeat=3)), axis=1)
@@ -902,7 +904,8 @@ class TestVertexCells:
     def test_seed_pass_sums_to_the_volume(self, name):
         # On the seed pass's own nodes the Genz-Malik sum of the cells'
         # Jacobian is the volume of P within the rule's own error estimate
-        # (2.7e-6 relative on the tetrahedron's 32 cells).
+        # (off by 1.6e-3 relative on the tetrahedron's 4 cells, which claim
+        # 1.7e-2).
         E = SIMPLE_3D[name]
         apply = _cell_rule(3)[2]
         cell_map, (los, his) = integrate._vertex_cells(E)
@@ -1053,15 +1056,34 @@ class TestSeedPassTerms:
         np.testing.assert_array_equal(other[1], terms(moved)[2])
         assert (other[1] != jac).any()
         fresh, _ = integrate._facet_log_chart(E)
-        part = fresh(U[:, :100])
-        assert computed == [N, N, 100]
-        np.testing.assert_array_equal(part[1], terms(U[:, :100])[2])
+        half = N // 2
+        part = fresh(U[:, :half])
+        assert computed == [N, N, half]
+        np.testing.assert_array_equal(part[1], terms(U[:, :half])[2])
         # The cell map under the terms gives each node the same bits in a
         # part of the pass as in the whole of it.
         cell_map, _ = integrate._vertex_cells(E)
-        whole, head = cell_map(U), cell_map(U[:, :100])
-        np.testing.assert_array_equal(head[0], whole[0][:, :100])
-        np.testing.assert_array_equal(head[1], whole[1][:100])
+        whole, head = cell_map(U), cell_map(U[:, :half])
+        np.testing.assert_array_equal(head[0], whole[0][:, :half])
+        np.testing.assert_array_equal(head[1], whole[1][:half])
+
+    @pytest.mark.parametrize("name", SEED_PASS_SUMS)
+    def test_terms_of_a_node_do_not_depend_on_its_batch(self, name):
+        # The chart's terms over slices of 1, 3 and 100 nodes of the seed
+        # pass have the bits of the whole call's: the kept terms are then
+        # the terms any call computes.  A BLAS product over the m-subsets
+        # rounded by the call's node count.
+        E = ExpSum(SupportSet(SEED_PASS_SUMS[name].support.points), SEED_PASS_SUMS[name].coeffs)
+        terms, kept = integrate._chart_part(E)
+        los, his = integrate._vertex_seeds(len(E.support._vertex_corners), E.dim)
+        U = integrate._cell_nodes(_cell_rule(E.dim)[3], 0.5 * (his - los), los, his)
+        whole = terms(U)
+        for size in (1, 3, 100):
+            parts = [terms(U[:, i:i + size]) for i in range(0, U.shape[1], size)]
+            for column, part in zip(whole, zip(*parts)):
+                np.testing.assert_array_equal(np.concatenate(part, axis=-1), column)
+        for column, kept_column in zip(whole, kept):
+            np.testing.assert_array_equal(kept_column, column)
 
     def test_vertex_seeds_stay_within_their_bound(self):
         # Polygons of 3 to 40 vertices leave at most 8 seed entries, and the
@@ -1083,6 +1105,55 @@ class TestSeedPassTerms:
         misses = integrate._vertex_seeds.cache_info().misses
         assert [area(n) for n in (3, 4, 39, 40)] == [first[n] for n in (3, 4, 39, 40)]
         assert integrate._vertex_seeds.cache_info().misses == misses + 2
+
+
+
+def _seed_pass_families():
+    """(name, E, ref): the closed forms kostlan(1, d) for d = 2 to 7,
+    kostlan(2, 1 to 3), simplex(2, 1 to 2), kostlan(3, 1 to 2) and
+    simplex(3, 1), each as built and as two seeded affine images."""
+    rng = np.random.default_rng(50)
+    bases = [
+        *[(f"kostlan(1,{d})", kostlan(1, d), math.sqrt(d) / 2.0) for d in range(2, 8)],
+        *[(f"kostlan(2,{d})", kostlan(2, d), math.pi * d / 8.0) for d in (1, 2, 3)],
+        ("simplex(2,1)", TRIANGLE, 0.25),
+        ("simplex(2,2)", SIMPLEX_2_2, 0.5),
+        ("kostlan(3,1)", kostlan(3, 1), math.pi / 8.0),
+        ("kostlan(3,2)", kostlan(3, 2), math.pi * 2.0**1.5 / 8.0),
+        ("simplex(3,1)", SIMPLE_3D["tetrahedron"], 0.125),
+    ]
+    cases = []
+    for name, E, ref in bases:
+        cases.append((name, E, ref))
+        for j in (1, 2):
+            if E.dim == 1:
+                L, b = [[rng.uniform(0.6, 1.6)]], rng.uniform(-1.0, 1.0, 1)
+            else:
+                L, b = (_random_affine2 if E.dim == 2 else _random_affine3)(int(rng.integers(1000)))
+            cases.append((f"affine {j} {name}", _image(E, L, b), ref))
+    return cases
+
+
+SEED_PASS_FAMILIES = _seed_pass_families()
+
+
+@pytest.mark.parametrize("tol", [1e-7, 1e-10])
+@pytest.mark.parametrize("name, E, ref", SEED_PASS_FAMILIES, ids=[c[0] for c in SEED_PASS_FAMILIES])
+def test_closed_forms_over_the_polytope_on_their_seed_pass(name, E, ref, tol):
+    # esol_total lands within max(claim, 1e-13) of the count, and bkk_total
+    # of m! vol(P), each in the seed pass's one call: 2 cells per axis of a
+    # vertex cell in one and two variables, 1 in three.  simplex(3, 1)'s
+    # esol_total and every bkk_total in three variables take more passes,
+    # on as many cells as on 2 seed cells per axis.
+    q = Quadrature(abs_tol=tol, rel_tol=tol)
+    seeds = len(integrate._vertex_seeds(len(E.support._vertex_corners), E.dim)[0])
+    per_cell = _cell_rule(E.dim)[0]
+    C = ComplexExpSum(E.support.points, E.coeffs)
+    for r, exact, one_call in ((esol_total(E, q), ref, not name.endswith("simplex(3,1)")),
+                               (bkk_total(C, q), n_factorial_volume(C), E.dim < 3)):
+        assert abs(r.value - exact) <= max(r.error, 1e-13) and _within_budget(r, q)
+        if one_call:
+            assert (r.cells, r.nodes) == (seeds, seeds * per_cell)
 
 
 class TestFrame:

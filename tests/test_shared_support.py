@@ -128,7 +128,7 @@ def _polygon(n):
 
 def test_the_table_stays_within_its_bound(empty_support_table, monkeypatch):
     # Regular polygons of 3 to 60 vertices (chart terms kept up to the
-    # hexagon, 476 KiB, none from the octagon on), the largest supports
+    # 12-gon, 438 KiB, none from the 13-gon on), the largest supports
     # whose block fits the share in one, two and three variables (362
     # points on a line, a 52-gon, 25 points on a sphere), a prism over a
     # 12-gon, and translated squares: after each, at most 64 supports, and
@@ -160,7 +160,7 @@ def test_the_table_stays_within_its_bound(empty_support_table, monkeypatch):
             assert sum(a.nbytes for a in arrays) - large < 32 * 2**10
             worst += sum(a.nbytes for a in arrays)
         assert worst <= _SHARED_SUPPORTS * (_SHARE_BYTES + 32 * 2**10) == 34 * 2**20
-    assert kept[4] and kept[6] and not kept[8] and not kept[52]
+    assert kept[4] and kept[6] and kept[12] and not kept[13] and not kept[52]
     # Past the share, or past three variables, a support is not entered.
     for points in (np.arange(363.0), np.eye(5)):
         assert not _in_table(ExpSum(points).support)
