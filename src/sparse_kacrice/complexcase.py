@@ -33,7 +33,9 @@ class ComplexExpSum(ExpSum):
 
     Same data as :class:`ExpSum` — real exponents, positive coefficient
     scales (taking them real and positive loses no generality).  The
-    class only switches which density formulas apply.
+    class only names the intent: nothing dispatches on it, and
+    :func:`bkk_density` and :func:`bkk_total` take any :class:`ExpSum`,
+    with the same result for either class on the same points and weights.
     """
 
 
@@ -69,10 +71,11 @@ def bkk_total(E: ComplexExpSum, q: Quadrature | None = None) -> IntegralResult:
     otherwise.  It is
     n! vol(P) for every full-dimensional real support (the moment map
     carries the density onto the polytope), which counts roots only for
-    integer exponents.  At most three variables.
+    integer exponents.  At most three variables, though ``esol_total``
+    integrates past them over R^m.
     """
     if E.dim > 3:
-        raise InputError("quadrature is limited to three variables")
+        raise InputError("bkk_total is limited to three variables")
     # The imaginary cell (-pi, pi)^n multiplies the integral over R^n by its
     # volume.
     factor = (2.0 * math.pi) ** E.dim

@@ -398,11 +398,14 @@ def _det_g(E: ExpSum, W: np.ndarray, total: np.ndarray):
 
 
 def _sorted_products(W: np.ndarray, r: int, out: np.ndarray | None = None) -> np.ndarray:
-    """prod_t W over the sorted r-tuples t of W's rows (k, N), r >= 1, in
+    """prod_t W over the sorted r-tuples t of W's rows (k, N), r >= 0, in
     lexicographic order: shape (C(k, r), N), written to ``out`` if given.
-    W itself for r = 1; for r >= 2 by row slices, one product per first
-    index i: the r-tuples that start at i are i followed by the last
-    C(k-1-i, r-1) rows of the (r-1)-tuple products, those that start above i."""
+    One row of ones for r = 0, the product over no rows; W itself for
+    r = 1; for r >= 2 by row slices, one product per first index i: the
+    r-tuples that start at i are i followed by the last C(k-1-i, r-1) rows
+    of the (r-1)-tuple products, those that start above i."""
+    if r == 0:
+        return np.prod(W[:0], axis=0, keepdims=True, out=out)
     if r == 1:
         return W
     k, N = W.shape
@@ -446,8 +449,6 @@ def _simplex_sum(W: np.ndarray, B: np.ndarray, m: int) -> np.ndarray:
     work = np.empty((pairs + 2 * tuples, W.shape[1]))
     P = _sorted_products(W[:max(len(W) - m + 1, 0)], 2, out=work[:pairs])
     Z = np.matmul(B.T, P, out=work[pairs:pairs + tuples])
-    if m == 1:
-        return Z[0]
     return np.einsum("tn,tn->n", _sorted_products(W[2:], m - 1, out=work[pairs + tuples:]), Z)
 
 

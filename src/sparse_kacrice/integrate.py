@@ -86,10 +86,10 @@ What a solve builds, and how often:
   point's moment, which maps the closed-form sums onto P and inverts their
   nodes with no Newton step;
 * once per solve: the cell store, the x route's frame (x0, W and the
-  Jacobian |det W|) where it is not over P, and the moment route's vertex
-  cells; once per process, for each of the 8 most recent
-  (vertex count, dimension) pairs, the seed cells (``_vertex_seeds``, 128
-  bytes a polygon vertex);
+  Jacobian |det W|) and its cube's seed cells where it is not over P, and
+  the moment route's vertex cells; once per process, for each of the 8
+  most recent (vertex count, dimension) pairs, the seed cells
+  (``_vertex_seeds``, 128 bytes a polygon vertex);
 * once per integrand call: one (m, N) node array, written in place, the
   chart's nodes x and the kernel's own arrays; over R^m the chart is one
   (m, m)(m, N) product plus x0, and the integrand one multiply by |det W|;
@@ -343,14 +343,13 @@ def _seed_grid(box, per_axis):
     return edges[(slice(-1),) * m].reshape(-1, m), edges[(slice(1, None),) * m].reshape(-1, m)
 
 
-# The region over R^m only ever takes r = AUTO_RADIUS * 2^j, so both caches stay
-# small: one entry per (r, m) a solve reaches, shared by every later solve.
-@lru_cache(maxsize=None)
 def _cube_cells(r, m):
-    """Seeded cells of the cube [-r, r]^m; cached, read-only."""
+    """Seeded cells of the cube [-r, r]^m, read-only; built per frame solve."""
     return _read_only(*_seed_grid(((-r, r),) * m, 4))
 
 
+# The region over R^m only ever takes r = AUTO_RADIUS * 2^j, so the cache stays
+# small: one entry per (r, m) a solve reaches, shared by every later solve.
 @lru_cache(maxsize=None)
 def _shell_cells(r, m):
     """Seeded cells of the 2m slabs that tile [-2r, 2r]^m minus [-r, r]^m;
@@ -609,7 +608,6 @@ def _vertex_cells(E: ExpSum):
     return cell_map, _vertex_seeds(n, m)
 
 
-@lru_cache(maxsize=None)
 def _leibniz_signs(m):
     """The permutations of range(m), each with True where it is even."""
     return [(perm, sum(p > q for p, q in itertools.combinations(perm, 2)) % 2 == 0)
@@ -832,7 +830,7 @@ def esol_pspace(E: ExpSum, q: Quadrature | None = None) -> IntegralResult:
     """
     m = E.dim
     if m > 3:
-        raise InputError("quadrature is limited to three variables")
+        raise InputError("the moment route's vertex cells are limited to three variables")
     prefactor = 1.0 / (2.0 ** ((m - 2) / 2.0) * ball_sphere_constants(m)[1])
     f = lambda Q: prefactor * _legendre_density_many(E, Q.T)
     return _integral(E, q, "p", f, lambda E: (*_vertex_cells(E), False))

@@ -22,12 +22,14 @@ the softmax weights and the det g sum), and the exponent's part
 (:func:`_psi_many`).  Each sum keeps, read-only, its last grid in each
 space ("p" and "x"): the request, the resolved box, axes and resolution,
 the scan points (the x nodes, or the p-grid's usable node indices and
-their preimages) and the sum's part there.  A later scan of that grid,
-under any added exponent, runs only the exponent's part: no grid, default
-box, inversion or softmax, with the same numbers bit for bit.  Scanning
-another grid replaces that space's entry.  The trade is memory: about
-k + m + 2 floats per scan point per space, 0.3 MB for a 64^2 grid with
-k = 4 terms and about 60 MB for a 512^2 grid with k = 25.  Likewise the
+their preimages) and the sum's part there.  A later scan of the same
+request, box and resolution as given, under any added exponent, runs
+only the exponent's part: no grid, default box, inversion or softmax,
+with the same numbers bit for bit.  Any other request, an explicit box
+equal to the default one included, builds its grid anew and replaces
+that space's entry.  The trade is memory: about k + m + 2 floats per
+scan point per space, 0.3 MB for a 64^2 grid with k = 4 terms and about
+60 MB for a 512^2 grid with k = 25.  Likewise the
 sum keeps the cone-determinant block of its last added exponent, which
 every Psi evaluation under that exponent reads; its key marks that
 exponent as checked against the sum, so a re-scan skips that check too.
@@ -161,10 +163,6 @@ def _sum_part(E: ExpSum, X: np.ndarray):
     DegenerateMetricError where det g underflows to 0."""
     top, W, total = _softmax(E, X.T)
     det_sum = _simplex_sum(W, E.support._simplex_form, E.dim)
-    if E.dim == 1:
-        # a row of _simplex_sum's work buffer, which a stored grid would
-        # otherwise keep whole: C(k, 2) + 2 rows of N floats
-        det_sum = det_sum.copy()
     flat = det_sum == 0.0
     if flat.any():
         raise DegenerateMetricError(f"det g underflows at x = {X[flat][0].tolist()}; Psi undefined")
@@ -206,7 +204,7 @@ def _psi_many(E: ExpSum, aug: Augmentation, a0: np.ndarray, X: np.ndarray, part)
         E._cone_block = (key, M)
     MW = E._cone_block[1] @ W
     np.square(MW, out=MW)
-    q = (MW[0] if m == 1 else np.einsum("tn,tn->n", _sorted_products(W, m - 1), MW)) / det_sum
+    q = np.einsum("tn,tn->n", _sorted_products(W, m - 1), MW) / det_sum
     log_f0 = math.log(aug.alpha0) + X @ apex
     log_K0 = np.logaddexp(2.0 * phi, 2.0 * log_f0)
     log_ratio = 2.0 * phi - log_K0
@@ -338,13 +336,12 @@ def _scan_grid(E: ExpSum, space: str, box, resolution) -> tuple:
     W, det_sum) is :func:`_sum_part` there.
 
     None of it depends on a_0, so E keeps its last grid in each space
-    (``E._scan_grids``), matched at two levels: a request equal to the
-    stored one is served with no grid, default box or sum's part, and one
-    that resolves to the stored grid keeps its scan points and sum's part
-    (resolving the default box alone costs about 10-15 us, on re-scans of
-    about 200 us at 64^2).  A grid of another box or resolution replaces
-    the space's entry; an entry is stored only once its sum's part is
-    taken, so a DegenerateMetricError stores nothing.
+    (``E._scan_grids``): a request equal to the stored one is served with
+    no grid, default box or sum's part.  Any other request builds its grid
+    and replaces the space's entry, even one that resolves to the stored
+    grid, as an explicit box equal to the default; an entry is stored only
+    once its sum's part is taken, so a DegenerateMetricError stores
+    nothing.
 
     The usable p-nodes lie at least ``INVERT_MARGIN`` (1 + diam P) inside
     every facet, and their inversion converged.
@@ -358,22 +355,19 @@ def _scan_grid(E: ExpSum, space: str, box, resolution) -> tuple:
         box = np.column_stack([points.min(0), points.max(0)]) if space == "p" else [(-5.0, 5.0)] * E.dim
         box = _check_box(box, E.dim)
     resolution, axes, nodes = _grid(box, request[1])
-    if stored is not None and stored[1:3] == (box, resolution):
-        grid = (request, *stored[1:])
-    else:
-        usable, X = None, nodes
-        if space == "p":
-            margin = INVERT_MARGIN * (1.0 + diameter(E.support))
-            usable = np.flatnonzero(_interior_mask(E.support, nodes, margin))
-            # The targets about the barycenter, written coordinate-major, as
-            # the inversion holds them, and passed as rows by a transposed
-            # view: fancy indexing and broadcasting over rows of m floats
-            # cost several times as much.
-            Q = np.subtract(nodes.take(usable, axis=0).T, E._c[:, None], order="C")
-            X, ok = _invert_moment_many(E, Q.T)
-            usable, X = _read_only(usable.compress(ok), X.compress(ok, axis=0))
-        part = _read_only(X, *_sum_part(E, X))
-        grid = (request, box, resolution, _read_only(*axes), usable, *part)
+    usable, X = None, nodes
+    if space == "p":
+        margin = INVERT_MARGIN * (1.0 + diameter(E.support))
+        usable = np.flatnonzero(_interior_mask(E.support, nodes, margin))
+        # The targets about the barycenter, written coordinate-major, as
+        # the inversion holds them, and passed as rows by a transposed
+        # view: fancy indexing and broadcasting over rows of m floats
+        # cost several times as much.
+        Q = np.subtract(nodes.take(usable, axis=0).T, E._c[:, None], order="C")
+        X, ok = _invert_moment_many(E, Q.T)
+        usable, X = _read_only(usable.compress(ok), X.compress(ok, axis=0))
+    part = _read_only(X, *_sum_part(E, X))
+    grid = (request, box, resolution, _read_only(*axes), usable, *part)
     E._scan_grids[space] = grid
     return grid
 
@@ -400,16 +394,18 @@ def region_scan(
     :func:`psi`, with no per-node Python call; a node where det g underflows
     to 0 raises DegenerateMetricError for the scan.
 
-    E keeps its last grid in each space (:func:`_scan_grid`): the resolved
-    box, axes and resolution, the scan points (the x nodes, or the usable
-    p-node indices and their preimages) and the sum's part of Psi there
-    (:func:`_sum_part`), read-only.  A later scan of the same grid, under
-    any a_0, skips the grid, the default box, the inversion and the sum's
-    part, and the a_0 check too for the a_0 of E's cone block; it runs only
-    the exponent's part (:func:`_psi_many`), with the same numbers bit for
-    bit.  A scan of another grid replaces that space's entry.  The store
-    costs about k + m + 2 floats per scan point per space (0.3 MB at 64^2
-    with k = 4, about 60 MB at 512^2 with k = 25), kept as long as E is.
+    E keeps its last grid in each space (:func:`_scan_grid`): the request,
+    the resolved box, axes and resolution, the scan points (the x nodes, or
+    the usable p-node indices and their preimages) and the sum's part of
+    Psi there (:func:`_sum_part`), read-only.  A later scan of the same
+    request (box and resolution as given), under any a_0, skips the grid,
+    the default box, the inversion and the sum's part, and the a_0 check
+    too for the a_0 of E's cone block; it runs only the exponent's part
+    (:func:`_psi_many`), with the same numbers bit for bit.  Any other
+    request, an explicit box equal to the default included, replaces that
+    space's entry.  The store costs about k + m + 2 floats per scan point
+    per space (0.3 MB at 64^2 with k = 4, about 60 MB at 512^2 with
+    k = 25), kept as long as E is.
 
     ``box`` defaults to the support's bounding box ("p") or [-5, 5]^m
     ("x"), and any box must be finite with lo < hi per axis;

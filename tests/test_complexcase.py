@@ -101,5 +101,19 @@ class TestTotal:
 
     def test_too_many_variables_rejected(self):
         pts = np.vstack([np.zeros(4), np.eye(4)])
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="bkk_total is limited to three variables"):
             bkk_total(ComplexExpSum(pts))
+
+    @pytest.mark.parametrize("points, coeffs", [
+        ([[0.0], [1.0], [2.0]], [0.3, 5.0, 1.2]),
+        (SQUARE.support.points, [1.0, 0.5, 2.0, 1.5]),
+        ([[0.0, 0.0], [2.0, 0.0], [0.0, 1.0], [1.0, 2.0], [-1.0, 1.0]], None),
+        (kostlan(3, 1).support.points, kostlan(3, 1).coeffs),
+    ], ids=["segment", "square", "pentagon", "cube"])
+    def test_either_class_gives_the_same_bits(self, points, coeffs):
+        # Nothing dispatches on ComplexExpSum: bkk_total of a plain ExpSum
+        # on the same points and weights is the same integral.
+        q = Quadrature(abs_tol=1e-4, rel_tol=1e-4) if len(points[0]) == 3 else None
+        assert bkk_total(ExpSum(points, coeffs), q) == bkk_total(ComplexExpSum(points, coeffs), q)
+        x = np.full(len(points[0]), 0.3)
+        assert bkk_density(ExpSum(points, coeffs), x) == bkk_density(ComplexExpSum(points, coeffs), x)

@@ -664,11 +664,13 @@ class TestGridPreimages:
             ({"resolution": 8}, 1),
             ({"resolution": 8}, 1),
             ({"resolution": 8, "space": "x"}, 1),
-            ({"box": [(0.0, 1.0), (0.0, 1.0)], "resolution": 8}, 1),
-            ({"box": narrow, "resolution": 8}, 2),
-            ({"box": narrow, "resolution": 8}, 2),
-            ({"box": narrow, "resolution": (8, 9)}, 3),
-            ({"resolution": 8}, 4),
+            # an explicit box equal to the default one is another request
+            ({"box": [(0.0, 1.0), (0.0, 1.0)], "resolution": 8}, 2),
+            ({"box": [(0.0, 1.0), (0.0, 1.0)], "resolution": 8}, 2),
+            ({"box": narrow, "resolution": 8}, 3),
+            ({"box": narrow, "resolution": 8}, 3),
+            ({"box": narrow, "resolution": (8, 9)}, 4),
+            ({"resolution": 8}, 5),
         ]
         for i, (kwargs, want) in enumerate(runs):
             region_scan(E, Augmentation([0.3, 0.6] if i % 2 else [2.0, -1.0]), **kwargs)
@@ -745,8 +747,9 @@ class TestGridPreimages:
     @pytest.mark.parametrize("space", ["p", "x"])
     def test_a_rescan_runs_only_the_exponents_part(self, monkeypatch, space):
         # The sum's part (softmax, det g sum) and the grid are taken once;
-        # a re-scan under another a0, and a request that resolves to the
-        # same grid, take none of them again.
+        # a re-scan under another a0 takes none of them again.  An explicit
+        # box equal to the default is another request: it takes them once
+        # more, then serves its own re-scans, with the default's Psi.
         calls = []
         for name in ("_softmax", "_simplex_sum", "_grid"):
             def counted(*args, name=name, real=getattr(monotonicity, name)):
@@ -763,8 +766,10 @@ class TestGridPreimages:
         assert calls == []
         box = [(0.0, 1.0), (0.0, 1.0)] if space == "p" else [(-5.0, 5.0), (-5.0, 5.0)]
         explicit = region_scan(E, Augmentation([0.5, 0.2]), box=box, resolution=(8, 8), space=space)
-        assert calls == ["_grid"]
+        assert calls == ["_grid", "_softmax", "_simplex_sum"]
         assert explicit.psi.tobytes() == again[-1].psi.tobytes()
+        region_scan(E, Augmentation([0.3, 0.6]), box=box, resolution=(8, 8), space=space)
+        assert calls == ["_grid", "_softmax", "_simplex_sum"]
 
     def test_a_checked_a0_is_not_checked_again(self, monkeypatch):
         checks = []
@@ -805,6 +810,17 @@ class TestGridPreimages:
             X, *part = E._scan_grids[space][5:]
             held = {id(a if a.base is None else a.base): (a if a.base is None else a.base).nbytes for a in (X, *part)}
             assert len(X) > 0 and sum(held.values()) == (E.n_terms + E.dim + 2) * len(X) * 8
+
+    @pytest.mark.parametrize("space", ["p", "x"])
+    @pytest.mark.parametrize("E", [ExpSum([[0], [1], [2], [3], [5]]), SQUARE, kostlan(3, 1)],
+                             ids=["1-D", "2-D", "3-D"])
+    def test_a_stored_grid_owns_its_det_g_sum(self, E, space):
+        # The det g sum a grid keeps is its own array, not a row or view of
+        # the kernel's larger work buffer, which it would keep alive.
+        E = ExpSum(E.support.points, E.coeffs)
+        region_scan(E, Augmentation(np.full(E.dim, 0.3)), resolution=6, space=space)
+        det_sum = E._scan_grids[space][-1]
+        assert det_sum.base is None and det_sum.shape == (len(E._scan_grids[space][5]),)
 
     def test_another_p_grid_replaces_only_the_p_entry(self):
         E = ExpSum([[0, 0], [1, 0], [0, 1], [1, 1]], [1.0, 0.7, 1.3, 0.9])
